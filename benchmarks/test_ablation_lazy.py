@@ -33,8 +33,8 @@ def _commit_eager(system, vid):
     latency = system.commit_mtx(0, vid)
     walked = 0
     for cache in system.hierarchy.l1s + [system.hierarchy.l2]:
-        for line in list(cache.all_lines()):
-            cache.process_lazy(line)
+        for slot in list(cache.resident_slots()):
+            cache._process_lazy_slot(slot)
             walked += 1
     return latency + walked  # one cycle per explicitly processed line
 

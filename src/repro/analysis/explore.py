@@ -77,7 +77,7 @@ from ..coherence.protocol import (
     commit_transition_code,
     version_hits_code,
 )
-from ..coherence.states import CODE_INVALID, CODE_SM, State
+from ..coherence.states import CODE_INVALID, CODE_SM, CODE_SS, State
 from ..errors import MisspeculationError
 from ..topology import TopologySpec, place_core
 from ..txctl.causes import AbortCause
@@ -901,11 +901,12 @@ def _inject_broken_scrub(run: _Run) -> None:
 
 def _broken_forward_receive(self, core, owner_cache, owner, vid, kind):
     # Corrupts the data word of forwarded speculative (S-S) copies.
-    line = MemoryHierarchy._receive_from_owner(
+    slot = MemoryHierarchy._receive_from_owner(
         self, core, owner_cache, owner, vid, kind)
-    if line.state is State.SS:
-        line.data[0] ^= 0x5A
-    return line
+    store = self.l1s[core]._store
+    if store.state[slot] == CODE_SS:
+        store.data[slot][0] ^= 0x5A
+    return slot
 
 
 def _inject_broken_forward(run: _Run) -> None:
@@ -929,9 +930,10 @@ def _inject_broken_presence(run: _Run) -> None:
         cache.presence_listener = hierarchy._on_presence
 
 
-def _broken_sharers_install(self, cache, line):
+def _broken_sharers_install(self, cache, base, code, data, mod_vid, high_vid):
     # Bypasses the directory's eager sharer recording on install.
-    return MemoryHierarchy._install(self, cache, line)
+    return MemoryHierarchy._install(self, cache, base, code, data, mod_vid,
+                                    high_vid)
 
 
 def _broken_sharers_record(self, cache, addr):

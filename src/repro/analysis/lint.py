@@ -60,6 +60,16 @@ Rule catalog (details in DESIGN.md section 10):
     byte-identity contract (``obs diff`` on two identical runs must be
     exactly zero).  Timing that is only *printed* (never written) is the
     legitimate exception and carries a ``lint-ok`` marker saying so.
+``RL009`` one state representation on the access paths
+    The coherence stack keeps resident versions as slot columns and
+    decides on integer state codes.  In ``coherence/hierarchy.py`` and
+    ``coherence/directory.py`` (every line there is an access path or its
+    bookkeeping) and in every ``# hot-path`` function under
+    ``coherence/``, a ``State.<member>`` reference or a
+    ``CacheLine``/``LineView`` construction means a second representation
+    has crept back in; so does a ``_view(`` call outside the debug and
+    introspection helpers (``check_*``, ``versions*``, ``all_lines``,
+    ``lookup``, ``__repr__``).
 """
 
 from __future__ import annotations
@@ -82,6 +92,8 @@ LINT_RULES: Dict[str, str] = {
     "RL007": "output/report paths must not order by id() or iterate "
              "unordered sets",
     "RL008": "artifact-writing functions must not read wall-clock time",
+    "RL009": "coherence access paths must use slot columns and state "
+             "codes, not State members or line objects",
 }
 
 #: Exception classes whose raise sites must stamp ``cause=`` (RL001).
@@ -494,6 +506,55 @@ def _rl008_artifact_wallclock(tree: ast.AST, rel: str,
                     "print-only")
 
 
+#: Modules RL009 polices line by line (module path suffixes).
+_ONE_REPRESENTATION_MODULES = ("coherence/hierarchy.py",
+                               "coherence/directory.py")
+#: Object facades that must not be constructed on an access path (RL009).
+_LINE_OBJECTS = {"CacheLine", "LineView"}
+#: Debug/introspection helpers allowed to build views with ``_view(``.
+_INTROSPECTION_PREFIXES = ("check_", "versions", "all_lines", "lookup",
+                           "__repr__")
+
+
+def _rl009_one_representation(tree: ast.AST, rel: str,
+                              lines: Sequence[str]) -> Iterable[Finding]:
+    path = rel.replace("\\", "/")
+    if path.endswith(_ONE_REPRESENTATION_MODULES):
+        yield from _scan_representation(tree, rel, "")
+    elif "coherence/" in path:
+        for node in ast.walk(tree):
+            if _is_hot_function(node, lines):
+                yield from _scan_representation(node, rel, node.name)
+
+
+def _scan_representation(node: ast.AST, rel: str,
+                         func: str) -> Iterable[Finding]:
+    for child in ast.iter_child_nodes(node):
+        scope = (child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+        what = None
+        if isinstance(child, ast.Attribute) \
+                and isinstance(child.value, ast.Name) \
+                and child.value.id == "State":
+            what = f"State.{child.attr} reference"
+        elif isinstance(child, ast.Call):
+            name = _call_name(child)
+            if name in _LINE_OBJECTS:
+                what = f"{name} construction"
+            elif name == "_view" \
+                    and not scope.startswith(_INTROSPECTION_PREFIXES):
+                what = "_view() call"
+        if what is not None:
+            yield Finding(
+                "RL009", SEVERITY_ERROR, f"{rel}:{child.lineno}",
+                f"{what} on a coherence access path"
+                + (f" (in {scope})" if scope else ""),
+                "access paths work on slot ints and the integer state "
+                "codes of coherence/states.py (CODE_*); keep State members "
+                "and line objects to tests and introspection helpers")
+        yield from _scan_representation(child, rel, scope)
+
+
 _RULE_CHECKS = (
     _rl001_cause_stamping,
     _rl002_protocol_purity,
@@ -503,6 +564,7 @@ _RULE_CHECKS = (
     _rl006_hot_path_allocation,
     _rl007_determinism,
     _rl008_artifact_wallclock,
+    _rl009_one_representation,
 )
 
 

@@ -1,22 +1,25 @@
-"""Exhaustive model checker for the HMTX coherence protocol functions.
+"""Exhaustive model checker for the HMTX coherence protocol rules.
 
 The paper's section 4.3 correctness argument rests on hit/miss/conflict
 decisions being *purely local* functions of ``(state, modVID, highVID,
 requestVID)``.  :mod:`repro.coherence.protocol` encodes them as
-side-effect-free functions, which makes the whole decision space finitely
-enumerable: 9 states x an m-bit ``modVID`` x an m-bit ``highVID`` x an
-m-bit ``requestVID``.  This module walks that space — every tuple, the
-full 2**m VID namespace, no sampling — and checks each invariant against
-an *independent* specification transcribed from the paper's prose, so an
-implementation bug and a spec transcription bug would have to coincide
-exactly to slip through.
+side-effect-free functions on integer state codes — the very functions
+the hierarchy's access paths, the cache's lazy folds and the VID-reset
+scrub call — which makes the whole decision space finitely enumerable:
+9 states x an m-bit ``modVID`` x an m-bit ``highVID`` x an m-bit
+``requestVID``.  This module walks that space — every tuple, the full
+2**m VID namespace, no sampling — and checks each invariant against an
+*independent* specification transcribed from the paper's prose and
+written over the :class:`~repro.coherence.states.State` enum and its
+class sets rather than over codes, so an implementation bug and a spec
+transcription bug would have to coincide exactly to slip through.
 
 Invariants (rule catalog; see DESIGN.md section 10):
 
 ``MC001`` hit-window soundness
-    ``version_hits`` equals the section 4.1 window spec: latest versions
-    serve ``a >= modVID``, superseded versions serve ``modVID <= a <
-    highVID``, valid non-speculative lines serve everything, Invalid
+    ``version_hits_code`` equals the section 4.1 window spec: latest
+    versions serve ``a >= modVID``, superseded versions serve ``modVID <=
+    a < highVID``, valid non-speculative lines serve everything, Invalid
     nothing.
 ``MC002`` version partitioning
     Every version chain the protocol can create (a non-speculative backup
@@ -38,8 +41,8 @@ Invariants (rule catalog; see DESIGN.md section 10):
     dirtiness.
 ``MC006`` lazy commit fold convergence
     Folding commits ``1..c`` one at a time equals applying
-    ``commit_transition`` once with ``commit_vid=c`` — the property that
-    lets a lazy cache process any backlog of commit broadcasts in a
+    ``commit_transition_code`` once with ``commit_vid=c`` — the property
+    that lets a lazy cache process any backlog of commit broadcasts in a
     single step (section 5.3), in whatever order lines are touched.
 ``MC007`` abort convergence
     Abort after any commit prefix leaves no speculative state behind and
@@ -57,11 +60,16 @@ the transition taken, and expected-vs-got.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..coherence import protocol as _protocol_module
-from ..coherence.protocol import WriteOutcome
-from ..coherence.states import State
+from ..coherence.protocol import (
+    WRITE_ABORT,
+    WRITE_IN_PLACE,
+    WRITE_NEW_VERSION,
+    WRITE_OUTCOME_NAMES,
+)
+from ..coherence.states import SPECULATIVE_STATES, STATE_FROM_CODE, State
 from ..coherence.vid import DEFAULT_VID_BITS
 from .findings import SEVERITY_ERROR, Finding, PassReport
 
@@ -78,9 +86,20 @@ COUNTEREXAMPLE_SCHEMA = "hmtx-modelcheck-counterex/1"
 #: (below-all, between-any-two, above-all request VIDs).
 DEFAULT_MAX_CHAIN = 3
 
+#: The rule functions of :mod:`repro.coherence.protocol` the checker
+#: binds; a ``protocol=`` namespace must provide all of them.
+RULE_NAMES = (
+    "version_hits_code",
+    "read_transition_code",
+    "write_outcome_code",
+    "new_version_code",
+    "commit_transition_code",
+    "abort_transition_code",
+    "reset_transition_code",
+)
+
 _LATEST = (State.SM, State.SE)
 _SUPERSEDED = (State.SO, State.SS)
-_NONSPEC_VALID = (State.MODIFIED, State.OWNED, State.EXCLUSIVE, State.SHARED)
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +117,7 @@ def _spec_hits(state: State, m: int, h: int, a: int) -> bool:
     return True
 
 
-def _spec_write(state: State, m: int, h: int, a: int) -> WriteOutcome:
+def _spec_write(state: State, m: int, h: int, a: int) -> int:
     """Dependence analysis of a write hitting ``(state, m, h)`` with VID ``a``.
 
     * superseded version: a logically-later write already superseded this
@@ -109,14 +128,14 @@ def _spec_write(state: State, m: int, h: int, a: int) -> WriteOutcome:
     * otherwise the write is dependence-safe and creates a new version.
     """
     if state in _SUPERSEDED:
-        return WriteOutcome.ABORT
+        return WRITE_ABORT
     if state in _LATEST:
         if a < h:
-            return WriteOutcome.ABORT
+            return WRITE_ABORT
         if a == m:
-            return WriteOutcome.IN_PLACE
-        return WriteOutcome.NEW_VERSION
-    return WriteOutcome.NEW_VERSION
+            return WRITE_IN_PLACE
+        return WRITE_NEW_VERSION
+    return WRITE_NEW_VERSION
 
 
 def reachable(state: State, m: int, h: int) -> bool:
@@ -129,7 +148,7 @@ def reachable(state: State, m: int, h: int) -> bool:
     superseding write in ``highVID``; ``S-S`` mirrors the version it was
     snooped from.
     """
-    if not state.speculative:
+    if state not in SPECULATIVE_STATES:
         return m == 0 and h == 0
     if state is State.SO:
         return 0 <= m < h
@@ -181,23 +200,43 @@ def _tuple_doc(state: State, m: int, h: int, a: Optional[int] = None,
     return doc
 
 
+def _version_repr(version: Sequence[int]) -> str:
+    """``S-M(2,5)`` for a ``(code, mod, high)`` rule result."""
+    code, mod, high = version
+    name = (STATE_FROM_CODE[code].value
+            if 0 <= code < len(STATE_FROM_CODE) else f"code {code}")
+    return f"{name}({mod},{high})"
+
+
+def _outcome_name(outcome: int) -> str:
+    if 0 <= outcome < len(WRITE_OUTCOME_NAMES):
+        return WRITE_OUTCOME_NAMES[outcome]
+    return f"outcome {outcome}"
+
+
+def _speculative(code: int) -> bool:
+    return (0 <= code < len(STATE_FROM_CODE)
+            and STATE_FROM_CODE[code] in SPECULATIVE_STATES)
+
+
 def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
                    max_chain: int = DEFAULT_MAX_CHAIN,
                    protocol=None) -> PassReport:
     """Run every invariant over the full ``vid_bits`` decision space.
 
-    ``protocol`` defaults to :mod:`repro.coherence.protocol`; the mutation
-    tests pass a patched namespace to prove a broken transition yields a
-    counterexample.
+    ``protocol`` defaults to :mod:`repro.coherence.protocol` — the rule
+    set the simulator executes; the mutation tests pass a namespace with
+    one rule patched (see :data:`RULE_NAMES`) to prove a broken transition
+    yields a counterexample.
     """
     proto = protocol if protocol is not None else _protocol_module
-    version_hits = proto.version_hits
-    write_outcome = proto.write_outcome
-    plan_new_version = proto.plan_new_version
-    read_transition = proto.read_transition
-    commit_transition = proto.commit_transition
-    abort_transition = proto.abort_transition
-    reset_transition = proto.reset_transition
+    version_hits = proto.version_hits_code
+    read_transition = proto.read_transition_code
+    write_outcome = proto.write_outcome_code
+    new_version = proto.new_version_code
+    commit_transition = proto.commit_transition_code
+    abort_transition = proto.abort_transition_code
+    reset_transition = proto.reset_transition_code
 
     max_vid = (1 << vid_bits) - 1
     vids = range(max_vid + 1)
@@ -209,9 +248,10 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
     commit_fold_steps = 0
     abort_pairs = 0
 
-    for state in State:
+    for code, state in enumerate(STATE_FROM_CODE):
         latest = state in _LATEST
         superseded = state in _SUPERSEDED
+        speculative = state in SPECULATIVE_STATES
         for m in vids:
             for h in vids:
                 enumerated += 1
@@ -223,58 +263,59 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
                 # ---- MC006: lazy commit fold convergence (induction:
                 # one-shot commit at c == incremental commit of c applied
                 # to the one-shot result at c-1).
-                prev = (state, (m, h))
+                prev = (code, m, h)
                 for c in range(1, max_vid + 1):
-                    one_shot = commit_transition(state, m, h, c)
-                    stepped = commit_transition(prev[0], prev[1][0],
-                                                prev[1][1], c)
+                    one_shot = commit_transition(code, m, h, c)
+                    stepped = commit_transition(prev[0], prev[1], prev[2], c)
                     commit_fold_steps += 1
                     if stepped != one_shot:
                         out.emit(
                             "MC006", where_v,
                             "lazy commit fold diverges from one-shot commit",
-                            f"commit_transition folded up to {c} gives "
-                            f"{stepped}, one-shot commit({c}) gives "
-                            f"{one_shot}",
+                            f"commit_transition_code folded up to {c} gives "
+                            f"{_version_repr(stepped)}, one-shot "
+                            f"commit({c}) gives {_version_repr(one_shot)}",
                             _tuple_doc(state, m, h, commit_vid=c))
                         break
                     prev = one_shot
 
                 # ---- MC007: abort convergence after any commit prefix.
                 for c in (0, m, h, max_vid):
-                    base = ((state, (m, h)) if c == 0
-                            else commit_transition(state, m, h, c))
-                    aborted = abort_transition(base[0], base[1][0],
-                                               base[1][1])
+                    base = ((code, m, h) if c == 0
+                            else commit_transition(code, m, h, c))
+                    aborted = abort_transition(base[0], base[1], base[2])
                     abort_pairs += 1
-                    if aborted[0].speculative:
+                    if _speculative(aborted[0]):
                         out.emit(
                             "MC007", where_v,
                             "speculative state survives an abort",
-                            f"abort after commit({c}) left {aborted}",
+                            f"abort after commit({c}) left "
+                            f"{_version_repr(aborted)}",
                             _tuple_doc(state, m, h, commit_vid=c))
-                    again = abort_transition(aborted[0], aborted[1][0],
-                                             aborted[1][1])
+                    again = abort_transition(aborted[0], aborted[1],
+                                             aborted[2])
                     if again != aborted:
                         out.emit(
                             "MC007", where_v,
                             "abort is not idempotent",
-                            f"abort(abort(v)) = {again} != abort(v) = "
-                            f"{aborted} (after commit({c}))",
+                            f"abort(abort(v)) = {_version_repr(again)} != "
+                            f"abort(v) = {_version_repr(aborted)} "
+                            f"(after commit({c}))",
                             _tuple_doc(state, m, h, commit_vid=c))
 
                 # ---- MC008: VID-reset scrub.
-                if state.speculative:
+                if speculative:
                     expect = ((State.MODIFIED if state is State.SM
                                else State.EXCLUSIVE) if latest
                               else State.INVALID)
-                    got = reset_transition(state, m, h)
-                    if got != (expect, (0, 0)):
+                    got = reset_transition(code, m, h)
+                    if got != (expect.code, 0, 0):
                         out.emit(
                             "MC008", where_v,
                             "VID reset does not scrub the version",
-                            f"reset_transition gave {got}, the 4.6 scrub "
-                            f"requires ({expect}, (0, 0))",
+                            f"reset_transition_code gave "
+                            f"{_version_repr(got)}, the 4.6 scrub requires "
+                            f"{expect.value}(0,0)",
                             _tuple_doc(state, m, h))
 
                 # ---- The request-VID dimension.
@@ -283,13 +324,13 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
                     where = _tuple_repr(state, m, h, a)
 
                     # MC001: hit-window soundness.
-                    hits = version_hits(state, m, h, a)
+                    hits = version_hits(code, m, h, a)
                     if hits != _spec_hits(state, m, h, a):
                         out.emit(
                             "MC001", where,
-                            "version_hits disagrees with the section 4.1 "
-                            "window spec",
-                            f"version_hits={hits}, spec="
+                            "version_hits_code disagrees with the section "
+                            "4.1 window spec",
+                            f"version_hits_code={hits}, spec="
                             f"{_spec_hits(state, m, h, a)}",
                             _tuple_doc(state, m, h, a))
                         continue
@@ -298,41 +339,43 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
 
                     # MC003: dependence-exact write classification
                     # (checked on hit tuples: the hierarchy only consults
-                    # write_outcome for the version a request hits).
-                    outcome = write_outcome(state, m, h, a)
+                    # write_outcome_code for the version a request hits).
+                    outcome = write_outcome(code, m, h, a)
                     expected = _spec_write(state, m, h, a)
-                    if outcome is not expected:
+                    if outcome != expected:
                         out.emit(
                             "MC003", where,
-                            "write_outcome violates the dependence rules",
-                            f"write_outcome={outcome.value}, dependence "
-                            f"analysis requires {expected.value}",
+                            "write_outcome_code violates the dependence "
+                            "rules",
+                            f"write_outcome_code={_outcome_name(outcome)}, "
+                            f"dependence analysis requires "
+                            f"{_outcome_name(expected)}",
                             _tuple_doc(state, m, h, a))
                         continue
 
                     # MC004: the copy-creating write preserves the
                     # partition.  MC001 proved the windows are the spec
                     # intervals, so boundary request VIDs suffice.
-                    if outcome is WriteOutcome.NEW_VERSION:
-                        plan = plan_new_version(state, m, h, a)
-                        src_m = m if state.speculative else 0
-                        if (plan.old_state is not State.SO
-                                or plan.old_vids != (src_m, a)
-                                or plan.new_vids != (a, a)):
+                    if outcome == WRITE_NEW_VERSION:
+                        plan = tuple(new_version(code, m, h, a))
+                        src_m = m if speculative else 0
+                        want = (State.SO.code, src_m, a, State.SM.code, a, a)
+                        if plan != want:
                             out.emit(
                                 "MC004", where,
                                 "new-version plan deviates from Figure 4",
-                                f"got old={plan.old_state.value}"
-                                f"{plan.old_vids} new=S-M{plan.new_vids}; "
-                                f"expected old=S-O({src_m},{a}) "
-                                f"new=S-M({a},{a})",
+                                f"got backup={_version_repr(plan[:3])} "
+                                f"new={_version_repr(plan[3:])}; expected "
+                                f"backup=S-O({src_m},{a}) new=S-M({a},{a})",
                                 _tuple_doc(state, m, h, a))
                         else:
                             for q in {0, max(0, src_m - 1), src_m,
                                       max(0, a - 1), a, max_vid}:
-                                before = version_hits(state, m, h, q)
-                                after = (version_hits(State.SO, src_m, a, q)
-                                         + version_hits(State.SM, a, a, q))
+                                before = version_hits(code, m, h, q)
+                                after = (version_hits(plan[0], plan[1],
+                                                      plan[2], q)
+                                         + version_hits(plan[3], plan[4],
+                                                        plan[5], q))
                                 if after != (1 if before else 0):
                                     out.emit(
                                         "MC004", where,
@@ -346,25 +389,22 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
 
                     # MC005: read effects (speculative reads carry a >= 1).
                     if a >= 1:
-                        rt = read_transition(state, m, h, a)
+                        rt = tuple(read_transition(code, m, h, a))
                         if superseded:
-                            ok = rt == (state, (m, h))
-                            want = f"immutable {(state, (m, h))}"
+                            want = (code, m, h)
                         elif latest:
-                            ok = rt == (state, (m, max(h, a)))
-                            want = f"({state}, ({m}, {max(h, a)}))"
+                            want = (code, m, max(h, a))
                         elif state in (State.MODIFIED, State.OWNED):
-                            ok = rt == (State.SM, (0, a))
-                            want = f"(S-M, (0, {a}))"
+                            want = (State.SM.code, 0, a)
                         else:
-                            ok = rt == (State.SE, (0, a))
-                            want = f"(S-E, (0, {a}))"
-                        if not ok:
+                            want = (State.SE.code, 0, a)
+                        if rt != want:
                             out.emit(
                                 "MC005", where,
                                 "read transition corrupts the version",
-                                f"read_transition gave {rt}, expected "
-                                f"{want}",
+                                f"read_transition_code gave "
+                                f"{_version_repr(rt)}, expected "
+                                f"{_version_repr(want)}",
                                 _tuple_doc(state, m, h, a))
 
     # ---- MC002: version-chain partitioning.  A chain is the backup
@@ -375,13 +415,14 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
     # interval boundaries covers all 2**m request VIDs.
     chains = 0
     chain_points = 0
+    so, sm = State.SO.code, State.SM.code
     for k in range(1, max_chain + 1):
         for bases in combinations(range(1, max_vid + 1), k):
             chains += 1
-            versions: List[Tuple[State, int, int]] = [(State.SO, 0, bases[0])]
-            versions += [(State.SO, bases[i], bases[i + 1])
+            versions: List[Tuple[int, int, int]] = [(so, 0, bases[0])]
+            versions += [(so, bases[i], bases[i + 1])
                          for i in range(k - 1)]
-            versions.append((State.SM, bases[-1], bases[-1]))
+            versions.append((sm, bases[-1], bases[-1]))
             points = {0, max_vid}
             for b in bases:
                 points.update((b - 1, b))
@@ -393,11 +434,12 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
                     out.emit(
                         "MC002",
                         "chain " + " -> ".join(
-                            f"{s.value}({m},{h})" for s, m, h in versions),
+                            _version_repr(v) for v in versions),
                         f"request VID {q} hits {len(serving)} versions "
                         "(must be exactly 1)",
-                        f"serving: {[f'{s.value}({m},{h})' for s, m, h in serving]}",
-                        {"chain": [[s.value, m, h] for s, m, h in versions],
+                        f"serving: {[_version_repr(v) for v in serving]}",
+                        {"chain": [[STATE_FROM_CODE[c].value, m, h]
+                                   for c, m, h in versions],
                          "request_vid": q})
             if out.violations > 10_000:  # runaway mutant; coverage is moot
                 break

@@ -7,11 +7,12 @@ The public surface of this subpackage:
 * :class:`~repro.coherence.hierarchy.HierarchyConfig` — geometry/latency
   configuration (defaults follow the paper's Table 2).
 * :mod:`~repro.coherence.protocol` — the pure Figure 4/6/7 transition
-  functions, for tests and formal exploration.
+  rules on integer state codes, shared by the access paths, the lazy
+  folds and the model checkers.
 * :class:`~repro.coherence.vid.VidSpace` — the finite VID namespace.
 """
 
-from .cache import CacheStats, VersionedCache, victim_priority
+from .cache import CacheStats, VersionedCache
 from .directory import DirectoryConfig, DirectoryHierarchy, DirectoryStats
 from .overflow import OverflowVersionTable
 from .hierarchy import AccessResult, HierarchyConfig, HierarchyStats, MemoryHierarchy
@@ -45,5 +46,4 @@ __all__ = [
     "VersionedCache",
     "VidExhaustedError",
     "VidSpace",
-    "victim_priority",
 ]

@@ -9,25 +9,27 @@ Lazy commit/abort (section 5.3): commits and aborts are recorded by setting
 the per-cache ``LC_VID`` register and flash-setting the per-line CB/AB bits;
 the actual Figure 6/7 transition of a line is applied the next time that
 line is touched or chosen as an eviction victim
-(:meth:`VersionedCache.process_lazy`).
+(:meth:`VersionedCache._process_lazy_slot`).
 
-Struct-of-arrays layer (DESIGN.md section 13): resident versions live as
+One state representation (DESIGN.md section 13): resident versions live as
 slots in a per-cache :class:`~repro.coherence.store.LineStore` — parallel
 ``bytearray``/``array`` columns for state codes, VIDs, addresses and the
 lazy-processing stamps.  The per-set lists, the per-base version buckets
-and the presence map all hold plain slot integers, so the hot sweeps
-(lookup, lazy folds, VID-reset scrubs, victim selection) run over
-contiguous arrays with no per-line object in sight.  Cold paths and tests
-get :class:`~repro.coherence.line.LineView` facades, identity-cached per
-slot; eviction victims come back as detached
-:class:`~repro.coherence.line.CacheLine` records.
+and the presence map all hold plain slot integers; lookups, installs,
+lazy folds, VID-reset scrubs and victim selection all run on slot ints and
+the integer-code rules of :mod:`repro.coherence.protocol`.  Installs take
+column values.  Only two object shapes remain, both at the edges: eviction
+victims come back as detached :class:`~repro.coherence.line.CacheLine`
+records, and the introspection helpers (:meth:`VersionedCache.lookup`,
+:meth:`~VersionedCache.versions`, :meth:`~VersionedCache.all_lines`) hand
+tests and tools read-only :class:`~repro.coherence.line.LineView` facades.
 
 Fast-path layer (DESIGN.md, "Fast-path indexing") — pure implementation
 optimisations, invisible to the modelled protocol:
 
 * an **event epoch** bumped on every commit/abort/reset broadcast; a line
   stamped with the current epoch provably has no pending lazy events, so
-  :meth:`process_lazy` returns without replaying anything;
+  :meth:`_process_lazy_slot` returns without replaying anything;
 * a **per-base version index** (``line address -> [slots]``), so
   :meth:`versions`/:meth:`lookup` touch only the versions of the requested
   line instead of scanning the whole set;
@@ -43,24 +45,22 @@ optimisations, invisible to the modelled protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .line import CacheLine, LineView
 from .protocol import (
-    abort_transition,
     abort_transition_code,
-    commit_transition,
     commit_transition_code,
     reset_transition_code,
-    version_hits,
 )
 from .states import (
     CODE_INVALID,
+    CODE_NAMES,
     CODE_SE,
     CODE_SM,
     CODE_SO,
+    CODE_SS,
     STATE_FROM_CODE,
-    State,
 )
 from .store import FREE_CODE, LineStore
 from .vid import CascadedComparator
@@ -91,31 +91,17 @@ _PRIORITY_SPEC_SHARED = 3       # S-S: silently droppable peer copies
 _PRIORITY_SPEC_OVERFLOWABLE = 4  # S-O with modVID == 0: may go to memory
 _PRIORITY_SPEC_PINNED = 5        # eviction past the LLC aborts
 
-# Precomputed per-state priority (S-O is the one state whose class also
-# depends on modVID; victim_priority special-cases it).
-State.INVALID.victim_class = _PRIORITY_INVALID
-State.SHARED.victim_class = _PRIORITY_CLEAN_NONSPEC
-State.EXCLUSIVE.victim_class = _PRIORITY_CLEAN_NONSPEC
-State.OWNED.victim_class = _PRIORITY_DIRTY_NONSPEC
-State.MODIFIED.victim_class = _PRIORITY_DIRTY_NONSPEC
-State.SS.victim_class = _PRIORITY_SPEC_SHARED
-State.SO.victim_class = _PRIORITY_SPEC_PINNED
-State.SM.victim_class = _PRIORITY_SPEC_PINNED
-State.SE.victim_class = _PRIORITY_SPEC_PINNED
-
-#: State code -> victim priority class (S-O with modVID == 0 is the one
-#: code whose class the sweep special-cases to overflowable).
-_VICTIM_CLASS_BY_CODE = bytes(
-    STATE_FROM_CODE[code].victim_class for code in range(len(STATE_FROM_CODE))
-)
-
-
-def victim_priority(line) -> int:
-    """Eviction priority class of a line (lower evicts first)."""
-    state = line.state
-    if state is State.SO and line.mod_vid == 0:
-        return _PRIORITY_SPEC_OVERFLOWABLE
-    return state.victim_class
+#: State code -> victim priority class, in code order I, S, E, O, M, S-M,
+#: S-E, S-O, S-S.  S-O with modVID == 0 is the one version whose class
+#: also depends on its VIDs; the victim sweep special-cases it to
+#: overflowable.
+_VICTIM_CLASS_BY_CODE = bytes((
+    _PRIORITY_INVALID,
+    _PRIORITY_CLEAN_NONSPEC, _PRIORITY_CLEAN_NONSPEC,
+    _PRIORITY_DIRTY_NONSPEC, _PRIORITY_DIRTY_NONSPEC,
+    _PRIORITY_SPEC_PINNED, _PRIORITY_SPEC_PINNED, _PRIORITY_SPEC_PINNED,
+    _PRIORITY_SPEC_SHARED,
+))
 
 
 class VersionedCache:
@@ -139,6 +125,8 @@ class VersionedCache:
 
     def __init__(self, name: str, size: int, assoc: int, line_size: int = 64,
                  hit_latency: int = 2, vid_bits: int = 6) -> None:
+        if line_size & (line_size - 1):
+            raise ValueError("line size must be a power of two")
         if size % (assoc * line_size):
             raise ValueError("cache size must be a multiple of assoc * line_size")
         self.name = name
@@ -165,22 +153,16 @@ class VersionedCache:
         self._set_epochs: Dict[int, int] = {}
         #: line address -> resident version slots, in set-list order.
         self._by_base: Dict[int, List[int]] = {}
-        #: slot -> LineView facade (identity-cached; popped on slot free).
-        self._views: Dict[int, LineView] = {}
         #: Maintained counters backing the snoop filters.
         self._spec_lines = 0
         self._sm_live = 0
         #: Hierarchy hook: called ``(cache, base, present)`` when this cache
         #: gains its first / loses its last version of a line address.
         self.presence_listener: Optional[Callable] = None
-        # Precomputed address masks (power-of-two geometry is the norm;
-        # anything else falls back to div/mod).
-        if line_size & (line_size - 1) == 0:
-            self._offset_mask = line_size - 1
-            self._line_shift = line_size.bit_length() - 1
-        else:
-            self._offset_mask = None
-            self._line_shift = None
+        # Precomputed address masks (a set count that is not a power of two
+        # falls back to a modulo).
+        self._offset_mask = line_size - 1
+        self._line_shift = line_size.bit_length() - 1
         self._index_mask = (self.num_sets - 1
                             if self.num_sets & (self.num_sets - 1) == 0
                             else None)
@@ -190,16 +172,13 @@ class VersionedCache:
     # ------------------------------------------------------------------
 
     def line_addr(self, addr: int) -> int:
-        mask = self._offset_mask
-        if mask is not None:
-            return addr & ~mask
-        return addr - (addr % self.line_size)
+        return addr & ~self._offset_mask
 
     def set_index(self, addr: int) -> int:
         """Set index depends only on the address, never on VIDs (4.1)."""
-        if self._offset_mask is not None and self._index_mask is not None:
+        if self._index_mask is not None:
             return (addr >> self._line_shift) & self._index_mask
-        return (self.line_addr(addr) // self.line_size) % self.num_sets
+        return (addr >> self._line_shift) % self.num_sets
 
     def _set_list(self, index: int) -> List[int]:
         slots = self._sets.get(index)
@@ -208,32 +187,24 @@ class VersionedCache:
         return slots
 
     # ------------------------------------------------------------------
-    # Views and detached records
+    # Introspection views and eviction records
     # ------------------------------------------------------------------
 
-    def _view(self, slot: int) -> LineView:
-        view = self._views.get(slot)
-        if view is None:
-            view = self._views[slot] = LineView(self, slot)
-        return view
+    def _describe(self, slot: int) -> str:
+        """``CacheLine(0x40, S-M(2,5))``-style text for assertion messages."""
+        store = self._store
+        return (f"CacheLine(0x{store.addr[slot]:x}, "
+                f"{CODE_NAMES[store.state[slot]]}"
+                f"({store.mod_vid[slot]},{store.high_vid[slot]}))")
 
     def _make_record(self, slot: int) -> CacheLine:
-        """Snapshot a slot's columns into a detached CacheLine record."""
+        """Snapshot an evicted slot's columns into a detached record."""
         store = self._store
         record = CacheLine(
             store.addr[slot], STATE_FROM_CODE[store.state[slot]],
             store.data[slot], store.mod_vid[slot], store.high_vid[slot],
             store.seen_aborts[slot], store.lru_tick[slot])
         record.epoch = store.epoch[slot]
-        return record
-
-    def _free_slot(self, slot: int) -> CacheLine:
-        """Release an unlinked slot, detaching its view onto a record."""
-        record = self._make_record(slot)
-        view = self._views.pop(slot, None)
-        if view is not None:
-            view._detach(record)
-        self._store.release(slot)
         return record
 
     # ------------------------------------------------------------------
@@ -305,8 +276,7 @@ class VersionedCache:
     def _process_lazy_slot(self, slot: int) -> Optional[int]:  # hot-path
         """Resolve a slot's pending commit/abort transitions (section 5.3).
 
-        The struct-of-arrays core of :meth:`process_lazy`: replays, in
-        broadcast order, every event the line has not yet processed — for
+        Replays, in broadcast order, every event the line has not yet processed — for
         each unseen abort, the commits up to the pre-abort ``LC_VID`` apply
         first (Figure 6), then the abort (Figure 7); finally the current
         ``LC_VID`` commit level applies.
@@ -357,66 +327,12 @@ class VersionedCache:
         store.epoch[slot] = epoch
         return slot
 
-    def process_lazy(self, line):
-        """Resolve a line's pending transitions; object-facade entry point.
-
-        Accepts a resident :class:`LineView` (the hot case, delegated to
-        :meth:`_process_lazy_slot`), a detached view, or a plain
-        :class:`CacheLine` record.  Returns the line if it is still valid
-        afterwards, or ``None`` if a transition invalidated it (in which
-        case it has been removed from its set).
-        """
-        if type(line) is LineView and line._snap is None:
-            if line.cache is self:
-                slot = line._slot
-                return line if self._process_lazy_slot(slot) is not None else None
-        return self._process_lazy_object(line)
-
-    def _process_lazy_object(self, line):
-        """Replay pending events on a detached record or foreign view.
-
-        Mirrors the object-model implementation exactly (counters included)
-        so behaviour for lines outside this cache's arena is unchanged.
-        """
-        epoch = self._epoch
-        if line.epoch == epoch:
-            return line
-        if not line.state.speculative:
-            line.seen_aborts = len(self._abort_history)
-            line.epoch = epoch
-            return line
-        history = self._abort_history
-        while line.seen_aborts < len(history):
-            lc_at_abort = history[line.seen_aborts]
-            line.seen_aborts += 1
-            state, (mod, high) = commit_transition(
-                line.state, line.mod_vid, line.high_vid, lc_at_abort)
-            self.stats.lazy_commits_processed += 1
-            state, (mod, high) = abort_transition(state, mod, high)
-            self.stats.lazy_aborts_processed += 1
-            line.retag(state, mod, high)
-            if state is State.INVALID:
-                return None
-            if not state.speculative:
-                line.seen_aborts = len(history)
-                line.epoch = epoch
-                return line
-        state, (mod, high) = commit_transition(
-            line.state, line.mod_vid, line.high_vid, self.lc_vid)
-        if state is not line.state or mod != line.mod_vid or high != line.high_vid:
-            self.stats.lazy_commits_processed += 1
-            line.retag(state, mod, high)
-        if state is State.INVALID:
-            return None
-        line.epoch = epoch
-        return line
-
-    def _remove_slot(self, slot: int) -> CacheLine:
+    def _remove_slot(self, slot: int) -> None:
         """Unlink a resident slot from its set and index, and free it."""
         store = self._store
         self._set_list(self.set_index(store.addr[slot])).remove(slot)
         self._index_remove_slot(slot)
-        return self._free_slot(slot)
+        store.release(slot)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -451,8 +367,7 @@ class VersionedCache:
         bucket = self._process_bucket(self.line_addr(addr))
         if bucket is None:
             return []
-        view = self._view
-        return [view(slot) for slot in bucket]
+        return [LineView(self, slot) for slot in bucket]
 
     def effective_vid(self, req_vid: int) -> int:
         """Non-speculative requests use ``LC_VID`` for hit logic (5.3)."""
@@ -471,10 +386,12 @@ class VersionedCache:
         store = self._store
         if len(bucket) == 1:
             slot = bucket[0]
-            # Dominant case: one resident non-speculative, fully-processed
-            # version.  It hits any VID, engages no comparator, and cannot
-            # collide with a second hit — skip the generic scan.
-            if store.epoch[slot] == self._epoch and store.state[slot] < CODE_SM:
+            # Dominant case: one resident valid non-speculative,
+            # fully-processed version.  It hits any VID, engages no
+            # comparator, and cannot collide with a second hit — skip the
+            # generic scan.
+            if store.epoch[slot] == self._epoch \
+                    and CODE_INVALID < store.state[slot] < CODE_SM:
                 self._tick += 1
                 store.lru_tick[slot] = self._tick
                 return slot
@@ -505,8 +422,8 @@ class VersionedCache:
                 if hit is not None:
                     raise AssertionError(
                         f"{self.name}: two versions hit VID {eff} at "
-                        f"0x{base:x}: {self._view(hit)!r} and {self._view(slot)!r}"
-                    )
+                        f"0x{base:x}: {self._describe(hit)} and "
+                        f"{self._describe(slot)}")
                 hit = slot
         if hit is not None:
             self._tick += 1
@@ -518,7 +435,7 @@ class VersionedCache:
         slot = self.lookup_slot(self.line_addr(addr), req_vid)
         if slot is None:
             return None
-        return self._view(slot)
+        return LineView(self, slot)
 
     def has_latest_spec_version(self, addr: int) -> bool:
         """Is there an ``S-M`` version asserting "speculatively modified"?
@@ -561,25 +478,27 @@ class VersionedCache:
     # Installation and eviction
     # ------------------------------------------------------------------
 
-    def install_slot(self, line: CacheLine) -> Tuple[int, List[CacheLine]]:
-        """Insert a version, evicting as needed; struct-of-arrays core.
+    def install_slot(self, base: int, code: int, data: List[int],
+                     mod_vid: int, high_vid: int
+                     ) -> Tuple[int, List[CacheLine]]:
+        """Insert a version from its column values, evicting as needed.
 
         An existing version with the same ``(addr, modVID)`` is replaced
         (it is the same conceptual version, e.g. a stale shared copy).
-        Returns the new slot and the evicted lines as detached records;
-        the hierarchy decides whether they are written back, passed down a
-        level, overflowed to memory, or force an abort (section 5.4).
+        ``data`` is taken by reference.  Returns the new slot and the
+        evicted lines as detached records; the hierarchy decides whether
+        they are written back, passed down a level, overflowed to memory,
+        or force an abort (section 5.4).
         """
         store = self._store
-        base = line.addr
-        spec = line.state.speculative
-        mod = line.mod_vid
+        spec = code >= CODE_SM
         bucket = self._by_base.get(base)
         if bucket:
             state_col = store.state
             mod_col = store.mod_vid
             for slot in list(bucket):
-                if mod_col[slot] == mod and (state_col[slot] >= CODE_SM) == spec:
+                if mod_col[slot] == mod_vid \
+                        and (state_col[slot] >= CODE_SM) == spec:
                     self._remove_slot(slot)
         index = self.set_index(base)
         slots = self._set_list(index)
@@ -600,14 +519,14 @@ class VersionedCache:
             victim = self._choose_victim_slot(slots)
             slots.remove(victim)
             self._index_remove_slot(victim)
-            was_invalid = store.state[victim] == CODE_INVALID
-            evicted.append(self._free_slot(victim))
-            if not was_invalid:
+            if store.state[victim] != CODE_INVALID:
                 # An INVALID fallback victim never really left the
                 # hierarchy; counting it would pollute the Table 1 /
                 # ablation eviction numbers.
                 self.stats.evictions += 1
-        slot = store.alloc(base, line.state.code, line.data, mod, line.high_vid)
+            evicted.append(self._make_record(victim))
+            store.release(victim)
+        slot = store.alloc(base, code, data, mod_vid, high_vid)
         # A freshly installed line has no pending events in *this* cache.
         store.seen_aborts[slot] = len(self._abort_history)
         store.epoch[slot] = epoch
@@ -616,11 +535,6 @@ class VersionedCache:
         self._tick += 1
         store.lru_tick[slot] = self._tick
         return slot, evicted
-
-    def install(self, line: CacheLine) -> List[CacheLine]:
-        """Insert a version, evicting as needed; returns the evicted lines."""
-        _, evicted = self.install_slot(line)
-        return evicted
 
     def _choose_victim_slot(self, slots: List[int]) -> int:  # hot-path
         """LRU within the lowest occupied priority class (section 5.4).
@@ -652,16 +566,51 @@ class VersionedCache:
             return slots[0]
         return best
 
-    def drop(self, line) -> None:
-        """Remove a version without writeback (silent invalidation)."""
-        if type(line) is LineView and line._snap is None and line.cache is self:
-            self._remove_slot(line._slot)
+    def drop(self, line: LineView) -> None:
+        """Remove a viewed version without writeback (silent invalidation)."""
+        if line.cache is self:
+            self._remove_slot(line.slot)
 
-    def all_lines(self) -> Iterable[LineView]:
-        view = self._view
+    def drop_nonspec_copies(self, base: int,
+                            keep_slot: int = -1) -> None:  # hot-path
+        """Exclusivity sweep: drop every non-speculative and ``S-S`` copy
+        of ``base`` except ``keep_slot``, after lazily processing them."""
+        bucket = self._process_bucket(base)
+        if bucket is None:
+            return
+        state_col = self._store.state
+        for slot in list(bucket):  # lint-ok: RL006 (snapshot: bucket shrinks underneath)
+            if slot == keep_slot:
+                continue
+            code = state_col[slot]
+            if code >= CODE_SM and code != CODE_SS:
+                continue
+            self._remove_slot(slot)
+
+    def drop_ss_copies(self, base: int, mod_vid: int) -> bool:  # hot-path
+        """Scrub sweep: drop the ``S-S`` copies of version ``(base,
+        mod_vid)``; True when any was dropped."""
+        bucket = self._process_bucket(base)
+        if bucket is None:
+            return False
+        store = self._store
+        state_col = store.state
+        mod_col = store.mod_vid
+        dropped = False
+        for slot in list(bucket):  # lint-ok: RL006 (snapshot: bucket shrinks underneath)
+            if state_col[slot] == CODE_SS and mod_col[slot] == mod_vid:
+                self._remove_slot(slot)
+                dropped = True
+        return dropped
+
+    def resident_slots(self) -> Iterator[int]:
+        """Every resident slot, set by set (safe to remove while iterating)."""
         for slots in self._sets.values():
-            for slot in list(slots):
-                yield view(slot)
+            yield from list(slots)
+
+    def all_lines(self) -> Iterator[LineView]:
+        for slot in self.resident_slots():
+            yield LineView(self, slot)
 
     def occupancy(self) -> int:
         """Number of valid versions currently resident."""
@@ -677,7 +626,7 @@ class VersionedCache:
         No per-line VID comparison or state transition happens here — that
         is the entire point of the lazy scheme.  (The paper flash-sets a CB
         bit column; commit idempotence makes even that unnecessary in the
-        simulator — see :meth:`process_lazy`.)
+        simulator — see :meth:`_process_lazy_slot`.)
         """
         self.lc_vid = vid
         self._epoch += 1
@@ -745,7 +694,7 @@ class VersionedCache:
         store.lru_tick[slot] = line.lru_tick
         self._set_list(self.set_index(line.addr)).append(slot)
         self._index_add_slot(slot)
-        return self._view(slot)
+        return LineView(self, slot)
 
     def check_index_integrity(self) -> None:
         """Assert the fast-path index and counters match the set lists."""
@@ -768,8 +717,3 @@ class VersionedCache:
             f"{self.name}: speculative-line counter {self._spec_lines} != {spec}")
         assert sm == self._sm_live, (
             f"{self.name}: S-M filter counter {self._sm_live} != {sm}")
-        for slot, view in self._views.items():
-            assert view._snap is None and view.cache is self, (
-                f"{self.name}: detached view still cached for slot {slot}")
-            assert view._slot == slot and store.state[slot] != FREE_CODE, (
-                f"{self.name}: view cache entry for slot {slot} is stale")

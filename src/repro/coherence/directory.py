@@ -33,8 +33,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .cache import VersionedCache
 from .hierarchy import AccessKind, HierarchyConfig, MemoryHierarchy
-from .line import CacheLine, LineView
-from .states import State
+from .states import CODE_INVALID, CODE_SS
 
 
 @dataclass
@@ -83,9 +82,10 @@ class DirectoryHierarchy(MemoryHierarchy):
     # Sharer-map maintenance
     # ------------------------------------------------------------------
 
-    def _install(self, cache: VersionedCache, line: CacheLine) -> "LineView":
-        self._sharers.setdefault(line.addr, set()).add(cache.name)
-        return super()._install(cache, line)
+    def _install(self, cache: VersionedCache, base: int, code: int,
+                 data: List[int], mod_vid: int, high_vid: int) -> int:
+        self._sharers.setdefault(base, set()).add(cache.name)
+        return super()._install(cache, base, code, data, mod_vid, high_vid)
 
     def _record_presence(self, cache: VersionedCache, addr: int) -> None:
         self._sharers.setdefault(addr, set()).add(cache.name)
@@ -107,19 +107,21 @@ class DirectoryHierarchy(MemoryHierarchy):
         """
         for cache in self._all_caches():
             in_llc = cache in self._llc_group
-            for line in cache.all_lines():
-                if line.state is State.INVALID:
+            store = cache._store
+            for slot in cache.resident_slots():
+                if store.state[slot] == CODE_INVALID:
                     continue
-                recorded = self._sharers.get(line.addr, set())
+                addr = store.addr[slot]
+                recorded = self._sharers.get(addr, set())
                 assert cache.name in recorded, \
-                    f"{cache.name} holds 0x{line.addr:x} unrecorded"
+                    f"{cache.name} holds 0x{addr:x} unrecorded"
                 if in_llc and self._multi_socket:
                     # Independently recomputed from the topology spec so a
                     # broken ``_home_llc`` router is caught, not trusted.
                     home = self.llc_slices[self._topo.home_socket(
-                        line.addr, self.config.line_size)]
+                        addr, self.config.line_size)]
                     assert cache is home, \
-                        (f"version of 0x{line.addr:x} resident in "
+                        (f"version of 0x{addr:x} resident in "
                          f"{cache.name}, not its home slice {home.name}")
 
     # ------------------------------------------------------------------
@@ -168,7 +170,7 @@ class DirectoryHierarchy(MemoryHierarchy):
     # ------------------------------------------------------------------
 
     def _fetch(self, core: int, addr: int, vid: int,
-               kind: AccessKind, now: int = 0) -> Tuple[CacheLine, int, str]:
+               kind: AccessKind, now: int = 0) -> Tuple[int, int, str]:
         self.stats.bus_snoops += 1     # kept: "coherence transactions"
         self.dir_stats.lookups += 1
         l1 = self.l1s[core]
@@ -181,16 +183,16 @@ class DirectoryHierarchy(MemoryHierarchy):
         latency = self._bank_transaction(base, now) \
             + self._link(req_socket, home_socket)
         spec_modified_asserted = l1.has_latest_spec_version(addr)
-        recorded = [name for name in sorted(self.sharers_of(addr))
+        recorded = [name for name in sorted(self.sharers_of(base))
                     if name != l1.name]
         for name in recorded:
             cache = self._caches_by_name[name]
             self.dir_stats.probes_sent += 1
             if cache.has_latest_spec_version(addr):
                 spec_modified_asserted = True
-            owner = cache.lookup(addr, vid)
-            if owner is None or owner.state is State.SS:
-                if not cache.versions(addr):
+            owner = cache.lookup_slot(base, vid)
+            if owner is None or cache._store.state[owner] == CODE_SS:
+                if cache._process_bucket(base) is None:
                     # Stale directory entry: the holder silently dropped
                     # its copy; clean the map.
                     self.dir_stats.stale_probes += 1
@@ -204,46 +206,35 @@ class DirectoryHierarchy(MemoryHierarchy):
             if self.overflow_table is not None and cache is self.overflow_table:
                 latency += cache.hit_latency
                 self.overflow_table.refills += 1
-            line = self._receive_from_owner(core, cache, owner, vid, kind)
-            return line, latency, cache.name
+            slot = self._receive_from_owner(core, cache, owner, vid, kind)
+            return slot, latency, cache.name
         # Memory responds through the home bank.
-        self.stats.memory_fetches += 1
         latency += self.config.memory_latency
-        data = self.memory.read_line(addr)
-        eff = l1.effective_vid(vid)
-        if spec_modified_asserted:
-            self.stats.overflow_retrievals += 1
-            line = CacheLine(base, State.SO, data, 0, eff + 1)
-        else:
-            line = CacheLine(base, State.EXCLUSIVE, data)
-        return self._install(l1, line), latency, "memory"
+        return (self._fill_from_memory(l1, base, vid, spec_modified_asserted),
+                latency, "memory")
 
     # ------------------------------------------------------------------
     # Invalidations become targeted multicasts
     # ------------------------------------------------------------------
+    #
+    # Same per-cache slot sweeps as the bus machine; only the visited
+    # caches (the recorded sharers, in name order) and the directory
+    # message counters differ.
 
-    def _invalidate_nonspec_everywhere(self, addr: int,
-                                       keep: Optional[CacheLine] = None) -> None:
-        # Same semantics as the base class (non-speculative copies plus
-        # silent S-S copies), delivered as directed invalidations.
-        for name in sorted(self.sharers_of(addr)):
+    def _invalidate_nonspec_everywhere(
+            self, base: int, keep_cache: Optional[VersionedCache] = None,
+            keep_slot: int = -1) -> None:
+        for name in sorted(self.sharers_of(base)):
             cache = self._caches_by_name[name]
             self.dir_stats.invalidations_sent += 1
-            for line in cache.versions(addr):
-                if line is keep:
-                    continue
-                if line.is_speculative() and line.state is not State.SS:
-                    continue
-                cache.drop(line)
+            cache.drop_nonspec_copies(
+                base, keep_slot if cache is keep_cache else -1)
 
-    def _scrub_ss_copies(self, addr: int, mod_vid: int) -> None:
+    def _scrub_ss_copies(self, base: int, mod_vid: int) -> None:
         dropped = False
-        for name in sorted(self.sharers_of(addr)):
-            cache = self._caches_by_name[name]
-            for line in cache.versions(addr):
-                if line.state is State.SS and line.mod_vid == mod_vid:
-                    cache.drop(line)
-                    dropped = True
+        for name in sorted(self.sharers_of(base)):
+            if self._caches_by_name[name].drop_ss_copies(base, mod_vid):
+                dropped = True
         if dropped:
             self.stats.ss_invalidations += 1
             self.dir_stats.invalidations_sent += 1

@@ -9,6 +9,14 @@ The hierarchy is *non-inclusive*: L1 victims of any version are written back
 to the L2 "as normal" (section 4.1); only eviction past the last-level cache
 is restricted (section 5.4).
 
+One state representation (DESIGN.md section 13): every access path here —
+the fused L1 hit, the bus fetch, forwarding from a peer owner, upgrades,
+version creation, installs and victim handling — works on cache slot ints
+and integer state codes, and takes its decisions from the code-level rules
+of :mod:`repro.coherence.protocol`.  Installs pass column values straight
+to :meth:`VersionedCache.install_slot`; the only line objects are the
+eviction records a cache hands back (lint rule RL009 keeps it that way).
+
 System-wide invariants maintained here (and checked by the test suite):
 
 * at most one *latest* (``S-M``/``S-E``) version per address exists anywhere;
@@ -30,23 +38,28 @@ from ..topology import TopologySpec
 from ..txctl.causes import AbortCause
 from .cache import VersionedCache
 from .line import CacheLine, LineView
-from .memory import MainMemory
+from .memory import DEFAULT_WORD_SIZE, MainMemory
 from .overflow import OverflowVersionTable
 from .protocol import (
+    WRITE_ABORT,
+    WRITE_IN_PLACE,
     AccessKind,
-    WriteOutcome,
-    plan_new_version,
-    read_transition,
-    write_outcome,
+    new_version_code,
+    read_transition_code,
+    write_outcome_code,
 )
 from .states import (
     CODE_EXCLUSIVE,
     CODE_INVALID,
     CODE_MODIFIED,
+    CODE_NAMES,
+    CODE_OWNED,
     CODE_SE,
+    CODE_SHARED,
     CODE_SM,
+    CODE_SO,
     CODE_SS,
-    State,
+    DIRTY_BY_CODE,
 )
 
 
@@ -84,6 +97,16 @@ class HierarchyConfig:
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:
+        # The access paths index words and lines with shifts and masks, so
+        # the geometry must be power-of-two throughout.
+        words = self.line_size // DEFAULT_WORD_SIZE
+        if self.line_size & (self.line_size - 1) \
+                or self.line_size % DEFAULT_WORD_SIZE \
+                or words & (words - 1):
+            raise ValueError(
+                f"line_size must be a power of two holding a power-of-two "
+                f"number of {DEFAULT_WORD_SIZE}-byte words, got "
+                f"{self.line_size}")
         if self.topology is not None \
                 and self.topology.num_cores != self.num_cores:
             raise ValueError(
@@ -232,11 +255,9 @@ class MemoryHierarchy:
         self._caches: Tuple[VersionedCache, ...] = ()
         self._peer_lists: List[Tuple[VersionedCache, ...]] = []
         self._rebuild_cache_lists()
-        # Word-index shift for the fused access fast path (power-of-two
-        # geometry only; anything else falls back to the generic path).
-        word = self.memory.word_size
-        self._word_shift = (word.bit_length() - 1
-                            if word & (word - 1) == 0 else None)
+        #: Word-index shift of the access paths (HierarchyConfig enforces
+        #: power-of-two geometry).
+        self._word_shift = self.memory.word_size.bit_length() - 1
         for cache in self._caches:
             cache.presence_listener = self._on_presence
 
@@ -340,10 +361,11 @@ class MemoryHierarchy:
         visible to a non-speculative request holds the committed value;
         otherwise memory does.
         """
+        base = self.l2.line_addr(addr)
         for cache in self._all_caches():
-            hit = cache.lookup(addr, 0)
-            if hit is not None:
-                return hit.data[self._word(addr)]
+            slot = cache.lookup_slot(base, 0)
+            if slot is not None:
+                return cache._store.data[slot][self._word(addr)]
         return self.memory.read_word(addr)
 
     def peek(self, core: int, addr: int, vid: int) -> Tuple[int, int]:
@@ -354,14 +376,16 @@ class MemoryHierarchy:
         line is marked with its VID.  Returns ``(value, latency)``.
         """
         l1 = self.l1s[core]
-        hit = l1.lookup(addr, vid)
-        if hit is not None:
-            return hit.data[self._word(addr)], l1.hit_latency
+        base = l1.line_addr(addr)
+        word = self._word(addr)
+        slot = l1.lookup_slot(base, vid)
+        if slot is not None:
+            return l1._store.data[slot][word], l1.hit_latency
         latency = l1.hit_latency + self._llc_latency
         for cache in self._peer_caches(core):
-            line = cache.lookup(addr, vid)
-            if line is not None and line.state is not State.SS:
-                return line.data[self._word(addr)], latency
+            slot = cache.lookup_slot(base, vid)
+            if slot is not None and cache._store.state[slot] != CODE_SS:
+                return cache._store.data[slot][word], latency
         return self.memory.read_word(addr), latency + self.config.memory_latency
 
     # ------------------------------------------------------------------
@@ -404,7 +428,7 @@ class MemoryHierarchy:
     # Introspection helpers (tests, experiments)
     # ------------------------------------------------------------------
 
-    def versions_everywhere(self, addr: int) -> List[Tuple[str, CacheLine]]:
+    def versions_everywhere(self, addr: int) -> List[Tuple[str, LineView]]:
         """All cached versions of ``addr`` with their cache names."""
         out = []
         for cache in self._all_caches():
@@ -433,14 +457,16 @@ class MemoryHierarchy:
         for cache in self._all_caches():
             cache.check_index_integrity()
             in_llc = cache in self._llc_group
-            for line in cache.all_lines():
-                held.setdefault(line.addr, set()).add(cache)
-                if line.state in (State.SM, State.SE):
-                    if line.addr in latest_owners:
+            store = cache._store
+            for slot in cache.resident_slots():
+                addr = store.addr[slot]
+                held.setdefault(addr, set()).add(cache)
+                if CODE_SM <= store.state[slot] <= CODE_SE:
+                    if addr in latest_owners:
                         raise AssertionError(
-                            f"two latest versions of 0x{line.addr:x}: "
-                            f"{latest_owners[line.addr]} and {cache.name}")
-                    latest_owners[line.addr] = cache.name
+                            f"two latest versions of 0x{addr:x}: "
+                            f"{latest_owners[addr]} and {cache.name}")
+                    latest_owners[addr] = cache.name
                 if in_llc and self._multi_socket:
                     # Sliced-LLC ownership: a line only ever resides in its
                     # home slice — victims route there, and installs never
@@ -448,10 +474,10 @@ class MemoryHierarchy:
                     # spec (not via ``_home_llc``) so a broken router
                     # cannot vouch for its own placement.
                     home = self.llc_slices[self._topo.home_socket(
-                        line.addr, self.config.line_size)]
+                        addr, self.config.line_size)]
                     if cache is not home:
                         raise AssertionError(
-                            f"version of 0x{line.addr:x} resident in "
+                            f"version of 0x{addr:x} resident in "
                             f"{cache.name} but homed at {home.name}")
         assert held == self._holders, "presence map diverged from contents"
 
@@ -470,189 +496,163 @@ class MemoryHierarchy:
 
     def _access(self, core: int, addr: int, vid: int, kind: AccessKind,
                 value: Optional[int], now: int = 0) -> AccessResult:  # hot-path
-        # Fused fast path (power-of-two geometry): the lookup scan runs
-        # directly on the line-store columns — lazy processing gated on the
-        # bucket's epochs, comparator engagements counted inline exactly as
+        # Fused fast path: the lookup scan runs directly on the line-store
+        # columns — lazy processing gated on the bucket's epochs,
+        # comparator engagements counted inline exactly as
         # CascadedComparator.compare would, LRU touched on the hit — and
         # the dominant access shapes then complete with direct column
-        # reads/writes.  Complex shapes (upgrades, aborts, new versions)
-        # hand the found slot to _apply; misses take the fetch path below.
-        # Both continuations receive identical statistics to the generic
-        # lookup they replace.
+        # reads/writes.  The hit window and the in-place, SLA and entry
+        # decisions inlined here are the rules of coherence/protocol.py
+        # (pinned by a per-tuple agreement test).  Complex shapes
+        # (upgrades, aborts, new versions) hand the found slot to _apply;
+        # misses take the fetch path below.
         l1 = self.l1s[core]
         mask = l1._offset_mask
-        wshift = self._word_shift
-        if mask is not None and wshift is not None:
-            store = l1._store
-            state_col = store.state
-            mod_col = store.mod_vid
-            high_col = store.high_vid
-            epochs = store.epoch
-            lru_col = store.lru_tick
-            data_col = store.data
-            comparator = l1.comparator
-            l1stats = l1.stats
-            hit_latency = l1.hit_latency
-            name = l1.name
-            base = addr & ~mask
-            bucket = l1._by_base.get(base)
-            if bucket is not None:
-                epoch = l1._epoch
-                for s in bucket:
-                    if epochs[s] != epoch:
-                        bucket = l1._process_bucket(base)
-                        break
-            slot = -1
-            if bucket:
-                eff = l1.lc_vid if vid == 0 else vid
-                if len(bucket) == 1:
-                    s = bucket[0]
-                    code = state_col[s]
-                    if code < CODE_SM:
-                        if code != CODE_INVALID:
-                            slot = s
+        store = l1._store
+        state_col = store.state
+        mod_col = store.mod_vid
+        high_col = store.high_vid
+        epochs = store.epoch
+        data_col = store.data
+        comparator = l1.comparator
+        hit_latency = l1.hit_latency
+        name = l1.name
+        base = addr & ~mask
+        bucket = l1._by_base.get(base)
+        if bucket is not None:
+            epoch = l1._epoch
+            for s in bucket:
+                if epochs[s] != epoch:
+                    bucket = l1._process_bucket(base)
+                    break
+        slot = -1
+        if bucket:
+            eff = l1.lc_vid if vid == 0 else vid
+            if len(bucket) == 1:
+                s = bucket[0]
+                code = state_col[s]
+                if code < CODE_SM:
+                    if code != CODE_INVALID:
+                        slot = s
+                else:
+                    mod = mod_col[s]
+                    high = high_col[s]
+                    shift = comparator.low_bits
+                    if (eff >> shift) == (mod >> shift):
+                        comparator.fast_comparisons += 1
                     else:
+                        comparator.cascaded_comparisons += 1
+                    if (eff >> shift) == (high >> shift):
+                        comparator.fast_comparisons += 1
+                    else:
+                        comparator.cascaded_comparisons += 1
+                    if (eff >= mod if code <= CODE_SE
+                            else mod <= eff < high):
+                        slot = s
+            else:
+                shift = comparator.low_bits
+                fast = 0
+                cascaded = 0
+                for s in bucket:
+                    code = state_col[s]
+                    if code >= CODE_SM:
                         mod = mod_col[s]
                         high = high_col[s]
-                        shift = comparator.low_bits
                         if (eff >> shift) == (mod >> shift):
-                            comparator.fast_comparisons += 1
+                            fast += 1
                         else:
-                            comparator.cascaded_comparisons += 1
+                            cascaded += 1
                         if (eff >> shift) == (high >> shift):
-                            comparator.fast_comparisons += 1
+                            fast += 1
                         else:
-                            comparator.cascaded_comparisons += 1
-                        if (eff >= mod if code <= CODE_SE
-                                else mod <= eff < high):
-                            slot = s
-                else:
-                    shift = comparator.low_bits
-                    fast = 0
-                    cascaded = 0
-                    for s in bucket:
-                        code = state_col[s]
-                        if code >= CODE_SM:
-                            mod = mod_col[s]
-                            high = high_col[s]
-                            if (eff >> shift) == (mod >> shift):
-                                fast += 1
-                            else:
-                                cascaded += 1
-                            if (eff >> shift) == (high >> shift):
-                                fast += 1
-                            else:
-                                cascaded += 1
-                            hits = (eff >= mod if code <= CODE_SE
-                                    else mod <= eff < high)
-                        else:
-                            hits = code != CODE_INVALID
-                        if hits:
-                            if slot >= 0:
-                                raise AssertionError(
-                                    f"{name}: two versions hit VID {eff} "
-                                    f"at 0x{base:x}: {l1._view(slot)!r} and "
-                                    f"{l1._view(s)!r}")
-                            slot = s
-                    comparator.fast_comparisons += fast
-                    comparator.cascaded_comparisons += cascaded
-            if slot >= 0:
-                l1._tick += 1
-                lru_col[slot] = l1._tick
-                code = state_col[slot]
-                if kind is AccessKind.WRITE and code == CODE_SS:
-                    # Silent shared speculative copies never serve writes;
-                    # the write must reach the version's owner on the bus.
-                    slot = -1
-            if slot >= 0:
-                l1stats.hits += 1
-                word = (addr & mask) >> wshift
-                if kind is AccessKind.READ:
-                    if vid == 0:
-                        return AccessResult(
-                            data_col[slot][word], hit_latency, True, name)
-                    if code >= CODE_SM:
-                        high = high_col[slot]
-                        sla = code <= CODE_SE and high < vid
-                        if sla:
-                            high_col[slot] = vid
-                        return AccessResult(
-                            data_col[slot][word], hit_latency, True, name,
-                            sla_required=sla)
-                    if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
-                        # First speculative read of an exclusive line:
-                        # enters S-M/S-E (Figure 4 entry arc) and requires
-                        # a retired-load SLA message.
-                        l1._retag_slot(
-                            slot,
-                            CODE_SM if code == CODE_MODIFIED else CODE_SE,
-                            0, vid)
-                        return AccessResult(
-                            data_col[slot][word], hit_latency, True, name,
-                            sla_required=True)
-                    # OWNED/SHARED need an upgrade: _apply handles it.
-                else:
-                    if vid == 0:
-                        if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
-                            if code == CODE_EXCLUSIVE:
-                                state_col[slot] = CODE_MODIFIED
-                            data_col[slot][word] = value
-                            return AccessResult(
-                                value, hit_latency, True, name)
-                    elif code == CODE_SM or code == CODE_SE:
-                        mod = mod_col[slot]
-                        high = high_col[slot]
-                        if vid == mod and vid >= high:
-                            # Same transaction re-writes its own latest
-                            # version in place.
-                            self._scrub_ss_copies(addr, mod)
-                            data_col[slot][word] = value
-                            if vid > high:
-                                high_col[slot] = vid
-                            return AccessResult(
-                                value, hit_latency, True, name)
-                    # Upgrades, conflicts, and copy-creating writes:
-                    # _apply decides on the found version.
-                return self._apply(core, l1._view(slot), addr, vid, kind,
-                                   value, hit_latency, True, name)
-            # Miss (or silent S-S copy on a write): fetch over the bus.
-            latency = hit_latency
-            l1stats.misses += 1
-            latency += self._bus_transaction(now + latency)
-            hit, transfer_latency, served_by = self._fetch(
-                core, addr, vid, kind, now=now + latency)
-            latency += transfer_latency
-            return self._apply(core, hit, addr, vid, kind, value, latency,
-                               False, served_by)
-        # Non-power-of-two geometry: generic lookup path.
-        l1 = self.l1s[core]
-        latency = l1.hit_latency
-        hit = l1.lookup(addr, vid)
-        if hit is not None and kind is AccessKind.WRITE and hit.state is State.SS:
-            # Silent shared speculative copies never serve writes; the write
-            # must reach the version's owner on the bus.
-            hit = None
-        served_by = l1.name
-        l1_hit = hit is not None
-        if hit is None:
-            l1.stats.misses += 1
-            latency += self._bus_transaction(now + latency)
-            hit, transfer_latency, served_by = self._fetch(
-                core, addr, vid, kind, now=now + latency)
-            latency += transfer_latency
-        else:
+                            cascaded += 1
+                        hits = (eff >= mod if code <= CODE_SE
+                                else mod <= eff < high)
+                    else:
+                        hits = code != CODE_INVALID
+                    if hits:
+                        if slot >= 0:
+                            raise AssertionError(
+                                f"{name}: two versions hit VID {eff} "
+                                f"at 0x{base:x}: {l1._describe(slot)} and "
+                                f"{l1._describe(s)}")
+                        slot = s
+                comparator.fast_comparisons += fast
+                comparator.cascaded_comparisons += cascaded
+        if slot >= 0:
+            l1._tick += 1
+            store.lru_tick[slot] = l1._tick
+            code = state_col[slot]
+            if kind is AccessKind.WRITE and code == CODE_SS:
+                # Silent shared speculative copies never serve writes;
+                # the write must reach the version's owner on the bus.
+                slot = -1
+        if slot >= 0:
             l1.stats.hits += 1
-        return self._apply(core, hit, addr, vid, kind, value, latency,
-                           l1_hit, served_by)
+            word = (addr & mask) >> self._word_shift
+            if kind is AccessKind.READ:
+                if vid == 0:
+                    return AccessResult(
+                        data_col[slot][word], hit_latency, True, name)
+                if code >= CODE_SM:
+                    high = high_col[slot]
+                    sla = code <= CODE_SE and high < vid
+                    if sla:
+                        high_col[slot] = vid
+                    return AccessResult(
+                        data_col[slot][word], hit_latency, True, name,
+                        sla_required=sla)
+                if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
+                    # First speculative read of an exclusive line: enters
+                    # S-M/S-E (Figure 4 entry arc) and requires a
+                    # retired-load SLA message.
+                    l1._retag_slot(
+                        slot, CODE_SM if code == CODE_MODIFIED else CODE_SE,
+                        0, vid)
+                    return AccessResult(
+                        data_col[slot][word], hit_latency, True, name,
+                        sla_required=True)
+                # OWNED/SHARED need an upgrade: _apply handles it.
+            else:
+                if vid == 0:
+                    if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
+                        if code == CODE_EXCLUSIVE:
+                            state_col[slot] = CODE_MODIFIED
+                        data_col[slot][word] = value
+                        return AccessResult(value, hit_latency, True, name)
+                elif code == CODE_SM or code == CODE_SE:
+                    mod = mod_col[slot]
+                    high = high_col[slot]
+                    if vid == mod and vid >= high:
+                        # Same transaction re-writes its own latest
+                        # version in place.
+                        self._scrub_ss_copies(base, mod)
+                        data_col[slot][word] = value
+                        if vid > high:
+                            high_col[slot] = vid
+                        return AccessResult(value, hit_latency, True, name)
+                # Upgrades, conflicts, and copy-creating writes: _apply
+                # decides on the found version.
+            return self._apply(core, slot, addr, vid, kind, value,
+                               hit_latency, True, name)
+        # Miss (or silent S-S copy on a write): fetch over the bus.
+        latency = hit_latency
+        l1.stats.misses += 1
+        latency += self._bus_transaction(now + latency)
+        slot, transfer_latency, served_by = self._fetch(
+            core, addr, vid, kind, now=now + latency)
+        latency += transfer_latency
+        return self._apply(core, slot, addr, vid, kind, value, latency,
+                           False, served_by)
 
     def _fetch(self, core: int, addr: int, vid: int,
-               kind: AccessKind, now: int = 0) -> Tuple[LineView, int, str]:
+               kind: AccessKind, now: int = 0) -> Tuple[int, int, str]:
         """Bring a copy that ``vid`` hits into ``core``'s L1.
 
         Implements the bus snoop: exactly one cache responds with the
         version that would have hit (S-S copies stay silent); otherwise
         memory responds, possibly via the section 5.4 overflow-retrieval
-        path.
+        path.  Returns ``(l1 slot, latency, responder name)``.
 
         Snoop filter: only caches recorded as holding a version of the line
         are consulted.  A cache with no version of the address answers no
@@ -670,8 +670,8 @@ class MemoryHierarchy:
                     continue
                 if cache.has_latest_spec_version(addr):
                     spec_modified_asserted = True
-                owner = cache.lookup(addr, vid)
-                if owner is None or owner.state is State.SS:
+                owner = cache.lookup_slot(base, vid)
+                if owner is None or cache._store.state[owner] == CODE_SS:
                     continue
                 self.stats.peer_transfers += 1
                 if self.overflow_table is not None \
@@ -682,16 +682,21 @@ class MemoryHierarchy:
                     # The line transfer crosses the socket interconnect
                     # when the responder lives on another die.
                     latency += self._numa_hop(core, cache.name, base)
-                line = self._receive_from_owner(core, cache, owner, vid, kind)
-                return line, latency, cache.name
+                slot = self._receive_from_owner(core, cache, owner, vid, kind)
+                return slot, latency, cache.name
         # No cache can serve the request: memory responds.
-        self.stats.memory_fetches += 1
         latency += self.config.memory_latency
         if self._multi_socket:
             # Memory is reached through the line's home socket's controller.
             latency += self._numa_hop(core, None, base)
-        data = self.memory.read_line(addr)
-        eff = l1.effective_vid(vid)
+        return (self._fill_from_memory(l1, base, vid, spec_modified_asserted),
+                latency, "memory")
+
+    def _fill_from_memory(self, l1: VersionedCache, base: int, vid: int,
+                          spec_modified_asserted: bool) -> int:
+        """Memory responds to a miss: install the line in ``l1``."""
+        self.stats.memory_fetches += 1
+        data = self.memory.read_line(base)
         if spec_modified_asserted:
             # Section 5.4: an S-M copy asserted "speculatively modified" but
             # could not serve this VID, so the non-speculative backup must
@@ -700,141 +705,149 @@ class MemoryHierarchy:
             # E copy while a live S-M exists would shadow the speculative
             # version for later VIDs.)
             self.stats.overflow_retrievals += 1
-            line = CacheLine(base, State.SO, data, 0, eff + 1)
-        else:
-            line = CacheLine(base, State.EXCLUSIVE, data)
-        return self._install(l1, line), latency, "memory"
+            eff = l1.effective_vid(vid)
+            return self._install(l1, base, CODE_SO, data, 0, eff + 1)
+        return self._install(l1, base, CODE_EXCLUSIVE, data, 0, 0)
 
     def _receive_from_owner(self, core: int, owner_cache: VersionedCache,
-                            owner: LineView, vid: int,
-                            kind: AccessKind) -> LineView:
-        """Install a usable copy of ``owner``'s version in ``core``'s L1."""
+                            owner: int, vid: int, kind: AccessKind) -> int:
+        """Install a usable copy of slot ``owner``'s version in ``core``'s L1.
+
+        Returns the L1 slot of the installed copy.
+        """
         l1 = self.l1s[core]
         eff = l1.effective_vid(vid)
-        if not owner.is_speculative():
+        store = owner_cache._store
+        base = store.addr[owner]
+        code = store.state[owner]
+        mod = store.mod_vid[owner]
+        high = store.high_vid[owner]
+        data = list(store.data[owner])
+        if code < CODE_SM:
             if vid > 0 or kind is AccessKind.WRITE:
                 # First speculative touch (or any write) needs exclusive
                 # access: every non-speculative copy of the line is
                 # invalidated and the line migrates (Figure 4's entry arcs).
-                dirty = owner.is_dirty()
-                data = owner.copy_data()
-                self._invalidate_nonspec_everywhere(owner.addr)
-                state = State.MODIFIED if dirty else State.EXCLUSIVE
-                return self._install(l1, CacheLine(owner.addr, state, data))
+                self._invalidate_nonspec_everywhere(base)
+                return self._install(
+                    l1, base, CODE_MODIFIED if DIRTY_BY_CODE[code]
+                    else CODE_EXCLUSIVE, data, 0, 0)
             # Plain non-speculative read sharing: MOESI read hit.
-            data = owner.copy_data()
-            if owner.state is State.MODIFIED:
-                owner.set_state(State.OWNED)
-            elif owner.state is State.EXCLUSIVE:
-                owner.set_state(State.SHARED)
-            return self._install(l1, CacheLine(owner.addr, State.SHARED, data))
+            if code == CODE_MODIFIED:
+                owner_cache._retag_slot(owner, CODE_OWNED, mod, high)
+            elif code == CODE_EXCLUSIVE:
+                owner_cache._retag_slot(owner, CODE_SHARED, mod, high)
+            return self._install(l1, base, CODE_SHARED, data, 0, 0)
         if kind is AccessKind.READ:
             # Uncommitted value forwarding across caches: the requester gets
             # a shared speculative copy; the owner keeps tracking the global
             # highVID so later conflicting stores are still caught.
+            copy_high = high
             if vid > 0:
-                new_state, (mod, high) = read_transition(
-                    owner.state, owner.mod_vid, owner.high_vid, eff)
-                owner.retag(new_state, mod, high)
-            if owner.state in (State.SM, State.SE):
-                # The copy's window is capped just above the requesting VID:
-                # a strictly later VID's read must reach the owner to be
-                # logged there.
-                copy_high = eff + 1 if vid > 0 else owner.high_vid
-            else:
-                copy_high = owner.high_vid
-            line = CacheLine(owner.addr, State.SS, owner.copy_data(),
-                             owner.mod_vid, copy_high)
-            return self._install(l1, line)
+                code, mod, high = read_transition_code(code, mod, high, eff)
+                owner_cache._retag_slot(owner, code, mod, high)
+                # A latest version's copy gets a window capped just above
+                # the requesting VID: a strictly later VID's read must reach
+                # the owner to be logged there.
+                copy_high = eff + 1 if code <= CODE_SE else high
+            return self._install(l1, base, CODE_SS, data, mod, copy_high)
         # A write served by a remote speculative version: decide abort /
         # in-place migration / new version here, where both copies are
         # visible.  Non-speculative writes that land on a live speculative
         # version are conservative conflicts (eff = LC_VID < highVID).
-        outcome = write_outcome(owner.state, owner.mod_vid, owner.high_vid, eff)
-        if outcome is WriteOutcome.ABORT or vid == 0:
-            self._raise_misspeculation(owner, eff)
-        self._scrub_ss_copies(owner.addr, owner.mod_vid)
-        if outcome is WriteOutcome.IN_PLACE:
+        outcome = write_outcome_code(code, mod, high, eff)
+        if outcome == WRITE_ABORT or vid == 0:
+            self._raise_misspeculation(owner_cache, owner, eff)
+        self._scrub_ss_copies(base, mod)
+        if outcome == WRITE_IN_PLACE:
             # Same transaction writes from another core: the S-M version
             # migrates wholesale (speculative threads may move between
             # cores, section 5.2).
-            line = CacheLine(owner.addr, owner.state, owner.copy_data(),
-                             owner.mod_vid, max(owner.high_vid, eff))
-            owner_cache.drop(owner)
-            return self._install(l1, line)
-        plan = plan_new_version(owner.state, owner.mod_vid, owner.high_vid, eff)
-        data = owner.copy_data()
-        owner.retag(plan.old_state, *plan.old_vids)
-        line = CacheLine(owner.addr, State.SM, data, *plan.new_vids)
+            owner_cache._remove_slot(owner)
+            return self._install(l1, base, code, data, mod,
+                                 high if high >= eff else eff)
+        backup_code, backup_mod, backup_high, new_code, new_mod, new_high = \
+            new_version_code(code, mod, high, eff)
+        owner_cache._retag_slot(owner, backup_code, backup_mod, backup_high)
         l1.stats.version_copies += 1
-        return self._install(l1, line)
+        return self._install(l1, base, new_code, data, new_mod, new_high)
 
-    def _apply(self, core: int, line: LineView, addr: int, vid: int,
+    def _apply(self, core: int, slot: int, addr: int, vid: int,
                kind: AccessKind, value: Optional[int], latency: int,
                l1_hit: bool, served_by: str) -> AccessResult:
-        """Apply the access to the L1-resident version ``line``."""
+        """Apply the access to the version resident in ``core``'s L1 slot."""
         l1 = self.l1s[core]
+        store = l1._store
         eff = l1.effective_vid(vid)
         word = self._word(addr)
+        base = store.addr[slot]
+        code = store.state[slot]
+        mod = store.mod_vid[slot]
+        high = store.high_vid[slot]
         if kind is AccessKind.READ:
             sla_required = False
             if vid > 0:
-                sla_required = (not line.is_speculative()
-                                or line.high_vid < eff)
-                if line.state in (State.OWNED, State.SHARED):
+                sla_required = code < CODE_SM or high < eff
+                if code == CODE_OWNED or code == CODE_SHARED:
                     # Entering the speculative world needs exclusive access.
-                    self._upgrade(line)
-                new_state, (mod, high) = read_transition(
-                    line.state, line.mod_vid, line.high_vid, eff)
-                if new_state is not line.state or mod != line.mod_vid \
-                        or high != line.high_vid:
-                    line.retag(new_state, mod, high)
-            return AccessResult(line.data[word], latency, l1_hit, served_by,
-                                sla_required=sla_required)
+                    code = self._upgrade(l1, slot)
+                l1._retag_slot(slot, *read_transition_code(code, mod, high,
+                                                           eff))
+            return AccessResult(store.data[slot][word], latency, l1_hit,
+                                served_by, sla_required=sla_required)
         # Store path.
         assert value is not None
         if vid == 0:
-            if line.is_speculative():
+            if code >= CODE_SM:
                 # A non-speculative store landing on live speculative state
                 # is a conservative conflict.
-                self._raise_misspeculation(line, eff)
-            if line.state in (State.OWNED, State.SHARED):
-                self._upgrade(line)
-            line.set_state(State.MODIFIED)
-            line.data[word] = value
+                self._raise_misspeculation(l1, slot, eff)
+            if code == CODE_OWNED or code == CODE_SHARED:
+                self._upgrade(l1, slot)
+            l1._retag_slot(slot, CODE_MODIFIED, mod, high)
+            store.data[slot][word] = value
             return AccessResult(value, latency, l1_hit, served_by)
-        if line.state in (State.OWNED, State.SHARED):
-            self._upgrade(line)
-        outcome = write_outcome(line.state, line.mod_vid, line.high_vid, eff)
-        if outcome is WriteOutcome.ABORT:
-            self._raise_misspeculation(line, eff)
-        if outcome is WriteOutcome.IN_PLACE:
-            self._scrub_ss_copies(line.addr, line.mod_vid)
-            line.data[word] = value
-            line.high_vid = max(line.high_vid, eff)
+        if code == CODE_OWNED or code == CODE_SHARED:
+            code = self._upgrade(l1, slot)
+        outcome = write_outcome_code(code, mod, high, eff)
+        if outcome == WRITE_ABORT:
+            self._raise_misspeculation(l1, slot, eff)
+        if outcome == WRITE_IN_PLACE:
+            self._scrub_ss_copies(base, mod)
+            store.data[slot][word] = value
+            if eff > high:
+                store.high_vid[slot] = eff
             return AccessResult(value, latency, l1_hit, served_by)
-        if line.is_speculative():
-            self._scrub_ss_copies(line.addr, line.mod_vid)
-        plan = plan_new_version(line.state, line.mod_vid, line.high_vid, eff)
-        new_line = CacheLine(line.addr, State.SM, line.copy_data(),
-                             *plan.new_vids)
-        new_line.data[word] = value
-        line.retag(plan.old_state, *plan.old_vids)
+        if code >= CODE_SM:
+            self._scrub_ss_copies(base, mod)
+        data = list(store.data[slot])
+        data[word] = value
+        backup_code, backup_mod, backup_high, new_code, new_mod, new_high = \
+            new_version_code(code, mod, high, eff)
+        l1._retag_slot(slot, backup_code, backup_mod, backup_high)
         l1.stats.version_copies += 1
-        self._install(l1, new_line)
+        self._install(l1, base, new_code, data, new_mod, new_high)
         return AccessResult(value, latency, l1_hit, served_by,
                             created_version=True)
 
-    def _upgrade(self, line: LineView) -> None:
-        """Invalidate peer copies so ``line`` becomes writable (O/S -> M/E)."""
-        self.stats.bus_snoops += 1
-        self._invalidate_nonspec_everywhere(line.addr, keep=line)
-        line.set_state(State.MODIFIED if line.state is State.OWNED
-                       else State.EXCLUSIVE)
+    def _upgrade(self, cache: VersionedCache, slot: int) -> int:
+        """Invalidate peer copies so O/S becomes writable M/E.
 
-    def _invalidate_nonspec_everywhere(self, addr: int,
-                                       keep: Optional[LineView] = None) -> None:  # hot-path
-        """Acquire exclusivity: drop every non-speculative copy.
+        Returns the slot's new state code.
+        """
+        self.stats.bus_snoops += 1
+        store = cache._store
+        self._invalidate_nonspec_everywhere(store.addr[slot], cache, slot)
+        code = (CODE_MODIFIED if store.state[slot] == CODE_OWNED
+                else CODE_EXCLUSIVE)
+        cache._retag_slot(slot, code, store.mod_vid[slot],
+                          store.high_vid[slot])
+        return code
+
+    def _invalidate_nonspec_everywhere(
+            self, base: int, keep_cache: Optional[VersionedCache] = None,
+            keep_slot: int = -1) -> None:  # hot-path
+        """Acquire exclusivity: drop every non-speculative copy of ``base``.
 
         Silent shared speculative copies (``S-S``) are dropped as well —
         they are clean, never respond to snoops, and a stale one whose
@@ -842,107 +855,87 @@ class MemoryHierarchy:
         speculative marking the requester is about to create.  Real
         speculative owners (``S-M``/``S-O``/``S-E``) are never present on
         this path: a live latest version would have served the request
-        itself instead of a non-speculative owner.
+        itself instead of a non-speculative owner.  ``keep_slot`` of
+        ``keep_cache`` (the upgrading version) survives.
 
-        Only caches recorded in the presence map are visited, and each
-        holder's version bucket is swept directly on the state column;
-        a cache with no version of the line has nothing to invalidate.
+        Only caches recorded in the presence map are visited; a cache with
+        no version of the line has nothing to invalidate.
         """
-        base = self.l2.line_addr(addr)
         holders = self._holders.get(base)
         if not holders:
             return
         for cache in self._caches:
-            if cache not in holders:
-                continue
-            bucket = cache._process_bucket(base)
-            if bucket is None:
-                continue
-            state_col = cache._store.state
-            keep_slot = (keep._slot if keep is not None and keep.cache is cache
-                         else -1)
-            for slot in list(bucket):  # lint-ok: RL006 (snapshot: bucket shrinks underneath)
-                if slot == keep_slot:
-                    continue
-                code = state_col[slot]
-                if code >= CODE_SM and code != CODE_SS:
-                    continue
-                cache._remove_slot(slot)
+            if cache in holders:
+                cache.drop_nonspec_copies(
+                    base, keep_slot if cache is keep_cache else -1)
 
-    def _scrub_ss_copies(self, addr: int, mod_vid: int) -> None:  # hot-path
-        """Invalidate all S-S copies of version ``(addr, mod_vid)``.
+    def _scrub_ss_copies(self, base: int, mod_vid: int) -> None:  # hot-path
+        """Invalidate all S-S copies of version ``(base, mod_vid)``.
 
         The speculative analogue of a MOESI upgrade: a write to a version
         must invalidate its silent read-only copies, otherwise they would
         keep serving the version's *pre-write* data.
 
-        Filtered through the presence map like every other snoop; each
-        holder's version bucket is swept directly on the state and modVID
-        columns.
+        Filtered through the presence map like every other snoop.
         """
-        base = self.l2.line_addr(addr)
         holders = self._holders.get(base)
         if not holders:
             return
         dropped = False
         for cache in self._caches:
-            if cache not in holders:
-                continue
-            bucket = cache._process_bucket(base)
-            if bucket is None:
-                continue
-            store = cache._store
-            state_col = store.state
-            mod_col = store.mod_vid
-            for slot in list(bucket):  # lint-ok: RL006 (snapshot: bucket shrinks underneath)
-                if state_col[slot] == CODE_SS and mod_col[slot] == mod_vid:
-                    cache._remove_slot(slot)
-                    dropped = True
+            if cache in holders and cache.drop_ss_copies(base, mod_vid):
+                dropped = True
         if dropped:
             self.stats.ss_invalidations += 1
             self.stats.bus_snoops += 1
 
-    def _raise_misspeculation(self, line: CacheLine, vid: int) -> None:
+    def _raise_misspeculation(self, cache: VersionedCache, slot: int,
+                              vid: int) -> None:
+        store = cache._store
         raise MisspeculationError(
             f"store with VID {vid} conflicts with version "
-            f"{line.state}({line.mod_vid},{line.high_vid})",
-            vid=vid, addr=line.addr, cause=AbortCause.CONFLICT)
+            f"{CODE_NAMES[store.state[slot]]}"
+            f"({store.mod_vid[slot]},{store.high_vid[slot]})",
+            vid=vid, addr=store.addr[slot], cause=AbortCause.CONFLICT)
 
     # ------------------------------------------------------------------
     # Eviction handling
     # ------------------------------------------------------------------
 
-    def _install(self, cache: VersionedCache, line: CacheLine) -> LineView:
-        """Install ``line`` and handle its victims; returns the resident view.
+    def _install(self, cache: VersionedCache, base: int, code: int,
+                 data: List[int], mod_vid: int, high_vid: int) -> int:
+        """Install a version from column values and handle its victims.
 
-        ``line`` is an in-flight record — once installed, the version lives
-        in the cache's slot arena, so callers that keep mutating the line
-        (retags, data writes) must do it through the returned view.
+        Returns the cache slot now holding the version.
         """
-        slot, evicted = cache.install_slot(line)
+        slot, evicted = cache.install_slot(base, code, data, mod_vid,
+                                           high_vid)
         for victim in evicted:
             self._handle_victim(cache, victim)
-        return cache._view(slot)
+        return slot
 
     def _handle_victim(self, cache: VersionedCache, victim: CacheLine) -> None:
-        if victim.state is State.INVALID:
+        code = victim.state.code
+        if code == CODE_INVALID:
             return
         if cache not in self._llc_group:
             # L1 victim: S-S peer copies are silently droppable; clean
             # non-speculative lines need no writeback; everything else moves
             # down to the line's home LLC slice "as normal" (section 4.1) —
             # the single shared L2 on a flat machine.
-            if victim.state in (State.SS, State.SHARED, State.EXCLUSIVE):
+            if code == CODE_SS or code == CODE_SHARED \
+                    or code == CODE_EXCLUSIVE:
                 return
-            self._install(self._home_llc(victim.addr), victim)
+            self._install(self._home_llc(victim.addr), victim.addr, code,
+                          victim.data, victim.mod_vid, victim.high_vid)
             return
         # Last-level cache victim: section 5.4 rules.
-        if victim.state in (State.MODIFIED, State.OWNED):
+        if code == CODE_MODIFIED or code == CODE_OWNED:
             self.memory.write_line(victim.addr, victim.data)
             return
-        if victim.state in (State.SHARED, State.EXCLUSIVE, State.SS):
+        if code == CODE_SHARED or code == CODE_EXCLUSIVE or code == CODE_SS:
             return
-        if victim.state is State.SO and victim.mod_vid == 0:
+        if code == CODE_SO and victim.mod_vid == 0:
             # The non-speculative backup may overflow to memory; the S-M
             # assertion path of _fetch retrieves it if needed again.
             self.stats.nonspec_overflows += 1
@@ -955,7 +948,7 @@ class MemoryHierarchy:
             self.overflow_table.spill(victim)
             return
         raise SpeculativeOverflowError(
-            f"speculative version {victim.state}({victim.mod_vid},"
+            f"speculative version {CODE_NAMES[code]}({victim.mod_vid},"
             f"{victim.high_vid}) of 0x{victim.addr:x} evicted past the LLC",
             vid=victim.mod_vid, addr=victim.addr,
             cause=AbortCause.CAPACITY_OVERFLOW)

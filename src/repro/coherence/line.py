@@ -1,15 +1,19 @@
-"""Cache line model with HMTX version tags.
+"""Cache-line records and read-only views with HMTX version tags.
 
-Since the struct-of-arrays rewrite (DESIGN.md §13) resident versions live
-as *slots* in a per-cache :class:`~repro.coherence.store.LineStore`;
-:class:`CacheLine` objects are the **in-flight record**: the value a caller
-hands to ``install()``, the detached victim record an eviction returns, and
-the snapshot a dropped :class:`LineView` decays to.  :class:`LineView` is
-the object facade over a resident slot for the cold paths (tests,
-experiments, trace tooling) that want attribute access.
+Resident versions live as *slots* in a per-cache
+:class:`~repro.coherence.store.LineStore` (DESIGN.md §13); every access
+path, lazy fold and scrub works on slot ints and integer state codes.
+This module holds the two object shapes that remain at the edges:
 
-Each physical cache line carries, on top of its MOESI/speculative state and
-data, the two VIDs of section 4.1:
+* :class:`CacheLine` — a detached record: the victim record an eviction
+  hands back to the hierarchy, and the hand-built input of the
+  ``_inject_line`` test hook;
+* :class:`LineView` — a read-only attribute facade over one resident slot,
+  returned by the introspection helpers (``lookup()``, ``versions()``,
+  ``all_lines()``) for tests, experiments and trace tooling.
+
+Each version carries, on top of its MOESI/speculative state and data, the
+two VIDs of section 4.1:
 
 ``modVID``
     VID of the transaction whose speculative store created this version.
@@ -32,15 +36,9 @@ and the lazy-processing tags of section 5.3:
     Fast-path tag (DESIGN.md, "Fast-path indexing"): the owning cache's
     event epoch at which this line was last lazily processed.  The cache
     bumps its epoch on every commit/abort/reset broadcast, so
-    ``epoch == cache epoch`` proves the line has no pending events and
-    :meth:`~repro.coherence.cache.VersionedCache.process_lazy` can return
-    immediately — the replay it skips would have been an exact no-op.
-
-Lines are plain ``__slots__`` objects (no dataclass machinery): millions
-are touched per simulated run, and attribute storage plus identity-based
-equality are measurably cheaper.  Within one cache, field equality implied
-identity anyway (``lru_tick`` is unique per touch), so switching list
-membership tests to identity does not change behaviour.
+    ``epoch == cache epoch`` proves the line has no pending events and the
+    lazy fold can return immediately — the replay it skips would have been
+    an exact no-op.
 """
 
 from __future__ import annotations
@@ -51,17 +49,16 @@ from .states import CODE_SM, STATE_FROM_CODE, State
 
 
 class CacheLine:
-    """One physical cache line (one *version* of an address).
+    """One detached version of a cache line (an eviction record).
 
-    Multiple :class:`CacheLine` objects with the same ``addr`` but different
+    Multiple versions with the same ``addr`` but different
     ``mod_vid``/``high_vid`` may coexist in a single cache set — that is how
     HMTX materialises multiple memory versions (section 4.1).
 
-    State and VID changes on an installed line must go through
-    :meth:`retag`/:meth:`set_state`/:meth:`set_vids` so the owning cache's
-    maintained counters (speculative footprint, live ``S-M`` filter) stay
-    exact; ``high_vid`` alone may be assigned directly since no filter
-    depends on it.
+    :meth:`retag`/:meth:`set_state`/:meth:`set_vids` notify an owning
+    object-model cache (``cache._on_retag``) when one is attached; the
+    slot-arena cache never attaches, so for its records they are plain
+    field assignments.
     """
 
     __slots__ = ("addr", "state", "data", "mod_vid", "high_vid",
@@ -85,7 +82,7 @@ class CacheLine:
         #: Owning cache's event epoch at the last lazy processing; -1 means
         #: "never processed by any cache".
         self.epoch = -1
-        #: The cache currently holding this line (None while in flight).
+        #: The object-model cache holding this line (None when detached).
         self.cache: Optional[object] = None
 
     @property
@@ -103,12 +100,8 @@ class CacheLine:
         """A defensive copy of the line's words (new versions must not alias)."""
         return list(self.data)
 
-    # ------------------------------------------------------------------
-    # Tag mutation funnel (keeps owning-cache filter counters exact)
-    # ------------------------------------------------------------------
-
     def retag(self, state: State, mod_vid: int, high_vid: int) -> None:
-        """Change state and VIDs, notifying the owning cache's filters."""
+        """Change state and VIDs, notifying an attached owning cache."""
         cache = self.cache
         if cache is not None:
             cache._on_retag(self, state, mod_vid)
@@ -131,157 +124,59 @@ class CacheLine:
 
 
 class LineView:
-    """Object facade over one resident slot of a cache's line store.
+    """Read-only attribute facade over one resident slot of a line store.
 
-    Views are identity-cached per slot by the owning cache, so two views of
-    the same resident version are the same object (``is`` keeps working for
-    the ``keep=`` idiom and list membership).  When the underlying slot is
-    freed — eviction, drop, lazy invalidation — the view *detaches*: the
-    slot's final field values are snapshotted into a :class:`CacheLine`
-    record and all further reads serve the snapshot, mirroring how a
-    removed object line kept its last field values (with ``cache`` reset to
-    ``None``).
-
-    Mutators mirror :class:`CacheLine`'s funnel: :meth:`retag` (and
-    :meth:`set_state`/:meth:`set_vids`) goes through the owning cache so
-    the filter counters stay exact; ``high_vid``, ``seen_aborts`` and
-    ``epoch`` may be assigned directly since no filter depends on them
-    (the latter two are the lazy-processing stamps ``process_lazy``
-    updates on object lines).
+    A view reads the owning cache's columns on every attribute access, so
+    it always shows the version's current fields.  It is valid while the
+    version stays resident: once the slot is freed (eviction, drop, lazy
+    invalidation) the slot may be recycled for another version, so tools
+    must not hold views across operations that can remove the line.
     """
 
-    __slots__ = ("cache", "_slot", "_snap")
+    __slots__ = ("cache", "slot")
 
     def __init__(self, cache, slot: int) -> None:
         self.cache = cache
-        self._slot = slot
-        #: Detached snapshot (a CacheLine) once the slot is freed.
-        self._snap: Optional[CacheLine] = None
-
-    # -- field access ---------------------------------------------------
+        self.slot = slot
 
     @property
     def addr(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.addr
-        return self.cache._store.addr[self._slot]
+        return self.cache._store.addr[self.slot]
 
     @property
-    def state(self):
-        snap = self._snap
-        if snap is not None:
-            return snap.state
-        return STATE_FROM_CODE[self.cache._store.state[self._slot]]
+    def state(self) -> State:
+        return STATE_FROM_CODE[self.cache._store.state[self.slot]]
 
     @property
     def data(self) -> List[int]:
-        snap = self._snap
-        if snap is not None:
-            return snap.data
-        return self.cache._store.data[self._slot]
+        return self.cache._store.data[self.slot]
 
     @property
     def mod_vid(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.mod_vid
-        return self.cache._store.mod_vid[self._slot]
+        return self.cache._store.mod_vid[self.slot]
 
     @property
     def high_vid(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.high_vid
-        return self.cache._store.high_vid[self._slot]
-
-    @high_vid.setter
-    def high_vid(self, value: int) -> None:
-        snap = self._snap
-        if snap is not None:
-            snap.high_vid = value
-        else:
-            self.cache._store.high_vid[self._slot] = value
+        return self.cache._store.high_vid[self.slot]
 
     @property
     def seen_aborts(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.seen_aborts
-        return self.cache._store.seen_aborts[self._slot]
-
-    @seen_aborts.setter
-    def seen_aborts(self, value: int) -> None:
-        snap = self._snap
-        if snap is not None:
-            snap.seen_aborts = value
-        else:
-            self.cache._store.seen_aborts[self._slot] = value
+        return self.cache._store.seen_aborts[self.slot]
 
     @property
     def lru_tick(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.lru_tick
-        return self.cache._store.lru_tick[self._slot]
+        return self.cache._store.lru_tick[self.slot]
 
     @property
     def epoch(self) -> int:
-        snap = self._snap
-        if snap is not None:
-            return snap.epoch
-        return self.cache._store.epoch[self._slot]
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        snap = self._snap
-        if snap is not None:
-            snap.epoch = value
-        else:
-            self.cache._store.epoch[self._slot] = value
+        return self.cache._store.epoch[self.slot]
 
     @property
     def vids(self) -> Tuple[int, int]:
-        snap = self._snap
-        if snap is not None:
-            return (snap.mod_vid, snap.high_vid)
-        store = self.cache._store
-        slot = self._slot
-        return (store.mod_vid[slot], store.high_vid[slot])
+        return (self.mod_vid, self.high_vid)
 
     def is_speculative(self) -> bool:
-        snap = self._snap
-        if snap is not None:
-            return snap.state.speculative
-        return self.cache._store.state[self._slot] >= CODE_SM
-
-    def is_dirty(self) -> bool:
-        return self.state.dirty
-
-    def copy_data(self) -> List[int]:
-        """A defensive copy of the line's words (new versions must not alias)."""
-        return list(self.data)
-
-    # -- tag mutation funnel --------------------------------------------
-
-    def retag(self, state: State, mod_vid: int, high_vid: int) -> None:
-        snap = self._snap
-        if snap is not None:
-            snap.retag(state, mod_vid, high_vid)
-            return
-        self.cache._retag_slot(self._slot, state.code, mod_vid, high_vid)
-
-    def set_state(self, state: State) -> None:
-        self.retag(state, self.mod_vid, self.high_vid)
-
-    def set_vids(self, mod_vid: int, high_vid: int) -> None:
-        self.retag(self.state, mod_vid, high_vid)
-
-    # -- detachment (owning cache only) ---------------------------------
-
-    def _detach(self, record: CacheLine) -> None:
-        self._snap = record
-        self.cache = None
+        return self.cache._store.state[self.slot] >= CODE_SM
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

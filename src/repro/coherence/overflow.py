@@ -24,6 +24,7 @@ from __future__ import annotations
 from ..errors import SpeculativeOverflowError
 from ..txctl.causes import AbortCause
 from .cache import VersionedCache
+from .line import CacheLine
 
 #: Extra cycles per overflow-table operation on top of memory latency
 #: (hashing, pointer chasing in the software structure).
@@ -55,12 +56,13 @@ class OverflowVersionTable(VersionedCache):
         """Single-set (software hash) organisation."""
         return 0
 
-    def spill(self, line) -> None:
-        """Accept a speculative version evicted past the LLC."""
+    def spill(self, line: CacheLine) -> None:
+        """Accept a speculative version (an LLC eviction record)."""
         self.spills += 1
-        evicted = self.install(line)
+        _, evicted = self.install_slot(line.addr, line.state.code, line.data,
+                                       line.mod_vid, line.high_vid)
         if evicted:
-            # install() only evicts when the capacity safety valve blows;
+            # Installing only evicts when the capacity safety valve blows;
             # the caller treats that as the base protocol's overflow abort.
             victim = evicted[0]
             raise SpeculativeOverflowError(

@@ -1,10 +1,20 @@
-"""The HMTX coherence protocol as pure transition functions.
+"""The HMTX coherence protocol as pure transition rules on state codes.
 
 This module encodes Figures 4, 6 and 7 of the paper as side-effect-free
-functions over ``(state, modVID, highVID, requestVID)`` tuples.  Keeping the
-protocol pure and separate from the cache container makes the informal
-correctness argument of section 4.3 directly testable: the flow-, anti- and
-output-dependence cases are exhaustively enumerable.
+functions over ``(code, modVID, highVID, requestVID)`` integer tuples,
+where ``code`` is the one-byte state code the line store keeps per
+version (:mod:`repro.coherence.states`).  They are the *only* copy of the
+rules: the hierarchy's access paths, the cache's lazy folds and VID-reset
+scrub, the directory, the interleaving explorer and the exhaustive model
+checker (MC001-MC008) all call these functions.  The fused L1-hit path in
+``MemoryHierarchy._access`` and ``VersionedCache.lookup_slot`` inline the
+hit window and the in-place/SLA/entry decisions for speed; a tier-1 test
+drives them through every state and VID tuple at a reduced VID width and
+checks each outcome against the rules here.
+
+Keeping the protocol pure and separate from the cache container makes the
+informal correctness argument of section 4.3 directly testable: the flow-,
+anti- and output-dependence cases are exhaustively enumerable.
 
 Key rules (section 4.1):
 
@@ -27,13 +37,17 @@ Key rules (section 4.1):
 * A speculative **read** with VID ``a`` raises the hit version's ``highVID``
   to ``max(highVID, a)`` on latest versions; superseded versions are
   immutable (their ``highVID`` records the superseding write).
+
+The code numbering turns every state class into a range check
+(non-speculative valid ``1..4``, latest ``S-M``/``S-E`` ``5..6``,
+superseded ``S-O``/``S-S`` ``7..8``), which is what the functions below
+test.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .states import (
     CODE_EXCLUSIVE,
@@ -45,14 +59,10 @@ from .states import (
     CODE_SM,
     CODE_SO,
     CODE_SS,
-    LATEST_SPEC_STATES,
-    STATE_FROM_CODE,
-    SUPERSEDED_SPEC_STATES,
-    State,
-    is_speculative,
 )
 
-Vids = Tuple[int, int]
+#: ``(code, modVID, highVID)`` of one version.
+Version = Tuple[int, int, int]
 
 
 class AccessKind(enum.Enum):
@@ -62,125 +72,17 @@ class AccessKind(enum.Enum):
     WRITE = "write"
 
 
-class WriteOutcome(enum.Enum):
-    """What a speculative write does to the version it hits."""
+#: :func:`write_outcome_code` results: what a speculative write does to
+#: the version it hits.
+WRITE_ABORT = 0
+WRITE_IN_PLACE = 1
+WRITE_NEW_VERSION = 2
 
-    IN_PLACE = "in-place"
-    NEW_VERSION = "new-version"
-    ABORT = "abort"
+#: Outcome code -> display name.
+WRITE_OUTCOME_NAMES = ("abort", "in-place", "new-version")
 
-
-@dataclass(frozen=True)
-class NewVersionPlan:
-    """Result of planning a copy-creating speculative write (Figure 4).
-
-    ``old_state``/``old_vids`` describe what the previously-latest copy
-    becomes (the unmodified backup), ``new_vids`` the fresh ``S-M`` version.
-    """
-
-    old_state: State
-    old_vids: Vids
-    new_vids: Vids
-
-
-def version_hits(state: State, mod_vid: int, high_vid: int, req_vid: int) -> bool:
-    """Does a request with VID ``req_vid`` hit this version of the line?
-
-    Non-speculative valid states always hit (plain tag match); speculative
-    states apply the VID window rules of section 4.1.  ``req_vid`` must
-    already be the *effective* VID (non-speculative requests substitute the
-    cache's ``LC_VID``, section 5.3).
-    """
-    if state is State.INVALID:
-        return False
-    if not state.speculative:
-        return True
-    if state.latest_spec:
-        return req_vid >= mod_vid
-    # S-O / S-S: serves the window [modVID, highVID).
-    return mod_vid <= req_vid < high_vid
-
-
-def read_transition(state: State, mod_vid: int, high_vid: int,
-                    req_vid: int) -> Tuple[State, Vids]:
-    """State/VIDs of a version after a speculative read hits it.
-
-    The caller guarantees :func:`version_hits` is true and ``req_vid > 0``.
-    Non-speculative states are entered into the speculative world here:
-    a dirty line becomes ``S-M(0, a)``, a clean line ``S-E(0, a)``
-    (Figure 4; O/S follow the M/E path once exclusive access is acquired).
-    """
-    if state.latest_spec:
-        high = high_vid if high_vid >= req_vid else req_vid
-        return state, (mod_vid, high)
-    if state.superseded_spec:
-        return state, (mod_vid, high_vid)
-    if state is State.MODIFIED or state is State.OWNED:
-        return State.SM, (0, req_vid)
-    if state is State.EXCLUSIVE or state is State.SHARED:
-        return State.SE, (0, req_vid)
-    raise ValueError(f"read cannot hit state {state}")
-
-
-def write_outcome(state: State, mod_vid: int, high_vid: int,
-                  req_vid: int) -> WriteOutcome:
-    """Classify a speculative write against the version it hits (Figure 4).
-
-    Misspeculation cases (section 4.3):
-
-    * the hit version is superseded (``S-O``/``S-S``) — some logically-later
-      VID already superseded or is being served by this copy;
-    * ``req_vid < high_vid`` on a latest version — a logically-later load or
-      store already touched the line (read-after-write / output hazard).
-    """
-    if state.superseded_spec:
-        return WriteOutcome.ABORT
-    if state.latest_spec:
-        if req_vid < high_vid:
-            return WriteOutcome.ABORT
-        if req_vid == mod_vid:
-            return WriteOutcome.IN_PLACE
-        return WriteOutcome.NEW_VERSION
-    # Non-speculative version: always safe, creates the first speculative
-    # version of the line.
-    return WriteOutcome.NEW_VERSION
-
-
-def plan_new_version(state: State, mod_vid: int, high_vid: int,
-                     req_vid: int) -> NewVersionPlan:
-    """Plan the copy-creating write of Figure 4.
-
-    The previously-latest copy is preserved unmodified in ``S-O`` with its
-    ``highVID`` raised to the writing VID, so that reads with lower VIDs can
-    still find their data (write-after-read correctness).  The new version
-    starts life as ``S-M(a, a)``.
-    """
-    if write_outcome(state, mod_vid, high_vid, req_vid) is not WriteOutcome.NEW_VERSION:
-        raise ValueError("plan_new_version requires a NEW_VERSION outcome")
-    if is_speculative(state):
-        old_vids = (mod_vid, req_vid)
-    else:
-        old_vids = (0, req_vid)
-    return NewVersionPlan(
-        old_state=State.SO,
-        old_vids=old_vids,
-        new_vids=(req_vid, req_vid),
-    )
-
-
-# ----------------------------------------------------------------------
-# Integer-code primitives (struct-of-arrays hot path, DESIGN.md section 13)
-# ----------------------------------------------------------------------
-#
-# The line store keeps states as one byte per line, so the lazy-processing
-# sweeps run on ``(code, modVID, highVID)`` integer triples.  These are the
-# *primary* implementations; the enum-typed functions below delegate to
-# them, which keeps the two representations equivalent by construction
-# (and the equivalence is additionally pinned by an exhaustive
-# differential test).
-
-#: Figure 7's surviving-state map on codes: S-M -> O, S-E -> S,
-#: S-O -> O, S-S -> S (see :func:`abort_transition` for the rationale).
+#: Figure 7's surviving-state map: S-M -> O, S-E -> S, S-O -> O, S-S -> S
+#: (see :func:`abort_transition_code` for the rationale).
 _ABORT_SURVIVOR_CODE = {
     CODE_SM: CODE_OWNED,
     CODE_SE: CODE_SHARED,
@@ -191,48 +93,88 @@ _ABORT_SURVIVOR_CODE = {
 
 def version_hits_code(code: int, mod_vid: int, high_vid: int,
                       req_vid: int) -> bool:
-    """:func:`version_hits` on an integer state code."""
+    """Does a request with VID ``req_vid`` hit this version of the line?
+
+    Non-speculative valid states always hit (plain tag match); speculative
+    states apply the VID window rules of section 4.1.  ``req_vid`` must
+    already be the *effective* VID (non-speculative requests substitute the
+    cache's ``LC_VID``, section 5.3).
+    """
     if code >= CODE_SM:
         if code <= CODE_SE:
             return req_vid >= mod_vid
+        # S-O / S-S: serves the window [modVID, highVID).
         return mod_vid <= req_vid < high_vid
     return code != CODE_INVALID
 
 
+def read_transition_code(code: int, mod_vid: int, high_vid: int,
+                         req_vid: int) -> Version:
+    """State/VIDs of a version after a speculative read hits it.
+
+    The caller guarantees :func:`version_hits_code` is true and
+    ``req_vid > 0``.  Non-speculative states are entered into the
+    speculative world here: a dirty line becomes ``S-M(0, a)``, a clean
+    line ``S-E(0, a)`` (Figure 4; O/S follow the M/E path once exclusive
+    access is acquired).
+    """
+    if code >= CODE_SM:
+        if code <= CODE_SE:
+            return code, mod_vid, (high_vid if high_vid >= req_vid
+                                   else req_vid)
+        return code, mod_vid, high_vid
+    if code == CODE_MODIFIED or code == CODE_OWNED:
+        return CODE_SM, 0, req_vid
+    if code == CODE_EXCLUSIVE or code == CODE_SHARED:
+        return CODE_SE, 0, req_vid
+    raise ValueError(f"read cannot hit state code {code}")
+
+
+def write_outcome_code(code: int, mod_vid: int, high_vid: int,
+                       req_vid: int) -> int:
+    """Classify a speculative write against the version it hits (Figure 4).
+
+    Returns :data:`WRITE_ABORT`, :data:`WRITE_IN_PLACE` or
+    :data:`WRITE_NEW_VERSION`.  Misspeculation cases (section 4.3):
+
+    * the hit version is superseded (``S-O``/``S-S``) — some logically-later
+      VID already superseded or is being served by this copy;
+    * ``req_vid < high_vid`` on a latest version — a logically-later load or
+      store already touched the line (read-after-write / output hazard).
+
+    A non-speculative version is always safe to write: the write creates
+    the first speculative version of the line.
+    """
+    if code >= CODE_SO:
+        return WRITE_ABORT
+    if code >= CODE_SM:
+        if req_vid < high_vid:
+            return WRITE_ABORT
+        if req_vid == mod_vid:
+            return WRITE_IN_PLACE
+    return WRITE_NEW_VERSION
+
+
+def new_version_code(code: int, mod_vid: int, high_vid: int,
+                     req_vid: int) -> Tuple[int, int, int, int, int, int]:
+    """The copy-creating write of Figure 4: ``(backup, fresh)`` versions.
+
+    Returns ``(backup_code, backup_mod, backup_high, new_code, new_mod,
+    new_high)``.  The previously-latest copy is preserved unmodified in
+    ``S-O`` with its ``highVID`` raised to the writing VID, so that reads
+    with lower VIDs can still find their data (write-after-read
+    correctness).  The new version starts life as ``S-M(a, a)``.
+    """
+    if write_outcome_code(code, mod_vid, high_vid, req_vid) \
+            != WRITE_NEW_VERSION:
+        raise ValueError("new_version_code requires a WRITE_NEW_VERSION "
+                         "outcome")
+    return (CODE_SO, mod_vid if code >= CODE_SM else 0, req_vid,
+            CODE_SM, req_vid, req_vid)
+
+
 def commit_transition_code(code: int, mod_vid: int, high_vid: int,
-                           commit_vid: int) -> Tuple[int, int, int]:
-    """:func:`commit_transition` on an integer state code."""
-    if code < CODE_SM:
-        return code, mod_vid, high_vid
-    if commit_vid >= high_vid:
-        if code == CODE_SM:
-            return CODE_MODIFIED, 0, 0
-        if code == CODE_SE:
-            return CODE_EXCLUSIVE, 0, 0
-        return CODE_INVALID, 0, 0
-    if 0 < mod_vid <= commit_vid:
-        return code, 0, high_vid
-    return code, mod_vid, high_vid
-
-
-def abort_transition_code(code: int, mod_vid: int,
-                          high_vid: int) -> Tuple[int, int, int]:
-    """:func:`abort_transition` on an integer state code."""
-    if code < CODE_SM:
-        return code, mod_vid, high_vid
-    if mod_vid > 0:
-        return CODE_INVALID, 0, 0
-    return _ABORT_SURVIVOR_CODE[code], 0, 0
-
-
-def reset_transition_code(code: int, mod_vid: int,
-                          high_vid: int) -> Tuple[int, int, int]:
-    """:func:`reset_transition` on an integer state code."""
-    return commit_transition_code(code, mod_vid, high_vid, high_vid)
-
-
-def commit_transition(state: State, mod_vid: int, high_vid: int,
-                      commit_vid: int) -> Tuple[State, Vids]:
+                           commit_vid: int) -> Version:
     """Apply Figure 6's commit state machine to one version.
 
     * ``commit_vid >= highVID``: every transaction that touched this version
@@ -248,12 +190,21 @@ def commit_transition(state: State, mod_vid: int, high_vid: int,
     ``modVID == commit_vid`` condition is what lets several consecutive
     commits be folded into a single lazy processing step (section 5.3).
     """
-    code, mod, high = commit_transition_code(
-        state.code, mod_vid, high_vid, commit_vid)
-    return STATE_FROM_CODE[code], (mod, high)
+    if code < CODE_SM:
+        return code, mod_vid, high_vid
+    if commit_vid >= high_vid:
+        if code == CODE_SM:
+            return CODE_MODIFIED, 0, 0
+        if code == CODE_SE:
+            return CODE_EXCLUSIVE, 0, 0
+        return CODE_INVALID, 0, 0
+    if 0 < mod_vid <= commit_vid:
+        return code, 0, high_vid
+    return code, mod_vid, high_vid
 
 
-def abort_transition(state: State, mod_vid: int, high_vid: int) -> Tuple[State, Vids]:
+def abort_transition_code(code: int, mod_vid: int,
+                          high_vid: int) -> Version:
     """Apply Figure 7's abort state machine to one version.
 
     Versions created by a speculative store (``modVID > 0``) hold doomed
@@ -273,33 +224,19 @@ def abort_transition(state: State, mod_vid: int, high_vid: int) -> Tuple[State, 
     write.  Aborts are rare, so this is squarely within the paper's
     "push slowdowns to the rare abort case" philosophy.
     """
-    code, mod, high = abort_transition_code(state.code, mod_vid, high_vid)
-    return STATE_FROM_CODE[code], (mod, high)
+    if code < CODE_SM:
+        return code, mod_vid, high_vid
+    if mod_vid > 0:
+        return CODE_INVALID, 0, 0
+    return _ABORT_SURVIVOR_CODE[code], 0, 0
 
 
-def reset_transition(state: State, mod_vid: int, high_vid: int) -> Tuple[State, Vids]:
+def reset_transition_code(code: int, mod_vid: int,
+                          high_vid: int) -> Version:
     """Apply the VID-reset scrub of section 4.6 to one version.
 
     A reset is only legal once every outstanding transaction has committed,
     so any surviving latest version is real data (``-> M``/``E``) and any
     surviving superseded copy can never be hit again (``-> I``).
     """
-    return commit_transition(state, mod_vid, high_vid, commit_vid=high_vid)
-
-
-def snoop_response_state(owner_state: State) -> Optional[State]:
-    """State in which a *peer* requester caches a read copy of a version.
-
-    ``S-S`` copies never respond to snoops (exactly one of ``S-M``/``S-O``/
-    ``S-E`` answers instead, section 4.1); the requester receives a shared
-    speculative copy.
-    """
-    if owner_state is State.SS:
-        return None
-    if is_speculative(owner_state):
-        return State.SS
-    if owner_state in (State.MODIFIED, State.OWNED):
-        return State.SHARED
-    if owner_state in (State.EXCLUSIVE, State.SHARED):
-        return State.SHARED
-    return None
+    return commit_transition_code(code, mod_vid, high_vid, high_vid)

@@ -64,15 +64,13 @@ SUPERSEDED_SPEC_STATES = frozenset({State.SO, State.SS})
 WRITABLE_STATES = frozenset({State.MODIFIED, State.EXCLUSIVE})
 
 
-# Fast-path flags: each State member carries its classification as plain
-# attributes, so the hot loops read ``state.speculative`` instead of hashing
-# enum members into a frozenset on every access (see DESIGN.md,
-# "Fast-path indexing").  The sets above remain the source of truth.
+# Convenience flags: each State member carries its classification as plain
+# attributes (``state.speculative``, ``state.dirty``) for record-level code
+# (eviction records, views, tests).  The access paths test the integer
+# codes below instead.  The sets above remain the source of truth.
 for _state in State:
     _state.speculative = _state in SPECULATIVE_STATES
     _state.dirty = _state in DIRTY_STATES
-    _state.latest_spec = _state in LATEST_SPEC_STATES
-    _state.superseded_spec = _state in SUPERSEDED_SPEC_STATES
 del _state
 
 
@@ -110,6 +108,9 @@ DIRTY_BY_CODE = bytes(
     1 if STATE_FROM_CODE[c] in DIRTY_STATES else 0
     for c in range(len(STATE_FROM_CODE))
 )
+
+#: code -> display name (``"S-M"``), for messages and reports.
+CODE_NAMES = tuple(state.value for state in STATE_FROM_CODE)
 
 for _code, _state in enumerate(STATE_FROM_CODE):
     _state.code = _code

@@ -19,10 +19,9 @@ cache, indexed by *slot*:
     the per-cache LRU counter sample (``array('q')``);
 ``data``
     the line's words, a plain Python list per slot.  Data rows are held
-    *by reference* — ownership moves with the version exactly as it did
-    between ``CacheLine`` objects, so aliasing semantics (a victim's words
-    travelling to the L2, ``copy_data()`` on version creation) are
-    unchanged.
+    *by reference* — ownership moves with the version: a victim's words
+    travel to the L2 in its eviction record, and every copy-creating
+    access (a forwarded copy, a new version) installs a fresh list.
 
 Slots are recycled through a free list, so a slot index is stable for the
 lifetime of the version living in it: the per-set lists, the per-base

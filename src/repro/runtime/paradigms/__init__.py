@@ -53,17 +53,6 @@ from .doacross import run_doacross  # noqa: F401
 from .ps_dswp import run_ps_dswp  # noqa: F401
 from .dswp import run_dswp  # noqa: F401
 
-# Legacy aliases from the pre-package module, kept for old call sites.
-_PARADIGMS = PARADIGMS
-_fresh_system = fresh_system
-_make_scheduler = make_scheduler
-_allocate_vid_with_stall = allocate_vid_with_stall
-_wait_for_epoch = wait_for_epoch
-_wait_commit_turn = wait_commit_turn
-_run_serial_fallback = run_serial_fallback
-_run_with_recovery = run_with_recovery
-_result = build_result
-
 __all__ = [
     "PARADIGMS",
     "ParadigmResult",

@@ -243,6 +243,59 @@ class TestHotPathAllocation:
             """) == []
 
 
+class TestOneRepresentation:
+    HIER = "repro/coherence/hierarchy.py"
+
+    def test_state_member_in_hierarchy_is_rl009(self):
+        findings = lint("""
+            def peek(self, cache, slot):
+                return cache._store.state[slot] != State.SS.code
+            """, rel=self.HIER)
+        assert rules_of(findings) == ["RL009"]
+        assert "State.SS" in findings[0].message
+
+    def test_line_object_construction_in_directory_is_rl009(self):
+        findings = lint("""
+            def _fetch(self, base, data):
+                line = CacheLine(base, 2, data)
+                return self._install(self.l1, line), LineView(self.l1, 0)
+            """, rel="repro/coherence/directory.py")
+        assert rules_of(findings) == ["RL009", "RL009"]
+
+    def test_view_call_only_in_introspection_helpers(self):
+        findings = lint("""
+            def _apply(self, l1, slot):
+                return l1._view(slot)
+
+            def check_invariants(self, l1, slot):
+                assert l1._view(slot) is not None
+            """, rel=self.HIER)
+        assert rules_of(findings) == ["RL009"]
+        assert "_apply" in findings[0].message
+
+    def test_hot_path_function_under_coherence_is_policed(self):
+        findings = lint("""
+            def sweep(self, slot):  # hot-path
+                return self.state[slot] == State.SM.code
+
+            def describe(self, slot):
+                return State.SM
+            """, rel="repro/coherence/cache.py")
+        assert rules_of(findings) == ["RL009"]
+
+    def test_other_packages_are_not_policed(self):
+        assert lint("""
+            def access(self, slot):  # hot-path
+                return State.SM
+            """, rel="repro/core/system.py") == []
+
+    def test_lint_ok_with_reason_suppresses(self):
+        assert lint("""
+            def peek(self):
+                return State.SS  # lint-ok: RL009 (planted: display only)
+            """, rel=self.HIER) == []
+
+
 class TestWholeTree:
     def test_src_is_lint_clean(self):
         report = lint_paths()
@@ -255,7 +308,8 @@ class TestWholeTree:
 
     def test_rule_catalog_is_documented(self):
         assert set(LINT_RULES) == {"RL001", "RL002", "RL003", "RL004",
-                                   "RL005", "RL006", "RL007", "RL008"}
+                                   "RL005", "RL006", "RL007", "RL008",
+                                   "RL009"}
         assert default_lint_root().name == "repro"
 
 class TestDeterminism:

@@ -8,22 +8,23 @@ proves nothing.
 
 from types import SimpleNamespace
 
-from repro.analysis.modelcheck import check_protocol, reachable
-from repro.coherence import protocol
-from repro.coherence.protocol import WriteOutcome
-from repro.coherence.states import State
+from repro.analysis.modelcheck import RULE_NAMES, check_protocol, reachable
+from repro.coherence import cache, hierarchy, protocol
+from repro.coherence.protocol import WRITE_ABORT, WRITE_NEW_VERSION
+from repro.coherence.states import (
+    CODE_SE,
+    CODE_SM,
+    CODE_SO,
+    CODE_SS,
+    CODE_MODIFIED,
+    State,
+)
 
 
 def _real_protocol_namespace():
-    return SimpleNamespace(
-        version_hits=protocol.version_hits,
-        write_outcome=protocol.write_outcome,
-        plan_new_version=protocol.plan_new_version,
-        read_transition=protocol.read_transition,
-        commit_transition=protocol.commit_transition,
-        abort_transition=protocol.abort_transition,
-        reset_transition=protocol.reset_transition,
-    )
+    """The executed rule set, one attribute per rule the checker binds."""
+    return SimpleNamespace(**{name: getattr(protocol, name)
+                              for name in RULE_NAMES})
 
 
 class TestFullSpace:
@@ -50,6 +51,17 @@ class TestFullSpace:
     def test_small_space_is_also_clean(self):
         assert check_protocol(vid_bits=3).ok
 
+    def test_checker_binds_the_rules_the_simulator_executes(self):
+        """No checker-only copy: the hierarchy and the cache folds call
+        the very function objects MC001-MC008 enumerate."""
+        assert hierarchy.read_transition_code is protocol.read_transition_code
+        assert hierarchy.write_outcome_code is protocol.write_outcome_code
+        assert hierarchy.new_version_code is protocol.new_version_code
+        assert cache.commit_transition_code \
+            is protocol.commit_transition_code
+        assert cache.abort_transition_code is protocol.abort_transition_code
+        assert cache.reset_transition_code is protocol.reset_transition_code
+
     def test_reachable_matches_the_documented_constraints(self):
         assert reachable(State.SM, 2, 5) and reachable(State.SM, 0, 1)
         assert not reachable(State.SM, 3, 2)
@@ -69,12 +81,12 @@ class TestMutationsAreCaught:
         return check_protocol(vid_bits=4, protocol=mutant)
 
     def test_off_by_one_hit_window_is_caught(self):
-        def bad_hits(state, m, h, a):
-            if state in (State.SO, State.SS) and state.speculative:
+        def bad_hits(code, m, h, a):
+            if code in (CODE_SO, CODE_SS):
                 return m <= a <= h  # inclusive upper bound: wrong
-            return protocol.version_hits(state, m, h, a)
+            return protocol.version_hits_code(code, m, h, a)
 
-        report = self._check_mutant(version_hits=bad_hits)
+        report = self._check_mutant(version_hits_code=bad_hits)
         assert not report.ok
         rules = {f.rule for f in report.findings}
         assert "MC001" in rules
@@ -83,47 +95,83 @@ class TestMutationsAreCaught:
         assert "S" in counterexample.where  # names the exact state tuple
 
     def test_missed_dependence_abort_is_caught(self):
-        def bad_write(state, m, h, a):
-            outcome = protocol.write_outcome(state, m, h, a)
-            if outcome is WriteOutcome.ABORT and state.latest_spec:
-                return WriteOutcome.NEW_VERSION  # ignores a < highVID
+        def bad_write(code, m, h, a):
+            outcome = protocol.write_outcome_code(code, m, h, a)
+            if outcome == WRITE_ABORT and code in (CODE_SM, CODE_SE):
+                return WRITE_NEW_VERSION  # ignores a < highVID
             return outcome
 
-        report = self._check_mutant(write_outcome=bad_write)
+        report = self._check_mutant(write_outcome_code=bad_write)
         assert not report.ok
         assert any(f.rule == "MC003" for f in report.findings)
 
     def test_eager_commit_fold_divergence_is_caught(self):
-        def bad_commit(state, m, h, c):
+        def bad_commit(code, m, h, c):
             # Drops the modVID<=c generalisation: only the exact match
             # folds, so processing a backlog lazily diverges.
-            if state.speculative and c < h and 0 < m < c:
-                return state, (m, h)
-            return protocol.commit_transition(state, m, h, c)
+            if code >= CODE_SM and c < h and 0 < m < c:
+                return code, m, h
+            return protocol.commit_transition_code(code, m, h, c)
 
-        report = self._check_mutant(commit_transition=bad_commit)
+        report = self._check_mutant(commit_transition_code=bad_commit)
         assert not report.ok
         assert any(f.rule == "MC006" for f in report.findings)
 
     def test_leaky_abort_is_caught(self):
-        def bad_abort(state, m, h):
-            if state is State.SO:
-                return state, (m, h)  # leaves speculative state behind
-            return protocol.abort_transition(state, m, h)
+        def bad_abort(code, m, h):
+            if code == CODE_SO:
+                return code, m, h  # leaves speculative state behind
+            return protocol.abort_transition_code(code, m, h)
 
-        report = self._check_mutant(abort_transition=bad_abort)
+        report = self._check_mutant(abort_transition_code=bad_abort)
         assert not report.ok
         assert any(f.rule == "MC007" for f in report.findings)
 
     def test_counterexamples_are_capped_but_counted(self):
-        def always_hits(state, m, h, a):
+        def always_hits(code, m, h, a):
             return True
 
-        report = self._check_mutant(version_hits=always_hits)
+        report = self._check_mutant(version_hits_code=always_hits)
         assert not report.ok
         mc001 = [f for f in report.findings if f.rule == "MC001"]
         assert len(mc001) <= 5
         assert report.coverage["violations"] > len(mc001)
+
+    def test_chain_overlap_is_caught(self):
+        def bad_hits(code, m, h, a):
+            if code == CODE_SO:
+                return m <= a <= h  # backup also serves its successor
+            return protocol.version_hits_code(code, m, h, a)
+
+        report = self._check_mutant(version_hits_code=bad_hits)
+        assert any(f.rule == "MC002" for f in report.findings)
+
+    def test_skewed_backup_window_is_caught(self):
+        def bad_new_version(code, m, h, a):
+            plan = protocol.new_version_code(code, m, h, a)
+            return plan[:2] + (a + 1,) + plan[3:]  # backup overlaps S-M(a,a)
+
+        report = self._check_mutant(new_version_code=bad_new_version)
+        assert any(f.rule == "MC004" for f in report.findings)
+
+    def test_lost_read_mark_is_caught(self):
+        def bad_read(code, m, h, a):
+            if code in (CODE_SM, CODE_SE):
+                return code, m, h  # forgets to raise highVID
+            return protocol.read_transition_code(code, m, h, a)
+
+        report = self._check_mutant(read_transition_code=bad_read)
+        assert any(f.rule == "MC005" for f in report.findings)
+
+    def test_stale_epoch_after_reset_is_caught(self):
+        def bad_reset(code, m, h):
+            if code == CODE_SM:
+                return CODE_MODIFIED, 0, h  # keeps an old-epoch highVID
+            return protocol.reset_transition_code(code, m, h)
+
+        report = self._check_mutant(reset_transition_code=bad_reset)
+        assert any(f.rule == "MC008" for f in report.findings)
+
 
 class TestStructuredCounterexamples:
     """MC findings carry the exact input tuple machine-readably."""
@@ -131,12 +179,12 @@ class TestStructuredCounterexamples:
     def _mutant_report(self):
         mutant = _real_protocol_namespace()
 
-        def bad_hits(state, m, h, a):
-            if state in (State.SO, State.SS):
+        def bad_hits(code, m, h, a):
+            if code in (CODE_SO, CODE_SS):
                 return m <= a <= h
-            return protocol.version_hits(state, m, h, a)
+            return protocol.version_hits_code(code, m, h, a)
 
-        mutant.version_hits = bad_hits
+        mutant.version_hits_code = bad_hits
         return check_protocol(vid_bits=4, protocol=mutant)
 
     def test_mc001_counterexample_is_the_input_tuple(self):

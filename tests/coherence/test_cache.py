@@ -3,9 +3,11 @@ victim selection, install-replace, VID reset."""
 
 import pytest
 
-from repro.coherence.cache import VersionedCache, victim_priority
+from repro.coherence.cache import _VICTIM_CLASS_BY_CODE, VersionedCache
 from repro.coherence.line import CacheLine
-from repro.coherence.states import State
+from repro.coherence.states import CODE_INVALID, State
+
+from .state_rules import install
 
 
 def make_cache(assoc=4, sets=4, **kw):
@@ -27,6 +29,10 @@ class TestGeometry:
         with pytest.raises(ValueError):
             VersionedCache("bad", size=1000, assoc=3)
 
+    def test_line_size_must_be_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            VersionedCache("bad", size=48 * 8, assoc=8, line_size=48)
+
     def test_set_index_ignores_vids(self):
         """Section 4.1: the set index depends only on the address."""
         cache = make_cache()
@@ -43,23 +49,23 @@ class TestLookup:
 
     def test_plain_hit(self):
         cache = make_cache()
-        cache.install(line(0x40, State.EXCLUSIVE))
+        install(cache, line(0x40, State.EXCLUSIVE))
         assert cache.lookup(0x40, 0).state is State.EXCLUSIVE
 
     def test_version_selection_by_vid(self):
         """The Figure 5 three-version set resolves each VID uniquely."""
         cache = make_cache()
-        cache.install(line(0x40, State.SO, 0, 1, data=[10] * 8))
-        cache.install(line(0x40, State.SO, 1, 2, data=[11] * 8))
-        cache.install(line(0x40, State.SM, 2, 2, data=[12] * 8))
+        install(cache, line(0x40, State.SO, 0, 1, data=[10] * 8))
+        install(cache, line(0x40, State.SO, 1, 2, data=[11] * 8))
+        install(cache, line(0x40, State.SM, 2, 2, data=[12] * 8))
         assert cache.lookup(0x40, 1).data[0] == 11
         assert cache.lookup(0x40, 2).data[0] == 12
         assert cache.lookup(0x40, 5).data[0] == 12
 
     def test_nonspeculative_requests_use_lc_vid(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SO, 0, 2, data=[10] * 8))
-        cache.install(line(0x40, State.SM, 2, 2, data=[12] * 8))
+        install(cache, line(0x40, State.SO, 0, 2, data=[10] * 8))
+        install(cache, line(0x40, State.SM, 2, 2, data=[12] * 8))
         cache.lc_vid = 0
         assert cache.lookup(0x40, 0).data[0] == 10
         # After VID 2 commits, non-speculative readers see version 2.
@@ -69,7 +75,7 @@ class TestLookup:
 
     def test_duplicate_hit_is_a_protocol_bug(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 1, 1))
+        install(cache, line(0x40, State.SM, 1, 1))
         # Force an illegal overlapping version in directly (bypassing
         # install's same-version replacement, but registering it in the
         # set list and version index like any resident line).
@@ -81,41 +87,50 @@ class TestLookup:
 class TestInstallReplace:
     def test_same_modvid_version_is_replaced(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SS, 1, 2))
-        cache.install(line(0x40, State.SS, 1, 3))
+        install(cache, line(0x40, State.SS, 1, 2))
+        install(cache, line(0x40, State.SS, 1, 3))
         versions = cache.versions(0x40)
         assert len(versions) == 1
         assert versions[0].vids == (1, 3)
 
     def test_different_modvid_coexists(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SO, 0, 1))
-        cache.install(line(0x40, State.SM, 1, 1))
+        install(cache, line(0x40, State.SO, 0, 1))
+        install(cache, line(0x40, State.SM, 1, 1))
         assert len(cache.versions(0x40)) == 2
 
     def test_spec_and_nonspec_mod0_do_not_replace(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SO, 0, 5))
-        cache.install(line(0x80, State.EXCLUSIVE))
+        install(cache, line(0x40, State.SO, 0, 5))
+        install(cache, line(0x80, State.EXCLUSIVE))
         assert len(cache.versions(0x40)) == 1
 
 
 class TestVictimSelection:
     def test_priority_ordering(self):
-        assert victim_priority(line(0, State.INVALID)) \
-            < victim_priority(line(0, State.SHARED)) \
-            < victim_priority(line(0, State.MODIFIED)) \
-            < victim_priority(line(0, State.SS, 1, 2)) \
-            < victim_priority(line(0, State.SO, 0, 2)) \
-            < victim_priority(line(0, State.SO, 1, 2))
+        """Section 5.4 classes, lowest evicted first: clean < dirty
+        non-speculative < S-S < overflowable S-O(0, h) < pinned S-O."""
+        assert _VICTIM_CLASS_BY_CODE[CODE_INVALID] == min(
+            _VICTIM_CLASS_BY_CODE)
+        chain = [(State.SHARED, 0, 0), (State.MODIFIED, 0, 0),
+                 (State.SS, 1, 2), (State.SO, 0, 2), (State.SO, 1, 2)]
+        for lower, higher in zip(chain, chain[1:]):
+            cache = make_cache(assoc=2, sets=1)
+            install(cache, line(0x00, *higher))
+            # The lower class is the most recently used: only its class
+            # can make it the victim.
+            install(cache, line(0x40, *lower))
+            evicted = install(cache, line(0x80, State.EXCLUSIVE))
+            assert [(v.addr, v.state) for v in evicted] == \
+                [(0x40, lower[0])], (lower, higher)
 
     def test_pinned_speculative_evicted_last(self):
         """Section 5.4: overflowable S-O (modVID 0) preferred over versions
         whose eviction past the LLC would abort."""
         cache = make_cache(assoc=2, sets=1)
-        cache.install(line(0x00, State.SM, 1, 1))
-        cache.install(line(0x40, State.SO, 0, 1))
-        evicted = cache.install(line(0x80, State.SE, 0, 2))
+        install(cache, line(0x00, State.SM, 1, 1))
+        install(cache, line(0x40, State.SO, 0, 1))
+        evicted = install(cache, line(0x80, State.SE, 0, 2))
         assert len(evicted) == 1
         assert evicted[0].state is State.SO       # not the S-M
 
@@ -123,20 +138,20 @@ class TestVictimSelection:
         """A stale, fully-committed superseded version must die during
         victim selection rather than be evicted as 'speculative'."""
         cache = make_cache(assoc=2, sets=1)
-        cache.install(line(0x00, State.SO, 1, 2))
-        cache.install(line(0x40, State.SM, 2, 2))
+        install(cache, line(0x00, State.SO, 1, 2))
+        install(cache, line(0x40, State.SM, 2, 2))
         cache.broadcast_commit(2)
-        evicted = cache.install(line(0x80, State.EXCLUSIVE))
+        evicted = install(cache, line(0x80, State.EXCLUSIVE))
         # S-O(1,2) died at processing; nothing live needed eviction.
         assert evicted == []
         assert cache.occupancy() == 2
 
     def test_lru_within_class(self):
         cache = make_cache(assoc=2, sets=1)
-        cache.install(line(0x00, State.EXCLUSIVE))
-        cache.install(line(0x40, State.EXCLUSIVE))
+        install(cache, line(0x00, State.EXCLUSIVE))
+        install(cache, line(0x40, State.EXCLUSIVE))
         cache.lookup(0x00, 0)  # touch -> 0x40 becomes LRU
-        evicted = cache.install(line(0x80, State.EXCLUSIVE))
+        evicted = install(cache, line(0x80, State.EXCLUSIVE))
         assert evicted[0].addr == 0x40
 
 
@@ -144,7 +159,7 @@ class TestLazyCommitAbort:
     def test_commit_broadcast_is_o1(self):
         cache = make_cache()
         for i in range(4):
-            cache.install(line(0x40 * i, State.SM, 1, 1))
+            install(cache, line(0x40 * i, State.SM, 1, 1))
         cache.broadcast_commit(1)
         assert cache.lc_vid == 1
         # No state changed yet (lazy): raw stored states still S-M.
@@ -153,7 +168,7 @@ class TestLazyCommitAbort:
 
     def test_commit_processed_at_touch(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 1, 1))
+        install(cache, line(0x40, State.SM, 1, 1))
         cache.broadcast_commit(1)
         hit = cache.lookup(0x40, 0)
         assert hit.state is State.MODIFIED
@@ -161,14 +176,14 @@ class TestLazyCommitAbort:
 
     def test_se_commits_clean(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SE, 0, 1))
+        install(cache, line(0x40, State.SE, 0, 1))
         cache.broadcast_commit(1)
         assert cache.lookup(0x40, 0).state is State.EXCLUSIVE
 
     def test_abort_processed_at_touch(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 1, 1))
-        cache.install(line(0x80, State.SE, 0, 1))
+        install(cache, line(0x40, State.SM, 1, 1))
+        install(cache, line(0x80, State.SE, 0, 1))
         cache.broadcast_abort()
         assert cache.lookup(0x40, 0) is None          # doomed data died
         assert cache.lookup(0x80, 0).state is State.SHARED
@@ -178,8 +193,8 @@ class TestLazyCommitAbort:
         a commit broadcast followed by an abort must commit VID 1's data
         and kill VID 2's."""
         cache = make_cache()
-        cache.install(line(0x40, State.SO, 1, 2, data=[7] * 8))  # v1 backup... superseded by v2
-        cache.install(line(0x80, State.SM, 1, 1, data=[5] * 8))  # v1's own line
+        install(cache, line(0x40, State.SO, 1, 2, data=[7] * 8))  # v1 backup... superseded by v2
+        install(cache, line(0x80, State.SM, 1, 1, data=[5] * 8))  # v1's own line
         cache.broadcast_commit(1)
         cache.broadcast_abort()
         # v1's S-M line was *fully* committed before the abort (the
@@ -196,7 +211,7 @@ class TestLazyCommitAbort:
 
     def test_multiple_aborts_replay_in_order(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 3, 3))
+        install(cache, line(0x40, State.SM, 3, 3))
         cache.broadcast_abort()
         cache.broadcast_abort()
         assert cache.lookup(0x40, 0) is None
@@ -204,15 +219,15 @@ class TestLazyCommitAbort:
     def test_install_after_abort_not_affected(self):
         cache = make_cache()
         cache.broadcast_abort()
-        cache.install(line(0x40, State.SM, 1, 1))
+        install(cache, line(0x40, State.SM, 1, 1))
         assert cache.lookup(0x40, 1).state is State.SM
 
 
 class TestVidReset:
     def test_reset_scrubs_all_vids(self):
         cache = make_cache()
-        cache.install(line(0x00, State.SM, 63, 63, data=[1] * 8))
-        cache.install(line(0x40, State.SO, 0, 63))
+        install(cache, line(0x00, State.SM, 63, 63, data=[1] * 8))
+        install(cache, line(0x40, State.SO, 0, 63))
         cache.broadcast_commit(63)
         cache.vid_reset()
         assert cache.lc_vid == 0
@@ -222,14 +237,14 @@ class TestVidReset:
 
     def test_reset_preserves_latest_data(self):
         cache = make_cache()
-        cache.install(line(0x00, State.SM, 5, 5, data=[42] * 8))
+        install(cache, line(0x00, State.SM, 5, 5, data=[42] * 8))
         cache.broadcast_commit(5)
         cache.vid_reset()
         assert cache.lookup(0x00, 0).data[0] == 42
 
     def test_new_epoch_vids_work_after_reset(self):
         cache = make_cache()
-        cache.install(line(0x00, State.SM, 60, 60))
+        install(cache, line(0x00, State.SM, 60, 60))
         cache.broadcast_commit(60)
         cache.vid_reset()
         # New epoch's VID 1 must hit the (now non-speculative) line.
@@ -237,10 +252,10 @@ class TestVidReset:
 
     def test_reset_clears_abort_history(self):
         cache = make_cache()
-        cache.install(line(0x00, State.SM, 2, 2))
+        install(cache, line(0x00, State.SM, 2, 2))
         cache.broadcast_commit(2)
         cache.broadcast_abort()
         cache.vid_reset()
         assert cache._abort_history == []
-        cache.install(line(0x40, State.SM, 1, 1))
+        install(cache, line(0x40, State.SM, 1, 1))
         assert cache.lookup(0x40, 1).state is State.SM

@@ -12,8 +12,10 @@ import pytest
 from repro.coherence.cache import VersionedCache
 from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.coherence.line import CacheLine
-from repro.coherence.states import State
+from repro.coherence.states import CODE_MODIFIED, State
 from repro.core import HMTXSystem, MachineConfig
+
+from .state_rules import install
 
 TINY = dict(num_cores=2, l1_size=512, l1_assoc=2, l2_size=2048, l2_assoc=4)
 
@@ -30,7 +32,7 @@ def line(addr, state, mod=0, high=0, data=None):
 class TestEpochGating:
     def test_fresh_line_processes_once_then_skips(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 2, 2))
+        install(cache, line(0x40, State.SM, 2, 2))
         resident = cache.versions(0x40)[0]
         assert resident.epoch == cache._epoch
         before = cache.stats.lazy_commits_processed
@@ -41,7 +43,7 @@ class TestEpochGating:
 
     def test_broadcast_bumps_epoch_and_forces_processing(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 2, 5))
+        install(cache, line(0x40, State.SM, 2, 5))
         resident = cache.versions(0x40)[0]
         cache.broadcast_commit(2)
         assert resident.epoch != cache._epoch
@@ -53,7 +55,7 @@ class TestEpochGating:
 
     def test_abort_replay_still_exact_under_gating(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 2, 2))
+        install(cache, line(0x40, State.SM, 2, 2))
         cache.broadcast_abort()
         # modVID > 0 at abort time: the version dies at next touch.
         assert cache.versions(0x40) == []
@@ -64,25 +66,25 @@ class TestVersionIndex:
     def test_holds_tracks_presence(self):
         cache = make_cache()
         assert not cache.holds(0x44)
-        cache.install(line(0x40, State.EXCLUSIVE))
+        install(cache, line(0x40, State.EXCLUSIVE))
         assert cache.holds(0x44)          # any address within the line
         cache.drop(cache.versions(0x40)[0])
         assert not cache.holds(0x40)
 
     def test_index_survives_replacement_and_eviction(self):
         cache = make_cache(assoc=2, sets=1)
-        cache.install(line(0x00, State.EXCLUSIVE))
-        cache.install(line(0x40, State.EXCLUSIVE))
-        cache.install(line(0x80, State.EXCLUSIVE))   # evicts the LRU line
+        install(cache, line(0x00, State.EXCLUSIVE))
+        install(cache, line(0x40, State.EXCLUSIVE))
+        install(cache, line(0x80, State.EXCLUSIVE))   # evicts the LRU line
         cache.check_index_integrity()
         assert cache.occupancy() == 2
 
     def test_speculative_counter_follows_retags(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 2, 2))
+        install(cache, line(0x40, State.SM, 2, 2))
         assert cache.speculative_lines == 1
         resident = cache.versions(0x40)[0]
-        resident.retag(State.MODIFIED, 0, 0)
+        cache._retag_slot(resident.slot, CODE_MODIFIED, 0, 0)
         assert cache.speculative_lines == 0
         cache.check_index_integrity()
 
@@ -95,7 +97,7 @@ class TestVersionIndex:
 class TestSmFilter:
     def test_has_latest_after_commit_is_lazy_but_exact(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SM, 2, 2))
+        install(cache, line(0x40, State.SM, 2, 2))
         assert cache.has_latest_spec_version(0x40)
         assert cache._sm_live == 1
         cache.broadcast_commit(2)
@@ -106,7 +108,7 @@ class TestSmFilter:
 
     def test_zero_filter_shortcuts_only_when_epoch_current(self):
         cache = make_cache()
-        cache.install(line(0x40, State.SO, 0, 9))
+        install(cache, line(0x40, State.SO, 0, 9))
         assert cache._sm_live == 0
         assert not cache.has_latest_spec_version(0x40)
 
@@ -115,14 +117,14 @@ class TestEvictionStats:
     def test_invalid_fallback_victim_not_counted(self):
         cache = make_cache(assoc=1, sets=1)
         cache._inject_line(line(0x40, State.INVALID))
-        evicted = cache.install(line(0x80, State.EXCLUSIVE))
+        evicted = install(cache, line(0x80, State.EXCLUSIVE))
         assert [v.state for v in evicted] == [State.INVALID]
         assert cache.stats.evictions == 0
 
     def test_real_victims_still_counted(self):
         cache = make_cache(assoc=1, sets=1)
-        cache.install(line(0x40, State.EXCLUSIVE))
-        cache.install(line(0x80, State.EXCLUSIVE))
+        install(cache, line(0x40, State.EXCLUSIVE))
+        install(cache, line(0x80, State.EXCLUSIVE))
         assert cache.stats.evictions == 1
 
 

@@ -2,30 +2,41 @@
 
 These are the paper's core correctness artifacts: hit-window rules
 (section 4.1), write outcomes (Figure 4), commit transitions (Figure 6),
-abort transitions (Figure 7), and the VID-reset scrub (section 4.6).
+abort transitions (Figure 7), the VID-reset scrub (section 4.6), and the
+snoop responses that forward a version to a peer.  The rules are the
+code-level functions of :mod:`repro.coherence.protocol`; most assertions
+read them through the ``State``-typed adapters of :mod:`.state_rules`.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.coherence.line import CacheLine
 from repro.coherence.protocol import (
-    NewVersionPlan,
-    WriteOutcome,
-    abort_transition,
-    commit_transition,
-    plan_new_version,
-    read_transition,
-    reset_transition,
-    snoop_response_state,
-    version_hits,
-    write_outcome,
+    WRITE_ABORT,
+    WRITE_IN_PLACE,
+    WRITE_NEW_VERSION,
+    new_version_code,
 )
 from repro.coherence.states import (
+    CODE_MODIFIED,
+    CODE_SM,
+    CODE_SO,
     LATEST_SPEC_STATES,
     SPECULATIVE_STATES,
     SUPERSEDED_SPEC_STATES,
     State,
     is_speculative,
+)
+
+from .state_rules import (
+    abort_transition,
+    commit_transition,
+    read_transition,
+    reset_transition,
+    version_hits,
+    write_outcome,
 )
 
 vids = st.integers(min_value=0, max_value=63)
@@ -129,24 +140,24 @@ class TestReadTransition:
 
 class TestWriteOutcome:
     def test_write_to_superseded_version_aborts(self):
-        assert write_outcome(State.SO, 1, 3, 2) is WriteOutcome.ABORT
-        assert write_outcome(State.SS, 1, 3, 2) is WriteOutcome.ABORT
+        assert write_outcome(State.SO, 1, 3, 2) == WRITE_ABORT
+        assert write_outcome(State.SS, 1, 3, 2) == WRITE_ABORT
 
     def test_write_below_highvid_aborts(self):
         # A logically-later VID already accessed the line (RAW hazard).
-        assert write_outcome(State.SM, 2, 6, 4) is WriteOutcome.ABORT
-        assert write_outcome(State.SE, 0, 6, 4) is WriteOutcome.ABORT
+        assert write_outcome(State.SM, 2, 6, 4) == WRITE_ABORT
+        assert write_outcome(State.SE, 0, 6, 4) == WRITE_ABORT
 
     def test_same_transaction_rewrites_in_place(self):
-        assert write_outcome(State.SM, 4, 4, 4) is WriteOutcome.IN_PLACE
+        assert write_outcome(State.SM, 4, 4, 4) == WRITE_IN_PLACE
 
     def test_later_vid_creates_new_version(self):
-        assert write_outcome(State.SM, 2, 2, 5) is WriteOutcome.NEW_VERSION
-        assert write_outcome(State.SE, 0, 3, 3) is WriteOutcome.NEW_VERSION
+        assert write_outcome(State.SM, 2, 2, 5) == WRITE_NEW_VERSION
+        assert write_outcome(State.SE, 0, 3, 3) == WRITE_NEW_VERSION
 
     def test_write_to_nonspeculative_creates_version(self):
         for state in (State.MODIFIED, State.EXCLUSIVE, State.OWNED, State.SHARED):
-            assert write_outcome(state, 0, 0, 1) is WriteOutcome.NEW_VERSION
+            assert write_outcome(state, 0, 0, 1) == WRITE_NEW_VERSION
 
     @given(vids, vids, pos_vids)
     def test_no_write_ever_modifies_older_version_silently(self, mod, extra, vid):
@@ -154,29 +165,29 @@ class TestWriteOutcome:
         highVID — the informal 4.3 invariant."""
         high = mod + extra
         outcome = write_outcome(State.SM, mod, high, vid)
-        if outcome is not WriteOutcome.ABORT:
+        if outcome != WRITE_ABORT:
             assert vid >= high
 
 
 class TestPlanNewVersion:
     def test_backup_keeps_old_modvid_with_raised_highvid(self):
-        plan = plan_new_version(State.SM, 2, 2, 5)
-        assert plan == NewVersionPlan(State.SO, (2, 5), (5, 5))
+        plan = new_version_code(CODE_SM, 2, 2, 5)
+        assert plan == (CODE_SO, 2, 5, CODE_SM, 5, 5)
 
     def test_nonspeculative_backup_has_modvid_zero(self):
-        plan = plan_new_version(State.MODIFIED, 0, 0, 3)
-        assert plan.old_vids == (0, 3)
-        assert plan.new_vids == (3, 3)
+        plan = new_version_code(CODE_MODIFIED, 0, 0, 3)
+        assert plan[1:3] == (0, 3)      # backup S-O(0, 3)
+        assert plan[4:] == (3, 3)       # fresh S-M(3, 3)
 
     def test_rejects_non_new_version_cases(self):
         with pytest.raises(ValueError):
-            plan_new_version(State.SM, 4, 4, 4)  # in-place case
+            new_version_code(CODE_SM, 4, 4, 4)  # in-place case
 
     @given(pos_vids, pos_vids)
     def test_backup_window_excludes_writer(self, mod, delta):
         vid = mod + delta
-        plan = plan_new_version(State.SM, mod, mod, vid)
-        old_mod, old_high = plan.old_vids
+        _, old_mod, old_high, _, _, _ = new_version_code(CODE_SM, mod, mod,
+                                                         vid)
         assert not version_hits(State.SO, old_mod, old_high, vid)
         assert version_hits(State.SO, old_mod, old_high, mod)
 
@@ -281,16 +292,33 @@ class TestResetTransition:
 
 
 class TestSnoopResponse:
+    """Which copy a peer receives when a version answers its snoop.
+
+    Decided in ``MemoryHierarchy._receive_from_owner``: driven here
+    through a two-core machine whose L1[1] holds one hand-placed version
+    and whose core 0 then reads the line.
+    """
+
+    def _serve(self, state, mod=0, high=0, vid=0):
+        hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=2))
+        hierarchy.l1s[1]._inject_line(
+            CacheLine(0x40, state, [7] * 8, mod, high))
+        result = hierarchy.load(0, 0x40, vid)
+        received = hierarchy.l1s[0].lookup(0x40, vid)
+        return result.served_by, received.state
+
     def test_ss_is_silent(self):
-        assert snoop_response_state(State.SS) is None
+        assert self._serve(State.SS, 1, 5, vid=2)[0] == "memory"
 
     def test_speculative_owners_hand_out_ss(self):
-        for state in (State.SM, State.SO, State.SE):
-            assert snoop_response_state(state) is State.SS
+        for state, mod, high in ((State.SM, 1, 1), (State.SO, 0, 3),
+                                 (State.SE, 0, 1)):
+            assert self._serve(state, mod, high, vid=2) == ("L1[1]", State.SS)
 
     def test_nonspeculative_owners_hand_out_shared(self):
-        for state in (State.MODIFIED, State.OWNED, State.EXCLUSIVE, State.SHARED):
-            assert snoop_response_state(state) is State.SHARED
+        for state in (State.MODIFIED, State.OWNED, State.EXCLUSIVE,
+                      State.SHARED):
+            assert self._serve(state) == ("L1[1]", State.SHARED)
 
     def test_invalid_does_not_respond(self):
-        assert snoop_response_state(State.INVALID) is None
+        assert self._serve(State.INVALID)[0] == "memory"

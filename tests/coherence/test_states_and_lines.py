@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.coherence.directory import DirectoryConfig
+from repro.coherence.hierarchy import HierarchyConfig
 from repro.coherence.line import CacheLine
 from repro.coherence.memory import MainMemory
 from repro.coherence.states import (
@@ -111,6 +113,20 @@ class TestMainMemory:
     def test_line_size_must_be_word_multiple(self):
         with pytest.raises(ValueError):
             MainMemory(line_size=60)
+
+    @pytest.mark.parametrize("line_size", [48, 96, 24, 4])
+    def test_hierarchy_rejects_non_power_of_two_geometry(self, line_size):
+        """The access paths index with shifts and masks: a line that is not
+        a power of two (or holds a non-power-of-two word count) is refused
+        up front instead of silently taking a slower path."""
+        with pytest.raises(ValueError, match="power of two"):
+            HierarchyConfig(line_size=line_size)
+        with pytest.raises(ValueError, match="power of two"):
+            DirectoryConfig(line_size=line_size)
+
+    def test_hierarchy_accepts_power_of_two_geometry(self):
+        for line_size in (8, 32, 64, 128):
+            assert HierarchyConfig(line_size=line_size).line_size == line_size
 
     def test_traffic_counters(self):
         mem = MainMemory()

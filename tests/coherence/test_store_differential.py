@@ -27,6 +27,7 @@ from repro.coherence.line import CacheLine
 from repro.coherence.states import State
 
 from .legacy_store import LegacyVersionedCache
+from .state_rules import install
 
 #: Ten line bases over four sets: enough aliasing for constant evictions.
 POOL = [0x4000 + i * 64 for i in range(10)]
@@ -107,7 +108,7 @@ def apply_op(cache, op):
     kind = op[0]
     if kind == "install":
         _, addr, state, mod, high, data = op
-        evicted = cache.install(CacheLine(addr, state, list(data), mod, high))
+        evicted = install(cache, CacheLine(addr, state, list(data), mod, high))
         return [canon(line) for line in evicted]
     if kind == "lookup":
         hit = cache.lookup(op[1], op[2])
@@ -120,8 +121,10 @@ def apply_op(cache, op):
         hit = cache.lookup(op[1], op[2])
         if hit is None:
             return None
+        # Views read live columns: canonicalise before the slot is freed.
+        result = canon(hit)
         cache.drop(hit)
-        return canon(hit)
+        return result
     if kind == "commit":
         return cache.broadcast_commit(op[1])
     if kind == "abort":
@@ -196,7 +199,7 @@ class TestVidResetScrubProperty:
             else:
                 vids = (0, 0)
             for cache in (legacy, soa):
-                cache.install(CacheLine(POOL[ai], state, [i] * 4, *vids))
+                install(cache, CacheLine(POOL[ai], state, [i] * 4, *vids))
         for event in events:
             for cache in (legacy, soa):
                 if event == "abort":

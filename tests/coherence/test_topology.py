@@ -243,14 +243,13 @@ class TestSlicedHierarchy:
         hier.check_directory_invariant()
 
     def test_invariant_catches_foreign_slice_resident(self):
-        from repro.coherence.line import CacheLine
-        from repro.coherence.states import State
+        from repro.coherence.states import CODE_SHARED
 
         hier = DirectoryHierarchy(two_socket_config())
         line = hier.config.line_size
         # Line at `line` homes at socket 1; force a copy into slice 0.
-        stray = CacheLine(line, State.SHARED, hier.memory.read_line(line))
-        hier._install(hier.llc_slices[0], stray)
+        hier._install(hier.llc_slices[0], line, CODE_SHARED,
+                      hier.memory.read_line(line), 0, 0)
         with pytest.raises(AssertionError):
             hier.check_invariants()
         with pytest.raises(AssertionError):
@@ -299,11 +298,12 @@ class TestStructurePass:
 
     def test_dropped_sharer_entry_yields_mc010(self):
         class BrokenSharers(DirectoryHierarchy):
-            def _install(self, cache, line):
-                view = super()._install(cache, line)
+            def _install(self, cache, base, code, data, mod_vid, high_vid):
+                slot = super()._install(cache, base, code, data, mod_vid,
+                                        high_vid)
                 if cache.name == "L1[3]":
-                    self._sharers.get(line.addr, set()).discard(cache.name)
-                return view
+                    self._sharers.get(base, set()).discard(cache.name)
+                return slot
 
         report = check_topology_structure(
             hierarchy_factory=lambda: BrokenSharers(_small_two_socket()))

@@ -17,8 +17,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.modelcheck import reachable
-from repro.coherence import protocol
 from repro.coherence.states import State
+
+from . import state_rules as protocol
 
 MAX_VID = (1 << 6) - 1
 
@@ -69,7 +70,7 @@ def test_write_outcome_is_shift_invariant(case):
     state, m, h, a, delta = case
     assert protocol.write_outcome(state, shift(m, delta), shift(h, delta),
                                   shift(a, delta)) \
-        is protocol.write_outcome(state, m, h, a)
+        == protocol.write_outcome(state, m, h, a)
 
 
 @settings(max_examples=300)
