@@ -172,37 +172,29 @@ def _record_sweep_timing(path: pathlib.Path, args, scale: float,
 
 
 def _cmd_run(args) -> int:
+    from .obs.tap import Tap
     from .runtime.paradigms import run_sequential, run_workload
     from .smtx import ValidationMode, run_smtx
+    from .trace import ProtocolTracer, format_summary
     from .workloads import executor_factory_for, make_benchmark
 
     workload = make_benchmark(args.benchmark, args.scale)
     executor_factory = executor_factory_for(workload)
-    tracers = []
-    system_factory = None
-    if args.trace:
-        from .core import HMTXSystem, MachineConfig
-        from .trace import ProtocolTracer
-
-        def system_factory():
-            system = HMTXSystem(MachineConfig())
-            tracers.append(ProtocolTracer.attach(system.hierarchy))
-            return system
-
-    if args.system == "sequential":
-        result = run_sequential(workload, executor_factory=executor_factory,
-                                system_factory=system_factory)
-    elif args.system == "hmtx":
-        result = run_workload(workload, executor_factory=executor_factory,
-                              system_factory=system_factory)
-    elif args.system.startswith("smtx"):
-        mode = ValidationMode(args.system.split("-", 1)[1]) \
-            if "-" in args.system else ValidationMode.MINIMAL
-        result = run_smtx(workload, mode=mode,
-                          executor_factory=executor_factory)
-    else:
-        print(f"unknown system {args.system!r}", file=sys.stderr)
-        return 2
+    tracers = [ProtocolTracer()] if args.trace else []
+    with Tap(*tracers).activate():
+        if args.system == "sequential":
+            result = run_sequential(workload,
+                                    executor_factory=executor_factory)
+        elif args.system == "hmtx":
+            result = run_workload(workload, executor_factory=executor_factory)
+        elif args.system.startswith("smtx"):
+            mode = ValidationMode(args.system.split("-", 1)[1]) \
+                if "-" in args.system else ValidationMode.MINIMAL
+            result = run_smtx(workload, mode=mode,
+                              executor_factory=executor_factory)
+        else:
+            print(f"unknown system {args.system!r}", file=sys.stderr)
+            return 2
     stats = result.system.stats
     ok = workload.observed_result(result.system) == \
         workload.expected_result(result.system)
@@ -210,10 +202,9 @@ def _cmd_run(args) -> int:
           f"({result.paradigm}); {stats.committed} transactions, "
           f"{stats.aborted} aborts; result "
           f"{'matches sequential semantics' if ok else '*** WRONG ***'}")
-    if tracers:
-        from .trace import format_summary
-        print(format_summary(tracers[0].summary()))
-        tracers[0].detach()
+    for tracer in tracers:
+        print(format_summary(tracer.summary()))
+        tracer.detach()
     if args.stats:
         from .experiments import stats_report
         print(stats_report(result))

@@ -70,6 +70,12 @@ Rule catalog (details in DESIGN.md section 10):
     has crept back in; so does a ``_view(`` call outside the debug and
     introspection helpers (``check_*``, ``versions*``, ``all_lines``,
     ``lookup``, ``__repr__``).
+``RL010`` one instrumentation mechanism
+    The tap (``obs/tap.py``) owns all method wrapping.  Elsewhere, a
+    ``functools.wraps`` use or a ``setattr`` whose value can be a function
+    (anything but a literal or arithmetic) is a private patch-and-restore
+    layer.  The class-level wall-time phase profiler
+    (``experiments/phase_profile.py``) is the one other exemption.
 """
 
 from __future__ import annotations
@@ -94,6 +100,8 @@ LINT_RULES: Dict[str, str] = {
     "RL008": "artifact-writing functions must not read wall-clock time",
     "RL009": "coherence access paths must use slot columns and state "
              "codes, not State members or line objects",
+    "RL010": "method wrapping goes through the instrumentation tap: no "
+             "functools.wraps or function-valued setattr elsewhere",
 }
 
 #: Exception classes whose raise sites must stamp ``cause=`` (RL001).
@@ -555,6 +563,39 @@ def _scan_representation(node: ast.AST, rel: str,
         yield from _scan_representation(child, rel, scope)
 
 
+#: The modules allowed to wrap methods (RL010).
+_WRAPPING_MODULES = ("obs/tap.py", "experiments/phase_profile.py")
+#: setattr values that can never be a function (RL010).
+_DATA_VALUES = (ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Set,
+                ast.Dict, ast.ListComp, ast.SetComp, ast.DictComp,
+                ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare)
+
+
+def _rl010_one_tap(tree: ast.AST, rel: str,
+                   lines: Sequence[str]) -> Iterable[Finding]:
+    if rel.replace("\\", "/").endswith(_WRAPPING_MODULES):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "wraps" \
+                and getattr(node.value, "id", None) == "functools" \
+                or isinstance(node, ast.ImportFrom) \
+                and node.module == "functools" \
+                and "wraps" in {alias.name for alias in node.names}:
+            what = "functools.wraps"
+        elif isinstance(node, ast.Call) \
+                and getattr(node.func, "id", None) == "setattr" \
+                and len(node.args) == 3 \
+                and not isinstance(node.args[2], _DATA_VALUES):
+            what = "setattr with a function-capable value"
+        else:
+            continue
+        yield Finding(
+            "RL010", SEVERITY_ERROR, f"{rel}:{node.lineno}",
+            f"{what} outside the instrumentation tap",
+            "observe a method by subscribing to repro.obs.tap "
+            "(before_/after_/failed_ callbacks) instead of patching it")
+
+
 _RULE_CHECKS = (
     _rl001_cause_stamping,
     _rl002_protocol_purity,
@@ -565,6 +606,7 @@ _RULE_CHECKS = (
     _rl007_determinism,
     _rl008_artifact_wallclock,
     _rl009_one_representation,
+    _rl010_one_tap,
 )
 
 

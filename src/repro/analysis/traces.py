@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ..backends import backend_names, get_backend
+from ..backends import backend_names
 from ..coherence.memory import DEFAULT_WORD_SIZE
+from ..obs.tap import Tap
 from ..runtime.paradigms import run_workload
 from ..trace.capture import BackendTracer
 from ..workloads import executor_factory_for, make_benchmark
@@ -50,18 +51,10 @@ def capture_trace(backend: str, workload_name: str,
     detached.
     """
     workload = _build_workload(workload_name, scale)
-    factory = get_backend(backend)
-    tracers = []
-
-    def system_factory():
-        system = factory(config=None)
-        tracers.append(BackendTracer.attach(system))
-        return system
-
-    result = run_workload(workload,
-                          executor_factory=executor_factory_for(workload),
-                          system_factory=system_factory)
-    tracer = tracers[0]
+    tracer = BackendTracer()
+    with Tap(tracer).activate():
+        result = run_workload(workload, backend=backend,
+                              executor_factory=executor_factory_for(workload))
     tracer.detach()
     return tracer, result, workload
 

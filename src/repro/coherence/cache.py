@@ -369,6 +369,26 @@ class VersionedCache:
             return []
         return [LineView(self, slot) for slot in bucket]
 
+    def version_count(self, addr: int) -> int:
+        """``len(self.versions(addr))`` as a pure read: pending lazy commits
+        and aborts are replayed in locals, never applied to the cache."""
+        store = self._store
+        count = 0
+        for slot in self._by_base.get(self.line_addr(addr)) or ():
+            code = store.state[slot]
+            if store.epoch[slot] != self._epoch and code >= CODE_SM:
+                mod, high = store.mod_vid[slot], store.high_vid[slot]
+                for lc_vid in self._abort_history[store.seen_aborts[slot]:]:
+                    code, mod, high = abort_transition_code(
+                        *commit_transition_code(code, mod, high, lc_vid))
+                    if code < CODE_SM:
+                        break
+                else:
+                    code = commit_transition_code(code, mod, high,
+                                                  self.lc_vid)[0]
+            count += code != CODE_INVALID
+        return count
+
     def effective_vid(self, req_vid: int) -> int:
         """Non-speculative requests use ``LC_VID`` for hit logic (5.3)."""
         return self.lc_vid if req_vid == 0 else req_vid

@@ -436,6 +436,10 @@ class MemoryHierarchy:
                 out.append((cache.name, line))
         return out
 
+    def version_count(self, addr: int) -> int:
+        """``len(versions_everywhere(addr))``, folding no lazy state."""
+        return sum(cache.version_count(addr) for cache in self._caches)
+
     def speculative_footprint_bytes(self) -> int:
         """Bytes of speculative versions currently resident (Figure 9 aid).
 

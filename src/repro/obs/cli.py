@@ -30,7 +30,6 @@ import sys
 import time
 
 from .profile import attribute, digest, format_breakdown, format_hot_lines
-from .session import ObsSession
 from .timeline import build_timeline
 
 
@@ -80,21 +79,9 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _observed_run(request):
-    """Execute ``request`` with a fresh session attached; returns
-    ``(session, workload, result)`` with the session finalized."""
-    from ..experiments.engine import _run
-    session = ObsSession()
-    with session.activate():
-        workload, result = _run(request)
-    session.detach()
-    session.finalize(result)
-    return session, workload, result
-
-
 def _overhead_check(request, repeat: int, limit: float,
                     fmt: str = "text") -> int:
-    from ..experiments.engine import _run
+    from ..experiments.engine import _run, observed_run
     baseline = instrumented = float("inf")
     ops = 0
     for _ in range(max(1, repeat)):
@@ -104,7 +91,7 @@ def _overhead_check(request, repeat: int, limit: float,
         ops = result.run.ops_executed
     for _ in range(max(1, repeat)):
         start = time.perf_counter()
-        session, _, _ = _observed_run(request)
+        session, _, _ = observed_run(request)
         instrumented = min(instrumented, time.perf_counter() - start)
     slowdown = instrumented / baseline if baseline > 0 else 1.0
     base_rate = ops / baseline if baseline > 0 else 0.0
@@ -223,7 +210,7 @@ def main(argv=None) -> int:
     if argv[:1] == ["history"]:
         return history_main(argv[1:])
     args = _parser().parse_args(argv)
-    from ..experiments.engine import RunRequest
+    from ..experiments.engine import RunRequest, observed_run
     request = RunRequest(workload=args.workload, system=args.system,
                          scale=args.scale, paradigm=args.paradigm,
                          policy=args.policy)
@@ -231,7 +218,7 @@ def main(argv=None) -> int:
         return _overhead_check(request, args.repeat, args.overhead_limit,
                                fmt=args.format)
 
-    session, workload, result = _observed_run(request)
+    session, workload, result = observed_run(request)
     attribution = attribute(session)
     reconciliation = session.reconcile(result.system.stats)
     timeline = build_timeline(session, attribution)

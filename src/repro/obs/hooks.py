@@ -1,54 +1,32 @@
 """The one nullable hook point the hot path checks.
 
 Observability attaches to a run through exactly one module-level name:
-``active``.  It is ``None`` by default, and every instrumentation site in
-the runtime guards on that *before* doing anything else::
+``active``, the active :class:`~repro.obs.tap.Tap`.  It is ``None`` by
+default, and every instrumentation site in the runtime guards on that
+*before* doing anything else::
 
-    from ..obs import hooks as _obs
-    ...
     if _obs.active is not None:
         _obs.active.attach_system(system)
 
-With ``active is None`` the guard is a single attribute load and identity
-compare on a code path that runs a handful of times per run (system and
-scheduler construction, spin-loop entry) — never inside the scheduler's
-fused per-op loop — so instrumentation-off runs execute the exact same op
-stream and produce bit-identical results (pinned by
-``tests/obs/test_noop_guard.py`` and the fastpath goldens).
+The guard runs a handful of times per run (system and scheduler
+construction, spin-loop exit), never inside the scheduler's fused per-op
+loop, so instrumentation-off runs execute the exact same op stream
+(pinned by ``tests/obs/test_noop_guard.py`` and the fastpath goldens).
 
-This module deliberately imports nothing from the rest of the package:
-``runtime.paradigms.base`` imports it at module load, and any repro import
-here would cycle.
+This module imports nothing from the package: ``runtime.paradigms.base``
+imports it at module load, and any repro import here would cycle.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
-#: The currently active :class:`~repro.obs.session.ObsSession`, or None.
-#: Only :func:`activate` / :func:`deactivate` should write this.
+#: The currently active :class:`~repro.obs.tap.Tap`, or None.  Only
+#: ``Tap.activate`` and :func:`deactivate` should write this.
 active: Optional[object] = None
 
 
 def deactivate() -> None:
-    """Clear the active session (idempotent)."""
+    """Clear the active tap (idempotent)."""
     global active
     active = None
-
-
-@contextmanager
-def activate(session) -> Iterator[object]:
-    """Install ``session`` as the active observer for the dynamic extent.
-
-    Nesting is rejected rather than silently shadowed: a run observed by
-    two sessions would double-wrap every backend method.
-    """
-    global active
-    if active is not None:
-        raise RuntimeError("an ObsSession is already active")
-    active = session
-    try:
-        yield session
-    finally:
-        active = None

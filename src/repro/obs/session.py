@@ -1,23 +1,18 @@
-"""The live observer: wraps one run's backend + scheduler, records streams.
+"""The live observer: records one run's streams as a tap subscriber.
 
-An :class:`ObsSession` is installed via :func:`repro.obs.hooks.activate`;
-while active, :func:`~repro.runtime.paradigms.base.fresh_system` and
-:func:`~repro.runtime.paradigms.base.make_scheduler` hand it every system
-and scheduler they build, and it instruments them with the repo's
-method-wrapping idiom (the ProtocolTracer/BackendTracer technique):
-original methods are stashed, ``functools.wraps``-preserving closures
-installed as instance attributes, and :meth:`detach` restores everything.
-Unobserved runs never see any of this — the hook point is ``None`` and
-the simulator executes its unmodified methods.
+An :class:`ObsSession` is a plain subscriber of the instrumentation tap
+(:mod:`repro.obs.tap`): :meth:`activate` makes it the run's observer, it
+subscribes to every system and scheduler the run builds, and its
+``before_*`` / ``after_*`` / ``failed_*`` callbacks record what they see.
 
 Recorded streams (all stamped in *simulated* cycles, ordered by one
 shared monotone ``seq``):
 
 * **op samples** — one ``[seq, tid, start, latency, vid, pretag]`` row
-  per executed core op, from the wrapped ``CoreExecutor.execute`` (which
-  receives the op's start time).  ``pretag`` is an optional category
-  assigned at record time (spin retags, overflow flags); final
-  attribution happens in :mod:`repro.obs.profile`.
+  per executed core op, from ``CoreExecutor.execute`` (which receives the
+  op's start time).  ``pretag`` is an optional category assigned at
+  record time (spin retags, overflow flags); final attribution happens
+  in :mod:`repro.obs.profile`.
 * **events** — transaction lifecycle points (allocate/begin/commit/
   conflict/abort/vid_reset/stall) as small dicts.
 * **spans** — :class:`~repro.obs.timeline.TxSpan` per transaction
@@ -27,20 +22,18 @@ shared monotone ``seq``):
   footprint peaks) plus an end-of-run snapshot of SystemStats /
   HierarchyStats / ContentionStats totals.
 
-The wraps are observation-only: they never change latencies, values, or
-the op stream, so an instrumented run is simulation-identical to an
-uninstrumented one (asserted by ``tests/obs/test_noop_guard.py``).
+One session observes one run: callbacks read the latest attached system
+and scheduler.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partialmethod
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..cpu.isa import Arrive
 from ..errors import MisspeculationError
-from ..txctl.causes import classify
-from . import hooks
+from . import tap
 from .registry import SVC_LATENCY_BUCKETS, MetricsRegistry
 from .timeline import TxSpan
 
@@ -81,6 +74,8 @@ class ObsSession:
         self._attempts: Dict[int, int] = {}
         self._systems: List[Any] = []
         self._schedulers: List[Any] = []
+        self._system: Any = None
+        self._scheduler: Any = None
         self._line_size = 64
         #: Machine topology of the attached system (None when flat).
         self.topology = None
@@ -89,6 +84,11 @@ class ObsSession:
         self._in_op = False
         self._op_now = 0
         self._op_overflow = False
+        #: Hierarchy stats holding overflow counters (None if absent).
+        self._overflow_stats: Any = None
+        self._overflow_before = 0
+        self._footprint_of: Any = None
+        self._previous_vid = 0
         self._tid_sample_idx: Dict[int, List[int]] = {}
         #: vid -> (arrival_ts, queue_wait) of the latest open-loop
         #: request attempt; flushed into the svc histograms at commit so
@@ -96,7 +96,6 @@ class ObsSession:
         #: semantics).
         self._svc_pending: Dict[int, Tuple[int, int]] = {}
         self._svc_hists = None
-        self._originals: List[Tuple[Any, str, Callable]] = []
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -105,13 +104,12 @@ class ObsSession:
 
     def activate(self):
         """Context manager installing this session as the run observer."""
-        return hooks.activate(self)
+        return tap.Tap(self).activate()
 
     def detach(self) -> None:
-        """Restore every wrapped method (reverse order, stack-style)."""
-        for obj, name, original in reversed(self._originals):
-            setattr(obj, name, original)
-        self._originals.clear()
+        """Stop observing (idempotent); the tap restores every method no
+        other subscriber still observes."""
+        tap.unsubscribe(self)
 
     def finalize(self, result=None) -> None:
         """Freeze end-of-run state: thread map, makespan, stats snapshot."""
@@ -142,31 +140,44 @@ class ObsSession:
         return self.spans + tail
 
     # ------------------------------------------------------------------
-    # Attach points (called by runtime.paradigms.base when active)
+    # Attach points (forwarded by the active tap, or called directly)
     # ------------------------------------------------------------------
 
     def attach_system(self, system) -> None:
         self._systems.append(system)
+        self._system = system
         stats = getattr(system, "stats", None)
         self._line_size = getattr(stats, "line_size", 64)
         config = getattr(system, "config", None)
         if config is not None:
             self.topology = getattr(config, "topology", None)
-        for name in ("load", "store", "kernel_load", "kernel_store"):
-            if hasattr(system, name):
-                self._wrap_access(system, name)
-        self._wrap_begin(system)
-        self._wrap_commit(system)
-        self._wrap_abort(system)
-        self._wrap_allocate(system)
-        self._wrap_vid_reset(system)
+        hierarchy = getattr(system, "hierarchy", None)
+        hstats = getattr(hierarchy, "stats", None)
+        self._overflow_stats = hstats \
+            if hasattr(hstats, "spec_overflow_spills") else None
+        self._footprint_of = getattr(hierarchy,
+                                     "speculative_footprint_bytes", None)
+        registry = self.registry
+        self._access_counters = {
+            (kernel, is_store): registry.counter(
+                "mem_accesses_total", kind="store" if is_store else "load",
+                space="kernel" if kernel else "user")
+            for kernel in (False, True) for is_store in (False, True)}
+        self._footprint_peak = registry.gauge("spec_footprint_bytes_peak")
+        self._commits = registry.counter("tx_commits_total")
+        self._commit_latency = registry.histogram("commit_latency_cycles")
+        self._resets = registry.counter("vid_resets_total")
+        tap.subscribe(system, self)
 
     def attach_scheduler(self, scheduler) -> None:
         self._schedulers.append(scheduler)
-        self._wrap_step(scheduler)
-        self._wrap_stall(scheduler)
-        self._wrap_quiesce(scheduler)
-        self._wrap_execute(scheduler)
+        self._scheduler = scheduler
+        self._stall_counter = self.registry.counter(
+            "backoff_stall_cycles_total")
+        self._quiesce_counter = self.registry.counter(
+            "vid_reset_quiesce_cycles_total")
+        tap.subscribe(scheduler, self)
+        tap.subscribe(scheduler.executor, self)
 
     def record_spin(self, category: str, vid: int, count: int) -> None:
         """Retag the current thread's last ``count`` op samples as a stall.
@@ -259,14 +270,10 @@ class ObsSession:
         self.spans.append(span)
         self.live_vid_track.append((ts, len(self._open_spans)))
 
-    def _on_misspeculation(self, err: MisspeculationError, addr=None,
-                           op: str = "") -> None:
-        """Record conflict + abort once per exception, however many wrapped
-        frames it unwinds through."""
-        if getattr(err, "_obs_seen", False):
-            return
-        err._obs_seen = True
-        cause = classify(err).value
+    def _on_misspeculation(self, err: MisspeculationError, cause,
+                           addr=None, op: str = "") -> None:
+        """Record the conflict and the abort of a classified misspeculation."""
+        cause = cause.value
         ts = self._now()
         bad_addr = getattr(err, "addr", -1)
         if bad_addr in (None, -1):
@@ -286,255 +293,161 @@ class ObsSession:
                 self._close_span(vid, ts, "squashed")
 
     # ------------------------------------------------------------------
-    # System wraps
+    # System callbacks
     # ------------------------------------------------------------------
 
-    def _install(self, obj, name: str, wrapped: Callable) -> None:
-        self._originals.append((obj, name, getattr(obj, name)))
-        setattr(obj, name, wrapped)
+    def _before_access(self, tid, addr, *rest, **kwargs) -> None:
+        hstats = self._overflow_stats
+        if hstats is not None:
+            self._overflow_before = (hstats.spec_overflow_spills
+                                     + hstats.overflow_retrievals)
 
-    def _wrap_access(self, system, name: str) -> None:
-        original = getattr(system, name)
-        session = self
-        kernel = name.startswith("kernel")
-        is_store = name.endswith("store")
-        hierarchy = getattr(system, "hierarchy", None)
-        hstats = getattr(hierarchy, "stats", None)
-        track_overflow = hasattr(hstats, "spec_overflow_spills")
-        track_footprint = hasattr(hierarchy, "speculative_footprint_bytes")
-        line_size = self._line_size
-        kind = "store" if is_store else "load"
-        space = "kernel" if kernel else "user"
-        access_counter = self.registry.counter(
-            "mem_accesses_total", kind=kind, space=space)
-        footprint_peak = self.registry.gauge("spec_footprint_bytes_peak")
-
-        @functools.wraps(original)
-        def wrapped(tid, addr, *args, **kwargs):
-            if track_overflow:
-                overflow_before = (hstats.spec_overflow_spills
-                                   + hstats.overflow_retrievals)
-            try:
-                result = original(tid, addr, *args, **kwargs)
-            except MisspeculationError as err:
-                session._on_misspeculation(err, addr=addr, op=name)
-                raise
-            line = addr - (addr % line_size)
-            counts = session.line_access_counts
-            counts[line] = counts.get(line, 0) + 1
-            access_counter.inc()
-            if not kernel:
-                ctx = system.contexts.get(tid)
-                vid = ctx.vid if ctx is not None else 0
-                if vid:
-                    span = session._open_spans.get(vid)
-                    if span is not None:
-                        if is_store:
-                            span.stores += 1
-                        else:
-                            span.loads += 1
-            if track_overflow and (hstats.spec_overflow_spills
-                                   + hstats.overflow_retrievals) \
-                    != overflow_before:
-                session._op_overflow = True
-            if track_footprint and getattr(result, "created_version", False):
-                footprint = hierarchy.speculative_footprint_bytes()
-                footprint_peak.set_max(footprint)
-                session.footprint_track.append((session._now(), footprint))
-            return result
-
-        self._install(system, name, wrapped)
-
-    def _wrap_begin(self, system) -> None:
-        original = system.begin_mtx
-        session = self
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            ctx = system.contexts.get(tid)
-            previous = ctx.vid if ctx is not None else 0
-            latency = original(tid, vid, *args, **kwargs)
-            ts = session._now()
-            if vid == 0:
-                if previous:
-                    span = session._open_spans.get(previous)
-                    if span is not None and span.exec_end_ts is None:
-                        span.exec_end_ts = ts
-            else:
-                span = session._open_spans.get(vid)
-                if span is None:
-                    span = session._open_span(vid, ts, begin_ts=ts)
-                elif span.begin_ts is None:
-                    span.begin_ts = ts
-                    span.tid = tid
-                session._event("begin", ts=ts, tid=tid, vid=vid)
-            return latency
-
-        self._install(system, "begin_mtx", wrapped)
-
-    def _wrap_commit(self, system) -> None:
-        original = system.commit_mtx
-        session = self
-        commits = self.registry.counter("tx_commits_total")
-        latency_hist = self.registry.histogram("commit_latency_cycles")
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            try:
-                latency = original(tid, vid, *args, **kwargs)
-            except MisspeculationError as err:
-                session._on_misspeculation(err, op="commit_mtx")
-                raise
-            ts = session._now()
-            session._event("commit", ts=ts, tid=tid, vid=vid)
-            commits.inc()
-            if isinstance(latency, int):
-                latency_hist.observe(latency)
-            pending = session._svc_pending.pop(vid, None)
-            if pending is not None:
-                arrival_ts, queue_wait = pending
-                queue_hist, sojourn_hist = session._svc_histograms()
-                queue_hist.observe(queue_wait)
-                sojourn_hist.observe(max(0, ts - arrival_ts))
-            session._close_span(vid, ts, "commit")
-            return latency
-
-        self._install(system, "commit_mtx", wrapped)
-
-    def _wrap_abort(self, system) -> None:
-        original = system.abort_mtx
-        session = self
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            try:
-                return original(tid, vid, *args, **kwargs)
-            except MisspeculationError as err:
-                session._on_misspeculation(err, op="abort_mtx")
-                raise
-
-        self._install(system, "abort_mtx", wrapped)
-
-    def _wrap_allocate(self, system) -> None:
-        original = system.allocate_vid
-        session = self
-
-        @functools.wraps(original)
-        def wrapped(*args, **kwargs):
-            vid = original(*args, **kwargs)
-            ts = session._now()
-            session._open_span(vid, ts)
-            session._event("allocate", ts=ts, vid=vid,
-                           tid=session._current_tid)
-            return vid
-
-        self._install(system, "allocate_vid", wrapped)
-
-    def _wrap_vid_reset(self, system) -> None:
-        original = system.vid_reset
-        session = self
-        resets = self.registry.counter("vid_resets_total")
-
-        @functools.wraps(original)
-        def wrapped(*args, **kwargs):
-            result = original(*args, **kwargs)
-            session._event("vid_reset")
-            resets.inc()
-            return result
-
-        self._install(system, "vid_reset", wrapped)
-
-    # ------------------------------------------------------------------
-    # Scheduler wraps
-    # ------------------------------------------------------------------
-
-    def _wrap_step(self, scheduler) -> None:
-        original = scheduler._step
-        session = self
-        every = self.runnable_sample_every
-
-        @functools.wraps(original)
-        def wrapped(thread):
-            session._current_tid = thread.tid
-            session._current_thread = thread
-            session._steps += 1
-            if session._steps % every == 0:
-                runnable = sum(1 for t in scheduler.threads
-                               if not t.done and t.blocked_on is None
-                               and t.blocked_produce is None)
-                session.runnable_track.append((thread.clock, runnable))
-            return original(thread)
-
-        self._install(scheduler, "_step", wrapped)
-
-    def _wrap_stall(self, scheduler) -> None:
-        original = scheduler.stall_all
-        session = self
-        stall_counter = self.registry.counter("backoff_stall_cycles_total")
-
-        @functools.wraps(original)
-        def wrapped(cycles):
-            if cycles > 0:
-                session.stall_cycles_total += cycles
-                session._event("stall", ts=scheduler.now(), cycles=cycles)
-                stall_counter.inc(cycles)
-            return original(cycles)
-
-        self._install(scheduler, "stall_all", wrapped)
-
-    def _wrap_quiesce(self, scheduler) -> None:
-        original = scheduler.quiesce_all
-        session = self
-        quiesce_counter = self.registry.counter(
-            "vid_reset_quiesce_cycles_total")
-
-        @functools.wraps(original)
-        def wrapped(cycles):
-            if cycles > 0:
-                session.quiesce_cycles_total += cycles
-                session._event("quiesce", ts=scheduler.now(), cycles=cycles)
-                quiesce_counter.inc(cycles)
-            return original(cycles)
-
-        self._install(scheduler, "quiesce_all", wrapped)
-
-    def _wrap_execute(self, scheduler) -> None:
-        executor = scheduler.executor
-        original = executor.execute
-        session = self
-        system = scheduler.system
-
-        @functools.wraps(original)
-        def wrapped(tid, op, now=0):
-            session._in_op = True
-            session._op_now = now
-            session._op_overflow = False
-            try:
-                value, latency = original(tid, op, now=now)
-            finally:
-                session._in_op = False
-            ctx = system.contexts.get(tid)
+    def _after_access(self, kernel: bool, is_store: bool, result, tid, addr,
+                      *rest, **kwargs) -> None:
+        line = addr - (addr % self._line_size)
+        counts = self.line_access_counts
+        counts[line] = counts.get(line, 0) + 1
+        self._access_counters[kernel, is_store].inc()
+        if not kernel:
+            ctx = self._system.contexts.get(tid)
             vid = ctx.vid if ctx is not None else 0
-            session._seq += 1
-            pretag = "overflow" if session._op_overflow else None
-            index = len(session.samples)
-            session.samples.append(
-                [session._seq, tid, now, latency, vid, pretag])
-            session._tid_sample_idx.setdefault(tid, []).append(index)
-            if type(op) is Arrive:
-                # The executor hands back the accumulated queue wait (0
-                # when the core idled until the arrival).  Speculative
-                # requests settle at commit; VID-0 (serial-fallback)
-                # requests have no commit, so record them here.
-                queue_wait = value if isinstance(value, int) else 0
-                if vid:
-                    session._svc_pending[vid] = (op.ts, queue_wait)
-                else:
-                    queue_hist, _ = session._svc_histograms()
-                    queue_hist.observe(queue_wait)
-            return value, latency
+            if vid:
+                span = self._open_spans.get(vid)
+                if span is not None:
+                    if is_store:
+                        span.stores += 1
+                    else:
+                        span.loads += 1
+        hstats = self._overflow_stats
+        if hstats is not None and self._overflow_before != (
+                hstats.spec_overflow_spills + hstats.overflow_retrievals):
+            self._op_overflow = True
+        footprint_of = self._footprint_of
+        if footprint_of is not None \
+                and getattr(result, "created_version", False):
+            footprint = footprint_of()
+            self._footprint_peak.set_max(footprint)
+            self.footprint_track.append((self._now(), footprint))
 
-        self._install(executor, "execute", wrapped)
+    def _failed_access(self, name: str, err, cause, tid, addr,
+                       *rest, **kwargs) -> None:
+        self._on_misspeculation(err, cause, addr=addr, op=name)
+
+    before_load = before_store = _before_access
+    before_kernel_load = before_kernel_store = _before_access
+    after_load = partialmethod(_after_access, False, False)
+    after_store = partialmethod(_after_access, False, True)
+    after_kernel_load = partialmethod(_after_access, True, False)
+    after_kernel_store = partialmethod(_after_access, True, True)
+    failed_load = partialmethod(_failed_access, "load")
+    failed_store = partialmethod(_failed_access, "store")
+    failed_kernel_load = partialmethod(_failed_access, "kernel_load")
+    failed_kernel_store = partialmethod(_failed_access, "kernel_store")
+
+    def before_begin_mtx(self, tid, vid) -> None:
+        ctx = self._system.contexts.get(tid)
+        self._previous_vid = ctx.vid if ctx is not None else 0
+
+    def after_begin_mtx(self, latency, tid, vid) -> None:
+        ts = self._now()
+        if vid == 0:
+            if self._previous_vid:
+                span = self._open_spans.get(self._previous_vid)
+                if span is not None and span.exec_end_ts is None:
+                    span.exec_end_ts = ts
+        else:
+            span = self._open_spans.get(vid)
+            if span is None:
+                span = self._open_span(vid, ts, begin_ts=ts)
+            elif span.begin_ts is None:
+                span.begin_ts = ts
+                span.tid = tid
+            self._event("begin", ts=ts, tid=tid, vid=vid)
+
+    def after_commit_mtx(self, latency, tid, vid) -> None:
+        ts = self._now()
+        self._event("commit", ts=ts, tid=tid, vid=vid)
+        self._commits.inc()
+        if isinstance(latency, int):
+            self._commit_latency.observe(latency)
+        pending = self._svc_pending.pop(vid, None)
+        if pending is not None:
+            arrival_ts, queue_wait = pending
+            queue_hist, sojourn_hist = self._svc_histograms()
+            queue_hist.observe(queue_wait)
+            sojourn_hist.observe(max(0, ts - arrival_ts))
+        self._close_span(vid, ts, "commit")
+
+    def _failed_tx(self, name: str, err, cause, tid, vid) -> None:
+        self._on_misspeculation(err, cause, op=name)
+
+    failed_commit_mtx = partialmethod(_failed_tx, "commit_mtx")
+    failed_abort_mtx = partialmethod(_failed_tx, "abort_mtx")
+
+    def after_allocate_vid(self, vid) -> None:
+        ts = self._now()
+        self._open_span(vid, ts)
+        self._event("allocate", ts=ts, vid=vid, tid=self._current_tid)
+
+    def after_vid_reset(self, latency) -> None:
+        self._event("vid_reset")
+        self._resets.inc()
+
+    # ------------------------------------------------------------------
+    # Scheduler and executor callbacks
+    # ------------------------------------------------------------------
+
+    def before__step(self, thread) -> None:
+        self._current_tid = thread.tid
+        self._current_thread = thread
+        self._steps += 1
+        if self._steps % self.runnable_sample_every == 0:
+            runnable = sum(1 for t in self._scheduler.threads
+                           if not t.done and t.blocked_on is None
+                           and t.blocked_produce is None)
+            self.runnable_track.append((thread.clock, runnable))
+
+    def before_stall_all(self, cycles) -> None:
+        if cycles > 0:
+            self.stall_cycles_total += cycles
+            self._event("stall", ts=self._scheduler.now(), cycles=cycles)
+            self._stall_counter.inc(cycles)
+
+    def before_quiesce_all(self, cycles) -> None:
+        if cycles > 0:
+            self.quiesce_cycles_total += cycles
+            self._event("quiesce", ts=self._scheduler.now(), cycles=cycles)
+            self._quiesce_counter.inc(cycles)
+
+    def before_execute(self, tid, op, now=0) -> None:
+        self._in_op = True
+        self._op_now = now
+        self._op_overflow = False
+
+    def after_execute(self, outcome, tid, op, now=0) -> None:
+        self._in_op = False
+        value, latency = outcome
+        ctx = self._system.contexts.get(tid)
+        vid = ctx.vid if ctx is not None else 0
+        self._seq += 1
+        pretag = "overflow" if self._op_overflow else None
+        index = len(self.samples)
+        self.samples.append([self._seq, tid, now, latency, vid, pretag])
+        self._tid_sample_idx.setdefault(tid, []).append(index)
+        if type(op) is Arrive:
+            # The executor hands back the accumulated queue wait (0 when
+            # the core idled until the arrival).  Speculative requests
+            # settle at commit; VID-0 (serial-fallback) requests have no
+            # commit, so record them here.
+            queue_wait = value if isinstance(value, int) else 0
+            if vid:
+                self._svc_pending[vid] = (op.ts, queue_wait)
+            else:
+                queue_hist, _ = self._svc_histograms()
+                queue_hist.observe(queue_wait)
+
+    def failed_execute(self, err, cause, tid, op, now=0) -> None:
+        self._in_op = False
 
     # ------------------------------------------------------------------
     # End-of-run metric snapshot + reconciliation
@@ -589,8 +502,8 @@ class ObsSession:
 
         The acceptance contract: per-VID commit spans and abort-cause
         counters must match the system's own accounting *exactly* — the
-        session wraps sit outside the backend, so every commit and every
-        classified abort passes through them exactly once.
+        session's callbacks sit outside the backend, so every commit and
+        every classified abort reaches them exactly once.
         """
         commits_observed = sum(1 for s in self.all_spans()
                                if s.outcome == "commit")

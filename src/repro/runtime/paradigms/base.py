@@ -83,8 +83,9 @@ def fresh_system(config: Optional[MachineConfig], sla_enabled: bool,
 
     This is the universal construction choke point — every paradigm and
     every backend funnels through it — so it doubles as the observability
-    attach site: when an :mod:`repro.obs` session is active, the freshly
-    built system is handed to it before any instruction executes.
+    attach site: when an instrumentation tap (:mod:`repro.obs.tap`) is
+    active, the freshly built system is handed to it before any
+    instruction executes.
     """
     if system_factory is not None:
         system = system_factory()
@@ -114,6 +115,12 @@ def make_scheduler(system: TMBackend,
 # VID-overflow protocol (section 4.6) and commit ordering (section 4.4)
 # ----------------------------------------------------------------------
 
+def _report_spins(category: str, vid: int, spins: int) -> None:
+    """Hand a spin loop's poll count to the active tap, if any."""
+    if spins and _obs.active is not None:
+        _obs.active.record_spin(category, vid, spins)
+
+
 def allocate_vid_with_stall(system: TMBackend) -> Program:
     """Allocate the next VID, spinning through the 4.6 overflow protocol.
 
@@ -122,34 +129,23 @@ def allocate_vid_with_stall(system: TMBackend) -> Program:
     return value is the fresh VID.
 
     The spin ops are plain :class:`~repro.cpu.isa.Work` — indistinguishable
-    from useful work at the executor — so when an observability session is
-    active the loop additionally counts its polls and retags them as
-    VID-reset quiesce time on exit.  The untraced branch is the original
-    loop verbatim: identical op stream, zero overhead.
+    from useful work at the executor — so the loop counts its polls and,
+    when an instrumentation tap is active, has them retagged as VID-reset
+    quiesce time on exit.  Counting never changes the op stream.
     """
-    obs = _obs.active
-    if obs is None:
-        while True:
-            try:
-                return system.allocate_vid()
-            except VidExhaustedError:
-                if system.ready_for_vid_reset():
-                    yield Work(system.vid_reset())
-                else:
-                    yield _SPIN_OP
     spins = 0
     while True:
         try:
             vid = system.allocate_vid()
-            if spins:
-                obs.record_spin("vid_reset", vid, spins)
-            return vid
         except VidExhaustedError:
             spins += 1
             if system.ready_for_vid_reset():
                 yield Work(system.vid_reset())
             else:
                 yield _SPIN_OP
+        else:
+            _report_spins("vid_reset", vid, spins)
+            return vid
 
 
 def wait_for_epoch(system: TMBackend, epoch: int) -> Program:
@@ -159,17 +155,7 @@ def wait_for_epoch(system: TMBackend, epoch: int) -> Program:
     may start only after all ``max_vid`` transactions of epoch ``e - 1``
     committed and one thread performed the reset.
     """
-    obs = _obs.active
     max_vid = system.vid_space.max_vid
-    if obs is None:
-        while system.vid_space.resets < epoch:
-            done_epochs = system.vid_space.resets + 1
-            if system.stats.committed >= done_epochs * max_vid \
-                    and not system.active_vids:
-                yield Work(system.vid_reset())
-            else:
-                yield _SPIN_OP
-        return
     spins = 0
     while system.vid_space.resets < epoch:
         spins += 1
@@ -179,23 +165,16 @@ def wait_for_epoch(system: TMBackend, epoch: int) -> Program:
             yield Work(system.vid_reset())
         else:
             yield _SPIN_OP
-    if spins:
-        obs.record_spin("vid_reset", 0, spins)
+    _report_spins("vid_reset", 0, spins)
 
 
 def wait_commit_turn(system: TMBackend, vid: int) -> Program:
     """Spin until ``vid - 1`` has committed (in-order commit contract)."""
-    obs = _obs.active
-    if obs is None:
-        while system.last_committed != vid - 1:
-            yield _SPIN_OP
-        return
     spins = 0
     while system.last_committed != vid - 1:
         spins += 1
         yield _SPIN_OP
-    if spins:
-        obs.record_spin("commit_stall", vid, spins)
+    _report_spins("commit_stall", vid, spins)
 
 
 # ----------------------------------------------------------------------

@@ -100,9 +100,9 @@ class Scheduler:
         self.threads: List[ThreadHandle] = []
         self._core_clock: Dict[int, int] = {}
         if hasattr(system, "quiesce_cb"):
-            # Late-bound on purpose: the obs session replaces
-            # ``quiesce_all`` in the instance dict, and the callback must
-            # go through that wrapper to be attributed.
+            # Late-bound on purpose: a tap subscriber observing
+            # ``quiesce_all`` gets it wrapped in the instance dict, and the
+            # callback must go through that wrapper to be attributed.
             system.quiesce_cb = lambda cycles: self.quiesce_all(cycles)
 
     def add_thread(self, tid: int, core: int, program: Program,
@@ -198,18 +198,18 @@ class Scheduler:
         execute = executor.execute
         interrupts = self.interrupts
         system = self.system
-        # Observability (repro.obs) instruments runs by replacing _step /
-        # executor.execute with instance-level wrappers; the fused step
-        # below would bypass them, so instrumented runs keep the exact
-        # per-step call sequence.
+        # The tap wraps _step / executor.execute as instance attributes
+        # when a subscriber observes them (the obs session does); the fused
+        # step below would bypass those wrappers, so observed runs keep the
+        # exact per-step call sequence.
         instrumented = ("_step" in self.__dict__
                         or "execute" in executor.__dict__)
         # Work/Load/Store/Branch cover almost every op a workload yields;
         # they are fused below (exactly what CoreExecutor.execute does for
         # each class, without the dispatch) when the executor is a plain
         # CoreExecutor.  system.load/store are hoisted through the
-        # instance, so an observability wrapper installed before the run
-        # is still honoured.
+        # instance, so a tap wrapper installed before the run is still
+        # honoured.
         fuse_work = not instrumented and executor.__class__ is CoreExecutor
         estats = executor.stats
         epc = executor._pc

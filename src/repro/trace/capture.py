@@ -1,19 +1,20 @@
 """Backend-level MTX event capture, uniform across TM implementations.
 
 :class:`~repro.trace.events.ProtocolTracer` records cache-protocol events
-and therefore only attaches to a real :class:`~repro.coherence.hierarchy.
-MemoryHierarchy` — the HMTX backend.  The race detector
+of a :class:`~repro.coherence.hierarchy.MemoryHierarchy` (HMTX's, or
+the timing hierarchy of a software TM).  The race detector
 (:mod:`repro.analysis.racecheck`) needs the *architectural* story —
 which VID loaded/stored which value at which address, and when commits,
 aborts and VID resets happened — for **every** registered backend, so it
 can replay MTX semantics against any TM implementation.
 
-:class:`BackendTracer` wraps the executor-facing surface of a
-:class:`~repro.backends.TMBackend` (``load``/``store``/``kernel_load``/
-``kernel_store``/``commit_mtx``/``abort_mtx``/``vid_reset``) with the same
-method-wrapping technique as the protocol tracer: untraced runs pay
-nothing, and the recorded stream reuses :class:`TraceEvent` so all of the
-existing formatting/query tooling applies.
+:class:`BackendTracer` is a subscriber of the instrumentation tap
+(:mod:`repro.obs.tap`): its callbacks observe the executor-facing surface
+of a :class:`~repro.backends.TMBackend` (``load``/``store``/
+``kernel_load``/``kernel_store``/``commit_mtx``/``abort_mtx``/
+``vid_reset``), so untraced runs pay nothing, and the recorded stream
+reuses :class:`TraceEvent` so all of the existing formatting/query
+tooling applies.
 
 Event kinds produced:
 
@@ -48,15 +49,15 @@ the race detector reports any truncated trace as a hard finding (rule
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from functools import partialmethod
+from typing import Optional
 
-from ..errors import MisspeculationError
-from .events import TraceEvent
+from ..obs import tap
+from .events import TraceRecorder
 
 
-class BackendTracer:
+class BackendTracer(TraceRecorder):
     """Records the architectural MTX events of one backend run.
 
     Usage::
@@ -65,21 +66,17 @@ class BackendTracer:
         ... run ...
         analyse(tracer.events)
         tracer.detach()
+
+    or, for every backend a run builds, ``with Tap(tracer).activate():``
+    (:class:`~repro.obs.tap.Tap`).
     """
 
-    #: Methods returning an AccessResult, wrapped as value-carrying events.
-    _ACCESS_METHODS = ("load", "store", "kernel_load", "kernel_store")
-
-    def __init__(self, system, capacity: int = 1_000_000) -> None:
+    def __init__(self, system=None, capacity: int = 1_000_000) -> None:
+        #: ``events`` is a ring of the most recent ``capacity`` events
+        #: (oldest evicted first): a deque without ``maxlen`` so
+        #: ``capacity`` can be adjusted after construction (tests do).
+        super().__init__(capacity, deque())
         self.system = system
-        self.capacity = capacity
-        #: Ring of the most recent ``capacity`` events (oldest evicted
-        #: first).  A deque without ``maxlen`` so ``capacity`` can be
-        #: adjusted after construction (tests do).
-        self.events: Deque[TraceEvent] = deque()
-        self.dropped = 0
-        self._seq = 0
-        self._originals: Dict[str, Callable] = {}
 
     @property
     def dropped_events(self) -> int:
@@ -88,18 +85,9 @@ class BackendTracer:
 
     # ------------------------------------------------------------------
 
-    @classmethod
-    def attach(cls, system) -> "BackendTracer":
-        tracer = cls(system)
-        tracer._wrap_all()
-        return tracer
-
-    def detach(self) -> None:
-        """Restore the system's unwrapped methods (reverse wrap order, so
-        stacked wrappers peel off like a stack)."""
-        for name in reversed(list(self._originals)):
-            setattr(self.system, name, self._originals[name])
-        self._originals.clear()
+    def attach_system(self, system) -> None:
+        self.system = system
+        tap.subscribe(system, self)
 
     # ------------------------------------------------------------------
 
@@ -109,112 +97,50 @@ class BackendTracer:
         while len(self.events) >= self.capacity:
             self.events.popleft()
             self.dropped += 1
-        self._seq += 1
-        self.events.append(TraceEvent(self._seq, kind, core, vid, addr,
-                                      detail, value))
-
-    def _context_vid(self, tid: int) -> int:
-        ctx = self.system.contexts.get(tid)
-        return ctx.vid if ctx is not None else 0
-
-    def _wrap_all(self) -> None:
-        for name in self._ACCESS_METHODS:
-            self._wrap_access(name)
-        self._wrap_commit()
-        self._wrap_abort_mtx()
-        self._wrap_vid_reset()
-
-    def _wrap_access(self, name: str) -> None:
-        original = getattr(self.system, name)
-        self._originals[name] = original
-        tracer = self
-        kind = "store" if name.endswith("store") else "load"
-        is_store = kind == "store"
-        # Kernel accesses always run at VID 0 regardless of the thread's
-        # VID register (section 5.2).
-        kernel = name.startswith("kernel")
-
-        @functools.wraps(original)
-        def wrapped(tid, addr, *args, **kwargs):
-            vid = 0 if kernel else tracer._context_vid(tid)
-            try:
-                result = original(tid, addr, *args, **kwargs)
-            except MisspeculationError as err:
-                tracer.record("misspeculation", vid=err.vid, addr=addr,
-                              detail=err.reason)
-                tracer.record("abort",
-                              detail="uncommitted state flushed "
-                                     f"({name} misspeculated)")
-                raise
-            value = args[0] if is_store and args \
-                else kwargs.get("value", result.value) if is_store \
-                else result.value
-            tracer.record(kind, vid=vid, addr=addr, value=value,
-                          detail="kernel" if kernel else "")
-            return result
-
-        setattr(self.system, name, wrapped)
-
-    def _wrap_commit(self) -> None:
-        original = self.system.commit_mtx
-        self._originals["commit_mtx"] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            try:
-                result = original(tid, vid, *args, **kwargs)
-            except MisspeculationError as err:
-                # SMTX-style commit-time validation failure: the abort
-                # already flushed all uncommitted state.
-                tracer.record("misspeculation", vid=vid,
-                              addr=getattr(err, "addr", None),
-                              detail=err.reason)
-                tracer.record("abort",
-                              detail="uncommitted state flushed "
-                                     "(commit validation failed)")
-                raise
-            tracer.record("commit", vid=vid, detail=f"VID {vid}")
-            return result
-
-        setattr(self.system, "commit_mtx", wrapped)
-
-    def _wrap_abort_mtx(self) -> None:
-        original = self.system.abort_mtx
-        self._originals["abort_mtx"] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(tid, vid, *args, **kwargs):
-            try:
-                return original(tid, vid, *args, **kwargs)
-            except MisspeculationError:
-                tracer.record("abort", vid=vid,
-                              detail=f"explicit abortMTX({vid})")
-                raise
-
-        setattr(self.system, "abort_mtx", wrapped)
-
-    def _wrap_vid_reset(self) -> None:
-        original = self.system.vid_reset
-        self._originals["vid_reset"] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(*args, **kwargs):
-            result = original(*args, **kwargs)
-            tracer.record("vid_reset", detail="VID namespace recycled")
-            return result
-
-        setattr(self.system, "vid_reset", wrapped)
+        self._append(kind, core, vid, addr, detail, value)
 
     # ------------------------------------------------------------------
+    # Tap callbacks
+    # ------------------------------------------------------------------
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
+    def _accessed(self, kind: str, kernel: bool, result, tid, addr, *rest,
+                  **kwargs) -> None:
+        # ``vid`` is the issuing thread's VID (accesses leave it
+        # unchanged); kernel accesses always run at VID 0 (section 5.2).
+        # A store's result carries the value it wrote.
+        ctx = None if kernel else self.system.contexts.get(tid)
+        self.record(kind, vid=ctx.vid if ctx is not None else 0, addr=addr,
+                    value=result.value, detail="kernel" if kernel else "")
 
-    def summary(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+    def _misspeculated(self, name: str, err, cause, tid, addr, *rest,
+                       **kwargs) -> None:
+        self.record("misspeculation", vid=err.vid, addr=addr,
+                    detail=err.reason)
+        self.record("abort", detail="uncommitted state flushed "
+                                    f"({name} misspeculated)")
+
+    after_load = partialmethod(_accessed, "load", False)
+    after_store = partialmethod(_accessed, "store", False)
+    after_kernel_load = partialmethod(_accessed, "load", True)
+    after_kernel_store = partialmethod(_accessed, "store", True)
+    failed_load = partialmethod(_misspeculated, "load")
+    failed_store = partialmethod(_misspeculated, "store")
+    failed_kernel_load = partialmethod(_misspeculated, "kernel_load")
+    failed_kernel_store = partialmethod(_misspeculated, "kernel_store")
+
+    def after_commit_mtx(self, result, tid, vid) -> None:
+        self.record("commit", vid=vid, detail=f"VID {vid}")
+
+    def failed_commit_mtx(self, err, cause, tid, vid) -> None:
+        # SMTX-style commit-time validation failure: the abort already
+        # flushed all uncommitted state.
+        self.record("misspeculation", vid=vid,
+                    addr=getattr(err, "addr", None), detail=err.reason)
+        self.record("abort", detail="uncommitted state flushed "
+                                    "(commit validation failed)")
+
+    def failed_abort_mtx(self, err, cause, tid, vid) -> None:
+        self.record("abort", vid=vid, detail=f"explicit abortMTX({vid})")
+
+    def after_vid_reset(self, result) -> None:
+        self.record("vid_reset", detail="VID namespace recycled")

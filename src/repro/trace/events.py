@@ -7,18 +7,19 @@ arcs), commits, aborts, overflow spills, and misspeculations.  The trace is
 what Figure 5 is for one address, for a whole run — invaluable both for
 debugging workloads and for teaching the protocol.
 
-Tracing is implemented with method wrapping rather than hooks baked into
-the hierarchy's hot paths, so untraced runs pay nothing.
+The tracer is a subscriber of the instrumentation tap
+(:mod:`repro.obs.tap`), which owns the method wrapping; untraced runs pay
+nothing.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import partialmethod
+from typing import Dict, List, Optional
 
 from ..coherence.hierarchy import MemoryHierarchy
-from ..errors import MisspeculationError
+from ..obs import tap
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,41 @@ class TraceEvent:
         return " ".join(parts)
 
 
-class ProtocolTracer:
+class TraceRecorder:
+    """What both tracers share: a tap subscriber with an event stream."""
+
+    def __init__(self, capacity: int, events) -> None:
+        self.capacity = capacity
+        self.events = events
+        self.dropped = 0
+        self._seq = 0
+
+    @classmethod
+    def attach(cls, target, **options):
+        """Record ``target`` (a hierarchy, or a backend) from now on."""
+        tracer = cls(target, **options)
+        tap.subscribe(target, tracer)
+        return tracer
+
+    def _append(self, *fields) -> None:
+        self._seq += 1
+        self.events.append(TraceEvent(self._seq, *fields))
+
+    def detach(self) -> None:
+        """Stop recording (idempotent)."""
+        tap.unsubscribe(self)
+
+    def of_kind(self, kind: str) -> List[TraceEvent]:
+        return [e for e in self.events if e.kind == kind]
+
+    def summary(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for event in self.events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        return counts
+
+
+class ProtocolTracer(TraceRecorder):
     """Records the protocol events of one hierarchy.
 
     Usage::
@@ -60,41 +95,29 @@ class ProtocolTracer:
         print(format_trace(tracer.events))
         tracer.detach()
 
+    or, for the backend a run builds, ``with Tap(tracer).activate():``
+    (:class:`~repro.obs.tap.Tap`), which traces its coherence model.
+
     Filters: pass ``addresses={...}`` to trace only specific lines (line
     addresses), or leave None to trace everything.
     """
 
-    def __init__(self, hierarchy: MemoryHierarchy,
+    def __init__(self, hierarchy: Optional[MemoryHierarchy] = None,
                  addresses: Optional[set] = None,
                  capacity: int = 100_000) -> None:
+        super().__init__(capacity, [])
         self.hierarchy = hierarchy
         self.addresses = addresses
-        self.capacity = capacity
-        self.events: List[TraceEvent] = []
-        self.dropped = 0
-        self._seq = 0
-        self._originals: Dict[str, Callable] = {}
+        self._versions_before = 0
 
     # ------------------------------------------------------------------
 
-    @classmethod
-    def attach(cls, hierarchy: MemoryHierarchy,
-               addresses: Optional[set] = None) -> "ProtocolTracer":
-        tracer = cls(hierarchy, addresses=addresses)
-        tracer._wrap_all()
-        return tracer
-
-    def detach(self) -> None:
-        """Restore the hierarchy's unwrapped methods.
-
-        Unwinds in reverse wrap order so stacked tracers (or any other
-        wrapper applied after this one) peel off like a stack: restoring
-        in insertion order would resurrect the innermost function over an
-        outer tracer's wrapper and silently stop recording its events.
-        """
-        for name in reversed(list(self._originals)):
-            setattr(self.hierarchy, name, self._originals[name])
-        self._originals.clear()
+    def attach_system(self, system) -> None:
+        """Trace ``system``'s coherence model: the hierarchy of HMTX, the
+        timing hierarchy of a software TM (SMTX, the oracle)."""
+        timing = getattr(system, "timing", None)
+        self.hierarchy = system.hierarchy if timing is None else timing
+        tap.subscribe(self.hierarchy, self)
 
     # ------------------------------------------------------------------
 
@@ -114,78 +137,45 @@ class ProtocolTracer:
         if len(self.events) >= self.capacity:
             self.dropped += 1
             return
-        self._seq += 1
-        self.events.append(TraceEvent(self._seq, kind, core, vid, addr,
-                                      detail, value))
+        self._append(kind, core, vid, addr, detail, value)
 
     # ------------------------------------------------------------------
-
-    def _wrap_all(self) -> None:
-        self._wrap_access("load")
-        self._wrap_access("store")
-        self._wrap_broadcast("commit", lambda vid: f"VID {vid}")
-        self._wrap_broadcast("abort", lambda: "all uncommitted state flushed")
-        self._wrap_broadcast("vid_reset", lambda: "VID namespace recycled")
-
-    def _wrap_access(self, name: str) -> None:
-        original = getattr(self.hierarchy, name)
-        self._originals[name] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(core, addr, vid, *args, **kwargs):
-            versions_before = len(tracer.hierarchy.versions_everywhere(addr)) \
-                if tracer._interesting(addr) else 0
-            try:
-                result = original(core, addr, vid, *args, **kwargs)
-            except MisspeculationError as err:
-                tracer.record("misspeculation", core, vid, addr,
-                              detail=err.reason)
-                raise
-            detail = f"hit={result.served_by}"
-            if result.created_version:
-                detail += " +version"
-            if result.sla_required:
-                detail += " sla"
-            tracer.record(name, core, vid, addr, detail=detail,
-                          value=result.value)
-            if tracer._interesting(addr):
-                after = len(tracer.hierarchy.versions_everywhere(addr))
-                if after != versions_before:
-                    tracer.record("versions", core, vid, addr,
-                                  detail=f"{versions_before} -> {after} cached")
-            return result
-
-        setattr(self.hierarchy, name, wrapped)
-
-    def _wrap_broadcast(self, name: str, describe: Callable[..., str]) -> None:
-        original = getattr(self.hierarchy, name)
-        self._originals[name] = original
-        tracer = self
-
-        @functools.wraps(original)
-        def wrapped(*args, **kwargs):
-            result = original(*args, **kwargs)
-            vid = args[0] if name == "commit" and args else None
-            tracer.record(name, vid=vid, detail=describe(*args, **kwargs))
-            return result
-
-        setattr(self.hierarchy, name, wrapped)
-
-    # ------------------------------------------------------------------
-    # Queries
+    # Tap callbacks
     # ------------------------------------------------------------------
 
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
+    def _before_access(self, core, addr, vid, *rest, **kwargs) -> None:
+        self._versions_before = self.hierarchy.version_count(addr) \
+            if self._interesting(addr) else 0
 
-    def for_address(self, addr: int) -> List[TraceEvent]:
-        line = self._line(addr)
-        return [e for e in self.events
-                if e.addr is not None and self._line(e.addr) == line]
+    def _after_access(self, name: str, result, core, addr, vid, *rest,
+                      **kwargs) -> None:
+        detail = f"hit={result.served_by}"
+        if result.created_version:
+            detail += " +version"
+        if result.sla_required:
+            detail += " sla"
+        self.record(name, core, vid, addr, detail=detail, value=result.value)
+        if self._interesting(addr):
+            after = self.hierarchy.version_count(addr)
+            if after != self._versions_before:
+                self.record("versions", core, vid, addr,
+                            detail=f"{self._versions_before} -> {after} "
+                                   "cached")
 
-    def summary(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+    def _failed_access(self, err, cause, core, addr, vid, *rest,
+                       **kwargs) -> None:
+        self.record("misspeculation", core, vid, addr, detail=err.reason)
+
+    before_load = before_store = _before_access
+    after_load = partialmethod(_after_access, "load")
+    after_store = partialmethod(_after_access, "store")
+    failed_load = failed_store = _failed_access
+
+    def after_commit(self, latency, vid) -> None:
+        self.record("commit", vid=vid, detail=f"VID {vid}")
+
+    def after_abort(self, latency) -> None:
+        self.record("abort", detail="all uncommitted state flushed")
+
+    def after_vid_reset(self, latency) -> None:
+        self.record("vid_reset", detail="VID namespace recycled")

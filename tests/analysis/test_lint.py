@@ -296,6 +296,71 @@ class TestOneRepresentation:
             """, rel=self.HIER) == []
 
 
+class TestOneTap:
+    def test_functools_wraps_is_rl010(self):
+        findings = lint("""
+            import functools
+
+            def wrap(obj, name):
+                original = getattr(obj, name)
+
+                @functools.wraps(original)
+                def wrapped(*args):
+                    return original(*args)
+                return wrapped
+            """)
+        assert rules_of(findings) == ["RL010"]
+        assert "functools.wraps" in findings[0].message
+
+    def test_wraps_import_is_rl010(self):
+        assert rules_of(lint("from functools import partial, wraps\n")) \
+            == ["RL010"]
+
+    def test_patching_and_restoring_setattr_is_rl010(self):
+        findings = lint("""
+            class Tracer:
+                def attach(self, system):
+                    original = system.load
+
+                    def wrapped(tid, addr):
+                        return original(tid, addr)
+                    setattr(system, "load", wrapped)
+                    setattr(system, "store", lambda *a: None)
+                    self._originals = {"load": original}
+
+                def detach(self, system):
+                    for name in self._originals:
+                        setattr(system, name, self._originals[name])
+            """)
+        assert rules_of(findings) == ["RL010"] * 3
+
+    def test_data_setattr_is_clean(self):
+        assert lint("""
+            def configure(config, name, count):
+                setattr(config, name, 4)
+                setattr(config, name + "_label", f"n={count}")
+                setattr(config, "sizes", [count, count * 2])
+            """) == []
+
+    def test_tap_and_phase_profiler_are_exempt(self):
+        source = """
+            import functools
+
+            def install(obj, name, wrapper):
+                setattr(obj, name, functools.wraps(wrapper)(wrapper))
+            """
+        assert lint(source, rel="repro/obs/tap.py") == []
+        assert lint(source, rel="repro/experiments/phase_profile.py") == []
+        assert rules_of(lint(source, rel="repro/trace/capture.py")) \
+            == ["RL010", "RL010"]
+
+    def test_lint_ok_with_reason_suppresses(self):
+        assert lint("""
+            def restore(obj, name, saved):
+                setattr(obj, name, saved)  # lint-ok: RL010 (planted: data)
+            """) == []
+
+
 class TestWholeTree:
     def test_src_is_lint_clean(self):
         report = lint_paths()
@@ -309,7 +374,7 @@ class TestWholeTree:
     def test_rule_catalog_is_documented(self):
         assert set(LINT_RULES) == {"RL001", "RL002", "RL003", "RL004",
                                    "RL005", "RL006", "RL007", "RL008",
-                                   "RL009"}
+                                   "RL009", "RL010"}
         assert default_lint_root().name == "repro"
 
 class TestDeterminism:

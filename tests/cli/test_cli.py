@@ -38,6 +38,16 @@ class TestCli:
         assert main(["run", "ispell", "--scale", "0.3", "--trace"]) == 0
         assert "event counts" in capsys.readouterr().out
 
+    def test_run_with_trace_on_smtx(self, capsys):
+        # The tracer attaches through the tap's activation, so every
+        # --system is traced (SMTX: its timing hierarchy).
+        assert main(["run", "ispell", "--system", "smtx-minimal",
+                     "--scale", "0.3", "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert "event counts" in out
+        summary = out.split("event counts:", 1)[1]
+        assert "load" in summary and "store" in summary
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "999.nope"])

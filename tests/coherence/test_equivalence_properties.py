@@ -137,3 +137,21 @@ def test_unbounded_sets_preserve_values(ops):
                                                unbounded_sets=True, **tiny))
     assert run_ops(reference, ops) == run_ops(spilling, ops)
     assert final_state(reference) == final_state(spilling)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ops=op_sequence())
+def test_version_count_is_a_pure_versions_length(ops):
+    """``version_count`` (what protocol tracers read) must predict what
+    lazy processing keeps, and must not process anything itself."""
+    hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=3, **SMALL))
+    run_ops(hierarchy, ops)
+    for addr in POOL:
+        before = [cache.stats.lazy_commits_processed
+                  + cache.stats.lazy_aborts_processed
+                  for cache in hierarchy._all_caches()]
+        count = hierarchy.version_count(addr)
+        assert before == [cache.stats.lazy_commits_processed
+                          + cache.stats.lazy_aborts_processed
+                          for cache in hierarchy._all_caches()]
+        assert count == len(hierarchy.versions_everywhere(addr))
