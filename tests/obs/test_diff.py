@@ -1,9 +1,11 @@
-"""Differential attribution: zero self-diff, golden digest, scrub pair.
+"""Differential attribution: zero self-diff, golden digests, scrub pair.
 
-The committed golden (``tests/goldens/obs_digest_contended_list.json``)
-pins the full ``hmtx-obs-digest/1`` payload of a deterministic observed
-run.  Regenerate (only after an intentional modelled-behaviour change)
-with::
+The committed goldens pin the full ``hmtx-obs-digest/1`` payload of two
+deterministic observed runs: ``obs_digest_contended_list.json`` (the
+closed-loop list) and ``obs_digest_svc_oltp_2s8c.json`` (the open-loop
+OLTP service on the two-socket directory machine, which reaches spin
+retagging, ``Arrive`` queue wait and the svc latency histograms).
+Regenerate (only after an intentional modelled-behaviour change) with::
 
     PYTHONPATH=src python -m pytest tests/obs/test_diff.py --regen-goldens
 """
@@ -15,8 +17,8 @@ import pathlib
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.experiments.engine import RunRequest, SweepEngine
-from repro.experiments.scaling_sweep import QUICK_PRESETS
+from repro.experiments.engine import RunRequest, SweepEngine, request_options
+from repro.experiments.scaling_sweep import QUICK_PRESETS, scaling_machine
 from repro.obs.diff import (
     DIFF_SCHEMA,
     diff_bundles,
@@ -28,8 +30,9 @@ from repro.obs.diff import (
 from repro.obs.history import bundle
 from repro.obs.profile import DIGEST_SCHEMA, load_digest
 
-GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "goldens" \
-    / "obs_digest_contended_list.json"
+GOLDENS = pathlib.Path(__file__).parent.parent / "goldens"
+GOLDEN_PATH = GOLDENS / "obs_digest_contended_list.json"
+SVC_GOLDEN_PATH = GOLDENS / "obs_digest_svc_oltp_2s8c.json"
 
 
 def observed_digest(jobs=1, **request_kwargs):
@@ -47,13 +50,16 @@ def digest():
     return payload
 
 
+def load_golden(request, path, digest):
+    if request.config.getoption("--regen-goldens"):
+        path.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 @pytest.fixture(scope="module")
 def golden(request, digest):
-    if request.config.getoption("--regen-goldens"):
-        GOLDEN_PATH.write_text(
-            json.dumps(digest, indent=1, sort_keys=True) + "\n",
-            encoding="utf-8")
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    return load_golden(request, GOLDEN_PATH, digest)
 
 
 class TestGoldenDigest:
@@ -87,6 +93,32 @@ class TestGoldenDigest:
                                        bundle([(run, golden)])))
         assert one == two
         assert json.loads(one)["zero"] is True
+
+
+class TestSvcGoldenDigest:
+    @pytest.fixture(scope="class")
+    def svc_digest(self):
+        payload, _ = observed_digest(
+            workload="svc-oltp", machine=scaling_machine("2s8c"),
+            options=request_options(seed=42))
+        return payload
+
+    @pytest.fixture(scope="class")
+    def svc_golden(self, request, svc_digest):
+        return load_golden(request, SVC_GOLDEN_PATH, svc_digest)
+
+    def test_current_run_matches_committed_golden(self, svc_digest,
+                                                  svc_golden):
+        assert load_digest(svc_digest) == load_digest(svc_golden)
+
+    def test_golden_pins_the_open_loop_paths(self, svc_golden):
+        # Aborts, commit-order spins and the svc histograms all show up,
+        # so the golden covers what the contended-list one does not.
+        assert svc_golden["aborts"] > 0
+        assert svc_golden["categories"]["commit_stall"] > 0
+        assert svc_golden["categories"]["abort_replay"] > 0
+        assert {"svc_queue_wait_cycles", "svc_commit_latency_cycles"} \
+            <= set(svc_golden["histograms"])
 
 
 def scrub_pair():
