@@ -17,8 +17,8 @@ Rule catalog (details in DESIGN.md section 10):
 
 ``RL001`` misspeculation raises must stamp ``cause=``
     Every ``raise MisspeculationError(...)`` / ``SpeculativeOverflowError``
-    site must pass the ``cause=`` keyword so txctl's contention managers
-    never fall back to exception-type guessing.
+    site must pass the ``cause=`` keyword.  The constructor requires it
+    too; the rule reports an omission before the site ever runs.
 ``RL002`` protocol module purity
     ``coherence/protocol.py``, ``states.py`` and ``vid.py`` are pure
     transition math over ``(state, modVID, highVID, requestVID)``; they

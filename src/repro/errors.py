@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
+from functools import partial
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .txctl.causes import AbortCause
 
 
 class ReproError(Exception):
@@ -17,34 +21,24 @@ class MisspeculationError(ReproError):
     offending access, the address involved, a human-readable reason, and
     the abort *cause* (an :class:`~repro.txctl.causes.AbortCause`) stamped
     at the raise site so the contention manager can retry intelligently.
-
-    .. deprecated:: analysis layer
-        Constructing without ``cause=`` is deprecated (and flagged by lint
-        rule ``RL001`` inside this repo).  Legacy callers get the cause
-        default-classified from the exception type via
-        :func:`repro.txctl.causes.classify` plus a ``DeprecationWarning``;
-        new code must stamp the cause at the raise site.
+    ``cause`` is required; lint rule ``RL001`` also flags raise sites
+    that omit it.
     """
 
-    def __init__(self, reason: str, vid: int = 0, addr: int = -1,
-                 cause=None) -> None:
+    def __init__(self, reason: str, vid: int = 0, addr: int = -1, *,
+                 cause: AbortCause) -> None:
         super().__init__(reason)
         self.reason = reason
         self.vid = vid
         self.addr = addr
-        if cause is None:
-            from .txctl.causes import classify  # lint-ok: RL005 (txctl.causes imports this module for the classify fallback; a top-level import would cycle)
-            warnings.warn(
-                f"{type(self).__name__} raised without cause=; stamp an "
-                "AbortCause at the raise site (default-classifying from "
-                "the exception type for now)",
-                DeprecationWarning, stacklevel=2)
-            # classify() inspects self.cause (still unset -> falls through
-            # to the type-based default) exactly like the legacy fallback.
-            cause = classify(self)
-        #: :class:`~repro.txctl.causes.AbortCause` stamped at the raise
-        #: site (or default-classified, with a warning, for legacy sites).
+        #: :class:`~repro.txctl.causes.AbortCause` stamped at the raise site.
         self.cause = cause
+
+    def __reduce__(self):
+        # Exceptions unpickle as ``cls(*args)``, which cannot pass the
+        # keyword-only cause; sweep-pool workers send errors back pickled.
+        return (partial(type(self), cause=self.cause),
+                (self.reason, self.vid, self.addr))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MisspeculationError(vid={self.vid}, addr=0x{self.addr:x}, {self.reason!r})"

@@ -9,9 +9,11 @@ default, and every instrumentation site in the runtime guards on that
         _obs.active.attach_system(system)
 
 The guard runs a handful of times per run (system and scheduler
-construction, spin-loop exit), never inside the scheduler's fused per-op
-loop, so instrumentation-off runs execute the exact same op stream
-(pinned by ``tests/obs/test_noop_guard.py`` and the fastpath goldens).
+construction, spin-loop exit), never inside the scheduler's step loop,
+so instrumentation-off runs execute the exact same op stream (pinned by
+``tests/obs/test_noop_guard.py`` and the fastpath goldens).  The step
+loop has its own nullable hook, ``Scheduler.observer``, which the
+session installs when the tap hands it the scheduler.
 
 This module imports nothing from the package: ``runtime.paradigms.base``
 imports it at module load, and any repro import here would cycle.

@@ -4,15 +4,18 @@ An :class:`ObsSession` is a plain subscriber of the instrumentation tap
 (:mod:`repro.obs.tap`): :meth:`activate` makes it the run's observer, it
 subscribes to every system and scheduler the run builds, and its
 ``before_*`` / ``after_*`` / ``failed_*`` callbacks record what they see.
+It is also each scheduler's per-step observer
+(:attr:`~repro.runtime.scheduler.Scheduler.observer`): the step loop
+calls :meth:`~ObsSession.on_step` and :meth:`~ObsSession.on_op` directly.
 
 Recorded streams (all stamped in *simulated* cycles, ordered by one
 shared monotone ``seq``):
 
 * **op samples** — one ``[seq, tid, start, latency, vid, pretag]`` row
-  per executed core op, from ``CoreExecutor.execute`` (which receives the
-  op's start time).  ``pretag`` is an optional category assigned at
-  record time (spin retags, overflow flags); final attribution happens
-  in :mod:`repro.obs.profile`.
+  per executed core op, from the scheduler's ``on_op`` call (which
+  passes the op's start cycle).  ``pretag`` is an optional category
+  assigned at record time (spin retags, overflow flags); final
+  attribution happens in :mod:`repro.obs.profile`.
 * **events** — transaction lifecycle points (allocate/begin/commit/
   conflict/abort/vid_reset/stall) as small dicts.
 * **spans** — :class:`~repro.obs.timeline.TxSpan` per transaction
@@ -48,8 +51,7 @@ CATEGORIES = ("useful", "commit_stall", "vid_reset", "abort_replay",
 class ObsSession:
     """One observed run: recorded streams plus the metrics registry."""
 
-    def __init__(self,
-                 runnable_sample_every: int = RUNNABLE_SAMPLE_EVERY) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
         #: ``[seq, tid, start, latency, vid, pretag]`` per executed op.
         self.samples: List[list] = []
@@ -67,7 +69,6 @@ class ObsSession:
         self.stall_cycles_total = 0
         self.quiesce_cycles_total = 0
         self.makespan = 0
-        self.runnable_sample_every = runnable_sample_every
         self._seq = 0
         self._steps = 0
         self._open_spans: Dict[int, TxSpan] = {}
@@ -81,8 +82,6 @@ class ObsSession:
         self.topology = None
         self._current_tid: Optional[int] = None
         self._current_thread: Optional[Any] = None
-        self._in_op = False
-        self._op_now = 0
         self._op_overflow = False
         #: Hierarchy stats holding overflow counters (None if absent).
         self._overflow_stats: Any = None
@@ -110,6 +109,9 @@ class ObsSession:
         """Stop observing (idempotent); the tap restores every method no
         other subscriber still observes."""
         tap.unsubscribe(self)
+        for scheduler in self._schedulers:
+            if scheduler.observer is self:
+                scheduler.observer = None
 
     def finalize(self, result=None) -> None:
         """Freeze end-of-run state: thread map, makespan, stats snapshot."""
@@ -177,7 +179,7 @@ class ObsSession:
         self._quiesce_counter = self.registry.counter(
             "vid_reset_quiesce_cycles_total")
         tap.subscribe(scheduler, self)
-        tap.subscribe(scheduler.executor, self)
+        scheduler.observer = self
 
     def record_spin(self, category: str, vid: int, count: int) -> None:
         """Retag the current thread's last ``count`` op samples as a stall.
@@ -220,10 +222,18 @@ class ObsSession:
     # ------------------------------------------------------------------
 
     def _now(self) -> int:
-        if self._in_op:
-            return self._op_now
+        """The stepping thread's clock: the time of events raised in its
+        generator (VID allocation and reset) or by an interrupt handler
+        after its op."""
         thread = self._current_thread
         return thread.clock if thread is not None else 0
+
+    def _op_now(self) -> int:
+        """The running core op's start cycle: the time of events the
+        backend raises inside a user-level op (access, begin, commit,
+        abort)."""
+        thread = self._current_thread
+        return self._scheduler.op_start(thread) if thread is not None else 0
 
     def _event(self, kind: str, ts: Optional[int] = None,
                **fields) -> Dict[str, Any]:
@@ -270,11 +280,10 @@ class ObsSession:
         self.spans.append(span)
         self.live_vid_track.append((ts, len(self._open_spans)))
 
-    def _on_misspeculation(self, err: MisspeculationError, cause,
+    def _on_misspeculation(self, err: MisspeculationError, cause, ts: int,
                            addr=None, op: str = "") -> None:
         """Record the conflict and the abort of a classified misspeculation."""
         cause = cause.value
-        ts = self._now()
         bad_addr = getattr(err, "addr", -1)
         if bad_addr in (None, -1):
             bad_addr = addr
@@ -327,11 +336,14 @@ class ObsSession:
                 and getattr(result, "created_version", False):
             footprint = footprint_of()
             self._footprint_peak.set_max(footprint)
-            self.footprint_track.append((self._now(), footprint))
+            self.footprint_track.append(
+                (self._now() if kernel else self._op_now(), footprint))
 
-    def _failed_access(self, name: str, err, cause, tid, addr,
+    def _failed_access(self, kernel: bool, name: str, err, cause, tid, addr,
                        *rest, **kwargs) -> None:
-        self._on_misspeculation(err, cause, addr=addr, op=name)
+        self._on_misspeculation(
+            err, cause, self._now() if kernel else self._op_now(),
+            addr=addr, op=name)
 
     before_load = before_store = _before_access
     before_kernel_load = before_kernel_store = _before_access
@@ -339,17 +351,17 @@ class ObsSession:
     after_store = partialmethod(_after_access, False, True)
     after_kernel_load = partialmethod(_after_access, True, False)
     after_kernel_store = partialmethod(_after_access, True, True)
-    failed_load = partialmethod(_failed_access, "load")
-    failed_store = partialmethod(_failed_access, "store")
-    failed_kernel_load = partialmethod(_failed_access, "kernel_load")
-    failed_kernel_store = partialmethod(_failed_access, "kernel_store")
+    failed_load = partialmethod(_failed_access, False, "load")
+    failed_store = partialmethod(_failed_access, False, "store")
+    failed_kernel_load = partialmethod(_failed_access, True, "kernel_load")
+    failed_kernel_store = partialmethod(_failed_access, True, "kernel_store")
 
     def before_begin_mtx(self, tid, vid) -> None:
         ctx = self._system.contexts.get(tid)
         self._previous_vid = ctx.vid if ctx is not None else 0
 
     def after_begin_mtx(self, latency, tid, vid) -> None:
-        ts = self._now()
+        ts = self._op_now()
         if vid == 0:
             if self._previous_vid:
                 span = self._open_spans.get(self._previous_vid)
@@ -365,7 +377,7 @@ class ObsSession:
             self._event("begin", ts=ts, tid=tid, vid=vid)
 
     def after_commit_mtx(self, latency, tid, vid) -> None:
-        ts = self._now()
+        ts = self._op_now()
         self._event("commit", ts=ts, tid=tid, vid=vid)
         self._commits.inc()
         if isinstance(latency, int):
@@ -379,7 +391,7 @@ class ObsSession:
         self._close_span(vid, ts, "commit")
 
     def _failed_tx(self, name: str, err, cause, tid, vid) -> None:
-        self._on_misspeculation(err, cause, op=name)
+        self._on_misspeculation(err, cause, self._op_now(), op=name)
 
     failed_commit_mtx = partialmethod(_failed_tx, "commit_mtx")
     failed_abort_mtx = partialmethod(_failed_tx, "abort_mtx")
@@ -394,14 +406,16 @@ class ObsSession:
         self._resets.inc()
 
     # ------------------------------------------------------------------
-    # Scheduler and executor callbacks
+    # Scheduler callbacks
     # ------------------------------------------------------------------
 
-    def before__step(self, thread) -> None:
+    def on_step(self, thread) -> None:
+        """Per-step observer: ``thread``'s generator is about to resume."""
         self._current_tid = thread.tid
         self._current_thread = thread
+        self._op_overflow = False
         self._steps += 1
-        if self._steps % self.runnable_sample_every == 0:
+        if self._steps % RUNNABLE_SAMPLE_EVERY == 0:
             runnable = sum(1 for t in self._scheduler.threads
                            if not t.done and t.blocked_on is None
                            and t.blocked_produce is None)
@@ -419,20 +433,14 @@ class ObsSession:
             self._event("quiesce", ts=self._scheduler.now(), cycles=cycles)
             self._quiesce_counter.inc(cycles)
 
-    def before_execute(self, tid, op, now=0) -> None:
-        self._in_op = True
-        self._op_now = now
-        self._op_overflow = False
-
-    def after_execute(self, outcome, tid, op, now=0) -> None:
-        self._in_op = False
-        value, latency = outcome
+    def on_op(self, tid, op, start, value, latency) -> None:
+        """Per-step observer: a core op started at ``start`` returned."""
         ctx = self._system.contexts.get(tid)
         vid = ctx.vid if ctx is not None else 0
         self._seq += 1
         pretag = "overflow" if self._op_overflow else None
         index = len(self.samples)
-        self.samples.append([self._seq, tid, now, latency, vid, pretag])
+        self.samples.append([self._seq, tid, start, latency, vid, pretag])
         self._tid_sample_idx.setdefault(tid, []).append(index)
         if type(op) is Arrive:
             # The executor hands back the accumulated queue wait (0 when
@@ -445,9 +453,6 @@ class ObsSession:
             else:
                 queue_hist, _ = self._svc_histograms()
                 queue_hist.observe(queue_wait)
-
-    def failed_execute(self, err, cause, tid, op, now=0) -> None:
-        self._in_op = False
 
     # ------------------------------------------------------------------
     # End-of-run metric snapshot + reconciliation

@@ -14,11 +14,20 @@ Timing model:
   ``max(own clock, producer clock + queue latency)``;
 * an optional :class:`~repro.cpu.interrupts.InterruptInjector` charges
   handler time to whichever thread crossed the interrupt period.
+
+:meth:`Scheduler.run` is the one step path.  Each step resumes a
+generator, then either hands a queue op to :meth:`Scheduler._queue_step`
+or runs a core op between one shared prologue (the start cycle) and one
+shared epilogue (interrupt check, clock writes); the common op classes
+are fused inline, the rest go through :meth:`CoreExecutor.execute
+<repro.cpu.core_model.CoreExecutor.execute>`.  Observation hooks in
+through :attr:`Scheduler.observer`, which costs an unobserved run two
+``is None`` tests per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional
 
 from ..cpu.core_model import CoreExecutor
@@ -99,6 +108,12 @@ class Scheduler:
         self.max_steps = max_steps
         self.threads: List[ThreadHandle] = []
         self._core_clock: Dict[int, int] = {}
+        #: Per-step observer, or None.  :meth:`run` calls its
+        #: ``on_step(thread)`` before resuming a thread's generator and its
+        #: ``on_op(tid, op, start, value, latency)`` once a core op
+        #: returns, before the interrupt check and the clock writes.
+        #: ``ObsSession.attach_scheduler`` installs it.
+        self.observer: Any = None
         if hasattr(system, "quiesce_cb"):
             # Late-bound on purpose: a tap subscriber observing
             # ``quiesce_all`` gets it wrapped in the instance dict, and the
@@ -151,12 +166,7 @@ class Scheduler:
         attempt.  Charging all clocks equally keeps relative thread timing
         (and therefore the conflict-detection interleaving) deterministic.
         """
-        if cycles <= 0:
-            return
-        for thread in self.threads:
-            thread.clock += cycles
-        for core in self._core_clock:
-            self._core_clock[core] += cycles
+        self._advance_all(cycles)
 
     def quiesce_all(self, cycles: int) -> None:
         """Machine-wide quiesce barrier: the section 4.6 reset scrub.
@@ -169,6 +179,9 @@ class Scheduler:
         ``quiesce_cb``: the reset is triggered from inside a thread's
         generator, which has no scheduler reference of its own.
         """
+        self._advance_all(cycles)
+
+    def _advance_all(self, cycles: int) -> None:
         if cycles <= 0:
             return
         for thread in self.threads:
@@ -185,6 +198,11 @@ class Scheduler:
     def run(self) -> RunResult:
         """Run until every thread's generator is exhausted.
 
+        This loop is the scheduler's only step path: observed and
+        unobserved runs take the same branches.  An :attr:`observer`, if
+        installed, is called directly at two points of a step and never
+        changes what the step does.
+
         Raises :class:`~repro.errors.MisspeculationError` if speculation
         fails (callers implement recovery) and :class:`DeadlockError` if all
         live threads block on empty queues.
@@ -198,19 +216,14 @@ class Scheduler:
         execute = executor.execute
         interrupts = self.interrupts
         system = self.system
-        # The tap wraps _step / executor.execute as instance attributes
-        # when a subscriber observes them (the obs session does); the fused
-        # step below would bypass those wrappers, so observed runs keep the
-        # exact per-step call sequence.
-        instrumented = ("_step" in self.__dict__
-                        or "execute" in executor.__dict__)
+        observer = self.observer
         # Work/Load/Store/Branch cover almost every op a workload yields;
         # they are fused below (exactly what CoreExecutor.execute does for
         # each class, without the dispatch) when the executor is a plain
         # CoreExecutor.  system.load/store are hoisted through the
         # instance, so a tap wrapper installed before the run is still
         # honoured.
-        fuse_work = not instrumented and executor.__class__ is CoreExecutor
+        fuse = executor.__class__ is CoreExecutor
         estats = executor.stats
         epc = executor._pc
         work_unit = executor.costs.work_unit
@@ -221,11 +234,10 @@ class Scheduler:
         #: never rescans completed threads.
         live_threads = [t for t in self.threads if not t.done]
         while True:
-            # Fused sweep: unblock every thread whose queue became ready
-            # (exactly what _collect_runnable does), while tracking the
-            # runnable thread with the smallest (clock, tid) — one pass,
-            # no intermediate lists.  This loop dominates simulator wall
-            # time, hence the hand-tuning.
+            # Fused sweep: unblock every thread whose queue became ready,
+            # while tracking the runnable thread with the smallest
+            # (clock, tid) — one pass, no intermediate lists.  This loop
+            # dominates simulator wall time, hence the hand-tuning.
             best = None
             # Sentinel larger than any reachable clock, so the selection
             # compare needs no ``best is None`` test per thread.
@@ -266,108 +278,68 @@ class Scheduler:
             if best is None:
                 live = [t.tid for t in self.threads if not t.done]
                 raise DeadlockError(f"threads {live} all blocked on queues")
-            # Inlined _step for the dominant plain-op case (same logic,
-            # minus one call frame and the attribute reloads per step);
-            # queue ops fall back to the shared helper.
+            steps += 1
+            if steps > max_steps:
+                raise ReproError(f"exceeded {max_steps} scheduler steps")
             thread = best
-            if instrumented:
-                self._step(thread)
-                if thread.done:
-                    live_threads = [t for t in self.threads if not t.done]
-                steps += 1
-                if steps > max_steps:
-                    raise ReproError(f"exceeded {max_steps} scheduler steps")
-                continue
+            if observer is not None:
+                observer.on_step(thread)
             try:
                 op = thread.program.send(thread.pending_value)
             except StopIteration:
                 thread.done = True
                 live_threads = [t for t in self.threads if not t.done]
-                op = None
-            if op is not None:
-                thread.pending_value = None
-                thread.ops_executed += 1
-                cls = op.__class__
-                if fuse_work and cls is Work:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    cycles = op.cycles
-                    estats.instructions += cycles if cycles > 1 else 1
-                    epc[thread.tid] += 4
-                    clock = start + cycles * work_unit
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = None
-                elif fuse_work and cls is Load:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    estats.instructions += 1
-                    estats.loads += 1
-                    epc[thread.tid] += 4
-                    result = system_load(thread.tid, op.addr, start)
-                    clock = start + result.latency
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = result.value
-                elif fuse_work and cls is Store:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    estats.instructions += 1
-                    estats.stores += 1
-                    epc[thread.tid] += 4
-                    result = system_store(thread.tid, op.addr, op.value,
-                                          start)
-                    clock = start + result.latency
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = None
-                elif fuse_work and cls is Branch:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    estats.instructions += 1
-                    epc[thread.tid] += 4
-                    clock = start + execute_branch(thread.tid, op)
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = None
-                elif cls is not Produce and cls is not Consume:
-                    core = thread.core
-                    start = core_clock[core]
-                    if best_clock > start:
-                        start = best_clock
-                    value, latency = execute(thread.tid, op, start)
-                    clock = start + latency
-                    if interrupts is not None:
-                        clock += interrupts.maybe_interrupt(
-                            system, thread.tid, core, clock)
-                    thread.clock = clock
-                    core_clock[core] = clock
-                    thread.pending_value = value
-                else:
-                    self._queue_step(thread, op, cls)
-            steps += 1
-            if steps > max_steps:
-                raise ReproError(f"exceeded {max_steps} scheduler steps")
+                continue
+            thread.pending_value = None
+            thread.ops_executed += 1
+            cls = op.__class__
+            # Prologue: the op starts once both its thread and its core are
+            # free.  The thread's clock is re-read, not taken from the
+            # sweep: the generator may have run a machine-wide quiesce.
+            tid = thread.tid
+            core = thread.core
+            start = core_clock[core]
+            if thread.clock > start:
+                start = thread.clock
+            if cls is Work and fuse:
+                cycles = op.cycles
+                estats.instructions += cycles if cycles > 1 else 1
+                epc[tid] += 4
+                value = None
+                latency = cycles * work_unit
+            elif cls is Load and fuse:
+                estats.instructions += 1
+                estats.loads += 1
+                epc[tid] += 4
+                result = system_load(tid, op.addr, start)
+                value = result.value
+                latency = result.latency
+            elif cls is Store and fuse:
+                estats.instructions += 1
+                estats.stores += 1
+                epc[tid] += 4
+                value = None
+                latency = system_store(tid, op.addr, op.value,
+                                       start).latency
+            elif cls is Branch and fuse:
+                estats.instructions += 1
+                epc[tid] += 4
+                value = None
+                latency = execute_branch(tid, op)
+            elif cls is Produce or cls is Consume:
+                self._queue_step(thread, op, cls)
+                continue
+            else:
+                value, latency = execute(tid, op, start)
+            # Epilogue, shared by every core op.
+            if observer is not None:
+                observer.on_op(tid, op, start, value, latency)
+            clock = start + latency
+            if interrupts is not None:
+                clock += interrupts.maybe_interrupt(system, tid, core, clock)
+            thread.clock = clock
+            core_clock[core] = clock
+            thread.pending_value = value
         thread_clocks = {t.tid: t.clock for t in self.threads}
         return RunResult(
             makespan=max(thread_clocks.values(), default=0),
@@ -378,76 +350,24 @@ class Scheduler:
 
     # ------------------------------------------------------------------
 
-    def _collect_runnable(self) -> Optional[List[ThreadHandle]]:
-        """Unblock consumers whose queues filled; None when all are done.
-
-        Reference implementation of the sweep that :meth:`run` fuses into
-        its selection loop; kept for tests and interactive debugging.
-        """
-        live = [t for t in self.threads if not t.done]
-        if not live:
-            return None
-        runnable = []
-        for thread in live:
-            if thread.blocked_on is not None:
-                entry = self.queues.get(thread.blocked_on).try_consume(thread.clock)
-                if entry is None:
-                    continue
-                value, ready_time = entry
-                thread.clock = max(thread.clock, ready_time)
-                thread.clock += self.system.config.op_costs.queue_op
-                thread.pending_value = value
-                thread.blocked_on = None
-            elif thread.blocked_produce is not None:
-                queue_name, value = thread.blocked_produce
-                queue = self.queues.get(queue_name)
-                if queue.full():
-                    continue
-                # Space appeared when a consumer popped; the producer's
-                # clock advances to that moment (back-pressure stall).
-                thread.clock = max(thread.clock, queue.last_pop_time)
-                thread.clock += self.system.config.op_costs.queue_op
-                queue.produce(value, thread.clock)
-                thread.blocked_produce = None
-            runnable.append(thread)
-        return runnable
-
-    def _step(self, thread: ThreadHandle) -> None:
-        try:
-            op = thread.program.send(thread.pending_value)
-        except StopIteration:
-            thread.done = True
-            return
-        thread.pending_value = None
-        thread.ops_executed += 1
-        cls = type(op)
-        if cls is not Produce and cls is not Consume:
-            # Hot path: plain core op — no queue interaction.
-            core = thread.core
-            core_clock = self._core_clock
-            clock = thread.clock
-            start = core_clock[core]
-            if clock > start:
-                start = clock
-            value, latency = self.executor.execute(thread.tid, op, now=start)
-            clock = start + latency
-            if self.interrupts is not None:
-                clock += self.interrupts.maybe_interrupt(
-                    self.system, thread.tid, core, clock)
-            thread.clock = clock
-            core_clock[core] = clock
-            thread.pending_value = value
-            return
-        self._queue_step(thread, op, cls)
+    def op_start(self, thread: ThreadHandle) -> int:
+        """Cycle ``thread``'s next op starts at: once both the thread and
+        its core are free.  :meth:`run` inlines this as its prologue; the
+        value holds until the op returns, since a step writes its clocks
+        only in the epilogue."""
+        start = self._core_clock[thread.core]
+        return thread.clock if thread.clock > start else start
 
     def _queue_step(self, thread: ThreadHandle, op: Op, cls: type) -> None:
-        """Produce/Consume handling shared by :meth:`run` and :meth:`_step`."""
+        """One ``Produce``/``Consume`` step of :meth:`run`: queue ops
+        block or charge the queue latency instead of reaching the
+        executor."""
         if cls is Produce:
             queue = self.queues.get(op.queue)
             if queue.full():
                 thread.blocked_produce = (op.queue, op.value)
                 return
-            start = max(thread.clock, self._core_clock[thread.core])
+            start = self.op_start(thread)
             thread.clock = start + self.system.config.op_costs.queue_op
             self._core_clock[thread.core] = thread.clock
             queue.produce(op.value, thread.clock)
@@ -458,7 +378,7 @@ class Scheduler:
             thread.blocked_on = op.queue
             return
         value, ready_time = entry
-        start = max(thread.clock, self._core_clock[thread.core], ready_time)
+        start = max(self.op_start(thread), ready_time)
         thread.clock = start + self.system.config.op_costs.queue_op
         self._core_clock[thread.core] = thread.clock
         thread.pending_value = value

@@ -34,15 +34,17 @@ EXPLICIT            ``abortMTX`` — software-detected misspeculation
 
 The cause travels on the :class:`~repro.errors.MisspeculationError`
 itself (its ``cause`` attribute), so it crosses the coherence/runtime
-boundary without any side channel; :func:`classify` recovers a cause from
-any misspeculation error, including ones raised by code that predates the
-taxonomy.
+boundary without any side channel; :func:`classify` reads it back.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..errors import MisspeculationError
 
 
 class AbortCause(enum.Enum):
@@ -80,23 +82,10 @@ class AbortCause(enum.Enum):
         return self is not AbortCause.CAPACITY_OVERFLOW
 
 
-def classify(exc: BaseException) -> AbortCause:
-    """Map a misspeculation exception to its :class:`AbortCause`.
-
-    Prefers the cause stamped at the raise site (``exc.cause``); falls
-    back on the exception type — an un-stamped
-    :class:`~repro.errors.SpeculativeOverflowError` is a capacity abort,
-    anything else a conflict (the conservative default: transient,
-    retryable).
-    """
-    cause = getattr(exc, "cause", None)
-    if isinstance(cause, AbortCause):
-        return cause
-    # Late import keeps this module dependency-free for the low layers.
-    from ..errors import SpeculativeOverflowError  # lint-ok: RL005 (errors.py default-classifies via this module; a top-level import would cycle)
-    if isinstance(exc, SpeculativeOverflowError):
-        return AbortCause.CAPACITY_OVERFLOW
-    return AbortCause.CONFLICT
+def classify(exc: MisspeculationError) -> AbortCause:
+    """The :class:`AbortCause` of a misspeculation exception: the cause
+    stamped at its raise site (``MisspeculationError`` requires one)."""
+    return exc.cause
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import dataclasses
 
 from repro.core.config import MachineConfig
 from repro.core.system import HMTXSystem
+from repro.cpu.isa import Work
 from repro.experiments.engine import RunRequest, SweepEngine
 from repro.experiments.scaling_sweep import QUICK_PRESETS
 from repro.runtime.scheduler import Scheduler
@@ -42,6 +43,21 @@ class TestQuiesceCallback:
         assert all(thread.clock == scrub for thread in scheduler.threads)
         assert all(clock == scrub
                    for clock in scheduler._core_clock.values())
+
+    def test_op_after_an_in_generator_reset_starts_after_the_barrier(self):
+        # The thread is ahead of its core when its generator runs the
+        # reset; the op it then yields starts at its own advanced clock.
+        system = HMTXSystem(multi_socket_config())
+        scheduler = Scheduler(system)
+
+        def program():
+            yield Work(system.vid_reset())
+
+        thread = scheduler.add_thread(0, core=0, program=program(),
+                                      start_clock=5)
+        scheduler.run()
+        scrub = system.hierarchy.vid_reset()
+        assert thread.clock == 5 + scrub + system.config.op_costs.work_unit
 
     def test_scrub_scale_multiplies_the_barrier(self):
         base = HMTXSystem(multi_socket_config())

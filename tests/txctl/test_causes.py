@@ -5,6 +5,8 @@ the raised :class:`~repro.errors.MisspeculationError` and in the system's
 ``stats.contention`` breakdown.
 """
 
+import pickle
+
 import pytest
 
 from repro.core import HMTXSystem, MachineConfig
@@ -31,15 +33,23 @@ class TestTaxonomy:
         exc = MisspeculationError("x", cause=AbortCause.INTERRUPT)
         assert classify(exc) is AbortCause.INTERRUPT
 
-    def test_classify_falls_back_on_exception_type(self):
-        # Unstamped construction is deprecated (the constructor now
-        # default-classifies); classify() must agree with that default.
-        with pytest.warns(DeprecationWarning):
-            overflow = SpeculativeOverflowError("evicted")
-        with pytest.warns(DeprecationWarning):
-            legacy = MisspeculationError("legacy")
-        assert classify(overflow) is AbortCause.CAPACITY_OVERFLOW
-        assert classify(legacy) is AbortCause.CONFLICT
+    @pytest.mark.parametrize("error", [MisspeculationError,
+                                       SpeculativeOverflowError])
+    def test_unstamped_construction_is_a_type_error(self, error):
+        # The cause is required: there is no type-based default to fall
+        # back on, so an unstamped raise site fails where it is written.
+        with pytest.raises(TypeError):
+            error("unstamped", vid=3)
+
+    @pytest.mark.parametrize("error", [MisspeculationError,
+                                       SpeculativeOverflowError])
+    def test_stamped_error_survives_pickling(self, error):
+        exc = error("boom", vid=3, addr=0x40,
+                    cause=AbortCause.CAPACITY_OVERFLOW)
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is error
+        assert (again.reason, again.vid, again.addr, again.cause) \
+            == ("boom", 3, 0x40, AbortCause.CAPACITY_OVERFLOW)
 
     def test_event_from_exception_carries_context(self):
         exc = MisspeculationError("boom", vid=3, addr=0x1234,
