@@ -76,6 +76,12 @@ Rule catalog (details in DESIGN.md section 10):
     (anything but a literal or arithmetic) is a private patch-and-restore
     layer.  The class-level wall-time phase profiler
     (``experiments/phase_profile.py``) is the one other exemption.
+``RL011`` no hand-rolled spin loops
+    Under ``runtime/`` and ``svc/``, a ``while`` loop whose body only
+    yields a ``Work`` op (a ``Work(...)`` call or a named op), optionally
+    bumping a counter, is a spin-wait the scheduler cannot see.  Spins
+    yield ``SpinUntil`` (through ``runtime.paradigms.base.spin_until``) so
+    the scheduler can park the thread and fast-forward its polls.
 """
 
 from __future__ import annotations
@@ -102,6 +108,8 @@ LINT_RULES: Dict[str, str] = {
              "codes, not State members or line objects",
     "RL010": "method wrapping goes through the instrumentation tap: no "
              "functools.wraps or function-valued setattr elsewhere",
+    "RL011": "runtime/svc spin-waits yield SpinUntil, not a while loop "
+             "of Work yields",
 }
 
 #: Exception classes whose raise sites must stamp ``cause=`` (RL001).
@@ -596,6 +604,40 @@ def _rl010_one_tap(tree: ast.AST, rel: str,
             "(before_/after_/failed_ callbacks) instead of patching it")
 
 
+#: Packages whose spin-waits RL011 polices (path segments under repro/).
+_SPIN_PACKAGES = ("runtime", "svc")
+
+
+def _yields_work(stmt: ast.stmt) -> bool:
+    """``yield Work(...)`` or ``yield <named op>`` as a statement."""
+    if not isinstance(stmt, ast.Expr) or not isinstance(stmt.value,
+                                                        ast.Yield):
+        return False
+    value = stmt.value.value
+    if isinstance(value, ast.Call):
+        return _call_name(value) == "Work"
+    return isinstance(value, (ast.Name, ast.Attribute))
+
+
+def _rl011_spin_loops(tree: ast.AST, rel: str,
+                      lines: Sequence[str]) -> Iterable[Finding]:
+    path = "/" + rel.replace("\\", "/")
+    if not any(f"/repro/{package}/" in path for package in _SPIN_PACKAGES):
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.While) or node.orelse:
+            continue
+        yields = [stmt for stmt in node.body if _yields_work(stmt)]
+        if yields and all(stmt in yields or isinstance(stmt, ast.AugAssign)
+                          for stmt in node.body):
+            yield Finding(
+                "RL011", SEVERITY_ERROR, f"{rel}:{node.lineno}",
+                "while loop that only yields Work ops: a spin-wait the "
+                "scheduler cannot fast-forward",
+                "yield from spin_until(<read-only predicate>) so the "
+                "scheduler can park the thread")
+
+
 _RULE_CHECKS = (
     _rl001_cause_stamping,
     _rl002_protocol_purity,
@@ -607,6 +649,7 @@ _RULE_CHECKS = (
     _rl008_artifact_wallclock,
     _rl009_one_representation,
     _rl010_one_tap,
+    _rl011_spin_loops,
 )
 
 

@@ -15,6 +15,7 @@ from .isa import (
     OpCosts,
     Output,
     Produce,
+    SpinUntil,
     Store,
     Work,
     format_trace,
@@ -40,6 +41,7 @@ __all__ = [
     "Output",
     "PredictorStats",
     "Produce",
+    "SpinUntil",
     "Store",
     "Work",
     "format_trace",

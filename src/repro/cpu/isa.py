@@ -18,7 +18,7 @@ The MTX instructions mirror section 3.1 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class Op:
@@ -121,6 +121,35 @@ class Arrive(Op):
 
     def __init__(self, ts: int) -> None:
         self.ts = ts
+
+
+class SpinUntil(Op):
+    """Spin-wait: burn ``cycles`` of work per poll until ``until()`` holds.
+
+    The op stands for the loop ::
+
+        rows = 0
+        while not until():
+            yield Work(cycles)
+            rows += 1
+
+    and the generator receives ``rows``.  Yielding it lets the scheduler
+    park the thread and charge many polls in one step (see
+    :mod:`repro.runtime.scheduler`); every poll still counts as one
+    executed op.  When the scheduler charges several polls at once they
+    form one op sample, so the value sent back is the number of op
+    samples the spin produced, which is what an observer's spin retag
+    needs; it equals the poll count whenever polls are charged singly.
+
+    ``until`` must be read-only, and its result may change only when
+    some thread's generator runs or an interrupt handler fires.
+    """
+
+    __slots__ = ("until", "cycles")
+
+    def __init__(self, until: Callable[[], bool], cycles: int) -> None:
+        self.until = until
+        self.cycles = cycles
 
 
 class BeginMTX(Op):

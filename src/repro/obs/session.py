@@ -6,14 +6,17 @@ subscribes to every system and scheduler the run builds, and its
 ``before_*`` / ``after_*`` / ``failed_*`` callbacks record what they see.
 It is also each scheduler's per-step observer
 (:attr:`~repro.runtime.scheduler.Scheduler.observer`): the step loop
-calls :meth:`~ObsSession.on_step` and :meth:`~ObsSession.on_op` directly.
+calls :meth:`~ObsSession.on_step` and :meth:`~ObsSession.on_op` directly,
+and :meth:`~ObsSession.on_polls` for a poll phase of parked threads.
 
 Recorded streams (all stamped in *simulated* cycles, ordered by one
 shared monotone ``seq``):
 
 * **op samples** — one ``[seq, tid, start, latency, vid, pretag]`` row
   per executed core op, from the scheduler's ``on_op`` call (which
-  passes the op's start cycle).  ``pretag`` is an optional category
+  passes the op's start cycle), and one per thread per poll phase from
+  ``on_polls``, covering that thread's back-to-back spin polls.
+  ``pretag`` is an optional category
   assigned at record time (spin retags, overflow flags); final
   attribution happens in :mod:`repro.obs.profile`.
 * **events** — transaction lifecycle points (allocate/begin/commit/
@@ -46,6 +49,35 @@ RUNNABLE_SAMPLE_EVERY = 64
 #: Cycle-attribution categories (see profile.py / DESIGN.md §11).
 CATEGORIES = ("useful", "commit_stall", "vid_reset", "abort_replay",
               "queue_wait", "overflow", "idle")
+
+
+def _nth_poll_clock(polls, n: int, floor: int) -> int:
+    """Clock of the ``n``-th poll (1-based) of a poll phase, in step order.
+
+    A thread's polls are taken at ``first_clock`` and then at ``start +
+    k * latency`` for ``k`` in ``1..count-1``; step order sorts them by
+    clock.  Binary search for the smallest clock with at least ``n``
+    polls at or before it; ``floor`` is a known lower bound.
+    """
+    def taken_by(clock: int) -> int:
+        taken = 0
+        for _, first_clock, start, count, latency in polls:
+            if first_clock <= clock:
+                taken += 1
+                if count > 1 and clock >= start + latency:
+                    taken += min(count - 1, (clock - start) // latency)
+        return taken
+
+    low = floor
+    high = max(start + (count - 1) * latency
+               for _, _, start, count, latency in polls)
+    while low < high:
+        mid = (low + high) // 2
+        if taken_by(mid) >= n:
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
 
 class ObsSession:
@@ -185,12 +217,13 @@ class ObsSession:
         """Retag the current thread's last ``count`` op samples as a stall.
 
         Called by the spin helpers in ``runtime.paradigms.base`` when a
-        polling loop (commit ordering, VID-reset quiesce) exits: the
-        trailing samples of the spinning thread are exactly its spin ops,
+        spin (commit ordering, VID-reset quiesce) ends: the trailing
+        samples of the spinning thread are exactly its polls (one per
+        single poll, one per bulk-charged poll phase) and any reset op,
         executed while this hook's caller was the running generator.
         """
         indices = self._tid_sample_idx.get(self._current_tid)
-        if not indices:
+        if not indices or count <= 0:
             return
         cycles = 0
         for idx in indices[-count:]:
@@ -416,10 +449,46 @@ class ObsSession:
         self._op_overflow = False
         self._steps += 1
         if self._steps % RUNNABLE_SAMPLE_EVERY == 0:
-            runnable = sum(1 for t in self._scheduler.threads
-                           if not t.done and t.blocked_on is None
-                           and t.blocked_produce is None)
-            self.runnable_track.append((thread.clock, runnable))
+            self.runnable_track.append((thread.clock, self._runnable()))
+
+    def on_polls(self, polls) -> None:
+        """Batched per-step observer: one poll phase of the scheduler.
+
+        ``polls`` holds one ``(thread, first_clock, start, count,
+        latency)`` entry per parked thread: ``count`` polls of ``latency``
+        cycles, back to back from ``start``, the first taken when the
+        thread's clock was ``first_clock``.  Per-step execution would
+        have called :meth:`on_step` and :meth:`on_op` once per poll, in
+        ``(clock, tid)`` order across the threads; this records the same:
+        one op sample per thread covering all its polls (the attribution
+        and the timeline see contiguous same-VID samples either way), the
+        step count, and the runnable-thread samples due inside the phase.
+        """
+        contexts = self._system.contexts
+        samples = self.samples
+        index = self._tid_sample_idx
+        before = self._steps
+        for thread, _, start, count, latency in polls:
+            tid = thread.tid
+            ctx = contexts.get(tid)
+            self._seq += 1
+            index.setdefault(tid, []).append(len(samples))
+            samples.append([self._seq, tid, start, count * latency,
+                            ctx.vid if ctx is not None else 0, None])
+            self._steps += count
+        every = RUNNABLE_SAMPLE_EVERY
+        due = before - before % every + every
+        if due <= self._steps:
+            runnable = self._runnable()
+            floor = min(entry[1] for entry in polls)
+            for step in range(due, self._steps + 1, every):
+                floor = _nth_poll_clock(polls, step - before, floor)
+                self.runnable_track.append((floor, runnable))
+
+    def _runnable(self) -> int:
+        return sum(1 for t in self._scheduler.threads
+                   if not t.done and t.blocked_on is None
+                   and t.blocked_produce is None)
 
     def before_stall_all(self, cycles) -> None:
         if cycles > 0:

@@ -36,6 +36,7 @@ from .base import (  # noqa: F401
     make_scheduler,
     run_serial_fallback,
     run_with_recovery,
+    spin_until,
     wait_commit_turn,
     wait_for_epoch,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "run_serial_fallback",
     "run_with_recovery",
     "run_workload",
+    "spin_until",
     "wait_commit_turn",
     "wait_for_epoch",
 ]

@@ -27,7 +27,7 @@ from ...coherence.vid import VidExhaustedError
 from ...core.config import MachineConfig
 from ...cpu.core_model import CoreExecutor
 from ...cpu.interrupts import InterruptInjector
-from ...cpu.isa import Op, Work
+from ...cpu.isa import Op, SpinUntil, Work
 from ...errors import MisspeculationError
 from ...obs import hooks as _obs
 from ...txctl import Action, ContentionManager, SerialFallback
@@ -38,10 +38,6 @@ Program = Generator[Op, Any, None]
 
 #: Cycles burnt per poll while stalled (VID exhaustion, commit ordering).
 _SPIN_COST = 4
-#: Shared spin-op singleton: spin loops yield this op thousands of
-#: times while waiting, so per-yield construction is pure overhead
-#: (ops are immutable value objects).
-_SPIN_OP = Work(_SPIN_COST)
 #: How many uncommitted transactions one worker keeps open at once (the
 #: paper allows many per core; bounding it caps VID-window and cache-set
 #: version pressure, like the bounded DSWP queues).
@@ -115,36 +111,52 @@ def make_scheduler(system: TMBackend,
 # VID-overflow protocol (section 4.6) and commit ordering (section 4.4)
 # ----------------------------------------------------------------------
 
-def _report_spins(category: str, vid: int, spins: int) -> None:
-    """Hand a spin loop's poll count to the active tap, if any."""
-    if spins and _obs.active is not None:
-        _obs.active.record_spin(category, vid, spins)
+def _report_spins(category: str, vid: int, rows: int) -> None:
+    """Hand a spin's op-sample count to the active tap, if any."""
+    if rows and _obs.active is not None:
+        _obs.active.record_spin(category, vid, rows)
+
+
+def spin_until(until: Callable[[], bool]) -> Program:
+    """Spin until ``until()`` holds; returns the spin's op-sample count.
+
+    Every spin-wait of the runtime goes through here, so the scheduler
+    sees each one as a :class:`~repro.cpu.isa.SpinUntil` it can park and
+    fast-forward (lint ``RL011`` rejects hand-rolled ``Work`` spin loops).
+    ``until`` must be read-only.
+    """
+    if until():
+        return 0
+    rows = yield SpinUntil(until, _SPIN_COST)
+    return rows
 
 
 def allocate_vid_with_stall(system: TMBackend) -> Program:
     """Allocate the next VID, spinning through the 4.6 overflow protocol.
 
-    Yields stall ops while the VID space is exhausted; performs the VID
-    reset once every outstanding transaction has committed.  The generator's
-    return value is the fresh VID.
+    Spins while the VID space is exhausted; performs the VID reset once
+    every outstanding transaction has committed.  The generator's return
+    value is the fresh VID.
 
-    The spin ops are plain :class:`~repro.cpu.isa.Work` — indistinguishable
-    from useful work at the executor — so the loop counts its polls and,
-    when an instrumentation tap is active, has them retagged as VID-reset
-    quiesce time on exit.  Counting never changes the op stream.
+    The spin polls and the reset are plain work at the executor, so the
+    helper counts their op samples and, when an instrumentation tap is
+    active, has them retagged as VID-reset quiesce time on exit.
+    Counting never changes the op stream.
     """
-    spins = 0
+    rows = 0
     while True:
         try:
             vid = system.allocate_vid()
         except VidExhaustedError:
-            spins += 1
             if system.ready_for_vid_reset():
+                rows += 1
                 yield Work(system.vid_reset())
             else:
-                yield _SPIN_OP
+                rows += yield from spin_until(
+                    lambda: not system.vid_space.exhausted()
+                    or system.ready_for_vid_reset())
         else:
-            _report_spins("vid_reset", vid, spins)
+            _report_spins("vid_reset", vid, rows)
             return vid
 
 
@@ -156,25 +168,27 @@ def wait_for_epoch(system: TMBackend, epoch: int) -> Program:
     committed and one thread performed the reset.
     """
     max_vid = system.vid_space.max_vid
-    spins = 0
-    while system.vid_space.resets < epoch:
-        spins += 1
+
+    def reset_due() -> bool:
         done_epochs = system.vid_space.resets + 1
-        if system.stats.committed >= done_epochs * max_vid \
-                and not system.active_vids:
+        return (system.stats.committed >= done_epochs * max_vid
+                and not system.active_vids)
+
+    rows = 0
+    while system.vid_space.resets < epoch:
+        if reset_due():
+            rows += 1
             yield Work(system.vid_reset())
         else:
-            yield _SPIN_OP
-    _report_spins("vid_reset", 0, spins)
+            rows += yield from spin_until(
+                lambda: system.vid_space.resets >= epoch or reset_due())
+    _report_spins("vid_reset", 0, rows)
 
 
 def wait_commit_turn(system: TMBackend, vid: int) -> Program:
     """Spin until ``vid - 1`` has committed (in-order commit contract)."""
-    spins = 0
-    while system.last_committed != vid - 1:
-        spins += 1
-        yield _SPIN_OP
-    _report_spins("commit_stall", vid, spins)
+    rows = yield from spin_until(lambda: system.last_committed == vid - 1)
+    _report_spins("commit_stall", vid, rows)
 
 
 # ----------------------------------------------------------------------

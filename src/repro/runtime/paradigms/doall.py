@@ -9,19 +9,18 @@ from ...backends import TMBackend
 from ...core.config import MachineConfig
 from ...cpu.core_model import CoreExecutor
 from ...cpu.interrupts import InterruptInjector
-from ...cpu.isa import BeginMTX, CommitMTX, Work
+from ...cpu.isa import BeginMTX, CommitMTX
 from ...txctl import ContentionManager
 from ...workloads.base import Workload
 from . import base
 from .base import (
-    _SPIN_COST,
-    _SPIN_OP,
     ParadigmResult,
     Program,
     build_result,
     fresh_system,
     make_scheduler,
     run_with_recovery,
+    spin_until,
     wait_commit_turn,
     wait_for_epoch,
 )
@@ -71,8 +70,13 @@ def run_doall(workload: Workload, config: Optional[MachineConfig] = None,
                 epoch, vid0 = divmod(i, max_vid)
                 vid = vid0 + 1
                 if system.vid_space.resets < epoch and pending:
-                    # Cannot cross an epoch boundary with open transactions.
-                    yield _SPIN_OP
+                    # Cannot cross an epoch boundary with open
+                    # transactions: wait for the next commit turn or the
+                    # reset.
+                    head = pending[0][1]
+                    yield from spin_until(
+                        lambda: system.last_committed == head - 1
+                        or system.vid_space.resets >= epoch)
                     continue
                 yield from wait_for_epoch(system, epoch)
                 if serial:
@@ -83,7 +87,10 @@ def run_doall(workload: Workload, config: Optional[MachineConfig] = None,
                 pending.append((i, vid))
                 cursor += 1
                 continue
-            yield _SPIN_OP
+            # Window full (or iterations exhausted): wait for the oldest
+            # open transaction's commit turn.
+            head = pending[0][1]
+            yield from spin_until(lambda: system.last_committed == head - 1)
 
     def build(start: int = 0, serial: bool = False) -> Dict[int, Program]:
         return {w: worker(w, start, serial) for w in range(workers)}

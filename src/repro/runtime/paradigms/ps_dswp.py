@@ -8,13 +8,11 @@ from ...backends import TMBackend
 from ...core.config import MachineConfig
 from ...cpu.core_model import CoreExecutor
 from ...cpu.interrupts import InterruptInjector
-from ...cpu.isa import BeginMTX, CommitMTX, Consume, Produce, Work
+from ...cpu.isa import BeginMTX, CommitMTX, Consume, Produce
 from ...txctl import ContentionManager
 from ...workloads.base import Workload
 from . import base
 from .base import (
-    _SPIN_COST,
-    _SPIN_OP,
     ParadigmResult,
     Program,
     allocate_vid_with_stall,
@@ -22,6 +20,7 @@ from .base import (
     fresh_system,
     make_scheduler,
     run_with_recovery,
+    spin_until,
     wait_commit_turn,
 )
 from .registry import register_paradigm
@@ -76,8 +75,7 @@ def run_ps_dswp(workload: Workload, config: Optional[MachineConfig] = None,
                  else workload.initial_carry(system))
         window = 1 if serial else base._MAX_LIVE_TRANSACTIONS
         for i in range(start_iter, workload.iterations):
-            while len(system.active_vids) >= window:
-                yield _SPIN_OP
+            yield from spin_until(lambda: len(system.active_vids) < window)
             vid = yield from allocate_vid_with_stall(system)
             yield BeginMTX(vid)
             carry = yield from workload.stage1_iteration(i, carry)

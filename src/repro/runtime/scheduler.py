@@ -23,21 +23,42 @@ are fused inline, the rest go through :meth:`CoreExecutor.execute
 <repro.cpu.core_model.CoreExecutor.execute>`.  Observation hooks in
 through :attr:`Scheduler.observer`, which costs an unobserved run two
 ``is None`` tests per step.
+
+Conservative lookahead covers parked threads.  A thread that yields
+:class:`~repro.cpu.isa.SpinUntil` is parked: it polls (one ``Work`` of
+``cycles`` each) at its turns while ``until()`` is false and resumes at
+the first turn where it holds.  Nothing another thread can observe
+changes until some generator resumes, so before each step every parked
+thread due ahead of the first thread that can act is charged all its
+polls up to that thread's turn in one poll phase (see
+:meth:`Scheduler._charge_polls`).  The result is exact: clocks, executor
+stats, ``ops_executed`` and the ``max_steps`` budget count every poll.
+
+That rests on the predicate-purity contract ``SpinUntil`` callers must
+keep: ``until`` only reads simulated state, and what it reads changes
+only inside a generator (the op it yields included) or an interrupt
+handler.  The scheduler re-checks a parked predicate only after one of
+those ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Generator, List, Optional
 
 from ..cpu.core_model import CoreExecutor
 from ..cpu.interrupts import InterruptInjector
-from ..cpu.isa import Branch, Consume, Load, Op, Produce, Store, Work
+from ..cpu.isa import (Branch, Consume, Load, Op, Produce, SpinUntil, Store,
+                       Work)
 from ..errors import ReproError
 from ..topology import place_core
 from .queues import QueueSet
 
 Program = Generator[Op, Any, None]
+
+#: Selection order of threads: smallest clock first, ties by tid.
+_clock_tid = attrgetter("clock", "tid")
 
 
 class DeadlockError(ReproError):
@@ -53,7 +74,8 @@ class ThreadHandle:
     """
 
     __slots__ = ("tid", "core", "program", "clock", "done", "blocked_on",
-                 "blocked_produce", "pending_value", "ops_executed")
+                 "blocked_produce", "pending_value", "ops_executed", "spin",
+                 "spin_rows", "spin_epoch")
 
     def __init__(self, tid: int, core: int, program: Program,
                  clock: int = 0, done: bool = False,
@@ -72,6 +94,12 @@ class ThreadHandle:
         #: Value to send into the generator at the next step.
         self.pending_value = pending_value
         self.ops_executed = ops_executed
+        #: The :class:`~repro.cpu.isa.SpinUntil` this thread is parked on.
+        self.spin: Optional[SpinUntil] = None
+        #: Op samples charged to the current spin (sent back on resume).
+        self.spin_rows = 0
+        #: Scheduler epoch at which ``spin.until()`` last returned False.
+        self.spin_epoch = -1
 
     def __repr__(self) -> str:
         return (f"ThreadHandle(tid={self.tid}, core={self.core}, "
@@ -109,9 +137,12 @@ class Scheduler:
         self.threads: List[ThreadHandle] = []
         self._core_clock: Dict[int, int] = {}
         #: Per-step observer, or None.  :meth:`run` calls its
-        #: ``on_step(thread)`` before resuming a thread's generator and its
+        #: ``on_step(thread)`` before resuming a thread's generator (or
+        #: polling a parked one) and its
         #: ``on_op(tid, op, start, value, latency)`` once a core op
-        #: returns, before the interrupt check and the clock writes.
+        #: returns, before the interrupt check and the clock writes;
+        #: :meth:`_charge_polls` calls its ``on_polls(polls)`` in place of
+        #: both for the polls of one phase.
         #: ``ObsSession.attach_scheduler`` installs it.
         self.observer: Any = None
         if hasattr(system, "quiesce_cb"):
@@ -157,6 +188,7 @@ class Scheduler:
                 thread.blocked_on = None
                 thread.blocked_produce = None
                 thread.pending_value = None
+                thread.spin = None
 
     def stall_all(self, cycles: int) -> None:
         """Advance every thread and core clock by ``cycles``.
@@ -200,7 +232,7 @@ class Scheduler:
 
         This loop is the scheduler's only step path: observed and
         unobserved runs take the same branches.  An :attr:`observer`, if
-        installed, is called directly at two points of a step and never
+        installed, is called directly at fixed points of a step and never
         changes what the step does.
 
         Raises :class:`~repro.errors.MisspeculationError` if speculation
@@ -224,15 +256,29 @@ class Scheduler:
         # instance, so a tap wrapper installed before the run is still
         # honoured.
         fuse = executor.__class__ is CoreExecutor
+        # Polls are charged in bulk only where every one of them is a
+        # fused Work op that no interrupt check can interleave with.
+        bulk_polls = fuse and interrupts is None
         estats = executor.stats
         epc = executor._pc
         work_unit = executor.costs.work_unit
         system_load = system.load
         system_store = system.store
         execute_branch = executor._execute_branch
-        #: Threads not yet done — rebuilt when one finishes, so the sweep
-        #: never rescans completed threads.
-        live_threads = [t for t in self.threads if not t.done]
+        #: Bumped on every generator resume and every fired interrupt: a
+        #: parked thread whose ``spin_epoch`` is older must re-check its
+        #: predicate before it may poll again.
+        epoch = 0
+        #: Threads not yet done and not parked, in registration order (the
+        #: order the sweep unblocks queue waiters in) — rebuilt when one
+        #: finishes or unparks, so the sweep never rescans them.
+        live_threads = [t for t in self.threads
+                        if not t.done and t.spin is None]
+        #: Threads parked on a SpinUntil; one still parked from an earlier
+        #: run re-checks its predicate first.
+        parked = [t for t in self.threads if not t.done and t.spin is not None]
+        for thread in parked:
+            thread.spin_epoch = -1
         while True:
             # Fused sweep: unblock every thread whose queue became ready,
             # while tracking the runnable thread with the smallest
@@ -273,9 +319,39 @@ class Scheduler:
                     best = thread
                     best_clock = clock
                     best_tid = thread.tid
-            if not live_threads:
-                break
+            if parked:
+                # Poll phase.  The parked threads due before ``best`` poll
+                # while their predicates stay false; the first dirty one
+                # whose predicate now holds is itself due to resume, so it
+                # bounds the phase instead.
+                if len(parked) > 1:
+                    parked.sort(key=_clock_tid)
+                due = []
+                for thread in parked:
+                    clock = thread.clock
+                    if clock > best_clock or (
+                            clock == best_clock and thread.tid > best_tid):
+                        break
+                    if thread.spin_epoch != epoch:
+                        if thread.spin.until():
+                            best = thread
+                            best_clock = clock
+                            best_tid = thread.tid
+                            break
+                        thread.spin_epoch = epoch
+                    due.append(thread)
+                if due:
+                    charged = 0
+                    if bulk_polls and best is not None:
+                        charged = self._charge_polls(
+                            due, best_clock, best_tid, max_steps - steps)
+                    if charged:
+                        steps += charged
+                    else:
+                        best = due[0]
             if best is None:
+                if not live_threads:
+                    break
                 live = [t.tid for t in self.threads if not t.done]
                 raise DeadlockError(f"threads {live} all blocked on queues")
             steps += 1
@@ -284,15 +360,44 @@ class Scheduler:
             thread = best
             if observer is not None:
                 observer.on_step(thread)
-            try:
-                op = thread.program.send(thread.pending_value)
-            except StopIteration:
-                thread.done = True
-                live_threads = [t for t in self.threads if not t.done]
-                continue
-            thread.pending_value = None
-            thread.ops_executed += 1
-            cls = op.__class__
+            spin = thread.spin
+            if spin is not None and thread.spin_epoch == epoch:
+                # Its predicate is still false: one more poll.
+                thread.spin_rows += 1
+                thread.ops_executed += 1
+                op = Work(spin.cycles)
+                cls = Work
+            else:
+                if spin is not None:
+                    thread.spin = None
+                    thread.pending_value = thread.spin_rows
+                    parked.remove(thread)
+                    live_threads = [t for t in self.threads
+                                    if not t.done and t.spin is None]
+                epoch += 1
+                try:
+                    op = thread.program.send(thread.pending_value)
+                    cls = op.__class__
+                    while cls is SpinUntil:
+                        if not op.until():
+                            # Park; this step is the spin's first poll.
+                            thread.spin = op
+                            thread.spin_rows = 1
+                            thread.spin_epoch = epoch
+                            live_threads.remove(thread)
+                            parked.append(thread)
+                            op = Work(op.cycles)
+                            cls = Work
+                            break
+                        op = thread.program.send(0)
+                        cls = op.__class__
+                except StopIteration:
+                    thread.done = True
+                    live_threads = [t for t in self.threads
+                                    if not t.done and t.spin is None]
+                    continue
+                thread.pending_value = None
+                thread.ops_executed += 1
             # Prologue: the op starts once both its thread and its core are
             # free.  The thread's clock is re-read, not taken from the
             # sweep: the generator may have run a machine-wide quiesce.
@@ -336,7 +441,10 @@ class Scheduler:
                 observer.on_op(tid, op, start, value, latency)
             clock = start + latency
             if interrupts is not None:
-                clock += interrupts.maybe_interrupt(system, tid, core, clock)
+                handler = interrupts.maybe_interrupt(system, tid, core, clock)
+                if handler:
+                    clock += handler
+                    epoch += 1
             thread.clock = clock
             core_clock[core] = clock
             thread.pending_value = value
@@ -347,6 +455,57 @@ class Scheduler:
             core_clocks=dict(self._core_clock),
             ops_executed=sum(t.ops_executed for t in self.threads),
         )
+
+    def _charge_polls(self, due: List[ThreadHandle], bound_clock: int,
+                      bound_tid: int, budget: int) -> int:
+        """Charge every poll ``due`` makes before ``(bound_clock,
+        bound_tid)`` comes up; returns the steps charged, or 0 (charging
+        nothing) when they cannot be charged in bulk exactly.
+
+        Per-step execution would interleave the polls in ``(clock, tid)``
+        order, each starting where the thread's previous one ended.  With
+        the threads on distinct cores that order changes nothing but the
+        step numbering, so each thread's poll count has a closed form: its
+        first poll runs at its turn, later ones while their start stays
+        ahead of the bound.  Each thread's polls form one op sample; the
+        observer's :meth:`on_polls` replays the per-step bookkeeping.  A
+        phase that would overrun ``budget`` steps is left to single polls,
+        so ``max_steps`` raises at the same step.
+        """
+        core_clock = self._core_clock
+        work_unit = self.executor.costs.work_unit
+        cores = set()
+        polls = []
+        total = 0
+        for thread in due:
+            core = thread.core
+            latency = thread.spin.cycles * work_unit
+            if core in cores or latency <= 0:
+                return 0
+            cores.add(core)
+            first = thread.clock
+            start = core_clock[core]
+            if first > start:
+                start = first
+            last = bound_clock if thread.tid < bound_tid else bound_clock - 1
+            extra = (last - start) // latency
+            count = 1 + extra if extra > 0 else 1
+            total += count
+            polls.append((thread, first, start, count, latency))
+        if total > budget:
+            return 0
+        estats = self.executor.stats
+        epc = self.executor._pc
+        for thread, _, start, count, latency in polls:
+            cycles = thread.spin.cycles
+            estats.instructions += count * (cycles if cycles > 1 else 1)
+            epc[thread.tid] += 4 * count
+            thread.ops_executed += count
+            thread.spin_rows += 1
+            thread.clock = core_clock[thread.core] = start + count * latency
+        if self.observer is not None:
+            self.observer.on_polls(polls)
+        return total
 
     # ------------------------------------------------------------------
 

@@ -24,7 +24,8 @@ state, byte-identical streams for equal seeds (pinned by
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from ..workloads.common import Lcg
 
@@ -38,12 +39,28 @@ def _uniform(rng: Lcg) -> float:
     return rng.next(_FLOAT_BITS) / _FLOAT_BITS
 
 
+@lru_cache(maxsize=None)
+def _zipf_cdf(n: int, theta: float) -> Tuple[float, ...]:
+    """The normalised cumulative Zipf(theta) popularity table over ``n``.
+
+    Memoised per ``(n, theta)`` for the life of the process: the table is
+    a pure function of both, immutable, and costs O(n) to build, while
+    every svc request builds a sampler.
+    """
+    cdf: List[float] = []
+    running = 0.0
+    for rank in range(n):
+        running += (rank + 1) ** -theta
+        cdf.append(running)
+    return tuple(value / running for value in cdf)
+
+
 class ZipfianSampler:
     """Zipf(theta)-distributed ranks over ``[0, n)``; rank 0 is hottest.
 
-    The cumulative popularity table costs O(n) to build and one bisect
-    per draw — fast enough for the svc keyspace (10^5–10^6 keys at
-    scale 1.0) because it is built once per workload instantiation.
+    The cumulative popularity table costs O(n) to build, once per
+    distinct ``(n, theta)`` in a process, and one bisect per draw.  Each
+    sampler draws from its own seeded LCG.
     """
 
     def __init__(self, n: int, theta: float = 0.99, seed: int = 1) -> None:
@@ -52,12 +69,7 @@ class ZipfianSampler:
         self.n = n
         self.theta = theta
         self._rng = Lcg(seed)
-        cdf: List[float] = []
-        running = 0.0
-        for rank in range(n):
-            running += (rank + 1) ** -theta
-            cdf.append(running)
-        self._cdf = [value / running for value in cdf]
+        self._cdf = _zipf_cdf(n, theta)
 
     def sample(self) -> int:
         """Draw one rank (0 = most popular)."""

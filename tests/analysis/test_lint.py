@@ -361,6 +361,47 @@ class TestOneTap:
             """) == []
 
 
+class TestSpinLoops:
+    RUNTIME = "repro/runtime/paradigms/doall.py"
+
+    def test_work_spin_loop_is_rl011(self):
+        findings = lint("""
+            def wait_commit_turn(system, vid):
+                spins = 0
+                while system.last_committed != vid - 1:
+                    spins += 1
+                    yield Work(4)
+            """, rel=self.RUNTIME)
+        assert rules_of(findings) == ["RL011"]
+        assert "spin-wait" in findings[0].message
+
+    def test_named_spin_op_loop_is_rl011(self):
+        findings = lint("""
+            def stage1(system, window):
+                while len(system.active_vids) >= window:
+                    yield _SPIN_OP
+            """, rel="repro/svc/kvstore.py")
+        assert rules_of(findings) == ["RL011"]
+
+    def test_spin_until_and_working_loops_are_clean(self):
+        assert lint("""
+            def wait_commit_turn(system, vid):
+                rows = yield from spin_until(
+                    lambda: system.last_committed == vid - 1)
+                while rows:
+                    node = yield Load(rows)
+                    yield Work(node)
+                    rows -= 1
+            """, rel=self.RUNTIME) == []
+
+    def test_other_packages_are_not_policed(self):
+        assert lint("""
+            def idle():
+                while True:
+                    yield Work(4)
+            """, rel="repro/txctl/fallback.py") == []
+
+
 class TestWholeTree:
     def test_src_is_lint_clean(self):
         report = lint_paths()
@@ -374,7 +415,7 @@ class TestWholeTree:
     def test_rule_catalog_is_documented(self):
         assert set(LINT_RULES) == {"RL001", "RL002", "RL003", "RL004",
                                    "RL005", "RL006", "RL007", "RL008",
-                                   "RL009", "RL010"}
+                                   "RL009", "RL010", "RL011"}
         assert default_lint_root().name == "repro"
 
 class TestDeterminism:

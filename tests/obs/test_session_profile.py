@@ -9,7 +9,7 @@ from repro.experiments.engine import RunRequest, SweepEngine, execute_request
 from repro.obs import hooks
 from repro.obs.profile import Attribution, attribute, digest, hot_lines
 from repro.obs.session import CATEGORIES, ObsSession
-from repro.cpu.isa import Work
+from repro.cpu.isa import SpinUntil, Work
 from repro.runtime.paradigms import (
     run_ps_dswp,
     run_workload,
@@ -97,8 +97,9 @@ class TestAttribution:
         assert att.totals.get("abort_replay", 0) > 0
 
     def test_commit_stall_spins_are_retagged(self):
-        # Drive wait_commit_turn directly: its spin polls must come back
-        # retagged commit_stall against the waiting VID.
+        # Drive wait_commit_turn directly: it parks on one SpinUntil, and
+        # the op samples charged to that spin must come back retagged
+        # commit_stall against the waiting VID — and only those.
         session = ObsSession()
         session._current_tid = 7
 
@@ -106,46 +107,72 @@ class TestAttribution:
             last_committed = 0
 
         backend = Backend()
+
+        def charge(start, polls, cycles):
+            # Mimic the scheduler recording polls as one op sample (a
+            # bulk-charged phase when polls > 1).
+            session._seq += 1
+            session.samples.append(
+                [session._seq, 7, start, polls * cycles, 0, None])
+            session._tid_sample_idx.setdefault(7, []).append(
+                len(session.samples) - 1)
+
+        charge(90, 1, 10)  # an earlier, unrelated op of the same thread
         with session.activate():
             gen = wait_commit_turn(backend, 3)
-            for spin in range(3):
-                op = next(gen)
-                assert isinstance(op, Work)
-                # Mimic the executor recording the spin op as a sample.
-                session._seq += 1
-                session.samples.append(
-                    [session._seq, 7, 100 + spin * op.cycles,
-                     op.cycles, 0, None])
-                session._tid_sample_idx.setdefault(7, []).append(
-                    len(session.samples) - 1)
+            op = next(gen)
+            assert isinstance(op, SpinUntil)
+            assert not op.until()
+            charge(100, 1, op.cycles)
+            charge(104, 5, op.cycles)
+            charge(124, 1, op.cycles)
+            assert not op.until()
             backend.last_committed = 2
+            assert op.until()
             with pytest.raises(StopIteration):
-                next(gen)
-        assert [row[5] for row in session.samples] == ["commit_stall"] * 3
-        assert [row[4] for row in session.samples] == [3] * 3
+                gen.send(3)
+        spin_rows = session.samples[1:]
+        assert session.samples[0][4:] == [0, None]
+        assert [row[5] for row in spin_rows] == ["commit_stall"] * 3
+        assert [row[4] for row in spin_rows] == [3] * 3
         counters = session.registry.collect()["counters"]
         assert counters['spin_cycles_total{category="commit_stall"}'] \
-            == sum(row[3] for row in session.samples)
+            == sum(row[3] for row in spin_rows)
+
+    def test_record_spin_of_zero_samples_retags_nothing(self):
+        session = ObsSession()
+        session._current_tid = 7
+        session.samples.append([1, 7, 0, 4, 0, None])
+        session._tid_sample_idx[7] = [0]
+        session.record_spin("commit_stall", 3, 0)
+        assert session.samples == [[1, 7, 0, 4, 0, None]]
+        assert not any(name.startswith("spin_cycles_total")
+                       for name in session.registry.collect()["counters"])
 
     def test_spin_branches_yield_identical_op_streams(self):
         # The traced and untraced branches of the spin helper must emit
-        # byte-identical op streams (the S6 no-behaviour-change contract).
+        # identical op streams (the S6 no-behaviour-change contract), both
+        # as yielded and with the spin expanded into its polls.
         def run(observed: bool):
             class Backend:
                 last_committed = 0
 
             backend = Backend()
-            ops = []
+            raw, expanded = [], []
 
             def drive():
                 gen = wait_commit_turn(backend, 2)
                 try:
-                    count = 0
+                    op = next(gen)
                     while True:
-                        ops.append(next(gen))
-                        count += 1
-                        if count == 4:
-                            backend.last_committed = 1
+                        raw.append((op.__class__, op.cycles))
+                        polls = 0
+                        while not op.until():
+                            expanded.append(Work(op.cycles))
+                            polls += 1
+                            if polls == 4:
+                                backend.last_committed = 1
+                        op = gen.send(polls)
                 except StopIteration:
                     pass
 
@@ -154,9 +181,11 @@ class TestAttribution:
                     drive()
             else:
                 drive()
-            return ops
+            return raw, expanded
 
-        assert run(True) == run(False)
+        observed, unobserved = run(True), run(False)
+        assert observed == unobserved
+        assert observed == ([(SpinUntil, 4)], [Work(4)] * 4)
 
     def test_spans_are_well_formed(self, contended):
         session, result = contended
