@@ -172,29 +172,15 @@ def _record_sweep_timing(path: pathlib.Path, args, scale: float,
 
 
 def _cmd_run(args) -> int:
+    from .experiments.engine import RunRequest, run_request
     from .obs.tap import Tap
-    from .runtime.paradigms import run_sequential, run_workload
-    from .smtx import ValidationMode, run_smtx
     from .trace import ProtocolTracer, format_summary
-    from .workloads import executor_factory_for, make_benchmark
 
-    workload = make_benchmark(args.benchmark, args.scale)
-    executor_factory = executor_factory_for(workload)
+    request = RunRequest(workload=args.benchmark, system=args.system,
+                         scale=args.scale)
     tracers = [ProtocolTracer()] if args.trace else []
     with Tap(*tracers).activate():
-        if args.system == "sequential":
-            result = run_sequential(workload,
-                                    executor_factory=executor_factory)
-        elif args.system == "hmtx":
-            result = run_workload(workload, executor_factory=executor_factory)
-        elif args.system.startswith("smtx"):
-            mode = ValidationMode(args.system.split("-", 1)[1]) \
-                if "-" in args.system else ValidationMode.MINIMAL
-            result = run_smtx(workload, mode=mode,
-                              executor_factory=executor_factory)
-        else:
-            print(f"unknown system {args.system!r}", file=sys.stderr)
-            return 2
+        workload, result = run_request(request)
     stats = result.system.stats
     ok = workload.observed_result(result.system) == \
         workload.expected_result(result.system)

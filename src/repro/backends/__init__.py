@@ -9,10 +9,12 @@
     ``"hmtx"`` (the paper's hardware), ``"smtx"`` (the software
     baseline) and ``"oracle"`` (an ideal TM for upper-bound curves).
 ``oracle``
-    The ideal backend implementation.
+    The ideal backend: SMTX's machine with every TM cost at zero.
 
 Backend implementations are imported lazily by the registry, so this
-package is cheap and cycle-free to import from the runtime layer.
+package is cheap and cycle-free to import from the runtime layer.  The
+MTX contract the in-tree backends share lives in
+:mod:`repro.core.mtx`, outside this package, for the same reason.
 """
 
 from .protocol import PROTOCOL_ATTRIBUTES, PROTOCOL_METHODS, TMBackend

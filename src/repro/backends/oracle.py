@@ -13,107 +13,45 @@ paradigm's intrinsic speedup curve: the gap between an oracle run and an
 HMTX/SMTX run of the same workload is exactly the cost of that scheme's
 conflict-detection machinery.  (Compare the "HyTM upper bound" harnesses
 of Alistarh et al. and Brown & Ravi.)
+
+The oracle is therefore SMTX's machine with every TM cost at zero and no
+validation: :class:`OracleTMSystem` subclasses
+:class:`~repro.smtx.system.SMTXSystem` and replaces only its memory
+operations, its commit hook and its instruction costs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Optional, Tuple
 
-from ..coherence.hierarchy import AccessResult, MemoryHierarchy
-from ..coherence.vid import VidSpace
+from ..coherence.hierarchy import AccessResult
 from ..core.config import MachineConfig
-from ..core.context import ThreadContext
-from ..core.stats import SystemStats
-from ..errors import MisspeculationError, TransactionUsageError
-from ..smtx.memory import SmtxMemory
-from ..smtx.system import _MemoryFacade
-from ..txctl.causes import AbortCause
+from ..core.mtx import MTXMachine
+from ..smtx.system import SMTXSystem
 
 
-class OracleTMSystem:
+class OracleTMSystem(SMTXSystem):
     """A multicore with a zero-overhead, never-aborting TM."""
+
+    _label = "oracle"
 
     def __init__(self, config: Optional[MachineConfig] = None,
                  sla_enabled: bool = True) -> None:
         # SLAs exist to suppress false aborts; an oracle has none either way.
         del sla_enabled
-        self.config = config or MachineConfig()
-        self.memory = SmtxMemory()
-        self.timing = MemoryHierarchy(self.config.hierarchy_config())
-        self.hierarchy = _MemoryFacade(self.memory, self.timing)
         # Perfect hardware tracks unbounded VIDs; the 4.6 reset protocol
         # never triggers.
-        self.vid_space = VidSpace(bits=30)
-        self.stats = SystemStats(line_size=self.config.line_size)
-        self.contexts: Dict[int, ThreadContext] = {}
-        self.active_vids: Set[int] = set()
-        self.last_committed = 0
-        self.committed_output: list = []
+        super().__init__(config)
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
+    # MTX instructions cost what HMTX's do; commits never validate.
+    _mtx_latency = MTXMachine._mtx_latency
 
-    def thread(self, tid: int, core: int) -> ThreadContext:
-        if tid not in self.contexts:
-            self.contexts[tid] = ThreadContext(tid=tid, core=core)
-        return self.contexts[tid]
-
-    def allocate_vid(self) -> int:
-        vid = self.vid_space.allocate()
-        self.active_vids.add(vid)
-        return vid
-
-    def ready_for_vid_reset(self) -> bool:
-        return False
-
-    def vid_reset(self) -> int:
-        raise TransactionUsageError("oracle VIDs are unbounded; no reset exists")
-
-    # ------------------------------------------------------------------
-    # The four MTX instructions
-    # ------------------------------------------------------------------
-
-    def begin_mtx(self, tid: int, vid: int) -> int:
-        if vid > 0:
-            if vid <= self.last_committed:
-                raise TransactionUsageError(
-                    f"beginMTX({vid}) after VID {self.last_committed} committed")
-            self.active_vids.add(vid)
-        self.contexts[tid].vid = vid
-        return self.config.op_costs.mtx_instruction
-
-    def init_mtx(self, tid: int, handler: Callable[..., Any]) -> int:
-        self.contexts[tid].recovery_handler = handler
-        return self.config.op_costs.mtx_instruction
-
-    def commit_mtx(self, tid: int, vid: int) -> int:
-        """Atomic in-order group commit; the oracle never needs to validate."""
-        if vid != self.last_committed + 1:
-            raise TransactionUsageError(
-                f"commitMTX({vid}) out of order; expected "
-                f"{self.last_committed + 1}")
-        if vid not in self.active_vids:
-            raise TransactionUsageError(f"commitMTX({vid}) of unknown VID")
+    def _commit_versions(self, vid: int) -> int:
         self.memory.commit(vid)
-        self.active_vids.discard(vid)
-        self.last_committed = vid
-        self.stats.record_commit(vid)
-        ctx = self.contexts[tid]
-        for context in self.contexts.values():
-            self.committed_output.extend(context.release_output(vid))
-        if ctx.vid == vid:
-            ctx.vid = 0
         return self.config.op_costs.mtx_instruction
 
-    def abort_mtx(self, tid: int, vid: int) -> int:
-        """Software-detected misspeculation still aborts (the one way)."""
-        self._abort()
-        raise MisspeculationError(f"explicit abortMTX({vid})", vid=vid,
-                                  cause=AbortCause.EXPLICIT)
-
     # ------------------------------------------------------------------
-    # Memory operations
+    # Memory operations: no logging, no instrumentation
     # ------------------------------------------------------------------
 
     def load(self, tid: int, addr: int, now: int = 0) -> AccessResult:
@@ -135,47 +73,5 @@ class OracleTMSystem:
 
     def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
         """Perfect hardware never lets a squashed load mark anything."""
-        ctx = self.contexts[tid]
         self.stats.wrong_path_loads += 1
-        value = self.memory.read(ctx.vid, addr)
-        _, latency = self.timing.peek(ctx.core, addr, 0)
-        return value, latency
-
-    def kernel_load(self, tid: int, addr: int) -> AccessResult:
-        ctx = self.contexts[tid]
-        latency = self.timing.load(ctx.core, addr, 0).latency
-        return AccessResult(self.memory.read(0, addr), latency, True, "oracle")
-
-    def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult:
-        ctx = self.contexts[tid]
-        latency = self.timing.store(ctx.core, addr, 0, 0).latency
-        self.memory.write(0, addr, value)
-        return AccessResult(value, latency, True, "oracle")
-
-    def output(self, tid: int, value: Any) -> None:
-        ctx = self.contexts[tid]
-        if ctx.vid > 0:
-            ctx.buffer_output(value)
-        else:
-            self.committed_output.append(value)
-
-    # ------------------------------------------------------------------
-
-    def _read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
-        """Read with uncommitted value forwarding (0 = committed source)."""
-        word = addr - (addr % self.memory.backing.word_size)
-        if vid > 0:
-            for buffer_vid in sorted(self.memory.live_vids(), reverse=True):
-                if buffer_vid <= vid and \
-                        word in self.memory._buffers[buffer_vid]:
-                    return self.memory._buffers[buffer_vid][word], buffer_vid
-        return self.memory.backing.read_word(word), 0
-
-    def _abort(self) -> None:
-        self.memory.abort_all()
-        self.stats.record_abort(explicit=True, cause=AbortCause.EXPLICIT)
-        for ctx in self.contexts.values():
-            ctx.discard_output()
-            ctx.vid = 0
-        self.active_vids.clear()
-        self.vid_space.rewind(self.last_committed + 1)
+        return super().wrong_path_load(tid, addr)

@@ -2,16 +2,22 @@
 
 :class:`TMBackend` is the contract between the paradigm executors of
 :mod:`repro.runtime.paradigms` and a transactional-memory implementation.
-The seed grew two such implementations by duck typing —
-:class:`~repro.core.system.HMTXSystem` (the paper's hardware) and
-:class:`~repro.smtx.system.SMTXSystem` (the software baseline) — and the
-hybrid-TM literature (Alistarh et al.; Brown & Ravi) makes the case that
-the interesting experiments are *comparisons across backends under one
-harness*.  That requires the interface to be explicit: this protocol
+The hybrid-TM literature (Alistarh et al.; Brown & Ravi) makes the case
+that the interesting experiments are *comparisons across backends under
+one harness*.  That requires the interface to be explicit: this protocol
 names every method and attribute an executor may touch, and
 ``tests/backends/test_conformance.py`` holds each registered backend to
 it (same signatures, same :class:`~repro.core.stats.SystemStats` shape,
-same abort-cause taxonomy from :mod:`repro.txctl`).
+same abort-cause taxonomy from :mod:`repro.txctl`, same MTX contract).
+
+The protocol is structural, so a plugin registered with
+:func:`~repro.backends.registry.register_backend` need not subclass
+anything.  The three in-tree backends —
+:class:`~repro.core.system.HMTXSystem` (the paper's hardware),
+:class:`~repro.smtx.system.SMTXSystem` (the software baseline) and
+:class:`~repro.backends.oracle.OracleTMSystem` (the ideal TM) — share one
+implementation of the MTX contract, :class:`~repro.core.mtx.MTXMachine`,
+and differ only in their memory operations and where versions live.
 
 A backend models one machine running one TM scheme.  The surface:
 

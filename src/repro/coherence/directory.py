@@ -74,9 +74,17 @@ class DirectoryHierarchy(MemoryHierarchy):
         #: Each socket carries its own ``directory_banks`` banks next to
         #: its LLC slice (one socket — today's flat bank array — when no
         #: multi-socket topology is declared).
-        sockets = config.topology.sockets if self._multi_socket else 1
-        self._bank_free: List[int] = [0] * (sockets * config.directory_banks)
+        self._bank_free: List[int] = [0] * (
+            self._sockets * config.directory_banks)
         self._caches_by_name = {c.name: c for c in self._all_caches()}
+        if self._sockets == 1:
+            # Flat: uniform tile-to-tile links and a log-depth multicast
+            # tree over the cores (multi-socket machines keep the
+            # topology's hops and tree cost, shared with the bus machine).
+            self._hops = ((config.link_latency,),)
+            fanout_depth = max(1, math.ceil(math.log2(config.num_cores + 1)))
+            self._commit_cost = config.broadcast_latency \
+                + fanout_depth * config.link_latency
 
     # ------------------------------------------------------------------
     # Sharer-map maintenance
@@ -115,11 +123,11 @@ class DirectoryHierarchy(MemoryHierarchy):
                 recorded = self._sharers.get(addr, set())
                 assert cache.name in recorded, \
                     f"{cache.name} holds 0x{addr:x} unrecorded"
-                if in_llc and self._multi_socket:
-                    # Independently recomputed from the topology spec so a
-                    # broken ``_home_llc`` router is caught, not trusted.
-                    home = self.llc_slices[self._topo.home_socket(
-                        addr, self.config.line_size)]
+                if in_llc:
+                    # Independently recomputed from the line interleave so
+                    # a broken ``_home_llc`` router is caught, not trusted.
+                    home = self.llc_slices[
+                        (addr // self.config.line_size) % self._sockets]
                     assert cache is home, \
                         (f"version of 0x{addr:x} resident in "
                          f"{cache.name}, not its home slice {home.name}")
@@ -129,14 +137,11 @@ class DirectoryHierarchy(MemoryHierarchy):
     # ------------------------------------------------------------------
 
     def _bank_of(self, addr: int) -> int:
-        line = addr // self.config.line_size
-        bank = line % self.dconfig.directory_banks
-        if not self._multi_socket:
-            return bank
         # The entry lives in the home socket's bank array, co-located with
         # the home LLC slice.
-        home = self._topo.home_socket(addr, self.config.line_size)
-        return home * self.dconfig.directory_banks + bank
+        line = addr // self.config.line_size
+        banks = self.dconfig.directory_banks
+        return (line % self._sockets) * banks + line % banks
 
     def _link(self, socket_a: int, socket_b: int) -> int:
         """One-way tile-to-tile message latency.
@@ -145,9 +150,7 @@ class DirectoryHierarchy(MemoryHierarchy):
         multi-socket machines charge the topology's intra/cross-socket
         hops.
         """
-        if not self._multi_socket:
-            return self.dconfig.link_latency
-        return self._topo.hop_latency(socket_a, socket_b)
+        return self._hops[socket_a][socket_b]
 
     def _bank_transaction(self, addr: int, now: int) -> int:
         bank = self._bank_of(addr)
@@ -176,8 +179,7 @@ class DirectoryHierarchy(MemoryHierarchy):
         l1 = self.l1s[core]
         base = l1.line_addr(addr)
         req_socket = self._cache_socket[l1.name]
-        home_socket = (self._topo.home_socket(base, self.config.line_size)
-                       if self._multi_socket else 0)
+        home_socket = (base // self.config.line_size) % self._sockets
         # Request travels to the line's home bank: one intra-socket hop on
         # the flat machine, a cross-socket hop when the home is remote.
         latency = self._bank_transaction(base, now) \
@@ -238,25 +240,3 @@ class DirectoryHierarchy(MemoryHierarchy):
         if dropped:
             self.stats.ss_invalidations += 1
             self.dir_stats.invalidations_sent += 1
-
-    # ------------------------------------------------------------------
-    # Broadcasts: multicast tree, log-depth latency
-    # ------------------------------------------------------------------
-
-    def _multicast_latency(self) -> int:
-        if self._multi_socket:
-            # Cross-socket tree over the interconnect, then on-die trees;
-            # identical cost model to the base hierarchy's multi-socket
-            # broadcast (the directory just delivers it point-to-point).
-            return self._topo.multicast_latency(self.config.broadcast_latency)
-        fanout_depth = max(1, math.ceil(math.log2(self.config.num_cores + 1)))
-        return self.config.broadcast_latency \
-            + fanout_depth * self.dconfig.link_latency
-
-    def commit(self, vid: int) -> int:
-        super().commit(vid)
-        return self._multicast_latency()
-
-    def abort(self) -> int:
-        super().abort()
-        return self._multicast_latency()

@@ -193,12 +193,10 @@ class MemoryHierarchy:
             for i in range(cfg.num_cores)
         ]
         topo = cfg.topology
-        #: True only for a declared multi-socket machine; every NUMA
-        #: charge below is gated on it so the flat machine's timing is
-        #: bit-identical to the pre-topology hierarchy.
-        self._multi_socket = topo is not None and not topo.flat
-        self._topo = topo
-        if self._multi_socket:
+        # The machine shape is resolved here, once: a flat machine (no
+        # topology, or one socket) is the 1-socket case of every table
+        # below, so the access paths never branch on it.
+        if topo is not None and not topo.flat:
             # One LLC slice per socket; line addresses interleave across
             # home sockets, so each slice (and its directory state in the
             # directory subclass) owns a disjoint slice of the line space.
@@ -209,31 +207,38 @@ class MemoryHierarchy:
                     vid_bits=cfg.vid_bits)
                 for s in range(topo.sockets))
             self._llc_latency = topo.llc_slice_latency
+            core_sockets = [topo.socket_of_core(i)
+                            for i in range(cfg.num_cores)]
+            #: One-way hop latency between two sockets' tiles.
+            self._hops: Tuple[Tuple[int, ...], ...] = tuple(
+                tuple(topo.hop_latency(a, b) for b in range(topo.sockets))
+                for a in range(topo.sockets))
+            # Broadcasts travel the multicast tree; resets add the scrub
+            # barrier.
+            self._commit_cost = topo.multicast_latency(cfg.broadcast_latency)
+            self._reset_cost = topo.reset_scrub_latency(
+                cfg.broadcast_latency, topo.llc_slice_latency)
         else:
             self.llc_slices = (VersionedCache(
                 "L2", cfg.l2_size, cfg.l2_assoc, cfg.line_size,
                 hit_latency=cfg.l2_latency, vid_bits=cfg.vid_bits),)
             self._llc_latency = cfg.l2_latency
+            core_sockets = [0] * cfg.num_cores
+            # The shared bus: no NUMA hop, one bus broadcast.
+            self._hops = ((0,),)
+            self._commit_cost = cfg.broadcast_latency
+            self._reset_cost = cfg.broadcast_latency
+        self._sockets = len(self.llc_slices)
         #: Alias kept for the flat machine's callers (and slice 0 of a
         #: multi-socket one, whose geometry helpers are shared anyway).
         self.l2 = self.llc_slices[0]
         self._llc_group = frozenset(self.llc_slices)
         #: Socket owning each cache, by name (L1s follow their core;
-        #: slices their socket).  Flat machines map everything to 0.
-        self._cache_socket: Dict[str, int] = {}
-        for i, l1 in enumerate(self.l1s):
-            self._cache_socket[l1.name] = (
-                topo.socket_of_core(i) if self._multi_socket else 0)
+        #: slices their socket).
+        self._cache_socket: Dict[str, int] = {
+            l1.name: socket for l1, socket in zip(self.l1s, core_sockets)}
         for s, llc in enumerate(self.llc_slices):
             self._cache_socket[llc.name] = s
-        # Broadcast costs are pure functions of the shape: precompute.
-        if self._multi_socket:
-            self._commit_cost = topo.multicast_latency(cfg.broadcast_latency)
-            self._reset_cost = topo.reset_scrub_latency(
-                cfg.broadcast_latency, topo.llc_slice_latency)
-        else:
-            self._commit_cost = cfg.broadcast_latency
-            self._reset_cost = cfg.broadcast_latency
         self.stats = HierarchyStats()
         #: Section 8 extension: memory-side home for overflowed versions.
         self.overflow_table: Optional[OverflowVersionTable] = None
@@ -282,24 +287,8 @@ class MemoryHierarchy:
 
     def _home_llc(self, addr: int) -> VersionedCache:
         """The LLC slice owning ``addr``'s line (the shared L2 when flat)."""
-        if not self._multi_socket:
-            return self.l2
         return self.llc_slices[
-            self._topo.home_socket(addr, self.config.line_size)]
-
-    def _numa_hop(self, core: int, owner_name: Optional[str],
-                  base: int) -> int:
-        """One-way hop from ``core`` to the responder (0 on flat machines).
-
-        ``owner_name`` is the serving cache's name, or ``None`` when memory
-        (or the memory-side overflow table) responds — those sit behind the
-        line's home socket's memory controller.
-        """
-        req = self._cache_socket[self.l1s[core].name]
-        owner = self._cache_socket.get(owner_name) if owner_name else None
-        if owner is None:
-            owner = self._topo.home_socket(base, self.config.line_size)
-        return self._topo.hop_latency(req, owner)
+            (addr // self.config.line_size) % self._sockets]
 
     def _on_presence(self, cache: VersionedCache, base: int,
                      present: bool) -> None:
@@ -471,14 +460,14 @@ class MemoryHierarchy:
                             f"two latest versions of 0x{addr:x}: "
                             f"{latest_owners[addr]} and {cache.name}")
                     latest_owners[addr] = cache.name
-                if in_llc and self._multi_socket:
+                if in_llc:
                     # Sliced-LLC ownership: a line only ever resides in its
                     # home slice — victims route there, and installs never
-                    # target a foreign slice.  Recomputed from the topology
-                    # spec (not via ``_home_llc``) so a broken router
+                    # target a foreign slice.  Recomputed from the line
+                    # interleave (not via ``_home_llc``) so a broken router
                     # cannot vouch for its own placement.
-                    home = self.llc_slices[self._topo.home_socket(
-                        addr, self.config.line_size)]
+                    home = self.llc_slices[
+                        (addr // self.config.line_size) % self._sockets]
                     if cache is not home:
                         raise AssertionError(
                             f"version of 0x{addr:x} resident in "
@@ -666,6 +655,9 @@ class MemoryHierarchy:
         l1 = self.l1s[core]
         base = l1.line_addr(addr)
         latency = self._llc_latency  # bus + LLC lookup window
+        # One-way hops from the requester's socket (all 0 when flat).
+        hops = self._hops[self._cache_socket[l1.name]]
+        home = (base // self.config.line_size) % self._sockets
         spec_modified_asserted = l1.has_latest_spec_version(addr)
         holders = self._holders.get(base)
         if holders:
@@ -682,17 +674,15 @@ class MemoryHierarchy:
                         and cache is self.overflow_table:
                     latency += cache.hit_latency
                     self.overflow_table.refills += 1
-                if self._multi_socket:
-                    # The line transfer crosses the socket interconnect
-                    # when the responder lives on another die.
-                    latency += self._numa_hop(core, cache.name, base)
+                # The line transfer crosses the socket interconnect when
+                # the responder lives on another die; the memory-side
+                # overflow table sits behind the line's home socket.
+                latency += hops[self._cache_socket.get(cache.name, home)]
                 slot = self._receive_from_owner(core, cache, owner, vid, kind)
                 return slot, latency, cache.name
-        # No cache can serve the request: memory responds.
-        latency += self.config.memory_latency
-        if self._multi_socket:
-            # Memory is reached through the line's home socket's controller.
-            latency += self._numa_hop(core, None, base)
+        # No cache can serve the request: memory responds, reached through
+        # the line's home socket's controller.
+        latency += self.config.memory_latency + hops[home]
         return (self._fill_from_memory(l1, base, vid, spec_modified_asserted),
                 latency, "memory")
 

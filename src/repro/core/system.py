@@ -1,36 +1,32 @@
 """The HMTX system: the paper's programming interface over the hierarchy.
 
-:class:`HMTXSystem` exposes the four new instructions of section 3.1 —
-``beginMTX`` / ``commitMTX`` / ``abortMTX`` / ``initMTX`` — plus speculative
-loads and stores that carry the issuing thread's VID register, on top of the
-versioned cache hierarchy of :mod:`repro.coherence`.
+:class:`HMTXSystem` keeps versions in the versioned cache hierarchy of
+:mod:`repro.coherence`; the four MTX instructions of section 3.1 and their
+software contract (in-order commit, abort/rewind, output buffering) come
+from :class:`~repro.core.mtx.MTXMachine`.  On top of that it owns the
+machinery between the ISA and the protocol:
 
-It also owns the machinery that sits between the ISA and the protocol:
-
-* VID allocation in original program order and the reset protocol (4.6/4.7),
-* consecutive-commit-order enforcement (4.4: behaviour is undefined
-  otherwise, so we make it a hard error),
+* speculative loads and stores that carry the issuing thread's VID,
+* the m-bit VID space and its reset protocol (4.6),
 * SLA bookkeeping for branch-speculative loads (5.1),
-* transactional output buffering (4.7),
 * read/write-set and abort statistics (Table 1, Figure 9).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..coherence.hierarchy import AccessResult, MemoryHierarchy
+from ..coherence.hierarchy import AccessResult
 from ..coherence.protocol import AccessKind
-from ..coherence.vid import VidSpace
 from ..errors import MisspeculationError, TransactionUsageError
 from ..txctl.causes import AbortCause, classify
 from .config import MachineConfig
-from .context import ThreadContext
+from .mtx import MTXMachine
 from .sla import SlaTracker
-from .stats import OpenTransaction, SystemStats
+from .stats import OpenTransaction
 
 
-class HMTXSystem:
+class HMTXSystem(MTXMachine):
     """A multicore machine with HMTX extensions.
 
     Parameters
@@ -44,16 +40,11 @@ class HMTXSystem:
 
     def __init__(self, config: Optional[MachineConfig] = None,
                  sla_enabled: bool = True) -> None:
-        self.config = config or MachineConfig()
-        self.hierarchy = self.config.build_hierarchy()
-        self.vid_space = VidSpace(bits=self.config.vid_bits)
-        self.stats = SystemStats(line_size=self.config.line_size)
+        config = config or MachineConfig()
+        super().__init__(config, vid_bits=config.vid_bits)
+        self.hierarchy = config.build_hierarchy()
         self.sla = SlaTracker(enabled=sla_enabled,
-                              line_size=self.config.line_size)
-        self.contexts: Dict[int, ThreadContext] = {}
-        self.last_committed = 0
-        self.active_vids: Set[int] = set()
-        self.committed_output: list = []
+                              line_size=config.line_size)
         #: Lines marked by wrong-path loads in no-SLA mode (line address ->
         #: highest marking VID), to attribute the resulting aborts as
         #: *false* (SLA-preventable).  Entries are pruned once their
@@ -69,51 +60,12 @@ class HMTXSystem:
         #: latency on the calling thread instead.
         self.quiesce_cb: Optional[Callable[[int], None]] = None
 
-    # ------------------------------------------------------------------
-    # Thread management
-    # ------------------------------------------------------------------
-
-    def thread(self, tid: int, core: int) -> ThreadContext:
-        """Register (or fetch) the context of hardware thread ``tid``."""
-        if tid not in self.contexts:
-            if not 0 <= core < self.config.num_cores:
-                raise ValueError(f"core {core} out of range")
-            self.contexts[tid] = ThreadContext(tid=tid, core=core)
-        return self.contexts[tid]
-
     def migrate(self, tid: int, core: int) -> None:
         """Move a thread to another core (section 5.2: speculative threads
         can migrate; their data is found through the transaction's VID)."""
         if not 0 <= core < self.config.num_cores:
             raise ValueError(f"core {core} out of range")
         self.contexts[tid].core = core
-
-    def socket_of_core(self, core: int) -> int:
-        """Socket owning ``core`` (0 for every core on a flat machine)."""
-        return self.config.socket_of_core(core)
-
-    def socket_of_thread(self, tid: int) -> int:
-        """Socket the thread currently runs on (follows migration)."""
-        return self.config.socket_of_core(self.contexts[tid].core)
-
-    # ------------------------------------------------------------------
-    # VID lifecycle (sections 4.6, 4.7)
-    # ------------------------------------------------------------------
-
-    def allocate_vid(self) -> int:
-        """Allocate the next VID in original program order.
-
-        Raises :class:`~repro.coherence.vid.VidExhaustedError` when the
-        m-bit space is used up; the runtime must then drain commits and
-        call :meth:`vid_reset`.
-        """
-        vid = self.vid_space.allocate()
-        self.active_vids.add(vid)
-        return vid
-
-    def ready_for_vid_reset(self) -> bool:
-        """All VIDs used and every transaction committed (4.6)."""
-        return self.vid_space.exhausted() and not self.active_vids
 
     def vid_reset(self) -> int:
         """Recycle the VID space; returns the broadcast latency.
@@ -141,72 +93,23 @@ class HMTXSystem:
         return latency
 
     # ------------------------------------------------------------------
-    # The four MTX instructions (section 3.1)
+    # Version storage: the versioned cache hierarchy
     # ------------------------------------------------------------------
 
-    def begin_mtx(self, tid: int, vid: int) -> int:
-        """``beginMTX(VID)``: set the thread's VID register.
-
-        VID 0 moves the thread back to non-speculative execution without
-        committing anything.  Returns the instruction latency.
-        """
-        if vid < 0 or vid > self.vid_space.max_vid:
-            raise TransactionUsageError(f"VID {vid} outside 0..{self.vid_space.max_vid}")
-        if vid > 0:
-            if vid <= self.last_committed:
-                raise TransactionUsageError(
-                    f"beginMTX({vid}) after VID {self.last_committed} committed")
-            self.active_vids.add(vid)
-        ctx = self.contexts[tid]
-        ctx.vid = vid
-        return self.config.op_costs.mtx_instruction
-
-    def init_mtx(self, tid: int, handler: Callable[..., Any]) -> int:
-        """``initMTX(pc)``: register this thread's recovery code."""
-        self.contexts[tid].recovery_handler = handler
-        return self.config.op_costs.mtx_instruction
-
-    def commit_mtx(self, tid: int, vid: int) -> int:
-        """``commitMTX(VID)``: atomic group commit of the whole MTX.
-
-        Enforces the section 4.4/4.7 software contract: commits occur in
-        consecutive VID order, exactly once, by exactly one thread of the
-        transaction.  Returns the commit latency (cheap — lazy scheme).
-        """
-        if vid != self.last_committed + 1:
-            raise TransactionUsageError(
-                f"commitMTX({vid}) out of order; expected "
-                f"{self.last_committed + 1}")
-        if vid not in self.active_vids:
-            raise TransactionUsageError(f"commitMTX({vid}) of unknown VID")
+    def _commit_versions(self, vid: int) -> int:
+        """Lazy group commit: one broadcast, cheap (section 4.4)."""
         latency = self.hierarchy.commit(vid)
-        self.active_vids.discard(vid)
-        self.last_committed = vid
         if self._wrong_path_marks:
             self._wrong_path_marks = {
                 line: v for line, v in self._wrong_path_marks.items()
                 if v > vid}
-        self.stats.record_commit(vid)
         self.sla.on_commit(vid)
-        ctx = self.contexts[tid]
-        for context in self.contexts.values():
-            self.committed_output.extend(context.release_output(vid))
-        if ctx.vid == vid:
-            ctx.vid = 0
         return latency
 
-    def abort_mtx(self, tid: int, vid: int) -> int:
-        """``abortMTX(VID)``: software-detected misspeculation.
-
-        Flushes *all* uncommitted transactional state (section 4.4's
-        simple-and-rare abort philosophy), then raises
-        :class:`~repro.errors.MisspeculationError` so every thread unwinds
-        to its registered recovery code (the runtime restarts execution
-        from the last committed iteration).
-        """
-        self._abort(explicit=True, cause=AbortCause.EXPLICIT, vid=vid)
-        raise MisspeculationError(f"explicit abortMTX({vid})", vid=vid,
-                                  cause=AbortCause.EXPLICIT)
+    def _flush_versions(self) -> int:
+        self.sla.on_abort()
+        self._wrong_path_marks.clear()
+        return self.hierarchy.abort()
 
     # ------------------------------------------------------------------
     # Memory operations
@@ -346,34 +249,6 @@ class HMTXSystem:
             self._abort(explicit=False, cause=AbortCause.INTERRUPT,
                         vid=exc.vid)
             raise
-
-    def output(self, tid: int, value: Any) -> None:
-        """Emit program output; buffered until commit inside an MTX (4.7)."""
-        ctx = self.contexts[tid]
-        if ctx.vid > 0:
-            ctx.buffer_output(value)
-        else:
-            self.committed_output.append(value)
-
-    # ------------------------------------------------------------------
-    # Abort/recovery plumbing
-    # ------------------------------------------------------------------
-
-    def _abort(self, explicit: bool,
-               cause: Optional[AbortCause] = None, vid: int = 0) -> int:
-        latency = self.hierarchy.abort()
-        self.stats.record_abort(explicit=explicit, cause=cause, vid=vid)
-        self.sla.on_abort()
-        self._wrong_path_marks.clear()
-        dropped = 0
-        for ctx in self.contexts.values():
-            dropped += ctx.discard_output()
-            ctx.vid = 0
-        self.active_vids.clear()
-        # Aborted VIDs are recycled: re-executed transactions restart right
-        # after the last committed VID.
-        self.vid_space.rewind(self.last_committed + 1)
-        return latency
 
     def recovery_handlers(self) -> Dict[int, Optional[Callable[..., Any]]]:
         """The per-thread recovery code registered via ``initMTX``."""

@@ -199,7 +199,8 @@ def build_workload(request: RunRequest) -> Workload:
                          **dict(request.options))
 
 
-def _run(request: RunRequest) -> Tuple[Workload, ParadigmResult]:
+def run_request(request: RunRequest) -> Tuple[Workload, ParadigmResult]:
+    """Build ``request``'s workload and run it on the labelled system."""
     workload = build_workload(request)
     executor_factory = executor_factory_for(workload) \
         if request.calibrated else None
@@ -327,7 +328,7 @@ def observed_run(request: RunRequest):
     from ..obs.session import ObsSession  # lint-ok: RL005 (observed runs only; keeps the obs stack out of unobserved pool workers)
     session = ObsSession()
     with session.activate():
-        workload, result = _run(request)
+        workload, result = run_request(request)
     session.detach()
     session.finalize(result)
     return session, workload, result
@@ -342,7 +343,7 @@ def execute_request(request: RunRequest) -> RunRecord:
         obs_digest = digest(session, attribute(session))
         return snapshot(request, workload, result,
                         time.perf_counter() - start, obs_digest=obs_digest)
-    workload, result = _run(request)
+    workload, result = run_request(request)
     return snapshot(request, workload, result, time.perf_counter() - start)
 
 

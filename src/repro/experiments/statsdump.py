@@ -112,7 +112,7 @@ def collect_stats(result) -> List[Section]:
             ("abort_broadcasts", hstats.aborts),
         ]))
         caches = []
-        for cache in hierarchy.l1s + [hierarchy.l2]:
+        for cache in list(hierarchy.l1s) + list(hierarchy.llc_slices):
             total = cache.stats.hits + cache.stats.misses
             rate = 100 * cache.stats.hits / total if total else 0.0
             caches.append((cache.name,

@@ -81,12 +81,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def _overhead_check(request, repeat: int, limit: float,
                     fmt: str = "text") -> int:
-    from ..experiments.engine import _run, observed_run
+    from ..experiments.engine import observed_run, run_request
     baseline = instrumented = float("inf")
     ops = 0
     for _ in range(max(1, repeat)):
         start = time.perf_counter()
-        _, result = _run(request)
+        _, result = run_request(request)
         baseline = min(baseline, time.perf_counter() - start)
         ops = result.run.ops_executed
     for _ in range(max(1, repeat)):

@@ -151,11 +151,10 @@ class ObsSession:
             return
         self._finalized = True
         for scheduler in self._schedulers:
-            socket_of = getattr(scheduler, "socket_of", None)
+            socket_of = scheduler.system.config.socket_of_core
             for thread in scheduler.threads:
                 self.thread_cores[thread.tid] = thread.core
-                self.thread_sockets[thread.tid] = (
-                    socket_of(thread.core) if socket_of is not None else 0)
+                self.thread_sockets[thread.tid] = socket_of(thread.core)
                 if thread.clock > self.makespan:
                     self.makespan = thread.clock
         if result is not None and result.cycles > self.makespan:
@@ -560,9 +559,7 @@ class ObsSession:
                          "overflow_retrievals", "spec_overflow_spills"):
                 registry.counter(f"coherence_{name}_total") \
                     .inc(getattr(hstats, name))
-            for cache in (list(hierarchy.l1s)
-                          + list(getattr(hierarchy, "llc_slices",
-                                         (hierarchy.l2,)))):
+            for cache in list(hierarchy.l1s) + list(hierarchy.llc_slices):
                 registry.counter("cache_hits_total",
                                  cache=cache.name).inc(cache.stats.hits)
                 registry.counter("cache_misses_total",

@@ -174,11 +174,6 @@ class Scheduler:
                           getattr(config, "topology", None),
                           getattr(config, "placement", "pack"))
 
-    def socket_of(self, core: int) -> int:
-        """Socket owning ``core`` (0 on flat machines)."""
-        topology = getattr(self.system.config, "topology", None)
-        return 0 if topology is None else topology.socket_of_core(core)
-
     def replace_programs(self, programs: Dict[int, Program]) -> None:
         """Swap in fresh generators (abort recovery), keeping clocks."""
         for thread in self.threads:

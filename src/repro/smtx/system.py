@@ -1,9 +1,10 @@
 """The SMTX system object: software MTXs behind the HMTX-shaped API.
 
-:class:`SMTXSystem` mirrors :class:`repro.core.system.HMTXSystem` closely
-enough that the paradigm executors of :mod:`repro.runtime.paradigms` drive
-it unchanged — same ``beginMTX``/``commitMTX`` discipline, same statistics —
-but the implementation is a software TM:
+:class:`SMTXSystem` shares the MTX contract of
+:class:`~repro.core.mtx.MTXMachine` with :class:`repro.core.system.
+HMTXSystem`, so the paradigm executors of :mod:`repro.runtime.paradigms`
+drive it unchanged — same ``beginMTX``/``commitMTX`` discipline, same
+statistics — but the implementation is a software TM:
 
 * versions live in per-VID write buffers (:class:`~repro.smtx.memory.
   SmtxMemory`), not cache lines;
@@ -20,14 +21,11 @@ but the implementation is a software TM:
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..coherence.hierarchy import AccessResult, MemoryHierarchy
-from ..coherence.vid import VidSpace
 from ..core.config import MachineConfig
-from ..core.context import ThreadContext
-from ..core.stats import SystemStats
+from ..core.mtx import MTXMachine
 from ..errors import MisspeculationError, TransactionUsageError
 from ..txctl.causes import AbortCause
 from .costs import SmtxCosts, ValidationMode
@@ -71,7 +69,7 @@ class _MemoryFacade:
         return AccessResult(value, latency, True, "smtx")
 
 
-class SMTXSystem:
+class SMTXSystem(MTXMachine):
     """A commodity multicore running the SMTX software runtime.
 
     Parameters
@@ -87,11 +85,16 @@ class SMTXSystem:
         (derived from the workload by :func:`repro.smtx.runtime.run_smtx`).
     """
 
+    #: ``served_by`` label of every access result.
+    _label = "smtx"
+
     def __init__(self, config: Optional[MachineConfig] = None,
                  mode: ValidationMode = ValidationMode.MAXIMAL,
                  validation_predicate: Optional[ValidationPredicate] = None,
                  costs: Optional[SmtxCosts] = None) -> None:
-        self.config = config or MachineConfig()
+        # Software VIDs are plain integers; 30 bits ~= unbounded, so the
+        # 4.6 overflow/reset machinery never triggers for SMTX.
+        super().__init__(config or MachineConfig(), vid_bits=30)
         self.mode = mode
         self.costs = costs or SmtxCosts()
         self._validated = validation_predicate or (lambda addr, is_store: True)
@@ -100,61 +103,24 @@ class SMTXSystem:
         # Timing-only commodity hierarchy (all accesses non-speculative).
         self.timing = MemoryHierarchy(self.config.hierarchy_config())
         self.hierarchy = _MemoryFacade(self.memory, self.timing)
-        # Software VIDs are plain integers; 30 bits ~= unbounded, so the
-        # 4.6 overflow/reset machinery never triggers for SMTX.
-        self.vid_space = VidSpace(bits=30)
-        self.stats = SystemStats(line_size=self.config.line_size)
-        self.contexts: Dict[int, ThreadContext] = {}
-        self.active_vids: Set[int] = set()
-        self.last_committed = 0
-        self.committed_output: list = []
         #: Sequential work accumulated on the commit process's core.
         self.commit_process_cycles = 0
         self.forwarded_words = 0
 
-    # ------------------------------------------------------------------
-    # HMTXSystem-shaped surface used by the scheduler/paradigms
-    # ------------------------------------------------------------------
-
-    def thread(self, tid: int, core: int) -> ThreadContext:
-        if tid not in self.contexts:
-            self.contexts[tid] = ThreadContext(tid=tid, core=core)
-        return self.contexts[tid]
-
-    def allocate_vid(self) -> int:
-        vid = self.vid_space.allocate()
-        self.active_vids.add(vid)
-        return vid
-
-    def ready_for_vid_reset(self) -> bool:
-        return False
-
     def vid_reset(self) -> int:
-        raise TransactionUsageError("SMTX VIDs are unbounded; no reset exists")
+        raise TransactionUsageError(
+            f"{self._label} VIDs are unbounded; no reset exists")
 
-    def begin_mtx(self, tid: int, vid: int) -> int:
-        if vid > 0:
-            if vid <= self.last_committed:
-                raise TransactionUsageError(
-                    f"beginMTX({vid}) after VID {self.last_committed} committed")
-            self.active_vids.add(vid)
-        self.contexts[tid].vid = vid
+    def _mtx_latency(self, instruction: str) -> int:
         # Entering/leaving a software transaction is a library call.
-        return self.costs.instrument_read
+        return self.costs.instrument_read if instruction == "begin" else 1
 
-    def init_mtx(self, tid: int, handler: Any) -> int:
-        self.contexts[tid].recovery_handler = handler
-        return 1
-
-    def commit_mtx(self, tid: int, vid: int) -> int:
+    def _commit_versions(self, vid: int) -> int:
         """Commit via the commit process (validation + write application).
 
         The worker pays the handshake; the sequential per-entry validation
         work lands on ``commit_process_cycles``.
         """
-        if vid != self.last_committed + 1:
-            raise TransactionUsageError(
-                f"commitMTX({vid}) out of order; expected {self.last_committed + 1}")
         violation = self.log.validate(vid, self.memory)
         entries = self.log.entries(vid)
         self.commit_process_cycles += entries * self.costs.validate_entry
@@ -170,20 +136,12 @@ class SMTXSystem:
                 vid=vid, addr=violation.addr, cause=AbortCause.CONFLICT)
         self.memory.commit(vid)
         self.log.pop(vid)
-        self.active_vids.discard(vid)
-        self.last_committed = vid
-        self.stats.record_commit(vid)
-        ctx = self.contexts[tid]
-        for context in self.contexts.values():
-            self.committed_output.extend(context.release_output(vid))
-        if ctx.vid == vid:
-            ctx.vid = 0
         return self.costs.commit_finalize
 
-    def abort_mtx(self, tid: int, vid: int) -> int:
-        self._abort(explicit=True, cause=AbortCause.EXPLICIT, vid=vid)
-        raise MisspeculationError("explicit abortMTX", vid=vid,
-                                  cause=AbortCause.EXPLICIT)
+    def _flush_versions(self) -> int:
+        self.memory.abort_all()
+        self.log.clear()
+        return 0
 
     # ------------------------------------------------------------------
     # Memory operations
@@ -206,8 +164,9 @@ class SMTXSystem:
                 latency += self.costs.log_entry
                 sla = True  # reused field: "this access was logged"
             self.stats.record_load(vid, addr, sla_sent=False)
-            return AccessResult(value, latency, True, "smtx", sla_required=sla)
-        return AccessResult(value, latency, True, "smtx")
+            return AccessResult(value, latency, True, self._label,
+                                sla_required=sla)
+        return AccessResult(value, latency, True, self._label)
 
     def store(self, tid: int, addr: int, value: int,
               now: int = 0) -> AccessResult:
@@ -221,7 +180,7 @@ class SMTXSystem:
                 self.log.log_write(vid, addr, value)
                 latency += self.costs.log_entry
             self.stats.record_store(vid, addr)
-        return AccessResult(value, latency, True, "smtx")
+        return AccessResult(value, latency, True, self._label)
 
     def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
         """Squashed loads are invisible to a software TM (no logging)."""
@@ -233,20 +192,14 @@ class SMTXSystem:
     def kernel_load(self, tid: int, addr: int) -> AccessResult:
         ctx = self.contexts[tid]
         latency = self.timing.load(ctx.core, addr, 0).latency
-        return AccessResult(self.memory.read(0, addr), latency, True, "smtx")
+        return AccessResult(self.memory.read(0, addr), latency, True,
+                            self._label)
 
     def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult:
         ctx = self.contexts[tid]
         latency = self.timing.store(ctx.core, addr, 0, 0).latency
         self.memory.write(0, addr, value)
-        return AccessResult(value, latency, True, "smtx")
-
-    def output(self, tid: int, value: Any) -> None:
-        ctx = self.contexts[tid]
-        if ctx.vid > 0:
-            ctx.buffer_output(value)
-        else:
-            self.committed_output.append(value)
+        return AccessResult(value, latency, True, self._label)
 
     # ------------------------------------------------------------------
 
@@ -259,14 +212,3 @@ class SMTXSystem:
                         word in self.memory._buffers[buffer_vid]:
                     return self.memory._buffers[buffer_vid][word], buffer_vid
         return self.memory.backing.read_word(word), 0
-
-    def _abort(self, explicit: bool = False,
-               cause: Optional[AbortCause] = None, vid: int = 0) -> None:
-        self.memory.abort_all()
-        self.log.clear()
-        self.stats.record_abort(explicit=explicit, cause=cause, vid=vid)
-        for ctx in self.contexts.values():
-            ctx.discard_output()
-            ctx.vid = 0
-        self.active_vids.clear()
-        self.vid_space.rewind(self.last_committed + 1)

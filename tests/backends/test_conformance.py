@@ -11,8 +11,10 @@ rely on:
   ``stats`` a real :class:`SystemStats` (same field set everywhere);
 * the behavioural core — begin/store/commit updates ``last_committed``
   and buffers output until commit; ``abort_mtx`` raises
-  :class:`MisspeculationError` stamped ``AbortCause.EXPLICIT`` and lands
-  in the txctl taxonomy — is identical across backends;
+  :class:`MisspeculationError` stamped ``AbortCause.EXPLICIT``, lands in
+  the txctl taxonomy under its VID and rewinds VID allocation; misuse
+  (out-of-order or unknown commits, re-beginning a committed VID) is a
+  :class:`TransactionUsageError` — is identical across backends;
 * every backend actually runs a workload end-to-end through the
   paradigm executors (``run_workload(backend=...)``) and preserves
   sequential semantics.
@@ -32,7 +34,7 @@ from repro.backends import (
 )
 from repro.core.config import MachineConfig
 from repro.core.stats import SystemStats
-from repro.errors import MisspeculationError
+from repro.errors import MisspeculationError, TransactionUsageError
 from repro.runtime.paradigms import run_workload
 from repro.smtx.system import SMTXSystem
 from repro.txctl.causes import AbortCause
@@ -127,6 +129,59 @@ class TestBehaviour:
         # Speculative state and buffered output are gone.
         assert backend.committed_output == []
         assert backend.last_committed == 0
+
+    def test_out_of_order_commit_is_a_usage_error(self, backend):
+        backend.thread(0, core=0)
+        backend.allocate_vid()
+        second = backend.allocate_vid()
+        backend.begin_mtx(0, second)
+        with pytest.raises(TransactionUsageError, match="out of order"):
+            backend.commit_mtx(0, second)
+
+    def test_commit_of_unknown_vid_is_a_usage_error(self, backend):
+        backend.thread(0, core=0)
+        with pytest.raises(TransactionUsageError, match="unknown VID"):
+            backend.commit_mtx(0, 1)
+        assert backend.last_committed == 0
+
+    def test_begin_of_committed_vid_is_a_usage_error(self, backend):
+        backend.thread(0, core=0)
+        vid = backend.allocate_vid()
+        backend.begin_mtx(0, vid)
+        backend.commit_mtx(0, vid)
+        with pytest.raises(TransactionUsageError, match="committed"):
+            backend.begin_mtx(0, vid)
+
+    def test_abort_records_its_vid_and_rewinds_allocation(self, backend):
+        backend.thread(0, core=0)
+        first = backend.allocate_vid()
+        backend.begin_mtx(0, first)
+        backend.commit_mtx(0, first)
+        backend.allocate_vid()
+        doomed = backend.allocate_vid()
+        backend.begin_mtx(0, doomed)
+        with pytest.raises(MisspeculationError):
+            backend.abort_mtx(0, doomed)
+        assert backend.stats.contention.by_vid == {doomed: 1}
+        assert backend.active_vids == set()
+        assert backend.contexts[0].vid == 0
+        assert backend.allocate_vid() == backend.last_committed + 1
+
+    @pytest.mark.parametrize("name", ["smtx", "oracle"])
+    def test_unbounded_backends_have_no_vid_reset(self, name):
+        backend = fresh(name)
+        assert not backend.ready_for_vid_reset()
+        with pytest.raises(TransactionUsageError, match="unbounded"):
+            backend.vid_reset()
+
+    @pytest.mark.parametrize("name", ["smtx", "oracle"])
+    def test_software_backends_label_every_access(self, name):
+        backend = fresh(name)
+        backend.thread(0, core=0)
+        results = [backend.load(0, ADDR), backend.store(0, ADDR, 1),
+                   backend.kernel_load(0, ADDR),
+                   backend.kernel_store(0, ADDR, 2)]
+        assert {result.served_by for result in results} == {name}
 
     def test_runs_a_workload_end_to_end(self):
         """Every backend drives the paradigm executors unchanged."""

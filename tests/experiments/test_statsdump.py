@@ -6,6 +6,7 @@ from repro.core import MachineConfig
 from repro.experiments import collect_stats, format_stats, stats_report
 from repro.runtime.paradigms import run_ps_dswp, run_sequential
 from repro.smtx import run_smtx
+from repro.topology import TopologySpec
 from repro.workloads import LinkedListWorkload
 
 
@@ -43,6 +44,13 @@ class TestCollect:
         result = run_ps_dswp(LinkedListWorkload(nodes=8),
                              MachineConfig(unbounded_sets=True))
         assert "overflow table" in dict(collect_stats(result))
+
+    def test_caches_section_names_every_llc_slice(self):
+        machine = MachineConfig.for_topology(
+            TopologySpec(sockets=2, cores_per_socket=4))
+        result = run_ps_dswp(LinkedListWorkload(nodes=8), machine)
+        names = [name for name, _ in dict(collect_stats(result))["caches"]]
+        assert names == [f"L1[{i}]" for i in range(8)] + ["LLC[0]", "LLC[1]"]
 
     def test_smtx_results_dump_without_hierarchy_sections(self):
         result = run_smtx(LinkedListWorkload(nodes=8))
