@@ -37,8 +37,9 @@ static persistent-set DPOR is *unsound* here — commit/abort broadcasts
 touch every cache and the lazy-fold timing makes nearly all transitions
 pairwise dependent — so the state space is instead quotiented by
 canonicalization: states are hashed over their **resolved** line-store
-columns (the pure :func:`_resolved` fold mirrors ``_process_lazy_slot``,
-which is confluent, so pending lazy events do not split states), VIDs are
+columns (read through the cache's own pure fold,
+:meth:`~repro.coherence.cache.VersionedCache.resolved`, which is
+confluent, so pending lazy events do not split states), VIDs are
 renamed by their rank (an order-isomorphism: the protocol compares
 request VIDs against tags only with ``>=``/``<`` and tests equality only
 against ``modVID`` tags, so any order-preserving renaming is a behavior
@@ -61,6 +62,7 @@ distinct ways so the test suite proves every EX rule bites.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import types
 from dataclasses import dataclass
@@ -72,12 +74,8 @@ from ..coherence.cache import VersionedCache
 from ..coherence.directory import DirectoryConfig, DirectoryHierarchy
 from ..coherence.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..coherence.line import CacheLine
-from ..coherence.protocol import (
-    abort_transition_code,
-    commit_transition_code,
-    version_hits_code,
-)
-from ..coherence.states import CODE_INVALID, CODE_SM, CODE_SS, State
+from ..coherence.protocol import version_hits_code
+from ..coherence.states import CODE_SM, CODE_SS, State
 from ..errors import MisspeculationError
 from ..topology import TopologySpec, place_core
 from ..txctl.causes import AbortCause
@@ -246,46 +244,6 @@ class _Run:
 
 
 # ----------------------------------------------------------------------
-# Pure resolved-state reader
-# ----------------------------------------------------------------------
-
-def _resolved(cache: VersionedCache, slot: int) -> Optional[Tuple[int, int, int]]:
-    """What ``(state, modVID, highVID)`` this slot folds to — *without*
-    mutating anything.
-
-    A pure mirror of ``VersionedCache._process_lazy_slot``: replays, in
-    broadcast order, every event the line has not yet processed.  Because
-    lazy folding is incremental and confluent (resolving now and then
-    applying future events equals resolving later), hashing resolved
-    triples is a sound state abstraction.  Returns ``None`` for slots
-    that fold to INVALID.
-    """
-    store = cache._store
-    code = store.state[slot]
-    if code == CODE_INVALID:
-        return None
-    mod = store.mod_vid[slot]
-    high = store.high_vid[slot]
-    if store.epoch[slot] == cache._epoch or code < CODE_SM:
-        return code, mod, high
-    history = cache._abort_history
-    seen = store.seen_aborts[slot]
-    while seen < len(history):
-        code, mod, high = commit_transition_code(code, mod, high,
-                                                 history[seen])
-        seen += 1
-        code, mod, high = abort_transition_code(code, mod, high)
-        if code == CODE_INVALID:
-            return None
-        if code < CODE_SM:
-            return code, mod, high
-    code, mod, high = commit_transition_code(code, mod, high, cache.lc_vid)
-    if code == CODE_INVALID:
-        return None
-    return code, mod, high
-
-
-# ----------------------------------------------------------------------
 # Events
 # ----------------------------------------------------------------------
 
@@ -364,7 +322,7 @@ def _has_blocker(run: _Run, exc: MisspeculationError) -> bool:
     eff = exc.vid
     for cache in run.hierarchy._caches:
         for slot in cache._by_base.get(base, ()):
-            resolved = _resolved(cache, slot)
+            resolved = cache.resolved(slot)
             if resolved is None:
                 continue
             code, mod, high = resolved
@@ -436,7 +394,7 @@ def _check_committed_view(run: _Run) -> List[Dict[str, Any]]:
         for cache in hierarchy._caches:
             hits = []
             for slot in cache._by_base.get(addr, ()):
-                resolved = _resolved(cache, slot)
+                resolved = cache.resolved(slot)
                 if resolved is None:
                     continue
                 code, mod, high = resolved
@@ -578,7 +536,7 @@ def _encode(run: _Run, amap: Optional[Dict[int, int]],
         slots = []
         for base, bucket in cache._by_base.items():
             for slot in bucket:
-                resolved = _resolved(cache, slot)
+                resolved = cache.resolved(slot)
                 if resolved is None:
                     continue
                 code, mod, high = resolved
@@ -622,7 +580,7 @@ def _vid_ranks(run: _Run) -> Dict[int, int]:
             vids.add(cache.lc_vid)
         for bucket in cache._by_base.values():
             for slot in bucket:
-                resolved = _resolved(cache, slot)
+                resolved = cache.resolved(slot)
                 if resolved is None:
                     continue
                 _, mod, high = resolved
@@ -863,9 +821,10 @@ def replay_counterexample(doc: Dict[str, Any]) -> List[str]:
 #
 # Each injection breaks the machine in one specific way so the EX rules
 # can be proven to bite.  All overrides are module-level functions bound
-# with ``types.MethodType`` (never closures): ``copy.deepcopy`` rebinds
-# bound methods to the copied instance, so the bug survives the
-# explorer's state snapshots.
+# with ``types.MethodType`` or ``functools.partial`` (never closures):
+# ``copy.deepcopy`` rebinds bound methods to the copied instance and
+# copies a partial's arguments, so the bug survives the explorer's state
+# snapshots.
 
 def _broken_fold_commit(self, vid: int) -> None:
     # Drops the LC_VID update: commits are never folded into this cache.
@@ -915,19 +874,16 @@ def _inject_broken_forward(run: _Run) -> None:
         _broken_forward_receive, hierarchy)
 
 
-def _broken_presence_on(self, cache, base, present):
+def _broken_presence_on(listener, cache, base, present):
     # Drops presence-map additions; removals still land.
-    if present:
-        return
-    MemoryHierarchy._on_presence(self, cache, base, present)
+    if not present:
+        listener(cache, base, present)
 
 
 def _inject_broken_presence(run: _Run) -> None:
-    hierarchy = run.hierarchy
-    hierarchy._on_presence = types.MethodType(_broken_presence_on, hierarchy)
-    # The caches captured the bound listener at construction: repoint it.
-    for cache in hierarchy._caches:
-        cache.presence_listener = hierarchy._on_presence
+    for cache in run.hierarchy._caches:
+        cache.presence_listener = functools.partial(
+            _broken_presence_on, cache.presence_listener)
 
 
 def _broken_sharers_install(self, cache, base, code, data, mod_vid, high_vid):

@@ -9,7 +9,9 @@ Lazy commit/abort (section 5.3): commits and aborts are recorded by setting
 the per-cache ``LC_VID`` register and flash-setting the per-line CB/AB bits;
 the actual Figure 6/7 transition of a line is applied the next time that
 line is touched or chosen as an eviction victim
-(:meth:`VersionedCache._process_lazy_slot`).
+(:meth:`VersionedCache._process_lazy_slot`).  The replay is written once,
+as the pure :meth:`VersionedCache._fold`; pure readers see its result
+through :meth:`VersionedCache.resolved` without applying it.
 
 One state representation (DESIGN.md section 13): resident versions live as
 slots in a per-cache :class:`~repro.coherence.store.LineStore` — parallel
@@ -273,13 +275,38 @@ class VersionedCache:
     # Lazy commit/abort processing (section 5.3)
     # ------------------------------------------------------------------
 
-    def _process_lazy_slot(self, slot: int) -> Optional[int]:  # hot-path
-        """Resolve a slot's pending commit/abort transitions (section 5.3).
+    def _fold(self, slot: int, code: int
+              ) -> Tuple[Tuple[int, int, int], int, bool]:  # hot-path
+        """Replay a speculative slot's pending events in locals (section 5.3).
 
-        Replays, in broadcast order, every event the line has not yet processed — for
-        each unseen abort, the commits up to the pre-abort ``LC_VID`` apply
-        first (Figure 6), then the abort (Figure 7); finally the current
-        ``LC_VID`` commit level applies.
+        In broadcast order: for each unseen abort, the commits up to the
+        pre-abort ``LC_VID`` apply first (Figure 6), then the abort
+        (Figure 7); a version the aborts leave non-speculative stops there.
+        Otherwise the current ``LC_VID`` commit level applies last.
+        ``code`` is the slot's stored state code.
+
+        Pure: returns ``((code, modVID, highVID), aborts replayed, whether
+        the final commit changed the tags)`` and changes nothing.  It is
+        the only copy of the lazy replay; :meth:`_process_lazy_slot`
+        applies it and :meth:`resolved` reads it.
+        """
+        store = self._store
+        tags = code, store.mod_vid[slot], store.high_vid[slot]
+        history = self._abort_history
+        event = seen = store.seen_aborts[slot]
+        pending = len(history)
+        while True:
+            folded = commit_transition_code(
+                *tags, history[event] if event < pending else self.lc_vid)
+            if event == pending:
+                return folded, pending - seen, folded != tags
+            tags = abort_transition_code(*folded)
+            event += 1
+            if tags[0] < CODE_SM:
+                return tags, event - seen, False
+
+    def _process_lazy_slot(self, slot: int) -> Optional[int]:  # hot-path
+        """Apply a slot's pending commit/abort transitions (:meth:`_fold`).
 
         Returns the slot if the version survives, ``None`` if a transition
         invalidated it (in which case it has been unlinked and freed).
@@ -288,44 +315,36 @@ class VersionedCache:
         epoch = self._epoch
         if store.epoch[slot] == epoch:
             return slot
-        history = self._abort_history
         code = store.state[slot]
-        if code < CODE_SM:
-            store.seen_aborts[slot] = len(history)
-            store.epoch[slot] = epoch
-            return slot
-        stats = self.stats
-        mod = store.mod_vid[slot]
-        high = store.high_vid[slot]
-        seen = store.seen_aborts[slot]
-        pending = len(history)
-        while seen < pending:
-            lc_at_abort = history[seen]
-            seen += 1
-            store.seen_aborts[slot] = seen
-            code2, mod2, high2 = commit_transition_code(
-                code, mod, high, lc_at_abort)
-            stats.lazy_commits_processed += 1
-            code2, mod2, high2 = abort_transition_code(code2, mod2, high2)
-            stats.lazy_aborts_processed += 1
-            self._retag_slot(slot, code2, mod2, high2)
-            code, mod, high = code2, mod2, high2
-            if code == CODE_INVALID:
-                self._remove_slot(slot)
-                return None
-            if code < CODE_SM:
-                store.seen_aborts[slot] = pending
-                store.epoch[slot] = epoch
-                return slot
-        code2, mod2, high2 = commit_transition_code(code, mod, high, self.lc_vid)
-        if code2 != code or mod2 != mod or high2 != high:
-            stats.lazy_commits_processed += 1
-            self._retag_slot(slot, code2, mod2, high2)
-            if code2 == CODE_INVALID:
-                self._remove_slot(slot)
-                return None
+        if code >= CODE_SM:
+            tags, aborts, committed = self._fold(slot, code)
+            if aborts or committed:
+                stats = self.stats
+                stats.lazy_commits_processed += aborts + committed
+                stats.lazy_aborts_processed += aborts
+                self._retag_slot(slot, *tags)
+                if tags[0] == CODE_INVALID:
+                    self._remove_slot(slot)
+                    return None
+        store.seen_aborts[slot] = len(self._abort_history)
         store.epoch[slot] = epoch
         return slot
+
+    def resolved(self, slot: int) -> Optional[Tuple[int, int, int]]:
+        """``(code, modVID, highVID)`` the slot folds to, or ``None`` if it
+        folds to INVALID — a pure read that applies nothing.
+
+        Folding is incremental and confluent (resolving now and applying
+        later events equals resolving later), so this is exactly what
+        :meth:`_process_lazy_slot` would leave in the columns.
+        """
+        store = self._store
+        code = store.state[slot]
+        if store.epoch[slot] == self._epoch or code < CODE_SM:
+            tags = code, store.mod_vid[slot], store.high_vid[slot]
+        else:
+            tags = self._fold(slot, code)[0]
+        return None if tags[0] == CODE_INVALID else tags
 
     def _remove_slot(self, slot: int) -> None:
         """Unlink a resident slot from its set and index, and free it."""
@@ -370,24 +389,10 @@ class VersionedCache:
         return [LineView(self, slot) for slot in bucket]
 
     def version_count(self, addr: int) -> int:
-        """``len(self.versions(addr))`` as a pure read: pending lazy commits
-        and aborts are replayed in locals, never applied to the cache."""
-        store = self._store
-        count = 0
-        for slot in self._by_base.get(self.line_addr(addr)) or ():
-            code = store.state[slot]
-            if store.epoch[slot] != self._epoch and code >= CODE_SM:
-                mod, high = store.mod_vid[slot], store.high_vid[slot]
-                for lc_vid in self._abort_history[store.seen_aborts[slot]:]:
-                    code, mod, high = abort_transition_code(
-                        *commit_transition_code(code, mod, high, lc_vid))
-                    if code < CODE_SM:
-                        break
-                else:
-                    code = commit_transition_code(code, mod, high,
-                                                  self.lc_vid)[0]
-            count += code != CODE_INVALID
-        return count
+        """``len(self.versions(addr))`` as a pure read (:meth:`resolved`)."""
+        resolved = self.resolved
+        return sum(resolved(slot) is not None
+                   for slot in self._by_base.get(self.line_addr(addr), ()))
 
     def effective_vid(self, req_vid: int) -> int:
         """Non-speculative requests use ``LC_VID`` for hit logic (5.3)."""
@@ -398,56 +403,70 @@ class VersionedCache:
 
         ``base`` must already be the line address; ``req_vid`` is the raw
         request VID (the LC_VID substitution for non-speculative requests
-        happens here).
+        happens here).  The only implementation of the section 4.1 hit
+        window: every access, snoop and directory probe looks up here.
+        Pending lazy events are applied first (only when some version of
+        the line is stale), the VID comparators' engagements are counted
+        exactly as :meth:`CascadedComparator.compare` would count them
+        (section 4.5), and the hit gets an LRU touch.
         """
         bucket = self._by_base.get(base)
         if not bucket:
             return None
         store = self._store
-        if len(bucket) == 1:
-            slot = bucket[0]
-            # Dominant case: one resident valid non-speculative,
-            # fully-processed version.  It hits any VID, engages no
-            # comparator, and cannot collide with a second hit — skip the
-            # generic scan.
-            if store.epoch[slot] == self._epoch \
-                    and CODE_INVALID < store.state[slot] < CODE_SM:
-                self._tick += 1
-                store.lru_tick[slot] = self._tick
-                return slot
-        eff = self.lc_vid if req_vid == 0 else req_vid
-        bucket = self._process_bucket(base)
-        if bucket is None:
-            return None
-        state_col = store.state
-        mod_col = store.mod_vid
-        high_col = store.high_vid
-        compare = self.comparator.compare
-        hit = None
+        epochs = store.epoch
+        epoch = self._epoch
         for slot in bucket:
-            code = state_col[slot]
-            if code >= CODE_SM:
-                mod = mod_col[slot]
-                high = high_col[slot]
-                # Model the tag-check energy of the VID comparators (4.5).
-                compare(eff, mod)
-                compare(eff, high)
-                if code <= CODE_SE:
-                    hits = eff >= mod
+            if epochs[slot] != epoch:
+                bucket = self._process_bucket(base)
+                if bucket is None:
+                    return None
+                break
+        state_col = store.state
+        hit = -1
+        if len(bucket) == 1 and state_col[bucket[0]] < CODE_SM:
+            # Dominant case: one non-speculative version.  It hits any
+            # VID (unless INVALID) and engages no comparator.
+            if state_col[bucket[0]] != CODE_INVALID:
+                hit = bucket[0]
+        else:
+            mod_col = store.mod_vid
+            high_col = store.high_vid
+            eff = self.lc_vid if req_vid == 0 else req_vid
+            comparator = self.comparator
+            shift = comparator.low_bits
+            fast = 0
+            cascaded = 0
+            for slot in bucket:
+                code = state_col[slot]
+                if code >= CODE_SM:
+                    mod = mod_col[slot]
+                    high = high_col[slot]
+                    if (eff >> shift) == (mod >> shift):
+                        fast += 1
+                    else:
+                        cascaded += 1
+                    if (eff >> shift) == (high >> shift):
+                        fast += 1
+                    else:
+                        cascaded += 1
+                    hits = (eff >= mod if code <= CODE_SE
+                            else mod <= eff < high)
                 else:
-                    hits = mod <= eff < high
-            else:
-                hits = code != CODE_INVALID
-            if hits:
-                if hit is not None:
-                    raise AssertionError(
-                        f"{self.name}: two versions hit VID {eff} at "
-                        f"0x{base:x}: {self._describe(hit)} and "
-                        f"{self._describe(slot)}")
-                hit = slot
-        if hit is not None:
-            self._tick += 1
-            store.lru_tick[hit] = self._tick
+                    hits = code != CODE_INVALID
+                if hits:
+                    if hit >= 0:
+                        raise AssertionError(
+                            f"{self.name}: two versions hit VID {eff} at "
+                            f"0x{base:x}: {self._describe(hit)} and "
+                            f"{self._describe(slot)}")
+                    hit = slot
+            comparator.fast_comparisons += fast
+            comparator.cascaded_comparisons += cascaded
+        if hit < 0:
+            return None
+        self._tick += 1
+        store.lru_tick[hit] = self._tick
         return hit
 
     def lookup(self, addr: int, req_vid: int) -> Optional[LineView]:

@@ -30,6 +30,7 @@ System-wide invariants maintained here (and checked by the test suite):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -46,6 +47,7 @@ from .protocol import (
     AccessKind,
     new_version_code,
     read_transition_code,
+    version_hits_code,
     write_outcome_code,
 )
 from .states import (
@@ -263,8 +265,12 @@ class MemoryHierarchy:
         #: Word-index shift of the access paths (HierarchyConfig enforces
         #: power-of-two geometry).
         self._word_shift = self.memory.word_size.bit_length() - 1
+        # The listeners hold the presence map, not the hierarchy: no
+        # reference cycle, so a finished run's hierarchy and its main
+        # memory are freed at once instead of at the next full collection.
         for cache in self._caches:
-            cache.presence_listener = self._on_presence
+            cache.presence_listener = functools.partial(
+                self._on_presence, self._holders)
 
     def _rebuild_cache_lists(self) -> None:
         caches: List[VersionedCache] = list(self.l1s) + list(self.llc_slices)
@@ -290,20 +296,21 @@ class MemoryHierarchy:
         return self.llc_slices[
             (addr // self.config.line_size) % self._sockets]
 
-    def _on_presence(self, cache: VersionedCache, base: int,
-                     present: bool) -> None:
+    @staticmethod
+    def _on_presence(holders: Dict[int, Set[VersionedCache]],
+                     cache: VersionedCache, base: int, present: bool) -> None:
         """Presence-listener callback from the caches (first add/last drop)."""
         if present:
-            holders = self._holders.get(base)
-            if holders is None:
-                holders = self._holders[base] = set()
-            holders.add(cache)
+            group = holders.get(base)
+            if group is None:
+                group = holders[base] = set()
+            group.add(cache)
         else:
-            holders = self._holders.get(base)
-            if holders is not None:
-                holders.discard(cache)
-                if not holders:
-                    del self._holders[base]
+            group = holders.get(base)
+            if group is not None:
+                group.discard(cache)
+                if not group:
+                    del holders[base]
 
     def _bus_transaction(self, now: int) -> int:
         """Acquire the shared bus at time ``now``; returns wait + occupancy.
@@ -343,18 +350,22 @@ class MemoryHierarchy:
         return self._access(core, addr, vid, AccessKind.WRITE, value, now)
 
     def read_committed(self, addr: int) -> int:
-        """Verification read of committed state: no timing, no statistics.
+        """Verification read of committed state: a pure read.
 
-        Used by workloads' post-run result checks so that verification does
-        not perturb the counters the experiments report.  Any cached copy
-        visible to a non-speculative request holds the committed value;
+        Used by workloads' post-run result checks, so it charges no time,
+        bumps no statistic, touches no LRU tick and applies no lazy fold:
+        verification must not perturb the state the experiments report.
+        Any cached version a non-speculative request would hit (resolved,
+        against that cache's ``LC_VID``) holds the committed value;
         otherwise memory does.
         """
         base = self.l2.line_addr(addr)
         for cache in self._all_caches():
-            slot = cache.lookup_slot(base, 0)
-            if slot is not None:
-                return cache._store.data[slot][self._word(addr)]
+            for slot in cache._by_base.get(base, ()):
+                tags = cache.resolved(slot)
+                if tags is not None \
+                        and version_hits_code(*tags, cache.lc_vid):
+                    return cache._store.data[slot][self._word(addr)]
         return self.memory.read_word(addr)
 
     def peek(self, core: int, addr: int, vid: int) -> Tuple[int, int]:
@@ -489,99 +500,30 @@ class MemoryHierarchy:
 
     def _access(self, core: int, addr: int, vid: int, kind: AccessKind,
                 value: Optional[int], now: int = 0) -> AccessResult:  # hot-path
-        # Fused fast path: the lookup scan runs directly on the line-store
-        # columns — lazy processing gated on the bucket's epochs,
-        # comparator engagements counted inline exactly as
-        # CascadedComparator.compare would, LRU touched on the hit — and
-        # the dominant access shapes then complete with direct column
-        # reads/writes.  The hit window and the in-place, SLA and entry
-        # decisions inlined here are the rules of coherence/protocol.py
-        # (pinned by a per-tuple agreement test).  Complex shapes
-        # (upgrades, aborts, new versions) hand the found slot to _apply;
-        # misses take the fetch path below.
+        # Fused L1-hit path: VersionedCache.lookup_slot finds the version
+        # (the one implementation of the hit window); the dominant hit
+        # shapes then complete here with direct column reads/writes.  The
+        # in-place, SLA and Figure 4 entry decisions inlined below are the
+        # rules of coherence/protocol.py (pinned by a per-tuple agreement
+        # test).  Complex shapes (upgrades, aborts, new versions) hand the
+        # found slot to _apply; misses take the fetch path below.
         l1 = self.l1s[core]
         mask = l1._offset_mask
-        store = l1._store
-        state_col = store.state
-        mod_col = store.mod_vid
-        high_col = store.high_vid
-        epochs = store.epoch
-        data_col = store.data
-        comparator = l1.comparator
-        hit_latency = l1.hit_latency
-        name = l1.name
         base = addr & ~mask
-        bucket = l1._by_base.get(base)
-        if bucket is not None:
-            epoch = l1._epoch
-            for s in bucket:
-                if epochs[s] != epoch:
-                    bucket = l1._process_bucket(base)
-                    break
-        slot = -1
-        if bucket:
-            eff = l1.lc_vid if vid == 0 else vid
-            if len(bucket) == 1:
-                s = bucket[0]
-                code = state_col[s]
-                if code < CODE_SM:
-                    if code != CODE_INVALID:
-                        slot = s
-                else:
-                    mod = mod_col[s]
-                    high = high_col[s]
-                    shift = comparator.low_bits
-                    if (eff >> shift) == (mod >> shift):
-                        comparator.fast_comparisons += 1
-                    else:
-                        comparator.cascaded_comparisons += 1
-                    if (eff >> shift) == (high >> shift):
-                        comparator.fast_comparisons += 1
-                    else:
-                        comparator.cascaded_comparisons += 1
-                    if (eff >= mod if code <= CODE_SE
-                            else mod <= eff < high):
-                        slot = s
-            else:
-                shift = comparator.low_bits
-                fast = 0
-                cascaded = 0
-                for s in bucket:
-                    code = state_col[s]
-                    if code >= CODE_SM:
-                        mod = mod_col[s]
-                        high = high_col[s]
-                        if (eff >> shift) == (mod >> shift):
-                            fast += 1
-                        else:
-                            cascaded += 1
-                        if (eff >> shift) == (high >> shift):
-                            fast += 1
-                        else:
-                            cascaded += 1
-                        hits = (eff >= mod if code <= CODE_SE
-                                else mod <= eff < high)
-                    else:
-                        hits = code != CODE_INVALID
-                    if hits:
-                        if slot >= 0:
-                            raise AssertionError(
-                                f"{name}: two versions hit VID {eff} "
-                                f"at 0x{base:x}: {l1._describe(slot)} and "
-                                f"{l1._describe(s)}")
-                        slot = s
-                comparator.fast_comparisons += fast
-                comparator.cascaded_comparisons += cascaded
-        if slot >= 0:
-            l1._tick += 1
-            store.lru_tick[slot] = l1._tick
-            code = state_col[slot]
+        slot = l1.lookup_slot(base, vid)
+        if slot is not None:
+            store = l1._store
+            code = store.state[slot]
             if kind is AccessKind.WRITE and code == CODE_SS:
                 # Silent shared speculative copies never serve writes;
                 # the write must reach the version's owner on the bus.
-                slot = -1
-        if slot >= 0:
+                slot = None
+        hit_latency = l1.hit_latency
+        name = l1.name
+        if slot is not None:
             l1.stats.hits += 1
+            high_col = store.high_vid
+            data_col = store.data
             word = (addr & mask) >> self._word_shift
             if kind is AccessKind.READ:
                 if vid == 0:
@@ -610,11 +552,11 @@ class MemoryHierarchy:
                 if vid == 0:
                     if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
                         if code == CODE_EXCLUSIVE:
-                            state_col[slot] = CODE_MODIFIED
+                            store.state[slot] = CODE_MODIFIED
                         data_col[slot][word] = value
                         return AccessResult(value, hit_latency, True, name)
                 elif code == CODE_SM or code == CODE_SE:
-                    mod = mod_col[slot]
+                    mod = store.mod_vid[slot]
                     high = high_col[slot]
                     if vid == mod and vid >= high:
                         # Same transaction re-writes its own latest

@@ -6,11 +6,12 @@ where ``code`` is the one-byte state code the line store keeps per
 version (:mod:`repro.coherence.states`).  They are the *only* copy of the
 rules: the hierarchy's access paths, the cache's lazy folds and VID-reset
 scrub, the directory, the interleaving explorer and the exhaustive model
-checker (MC001-MC008) all call these functions.  The fused L1-hit path in
-``MemoryHierarchy._access`` and ``VersionedCache.lookup_slot`` inline the
-hit window and the in-place/SLA/entry decisions for speed; a tier-1 test
-drives them through every state and VID tuple at a reduced VID width and
-checks each outcome against the rules here.
+checker (MC001-MC008) all call these functions.  For speed,
+``VersionedCache.lookup_slot`` inlines the hit window (the only copy:
+every access and snoop looks up through it) and the fused L1-hit path in
+``MemoryHierarchy._access`` inlines the in-place/SLA/entry decisions;
+tier-1 tests drive them through every state and VID tuple and check
+each outcome against the rules here.
 
 Keeping the protocol pure and separate from the cache container makes the
 informal correctness argument of section 4.3 directly testable: the flow-,

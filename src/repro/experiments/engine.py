@@ -383,8 +383,10 @@ class SweepEngine:
         #: ran 4% *slower* than serial).  When the cap leaves a single
         #: worker, the batch runs in-process with no pool at all.
         self.worker_cap = os.cpu_count() or 1
-        #: Cumulative pool-management cost: parallel-section wall time
-        #: not spent inside a worker's simulation (spawn, dispatch, IPC).
+        #: Cumulative pool-management cost (spawn, dispatch, IPC, idle
+        #: tails): each pool's wall time minus its workers' mean busy
+        #: time, ``wall - sum(record walls) / workers`` — perfbench's
+        #: ``experiments.engine.overhead_s``.
         self.spawn_overhead_seconds = 0.0
 
     def run_one(self, request: RunRequest) -> RunRecord:
@@ -443,8 +445,8 @@ class SweepEngine:
                 records = list(pool.map(execute_request, todo,
                                         chunksize=chunksize))
         wall = time.perf_counter() - start
-        self.spawn_overhead_seconds += max(
-            0.0, wall - sum(r.wall_seconds for r in records))
+        self.spawn_overhead_seconds += \
+            wall - sum(r.wall_seconds for r in records) / workers
         return records
 
     def run_spec(self, spec: SweepSpec) -> List[RunRecord]:

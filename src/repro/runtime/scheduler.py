@@ -43,6 +43,7 @@ those ran.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Dict, Generator, List, Optional
@@ -148,8 +149,13 @@ class Scheduler:
         if hasattr(system, "quiesce_cb"):
             # Late-bound on purpose: a tap subscriber observing
             # ``quiesce_all`` gets it wrapped in the instance dict, and the
-            # callback must go through that wrapper to be attributed.
-            system.quiesce_cb = lambda cycles: self.quiesce_all(cycles)
+            # callback must go through that wrapper to be attributed.  The
+            # reference is weak so the system and its scheduler form no
+            # cycle: a finished run is freed at once, not at the next full
+            # collection.
+            scheduler = weakref.ref(self)
+            system.quiesce_cb = \
+                lambda cycles: scheduler().quiesce_all(cycles)
 
     def add_thread(self, tid: int, core: int, program: Program,
                    start_clock: int = 0) -> ThreadHandle:

@@ -142,16 +142,39 @@ def test_unbounded_sets_preserve_values(ops):
 @settings(max_examples=120, deadline=None)
 @given(ops=op_sequence())
 def test_version_count_is_a_pure_versions_length(ops):
-    """``version_count`` (what protocol tracers read) must predict what
-    lazy processing keeps, and must not process anything itself."""
+    """``version_count`` (what protocol tracers read) and
+    ``read_committed`` (what result checks read) must not process
+    anything themselves; ``version_count`` must predict what lazy
+    processing keeps, and ``resolved`` the tags it leaves."""
     hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=3, **SMALL))
     run_ops(hierarchy, ops)
+    caches = hierarchy._all_caches()
+
+    def untouched():
+        return [(cache.stats.lazy_commits_processed,
+                 cache.stats.lazy_aborts_processed,
+                 cache._tick, list(cache._store.lru_tick))
+                for cache in caches]
+
+    before = untouched()
+    committed = {addr: hierarchy.read_committed(addr) for addr in POOL}
+    assert untouched() == before
     for addr in POOL:
         before = [cache.stats.lazy_commits_processed
                   + cache.stats.lazy_aborts_processed
-                  for cache in hierarchy._all_caches()]
+                  for cache in caches]
         count = hierarchy.version_count(addr)
         assert before == [cache.stats.lazy_commits_processed
                           + cache.stats.lazy_aborts_processed
-                          for cache in hierarchy._all_caches()]
+                          for cache in caches]
+        for cache in caches:
+            store = cache._store
+            predicted = {slot: cache.resolved(slot) for slot in
+                         cache._by_base.get(cache.line_addr(addr), ())}
+            kept = {line.slot for line in cache.versions(addr)}
+            assert predicted == {
+                slot: (store.state[slot], store.mod_vid[slot],
+                       store.high_vid[slot]) if slot in kept else None
+                for slot in predicted}
         assert count == len(hierarchy.versions_everywhere(addr))
+    assert committed == final_state(hierarchy)

@@ -1,14 +1,22 @@
 """The fused L1 fast path agrees with the code-level protocol rules.
 
-``MemoryHierarchy._access`` (and ``VersionedCache.lookup_slot``) inline
-the section 4.1 hit window and the in-place, SLA and Figure 4 entry
-decisions instead of calling :mod:`repro.coherence.protocol`.  This test
-pins the inlined copies to the one rule set: at a 3-bit VID width it
-places a single resident version in an L1 for every state code and every
-reachable ``(modVID, highVID)``, issues a load and a store at every
-request VID through ``MemoryHierarchy.load``/``store``, and checks the
-hit-or-miss, the abort-or-not outcome, the resulting versions and the
-``sla_required``/``created_version`` flags against the rules.
+``VersionedCache.lookup_slot`` is the one implementation of the section
+4.1 hit window (every access, snoop and directory probe looks up
+through it), and ``MemoryHierarchy._access`` inlines the in-place, SLA
+and Figure 4 entry decisions on the version it finds instead of calling
+:mod:`repro.coherence.protocol`.  These tests pin both to the one rule
+set:
+
+* at a 3-bit VID width, a single resident version is placed in an L1 for
+  every state code and every reachable ``(modVID, highVID)``; a load and
+  a store at every request VID go through ``MemoryHierarchy.load``/
+  ``store``, and the hit-or-miss, the abort-or-not outcome, the
+  resulting versions and the ``sla_required``/``created_version`` flags
+  are checked against the rules;
+* at the 3-bit width and at the paper's full 6-bit width, ``lookup_slot``
+  finds the version exactly when the window rule says it hits, and
+  counts the comparator engagements that
+  :meth:`~repro.coherence.vid.CascadedComparator.compare` would.
 """
 
 import pytest
@@ -33,6 +41,7 @@ from repro.coherence.states import (
     CODE_SS,
     STATE_FROM_CODE,
 )
+from repro.coherence.vid import DEFAULT_VID_BITS, CascadedComparator
 from repro.errors import MisspeculationError
 
 VID_BITS = 3
@@ -44,18 +53,32 @@ STORED = 99
 #: Upgrade bus transaction of MOESI: O/S become writable M/E first.
 _UPGRADED = {CODE_OWNED: CODE_MODIFIED, CODE_SHARED: CODE_EXCLUSIVE}
 
-CASES = [(code, m, h) for code, state in enumerate(STATE_FROM_CODE)
-         for m in VIDS for h in VIDS if reachable(state, m, h)]
+
+def _cases(bits):
+    vids = range(1 << bits)
+    return [(code, m, h) for code, state in enumerate(STATE_FROM_CODE)
+            for m in vids for h in vids if reachable(state, m, h)]
+
+
+CASES = _cases(VID_BITS)
+
+
+def _hierarchy(bits=VID_BITS):
+    return MemoryHierarchy(HierarchyConfig(
+        num_cores=2, l1_size=512, l1_assoc=2, l2_size=2048, l2_assoc=4,
+        vid_bits=bits))
+
+
+def _inject(l1, code, mod, high):
+    record = CacheLine(BASE, STATE_FROM_CODE[code], list(range(8)), mod, high)
+    record.epoch = l1._epoch         # resident and fully processed
+    return l1._inject_line(record)
 
 
 def _machine(code, mod, high):
-    hierarchy = MemoryHierarchy(HierarchyConfig(
-        num_cores=2, l1_size=512, l1_assoc=2, l2_size=2048, l2_assoc=4,
-        vid_bits=VID_BITS))
+    hierarchy = _hierarchy()
     l1 = hierarchy.l1s[0]
-    record = CacheLine(BASE, STATE_FROM_CODE[code], list(range(8)), mod, high)
-    record.epoch = l1._epoch         # resident and fully processed
-    l1._inject_line(record)
+    _inject(l1, code, mod, high)
     return hierarchy, l1
 
 
@@ -138,14 +161,28 @@ def test_fast_path_matches_rules(kind, code):
             hierarchy.check_invariants()
 
 
-def test_lookup_slot_matches_hit_window():
-    """The snoop-side lookup (with its one-version shortcut) applies the
-    same window: a request finds the version iff the rules say it hits."""
-    for code, m, h in CASES:
-        _, l1 = _machine(code, m, h)
-        for a in VIDS:
+@pytest.mark.parametrize("bits", [VID_BITS, DEFAULT_VID_BITS])
+def test_lookup_slot_matches_hit_window(bits):
+    """The one hit-window implementation (with its one-version shortcut)
+    finds a version iff the rules say the request hits it, at the reduced
+    width and at the full 6-bit width, and engages the comparators
+    exactly as ``CascadedComparator.compare`` counts them."""
+    l1 = _hierarchy(bits).l1s[0]
+    reference = CascadedComparator(bits=bits)
+    vids = range(1 << bits)
+    for code, m, h in _cases(bits):
+        view = _inject(l1, code, m, h)
+        for a in vids:
             found = l1.lookup_slot(BASE, a) is not None
             assert found == version_hits_code(code, m, h, a), (code, m, h, a)
+            if code >= CODE_SM:
+                reference.compare(a, m)
+                reference.compare(a, h)
+        l1.drop(view)
+    assert (l1.comparator.fast_comparisons,
+            l1.comparator.cascaded_comparisons) == \
+        (reference.fast_comparisons, reference.cascaded_comparisons)
+    assert reference.cascaded_comparisons > 0
 
 
 def test_every_state_class_is_exercised():

@@ -12,11 +12,17 @@ The contract the drivers (and the CI sweep-smoke job) rely on:
   (the pre-engine BenchmarkRunner keyed on ``(name, system)`` alone).
 """
 
+import gc
 import json
+import os
+import time
+import weakref
 
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.experiments.engine import run_request
+from repro.workloads.contended import CapacityHogWorkload
 from repro.experiments import (
     BenchmarkRunner,
     RunRequest,
@@ -69,6 +75,23 @@ class TestDeterminism:
             [r.workload for r in REQUESTS]
         assert engine.spawn_overhead_seconds == 0.0
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="needs two CPUs for overlapping workers")
+    def test_pool_overhead_counts_overlapping_workers(self):
+        """Overlapping workers must not hide the pool's own cost: the
+        overhead is pool wall - sum(worker walls) / workers, which stays
+        positive where ``max(0, wall - sum)`` would read 0."""
+        requests = [RunRequest(workload=name, system="hmtx", scale=scale)
+                    for name in ("130.li", "052.alvinn")
+                    for scale in (1.0, 0.9)]
+        engine = SweepEngine(jobs=2)
+        engine.worker_cap = 2
+        start = time.perf_counter()
+        records = engine.run(requests)
+        outer = time.perf_counter() - start
+        busy = sum(r.wall_seconds for r in records)
+        assert 0 < engine.spawn_overhead_seconds <= outer - busy / 2
+
     def test_results_in_request_order(self):
         records = SweepEngine().run(REQUESTS)
         assert [r.workload for r in records] == \
@@ -81,6 +104,23 @@ class TestDeterminism:
         assert "wall_seconds" in dir(record) or hasattr(record, "wall_seconds")
         assert "wall_seconds" not in report
         json.dumps(report, sort_keys=True)  # must be JSON-clean
+
+    def test_finished_run_is_freed_without_a_collection(self):
+        """A finished run forms no reference cycle: dropping its result
+        frees the system, its hierarchy and its main memory at once, not
+        at the next full garbage collection (which left several dead
+        capacity-hog memories alive at a time)."""
+        request = RunRequest(workload="capacity-hog", system="hmtx",
+                             scale=0.5, paradigm="PS-DSWP", policy="backoff",
+                             machine=CapacityHogWorkload.tiny_config())
+        gc.disable()
+        try:
+            workload, result = run_request(request)
+            memory = weakref.ref(result.system.hierarchy.memory)
+            del workload, result
+            assert memory() is None
+        finally:
+            gc.enable()
 
     def test_wall_clock_excluded_from_equality(self):
         a = execute_request(REQUESTS[0])
