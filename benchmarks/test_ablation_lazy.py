@@ -32,7 +32,7 @@ def _commit_eager(system, vid):
     every line in every cache (what Vachharajani's design required)."""
     latency = system.commit_mtx(0, vid)
     walked = 0
-    for cache in system.hierarchy.l1s + [system.hierarchy.l2]:
+    for cache in system.hierarchy.l1s + [system.hierarchy.llc_slices[0]]:
         for slot in list(cache.resident_slots()):
             cache._process_lazy_slot(slot)
             walked += 1

@@ -318,7 +318,7 @@ def _has_blocker(run: _Run, exc: MisspeculationError) -> bool:
     aborting VID) or read by a strictly different one (``highVID`` set,
     differing from both the aborting VID and its own ``modVID``).
     """
-    base = run.hierarchy.l2.line_addr(exc.addr)
+    base = run.hierarchy.llc_slices[0].line_addr(exc.addr)
     eff = exc.vid
     for cache in run.hierarchy._caches:
         for slot in cache._by_base.get(base, ()):

@@ -74,8 +74,7 @@ Rule catalog (details in DESIGN.md section 10):
     The tap (``obs/tap.py``) owns all method wrapping.  Elsewhere, a
     ``functools.wraps`` use or a ``setattr`` whose value can be a function
     (anything but a literal or arithmetic) is a private patch-and-restore
-    layer.  The class-level wall-time phase profiler
-    (``experiments/phase_profile.py``) is the one other exemption.
+    layer.
 ``RL011`` no hand-rolled spin loops
     Under ``runtime/`` and ``svc/``, a ``while`` loop whose body only
     yields a ``Work`` op (a ``Work(...)`` call or a named op), optionally
@@ -572,7 +571,7 @@ def _scan_representation(node: ast.AST, rel: str,
 
 
 #: The modules allowed to wrap methods (RL010).
-_WRAPPING_MODULES = ("obs/tap.py", "experiments/phase_profile.py")
+_WRAPPING_MODULES = ("obs/tap.py",)
 #: setattr values that can never be a function (RL010).
 _DATA_VALUES = (ast.Constant, ast.JoinedStr, ast.List, ast.Tuple, ast.Set,
                 ast.Dict, ast.ListComp, ast.SetComp, ast.DictComp,

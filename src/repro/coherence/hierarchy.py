@@ -231,9 +231,6 @@ class MemoryHierarchy:
             self._commit_cost = cfg.broadcast_latency
             self._reset_cost = cfg.broadcast_latency
         self._sockets = len(self.llc_slices)
-        #: Alias kept for the flat machine's callers (and slice 0 of a
-        #: multi-socket one, whose geometry helpers are shared anyway).
-        self.l2 = self.llc_slices[0]
         self._llc_group = frozenset(self.llc_slices)
         #: Socket owning each cache, by name (L1s follow their core;
         #: slices their socket).
@@ -359,7 +356,7 @@ class MemoryHierarchy:
         against that cache's ``LC_VID``) holds the committed value;
         otherwise memory does.
         """
-        base = self.l2.line_addr(addr)
+        base = self.llc_slices[0].line_addr(addr)
         for cache in self._all_caches():
             for slot in cache._by_base.get(base, ()):
                 tags = cache.resolved(slot)

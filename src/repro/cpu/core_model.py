@@ -1,10 +1,14 @@
-"""Core execution model: charges cycles for ops and drives branch prediction.
+"""Core execution model: per-thread branch prediction and the instruction mix.
 
-The :class:`CoreExecutor` is the bridge between the instruction IR
-(:mod:`repro.cpu.isa`) and the HMTX system.  It is deliberately simple — a
-fixed cost per non-memory op, hierarchy-provided latency for memory ops, and
-a mispredict penalty with wrong-path load side effects — because the paper's
-phenomena live in the memory system, not in out-of-order scheduling detail.
+:meth:`Scheduler.run <repro.runtime.scheduler.Scheduler.run>` gives every
+op of the instruction IR (:mod:`repro.cpu.isa`) its meaning; the
+:class:`CoreExecutor` holds the per-core state that loop charges: the
+branch predictors, each thread's pc, the :class:`ExecStats` instruction
+mix and the op costs.  The timing model is deliberately simple — a fixed
+cost per non-memory op, hierarchy-provided latency for memory ops, and a
+mispredict penalty with wrong-path load side effects — because the
+paper's phenomena live in the memory system, not in out-of-order
+scheduling detail.
 
 Wrong-path loads are the one microarchitectural detail HMTX *does* depend
 on (section 5.1): on a mispredicted branch, the loads listed on the op's
@@ -16,24 +20,11 @@ out-of-order core.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from .branch import BranchPredictor, CalibratedPredictor, GsharePredictor
-from .isa import (
-    AbortMTX,
-    Arrive,
-    BeginMTX,
-    Branch,
-    CommitMTX,
-    InitMTX,
-    Load,
-    Op,
-    OpCosts,
-    Output,
-    Store,
-    Work,
-)
+from .isa import Branch, OpCosts
 
 
 @dataclass
@@ -60,7 +51,9 @@ class ExecStats:
 
 
 class CoreExecutor:
-    """Executes IR ops for all threads of one simulated machine."""
+    """Branch predictors, pcs and instruction counters of one simulated
+    machine; :meth:`Scheduler.run
+    <repro.runtime.scheduler.Scheduler.run>` executes the ops."""
 
     def __init__(self, system, costs: Optional[OpCosts] = None,
                  predictor_factory: Optional[Callable[[], BranchPredictor]] = None
@@ -76,54 +69,6 @@ class CoreExecutor:
         if tid not in self._predictors:
             self._predictors[tid] = self._predictor_factory()
         return self._predictors[tid]
-
-    def execute(self, tid: int, op: Op, now: int = 0) -> Tuple[Any, int]:
-        """Execute ``op`` for thread ``tid`` at core-local time ``now``.
-
-        Returns ``(value, latency_cycles)``; ``value`` is sent back into the
-        workload generator (meaningful for :class:`Load`).
-        May raise :class:`~repro.errors.MisspeculationError`.
-        """
-        stats = self.stats
-        stats.instructions += 1
-        self._pc[tid] += 4
-        # Identity dispatch on the concrete op class (the ISA is a closed
-        # set of final dataclasses), ordered by dynamic frequency.
-        cls = op.__class__
-        if cls is Work:
-            cycles = op.cycles
-            if cycles > 1:
-                stats.instructions += cycles - 1
-            return None, cycles * self.costs.work_unit
-        if cls is Load:
-            stats.loads += 1
-            result = self.system.load(tid, op.addr, now=now)
-            return result.value, result.latency
-        if cls is Store:
-            stats.stores += 1
-            result = self.system.store(tid, op.addr, op.value, now=now)
-            return None, result.latency
-        if cls is Branch:
-            return None, self._execute_branch(tid, op)
-        if cls is Arrive:
-            # Open-loop arrival: idle until the request's timestamp, or —
-            # when the core is already past it — charge nothing and hand
-            # the accumulated queue wait back to the generator.
-            if op.ts > now:
-                return 0, op.ts - now
-            return now - op.ts, 0
-        if cls is BeginMTX:
-            return None, self.system.begin_mtx(tid, op.vid)
-        if cls is CommitMTX:
-            return None, self.system.commit_mtx(tid, op.vid)
-        if cls is AbortMTX:
-            return None, self.system.abort_mtx(tid, op.vid)
-        if cls is InitMTX:
-            return None, self.system.init_mtx(tid, op.handler)
-        if cls is Output:
-            self.system.output(tid, op.value)
-            return None, 1
-        raise TypeError(f"CoreExecutor cannot execute {op!r}")
 
     def _execute_branch(self, tid: int, op: Branch) -> int:  # hot-path
         predictor = self.predictor(tid)

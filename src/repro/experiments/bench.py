@@ -248,14 +248,16 @@ def main(argv=None) -> int:
 
     if args.profile:
         from .phase_profile import PhaseProfiler, format_profile  # lint-ok: RL005 (profiling-only stack, loaded on --profile alone)
-        # Wrappers live in this process only, so the run must be serial;
+        from ..obs.tap import Tap  # lint-ok: RL005 (profiling-only stack, loaded on --profile alone)
+        # The tap lives in this process only, so the run must be serial;
         # a single pass keeps the phase totals and the wall denominator
         # describing the same runs (best-of-N would not).
-        profiler = PhaseProfiler().install()
+        profiler = PhaseProfiler()
         try:
-            section = run_bench(quick=args.quick, repeat=1, jobs=1)
+            with Tap(profiler).activate():
+                section = run_bench(quick=args.quick, repeat=1, jobs=1)
         finally:
-            profiler.uninstall()
+            profiler.detach()
         print(format_bench(section))
         print()
         print(format_profile(

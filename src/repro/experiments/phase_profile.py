@@ -2,21 +2,26 @@
 
 Answers "where do the simulator's wall-clock seconds actually go?" without
 guessing from cProfile output: the named protocol phases — bus snoops
-(:meth:`MemoryHierarchy._fetch`), S-S scrubs and VID-reset scrubs
-(:meth:`MemoryHierarchy._scrub_ss_copies` / :meth:`VersionedCache.vid_reset`),
+(``_fetch`` of the hierarchy), S-S scrubs and VID-reset scrubs
+(``_scrub_ss_copies`` of the hierarchy, :meth:`VersionedCache.vid_reset`),
 epoch-gated lazy commit/abort folds (:meth:`VersionedCache._process_bucket`),
-the protocol hit path (:meth:`MemoryHierarchy._access`) and the scheduler's
-run loop (:meth:`Scheduler.run`) — are wrapped with ``time.perf_counter_ns``
-accounting for the duration of one bench pass.
+the protocol hit path (``_access`` of the hierarchy) and the scheduler's
+run loop (:meth:`Scheduler.run`) — are timed with ``time.perf_counter_ns``
+for the duration of one bench pass.
+
+:class:`PhaseProfiler` is a plain :mod:`repro.obs.tap` subscriber: active
+in a :class:`~repro.obs.tap.Tap`, it is handed every system and scheduler
+a run builds and times their phase methods through the tap's per-instance
+wrappers (one small subscriber type per object kind, since the tap
+resolves callbacks by method name and the hierarchy has a ``vid_reset``
+of its own).  A directory machine's own ``_fetch`` and
+``_scrub_ss_copies`` are timed too.
 
 Accounting is **exclusive** per phase: a call stack tracks nesting, so a
 nanosecond spent inside a lazy fold reached from ``_access`` is charged to
-``lazy-fold``, not double-counted under ``access`` and ``scheduler``.  The
-wrappers are installed on the *classes* (and removed afterwards), so the
-production fast paths — which only deoptimise on instance-level wrappers —
-keep running exactly as benchmarked.
+``lazy-fold``, not double-counted under ``access`` and ``scheduler``.
 
-Caveat: the wrappers themselves cost ~0.2µs per wrapped call, which inflates
+Caveat: the wrappers themselves cost time per wrapped call, which inflates
 absolute wall times (most visibly for ``access``, the hottest entry point).
 The *shares* are the signal; profiled walls are never written to the
 committed bench artifacts.
@@ -25,11 +30,9 @@ committed bench artifacts.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List
 
-from ..coherence.cache import VersionedCache
-from ..coherence.hierarchy import MemoryHierarchy
-from ..runtime.scheduler import Scheduler
+from ..obs import tap
 
 #: Phase display order.  ``scheduler`` is everything inside the run loop
 #: not claimed by a protocol phase — including the workload generators it
@@ -44,53 +47,38 @@ class PhaseProfiler:
     def __init__(self) -> None:
         self.ns: Dict[str, int] = {phase: 0 for phase in PHASES}
         self.calls: Dict[str, int] = {phase: 0 for phase in PHASES}
-        self._stack: List[List] = []
-        self._patches: List[Tuple[type, str, Callable]] = []
+        #: One ``[start, child time]`` frame per timed call in progress.
+        self._stack: List[List[int]] = []
+        self._scheduler = _SchedulerPhases(self)
+        self._hierarchy = _HierarchyPhases(self)
+        self._cache = _CachePhases(self)
 
-    def _wrap(self, phase: str, func: Callable) -> Callable:
-        ns = self.ns
-        calls = self.calls
-        stack = self._stack
-        perf = time.perf_counter_ns
+    def attach_system(self, system) -> None:
+        """Time the coherence model of ``system``: the hierarchy of HMTX,
+        the timing hierarchy of a software TM (SMTX, the oracle)."""
+        timing = getattr(system, "timing", None)
+        hierarchy = system.hierarchy if timing is None else timing
+        tap.subscribe(hierarchy, self._hierarchy)
+        for cache in hierarchy._all_caches():
+            tap.subscribe(cache, self._cache)
 
-        def wrapper(*args, **kwargs):
-            start = perf()
-            frame = [0]  # child time to subtract (exclusive accounting)
-            stack.append(frame)
-            try:
-                return func(*args, **kwargs)
-            finally:
-                elapsed = perf() - start
-                stack.pop()
-                ns[phase] += elapsed - frame[0]
-                calls[phase] += 1
-                if stack:
-                    stack[-1][0] += elapsed
+    def attach_scheduler(self, scheduler) -> None:
+        tap.subscribe(scheduler, self._scheduler)
 
-        wrapper.__name__ = getattr(func, "__name__", phase)
-        return wrapper
+    def detach(self) -> None:
+        for subscriber in (self._scheduler, self._hierarchy, self._cache):
+            tap.unsubscribe(subscriber)
 
-    def install(self) -> "PhaseProfiler":
-        """Patch the phase entry points at class level (idempotent-safe:
-        call :meth:`uninstall` before installing again)."""
-        points = [
-            (Scheduler, "run", "scheduler"),
-            (MemoryHierarchy, "_access", "access"),
-            (MemoryHierarchy, "_fetch", "snoop"),
-            (MemoryHierarchy, "_scrub_ss_copies", "scrub"),
-            (VersionedCache, "vid_reset", "scrub"),
-            (VersionedCache, "_process_bucket", "lazy-fold"),
-        ]
-        for owner, name, phase in points:
-            original = owner.__dict__[name]
-            self._patches.append((owner, name, original))
-            setattr(owner, name, self._wrap(phase, original))
-        return self
+    def _enter(self) -> None:
+        self._stack.append([time.perf_counter_ns(), 0])
 
-    def uninstall(self) -> None:
-        while self._patches:
-            owner, name, original = self._patches.pop()
-            setattr(owner, name, original)
+    def _leave(self, phase: str) -> None:
+        start, child = self._stack.pop()
+        elapsed = time.perf_counter_ns() - start
+        self.ns[phase] += elapsed - child
+        self.calls[phase] += 1
+        if self._stack:
+            self._stack[-1][1] += elapsed
 
     def report(self, wall_seconds: float) -> Dict:
         """JSON-ready breakdown; ``other`` absorbs un-wrapped time."""
@@ -121,3 +109,31 @@ def format_profile(report: Dict) -> str:
                      f"{row['share']:>6.1%} {row['calls']:>10,}")
     lines.append(f"{'wall':<12} {report['wall_seconds']:>9.3f}")
     return "\n".join(lines)
+
+
+class _Phases:
+    """Base of the per-kind subscriber types :func:`_phase_subscriber`
+    builds; the tap holds these, the profiler holds the counts."""
+
+    def __init__(self, profiler: PhaseProfiler) -> None:
+        self.profiler = profiler
+
+
+def _phase_subscriber(name: str, phases: Dict[str, str]) -> type:
+    """A tap subscriber type timing the methods ``phases`` maps to their
+    phase: each call enters in ``before_`` and leaves in ``after_`` or
+    ``failed_`` (a misspeculation unwinding through it)."""
+    namespace = {}
+    for method, phase in phases.items():
+        namespace["before_" + method] = \
+            lambda self, *args: self.profiler._enter()
+        namespace["after_" + method] = namespace["failed_" + method] = \
+            lambda self, *args, _phase=phase: self.profiler._leave(_phase)
+    return type(name, (_Phases,), namespace)
+
+
+_SchedulerPhases = _phase_subscriber("_SchedulerPhases", {"run": "scheduler"})
+_HierarchyPhases = _phase_subscriber("_HierarchyPhases", {
+    "_access": "access", "_fetch": "snoop", "_scrub_ss_copies": "scrub"})
+_CachePhases = _phase_subscriber("_CachePhases", {
+    "vid_reset": "scrub", "_process_bucket": "lazy-fold"})

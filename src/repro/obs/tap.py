@@ -89,13 +89,17 @@ def subscribe(obj, subscriber) -> None:
 def unsubscribe(subscriber) -> None:
     """Detach ``subscriber`` from every object it observes (idempotent)."""
     for key, tapped in list(_tapped.items()):
+        if _tapped.get(key) is not tapped:
+            # Its object died when an earlier rewire dropped the last
+            # wrapper referring to it.
+            continue
         for entry in tapped.subscribers:
             if entry[0]() is subscriber:
                 tapped.subscribers.remove(entry)
                 tapped.rewire(entry[1])
                 break
         if not tapped.subscribers:
-            del _tapped[key]
+            _tapped.pop(key, None)
 
 
 def _wrapper(original: Callable, callbacks: List[list]) -> Callable:

@@ -273,12 +273,9 @@ def build_result(workload: Workload, paradigm: str, system: TMBackend,
                  scheduler: Scheduler,
                  outcome: Optional[RecoveryOutcome] = None) -> ParadigmResult:
     outcome = outcome or RecoveryOutcome()
-    thread_clocks = {t.tid: t.clock for t in scheduler.threads}
-    cycles = max(thread_clocks.values())
-    run = RunResult(cycles, thread_clocks, {},
-                    sum(t.ops_executed for t in scheduler.threads))
-    result = ParadigmResult(workload.name, paradigm, cycles, system, run,
-                            outcome.recoveries)
+    run = scheduler.result()
+    result = ParadigmResult(workload.name, paradigm, run.makespan, system,
+                            run, outcome.recoveries)
     result.extra["exec_stats"] = scheduler.executor.stats
     result.extra["degraded_serial"] = outcome.serialized
     result.extra["serial_fallback"] = outcome.fallback

@@ -54,9 +54,11 @@ def run_ps_dswp(workload: Workload, config: Optional[MachineConfig] = None,
       the atomic group commit — the sequential tail stage of real DSWP
       pipelines.
 
-    With ``stage2_workers == 1`` (or ``inline_commit=True``) workers run
-    the epilogue + commit themselves once their commit turn arrives,
-    instead of handing off to a stage-3 thread.
+    With ``stage2_workers == 1`` (plain DSWP) the one worker runs the
+    epilogue + commit itself once its commit turn arrives, and no stage-3
+    thread exists.  ``stage2_workers`` alone picks the layout:
+    ``inline_commit`` is ignored, and stays in the signature only because
+    ``perfbench/tracer.py`` passes it.
     """
     system = fresh_system(config, sla_enabled,
                           system_factory=system_factory, backend=backend)

@@ -15,13 +15,16 @@ Timing model:
 * an optional :class:`~repro.cpu.interrupts.InterruptInjector` charges
   handler time to whichever thread crossed the interrupt period.
 
-:meth:`Scheduler.run` is the one step path.  Each step resumes a
-generator, then either hands a queue op to :meth:`Scheduler._queue_step`
-or runs a core op between one shared prologue (the start cycle) and one
-shared epilogue (interrupt check, clock writes); the common op classes
-are fused inline, the rest go through :meth:`CoreExecutor.execute
-<repro.cpu.core_model.CoreExecutor.execute>`.  Observation hooks in
-through :attr:`Scheduler.observer`, which costs an unobserved run two
+:meth:`Scheduler.run` is the one step path and the only code that gives
+an op its meaning.  Each step resumes a generator, then either hands a
+queue op to :meth:`Scheduler._queue_step` or runs a core op between one
+shared prologue (the start cycle) and one shared epilogue (interrupt
+check, clock writes).  The core ops are dispatched on their concrete
+class, most frequent first (``Work``, ``Load``, ``Store``, ``Branch``,
+then the MTX instructions, ``Arrive`` and ``Output``); the
+:class:`~repro.cpu.core_model.CoreExecutor` only holds the branch
+predictors and instruction counters the loop charges.  Observation hooks
+in through :attr:`Scheduler.observer`, which costs an unobserved run two
 ``is None`` tests per step.
 
 Conservative lookahead covers parked threads.  A thread that yields
@@ -50,8 +53,9 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..cpu.core_model import CoreExecutor
 from ..cpu.interrupts import InterruptInjector
-from ..cpu.isa import (Branch, Consume, Load, Op, Produce, SpinUntil, Store,
-                       Work)
+from ..cpu.isa import (AbortMTX, Arrive, BeginMTX, Branch, CommitMTX,
+                       Consume, InitMTX, Load, Op, Output, Produce, SpinUntil,
+                       Store, Work)
 from ..errors import ReproError
 from ..topology import place_core
 from .queues import QueueSet
@@ -79,22 +83,19 @@ class ThreadHandle:
                  "spin_rows", "spin_epoch")
 
     def __init__(self, tid: int, core: int, program: Program,
-                 clock: int = 0, done: bool = False,
-                 blocked_on: Optional[str] = None,
-                 blocked_produce: Optional[tuple] = None,
-                 pending_value: Any = None, ops_executed: int = 0) -> None:
+                 clock: int = 0) -> None:
         self.tid = tid
         self.core = core
         self.program = program
         self.clock = clock
-        self.done = done
+        self.done = False
         #: Queue this thread is blocked consuming from (empty queue).
-        self.blocked_on = blocked_on
+        self.blocked_on: Optional[str] = None
         #: (queue, value) this thread is blocked producing into (full queue).
-        self.blocked_produce = blocked_produce
+        self.blocked_produce: Optional[tuple] = None
         #: Value to send into the generator at the next step.
-        self.pending_value = pending_value
-        self.ops_executed = ops_executed
+        self.pending_value: Any = None
+        self.ops_executed = 0
         #: The :class:`~repro.cpu.isa.SpinUntil` this thread is parked on.
         self.spin: Optional[SpinUntil] = None
         #: Op samples charged to the current spin (sent back on resume).
@@ -115,7 +116,6 @@ class RunResult:
 
     makespan: int
     thread_clocks: Dict[int, int]
-    core_clocks: Dict[int, int]
     ops_executed: int
 
     @property
@@ -246,23 +246,17 @@ class Scheduler:
         queue_op = self.system.config.op_costs.queue_op
         core_clock = self._core_clock
         executor = self.executor
-        execute = executor.execute
         interrupts = self.interrupts
         system = self.system
         observer = self.observer
-        # Work/Load/Store/Branch cover almost every op a workload yields;
-        # they are fused below (exactly what CoreExecutor.execute does for
-        # each class, without the dispatch) when the executor is a plain
-        # CoreExecutor.  system.load/store are hoisted through the
-        # instance, so a tap wrapper installed before the run is still
-        # honoured.
-        fuse = executor.__class__ is CoreExecutor
-        # Polls are charged in bulk only where every one of them is a
-        # fused Work op that no interrupt check can interleave with.
-        bulk_polls = fuse and interrupts is None
+        # Polls are charged in bulk only where no interrupt check can
+        # interleave with them.
+        bulk_polls = interrupts is None
         estats = executor.stats
         epc = executor._pc
         work_unit = executor.costs.work_unit
+        # Hoisted through the instance, so a tap wrapper installed before
+        # the run is still honoured.
         system_load = system.load
         system_store = system.store
         execute_branch = executor._execute_branch
@@ -407,27 +401,31 @@ class Scheduler:
             start = core_clock[core]
             if thread.clock > start:
                 start = thread.clock
-            if cls is Work and fuse:
+            # Identity dispatch on the concrete op class (the ISA is a
+            # closed set of final classes), ordered by dynamic frequency.
+            # Every core op moves the thread's pc one slot and counts one
+            # instruction (a Work op one per cycle).
+            if cls is Work:
                 cycles = op.cycles
                 estats.instructions += cycles if cycles > 1 else 1
                 epc[tid] += 4
                 value = None
                 latency = cycles * work_unit
-            elif cls is Load and fuse:
+            elif cls is Load:
                 estats.instructions += 1
                 estats.loads += 1
                 epc[tid] += 4
                 result = system_load(tid, op.addr, start)
                 value = result.value
                 latency = result.latency
-            elif cls is Store and fuse:
+            elif cls is Store:
                 estats.instructions += 1
                 estats.stores += 1
                 epc[tid] += 4
                 value = None
                 latency = system_store(tid, op.addr, op.value,
                                        start).latency
-            elif cls is Branch and fuse:
+            elif cls is Branch:
                 estats.instructions += 1
                 epc[tid] += 4
                 value = None
@@ -436,7 +434,33 @@ class Scheduler:
                 self._queue_step(thread, op, cls)
                 continue
             else:
-                value, latency = execute(tid, op, start)
+                estats.instructions += 1
+                epc[tid] += 4
+                value = None
+                if cls is Arrive:
+                    # Open-loop arrival: idle until the request's
+                    # timestamp, or — when the core is already past it —
+                    # charge nothing and hand the accumulated queue wait
+                    # back to the generator.
+                    if op.ts > start:
+                        value = 0
+                        latency = op.ts - start
+                    else:
+                        value = start - op.ts
+                        latency = 0
+                elif cls is BeginMTX:
+                    latency = system.begin_mtx(tid, op.vid)
+                elif cls is CommitMTX:
+                    latency = system.commit_mtx(tid, op.vid)
+                elif cls is AbortMTX:
+                    latency = system.abort_mtx(tid, op.vid)
+                elif cls is InitMTX:
+                    latency = system.init_mtx(tid, op.handler)
+                elif cls is Output:
+                    system.output(tid, op.value)
+                    latency = 1
+                else:
+                    raise TypeError(f"the scheduler cannot execute {op!r}")
             # Epilogue, shared by every core op.
             if observer is not None:
                 observer.on_op(tid, op, start, value, latency)
@@ -449,11 +473,14 @@ class Scheduler:
             thread.clock = clock
             core_clock[core] = clock
             thread.pending_value = value
+        return self.result()
+
+    def result(self) -> RunResult:
+        """The timing outcome so far, read off the thread list."""
         thread_clocks = {t.tid: t.clock for t in self.threads}
         return RunResult(
             makespan=max(thread_clocks.values(), default=0),
             thread_clocks=thread_clocks,
-            core_clocks=dict(self._core_clock),
             ops_executed=sum(t.ops_executed for t in self.threads),
         )
 

@@ -76,10 +76,10 @@ def run_smtx(workload: Workload, config: Optional[MachineConfig] = None,
 
     name = paradigm or workload.paradigm
     if name in ("DSWP", "PS-DSWP"):
-        # The SMTX commit process is itself the ordered final stage, so
-        # workers commit inline (wait for their turn, run the epilogue)
-        # and all remaining cores after stage 1 run the parallel stage.
-        kwargs.setdefault("inline_commit", True)
+        # Every worker core after stage 1's runs the parallel stage.  With
+        # two or more workers a stage-3 thread still re-sequences and
+        # commits, sharing a core with another stage; the commit
+        # process's own cost is charged below.
         kwargs.setdefault("stage2_workers", max(1, worker_config.num_cores - 1))
     result = run_workload(workload, worker_config, paradigm=name,
                           system_factory=factory, **kwargs)

@@ -189,12 +189,12 @@ class TestSlicedHierarchy:
     def test_flat_machine_single_slice_named_l2(self):
         hier = MemoryHierarchy(HierarchyConfig())
         assert [c.name for c in hier.llc_slices] == ["L2"]
-        assert hier.l2 is hier.llc_slices[0]
+        assert not hasattr(hier, "l2")
 
     def test_one_slice_per_socket(self):
         hier = DirectoryHierarchy(two_socket_config())
         assert [c.name for c in hier.llc_slices] == ["LLC[0]", "LLC[1]"]
-        assert hier.l2 is hier.llc_slices[0]
+        assert not hasattr(hier, "l2")
 
     def test_slice_geometry_comes_from_the_spec(self):
         spec = TopologySpec(sockets=2, cores_per_socket=4,

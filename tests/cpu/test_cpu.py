@@ -15,6 +15,7 @@ from repro.cpu import (
     Work,
 )
 from repro.cpu.isa import BeginMTX, CommitMTX, Output, format_trace
+from repro.runtime.scheduler import Scheduler
 
 ADDR = 0x4000
 
@@ -66,60 +67,69 @@ class TestCalibratedPredictor:
             CalibratedPredictor(1.5)
 
 
+def run_ops(system, *ops, predictor_factory=None):
+    """Yield ``ops`` from thread 0 of a one-thread :class:`Scheduler`;
+    returns its executor and one ``(value, latency)`` pair per op."""
+    executor = CoreExecutor(system, predictor_factory=predictor_factory)
+    scheduler = Scheduler(system, executor=executor)
+    results = []
+
+    def program():
+        for op in ops:
+            before = handle.clock
+            value = yield op
+            results.append((value, handle.clock - before))
+
+    handle = scheduler.add_thread(0, core=0, program=program())
+    scheduler.run()
+    return executor, results
+
+
 class TestCoreExecutor:
     def test_work_costs_cycles(self, system):
-        executor = CoreExecutor(system)
-        _, latency = executor.execute(0, Work(17))
+        _, [(_, latency)] = run_ops(system, Work(17))
         assert latency == 17
 
     def test_load_returns_value(self, system):
         system.hierarchy.memory.write_word(ADDR, 42)
-        executor = CoreExecutor(system)
-        value, latency = executor.execute(0, Load(ADDR))
+        _, [(value, latency)] = run_ops(system, Load(ADDR))
         assert value == 42
         assert latency > 0
 
     def test_store_then_load(self, system):
-        executor = CoreExecutor(system)
-        executor.execute(0, Store(ADDR, 7))
-        assert executor.execute(0, Load(ADDR))[0] == 7
+        _, results = run_ops(system, Store(ADDR, 7), Load(ADDR))
+        assert results[1][0] == 7
 
     def test_mtx_ops_dispatch(self, system):
-        executor = CoreExecutor(system)
         vid = system.allocate_vid()
-        executor.execute(0, BeginMTX(vid))
-        executor.execute(0, Store(ADDR, 1))
-        executor.execute(0, CommitMTX(vid))
+        run_ops(system, BeginMTX(vid), Store(ADDR, 1), CommitMTX(vid))
         assert system.last_committed == vid
 
     def test_output_op(self, system):
-        executor = CoreExecutor(system)
-        executor.execute(0, Output("x"))
+        run_ops(system, Output("x"))
         assert system.committed_output == ["x"]
 
     def test_unknown_op_rejected(self, system):
-        executor = CoreExecutor(system)
         with pytest.raises(TypeError):
-            executor.execute(0, object())
+            run_ops(system, object())
 
     def test_mispredicted_branch_pays_penalty(self, system):
-        executor = CoreExecutor(
-            system, predictor_factory=lambda: CalibratedPredictor(1.0))
-        _, latency = executor.execute(0, Branch(taken=True))
+        _, [(_, latency)] = run_ops(
+            system, Branch(taken=True),
+            predictor_factory=lambda: CalibratedPredictor(1.0))
         costs = system.config.op_costs
         assert latency == costs.branch + costs.branch_mispredict_penalty
 
     def test_correct_branch_is_cheap(self, system):
-        executor = CoreExecutor(
-            system, predictor_factory=lambda: CalibratedPredictor(0.0))
-        _, latency = executor.execute(0, Branch(taken=True))
+        _, [(_, latency)] = run_ops(
+            system, Branch(taken=True),
+            predictor_factory=lambda: CalibratedPredictor(0.0))
         assert latency == system.config.op_costs.branch
 
     def test_burst_branch_counts_all(self, system):
-        executor = CoreExecutor(
-            system, predictor_factory=lambda: CalibratedPredictor(0.0))
-        _, latency = executor.execute(0, Branch(taken=True, count=10,
-                                                work_cycles=50))
+        executor, [(_, latency)] = run_ops(
+            system, Branch(taken=True, count=10, work_cycles=50),
+            predictor_factory=lambda: CalibratedPredictor(0.0))
         assert executor.stats.branches == 10
         assert latency == 50 + 10 * system.config.op_costs.branch
 
@@ -127,16 +137,14 @@ class TestCoreExecutor:
         system.hierarchy.memory.write_word(ADDR, 5)
         vid = system.allocate_vid()
         system.begin_mtx(0, vid)
-        executor = CoreExecutor(
-            system, predictor_factory=lambda: CalibratedPredictor(1.0))
-        executor.execute(0, Branch(taken=True, wrong_path_loads=(ADDR,)))
+        run_ops(system, Branch(taken=True, wrong_path_loads=(ADDR,)),
+                predictor_factory=lambda: CalibratedPredictor(1.0))
         assert system.stats.wrong_path_loads == 1
 
     def test_instruction_mix_accounting(self, system):
-        executor = CoreExecutor(
-            system, predictor_factory=lambda: CalibratedPredictor(0.0))
-        executor.execute(0, Work(10))
-        executor.execute(0, Branch(taken=True, count=5, work_cycles=5))
+        executor, _ = run_ops(
+            system, Work(10), Branch(taken=True, count=5, work_cycles=5),
+            predictor_factory=lambda: CalibratedPredictor(0.0))
         # 10 (work) + 5 branches + 5 filler = 20 instructions, 5 branches.
         assert executor.stats.instructions == 20
         assert executor.stats.branch_fraction == pytest.approx(0.25)

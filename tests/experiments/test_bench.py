@@ -93,16 +93,16 @@ class TestPhaseProfiler:
             format_profile,
         )
         from repro.coherence.hierarchy import MemoryHierarchy
+        from repro.obs.tap import Tap
         from repro.runtime.scheduler import Scheduler
         originals = (Scheduler.run, MemoryHierarchy._access)
-        profiler = PhaseProfiler().install()
-        try:
+        profiler = PhaseProfiler()
+        with Tap(profiler).activate():
             record = execute_request(
                 RunRequest(workload="ispell", system="hmtx", scale=0.2,
                            calibrated=False))
-        finally:
-            profiler.uninstall()
-        # Uninstall restores the untouched originals.
+        profiler.detach()
+        # The profiler wraps instances through the tap, never classes.
         assert (Scheduler.run, MemoryHierarchy._access) == originals
         report = profiler.report(record.wall_seconds)
         assert set(report["phases"]) == set(PHASES) | {"other"}
@@ -118,12 +118,12 @@ class TestPhaseProfiler:
     def test_profiled_run_is_behavior_identical(self):
         from repro.experiments.engine import RunRequest, execute_request
         from repro.experiments.phase_profile import PhaseProfiler
+        from repro.obs.tap import Tap
         request = RunRequest(workload="ispell", system="hmtx", scale=0.2,
                              calibrated=False)
         plain = execute_request(request)
-        profiler = PhaseProfiler().install()
-        try:
+        profiler = PhaseProfiler()
+        with Tap(profiler).activate():
             profiled = execute_request(request)
-        finally:
-            profiler.uninstall()
+        profiler.detach()
         assert plain == profiled  # wall time excluded from equality

@@ -1,6 +1,6 @@
 """Failure injection: random aborts at arbitrary execution points.
 
-A chaos executor flips a deterministic pseudo-random coin before memory
+A chaos system flips a deterministic pseudo-random coin before memory
 operations and triggers a full transactional abort — modelling asynchronous
 failure sources (watchdogs, software-detected misspeculation, conservative
 OS events) striking at the worst possible moments.  Whatever the injection
@@ -10,8 +10,6 @@ pattern, recovery must reproduce sequential semantics exactly.
 import pytest
 
 from repro.core import HMTXSystem
-from repro.cpu.core_model import CoreExecutor
-from repro.cpu.isa import Load, Store
 from repro.errors import MisspeculationError
 from repro.txctl import AbortCause
 from repro.runtime.paradigms import run_doall, run_ps_dswp
@@ -19,37 +17,35 @@ from repro.workloads import LinkedListWorkload, Lcg
 from repro.workloads.alvinn import AlvinnWorkload
 
 
-class ChaosExecutor(CoreExecutor):
+class ChaosSystem(HMTXSystem):
     """Randomly aborts all speculation before some memory operations."""
 
-    def __init__(self, system, rate_denominator: int, seed: int) -> None:
-        super().__init__(system)
+    def __init__(self, rate_denominator: int, seed: int) -> None:
+        super().__init__()
         self._rng = Lcg(seed)
         self._denominator = rate_denominator
         self.injected = 0
 
-    def execute(self, tid, op, now=0):
-        if isinstance(op, (Load, Store)) \
-                and self.system.contexts[tid].vid > 0 \
-                and self.system.active_vids \
+    def _chaos(self, tid):
+        if self.contexts[tid].vid > 0 \
+                and self.active_vids \
                 and self._rng.next(self._denominator) == 0:
             self.injected += 1
-            self.system._abort(explicit=True)
+            self._abort(explicit=True)
             raise MisspeculationError("chaos: injected abort",
                                       cause=AbortCause.INTERRUPT)
-        return super().execute(tid, op, now)
+
+    def load(self, tid, addr, now=0):
+        self._chaos(tid)
+        return super().load(tid, addr, now)
+
+    def store(self, tid, addr, value, now=0):
+        self._chaos(tid)
+        return super().store(tid, addr, value, now)
 
 
 def chaos_factory(rate_denominator: int, seed: int):
-    holder = {}
-
-    def factory(system: HMTXSystem) -> ChaosExecutor:
-        executor = ChaosExecutor(system, rate_denominator, seed)
-        holder["executor"] = executor
-        return executor
-
-    factory.holder = holder
-    return factory
+    return lambda: ChaosSystem(rate_denominator, seed)
 
 
 class TestChaos:
@@ -57,19 +53,19 @@ class TestChaos:
     def test_ps_dswp_survives_random_aborts(self, seed):
         factory = chaos_factory(rate_denominator=150, seed=seed)
         workload = LinkedListWorkload(nodes=24)
-        result = run_ps_dswp(workload, executor_factory=factory)
-        executor = factory.holder["executor"]
-        assert executor.injected > 0, "chaos never fired; lower the rate"
+        result = run_ps_dswp(workload, system_factory=factory)
+        system = result.system
+        assert system.injected > 0, "chaos never fired; lower the rate"
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
-        assert result.recoveries >= executor.injected
+        assert result.recoveries >= system.injected
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_doall_survives_random_aborts(self, seed):
         factory = chaos_factory(rate_denominator=500, seed=seed)
         workload = AlvinnWorkload(iterations=10)
-        result = run_doall(workload, executor_factory=factory)
-        assert factory.holder["executor"].injected > 0
+        result = run_doall(workload, system_factory=factory)
+        assert result.system.injected > 0
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
 
@@ -78,12 +74,12 @@ class TestChaos:
         must still be exact."""
         factory = chaos_factory(rate_denominator=60, seed=5)
         workload = LinkedListWorkload(nodes=16)
-        result = run_ps_dswp(workload, executor_factory=factory)
+        result = run_ps_dswp(workload, system_factory=factory)
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
 
     def test_every_iteration_commits_exactly_once(self):
         factory = chaos_factory(rate_denominator=300, seed=9)
         workload = LinkedListWorkload(nodes=20)
-        result = run_ps_dswp(workload, executor_factory=factory)
+        result = run_ps_dswp(workload, system_factory=factory)
         assert result.system.stats.committed == workload.iterations

@@ -10,8 +10,8 @@ Three guarantees, in increasing strength:
    an observed run is bit-identical to a run that never saw one.
 3. Observation itself is behaviour-free: the snapshot of an *observed*
    run equals the snapshot of an unobserved run, counter for counter —
-   for every tap subscriber (the obs session, the race-check ring and
-   the protocol tracer).
+   for every tap subscriber (the obs session, the race-check ring, the
+   protocol tracer and the wall-time phase profiler).
 
 Observed runs also take the scheduler's one step path: the session is
 the scheduler's per-step observer, and nothing wraps the executor.
@@ -24,6 +24,7 @@ import pytest
 from repro.core import HMTXSystem, MachineConfig
 from repro.cpu.isa import AbortMTX, BeginMTX, Load, Work
 from repro.errors import MisspeculationError
+from repro.experiments.phase_profile import PhaseProfiler
 from repro.obs import hooks
 from repro.obs.session import ObsSession
 from repro.obs.tap import Tap
@@ -79,7 +80,7 @@ class TestOneStepPath:
     def test_session_observes_steps_without_wrapping_the_executor(self):
         _, scheduler, session = observed_scheduler(num_cores=2)
         assert scheduler.observer is session
-        assert "execute" not in vars(scheduler.executor)
+        assert not hasattr(scheduler.executor, "execute")
 
         def program():
             yield Work(3)
@@ -130,6 +131,9 @@ SUBSCRIBERS = {
     "obs-session": (ObsSession, lambda session: session.samples),
     "trace-ring": (BackendTracer, lambda ring: ring.events),
     "protocol-tracer": (ProtocolTracer, lambda tracer: tracer.events),
+    # Every timed call, aborted ones included, has left the phase stack.
+    "phase-profiler": (PhaseProfiler, lambda profiler:
+                       profiler.calls["access"] and not profiler._stack),
 }
 
 

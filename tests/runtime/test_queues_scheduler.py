@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core import HMTXSystem, MachineConfig
-from repro.cpu.isa import Consume, Load, Produce, Store, Work
+from repro.cpu import isa
+from repro.cpu.isa import (AbortMTX, Arrive, BeginMTX, Branch, CommitMTX,
+                           Consume, InitMTX, Load, Op, Output, Produce,
+                           SpinUntil, Store, Work)
+from repro.errors import MisspeculationError
 from repro.runtime.queues import QueueSet, TimedQueue
 from repro.runtime.scheduler import DeadlockError, Scheduler
 
@@ -182,3 +186,54 @@ class TestScheduler:
         sched.replace_programs({0: second()})
         result = sched.run()
         assert result.thread_clocks[0] >= 501
+
+
+class TestOpDispatch:
+    """``Scheduler.run`` is the only code that executes ops: every
+    concrete op class of the ISA runs through it, nothing else does."""
+
+    def test_every_isa_op_runs_through_the_scheduler(self):
+        system, sched = make_scheduler()
+        first = system.allocate_vid()
+        second = system.allocate_vid()
+        ops = [Work(2), Store(ADDR, 3), Load(ADDR), Branch(taken=True),
+               Arrive(1000), SpinUntil(lambda: True, 4),
+               InitMTX(lambda: None), BeginMTX(first), Output("x"),
+               CommitMTX(first), Produce("q", 9), Consume("q"),
+               BeginMTX(second), AbortMTX(second)]
+        concrete = {cls for cls in vars(isa).values()
+                    if isinstance(cls, type) and issubclass(cls, Op)
+                    and cls is not Op}
+        assert {op.__class__ for op in ops} == concrete
+        values = []
+
+        def program():
+            for op in ops:
+                values.append((yield op))
+
+        sched.add_thread(0, core=0, program=program())
+        with pytest.raises(MisspeculationError):
+            sched.run()
+        # Load reads the store, the late-free Arrive idles to its
+        # timestamp, a satisfied spin polls 0 times, Consume pops 9.
+        assert values == [None, None, 3, None, 0, 0, None, None, None,
+                          None, None, 9, None]
+        assert system.committed_output == ["x"]
+        assert system.last_committed == first
+        assert sched.threads[0].clock >= 1000
+        # Every core op but the spin and the queue ops counts one
+        # instruction (Work(2) counts two) and one pc slot.
+        assert sched.executor.stats.instructions == 12
+        assert sched.executor._pc[0] == 4 * 11
+
+    @pytest.mark.parametrize("op", [object(), None, "Work", Work, Op()],
+                             ids=["object", "None", "str", "class", "Op"])
+    def test_anything_else_raises_type_error(self, op):
+        _, sched = make_scheduler()
+
+        def program():
+            yield op
+
+        sched.add_thread(0, core=0, program=program())
+        with pytest.raises(TypeError):
+            sched.run()

@@ -109,6 +109,22 @@ class TestSmtxExecution:
             workload.expected_result(result.system)
 
 
+@pytest.mark.parametrize("name", [n for n in SMTX_COMPARABLE
+                                  if n != "052.alvinn"])
+def test_smtx_ps_dswp_thread_layout(name):
+    """SMTX keeps one of the 4 cores for its commit process.  PS-DSWP
+    then runs stage 1, two stage-2 workers and a stage-3 thread on the
+    other three; stage 3 shares stage 1's core."""
+    workload = make_benchmark(name, SMALL)
+    assert workload.paradigm == "PS-DSWP"
+    result = run_smtx(workload)
+    assert result.paradigm == "SMTX-PS-DSWP"
+    assert result.system.config.num_cores == 3
+    cores = {tid: ctx.core for tid, ctx in result.system.contexts.items()}
+    assert cores == {0: 0, 1: 1, 2: 2, 3: 0}
+    assert set(result.run.thread_clocks) == {0, 1, 2, 3}
+
+
 class TestTable1Characteristics:
     def test_ispell_needs_most_slas(self, hmtx_runs):
         """Table 1: ispell 13.0% of loads, the suite's highest."""
