@@ -79,13 +79,13 @@ def part4_explicit_abort():
     system.store(0, 0x5000, 0)
     system.output(0, "speculative print that must never appear")
     print(f"inside the transaction, 0x5000 reads "
-          f"{system.load(0, 0x5000).value}")
+          f"{system.load(0, 0x5000)[0]}")
     try:
         system.abort_mtx(0, vid)     # control-flow misspeculation detected
     except MisspeculationError as err:
         print(f"abortMTX -> {err}")
     print(f"after rollback, 0x5000 reads "
-          f"{system.load(0, 0x5000).value} and "
+          f"{system.load(0, 0x5000)[0]} and "
           f"{len(system.committed_output)} buffered outputs escaped")
 
 

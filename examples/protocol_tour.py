@@ -40,7 +40,7 @@ def stop1_versioned_memory():
     h.store(0, ADDR, 2, 222)
     show(h, "VID 2 writes (another version stacks)")
     for vid, expected in ((0, 100), (1, 111), (2, 222), (5, 222)):
-        value = h.load(1, ADDR, vid).value
+        value = h.load(1, ADDR, vid)[0]
         print(f"    a VID-{vid} read sees {value}  (expected {expected})")
 
 
@@ -49,13 +49,13 @@ def stop2_dependences():
     h = MemoryHierarchy(HierarchyConfig(num_cores=2))
     h.store(0, ADDR, 2, 42)
     print(f"  flow:   store@2 then load@5 forwards -> "
-          f"{h.load(1, ADDR, 5).value}")
+          f"{h.load(1, ADDR, 5)[0]}")
     h2 = MemoryHierarchy(HierarchyConfig(num_cores=2))
     h2.memory.write_word(ADDR, 7)
     h2.load(0, ADDR, 2)
     h2.store(1, ADDR, 5, 99)
     print(f"  anti:   load@2 then store@5 is safe; VID 2 still sees "
-          f"{h2.load(0, ADDR, 2).value}")
+          f"{h2.load(0, ADDR, 2)[0]}")
     h3 = MemoryHierarchy(HierarchyConfig(num_cores=2))
     h3.load(0, ADDR, 5)
     try:
@@ -88,7 +88,7 @@ def stop4_abort():
     h.abort()
     h.load(1, ADDR, 0)
     show(h, "after abort + touch")
-    print(f"    committed value preserved: {h.load(1, ADDR, 0).value}")
+    print(f"    committed value preserved: {h.load(1, ADDR, 0)[0]}")
 
 
 def stop5_overflow():
@@ -104,7 +104,7 @@ def stop5_overflow():
         h.store(0, 0x50000 + i * 256, 2, i)   # pressure the sets
         i += 1
     print(f"  backup evicted to memory after {i} competing stores")
-    value = h.load(1, ADDR, 1).value
+    value = h.load(1, ADDR, 1)[0]
     print(f"  a VID-1 read still finds version 0 data: {value} "
           f"(retrievals: {h.stats.overflow_retrievals})")
 
@@ -119,8 +119,8 @@ def stop6_vid_reset():
     h.vid_reset()
     h.store(0, ADDR, 1, 999)          # VID 1 of the new epoch
     h.commit(1)
-    print(f"  new epoch's VID 1 works: {h.load(0, ADDR, 0).value}")
-    print(f"  old epoch's data intact: {h.load(0, ADDR + 64, 0).value}")
+    print(f"  new epoch's VID 1 works: {h.load(0, ADDR, 0)[0]}")
+    print(f"  old epoch's data intact: {h.load(0, ADDR + 64, 0)[0]}")
 
 
 def stop7_trace():

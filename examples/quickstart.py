@@ -46,7 +46,7 @@ def main():
         vid = system.allocate_vid()
         system.begin_mtx(stage1, vid)
         system.store(stage1, PRODUCED_NODE, node)      # one speculative store
-        node = system.load(stage1, node).value         # node = node->next
+        node = system.load(stage1, node)[0]         # node = node->next
         system.begin_mtx(stage1, 0)
         vid_queue.append(vid)
     print(f"stage 1 opened {len(vid_queue)} transactions "
@@ -58,8 +58,8 @@ def main():
     # everything both threads did under that VID.
     for vid in vid_queue:
         system.begin_mtx(stage2, vid)
-        node_ptr = system.load(stage2, PRODUCED_NODE).value
-        value = system.load(stage2, node_ptr + 8).value
+        node_ptr = system.load(stage2, PRODUCED_NODE)[0]
+        value = system.load(stage2, node_ptr + 8)[0]
         total += value
         system.store(stage2, node_ptr + 16, value * 2)  # work() output
         system.commit_mtx(stage2, vid)

@@ -300,8 +300,8 @@ def step(run: _Run, event: int) -> None:
     core = run.cores[event]
     try:
         if op[0] == "load":
-            result = hierarchy.load(core, op[1], thread.vid)
-            thread.loads.append((thread.pc, result.value))
+            value, _ = hierarchy.load(core, op[1], thread.vid)
+            thread.loads.append((thread.pc, value))
         else:
             hierarchy.store(core, op[1], thread.vid, op[2])
     except MisspeculationError as exc:
@@ -910,11 +910,11 @@ def _skewed_read_load(self, core, addr, vid, now=0):
     # consistent (EX002/EX003 hold), only the value handed to the core
     # is wrong — exactly the class of bug only end-to-end
     # serializability (EX001) can catch.
-    result = MemoryHierarchy.load(self, core, addr, vid, now)
+    value, latency = MemoryHierarchy.load(self, core, addr, vid, now)
     if not self._skew_fired and vid > 0:
         self._skew_fired = True
-        result.value ^= 0x1
-    return result
+        value ^= 0x1
+    return value, latency
 
 
 def _inject_skewed_read(run: _Run) -> None:

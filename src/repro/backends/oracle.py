@@ -22,9 +22,9 @@ operations, its commit hook and its instruction costs.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..coherence.hierarchy import AccessResult
+from ..coherence.hierarchy import Access
 from ..core.config import MachineConfig
 from ..core.mtx import MTXMachine
 from ..smtx.system import SMTXSystem
@@ -54,24 +54,24 @@ class OracleTMSystem(SMTXSystem):
     # Memory operations: no logging, no instrumentation
     # ------------------------------------------------------------------
 
-    def load(self, tid: int, addr: int, now: int = 0) -> AccessResult:
+    def load(self, tid: int, addr: int, now: int = 0) -> Access:
         ctx = self.contexts[tid]
-        value, _ = self._read_with_source(ctx.vid, addr)
-        latency = self.timing.load(ctx.core, addr, 0, now=now).latency
+        value = self.memory.read(ctx.vid, addr)
+        _, latency = self.timing.load(ctx.core, addr, 0, now=now)
         if ctx.vid > 0:
             self.stats.record_load(ctx.vid, addr, sla_sent=False)
-        return AccessResult(value, latency, True, "oracle")
+        return value, latency
 
     def store(self, tid: int, addr: int, value: int,
-              now: int = 0) -> AccessResult:
+              now: int = 0) -> Access:
         ctx = self.contexts[tid]
-        latency = self.timing.store(ctx.core, addr, 0, 0, now=now).latency
+        _, latency = self.timing.store(ctx.core, addr, 0, 0, now=now)
         self.memory.write(ctx.vid, addr, value)
         if ctx.vid > 0:
             self.stats.record_store(ctx.vid, addr)
-        return AccessResult(value, latency, True, "oracle")
+        return value, latency
 
-    def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
+    def wrong_path_load(self, tid: int, addr: int) -> Access:
         """Perfect hardware never lets a squashed load mark anything."""
         self.stats.wrong_path_loads += 1
         return super().wrong_path_load(tid, addr)

@@ -29,8 +29,9 @@ A backend models one machine running one TM scheme.  The surface:
   ``abort_mtx`` / ``init_mtx`` (section 3.1), enforcing in-order commit.
 * **memory** — ``load`` / ``store`` carry the issuing thread's VID;
   ``wrong_path_load`` models branch-speculative loads; ``kernel_load`` /
-  ``kernel_store`` model handler code (section 5.2); ``output`` buffers
-  program output until commit (4.7).
+  ``kernel_store`` model handler code (section 5.2); each returns the
+  plain ``(value, latency)`` tuple :data:`~repro.coherence.hierarchy.
+  Access`.  ``output`` buffers program output until commit (4.7).
 * **observability** — ``stats`` (a :class:`SystemStats`), ``config``,
   ``hierarchy`` (values + latency), ``active_vids`` / ``last_committed``
   / ``committed_output``.
@@ -48,11 +49,10 @@ from typing import (
     Dict,
     Protocol,
     Set,
-    Tuple,
     runtime_checkable,
 )
 
-from ..coherence.hierarchy import AccessResult
+from ..coherence.hierarchy import Access
 from ..coherence.vid import VidSpace
 from ..core.config import MachineConfig
 from ..core.context import ThreadContext
@@ -125,15 +125,15 @@ class TMBackend(Protocol):
 
     # -- memory ---------------------------------------------------------
 
-    def load(self, tid: int, addr: int, now: int = 0) -> AccessResult: ...
+    def load(self, tid: int, addr: int, now: int = 0) -> Access: ...
 
     def store(self, tid: int, addr: int, value: int,
-              now: int = 0) -> AccessResult: ...
+              now: int = 0) -> Access: ...
 
-    def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]: ...
+    def wrong_path_load(self, tid: int, addr: int) -> Access: ...
 
-    def kernel_load(self, tid: int, addr: int) -> AccessResult: ...
+    def kernel_load(self, tid: int, addr: int) -> Access: ...
 
-    def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult: ...
+    def kernel_store(self, tid: int, addr: int, value: int) -> Access: ...
 
     def output(self, tid: int, value: Any) -> None: ...

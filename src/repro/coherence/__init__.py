@@ -15,7 +15,7 @@ The public surface of this subpackage:
 from .cache import CacheStats, VersionedCache
 from .directory import DirectoryConfig, DirectoryHierarchy, DirectoryStats
 from .overflow import OverflowVersionTable
-from .hierarchy import AccessResult, HierarchyConfig, HierarchyStats, MemoryHierarchy
+from .hierarchy import Access, HierarchyConfig, HierarchyStats, MemoryHierarchy
 from .line import CacheLine
 from .memory import MainMemory
 from .states import State
@@ -28,7 +28,7 @@ from .vid import (
 )
 
 __all__ = [
-    "AccessResult",
+    "Access",
     "CacheLine",
     "CacheStats",
     "CascadedComparator",

@@ -42,6 +42,8 @@ from .line import CacheLine, LineView
 from .memory import DEFAULT_WORD_SIZE, MainMemory
 from .overflow import OverflowVersionTable
 from .protocol import (
+    READ,
+    WRITE,
     WRITE_ABORT,
     WRITE_IN_PLACE,
     AccessKind,
@@ -118,46 +120,13 @@ class HierarchyConfig:
                 f"{self.num_cores}")
 
 
-class AccessResult:
-    """Outcome of one load or store.
-
-    A ``__slots__`` class rather than a dataclass: one is built per memory
-    access, so construction cost is on the simulator's critical path.
-    """
-
-    __slots__ = ("value", "latency", "l1_hit", "served_by",
-                 "sla_required", "created_version")
-
-    def __init__(self, value: int, latency: int, l1_hit: bool,
-                 served_by: str, sla_required: bool = False,
-                 created_version: bool = False) -> None:
-        self.value = value
-        self.latency = latency
-        self.l1_hit = l1_hit
-        self.served_by = served_by
-        #: True when a speculative load touched a version not yet marked
-        #: with its VID — exactly the condition under which an SLA message
-        #: must be sent once the load retires (section 5.1).
-        self.sla_required = sla_required
-        #: True when a speculative store created a fresh line version.
-        self.created_version = created_version
-
-    def __repr__(self) -> str:
-        return (f"AccessResult(value={self.value!r}, "
-                f"latency={self.latency!r}, l1_hit={self.l1_hit!r}, "
-                f"served_by={self.served_by!r}, "
-                f"sla_required={self.sla_required!r}, "
-                f"created_version={self.created_version!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AccessResult:
-            return NotImplemented
-        return (self.value == other.value
-                and self.latency == other.latency
-                and self.l1_hit == other.l1_hit
-                and self.served_by == other.served_by
-                and self.sla_required == other.sla_required
-                and self.created_version == other.created_version)
+#: What a load or store returns: ``(value, latency)``, the word loaded or
+#: stored and the cycles the access took.  A plain tuple: one is built per
+#: memory access, so construction cost is on the simulator's critical
+#: path.  What else an access did is counted on the hierarchy
+#: (:attr:`MemoryHierarchy.sla_loads`, :attr:`MemoryHierarchy.
+#: versions_created`, the caches' hit and miss counts).
+Access = Tuple[int, int]
 
 
 @dataclass
@@ -239,6 +208,14 @@ class MemoryHierarchy:
         for s, llc in enumerate(self.llc_slices):
             self._cache_socket[llc.name] = s
         self.stats = HierarchyStats()
+        #: Speculative loads that touched a version not yet marked with
+        #: their VID — exactly the loads that send an SLA message when they
+        #: retire (section 5.1) — and speculative stores that created a
+        #: fresh line version.  What an access did beyond its ``(value,
+        #: latency)`` is read off these counters; they stay out of
+        #: HierarchyStats, whose fields the committed goldens record.
+        self.sla_loads = 0
+        self.versions_created = 0
         #: Section 8 extension: memory-side home for overflowed versions.
         self.overflow_table: Optional[OverflowVersionTable] = None
         if cfg.unbounded_sets:
@@ -326,25 +303,18 @@ class MemoryHierarchy:
     # Public access interface
     # ------------------------------------------------------------------
 
-    def load(self, core: int, addr: int, vid: int,
-             now: int = 0) -> AccessResult:
+    def load(self, core: int, addr: int, vid: int, now: int = 0) -> Access:
         """Perform a (possibly speculative) load from ``addr`` with ``vid``.
 
         ``now`` is the requesting core's current cycle, used for shared-bus
         contention accounting.
         """
-        self.stats.loads += 1
-        if vid > 0:
-            self.stats.spec_loads += 1
-        return self._access(core, addr, vid, AccessKind.READ, None, now)
+        return self._access(core, addr, vid, READ, None, now)
 
     def store(self, core: int, addr: int, vid: int, value: int,
-              now: int = 0) -> AccessResult:
+              now: int = 0) -> Access:
         """Perform a (possibly speculative) store to ``addr`` with ``vid``."""
-        self.stats.stores += 1
-        if vid > 0:
-            self.stats.spec_stores += 1
-        return self._access(core, addr, vid, AccessKind.WRITE, value, now)
+        return self._access(core, addr, vid, WRITE, value, now)
 
     def read_committed(self, addr: int) -> int:
         """Verification read of committed state: a pure read.
@@ -496,7 +466,9 @@ class MemoryHierarchy:
         return self._peer_lists[core]
 
     def _access(self, core: int, addr: int, vid: int, kind: AccessKind,
-                value: Optional[int], now: int = 0) -> AccessResult:  # hot-path
+                value: Optional[int], now: int = 0) -> Access:  # hot-path
+        # The one home of every load and store, and of their statistics
+        # (HMTXSystem calls it directly; load/store are its named forms).
         # Fused L1-hit path: VersionedCache.lookup_slot finds the version
         # (the one implementation of the hit window); the dominant hit
         # shapes then complete here with direct column reads/writes.  The
@@ -504,6 +476,15 @@ class MemoryHierarchy:
         # rules of coherence/protocol.py (pinned by a per-tuple agreement
         # test).  Complex shapes (upgrades, aborts, new versions) hand the
         # found slot to _apply; misses take the fetch path below.
+        stats = self.stats
+        if kind is READ:
+            stats.loads += 1
+            if vid > 0:
+                stats.spec_loads += 1
+        else:
+            stats.stores += 1
+            if vid > 0:
+                stats.spec_stores += 1
         l1 = self.l1s[core]
         mask = l1._offset_mask
         base = addr & ~mask
@@ -511,29 +492,24 @@ class MemoryHierarchy:
         if slot is not None:
             store = l1._store
             code = store.state[slot]
-            if kind is AccessKind.WRITE and code == CODE_SS:
+            if kind is WRITE and code == CODE_SS:
                 # Silent shared speculative copies never serve writes;
                 # the write must reach the version's owner on the bus.
                 slot = None
         hit_latency = l1.hit_latency
-        name = l1.name
         if slot is not None:
             l1.stats.hits += 1
             high_col = store.high_vid
             data_col = store.data
             word = (addr & mask) >> self._word_shift
-            if kind is AccessKind.READ:
+            if kind is READ:
                 if vid == 0:
-                    return AccessResult(
-                        data_col[slot][word], hit_latency, True, name)
+                    return data_col[slot][word], hit_latency
                 if code >= CODE_SM:
-                    high = high_col[slot]
-                    sla = code <= CODE_SE and high < vid
-                    if sla:
+                    if code <= CODE_SE and high_col[slot] < vid:
                         high_col[slot] = vid
-                    return AccessResult(
-                        data_col[slot][word], hit_latency, True, name,
-                        sla_required=sla)
+                        self.sla_loads += 1
+                    return data_col[slot][word], hit_latency
                 if code == CODE_MODIFIED or code == CODE_EXCLUSIVE:
                     # First speculative read of an exclusive line: enters
                     # S-M/S-E (Figure 4 entry arc) and requires a
@@ -541,9 +517,8 @@ class MemoryHierarchy:
                     l1._retag_slot(
                         slot, CODE_SM if code == CODE_MODIFIED else CODE_SE,
                         0, vid)
-                    return AccessResult(
-                        data_col[slot][word], hit_latency, True, name,
-                        sla_required=True)
+                    self.sla_loads += 1
+                    return data_col[slot][word], hit_latency
                 # OWNED/SHARED need an upgrade: _apply handles it.
             else:
                 if vid == 0:
@@ -551,7 +526,7 @@ class MemoryHierarchy:
                         if code == CODE_EXCLUSIVE:
                             store.state[slot] = CODE_MODIFIED
                         data_col[slot][word] = value
-                        return AccessResult(value, hit_latency, True, name)
+                        return value, hit_latency
                 elif code == CODE_SM or code == CODE_SE:
                     mod = store.mod_vid[slot]
                     high = high_col[slot]
@@ -562,20 +537,19 @@ class MemoryHierarchy:
                         data_col[slot][word] = value
                         if vid > high:
                             high_col[slot] = vid
-                        return AccessResult(value, hit_latency, True, name)
+                        return value, hit_latency
                 # Upgrades, conflicts, and copy-creating writes: _apply
                 # decides on the found version.
             return self._apply(core, slot, addr, vid, kind, value,
-                               hit_latency, True, name)
+                               hit_latency)
         # Miss (or silent S-S copy on a write): fetch over the bus.
         latency = hit_latency
         l1.stats.misses += 1
         latency += self._bus_transaction(now + latency)
-        slot, transfer_latency, served_by = self._fetch(
+        slot, transfer_latency, _ = self._fetch(
             core, addr, vid, kind, now=now + latency)
         latency += transfer_latency
-        return self._apply(core, slot, addr, vid, kind, value, latency,
-                           False, served_by)
+        return self._apply(core, slot, addr, vid, kind, value, latency)
 
     def _fetch(self, core: int, addr: int, vid: int,
                kind: AccessKind, now: int = 0) -> Tuple[int, int, str]:
@@ -657,7 +631,7 @@ class MemoryHierarchy:
         high = store.high_vid[owner]
         data = list(store.data[owner])
         if code < CODE_SM:
-            if vid > 0 or kind is AccessKind.WRITE:
+            if vid > 0 or kind is WRITE:
                 # First speculative touch (or any write) needs exclusive
                 # access: every non-speculative copy of the line is
                 # invalidated and the line migrates (Figure 4's entry arcs).
@@ -671,7 +645,7 @@ class MemoryHierarchy:
             elif code == CODE_EXCLUSIVE:
                 owner_cache._retag_slot(owner, CODE_SHARED, mod, high)
             return self._install(l1, base, CODE_SHARED, data, 0, 0)
-        if kind is AccessKind.READ:
+        if kind is READ:
             # Uncommitted value forwarding across caches: the requester gets
             # a shared speculative copy; the owner keeps tracking the global
             # highVID so later conflicting stores are still caught.
@@ -706,8 +680,8 @@ class MemoryHierarchy:
         return self._install(l1, base, new_code, data, new_mod, new_high)
 
     def _apply(self, core: int, slot: int, addr: int, vid: int,
-               kind: AccessKind, value: Optional[int], latency: int,
-               l1_hit: bool, served_by: str) -> AccessResult:
+               kind: AccessKind, value: Optional[int],
+               latency: int) -> Access:
         """Apply the access to the version resident in ``core``'s L1 slot."""
         l1 = self.l1s[core]
         store = l1._store
@@ -717,17 +691,16 @@ class MemoryHierarchy:
         code = store.state[slot]
         mod = store.mod_vid[slot]
         high = store.high_vid[slot]
-        if kind is AccessKind.READ:
-            sla_required = False
+        if kind is READ:
             if vid > 0:
-                sla_required = code < CODE_SM or high < eff
+                if code < CODE_SM or high < eff:
+                    self.sla_loads += 1
                 if code == CODE_OWNED or code == CODE_SHARED:
                     # Entering the speculative world needs exclusive access.
                     code = self._upgrade(l1, slot)
                 l1._retag_slot(slot, *read_transition_code(code, mod, high,
                                                            eff))
-            return AccessResult(store.data[slot][word], latency, l1_hit,
-                                served_by, sla_required=sla_required)
+            return store.data[slot][word], latency
         # Store path.
         assert value is not None
         if vid == 0:
@@ -739,7 +712,7 @@ class MemoryHierarchy:
                 self._upgrade(l1, slot)
             l1._retag_slot(slot, CODE_MODIFIED, mod, high)
             store.data[slot][word] = value
-            return AccessResult(value, latency, l1_hit, served_by)
+            return value, latency
         if code == CODE_OWNED or code == CODE_SHARED:
             code = self._upgrade(l1, slot)
         outcome = write_outcome_code(code, mod, high, eff)
@@ -750,7 +723,7 @@ class MemoryHierarchy:
             store.data[slot][word] = value
             if eff > high:
                 store.high_vid[slot] = eff
-            return AccessResult(value, latency, l1_hit, served_by)
+            return value, latency
         if code >= CODE_SM:
             self._scrub_ss_copies(base, mod)
         data = list(store.data[slot])
@@ -760,8 +733,8 @@ class MemoryHierarchy:
         l1._retag_slot(slot, backup_code, backup_mod, backup_high)
         l1.stats.version_copies += 1
         self._install(l1, base, new_code, data, new_mod, new_high)
-        return AccessResult(value, latency, l1_hit, served_by,
-                            created_version=True)
+        self.versions_created += 1
+        return value, latency
 
     def _upgrade(self, cache: VersionedCache, slot: int) -> int:
         """Invalidate peer copies so O/S becomes writable M/E.

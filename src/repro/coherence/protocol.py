@@ -73,6 +73,13 @@ class AccessKind(enum.Enum):
     WRITE = "write"
 
 
+#: The kinds as module constants for the access paths: reading an enum
+#: member off its class costs several times a global lookup, and an
+#: access tests its kind a few times.
+READ = AccessKind.READ
+WRITE = AccessKind.WRITE
+
+
 #: :func:`write_outcome_code` results: what a speculative write does to
 #: the version it hits.
 WRITE_ABORT = 0

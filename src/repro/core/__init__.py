@@ -14,7 +14,7 @@ Quick example (two threads collaborating on one transaction)::
     sys.begin_mtx(0, 0)             # thread 0 done (not committing!)
 
     sys.begin_mtx(1, vid)           # thread 1 continues the same MTX
-    value = sys.load(1, 0x1000).value   # sees the uncommitted 42
+    value, _ = sys.load(1, 0x1000)  # sees the uncommitted 42
     sys.commit_mtx(1, vid)          # atomic group commit
 """
 

@@ -15,8 +15,8 @@ locality makes rare (Table 1: 1.28%–13% of speculative loads).
 This module tracks two things:
 
 * how many SLAs the system sends (``slas_sent`` lives in the system stats;
-  the *decision* comes from :class:`~repro.coherence.hierarchy.AccessResult.
-  sla_required`), and
+  the *decision* is the hierarchy's, counted in :attr:`~repro.coherence.
+  hierarchy.MemoryHierarchy.sla_loads`), and
 * the *ghost marks* that wrong-path loads would have left if SLAs were
   disabled, so the evaluation can count how many false aborts the mechanism
   avoided (Table 1's "TX Aborts Avoided via SLA Per TX").

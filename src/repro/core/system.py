@@ -14,10 +14,10 @@ machinery between the ISA and the protocol:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
-from ..coherence.hierarchy import AccessResult
-from ..coherence.protocol import AccessKind
+from ..coherence.hierarchy import Access
+from ..coherence.protocol import READ, WRITE
 from ..errors import MisspeculationError, TransactionUsageError
 from ..txctl.causes import AbortCause, classify
 from .config import MachineConfig
@@ -115,23 +115,14 @@ class HMTXSystem(MTXMachine):
     # Memory operations
     # ------------------------------------------------------------------
 
-    def load(self, tid: int, addr: int, now: int = 0) -> AccessResult:  # hot-path
+    def load(self, tid: int, addr: int, now: int = 0) -> Access:  # hot-path
         """Load with the thread's current VID attached."""
         ctx = self.contexts[tid]
         vid = ctx.vid
         hierarchy = self.hierarchy
+        sla_loads = hierarchy.sla_loads
         try:
-            if "load" in hierarchy.__dict__:
-                # Instrumented (e.g. a protocol tracer wraps the bound
-                # method as an instance attribute): go through the wrapper.
-                result = hierarchy.load(ctx.core, addr, vid, now=now)
-            else:
-                hstats = hierarchy.stats
-                hstats.loads += 1
-                if vid > 0:
-                    hstats.spec_loads += 1
-                result = hierarchy._access(ctx.core, addr, vid,
-                                           AccessKind.READ, None, now)
+            result = hierarchy._access(ctx.core, addr, vid, READ, None, now)
         except MisspeculationError as exc:
             # A load can misspeculate too: installing the fetched line may
             # evict a speculative version past the LLC (section 5.4).  The
@@ -149,27 +140,19 @@ class HMTXSystem(MTXMachine):
             tx.read_lines.add(addr - (addr % stats.line_size))
             tx.spec_loads += 1
             stats.spec_loads += 1
-            if result.sla_required:
+            if hierarchy.sla_loads != sla_loads:
                 tx.slas_sent += 1
                 stats.slas_sent += 1
         return result
 
     def store(self, tid: int, addr: int, value: int,
-              now: int = 0) -> AccessResult:  # hot-path
+              now: int = 0) -> Access:  # hot-path
         """Store with the thread's current VID attached."""
         ctx = self.contexts[tid]
         vid = ctx.vid
-        hierarchy = self.hierarchy
         try:
-            if "store" in hierarchy.__dict__:
-                result = hierarchy.store(ctx.core, addr, vid, value, now=now)
-            else:
-                hstats = hierarchy.stats
-                hstats.stores += 1
-                if vid > 0:
-                    hstats.spec_stores += 1
-                result = hierarchy._access(ctx.core, addr, vid,
-                                           AccessKind.WRITE, value, now)
+            result = self.hierarchy._access(ctx.core, addr, vid,
+                                            WRITE, value, now)
         except MisspeculationError as exc:
             line = addr - (addr % self.config.line_size)
             if not self.sla.enabled and line in self._wrong_path_marks:
@@ -191,7 +174,7 @@ class HMTXSystem(MTXMachine):
                 self.stats.false_aborts_avoided += 1
         return result
 
-    def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
+    def wrong_path_load(self, tid: int, addr: int) -> Access:
         """A branch-speculative load that will be squashed (section 5.1).
 
         With SLAs enabled the load's data flows through the hierarchy but no
@@ -215,9 +198,9 @@ class HMTXSystem(MTXMachine):
         line = addr - (addr % self.config.line_size)
         if ctx.vid > self._wrong_path_marks.get(line, 0):
             self._wrong_path_marks[line] = ctx.vid
-        return result.value, result.latency
+        return result
 
-    def kernel_load(self, tid: int, addr: int) -> AccessResult:
+    def kernel_load(self, tid: int, addr: int) -> Access:
         """A load from interrupt/exception-handler code (section 5.2).
 
         Handler PCs fall outside the registered text segment, so no VID is
@@ -232,7 +215,7 @@ class HMTXSystem(MTXMachine):
                         vid=exc.vid)
             raise
 
-    def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult:
+    def kernel_store(self, tid: int, addr: int, value: int) -> Access:
         """A store from interrupt/exception-handler code (section 5.2).
 
         A handler store landing on live speculative state is a

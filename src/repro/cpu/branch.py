@@ -18,6 +18,7 @@ Two models are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -77,6 +78,12 @@ class CalibratedPredictor(BranchPredictor):
     A 64-bit LCG drives the decision so runs are reproducible and the
     realised rate converges to ``rate`` (used to dial in each benchmark's
     Table 1 mispredict rate).
+
+    A branch mispredicts when the state's top 53 bits, read as a fraction
+    of one, fall below ``rate``: ``(state >> 11) / 2**53 < rate``.  The
+    integer test ``state < threshold`` with ``threshold = ceil(rate *
+    2**53) << 11`` decides the same for every state, because ``rate *
+    2**53`` is exact in binary floating point.
     """
 
     _LCG_MULT = 6364136223846793005
@@ -89,16 +96,13 @@ class CalibratedPredictor(BranchPredictor):
             raise ValueError("mispredict rate must be in [0, 1]")
         self.rate = rate
         self._state = seed & self._MASK
-
-    def _next_unit(self) -> float:
-        self._state = (self._state * self._LCG_MULT + self._LCG_INC) & self._MASK
-        return (self._state >> 11) / float(1 << 53)
+        #: A state below this mispredicts (see the class docstring).
+        self.threshold = math.ceil(rate * (1 << 53)) << 11
 
     def predict(self, pc: int, taken: bool) -> bool:
-        # _next_unit inlined: one call per simulated branch adds up.
         state = (self._state * self._LCG_MULT + self._LCG_INC) & self._MASK
         self._state = state
-        mispredicted = (state >> 11) / 9007199254740992.0 < self.rate
+        mispredicted = state < self.threshold
         stats = self.stats
         stats.predictions += 1
         if mispredicted:

@@ -101,7 +101,6 @@ class CoreExecutor:
                     counter = table[index]
                     if (counter >= 2) != taken:
                         mispredicts += 1
-                        latency += penalty
                     if taken:
                         if counter < 3:
                             table[index] = counter + 1
@@ -113,24 +112,22 @@ class CoreExecutor:
                 pstats.predictions += count
                 pstats.mispredictions += mispredicts
                 stats.mispredicts += mispredicts
-                return latency
+                return latency + mispredicts * penalty
             if pcls is CalibratedPredictor:
                 state = predictor._state
-                rate = predictor.rate
+                threshold = predictor.threshold
                 mispredicts = 0
-                penalty = costs.branch_mispredict_penalty
                 for _ in range(count):
                     state = (state * 6364136223846793005
                              + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
-                    if (state >> 11) / 9007199254740992.0 < rate:
+                    if state < threshold:
                         mispredicts += 1
-                        latency += penalty
                 predictor._state = state
                 pstats = predictor.stats
                 pstats.predictions += count
                 pstats.mispredictions += mispredicts
                 stats.mispredicts += mispredicts
-                return latency
+                return latency + mispredicts * costs.branch_mispredict_penalty
         for n in range(count):
             pc = self._pc[tid] + 4 * n
             if not predictor.predict(pc, op.taken):

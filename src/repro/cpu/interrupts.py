@@ -69,8 +69,8 @@ class InterruptInjector:
         try:
             for i in range(self.handler_accesses):
                 addr = base + 8 * i
-                latency += system.kernel_load(tid, addr).latency
-                latency += system.kernel_store(tid, addr, self.fired).latency
+                latency += system.kernel_load(tid, addr)[1]
+                latency += system.kernel_store(tid, addr, self.fired)[1]
         except MisspeculationError:
             # The system already classified this as an INTERRUPT abort
             # and flushed speculative state; count it at the source too.

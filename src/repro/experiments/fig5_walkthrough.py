@@ -62,21 +62,21 @@ def run_fig5() -> List[WalkStep]:
     # next-iteration thread, VID 1: r1 = M[0xa]
     system.vid_space.allocate()
     system.begin_mtx(1, 1)
-    value = system.load(1, ADDR).value
+    value, _ = system.load(1, ADDR)
     record(1, "T1 beginMTX(1); r1 = M[0xa]", value)
     # M[0xa] = M[r1]: advance the list head (speculative store, VID 1).
-    system.store(1, ADDR, system.load(1, value).value)
+    system.store(1, ADDR, system.load(1, value)[0])
     record(2, "T1 M[0xa] = M[r1] (VID 1)")
     # Same thread moves on to VID 2 and repeats.
     system.vid_space.allocate()
     system.begin_mtx(1, 2)
-    head = system.load(1, ADDR).value
-    system.store(1, ADDR, system.load(1, head).value)
+    head, _ = system.load(1, ADDR)
+    system.store(1, ADDR, system.load(1, head)[0])
     record(3, "T1 beginMTX(2); M[0xa] = M[r1] (VID 2)")
     system.begin_mtx(1, 0)
     # Work thread continues transaction 1 on the other core.
     system.begin_mtx(2, 1)
-    value = system.load(2, ADDR).value
+    value, _ = system.load(2, ADDR)
     record(4, "T2 beginMTX(1); r1 = M[0xa]", value)
     system.commit_mtx(2, 1)
     record(5, "T2 commitMTX(1)")

@@ -115,9 +115,12 @@ class ObsSession:
         self._current_tid: Optional[int] = None
         self._current_thread: Optional[Any] = None
         self._op_overflow = False
-        #: Hierarchy stats holding overflow counters (None if absent).
-        self._overflow_stats: Any = None
+        #: The attached cache hierarchy (None for a software TM's facade)
+        #: and its overflow and version-creation counts before the access
+        #: in flight.
+        self._hierarchy: Any = None
         self._overflow_before = 0
+        self._versions_before = 0
         self._footprint_of: Any = None
         self._previous_vid = 0
         self._tid_sample_idx: Dict[int, List[int]] = {}
@@ -186,7 +189,7 @@ class ObsSession:
             self.topology = getattr(config, "topology", None)
         hierarchy = getattr(system, "hierarchy", None)
         hstats = getattr(hierarchy, "stats", None)
-        self._overflow_stats = hstats \
+        self._hierarchy = hierarchy \
             if hasattr(hstats, "spec_overflow_spills") else None
         self._footprint_of = getattr(hierarchy,
                                      "speculative_footprint_bytes", None)
@@ -338,10 +341,12 @@ class ObsSession:
     # ------------------------------------------------------------------
 
     def _before_access(self, tid, addr, *rest, **kwargs) -> None:
-        hstats = self._overflow_stats
-        if hstats is not None:
+        hierarchy = self._hierarchy
+        if hierarchy is not None:
+            hstats = hierarchy.stats
             self._overflow_before = (hstats.spec_overflow_spills
                                      + hstats.overflow_retrievals)
+            self._versions_before = hierarchy.versions_created
 
     def _after_access(self, kernel: bool, is_store: bool, result, tid, addr,
                       *rest, **kwargs) -> None:
@@ -359,13 +364,16 @@ class ObsSession:
                         span.stores += 1
                     else:
                         span.loads += 1
-        hstats = self._overflow_stats
-        if hstats is not None and self._overflow_before != (
+        hierarchy = self._hierarchy
+        if hierarchy is None:
+            return
+        hstats = hierarchy.stats
+        if self._overflow_before != (
                 hstats.spec_overflow_spills + hstats.overflow_retrievals):
             self._op_overflow = True
         footprint_of = self._footprint_of
         if footprint_of is not None \
-                and getattr(result, "created_version", False):
+                and hierarchy.versions_created != self._versions_before:
             footprint = footprint_of()
             self._footprint_peak.set_max(footprint)
             self.footprint_track.append(

@@ -19,7 +19,7 @@ import functools
 import inspect
 import weakref
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import MisspeculationError
 from ..txctl.causes import classify
@@ -49,9 +49,17 @@ class _Tapped:
                          for ref, table in self.subscribers if name in table]
             prior = self.priors.setdefault(name, vars(obj).get(name, _UNSET))
             if callbacks:
-                original = getattr(type(obj), name).__get__(obj) \
-                    if prior is _UNSET else prior
-                setattr(obj, name, _wrapper(original, callbacks))
+                function = inspect.getattr_static(type(obj), name)
+                if prior is _UNSET and inspect.isfunction(function):
+                    # The class's function, handed the object through the
+                    # weak reference: a wrapper holding a bound method of
+                    # the object it sits on would be a reference cycle.
+                    wrapper = _wrapper(function, callbacks, self.obj)
+                else:
+                    wrapper = _wrapper(
+                        function.__get__(obj, type(obj))
+                        if prior is _UNSET else prior, callbacks)
+                setattr(obj, name, wrapper)
             elif self.priors.pop(name) is _UNSET:
                 delattr(obj, name)
             else:
@@ -102,12 +110,16 @@ def unsubscribe(subscriber) -> None:
             _tapped.pop(key, None)
 
 
-def _wrapper(original: Callable, callbacks: List[list]) -> Callable:
+def _wrapper(original: Callable, callbacks: List[list],
+             receiver: Optional[weakref.ref] = None) -> Callable:
     """The installed wrapper, generated with the original's parameter list
     so no call packs ``*args``/``**kwargs`` (several times dearer on the
     observed per-op path) or loops over subscribers.  Callbacks get named
-    parameters positionally (tapped methods have no keyword-only ones)."""
-    namespace = {"_original": original, "_classify": classify,
+    parameters positionally (tapped methods have no keyword-only ones).
+    With a ``receiver``, ``original`` is a plain function called on the
+    object that reference points to."""
+    namespace = {"_original": original, "_receiver": receiver,
+                 "_classify": classify,
                  "_Misspeculation": MisspeculationError}
     calls: Dict[str, List[str]] = {phase: [] for phase in _PHASES}
     for index, triple in enumerate(callbacks):
@@ -116,7 +128,8 @@ def _wrapper(original: Callable, callbacks: List[list]) -> Callable:
                 namespace[f"_{phase}{index}"] = callback
                 calls[phase].append(f"_{phase}{index}")
     params, args = [], []
-    signature = inspect.signature(original, follow_wrapped=False)
+    bound = original if receiver is None else original.__get__(receiver())
+    signature = inspect.signature(bound, follow_wrapped=False)
     for param in signature.parameters.values():
         arg = {param.VAR_POSITIONAL: "*",
                param.VAR_KEYWORD: "**"}.get(param.kind, "") + param.name
@@ -125,11 +138,12 @@ def _wrapper(original: Callable, callbacks: List[list]) -> Callable:
                       else f"{arg}=_default_{param.name}")
         args.append(arg)
     call = ", ".join(args)
+    target = ", ".join(args if receiver is None else ["_receiver()", *args])
     failed = [f"    {name}(err, cause, {call})" for name in calls["failed"]]
     lines = [f"def tapped({', '.join(params)}):",
              *(f"{name}({call})" for name in calls["before"]),
              "try:",
-             f"    result = _original({call})",
+             f"    result = _original({target})",
              "except _Misspeculation as err:",
              *(["    cause = _classify(err)"] + failed if failed else []),
              "    raise",

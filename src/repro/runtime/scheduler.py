@@ -42,6 +42,21 @@ keep: ``until`` only reads simulated state, and what it reads changes
 only inside a generator (the op it yields included) or an interrupt
 handler.  The scheduler re-checks a parked predicate only after one of
 those ran.
+
+Step reuse.  The sweep also records the runner-up's ``(clock, tid)``,
+and the poll phase lowers that bound to the earliest parked thread's.
+After a core op the scheduler steps the same thread again, with no
+sweep and no poll phase, while its new ``(clock, tid)`` is still below
+the bound, the op was not a queue op, the thread neither parked,
+unparked nor finished, and no interrupt fired.  The next sweep would
+have picked it again, for two reasons.  A blocked thread becomes ready
+only through a queue op, and no other thread's clock moves while one
+thread runs (a machine-wide quiesce moves them all, the stepping thread
+included, which only makes the bound conservative).  A parked thread
+matters only once it is due, and the bound already covers the earliest
+one; its predicate is re-checked at the next poll phase, since every
+resume moves the epoch.  Reused steps count in ``steps``, ``max_steps``,
+``ops_executed`` and ``on_step`` like any other.
 """
 
 from __future__ import annotations
@@ -274,85 +289,107 @@ class Scheduler:
         parked = [t for t in self.threads if not t.done and t.spin is not None]
         for thread in parked:
             thread.spin_epoch = -1
+        #: The thread to step again without a sweep (see the module
+        #: docstring), or None.
+        reuse = None
         while True:
-            # Fused sweep: unblock every thread whose queue became ready,
-            # while tracking the runnable thread with the smallest
-            # (clock, tid) — one pass, no intermediate lists.  This loop
-            # dominates simulator wall time, hence the hand-tuning.
-            best = None
-            # Sentinel larger than any reachable clock, so the selection
-            # compare needs no ``best is None`` test per thread.
-            best_clock = 0x7FFFFFFFFFFFFFFF
-            best_tid = 0
-            for thread in live_threads:
-                if thread.blocked_on is not None:
-                    entry = queues.get(thread.blocked_on).try_consume(
-                        thread.clock)
-                    if entry is None:
-                        continue
-                    value, ready_time = entry
-                    if ready_time > thread.clock:
-                        thread.clock = ready_time
-                    thread.clock += queue_op
-                    thread.pending_value = value
-                    thread.blocked_on = None
-                elif thread.blocked_produce is not None:
-                    queue_name, value = thread.blocked_produce
-                    queue = queues.get(queue_name)
-                    if queue.full():
-                        continue
-                    # Space appeared when a consumer popped; the producer's
-                    # clock advances to that moment (back-pressure stall).
-                    if queue.last_pop_time > thread.clock:
-                        thread.clock = queue.last_pop_time
-                    thread.clock += queue_op
-                    queue.produce(value, thread.clock)
-                    thread.blocked_produce = None
-                clock = thread.clock
-                if clock < best_clock or (
-                        clock == best_clock and thread.tid < best_tid):
-                    best = thread
-                    best_clock = clock
-                    best_tid = thread.tid
-            if parked:
-                # Poll phase.  The parked threads due before ``best`` poll
-                # while their predicates stay false; the first dirty one
-                # whose predicate now holds is itself due to resume, so it
-                # bounds the phase instead.
-                if len(parked) > 1:
-                    parked.sort(key=_clock_tid)
-                due = []
-                for thread in parked:
+            if reuse is None:
+                # Fused sweep: unblock every thread whose queue became
+                # ready, while tracking the runnable thread with the
+                # smallest (clock, tid) and the runner-up — one pass, no
+                # intermediate lists.  This loop dominates simulator wall
+                # time, hence the hand-tuning.
+                best = None
+                # Sentinel larger than any reachable clock, so the
+                # selection compare needs no ``best is None`` test.
+                best_clock = next_clock = 0x7FFFFFFFFFFFFFFF
+                best_tid = next_tid = 0
+                for thread in live_threads:
+                    if thread.blocked_on is not None:
+                        entry = queues.get(thread.blocked_on).try_consume(
+                            thread.clock)
+                        if entry is None:
+                            continue
+                        value, ready_time = entry
+                        if ready_time > thread.clock:
+                            thread.clock = ready_time
+                        thread.clock += queue_op
+                        thread.pending_value = value
+                        thread.blocked_on = None
+                    elif thread.blocked_produce is not None:
+                        queue_name, value = thread.blocked_produce
+                        queue = queues.get(queue_name)
+                        if queue.full():
+                            continue
+                        # Space appeared when a consumer popped; the
+                        # producer's clock advances to that moment
+                        # (back-pressure stall).
+                        if queue.last_pop_time > thread.clock:
+                            thread.clock = queue.last_pop_time
+                        thread.clock += queue_op
+                        queue.produce(value, thread.clock)
+                        thread.blocked_produce = None
                     clock = thread.clock
-                    if clock > best_clock or (
-                            clock == best_clock and thread.tid > best_tid):
-                        break
-                    if thread.spin_epoch != epoch:
-                        if thread.spin.until():
-                            best = thread
-                            best_clock = clock
-                            best_tid = thread.tid
+                    if clock < best_clock or (
+                            clock == best_clock and thread.tid < best_tid):
+                        next_clock = best_clock
+                        next_tid = best_tid
+                        best = thread
+                        best_clock = clock
+                        best_tid = thread.tid
+                    elif clock < next_clock or (
+                            clock == next_clock and thread.tid < next_tid):
+                        next_clock = clock
+                        next_tid = thread.tid
+                if parked:
+                    # Poll phase.  The parked threads due before ``best``
+                    # poll while their predicates stay false; the first
+                    # dirty one whose predicate now holds is itself due to
+                    # resume, so it bounds the phase instead.
+                    if len(parked) > 1:
+                        parked.sort(key=_clock_tid)
+                    due = []
+                    for thread in parked:
+                        clock = thread.clock
+                        if clock > best_clock or (
+                                clock == best_clock and thread.tid > best_tid):
                             break
-                        thread.spin_epoch = epoch
-                    due.append(thread)
-                if due:
-                    charged = 0
-                    if bulk_polls and best is not None:
-                        charged = self._charge_polls(
-                            due, best_clock, best_tid, max_steps - steps)
-                    if charged:
-                        steps += charged
-                    else:
-                        best = due[0]
-            if best is None:
-                if not live_threads:
-                    break
-                live = [t.tid for t in self.threads if not t.done]
-                raise DeadlockError(f"threads {live} all blocked on queues")
+                        if thread.spin_epoch != epoch:
+                            if thread.spin.until():
+                                best = thread
+                                best_clock = clock
+                                best_tid = thread.tid
+                                break
+                            thread.spin_epoch = epoch
+                        due.append(thread)
+                    if due:
+                        charged = 0
+                        if bulk_polls and best is not None:
+                            charged = self._charge_polls(
+                                due, best_clock, best_tid, max_steps - steps)
+                        if charged:
+                            steps += charged
+                        else:
+                            best = due[0]
+                    # The earliest parked thread also bounds step reuse.
+                    for thread in parked:
+                        clock = thread.clock
+                        if clock < next_clock or (
+                                clock == next_clock and thread.tid < next_tid):
+                            next_clock = clock
+                            next_tid = thread.tid
+                if best is None:
+                    if not live_threads:
+                        break
+                    live = [t.tid for t in self.threads if not t.done]
+                    raise DeadlockError(
+                        f"threads {live} all blocked on queues")
+                thread = best
+            else:
+                thread = reuse
             steps += 1
             if steps > max_steps:
                 raise ReproError(f"exceeded {max_steps} scheduler steps")
-            thread = best
             if observer is not None:
                 observer.on_step(thread)
             spin = thread.spin
@@ -390,6 +427,7 @@ class Scheduler:
                     thread.done = True
                     live_threads = [t for t in self.threads
                                     if not t.done and t.spin is None]
+                    reuse = None
                     continue
                 thread.pending_value = None
                 thread.ops_executed += 1
@@ -415,16 +453,13 @@ class Scheduler:
                 estats.instructions += 1
                 estats.loads += 1
                 epc[tid] += 4
-                result = system_load(tid, op.addr, start)
-                value = result.value
-                latency = result.latency
+                value, latency = system_load(tid, op.addr, start)
             elif cls is Store:
                 estats.instructions += 1
                 estats.stores += 1
                 epc[tid] += 4
                 value = None
-                latency = system_store(tid, op.addr, op.value,
-                                       start).latency
+                latency = system_store(tid, op.addr, op.value, start)[1]
             elif cls is Branch:
                 estats.instructions += 1
                 epc[tid] += 4
@@ -432,6 +467,7 @@ class Scheduler:
                 latency = execute_branch(tid, op)
             elif cls is Produce or cls is Consume:
                 self._queue_step(thread, op, cls)
+                reuse = None
                 continue
             else:
                 estats.instructions += 1
@@ -470,9 +506,20 @@ class Scheduler:
                 if handler:
                     clock += handler
                     epoch += 1
+                    # Handler code ran: sweep before the next step.
+                    next_clock = -1
             thread.clock = clock
             core_clock[core] = clock
             thread.pending_value = value
+            # Step reuse: the thread stays first while it is still ahead
+            # of the runner-up and the earliest parked thread, and it
+            # neither parked nor unparked in this step.
+            if spin is None and thread.spin is None and (
+                    clock < next_clock or (
+                        clock == next_clock and tid < next_tid)):
+                reuse = thread
+            else:
+                reuse = None
         return self.result()
 
     def result(self) -> RunResult:

@@ -11,6 +11,7 @@ mirroring the sequential commit process.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -23,6 +24,9 @@ class SmtxMemory:
 
     backing: MainMemory = field(default_factory=MainMemory)
     _buffers: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    #: The VIDs of ``_buffers`` in ascending order, kept in order as
+    #: buffers are created, committed and aborted, so reads never sort.
+    _vids: List[int] = field(default_factory=list)
 
     def _word_addr(self, addr: int) -> int:
         return addr - (addr % self.backing.word_size)
@@ -30,31 +34,46 @@ class SmtxMemory:
     # ------------------------------------------------------------------
 
     def read(self, vid: int, addr: int) -> int:
-        """Read as transaction ``vid`` (0 = committed state only).
+        """Read as transaction ``vid`` (0 = committed state only)."""
+        return self.read_with_source(vid, addr)[0]
+
+    def read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
+        """Read as ``vid``; returns ``(value, the VID whose buffer supplied
+        it)``, 0 for committed state.
 
         Searches the write buffers of VIDs ``<= vid`` from newest to oldest
         — exactly the version a correctly-ordered MTX must observe.
         """
         word = self._word_addr(addr)
         if vid > 0:
-            for buffer_vid in sorted(self._buffers, reverse=True):
-                if buffer_vid <= vid and word in self._buffers[buffer_vid]:
-                    return self._buffers[buffer_vid][word]
-        return self.backing.read_word(word)
+            buffers = self._buffers
+            for buffer_vid in reversed(self._vids):
+                if buffer_vid <= vid:
+                    buffer = buffers[buffer_vid]
+                    if word in buffer:
+                        return buffer[word], buffer_vid
+        return self.backing.read_word(word), 0
 
     def write(self, vid: int, addr: int, value: int) -> None:
         """Write as transaction ``vid`` (0 writes committed state)."""
         word = self._word_addr(addr)
         if vid == 0:
             self.backing.write_word(word, value)
-        else:
-            self._buffers.setdefault(vid, {})[word] = value
+            return
+        buffer = self._buffers.get(vid)
+        if buffer is None:
+            buffer = self._buffers[vid] = {}
+            insort(self._vids, vid)
+        buffer[word] = value
 
     # ------------------------------------------------------------------
 
     def commit(self, vid: int) -> int:
         """Apply ``vid``'s buffer to committed state; returns words applied."""
-        buffer = self._buffers.pop(vid, {})
+        buffer = self._buffers.pop(vid, None)
+        if buffer is None:
+            return 0
+        self._vids.remove(vid)
         for word, value in buffer.items():
             self.backing.write_word(word, value)
         return len(buffer)
@@ -63,13 +82,11 @@ class SmtxMemory:
         """Drop every uncommitted buffer; returns buffers discarded."""
         count = len(self._buffers)
         self._buffers.clear()
+        self._vids.clear()
         return count
 
     def buffered_words(self, vid: int) -> int:
         return len(self._buffers.get(vid, {}))
-
-    def live_vids(self) -> List[int]:
-        return sorted(self._buffers)
 
 
 @dataclass

@@ -21,9 +21,9 @@ statistics — but the implementation is a software TM:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
-from ..coherence.hierarchy import AccessResult, MemoryHierarchy
+from ..coherence.hierarchy import Access, MemoryHierarchy
 from ..core.config import MachineConfig
 from ..core.mtx import MTXMachine
 from ..errors import MisspeculationError, TransactionUsageError
@@ -58,15 +58,15 @@ class _MemoryFacade:
         """Verification read of committed state (no timing, no stats)."""
         return self._memory.read(0, addr)
 
-    def load(self, core: int, addr: int, vid: int) -> AccessResult:
+    def load(self, core: int, addr: int, vid: int) -> Access:
         value = self._memory.read(vid, addr)
-        latency = self._timing.load(core, addr, 0).latency
-        return AccessResult(value, latency, True, "smtx")
+        _, latency = self._timing.load(core, addr, 0)
+        return value, latency
 
-    def store(self, core: int, addr: int, vid: int, value: int) -> AccessResult:
+    def store(self, core: int, addr: int, vid: int, value: int) -> Access:
         self._memory.write(vid, addr, value)
-        latency = self._timing.store(core, addr, 0, 0).latency
-        return AccessResult(value, latency, True, "smtx")
+        _, latency = self._timing.store(core, addr, 0, 0)
+        return value, latency
 
 
 class SMTXSystem(MTXMachine):
@@ -85,7 +85,7 @@ class SMTXSystem(MTXMachine):
         (derived from the workload by :func:`repro.smtx.runtime.run_smtx`).
     """
 
-    #: ``served_by`` label of every access result.
+    #: The backend's name in error messages.
     _label = "smtx"
 
     def __init__(self, config: Optional[MachineConfig] = None,
@@ -147,32 +147,28 @@ class SMTXSystem(MTXMachine):
     # Memory operations
     # ------------------------------------------------------------------
 
-    def load(self, tid: int, addr: int, now: int = 0) -> AccessResult:
+    def load(self, tid: int, addr: int, now: int = 0) -> Access:
         ctx = self.contexts[tid]
         vid = ctx.vid
-        value, source_vid = self._read_with_source(vid, addr)
-        latency = self.timing.load(ctx.core, addr, 0, now=now).latency
+        value, source_vid = self.memory.read_with_source(vid, addr)
+        _, latency = self.timing.load(ctx.core, addr, 0, now=now)
         if vid > 0:
             latency += self.costs.instrument_read
             if source_vid not in (0, vid):
                 # Uncommitted value forwarding through software queues.
                 latency += self.costs.forward_entry
                 self.forwarded_words += 1
-            sla = False
             if self._validated(addr, False) and source_vid != vid:
                 self.log.log_read(vid, addr, value)
                 latency += self.costs.log_entry
-                sla = True  # reused field: "this access was logged"
             self.stats.record_load(vid, addr, sla_sent=False)
-            return AccessResult(value, latency, True, self._label,
-                                sla_required=sla)
-        return AccessResult(value, latency, True, self._label)
+        return value, latency
 
     def store(self, tid: int, addr: int, value: int,
-              now: int = 0) -> AccessResult:
+              now: int = 0) -> Access:
         ctx = self.contexts[tid]
         vid = ctx.vid
-        latency = self.timing.store(ctx.core, addr, 0, 0, now=now).latency
+        _, latency = self.timing.store(ctx.core, addr, 0, 0, now=now)
         self.memory.write(vid, addr, value)
         if vid > 0:
             latency += self.costs.instrument_write
@@ -180,35 +176,22 @@ class SMTXSystem(MTXMachine):
                 self.log.log_write(vid, addr, value)
                 latency += self.costs.log_entry
             self.stats.record_store(vid, addr)
-        return AccessResult(value, latency, True, self._label)
+        return value, latency
 
-    def wrong_path_load(self, tid: int, addr: int) -> Tuple[int, int]:
+    def wrong_path_load(self, tid: int, addr: int) -> Access:
         """Squashed loads are invisible to a software TM (no logging)."""
         ctx = self.contexts[tid]
         value = self.memory.read(ctx.vid, addr)
         _, latency = self.timing.peek(ctx.core, addr, 0)
         return value, latency
 
-    def kernel_load(self, tid: int, addr: int) -> AccessResult:
+    def kernel_load(self, tid: int, addr: int) -> Access:
         ctx = self.contexts[tid]
-        latency = self.timing.load(ctx.core, addr, 0).latency
-        return AccessResult(self.memory.read(0, addr), latency, True,
-                            self._label)
+        _, latency = self.timing.load(ctx.core, addr, 0)
+        return self.memory.read(0, addr), latency
 
-    def kernel_store(self, tid: int, addr: int, value: int) -> AccessResult:
+    def kernel_store(self, tid: int, addr: int, value: int) -> Access:
         ctx = self.contexts[tid]
-        latency = self.timing.store(ctx.core, addr, 0, 0).latency
+        _, latency = self.timing.store(ctx.core, addr, 0, 0)
         self.memory.write(0, addr, value)
-        return AccessResult(value, latency, True, self._label)
-
-    # ------------------------------------------------------------------
-
-    def _read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
-        """Read and report which VID's buffer supplied the value (0 = committed)."""
-        word = addr - (addr % self.memory.backing.word_size)
-        if vid > 0:
-            for buffer_vid in sorted(self.memory.live_vids(), reverse=True):
-                if buffer_vid <= vid and \
-                        word in self.memory._buffers[buffer_vid]:
-                    return self.memory._buffers[buffer_vid][word], buffer_vid
-        return self.memory.backing.read_word(word), 0
+        return value, latency

@@ -110,7 +110,7 @@ class BackendTracer(TraceRecorder):
         # A store's result carries the value it wrote.
         ctx = None if kernel else self.system.contexts.get(tid)
         self.record(kind, vid=ctx.vid if ctx is not None else 0, addr=addr,
-                    value=result.value, detail="kernel" if kernel else "")
+                    value=result[0], detail="kernel" if kernel else "")
 
     def _misspeculated(self, name: str, err, cause, tid, addr, *rest,
                        **kwargs) -> None:

@@ -15,10 +15,10 @@ nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partialmethod
 from typing import Dict, List, Optional
 
 from ..coherence.hierarchy import MemoryHierarchy
+from ..coherence.protocol import READ
 from ..obs import tap
 
 
@@ -108,7 +108,11 @@ class ProtocolTracer(TraceRecorder):
         super().__init__(capacity, [])
         self.hierarchy = hierarchy
         self.addresses = addresses
+        # What the access in flight did, read off the hierarchy around it.
         self._versions_before = 0
+        self._sla_loads = 0
+        self._versions_created = 0
+        self._served_by = ""
 
     # ------------------------------------------------------------------
 
@@ -143,33 +147,36 @@ class ProtocolTracer(TraceRecorder):
     # Tap callbacks
     # ------------------------------------------------------------------
 
-    def _before_access(self, core, addr, vid, *rest, **kwargs) -> None:
-        self._versions_before = self.hierarchy.version_count(addr) \
+    def before__access(self, core, addr, vid, kind, *rest) -> None:
+        hierarchy = self.hierarchy
+        self._sla_loads = hierarchy.sla_loads
+        self._versions_created = hierarchy.versions_created
+        # An L1 hit unless a miss's fetch names the responder.
+        self._served_by = hierarchy.l1s[core].name
+        self._versions_before = hierarchy.version_count(addr) \
             if self._interesting(addr) else 0
 
-    def _after_access(self, name: str, result, core, addr, vid, *rest,
-                      **kwargs) -> None:
-        detail = f"hit={result.served_by}"
-        if result.created_version:
+    def after__fetch(self, result, *args) -> None:
+        self._served_by = result[2]
+
+    def after__access(self, result, core, addr, vid, kind, *rest) -> None:
+        hierarchy = self.hierarchy
+        detail = f"hit={self._served_by}"
+        if hierarchy.versions_created != self._versions_created:
             detail += " +version"
-        if result.sla_required:
+        if hierarchy.sla_loads != self._sla_loads:
             detail += " sla"
-        self.record(name, core, vid, addr, detail=detail, value=result.value)
+        self.record("load" if kind is READ else "store", core,
+                    vid, addr, detail=detail, value=result[0])
         if self._interesting(addr):
-            after = self.hierarchy.version_count(addr)
+            after = hierarchy.version_count(addr)
             if after != self._versions_before:
                 self.record("versions", core, vid, addr,
                             detail=f"{self._versions_before} -> {after} "
                                    "cached")
 
-    def _failed_access(self, err, cause, core, addr, vid, *rest,
-                       **kwargs) -> None:
+    def failed__access(self, err, cause, core, addr, vid, *rest) -> None:
         self.record("misspeculation", core, vid, addr, detail=err.reason)
-
-    before_load = before_store = _before_access
-    after_load = partialmethod(_after_access, "load")
-    after_store = partialmethod(_after_access, "store")
-    failed_load = failed_store = _failed_access
 
     def after_commit(self, latency, vid) -> None:
         self.record("commit", vid=vid, detail=f"VID {vid}")

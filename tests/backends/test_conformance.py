@@ -111,7 +111,7 @@ class TestBehaviour:
         assert backend.last_committed == vid
         assert backend.stats.committed == 1
         assert backend.committed_output == ["buffered"]
-        assert backend.load(0, ADDR).value == 42
+        assert backend.load(0, ADDR)[0] == 42
 
     def test_explicit_abort_taxonomy(self, backend):
         """abort_mtx: MisspeculationError + EXPLICIT in the txctl taxonomy."""
@@ -174,14 +174,17 @@ class TestBehaviour:
         with pytest.raises(TransactionUsageError, match="unbounded"):
             backend.vid_reset()
 
-    @pytest.mark.parametrize("name", ["smtx", "oracle"])
-    def test_software_backends_label_every_access(self, name):
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_every_access_returns_value_and_latency(self, name):
         backend = fresh(name)
         backend.thread(0, core=0)
         results = [backend.load(0, ADDR), backend.store(0, ADDR, 1),
+                   backend.load(0, ADDR), backend.wrong_path_load(0, ADDR),
                    backend.kernel_load(0, ADDR),
                    backend.kernel_store(0, ADDR, 2)]
-        assert {result.served_by for result in results} == {name}
+        assert all(type(result) is tuple for result in results)
+        assert [value for value, _ in results] == [0, 1, 1, 1, 1, 2]
+        assert all(latency > 0 for _, latency in results)
 
     def test_runs_a_workload_end_to_end(self):
         """Every backend drives the paradigm executors unchanged."""

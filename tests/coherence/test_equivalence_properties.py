@@ -87,7 +87,7 @@ def run_ops(hierarchy, ops: List[Op], eager: bool = False) -> List[Optional[int]
         else:
             try:
                 if op.kind == "load":
-                    observed.append(hierarchy.load(op.core, op.addr, op.vid).value)
+                    observed.append(hierarchy.load(op.core, op.addr, op.vid)[0])
                 else:
                     hierarchy.store(op.core, op.addr, op.vid, op.value)
                     observed.append(-1)
@@ -102,7 +102,7 @@ def run_ops(hierarchy, ops: List[Op], eager: bool = False) -> List[Optional[int]
 
 
 def final_state(hierarchy):
-    return {addr: hierarchy.load(0, addr, 0).value for addr in POOL}
+    return {addr: hierarchy.load(0, addr, 0)[0] for addr in POOL}
 
 
 @settings(max_examples=120, deadline=None)

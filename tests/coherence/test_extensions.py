@@ -38,7 +38,7 @@ class TestUnboundedSets:
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 2, 1000 + i)
         for i in (0, 50, 119):
-            assert h.load(1, 0x10000 + i * 64, 7).value == 1000 + i
+            assert h.load(1, 0x10000 + i * 64, 7)[0] == 1000 + i
 
     def test_spilled_versions_respect_windows(self):
         h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
@@ -46,7 +46,7 @@ class TestUnboundedSets:
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 3, 9)
         # An older VID must still see the pre-speculative value.
-        assert h.load(1, 0x10000, 2).value == 5
+        assert h.load(1, 0x10000, 2)[0] == 5
 
     def test_spilled_versions_commit(self):
         h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
@@ -54,7 +54,7 @@ class TestUnboundedSets:
             h.store(0, 0x10000 + i * 64, 1, i)
         h.commit(1)
         for i in (0, 64, 119):
-            assert h.load(1, 0x10000 + i * 64, 0).value == i
+            assert h.load(1, 0x10000 + i * 64, 0)[0] == i
 
     def test_spilled_versions_abort(self):
         h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
@@ -62,7 +62,7 @@ class TestUnboundedSets:
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 1, 99)
         h.abort()
-        assert h.load(1, 0x10000, 0).value == 5
+        assert h.load(1, 0x10000, 0)[0] == 5
 
     def test_conflicts_still_detected_through_table(self):
         h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
@@ -75,8 +75,8 @@ class TestUnboundedSets:
         h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 1, i)
-        result = h.load(1, 0x10000, 1)
-        assert result.latency > h.config.memory_latency
+        _, latency = h.load(1, 0x10000, 1)
+        assert latency > h.config.memory_latency
 
     def test_workload_runs_on_tiny_caches_with_unbounded_sets(self):
         config = MachineConfig(num_cores=4, l1_size=4 * 1024, l1_assoc=4,
@@ -109,7 +109,7 @@ class TestDirectory:
             for vid in (1, 2, 3, 4):
                 h.commit(vid)
         for addr in (0x1000, 0x1040):
-            assert snoopy.load(0, addr, 0).value == direct.load(0, addr, 0).value
+            assert snoopy.load(0, addr, 0)[0] == direct.load(0, addr, 0)[0]
 
     def test_sharer_map_superset_invariant(self):
         h = self.fresh()
@@ -130,14 +130,14 @@ class TestDirectory:
 
     def test_misses_to_different_banks_overlap(self):
         h = self.fresh()
-        lat0 = h.load(0, 0x8000, 0, now=0).latency
-        lat1 = h.load(1, 0x8040, 0, now=0).latency   # different bank
+        lat0 = h.load(0, 0x8000, 0, now=0)[1]
+        lat1 = h.load(1, 0x8040, 0, now=0)[1]   # different bank
         assert abs(lat0 - lat1) <= h.dconfig.bank_occupancy
 
     def test_same_bank_misses_serialise(self):
         h = self.fresh(directory_banks=1)
         h.load(0, 0x8000, 0, now=0)
-        lat1 = h.load(1, 0x9000, 0, now=0).latency
+        lat1 = h.load(1, 0x9000, 0, now=0)[1]
         assert h.dir_stats.bank_wait_cycles > 0
         assert lat1 > h.dconfig.directory_latency + h.config.memory_latency
 

@@ -145,9 +145,9 @@ def test_fast_path_matches_rules(kind, code):
             if kind == "load":
                 versions, sla = _expected_load(code, m, h, a)
                 assert not aborted, where
-                assert result.value == 1, where
-                assert result.sla_required == sla, where
-                assert not result.created_version, where
+                assert result[0] == 1, where
+                assert hierarchy.sla_loads == int(sla), where
+                assert hierarchy.versions_created == 0, where
             else:
                 expected = _expected_store(code, m, h, a)
                 assert aborted == (expected is None), where
@@ -155,8 +155,8 @@ def test_fast_path_matches_rules(kind, code):
                     assert _resident(l1) == before, where
                     continue
                 versions, created = expected
-                assert result.created_version == created, where
-                assert not result.sla_required, where
+                assert hierarchy.versions_created == int(created), where
+                assert hierarchy.sla_loads == 0, where
             assert _resident(l1) == versions, where
             hierarchy.check_invariants()
 

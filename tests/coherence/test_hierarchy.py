@@ -38,23 +38,23 @@ def states_of(h, addr):
 class TestNonSpeculativeMoesi:
     def test_read_miss_installs_exclusive(self, hierarchy):
         hierarchy.memory.write_word(ADDR, 7)
-        result = hierarchy.load(0, ADDR, 0)
-        assert result.value == 7
-        assert not result.l1_hit
+        assert hierarchy.load(0, ADDR, 0)[0] == 7
+        assert hierarchy.l1s[0].stats.misses == 1
         assert states_of(hierarchy, ADDR) == [("L1[0]", "E", 0, 0)]
 
     def test_second_read_hits(self, hierarchy):
         hierarchy.load(0, ADDR, 0)
-        assert hierarchy.load(0, ADDR, 0).l1_hit
+        hierarchy.load(0, ADDR, 0)
+        assert hierarchy.l1s[0].stats.hits == 1
 
     def test_write_makes_modified(self, hierarchy):
         hierarchy.store(0, ADDR, 0, 9)
         assert states_of(hierarchy, ADDR) == [("L1[0]", "M", 0, 0)]
-        assert hierarchy.load(0, ADDR, 0).value == 9
+        assert hierarchy.load(0, ADDR, 0)[0] == 9
 
     def test_read_sharing_across_cores(self, hierarchy):
         hierarchy.store(0, ADDR, 0, 9)
-        assert hierarchy.load(1, ADDR, 0).value == 9
+        assert hierarchy.load(1, ADDR, 0)[0] == 9
         states = dict((c, s) for c, s, _, _ in states_of(hierarchy, ADDR))
         assert states["L1[0]"] == "O"   # dirty owner
         assert states["L1[1]"] == "S"
@@ -65,14 +65,14 @@ class TestNonSpeculativeMoesi:
         hierarchy.store(1, ADDR, 0, 2)
         names = [c for c, _, _, _ in states_of(hierarchy, ADDR)]
         assert names == ["L1[1]"]
-        assert hierarchy.load(0, ADDR, 0).value == 2
+        assert hierarchy.load(0, ADDR, 0)[0] == 2
 
     def test_write_upgrade_from_shared(self, hierarchy):
         hierarchy.memory.write_word(ADDR, 5)
         hierarchy.load(0, ADDR, 0)
         hierarchy.load(1, ADDR, 0)
         hierarchy.store(0, ADDR, 0, 6)
-        assert hierarchy.load(1, ADDR, 0).value == 6
+        assert hierarchy.load(1, ADDR, 0)[0] == 6
 
 
 # ----------------------------------------------------------------------
@@ -84,25 +84,25 @@ class TestUncommittedValueForwarding:
         """A later pipeline stage sees the same transaction's uncommitted
         store from another core — requirement 2."""
         hierarchy.store(0, ADDR, 3, 111)
-        assert hierarchy.load(1, ADDR, 3).value == 111
+        assert hierarchy.load(1, ADDR, 3)[0] == 111
 
     def test_forwarding_to_later_vids(self, hierarchy):
         hierarchy.store(0, ADDR, 3, 111)
-        assert hierarchy.load(1, ADDR, 7).value == 111
+        assert hierarchy.load(1, ADDR, 7)[0] == 111
 
     def test_earlier_vids_see_older_version(self, hierarchy):
         hierarchy.memory.write_word(ADDR, 50)
         hierarchy.store(0, ADDR, 3, 111)
-        assert hierarchy.load(1, ADDR, 2).value == 50
-        assert hierarchy.load(2, ADDR, 0).value == 50
+        assert hierarchy.load(1, ADDR, 2)[0] == 50
+        assert hierarchy.load(2, ADDR, 0)[0] == 50
 
     def test_three_versions_three_readers(self, hierarchy):
         hierarchy.memory.write_word(ADDR, 1)
         hierarchy.store(0, ADDR, 2, 2)
         hierarchy.store(1, ADDR, 4, 3)
-        assert hierarchy.load(2, ADDR, 1).value == 1
-        assert hierarchy.load(2, ADDR, 3).value == 2
-        assert hierarchy.load(3, ADDR, 9).value == 3
+        assert hierarchy.load(2, ADDR, 1)[0] == 1
+        assert hierarchy.load(2, ADDR, 3)[0] == 2
+        assert hierarchy.load(3, ADDR, 9)[0] == 3
 
 
 class TestGroupCommit:
@@ -112,36 +112,36 @@ class TestGroupCommit:
         hierarchy.store(0, ADDR, 1, 10)
         hierarchy.store(1, ADDR + 64, 1, 20)
         hierarchy.commit(1)
-        assert hierarchy.load(2, ADDR, 0).value == 10
-        assert hierarchy.load(3, ADDR + 64, 0).value == 20
+        assert hierarchy.load(2, ADDR, 0)[0] == 10
+        assert hierarchy.load(3, ADDR + 64, 0)[0] == 20
 
     def test_uncommitted_stores_invisible_to_nonspec(self, hierarchy):
         hierarchy.memory.write_word(ADDR, 5)
         hierarchy.store(0, ADDR, 1, 99)
-        assert hierarchy.load(1, ADDR, 0).value == 5
+        assert hierarchy.load(1, ADDR, 0)[0] == 5
 
     def test_commit_preserves_later_speculation(self, hierarchy):
         hierarchy.store(0, ADDR, 1, 10)
         hierarchy.store(0, ADDR, 2, 20)
         hierarchy.commit(1)
-        assert hierarchy.load(1, ADDR, 0).value == 10
-        assert hierarchy.load(1, ADDR, 2).value == 20
+        assert hierarchy.load(1, ADDR, 0)[0] == 10
+        assert hierarchy.load(1, ADDR, 2)[0] == 20
         hierarchy.commit(2)
-        assert hierarchy.load(1, ADDR, 0).value == 20
+        assert hierarchy.load(1, ADDR, 0)[0] == 20
 
     def test_abort_discards_all_uncommitted(self, hierarchy):
         hierarchy.memory.write_word(ADDR, 5)
         hierarchy.store(0, ADDR, 1, 10)
         hierarchy.store(1, ADDR, 2, 20)
         hierarchy.abort()
-        assert hierarchy.load(2, ADDR, 0).value == 5
+        assert hierarchy.load(2, ADDR, 0)[0] == 5
 
     def test_abort_preserves_committed(self, hierarchy):
         hierarchy.store(0, ADDR, 1, 10)
         hierarchy.commit(1)
         hierarchy.store(1, ADDR, 2, 20)
         hierarchy.abort()
-        assert hierarchy.load(2, ADDR, 0).value == 10
+        assert hierarchy.load(2, ADDR, 0)[0] == 10
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +151,7 @@ class TestGroupCommit:
 class TestFlowDependences:
     def test_store_then_load_forwards(self, hierarchy):
         hierarchy.store(0, ADDR, 2, 42)       # s_x first
-        assert hierarchy.load(1, ADDR, 5).value == 42  # l_y sees it
+        assert hierarchy.load(1, ADDR, 5)[0] == 42  # l_y sees it
 
     def test_load_then_earlier_store_aborts(self, hierarchy):
         hierarchy.load(0, ADDR, 5)            # l_y first
@@ -164,20 +164,20 @@ class TestAntiDependences:
         hierarchy.memory.write_word(ADDR, 5)
         hierarchy.load(0, ADDR, 2)            # l_x first
         hierarchy.store(1, ADDR, 5, 99)       # s_y creates new version
-        assert hierarchy.load(0, ADDR, 2).value == 5   # x still sees old
+        assert hierarchy.load(0, ADDR, 2)[0] == 5   # x still sees old
 
     def test_later_store_then_load_avoids_false_abort(self, hierarchy):
         hierarchy.memory.write_word(ADDR, 5)
         hierarchy.store(1, ADDR, 5, 99)       # s_y first
-        assert hierarchy.load(0, ADDR, 2).value == 5   # l_x hits backup
+        assert hierarchy.load(0, ADDR, 2)[0] == 5   # l_x hits backup
 
 
 class TestOutputDependences:
     def test_in_order_stores_stack_versions(self, hierarchy):
         hierarchy.store(0, ADDR, 2, 22)
         hierarchy.store(0, ADDR, 5, 55)
-        assert hierarchy.load(1, ADDR, 2).value == 22
-        assert hierarchy.load(1, ADDR, 5).value == 55
+        assert hierarchy.load(1, ADDR, 2)[0] == 22
+        assert hierarchy.load(1, ADDR, 5)[0] == 55
 
     def test_out_of_order_stores_abort(self, hierarchy):
         hierarchy.store(0, ADDR, 5, 55)
@@ -187,7 +187,7 @@ class TestOutputDependences:
     def test_same_vid_rewrites_in_place(self, hierarchy):
         hierarchy.store(0, ADDR, 3, 1)
         hierarchy.store(0, ADDR, 3, 2)
-        assert hierarchy.load(0, ADDR, 3).value == 2
+        assert hierarchy.load(0, ADDR, 3)[0] == 2
         versions = [l for _, l in hierarchy.versions_everywhere(ADDR)
                     if l.state is State.SM]
         assert len(versions) == 1
@@ -199,7 +199,7 @@ class TestSameVidAcrossCores:
         (threads may move between cores, section 5.2)."""
         hierarchy.store(0, ADDR, 3, 1)
         hierarchy.store(1, ADDR, 3, 2)
-        assert hierarchy.load(2, ADDR, 3).value == 2
+        assert hierarchy.load(2, ADDR, 3)[0] == 2
         hierarchy.check_invariants()
 
     def test_nonspec_write_to_spec_line_aborts(self, hierarchy):
@@ -223,20 +223,22 @@ class TestSharedSpeculativeCopies:
     def test_ss_copy_serves_repeat_reads_locally(self, hierarchy):
         hierarchy.store(0, ADDR, 2, 9)
         hierarchy.load(1, ADDR, 2)
-        assert hierarchy.load(1, ADDR, 2).l1_hit
+        hits = hierarchy.l1s[1].stats.hits
+        hierarchy.load(1, ADDR, 2)
+        assert hierarchy.l1s[1].stats.hits == hits + 1
 
     def test_write_invalidates_stale_ss_copies(self, hierarchy):
         """An S-S copy must never serve its version's pre-write data."""
         hierarchy.store(0, ADDR, 2, 9)
         hierarchy.load(1, ADDR, 2)            # S-S(2,...) in L1[1]
         hierarchy.store(0, ADDR, 2, 10)       # in-place write by VID 2
-        assert hierarchy.load(1, ADDR, 2).value == 10
+        assert hierarchy.load(1, ADDR, 2)[0] == 10
 
     def test_ss_never_serves_writes(self, hierarchy):
         hierarchy.store(0, ADDR, 2, 9)
         hierarchy.load(1, ADDR, 4)            # S-S copy in L1[1]
         hierarchy.store(1, ADDR, 4, 11)       # must reach the owner
-        assert hierarchy.load(2, ADDR, 4).value == 11
+        assert hierarchy.load(2, ADDR, 4)[0] == 11
         hierarchy.check_invariants()
 
 
@@ -262,8 +264,7 @@ class TestOverflow:
             victims += 1
         assert tiny.stats.nonspec_overflows > 0
         # An old-VID read must still find version-0 data.
-        result = tiny.load(1, ADDR, 1)
-        assert result.value == 5
+        assert tiny.load(1, ADDR, 1)[0] == 5
         assert tiny.stats.overflow_retrievals > 0
 
     def test_speculative_line_eviction_past_llc_aborts(self, tiny):
@@ -279,7 +280,7 @@ class TestOverflow:
             tiny.abort()
         # After the flush, plain execution works again.
         tiny.store(0, ADDR, 0, 7)
-        assert tiny.load(1, ADDR, 0).value == 7
+        assert tiny.load(1, ADDR, 0)[0] == 7
 
 
 # ----------------------------------------------------------------------
@@ -290,13 +291,12 @@ class TestBusContention:
     def test_sequential_misses_do_not_wait(self, hierarchy):
         now = 0
         for i in range(10):
-            result = hierarchy.load(0, 0x8000 + i * 64, 0, now=now)
-            now += result.latency
+            now += hierarchy.load(0, 0x8000 + i * 64, 0, now=now)[1]
         assert hierarchy.stats.bus_wait_cycles == 0
 
     def test_simultaneous_misses_serialise(self, hierarchy):
-        lat0 = hierarchy.load(0, 0x8000, 0, now=0).latency
-        lat1 = hierarchy.load(1, 0x9000, 0, now=0).latency
+        lat0 = hierarchy.load(0, 0x8000, 0, now=0)[1]
+        lat1 = hierarchy.load(1, 0x9000, 0, now=0)[1]
         assert lat1 > lat0 - hierarchy.config.bus_occupancy
         assert hierarchy.stats.bus_wait_cycles > 0
 

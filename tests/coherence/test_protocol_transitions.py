@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.coherence.line import CacheLine
+from repro.trace.events import ProtocolTracer
 from repro.coherence.protocol import (
     WRITE_ABORT,
     WRITE_IN_PLACE,
@@ -296,16 +297,21 @@ class TestSnoopResponse:
 
     Decided in ``MemoryHierarchy._receive_from_owner``: driven here
     through a two-core machine whose L1[1] holds one hand-placed version
-    and whose core 0 then reads the line.
+    and whose core 0 then reads the line.  The responder is the one a
+    protocol trace of the load names.
     """
 
     def _serve(self, state, mod=0, high=0, vid=0):
         hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=2))
         hierarchy.l1s[1]._inject_line(
             CacheLine(0x40, state, [7] * 8, mod, high))
-        result = hierarchy.load(0, 0x40, vid)
+        tracer = ProtocolTracer.attach(hierarchy)
+        hierarchy.load(0, 0x40, vid)
+        tracer.detach()
+        (load,) = tracer.of_kind("load")
+        served_by = load.detail.split()[0][len("hit="):]
         received = hierarchy.l1s[0].lookup(0x40, vid)
-        return result.served_by, received.state
+        return served_by, received.state
 
     def test_ss_is_silent(self):
         assert self._serve(State.SS, 1, 5, vid=2)[0] == "memory"

@@ -69,7 +69,7 @@ def sequential_reference(txs: List[List[TxOp]]) -> Tuple[Dict[int, int], List[in
 
 
 def committed_state(hierarchy: MemoryHierarchy) -> Dict[int, int]:
-    return {addr: hierarchy.load(0, addr, 0).value for addr in POOL}
+    return {addr: hierarchy.load(0, addr, 0)[0] for addr in POOL}
 
 
 @settings(max_examples=120, deadline=None)
@@ -94,8 +94,8 @@ def test_any_interleaving_preserves_sequential_semantics(txs, rng):
             if op.is_write:
                 hierarchy.store(cores[t], op.addr, vids[t], op.value)
             else:
-                result = hierarchy.load(cores[t], op.addr, vids[t])
-                observed_loads[(t, cursors[t])] = result.value
+                value, _ = hierarchy.load(cores[t], op.addr, vids[t])
+                observed_loads[(t, cursors[t])] = value
             cursors[t] += 1
         except MisspeculationError:
             aborted = True

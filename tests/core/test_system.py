@@ -30,7 +30,7 @@ class TestThreadManagement:
         system.begin_mtx(0, system.allocate_vid())
         system.store(0, ADDR, 42)
         system.migrate(0, core=3)
-        assert system.load(0, ADDR).value == 42
+        assert system.load(0, ADDR)[0] == 42
 
 
 class TestBeginMtx:
@@ -46,11 +46,11 @@ class TestBeginMtx:
         system.store(0, ADDR, 99)
         system.begin_mtx(0, 0)
         # The store is still uncommitted: non-speculative readers see 5.
-        assert system.load(1, ADDR).value == 5
+        assert system.load(1, ADDR)[0] == 5
         # But the transaction remains alive and committable.
         system.begin_mtx(1, vid)
         system.commit_mtx(1, vid)
-        assert system.load(1, ADDR).value == 99
+        assert system.load(1, ADDR)[0] == 99
 
     def test_rejects_out_of_range_vid(self, system):
         with pytest.raises(TransactionUsageError):
@@ -96,7 +96,7 @@ class TestCommitOrder:
         system.begin_mtx(0, 0)
         system.begin_mtx(3, vid)
         system.commit_mtx(3, vid)
-        assert system.load(2, ADDR).value == 1
+        assert system.load(2, ADDR)[0] == 1
 
 
 class TestMultipleTransactionsPerCore:
@@ -111,7 +111,7 @@ class TestMultipleTransactionsPerCore:
         system.store(0, ADDR, 3)
         # Re-enter the first transaction; its version is intact.
         system.begin_mtx(0, v1)
-        assert system.load(0, ADDR).value == 1
+        assert system.load(0, ADDR)[0] == 1
         assert len(system.active_vids) == 3
 
 
@@ -123,7 +123,7 @@ class TestAbort:
         system.store(0, ADDR, 99)
         with pytest.raises(MisspeculationError):
             system.abort_mtx(0, vid)
-        assert system.load(1, ADDR).value == 5
+        assert system.load(1, ADDR)[0] == 5
         assert not system.active_vids
         assert system.stats.explicit_aborts == 1
 
@@ -174,10 +174,10 @@ class TestVidReset:
         vid = sys.allocate_vid()
         assert vid == 1
         sys.begin_mtx(0, vid)
-        assert sys.load(0, ADDR).value == 100
+        assert sys.load(0, ADDR)[0] == 100
         sys.store(0, ADDR, 999)
         sys.commit_mtx(0, vid)
-        assert sys.load(0, ADDR).value == 999
+        assert sys.load(0, ADDR)[0] == 999
 
     def test_reset_after_abort_scrubs_lines(self):
         sys = HMTXSystem(MachineConfig(num_cores=2, vid_bits=3))
@@ -190,7 +190,7 @@ class TestVidReset:
         sys.vid_reset()
         vid = sys.allocate_vid()
         sys.begin_mtx(0, vid)
-        assert sys.load(0, ADDR).value == 6
+        assert sys.load(0, ADDR)[0] == 6
 
 
 class TestOutputBuffering:

@@ -16,6 +16,8 @@ from repro.cpu import (
 )
 from repro.cpu.isa import BeginMTX, CommitMTX, Output, format_trace
 from repro.runtime.scheduler import Scheduler
+from repro.workloads import make_benchmark
+from repro.workloads.suite import BENCHMARK_NAMES
 
 ADDR = 0x4000
 
@@ -65,6 +67,63 @@ class TestCalibratedPredictor:
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
             CalibratedPredictor(1.5)
+
+
+#: Rates 0 and 1, every Table-1 rate, and rates whose ``rate * 2**53`` is
+#: a whole number (the threshold's boundary case).
+BULK_RATES = sorted({0.0, 1.0, 0.5, 3 / 1024, 1 / 2**53} | {
+    make_benchmark(name, 0.1).mispredict_rate for name in BENCHMARK_NAMES})
+
+
+class TestCalibratedBulkPath:
+    """The executor's fused loop for a multi-branch op against per-branch
+    :meth:`CalibratedPredictor.predict`, and ``predict`` against the float
+    rule ``(state >> 11) / 2**53 < rate`` it stands for."""
+
+    @pytest.mark.parametrize("rate", BULK_RATES)
+    def test_bulk_stream_equals_per_branch_predict(self, system, rate):
+        count, ops = 0, []
+        for size in (1, 7, 64, 500, 3000):
+            ops.append(Branch(taken=True, count=size))
+            count += size
+        executor, results = run_ops(
+            system, *ops,
+            predictor_factory=lambda: CalibratedPredictor(rate, seed=77))
+        bulk = executor.predictor(0)
+        reference = CalibratedPredictor(rate, seed=77)
+        streams = []
+        for op in ops:
+            streams.append(sum(reference.predict(0, True)
+                               for _ in range(op.count)))
+        assert bulk._state == reference._state
+        assert bulk.stats == reference.stats
+        assert executor.stats.mispredicts == reference.stats.mispredictions
+        costs = system.config.op_costs
+        assert [latency for _, latency in results] == [
+            op.work_cycles + op.count * costs.branch
+            + mispredicts * costs.branch_mispredict_penalty
+            for op, mispredicts in zip(ops, streams)]
+        assert reference.stats.predictions == count
+
+    @pytest.mark.parametrize("rate", BULK_RATES)
+    def test_predict_equals_the_float_rule(self, rate):
+        predictor = CalibratedPredictor(rate, seed=5)
+        state = predictor._state
+        for _ in range(4000):
+            state = (state * CalibratedPredictor._LCG_MULT
+                     + CalibratedPredictor._LCG_INC) & CalibratedPredictor._MASK
+            assert predictor.predict(0, True) == \
+                ((state >> 11) / 2**53 < rate)
+
+    @pytest.mark.parametrize("rate", BULK_RATES)
+    def test_threshold_splits_the_states_exactly(self, rate):
+        # The states on both sides of the threshold decide as the float
+        # rule does.
+        threshold = CalibratedPredictor(rate).threshold
+        for state in {threshold - 2049, threshold - 1, threshold,
+                      threshold + 2047, threshold + 2048}:
+            if 0 <= state < 2**64:
+                assert (state < threshold) == ((state >> 11) / 2**53 < rate)
 
 
 def run_ops(system, *ops, predictor_factory=None):
@@ -169,7 +228,7 @@ class TestInterrupts:
         system.store(0, ADDR, 42)
         injector = InterruptInjector(period=10, handler_accesses=8)
         injector.maybe_interrupt(system, 0, 0, clock=100)
-        assert system.load(0, ADDR).value == 42
+        assert system.load(0, ADDR)[0] == 42
         system.commit_mtx(0, vid)
         assert system.stats.aborted == 0
 

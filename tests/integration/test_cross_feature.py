@@ -124,12 +124,12 @@ class TestMigrationDuringPipeline:
             system.store(0, 0x7000 + step * 64, 100 + step)
             system.migrate(0, core=(step + 1) % 4)
             # Re-read after migrating: must see its own uncommitted store.
-            assert system.load(0, 0x7000 + step * 64).value == 100 + step
+            assert system.load(0, 0x7000 + step * 64)[0] == 100 + step
         for vid in vids:
             system.begin_mtx(0, vid)
             system.commit_mtx(0, vid)
         for step in range(6):
-            assert system.load(0, 0x7000 + step * 64).value == 100 + step
+            assert system.load(0, 0x7000 + step * 64)[0] == 100 + step
 
 
 class TestCompiledLoopsComposed:

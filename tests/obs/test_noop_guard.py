@@ -19,13 +19,16 @@ the scheduler's per-step observer, and nothing wraps the executor.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import HMTXSystem, MachineConfig
 from repro.cpu.isa import AbortMTX, BeginMTX, Load, Work
 from repro.errors import MisspeculationError
 from repro.experiments.phase_profile import PhaseProfiler
-from repro.obs import hooks
+from repro.obs import hooks, tap
 from repro.obs.session import ObsSession
 from repro.obs.tap import Tap
 from repro.runtime.scheduler import Scheduler
@@ -65,6 +68,35 @@ class TestNoResidue:
         except RuntimeError:
             pass
         assert hooks.active is None
+
+    def test_tapped_system_is_freed_without_a_collection(self):
+        """A tap wrapper reaches the object it sits on weakly: a system
+        whose subscribers are never detached forms no reference cycle, so
+        dropping it frees it, its hierarchy and its main memory at once,
+        not at the next full garbage collection."""
+
+        class Loads:
+            count = 0
+
+            def after_load(self, result, tid, addr, now=0):
+                Loads.count += 1
+
+        system = HMTXSystem(MachineConfig(num_cores=2))
+        system.thread(0, core=0)
+        subscribers = [Loads(), PhaseProfiler()]
+        tap.subscribe(system, subscribers[0])
+        subscribers[1].attach_system(system)
+        system.store(0, 0x40, 1)
+        assert system.load(0, 0x40)[0] == 1
+        assert Loads.count == 1
+        gc.disable()
+        try:
+            refs = [weakref.ref(system), weakref.ref(system.hierarchy),
+                    weakref.ref(system.hierarchy.memory)]
+            del system
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 def observed_scheduler(num_cores):

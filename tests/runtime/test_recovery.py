@@ -63,7 +63,7 @@ class TestConflictRecovery:
     def test_shared_counter_is_sequentially_consistent(self):
         workload = ConflictingWorkload(nodes=18, conflict_every=3)
         result = run_ps_dswp(workload)
-        final = result.system.hierarchy.load(0, workload.shared_addr, 0).value
+        final = result.system.hierarchy.load(0, workload.shared_addr, 0)[0]
         assert final == 18 // 3
 
 

@@ -97,22 +97,21 @@ class TestSMTXSystem:
         vid = system.allocate_vid()
         system.begin_mtx(0, vid)
         system.store(0, ADDR, 7)
-        assert system.load(0, ADDR).value == 7
+        assert system.load(0, ADDR)[0] == 7
 
     def test_forwarding_between_threads(self, system):
         v1 = system.allocate_vid()
         system.begin_mtx(0, v1)
         system.store(0, ADDR, 7)
         system.begin_mtx(1, v1)
-        result = system.load(1, ADDR)
-        assert result.value == 7
+        assert system.load(1, ADDR)[0] == 7
 
     def test_commit_publishes(self, system):
         vid = system.allocate_vid()
         system.begin_mtx(0, vid)
         system.store(0, ADDR, 7)
         system.commit_mtx(0, vid)
-        assert system.load(1, ADDR).value == 7
+        assert system.load(1, ADDR)[0] == 7
 
     def test_commit_order_enforced(self, system):
         v1, v2 = system.allocate_vid(), system.allocate_vid()
@@ -124,9 +123,9 @@ class TestSMTXSystem:
     def test_validated_accesses_cost_more(self, system):
         vid = system.allocate_vid()
         system.begin_mtx(0, vid)
-        validated = system.load(0, ADDR).latency
+        validated = system.load(0, ADDR)[1]
         system.begin_mtx(0, 0)
-        raw = system.load(0, ADDR).latency
+        raw = system.load(0, ADDR)[1]
         assert validated > raw
 
     def test_commit_process_accumulates_work(self, system):

@@ -16,7 +16,9 @@ from repro.trace import BackendTracer, ProtocolTracer
 from repro.workloads import make_benchmark
 
 #: The hierarchy methods a protocol tracer observes.
-HIERARCHY_METHODS = ("load", "store", "commit", "abort", "vid_reset")
+#: What a protocol tracer observes: every access, a miss's responder and
+#: the broadcasts.
+HIERARCHY_METHODS = ("_access", "_fetch", "commit", "abort", "vid_reset")
 
 SCALE = 0.2
 
@@ -60,8 +62,9 @@ class TestRoundtrip:
     def test_detach_restores_originals(self):
         system = HMTXSystem(MachineConfig())
         tracer = ProtocolTracer.attach(system.hierarchy)
-        wrapped = system.hierarchy.load  # instance-attr function, not bound
-        assert getattr(wrapped, "__func__", None) is not MemoryHierarchy.load
+        wrapped = system.hierarchy._access  # instance-attr function
+        assert getattr(wrapped, "__func__", None) \
+            is not MemoryHierarchy._access
         tracer.detach()
         for name in HIERARCHY_METHODS:
             restored = getattr(system.hierarchy, name)
@@ -118,7 +121,8 @@ class TestDetachOrder:
         system.store(0, 0x40, 1)
 
         inner.detach()
-        assert not _is_raw(system.hierarchy.store, MemoryHierarchy, "store")
+        assert not _is_raw(system.hierarchy._access, MemoryHierarchy,
+                           "_access")
         system.store(0, 0x80, 2)              # outer must still see this
         assert len(outer.of_kind("store")) == 2
         assert len(inner.of_kind("store")) == 1
