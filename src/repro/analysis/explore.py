@@ -73,9 +73,8 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..coherence.cache import VersionedCache
 from ..coherence.directory import DirectoryConfig, DirectoryHierarchy
 from ..coherence.hierarchy import HierarchyConfig, MemoryHierarchy
-from ..coherence.line import CacheLine
 from ..coherence.protocol import version_hits_code
-from ..coherence.states import CODE_SM, CODE_SS, State
+from ..coherence.states import CODE_SM, CODE_SO, CODE_SS
 from ..errors import MisspeculationError
 from ..topology import TopologySpec, place_core
 from ..txctl.causes import AbortCause
@@ -844,10 +843,8 @@ def _broken_scrub_reset(self) -> None:
     if self._scrub_bug_done:
         return
     self._scrub_bug_done = True
-    residue = CacheLine(self._scrub_bug_addr, State.SO,
-                        [0] * self._scrub_bug_words, 0, 1)
-    residue.epoch = self._epoch
-    self._inject_line(residue)
+    self._inject_line(self._scrub_bug_addr, CODE_SO,
+                      [0] * self._scrub_bug_words, 0, 1, epoch=self._epoch)
 
 
 def _inject_broken_scrub(run: _Run) -> None:

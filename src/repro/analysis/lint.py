@@ -62,14 +62,18 @@ Rule catalog (details in DESIGN.md section 10):
     legitimate exception and carries a ``lint-ok`` marker saying so.
 ``RL009`` one state representation on the access paths
     The coherence stack keeps resident versions as slot columns and
-    decides on integer state codes.  In ``coherence/hierarchy.py`` and
-    ``coherence/directory.py`` (every line there is an access path or its
-    bookkeeping) and in every ``# hot-path`` function under
-    ``coherence/``, a ``State.<member>`` reference or a
-    ``CacheLine``/``LineView`` construction means a second representation
-    has crept back in; so does a ``_view(`` call outside the debug and
-    introspection helpers (``check_*``, ``versions*``, ``all_lines``,
-    ``lookup``, ``__repr__``).
+    decides on integer state codes.  In ``coherence/hierarchy.py``,
+    ``coherence/directory.py`` and ``coherence/overflow.py`` (every line
+    there is an access path, the eviction path or its bookkeeping) and in
+    every ``# hot-path`` function under ``coherence/``, a
+    ``State.<member>`` reference, a ``STATE_FROM_CODE[...]`` subscript, a
+    ``.state.code`` read or a ``CacheLine``/``LineView`` construction
+    means a second representation has crept back in; so does a ``_view(``
+    call outside the debug and introspection helpers (``check_*``,
+    ``versions*``, ``all_lines``, ``lookup``, ``__repr__``).  Those three
+    modules and ``coherence/cache.py`` also must not import ``State``,
+    ``STATE_FROM_CODE`` or ``CacheLine`` at all: their diagnostics name
+    states through ``CODE_NAMES``.
 ``RL010`` one instrumentation mechanism
     The tap (``obs/tap.py``) owns all method wrapping.  Elsewhere, a
     ``functools.wraps`` use or a ``setattr`` whose value can be a function
@@ -523,7 +527,12 @@ def _rl008_artifact_wallclock(tree: ast.AST, rel: str,
 
 #: Modules RL009 polices line by line (module path suffixes).
 _ONE_REPRESENTATION_MODULES = ("coherence/hierarchy.py",
-                               "coherence/directory.py")
+                               "coherence/directory.py",
+                               "coherence/overflow.py")
+#: Modules that must not import the object-model names at all (RL009).
+_CODE_ONLY_MODULES = _ONE_REPRESENTATION_MODULES + ("coherence/cache.py",)
+#: The object-model names those modules must not import (RL009).
+_OBJECT_MODEL_NAMES = {"State", "STATE_FROM_CODE", "CacheLine"}
 #: Object facades that must not be constructed on an access path (RL009).
 _LINE_OBJECTS = {"CacheLine", "LineView"}
 #: Debug/introspection helpers allowed to build views with ``_view(``.
@@ -534,12 +543,31 @@ _INTROSPECTION_PREFIXES = ("check_", "versions", "all_lines", "lookup",
 def _rl009_one_representation(tree: ast.AST, rel: str,
                               lines: Sequence[str]) -> Iterable[Finding]:
     path = rel.replace("\\", "/")
+    if path.endswith(_CODE_ONLY_MODULES):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in _OBJECT_MODEL_NAMES:
+                        yield _representation_finding(
+                            rel, node.lineno, f"import of {alias.name}", "")
     if path.endswith(_ONE_REPRESENTATION_MODULES):
         yield from _scan_representation(tree, rel, "")
     elif "coherence/" in path:
         for node in ast.walk(tree):
             if _is_hot_function(node, lines):
                 yield from _scan_representation(node, rel, node.name)
+
+
+def _representation_finding(rel: str, lineno: int, what: str,
+                            scope: str) -> Finding:
+    return Finding(
+        "RL009", SEVERITY_ERROR, f"{rel}:{lineno}",
+        f"{what} on a coherence access path"
+        + (f" (in {scope})" if scope else ""),
+        "access paths work on slot ints and the integer state "
+        "codes of coherence/states.py (CODE_*, CODE_NAMES for text); keep "
+        "State members and line objects to tests and introspection "
+        "helpers")
 
 
 def _scan_representation(node: ast.AST, rel: str,
@@ -552,6 +580,13 @@ def _scan_representation(node: ast.AST, rel: str,
                 and isinstance(child.value, ast.Name) \
                 and child.value.id == "State":
             what = f"State.{child.attr} reference"
+        elif isinstance(child, ast.Attribute) and child.attr == "code" \
+                and isinstance(child.value, ast.Attribute) \
+                and child.value.attr == "state":
+            what = ".state.code read"
+        elif isinstance(child, ast.Subscript) \
+                and _name_of(child.value) == "STATE_FROM_CODE":
+            what = "STATE_FROM_CODE[...] subscript"
         elif isinstance(child, ast.Call):
             name = _call_name(child)
             if name in _LINE_OBJECTS:
@@ -560,14 +595,17 @@ def _scan_representation(node: ast.AST, rel: str,
                     and not scope.startswith(_INTROSPECTION_PREFIXES):
                 what = "_view() call"
         if what is not None:
-            yield Finding(
-                "RL009", SEVERITY_ERROR, f"{rel}:{child.lineno}",
-                f"{what} on a coherence access path"
-                + (f" (in {scope})" if scope else ""),
-                "access paths work on slot ints and the integer state "
-                "codes of coherence/states.py (CODE_*); keep State members "
-                "and line objects to tests and introspection helpers")
+            yield _representation_finding(rel, child.lineno, what, scope)
         yield from _scan_representation(child, rel, scope)
+
+
+def _name_of(node: ast.AST) -> Optional[str]:
+    """``X`` for a bare ``X`` or a dotted ``module.X`` reference."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
 #: The modules allowed to wrap methods (RL010).

@@ -16,7 +16,6 @@ from .cache import CacheStats, VersionedCache
 from .directory import DirectoryConfig, DirectoryHierarchy, DirectoryStats
 from .overflow import OverflowVersionTable
 from .hierarchy import Access, HierarchyConfig, HierarchyStats, MemoryHierarchy
-from .line import CacheLine
 from .memory import MainMemory
 from .states import State
 from .vid import (
@@ -29,7 +28,6 @@ from .vid import (
 
 __all__ = [
     "Access",
-    "CacheLine",
     "CacheStats",
     "CascadedComparator",
     "DirectoryConfig",

@@ -20,11 +20,12 @@ lazy-processing stamps.  The per-set lists, the per-base version buckets
 and the presence map all hold plain slot integers; lookups, installs,
 lazy folds, VID-reset scrubs and victim selection all run on slot ints and
 the integer-code rules of :mod:`repro.coherence.protocol`.  Installs take
-column values.  Only two object shapes remain, both at the edges: eviction
-victims come back as detached :class:`~repro.coherence.line.CacheLine`
-records, and the introspection helpers (:meth:`VersionedCache.lookup`,
-:meth:`~VersionedCache.versions`, :meth:`~VersionedCache.all_lines`) hand
-tests and tools read-only :class:`~repro.coherence.line.LineView` facades.
+column values and eviction victims come back as column values, so a
+victim's data list moves down the miss path by reference.  One object
+shape remains, at the edge: the introspection helpers
+(:meth:`VersionedCache.lookup`, :meth:`~VersionedCache.versions`,
+:meth:`~VersionedCache.all_lines`) hand tests and tools read-only
+:class:`~repro.coherence.line.LineView` facades.
 
 Fast-path layer (DESIGN.md, "Fast-path indexing") — pure implementation
 optimisations, invisible to the modelled protocol:
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .line import CacheLine, LineView
+from .line import LineView
 from .protocol import (
     abort_transition_code,
     commit_transition_code,
@@ -62,7 +63,6 @@ from .states import (
     CODE_SM,
     CODE_SO,
     CODE_SS,
-    STATE_FROM_CODE,
 )
 from .store import FREE_CODE, LineStore
 from .vid import CascadedComparator
@@ -104,6 +104,12 @@ _VICTIM_CLASS_BY_CODE = bytes((
     _PRIORITY_SPEC_PINNED, _PRIORITY_SPEC_PINNED, _PRIORITY_SPEC_PINNED,
     _PRIORITY_SPEC_SHARED,
 ))
+
+
+#: An evicted version as it travels down the miss path: ``(code, addr,
+#: data, modVID, highVID)``.  Its lazy stamps and LRU tick stay behind:
+#: the receiving level stamps its own.
+Victim = Tuple[int, int, List[int], int, int]
 
 
 class VersionedCache:
@@ -189,7 +195,7 @@ class VersionedCache:
         return slots
 
     # ------------------------------------------------------------------
-    # Introspection views and eviction records
+    # Diagnostics
     # ------------------------------------------------------------------
 
     def _describe(self, slot: int) -> str:
@@ -198,16 +204,6 @@ class VersionedCache:
         return (f"CacheLine(0x{store.addr[slot]:x}, "
                 f"{CODE_NAMES[store.state[slot]]}"
                 f"({store.mod_vid[slot]},{store.high_vid[slot]}))")
-
-    def _make_record(self, slot: int) -> CacheLine:
-        """Snapshot an evicted slot's columns into a detached record."""
-        store = self._store
-        record = CacheLine(
-            store.addr[slot], STATE_FROM_CODE[store.state[slot]],
-            store.data[slot], store.mod_vid[slot], store.high_vid[slot],
-            store.seen_aborts[slot], store.lru_tick[slot])
-        record.epoch = store.epoch[slot]
-        return record
 
     # ------------------------------------------------------------------
     # Index / filter maintenance
@@ -519,15 +515,17 @@ class VersionedCache:
 
     def install_slot(self, base: int, code: int, data: List[int],
                      mod_vid: int, high_vid: int
-                     ) -> Tuple[int, List[CacheLine]]:
+                     ) -> Tuple[int, Tuple[Victim, ...]]:  # hot-path
         """Insert a version from its column values, evicting as needed.
 
         An existing version with the same ``(addr, modVID)`` is replaced
         (it is the same conceptual version, e.g. a stale shared copy).
         ``data`` is taken by reference.  Returns the new slot and the
-        evicted lines as detached records; the hierarchy decides whether
-        they are written back, passed down a level, overflowed to memory,
-        or force an abort (section 5.4).
+        evicted versions as ``(code, addr, data, modVID, highVID)`` column
+        tuples (usually none or one); each victim's data list moves out by
+        reference.  The hierarchy decides whether they are written back,
+        passed down a level, overflowed to memory, or force an abort
+        (section 5.4).
         """
         store = self._store
         spec = code >= CODE_SM
@@ -535,13 +533,17 @@ class VersionedCache:
         if bucket:
             state_col = store.state
             mod_col = store.mod_vid
-            for slot in list(bucket):
+            i = 0
+            while i < len(bucket):
+                slot = bucket[i]
                 if mod_col[slot] == mod_vid \
                         and (state_col[slot] >= CODE_SM) == spec:
-                    self._remove_slot(slot)
+                    self._remove_slot(slot)  # shrinks bucket at i
+                else:
+                    i += 1
         index = self.set_index(base)
         slots = self._set_list(index)
-        evicted: List[CacheLine] = []
+        evicted: Tuple[Victim, ...] = ()
         epoch = self._epoch
         while True:
             # Resolve pending lazy transitions first: committed/aborted
@@ -550,20 +552,24 @@ class VersionedCache:
             # no-op for every line.
             if self._set_epochs.get(index) != epoch:
                 process = self._process_lazy_slot
-                for candidate in list(slots):
-                    process(candidate)
+                i = 0
+                while i < len(slots):
+                    if process(slots[i]) is not None:
+                        i += 1      # else it left slots at i
                 self._set_epochs[index] = epoch
             if len(slots) < self.assoc:
                 break
             victim = self._choose_victim_slot(slots)
             slots.remove(victim)
             self._index_remove_slot(victim)
-            if store.state[victim] != CODE_INVALID:
+            victim_code = store.state[victim]
+            if victim_code != CODE_INVALID:
                 # An INVALID fallback victim never really left the
                 # hierarchy; counting it would pollute the Table 1 /
                 # ablation eviction numbers.
                 self.stats.evictions += 1
-            evicted.append(self._make_record(victim))
+            evicted += ((victim_code, store.addr[victim], store.data[victim],
+                         store.mod_vid[victim], store.high_vid[victim]),)
             store.release(victim)
         slot = store.alloc(base, code, data, mod_vid, high_vid)
         # A freshly installed line has no pending events in *this* cache.
@@ -718,20 +724,22 @@ class VersionedCache:
     # Debug support
     # ------------------------------------------------------------------
 
-    def _inject_line(self, line: CacheLine) -> LineView:
-        """Test hook: force a raw resident version in.
+    def _inject_line(self, base: int, code: int, data: List[int],
+                     mod_vid: int = 0, high_vid: int = 0,
+                     epoch: int = -1) -> LineView:
+        """Test hook: force a raw resident version in from column values.
 
-        Bypasses replacement, eviction and lazy processing — the slot-arena
-        equivalent of appending a hand-built line straight onto a set list
-        (used to fabricate states the protocol itself would never produce).
+        Bypasses replacement, eviction and lazy processing — used to
+        fabricate states the protocol itself would never produce.  The
+        slot has seen no aborts and LRU tick 0; ``epoch`` -1 (the
+        default) leaves it stale, so its first touch folds every event.
         """
         store = self._store
-        slot = store.alloc(line.addr, line.state.code, line.data,
-                           line.mod_vid, line.high_vid)
-        store.seen_aborts[slot] = line.seen_aborts
-        store.epoch[slot] = line.epoch
-        store.lru_tick[slot] = line.lru_tick
-        self._set_list(self.set_index(line.addr)).append(slot)
+        slot = store.alloc(base, code, data, mod_vid, high_vid)
+        store.seen_aborts[slot] = 0
+        store.epoch[slot] = epoch
+        store.lru_tick[slot] = 0
+        self._set_list(self.set_index(base)).append(slot)
         self._index_add_slot(slot)
         return LineView(self, slot)
 

@@ -14,8 +14,10 @@ the fused L1 hit, the bus fetch, forwarding from a peer owner, upgrades,
 version creation, installs and victim handling — works on cache slot ints
 and integer state codes, and takes its decisions from the code-level rules
 of :mod:`repro.coherence.protocol`.  Installs pass column values straight
-to :meth:`VersionedCache.install_slot`; the only line objects are the
-eviction records a cache hands back (lint rule RL009 keeps it that way).
+to :meth:`VersionedCache.install_slot`, and its victims come back as
+column values too, so an evicted version travels down the miss path (L1
+to LLC, LLC to memory or the overflow table) with no line object at any
+step (lint rule RL009 keeps it that way).
 
 System-wide invariants maintained here (and checked by the test suite):
 
@@ -38,7 +40,7 @@ from ..errors import MisspeculationError, SpeculativeOverflowError
 from ..topology import TopologySpec
 from ..txctl.causes import AbortCause
 from .cache import VersionedCache
-from .line import CacheLine, LineView
+from .line import LineView
 from .memory import DEFAULT_WORD_SIZE, MainMemory
 from .overflow import OverflowVersionTable
 from .protocol import (
@@ -817,44 +819,45 @@ class MemoryHierarchy:
         slot, evicted = cache.install_slot(base, code, data, mod_vid,
                                            high_vid)
         for victim in evicted:
-            self._handle_victim(cache, victim)
+            self._handle_victim(cache, *victim)
         return slot
 
-    def _handle_victim(self, cache: VersionedCache, victim: CacheLine) -> None:
-        code = victim.state.code
+    def _handle_victim(self, cache: VersionedCache, code: int, addr: int,
+                       data: List[int], mod_vid: int, high_vid: int) -> None:
+        """Apply the eviction rules to one victim's column values."""
         if code == CODE_INVALID:
             return
         if cache not in self._llc_group:
             # L1 victim: S-S peer copies are silently droppable; clean
             # non-speculative lines need no writeback; everything else moves
             # down to the line's home LLC slice "as normal" (section 4.1) —
-            # the single shared L2 on a flat machine.
+            # the single shared L2 on a flat machine.  Its data list moves
+            # with it.
             if code == CODE_SS or code == CODE_SHARED \
                     or code == CODE_EXCLUSIVE:
                 return
-            self._install(self._home_llc(victim.addr), victim.addr, code,
-                          victim.data, victim.mod_vid, victim.high_vid)
+            self._install(self._home_llc(addr), addr, code, data, mod_vid,
+                          high_vid)
             return
         # Last-level cache victim: section 5.4 rules.
         if code == CODE_MODIFIED or code == CODE_OWNED:
-            self.memory.write_line(victim.addr, victim.data)
+            self.memory.write_line(addr, data)
             return
         if code == CODE_SHARED or code == CODE_EXCLUSIVE or code == CODE_SS:
             return
-        if code == CODE_SO and victim.mod_vid == 0:
+        if code == CODE_SO and mod_vid == 0:
             # The non-speculative backup may overflow to memory; the S-M
             # assertion path of _fetch retrieves it if needed again.
             self.stats.nonspec_overflows += 1
-            self.memory.write_line(victim.addr, victim.data)
+            self.memory.write_line(addr, data)
             return
         if self.overflow_table is not None:
             # Section 8 extension: spill the speculative version into the
             # memory-side table instead of aborting.
             self.stats.spec_overflow_spills += 1
-            self.overflow_table.spill(victim)
+            self.overflow_table.spill(code, addr, data, mod_vid, high_vid)
             return
         raise SpeculativeOverflowError(
-            f"speculative version {CODE_NAMES[code]}({victim.mod_vid},"
-            f"{victim.high_vid}) of 0x{victim.addr:x} evicted past the LLC",
-            vid=victim.mod_vid, addr=victim.addr,
-            cause=AbortCause.CAPACITY_OVERFLOW)
+            f"speculative version {CODE_NAMES[code]}({mod_vid},"
+            f"{high_vid}) of 0x{addr:x} evicted past the LLC",
+            vid=mod_vid, addr=addr, cause=AbortCause.CAPACITY_OVERFLOW)

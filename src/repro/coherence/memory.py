@@ -1,10 +1,13 @@
-"""Word-granular backing store (main memory) for the simulated machine.
+"""Line-granular backing store (main memory) for the simulated machine.
 
 The simulator models memory values at word granularity (8 bytes by default,
-8 words per 64-byte line as in Table 2).  Only committed, non-speculative
-data ever reaches main memory; speculative versions live exclusively in the
-cache hierarchy (or, for superseded non-speculative ``S-O`` copies, are
-written back here per section 5.4).
+8 words per 64-byte line as in Table 2) and stores them a line at a time:
+every miss the caches send to memory and every writeback they send back
+moves a whole line, so a line fill is one list copy and a writeback one
+store.  Only committed, non-speculative data ever reaches main memory;
+speculative versions live exclusively in the cache hierarchy (or, for
+superseded non-speculative ``S-O`` copies, are written back here per
+section 5.4).
 """
 
 from __future__ import annotations
@@ -18,16 +21,18 @@ DEFAULT_WORD_SIZE = 8
 
 @dataclass
 class MainMemory:
-    """Sparse word-addressable main memory.
+    """Sparse word-addressable main memory, stored as ``line base ->
+    word list``.
 
     Unwritten words read as zero, which matches a zero-initialised address
-    space and keeps workload setup cheap.
+    space and keeps workload setup cheap.  Every stored list is owned by
+    memory: ``read_line`` hands out copies and ``write_line`` keeps one.
     """
 
     line_size: int = DEFAULT_LINE_SIZE
     word_size: int = DEFAULT_WORD_SIZE
     latency: int = 200
-    _words: Dict[int, int] = field(default_factory=dict, init=False)
+    _lines: Dict[int, List[int]] = field(default_factory=dict, init=False)
     reads: int = field(default=0, init=False)
     writebacks: int = field(default=0, init=False)
 
@@ -49,33 +54,39 @@ class MainMemory:
 
     def read_word(self, addr: int) -> int:
         """Read the word containing byte address ``addr`` (no timing)."""
-        return self._words.get(addr - (addr % self.word_size), 0)
+        offset = addr % self.line_size
+        line = self._lines.get(addr - offset)
+        if line is None:
+            return 0
+        return line[offset // self.word_size]
 
     def write_word(self, addr: int, value: int) -> None:
         """Write ``value`` to the word containing ``addr`` (no timing)."""
-        self._words[addr - (addr % self.word_size)] = value
+        offset = addr % self.line_size
+        line = self._lines.get(addr - offset)
+        if line is None:
+            line = self._lines[addr - offset] = [0] * self.words_per_line
+        line[offset // self.word_size] = value
 
     def read_line(self, addr: int) -> List[int]:
-        """Fetch a whole line as a list of word values (counts as a read)."""
-        base = self.line_addr(addr)
+        """Fetch a whole line as a fresh list of word values (counts as a
+        read).  The list is the caller's: caches mutate it in place."""
         self.reads += 1
-        return [
-            self._words.get(base + i * self.word_size, 0)
-            for i in range(self.words_per_line)
-        ]
+        line = self._lines.get(addr - (addr % self.line_size))
+        if line is None:
+            return [0] * self.words_per_line
+        return line[:]
 
     def write_line(self, addr: int, data: List[int]) -> None:
-        """Write back a whole line (counts as a writeback)."""
+        """Write back a whole line (counts as a writeback).  Memory keeps a
+        copy, so the caller may go on using ``data``."""
         if len(data) != self.words_per_line:
             raise ValueError(
                 f"line data must have {self.words_per_line} words, got {len(data)}"
             )
-        base = self.line_addr(addr)
         self.writebacks += 1
-        for i, value in enumerate(data):
-            self._words[base + i * self.word_size] = value
+        self._lines[addr - (addr % self.line_size)] = list(data)
 
     def footprint_lines(self) -> int:
         """Number of distinct lines ever written (for reporting)."""
-        lines = {addr - (addr % self.line_size) for addr in self._words}
-        return len(lines)
+        return len(self._lines)

@@ -21,10 +21,12 @@ would do, and all of the lazy event-log machinery comes for free.
 
 from __future__ import annotations
 
+from typing import List
+
 from ..errors import SpeculativeOverflowError
 from ..txctl.causes import AbortCause
 from .cache import VersionedCache
-from .line import CacheLine
+from .states import CODE_NAMES
 
 #: Extra cycles per overflow-table operation on top of memory latency
 #: (hashing, pointer chasing in the software structure).
@@ -56,19 +58,19 @@ class OverflowVersionTable(VersionedCache):
         """Single-set (software hash) organisation."""
         return 0
 
-    def spill(self, line: CacheLine) -> None:
-        """Accept a speculative version (an LLC eviction record)."""
+    def spill(self, code: int, addr: int, data: List[int], mod_vid: int,
+              high_vid: int) -> None:
+        """Accept a speculative version (an LLC victim's column values)."""
         self.spills += 1
-        _, evicted = self.install_slot(line.addr, line.state.code, line.data,
-                                       line.mod_vid, line.high_vid)
+        _, evicted = self.install_slot(addr, code, data, mod_vid, high_vid)
         if evicted:
             # Installing only evicts when the capacity safety valve blows;
             # the caller treats that as the base protocol's overflow abort.
-            victim = evicted[0]
+            code, addr, _, mod_vid, high_vid = evicted[0]
             raise SpeculativeOverflowError(
                 f"overflow table capacity exceeded evicting "
-                f"{victim.state}({victim.mod_vid},{victim.high_vid})",
-                vid=victim.mod_vid, addr=victim.addr,
+                f"{CODE_NAMES[code]}({mod_vid},{high_vid})",
+                vid=mod_vid, addr=addr,
                 cause=AbortCause.CAPACITY_OVERFLOW)
 
     def resident_versions(self) -> int:

@@ -1,7 +1,7 @@
 """Struct-of-arrays backing store for cache-line versions (DESIGN.md §13).
 
-The object-per-line model (one :class:`~repro.coherence.line.CacheLine`
-per resident version) made every snoop, scrub and lazy commit/abort fold a
+The seed's object-per-line model (one ``CacheLine`` object per resident
+version) made every snoop, scrub and lazy commit/abort fold a
 chain of Python attribute lookups and method calls.  This module replaces
 it with a :class:`LineStore`: one arena of parallel stdlib columns per
 cache, indexed by *slot*:
@@ -19,8 +19,8 @@ cache, indexed by *slot*:
     the per-cache LRU counter sample (``array('q')``);
 ``data``
     the line's words, a plain Python list per slot.  Data rows are held
-    *by reference* — ownership moves with the version: a victim's words
-    travel to the L2 in its eviction record, and every copy-creating
+    *by reference* — ownership moves with the version: a victim's list
+    travels to the LLC among its column values, and every copy-creating
     access (a forwarded copy, a new version) installs a fresh list.
 
 Slots are recycled through a free list, so a slot index is stable for the

@@ -84,14 +84,16 @@ def _overhead_check(request, repeat: int, limit: float,
     from ..experiments.engine import observed_run, run_request
     baseline = instrumented = float("inf")
     ops = 0
+    # Plain and observed runs alternate, so a drift in host speed lands on
+    # both sides instead of on whichever side ran second; each side keeps
+    # its best run.
     for _ in range(max(1, repeat)):
         start = time.perf_counter()
         _, result = run_request(request)
         baseline = min(baseline, time.perf_counter() - start)
         ops = result.run.ops_executed
-    for _ in range(max(1, repeat)):
         start = time.perf_counter()
-        session, _, _ = observed_run(request)
+        observed_run(request)
         instrumented = min(instrumented, time.perf_counter() - start)
     slowdown = instrumented / baseline if baseline > 0 else 1.0
     base_rate = ops / baseline if baseline > 0 else 0.0

@@ -295,6 +295,79 @@ class TestOneRepresentation:
                 return State.SS  # lint-ok: RL009 (planted: display only)
             """, rel=self.HIER) == []
 
+    def test_overflow_table_is_policed_line_by_line(self):
+        findings = lint("""
+            def spill(self, line):
+                self.install_slot(line.addr, line.state.code, line.data,
+                                  line.mod_vid, line.high_vid)
+            """, rel="repro/coherence/overflow.py")
+        assert rules_of(findings) == ["RL009"]
+        assert "(in spill)" in findings[0].message
+
+    def test_state_code_read_is_rl009(self):
+        findings = lint("""
+            def _handle_victim(self, cache, victim):
+                if victim.state.code == CODE_SS:
+                    return
+            """, rel=self.HIER)
+        assert rules_of(findings) == ["RL009"]
+        assert ".state.code read" in findings[0].message
+
+    def test_state_from_code_subscript_is_rl009(self):
+        findings = lint("""
+            def victims(self, slot):  # hot-path
+                return STATE_FROM_CODE[self._store.state[slot]]
+
+            def spill(self, code):
+                return states.STATE_FROM_CODE[code]
+            """, rel="repro/coherence/cache.py")
+        assert rules_of(findings) == ["RL009"]
+        assert "STATE_FROM_CODE[...] subscript" in findings[0].message
+        assert rules_of(lint("""
+            def spill(self, code):
+                return states.STATE_FROM_CODE[code]
+            """, rel="repro/coherence/overflow.py")) == ["RL009"]
+
+    def test_code_names_diagnostics_are_clean(self):
+        assert lint("""
+            from .states import CODE_NAMES
+
+            def spill(self, code, mod, high):
+                raise SpeculativeOverflowError(
+                    f"evicting {CODE_NAMES[code]}({mod},{high})",
+                    cause=AbortCause.CAPACITY_OVERFLOW)
+            """, rel="repro/coherence/overflow.py") == []
+
+    def test_object_model_imports_are_rl009_in_the_eviction_modules(self):
+        source = """
+            from .line import CacheLine, LineView
+            from .states import CODE_SM, STATE_FROM_CODE, State
+            """
+        for rel in ("repro/coherence/cache.py",
+                    "repro/coherence/hierarchy.py",
+                    "repro/coherence/overflow.py",
+                    "repro/coherence/directory.py"):
+            findings = lint(source, rel=rel)
+            assert rules_of(findings) == ["RL009"] * 3, rel
+        assert lint(source, rel="repro/coherence/line.py") == []
+        assert lint(source, rel="repro/analysis/explore.py") == []
+
+    def test_install_slot_is_policed(self):
+        """A record built in the real eviction loop is caught: the
+        function carries the hot-path marker."""
+        path = default_lint_root() / "coherence" / "cache.py"
+        source = path.read_text()
+        clean, _ = lint_source(source, "repro/coherence/cache.py")
+        assert clean == []
+        planted = "STATE_FROM_CODE[store.state[victim]].code"
+        mutated = source.replace(
+            "victim_code = store.state[victim]",
+            f"victim_code = {planted}", 1)
+        assert planted in mutated
+        findings, _ = lint_source(mutated, "repro/coherence/cache.py")
+        assert rules_of(findings) == ["RL009"]
+        assert "(in install_slot)" in findings[0].message
+
 
 class TestOneTap:
     def test_functools_wraps_is_rl010(self):

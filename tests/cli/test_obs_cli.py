@@ -101,6 +101,35 @@ class TestOverheadJson:
         assert report["ok"] is True
         assert report["instrumented_ops_per_sec"] > 0
 
+    def test_timed_runs_alternate(self, capsys, monkeypatch):
+        """Plain and observed runs interleave, so a host that drifts in
+        speed during the check slows both sides alike."""
+        from types import SimpleNamespace
+
+        from repro.experiments import engine
+
+        calls = []
+        result = SimpleNamespace(run=SimpleNamespace(ops_executed=1000))
+
+        def run_request(request):
+            calls.append("plain")
+            return None, result
+
+        def observed_run(request):
+            calls.append("observed")
+            return None, None, result
+
+        monkeypatch.setattr(engine, "run_request", run_request)
+        monkeypatch.setattr(engine, "observed_run", observed_run)
+        rc = obs_main(["contended-list", "--scale", "0.25",
+                       "--overhead-check", "--repeat", "3",
+                       "--overhead-limit", "1000", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert calls == ["plain", "observed"] * 3
+        assert report["repeat"] == 3
+        assert report["ops_executed"] == 1000
+
 
 class TestRegressionObservatoryCli:
     def test_history_roundtrip_and_zero_self_diff(self, capsys, tmp_path):

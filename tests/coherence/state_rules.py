@@ -6,7 +6,9 @@ The simulator keeps one rule set, on integer state codes
 (m, h))`` — go through these thin adapters, so every assertion exercises
 the code-level rules the simulator runs.  They also supply the names the
 frozen object-model oracle (``legacy_store.py``) imports; see
-``conftest.py``.
+``conftest.py``.  :func:`install` and :func:`inject` turn the oracle's
+``CacheLine`` records into the column values the slot-arena cache takes
+and hands back.
 """
 
 from repro.coherence.cache import (
@@ -22,6 +24,9 @@ from repro.coherence.protocol import (
     write_outcome_code,
 )
 from repro.coherence.states import STATE_FROM_CODE, State
+
+from .legacy_line import CacheLine
+
 
 def _typed(version):
     code, mod, high = version
@@ -62,15 +67,33 @@ def victim_priority(line):
     return _VICTIM_CLASS_BY_CODE[line.state.code]
 
 
+def record(victim):
+    """A detached :class:`CacheLine` record of an eviction's column values
+    ``(code, addr, data, modVID, highVID)``."""
+    code, addr, data, mod_vid, high_vid = victim
+    return CacheLine(addr, STATE_FROM_CODE[code], data, mod_vid, high_vid)
+
+
 def install(cache, line):
     """Install a :class:`CacheLine` record; returns the evicted records.
 
     Works on both the slot-arena cache (column-value ``install_slot``) and
-    the object-model oracle (``install``).
+    the object-model oracle (``install``).  Either way the records carry
+    exactly the column values a victim takes down the miss path; its lazy
+    stamps and LRU tick are local to the cache it left, so they come back
+    at their defaults.
     """
     if hasattr(cache, "install_slot"):
         _, evicted = cache.install_slot(line.addr, line.state.code,
                                         line.data, line.mod_vid,
                                         line.high_vid)
-        return evicted
-    return cache.install(line)
+    else:
+        evicted = [(v.state.code, v.addr, v.data, v.mod_vid, v.high_vid)
+                   for v in cache.install(line)]
+    return [record(victim) for victim in evicted]
+
+
+def inject(cache, line):
+    """Force a :class:`CacheLine` record in through ``_inject_line``."""
+    return cache._inject_line(line.addr, line.state.code, line.data,
+                              line.mod_vid, line.high_vid, line.epoch)

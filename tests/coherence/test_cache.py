@@ -4,10 +4,10 @@ victim selection, install-replace, VID reset."""
 import pytest
 
 from repro.coherence.cache import _VICTIM_CLASS_BY_CODE, VersionedCache
-from repro.coherence.line import CacheLine
-from repro.coherence.states import CODE_INVALID, State
+from repro.coherence.states import CODE_EXCLUSIVE, CODE_INVALID, CODE_SO, State
 
-from .state_rules import install
+from .legacy_line import CacheLine
+from .state_rules import inject, install
 
 
 def make_cache(assoc=4, sets=4, **kw):
@@ -18,6 +18,14 @@ def make_cache(assoc=4, sets=4, **kw):
 def line(addr, state, mod=0, high=0, data=None):
     return CacheLine(addr, state, data if data is not None else [0] * 8,
                      mod, high)
+
+
+def evict(cache, line):
+    """Install ``line``; return the victims' ``(code, addr, data, modVID,
+    highVID)`` column tuples exactly as ``install_slot`` hands them back."""
+    _, evicted = cache.install_slot(line.addr, line.state.code, line.data,
+                                    line.mod_vid, line.high_vid)
+    return evicted
 
 
 class TestGeometry:
@@ -79,7 +87,7 @@ class TestLookup:
         # Force an illegal overlapping version in directly (bypassing
         # install's same-version replacement, but registering it in the
         # set list and version index like any resident line).
-        cache._inject_line(line(0x40, State.SM, 2, 2))
+        inject(cache, line(0x40, State.SM, 2, 2))
         with pytest.raises(AssertionError):
             cache.lookup(0x40, 5)
 
@@ -120,9 +128,9 @@ class TestVictimSelection:
             # The lower class is the most recently used: only its class
             # can make it the victim.
             install(cache, line(0x40, *lower))
-            evicted = install(cache, line(0x80, State.EXCLUSIVE))
-            assert [(v.addr, v.state) for v in evicted] == \
-                [(0x40, lower[0])], (lower, higher)
+            evicted = evict(cache, line(0x80, State.EXCLUSIVE))
+            assert [(addr, code) for code, addr, *_ in evicted] == \
+                [(0x40, lower[0].code)], (lower, higher)
 
     def test_pinned_speculative_evicted_last(self):
         """Section 5.4: overflowable S-O (modVID 0) preferred over versions
@@ -130,9 +138,9 @@ class TestVictimSelection:
         cache = make_cache(assoc=2, sets=1)
         install(cache, line(0x00, State.SM, 1, 1))
         install(cache, line(0x40, State.SO, 0, 1))
-        evicted = install(cache, line(0x80, State.SE, 0, 2))
+        evicted = evict(cache, line(0x80, State.SE, 0, 2))
         assert len(evicted) == 1
-        assert evicted[0].state is State.SO       # not the S-M
+        assert evicted[0][0] == CODE_SO           # not the S-M
 
     def test_committed_version_processed_before_choosing(self):
         """A stale, fully-committed superseded version must die during
@@ -141,9 +149,9 @@ class TestVictimSelection:
         install(cache, line(0x00, State.SO, 1, 2))
         install(cache, line(0x40, State.SM, 2, 2))
         cache.broadcast_commit(2)
-        evicted = install(cache, line(0x80, State.EXCLUSIVE))
+        evicted = evict(cache, line(0x80, State.EXCLUSIVE))
         # S-O(1,2) died at processing; nothing live needed eviction.
-        assert evicted == []
+        assert evicted == ()
         assert cache.occupancy() == 2
 
     def test_lru_within_class(self):
@@ -151,8 +159,18 @@ class TestVictimSelection:
         install(cache, line(0x00, State.EXCLUSIVE))
         install(cache, line(0x40, State.EXCLUSIVE))
         cache.lookup(0x00, 0)  # touch -> 0x40 becomes LRU
-        evicted = install(cache, line(0x80, State.EXCLUSIVE))
-        assert evicted[0].addr == 0x40
+        evicted = evict(cache, line(0x80, State.EXCLUSIVE))
+        assert evicted[0][1] == 0x40
+
+    def test_victim_columns_carry_its_data_by_reference(self):
+        cache = make_cache(assoc=1, sets=1)
+        words = [5] * 8
+        install(cache, line(0x40, State.SO, 1, 3, data=words))
+        (victim,) = evict(cache, line(0x80, State.EXCLUSIVE))
+        assert victim == (CODE_SO, 0x40, words, 1, 3)
+        assert victim[2] is words
+        assert evict(cache, line(0xC0, State.EXCLUSIVE)) == \
+            ((CODE_EXCLUSIVE, 0x80, [0] * 8, 0, 0),)
 
 
 class TestLazyCommitAbort:

@@ -7,11 +7,13 @@ from repro.coherence import (
     DirectoryHierarchy,
     HierarchyConfig,
     MemoryHierarchy,
+    OverflowVersionTable,
     State,
 )
 from repro.core import HMTXSystem, MachineConfig
 from repro.errors import MisspeculationError, SpeculativeOverflowError
 from repro.runtime.paradigms import run_ps_dswp, run_sequential
+from repro.txctl.causes import AbortCause
 from repro.workloads import LinkedListWorkload
 
 TINY = dict(num_cores=2, l1_size=2 * 64, l1_assoc=2,
@@ -77,6 +79,22 @@ class TestUnboundedSets:
             h.store(0, 0x10000 + i * 64, 1, i)
         _, latency = h.load(1, 0x10000, 1)
         assert latency > h.config.memory_latency
+
+    def test_full_table_raises_capacity_overflow_for_its_victim(self):
+        """The table's safety valve: a spill into a full table evicts its
+        LRU pinned version, and that eviction is the overflow abort."""
+        table = OverflowVersionTable(capacity=2)
+        table.spill(State.SM.code, 0x1000, [1] * 8, 3, 4)
+        table.spill(State.SO.code, 0x2000, [2] * 8, 5, 6)
+        with pytest.raises(SpeculativeOverflowError) as info:
+            table.spill(State.SE.code, 0x3000, [3] * 8, 7, 7)
+        error = info.value
+        assert error.cause is AbortCause.CAPACITY_OVERFLOW
+        assert (error.addr, error.vid) == (0x1000, 3)
+        assert "overflow table capacity exceeded evicting S-M(3,4)" \
+            in str(error)
+        assert table.spills == 3
+        assert table.resident_versions() == 2
 
     def test_workload_runs_on_tiny_caches_with_unbounded_sets(self):
         config = MachineConfig(num_cores=4, l1_size=4 * 1024, l1_assoc=4,

@@ -11,11 +11,11 @@ import pytest
 
 from repro.coherence.cache import VersionedCache
 from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.coherence.line import CacheLine
-from repro.coherence.states import CODE_MODIFIED, State
+from repro.coherence.states import CODE_INVALID, CODE_MODIFIED, State
 from repro.core import HMTXSystem, MachineConfig
 
-from .state_rules import install
+from .legacy_line import CacheLine
+from .state_rules import inject, install
 
 TINY = dict(num_cores=2, l1_size=512, l1_assoc=2, l2_size=2048, l2_assoc=4)
 
@@ -116,9 +116,10 @@ class TestSmFilter:
 class TestEvictionStats:
     def test_invalid_fallback_victim_not_counted(self):
         cache = make_cache(assoc=1, sets=1)
-        cache._inject_line(line(0x40, State.INVALID))
-        evicted = install(cache, line(0x80, State.EXCLUSIVE))
-        assert [v.state for v in evicted] == [State.INVALID]
+        inject(cache, line(0x40, State.INVALID))
+        _, evicted = cache.install_slot(0x80, State.EXCLUSIVE.code, [0] * 8,
+                                        0, 0)
+        assert [code for code, *_ in evicted] == [CODE_INVALID]
         assert cache.stats.evictions == 0
 
     def test_real_victims_still_counted(self):
@@ -126,6 +127,33 @@ class TestEvictionStats:
         install(cache, line(0x40, State.EXCLUSIVE))
         install(cache, line(0x80, State.EXCLUSIVE))
         assert cache.stats.evictions == 1
+
+
+class TestVictimPath:
+    """Victims travel down the miss path as column values."""
+
+    def test_l1_victim_data_moves_to_the_llc_by_reference(self):
+        h = MemoryHierarchy(HierarchyConfig(**TINY))
+        h.store(0, 0x100, 0, 7)
+        l1 = h.l1s[0]
+        words = l1.lookup(0x100, 0).data
+        h.store(0, 0x200, 0, 8)            # same L1 set: 0x100 is the
+        h.store(0, 0x300, 0, 9)            # LRU dirty line
+        assert not l1.holds(0x100)
+        (moved,) = h.llc_slices[0].versions(0x100)
+        assert moved.state is State.MODIFIED
+        assert moved.data is words and words[0] == 7
+        h.check_invariants()
+
+    def test_dirty_llc_victims_are_written_back(self):
+        h = MemoryHierarchy(HierarchyConfig(**TINY))
+        addrs = range(0x100, 0x100 + 8 * 0x200, 0x200)  # one L1 and L2 set
+        for i, addr in enumerate(addrs):
+            h.store(0, addr, 0, i + 1)
+        assert h.memory.writebacks > 0
+        assert h.memory.read_word(0x100) == 1
+        assert [h.read_committed(a) for a in addrs] == list(range(1, 9))
+        h.check_invariants()
 
 
 class TestPresenceMap:

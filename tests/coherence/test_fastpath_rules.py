@@ -23,7 +23,6 @@ import pytest
 
 from repro.analysis.modelcheck import reachable
 from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.coherence.line import CacheLine
 from repro.coherence.protocol import (
     WRITE_ABORT,
     WRITE_IN_PLACE,
@@ -70,9 +69,9 @@ def _hierarchy(bits=VID_BITS):
 
 
 def _inject(l1, code, mod, high):
-    record = CacheLine(BASE, STATE_FROM_CODE[code], list(range(8)), mod, high)
-    record.epoch = l1._epoch         # resident and fully processed
-    return l1._inject_line(record)
+    # Resident and fully processed: stamped with the current epoch.
+    return l1._inject_line(BASE, code, list(range(8)), mod, high,
+                           epoch=l1._epoch)
 
 
 def _machine(code, mod, high):

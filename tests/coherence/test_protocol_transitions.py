@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.coherence.line import CacheLine
 from repro.trace.events import ProtocolTracer
 from repro.coherence.protocol import (
     WRITE_ABORT,
@@ -303,8 +302,7 @@ class TestSnoopResponse:
 
     def _serve(self, state, mod=0, high=0, vid=0):
         hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=2))
-        hierarchy.l1s[1]._inject_line(
-            CacheLine(0x40, state, [7] * 8, mod, high))
+        hierarchy.l1s[1]._inject_line(0x40, state.code, [7] * 8, mod, high)
         tracer = ProtocolTracer.attach(hierarchy)
         hierarchy.load(0, 0x40, vid)
         tracer.detach()

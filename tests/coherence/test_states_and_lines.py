@@ -4,7 +4,6 @@ import pytest
 
 from repro.coherence.directory import DirectoryConfig
 from repro.coherence.hierarchy import HierarchyConfig
-from repro.coherence.line import CacheLine
 from repro.coherence.memory import MainMemory
 from repro.coherence.states import (
     CLEAN_STATES,
@@ -18,6 +17,8 @@ from repro.coherence.states import (
     is_speculative,
     is_valid,
 )
+
+from .legacy_line import CacheLine
 
 
 class TestStateTaxonomy:
@@ -99,6 +100,35 @@ class TestMainMemory:
         data = list(range(8))
         mem.write_line(0x1000, data)
         assert mem.read_line(0x1000) == data
+
+    def test_line_lists_are_never_shared(self):
+        """Caches mutate a fetched line in place, so no two reads may
+        share a list, with memory's words or with each other; nor may a
+        written-back list stay shared with its writer."""
+        mem = MainMemory()
+        data = list(range(8))
+        mem.write_line(0x40, data)
+        data[0] = 42
+        first = mem.read_line(0x40)
+        second = mem.read_line(0x40)
+        assert first == second == list(range(8))
+        assert first is not second
+        first[0] = 99
+        assert mem.read_line(0x40)[0] == 0
+        assert mem.read_word(0x40) == 0
+
+    def test_unaligned_line_roundtrip(self):
+        """Any byte address inside a line names the whole line."""
+        mem = MainMemory()
+        data = [10 + i for i in range(8)]
+        mem.write_line(0x1013, data)
+        assert mem.read_line(0x103F) == data
+        assert mem.read_line(0x1000) == data
+        assert [mem.read_word(0x1000 + 8 * i) for i in range(8)] == data
+        assert mem.read_line(0x1040) == [0] * 8
+        assert mem.read_line(0xFC0) == [0] * 8
+        mem.write_word(0x200F, 5)          # the second word of a new line
+        assert mem.read_line(0x2000) == [0, 5, 0, 0, 0, 0, 0, 0]
 
     def test_line_addressing_helpers(self):
         mem = MainMemory()

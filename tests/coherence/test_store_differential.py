@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coherence.cache import VersionedCache
-from repro.coherence.line import CacheLine
 from repro.coherence.states import State
 
+from .legacy_line import CacheLine
 from .legacy_store import LegacyVersionedCache
 from .state_rules import install
 

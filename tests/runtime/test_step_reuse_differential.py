@@ -211,9 +211,9 @@ class Recorder:
 def _memory(system) -> Dict[str, Any]:
     timing = getattr(system, "timing", None)
     if timing is not None:
-        return {"words": dict(system.memory.backing._words)}
+        return {"lines": dict(system.memory.backing._lines)}
     hierarchy = system.hierarchy
-    return {"words": dict(hierarchy.memory._words),
+    return {"lines": dict(hierarchy.memory._lines),
             "caches": {cache.name: _snapshot(cache.stats)
                        for cache in hierarchy._caches}}
 
