@@ -22,9 +22,9 @@ and checks global rules the local checker cannot express:
     when no cache holds a committed copy, memory must.
 ``EX003`` **directory-cache agreement** — after every step the machine's
     own invariants hold on the *reachable* state: unique latest version,
-    unique hit per (cache, VID), presence map exact, sliced-LLC home
-    ownership, every holder recorded in the directory (MC009/MC010
-    extended from static structure to all reachable states).
+    unique hit per (cache, VID), per-cache line indices exact,
+    sliced-LLC home ownership, every holder recorded in the directory
+    (MC009/MC010 extended from static structure to all reachable states).
 ``EX004`` **liveness** — no reachable state deadlocks under fair
     scheduling (some event is enabled until everything committed and the
     VID space was reset), and every abort has a *blocker*: a conflicting
@@ -62,7 +62,6 @@ distinct ways so the test suite proves every EX rule bites.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import types
 from dataclasses import dataclass
@@ -820,10 +819,9 @@ def replay_counterexample(doc: Dict[str, Any]) -> List[str]:
 #
 # Each injection breaks the machine in one specific way so the EX rules
 # can be proven to bite.  All overrides are module-level functions bound
-# with ``types.MethodType`` or ``functools.partial`` (never closures):
-# ``copy.deepcopy`` rebinds bound methods to the copied instance and
-# copies a partial's arguments, so the bug survives the explorer's state
-# snapshots.
+# with ``types.MethodType`` (never closures): ``copy.deepcopy`` rebinds
+# bound methods to the copied instance, so the bug survives the
+# explorer's state snapshots.
 
 def _broken_fold_commit(self, vid: int) -> None:
     # Drops the LC_VID update: commits are never folded into this cache.
@@ -871,16 +869,22 @@ def _inject_broken_forward(run: _Run) -> None:
         _broken_forward_receive, hierarchy)
 
 
-def _broken_presence_on(listener, cache, base, present):
-    # Drops presence-map additions; removals still land.
-    if not present:
-        listener(cache, base, present)
+def _broken_presence_fetch(self, core, addr, vid, kind, now=0):
+    # The snoop filter misses a holder: the first peer holding the line
+    # is left out of this one bus snoop.
+    base = self.l1s[core].line_addr(addr)
+    peers = self._peer_lists[core]
+    holder = next((c for c in peers if base in c._by_base), None)
+    self._peer_lists[core] = tuple(c for c in peers if c is not holder)
+    try:
+        return MemoryHierarchy._fetch(self, core, addr, vid, kind, now)
+    finally:
+        self._peer_lists[core] = peers
 
 
 def _inject_broken_presence(run: _Run) -> None:
-    for cache in run.hierarchy._caches:
-        cache.presence_listener = functools.partial(
-            _broken_presence_on, cache.presence_listener)
+    hierarchy = run.hierarchy
+    hierarchy._fetch = types.MethodType(_broken_presence_fetch, hierarchy)
 
 
 def _broken_sharers_install(self, cache, base, code, data, mod_vid, high_vid):
@@ -972,7 +976,7 @@ INJECTION_SHAPES = {
     "broken-fold": ("flat", "2socket"),
     "broken-scrub": ("flat", "2socket"),
     "broken-forward": ("flat", "2socket"),
-    "broken-presence": ("flat", "2socket"),
+    "broken-presence": ("flat",),
     "broken-sharers": ("2socket",),
     "skewed-read": ("flat", "2socket"),
     "stuck-commit": ("flat", "2socket"),

@@ -88,12 +88,6 @@ class AnalysisReport:
     def findings(self) -> List[Finding]:
         return [f for p in self.passes for f in p.findings]
 
-    def pass_named(self, name: str) -> Optional[PassReport]:
-        for p in self.passes:
-            if p.name == name:
-                return p
-        return None
-
     def to_json(self) -> Dict[str, Any]:
         return {
             "schema": "hmtx-analysis-report/1",

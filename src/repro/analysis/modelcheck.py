@@ -515,7 +515,6 @@ def check_topology_structure(hierarchy_factory=None,
 
     def classify(message: str) -> str:
         return "MC010" if ("unrecorded" in message
-                           or "presence map" in message
                            or "index" in message) else "MC009"
 
     steps = 0

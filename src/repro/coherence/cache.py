@@ -16,12 +16,12 @@ through :meth:`VersionedCache.resolved` without applying it.
 One state representation (DESIGN.md section 13): resident versions live as
 slots in a per-cache :class:`~repro.coherence.store.LineStore` — parallel
 ``bytearray``/``array`` columns for state codes, VIDs, addresses and the
-lazy-processing stamps.  The per-set lists, the per-base version buckets
-and the presence map all hold plain slot integers; lookups, installs,
-lazy folds, VID-reset scrubs and victim selection all run on slot ints and
-the integer-code rules of :mod:`repro.coherence.protocol`.  Installs take
-column values and eviction victims come back as column values, so a
-victim's data list moves down the miss path by reference.  One object
+lazy-processing stamps.  The per-set lists and the per-base version
+buckets hold plain slot integers; lookups, installs, lazy folds, VID-reset
+scrubs and victim selection all run on slot ints and the integer-code
+rules of :mod:`repro.coherence.protocol`.  Installs take column values and
+eviction victims come back as column values, so a victim's data list
+moves down the miss path by reference.  One object
 shape remains, at the edge: the introspection helpers
 (:meth:`VersionedCache.lookup`, :meth:`~VersionedCache.versions`,
 :meth:`~VersionedCache.all_lines`) hand tests and tools read-only
@@ -35,20 +35,18 @@ optimisations, invisible to the modelled protocol:
   :meth:`_process_lazy_slot` returns without replaying anything;
 * a **per-base version index** (``line address -> [slots]``), so
   :meth:`versions`/:meth:`lookup` touch only the versions of the requested
-  line instead of scanning the whole set;
+  line instead of scanning the whole set, and the hierarchy's snoops,
+  invalidations and scrubs skip every cache with no entry for the line;
 * maintained **snoop-filter counters**: the number of resident speculative
   lines (Figure 9 footprint) and of live ``S-M(modVID>0)`` lines (the
   section 5.4 "speculatively modified" assertion), kept exact through the
-  :meth:`_retag_slot` mutation funnel;
-* an optional **presence listener** through which the hierarchy maintains
-  its ``address -> holding caches`` map, replacing scan-every-cache snoops
-  with index lookups.
+  :meth:`_retag_slot` mutation funnel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .line import LineView
 from .protocol import (
@@ -164,9 +162,6 @@ class VersionedCache:
         #: Maintained counters backing the snoop filters.
         self._spec_lines = 0
         self._sm_live = 0
-        #: Hierarchy hook: called ``(cache, base, present)`` when this cache
-        #: gains its first / loses its last version of a line address.
-        self.presence_listener: Optional[Callable] = None
         # Precomputed address masks (a set count that is not a power of two
         # falls back to a modulo).
         self._offset_mask = line_size - 1
@@ -216,8 +211,6 @@ class VersionedCache:
         bucket = self._by_base.get(base)
         if bucket is None:
             bucket = self._by_base[base] = []
-            if self.presence_listener is not None:
-                self.presence_listener(self, base, True)
         bucket.append(slot)
         code = store.state[slot]
         if code >= CODE_SM:
@@ -233,8 +226,6 @@ class VersionedCache:
         bucket.remove(slot)
         if not bucket:
             del self._by_base[base]
-            if self.presence_listener is not None:
-                self.presence_listener(self, base, False)
         code = store.state[slot]
         if code >= CODE_SM:
             self._spec_lines -= 1

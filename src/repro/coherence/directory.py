@@ -76,7 +76,7 @@ class DirectoryHierarchy(MemoryHierarchy):
         #: multi-socket topology is declared).
         self._bank_free: List[int] = [0] * (
             self._sockets * config.directory_banks)
-        self._caches_by_name = {c.name: c for c in self._all_caches()}
+        self._caches_by_name = {c.name: c for c in self._caches}
         if self._sockets == 1:
             # Flat: uniform tile-to-tile links and a log-depth multicast
             # tree over the cores (multi-socket machines keep the
@@ -113,7 +113,7 @@ class DirectoryHierarchy(MemoryHierarchy):
         the probes the home bank sends), and hence no version may reside
         in a non-home slice at all.
         """
-        for cache in self._all_caches():
+        for cache in self._caches:
             in_llc = cache in self._llc_group
             store = cache._store
             for slot in cache.resident_slots():

@@ -32,9 +32,8 @@ System-wide invariants maintained here (and checked by the test suite):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import MisspeculationError, SpeculativeOverflowError
 from ..topology import TopologySpec
@@ -226,12 +225,6 @@ class MemoryHierarchy:
                 vid_bits=cfg.vid_bits)
         #: Simulated time at which the shared bus next becomes free.
         self._bus_free = 0
-        #: Presence (snoop-filter) map: line address -> caches holding any
-        #: version of it.  Maintained *exactly* via the per-cache presence
-        #: listeners — a cache appears iff it currently holds a version —
-        #: so snoops, invalidations and scrubs only touch holding caches
-        #: (DESIGN.md, "Fast-path indexing").
-        self._holders: Dict[int, Set[VersionedCache]] = {}
         # Precomputed cache orderings: the bus snoop / broadcast orders are
         # fixed at construction, so the hot paths iterate tuples instead of
         # rebuilding lists per access.
@@ -241,12 +234,6 @@ class MemoryHierarchy:
         #: Word-index shift of the access paths (HierarchyConfig enforces
         #: power-of-two geometry).
         self._word_shift = self.memory.word_size.bit_length() - 1
-        # The listeners hold the presence map, not the hierarchy: no
-        # reference cycle, so a finished run's hierarchy and its main
-        # memory are freed at once instead of at the next full collection.
-        for cache in self._caches:
-            cache.presence_listener = functools.partial(
-                self._on_presence, self._holders)
 
     def _rebuild_cache_lists(self) -> None:
         caches: List[VersionedCache] = list(self.l1s) + list(self.llc_slices)
@@ -271,22 +258,6 @@ class MemoryHierarchy:
         """The LLC slice owning ``addr``'s line (the shared L2 when flat)."""
         return self.llc_slices[
             (addr // self.config.line_size) % self._sockets]
-
-    @staticmethod
-    def _on_presence(holders: Dict[int, Set[VersionedCache]],
-                     cache: VersionedCache, base: int, present: bool) -> None:
-        """Presence-listener callback from the caches (first add/last drop)."""
-        if present:
-            group = holders.get(base)
-            if group is None:
-                group = holders[base] = set()
-            group.add(cache)
-        else:
-            group = holders.get(base)
-            if group is not None:
-                group.discard(cache)
-                if not group:
-                    del holders[base]
 
     def _bus_transaction(self, now: int) -> int:
         """Acquire the shared bus at time ``now``; returns wait + occupancy.
@@ -329,7 +300,7 @@ class MemoryHierarchy:
         otherwise memory does.
         """
         base = self.llc_slices[0].line_addr(addr)
-        for cache in self._all_caches():
+        for cache in self._caches:
             for slot in cache._by_base.get(base, ()):
                 tags = cache.resolved(slot)
                 if tags is not None \
@@ -351,7 +322,7 @@ class MemoryHierarchy:
         if slot is not None:
             return l1._store.data[slot][word], l1.hit_latency
         latency = l1.hit_latency + self._llc_latency
-        for cache in self._peer_caches(core):
+        for cache in self._peer_lists[core]:
             slot = cache.lookup_slot(base, vid)
             if slot is not None and cache._store.state[slot] != CODE_SS:
                 return cache._store.data[slot][word], latency
@@ -400,7 +371,7 @@ class MemoryHierarchy:
     def versions_everywhere(self, addr: int) -> List[Tuple[str, LineView]]:
         """All cached versions of ``addr`` with their cache names."""
         out = []
-        for cache in self._all_caches():
+        for cache in self._caches:
             for line in cache.versions(addr):
                 out.append((cache.name, line))
         return out
@@ -416,24 +387,22 @@ class MemoryHierarchy:
         counters instead of walking every resident line.
         """
         return self.config.line_size * sum(
-            cache.speculative_lines for cache in self._all_caches())
+            cache.speculative_lines for cache in self._caches)
 
     def check_invariants(self) -> None:
         """Assert the system-wide protocol invariants (test support).
 
         Also cross-checks the fast-path layer: the per-cache version
-        indices and filter counters, and the hierarchy's presence map, must
-        exactly mirror the set contents they summarise.
+        indices and filter counters must exactly mirror the set contents
+        they summarise.
         """
         latest_owners = {}
-        held: Dict[int, Set[VersionedCache]] = {}
-        for cache in self._all_caches():
+        for cache in self._caches:
             cache.check_index_integrity()
             in_llc = cache in self._llc_group
             store = cache._store
             for slot in cache.resident_slots():
                 addr = store.addr[slot]
-                held.setdefault(addr, set()).add(cache)
                 if CODE_SM <= store.state[slot] <= CODE_SE:
                     if addr in latest_owners:
                         raise AssertionError(
@@ -452,7 +421,6 @@ class MemoryHierarchy:
                         raise AssertionError(
                             f"version of 0x{addr:x} resident in "
                             f"{cache.name} but homed at {home.name}")
-        assert held == self._holders, "presence map diverged from contents"
 
     # ------------------------------------------------------------------
     # Core access machinery
@@ -460,12 +428,6 @@ class MemoryHierarchy:
 
     def _word(self, addr: int) -> int:
         return (addr % self.config.line_size) // self.memory.word_size
-
-    def _all_caches(self) -> List[VersionedCache]:
-        return list(self._caches)
-
-    def _peer_caches(self, core: int) -> Tuple[VersionedCache, ...]:
-        return self._peer_lists[core]
 
     def _access(self, core: int, addr: int, vid: int, kind: AccessKind,
                 value: Optional[int], now: int = 0) -> Access:  # hot-path
@@ -562,9 +524,10 @@ class MemoryHierarchy:
         memory responds, possibly via the section 5.4 overflow-retrieval
         path.  Returns ``(l1 slot, latency, responder name)``.
 
-        Snoop filter: only caches recorded as holding a version of the line
-        are consulted.  A cache with no version of the address answers no
-        snoop and undergoes no lazy processing, so skipping it is exact.
+        Snoop filter: only caches whose own line index (``_by_base``) holds
+        a version of the line are consulted.  A cache with no version of
+        the address answers no snoop and undergoes no lazy processing, so
+        skipping it is exact.
         """
         self.stats.bus_snoops += 1
         l1 = self.l1s[core]
@@ -574,27 +537,25 @@ class MemoryHierarchy:
         hops = self._hops[self._cache_socket[l1.name]]
         home = (base // self.config.line_size) % self._sockets
         spec_modified_asserted = l1.has_latest_spec_version(addr)
-        holders = self._holders.get(base)
-        if holders:
-            for cache in self._peer_caches(core):
-                if cache not in holders:
-                    continue
-                if cache.has_latest_spec_version(addr):
-                    spec_modified_asserted = True
-                owner = cache.lookup_slot(base, vid)
-                if owner is None or cache._store.state[owner] == CODE_SS:
-                    continue
-                self.stats.peer_transfers += 1
-                if self.overflow_table is not None \
-                        and cache is self.overflow_table:
-                    latency += cache.hit_latency
-                    self.overflow_table.refills += 1
-                # The line transfer crosses the socket interconnect when
-                # the responder lives on another die; the memory-side
-                # overflow table sits behind the line's home socket.
-                latency += hops[self._cache_socket.get(cache.name, home)]
-                slot = self._receive_from_owner(core, cache, owner, vid, kind)
-                return slot, latency, cache.name
+        for cache in self._peer_lists[core]:
+            if base not in cache._by_base:
+                continue
+            if cache.has_latest_spec_version(addr):
+                spec_modified_asserted = True
+            owner = cache.lookup_slot(base, vid)
+            if owner is None or cache._store.state[owner] == CODE_SS:
+                continue
+            self.stats.peer_transfers += 1
+            if self.overflow_table is not None \
+                    and cache is self.overflow_table:
+                latency += cache.hit_latency
+                self.overflow_table.refills += 1
+            # The line transfer crosses the socket interconnect when the
+            # responder lives on another die; the memory-side overflow
+            # table sits behind the line's home socket.
+            latency += hops[self._cache_socket.get(cache.name, home)]
+            slot = self._receive_from_owner(core, cache, owner, vid, kind)
+            return slot, latency, cache.name
         # No cache can serve the request: memory responds, reached through
         # the line's home socket's controller.
         latency += self.config.memory_latency + hops[home]
@@ -766,14 +727,11 @@ class MemoryHierarchy:
         itself instead of a non-speculative owner.  ``keep_slot`` of
         ``keep_cache`` (the upgrading version) survives.
 
-        Only caches recorded in the presence map are visited; a cache with
-        no version of the line has nothing to invalidate.
+        Only caches whose line index holds the line are visited; a cache
+        with no version of it has nothing to invalidate.
         """
-        holders = self._holders.get(base)
-        if not holders:
-            return
         for cache in self._caches:
-            if cache in holders:
+            if base in cache._by_base:
                 cache.drop_nonspec_copies(
                     base, keep_slot if cache is keep_cache else -1)
 
@@ -784,14 +742,11 @@ class MemoryHierarchy:
         must invalidate its silent read-only copies, otherwise they would
         keep serving the version's *pre-write* data.
 
-        Filtered through the presence map like every other snoop.
+        Filtered through each cache's line index like every other snoop.
         """
-        holders = self._holders.get(base)
-        if not holders:
-            return
         dropped = False
         for cache in self._caches:
-            if cache in holders and cache.drop_ss_copies(base, mod_vid):
+            if base in cache._by_base and cache.drop_ss_copies(base, mod_vid):
                 dropped = True
         if dropped:
             self.stats.ss_invalidations += 1

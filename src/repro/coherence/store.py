@@ -24,8 +24,8 @@ cache, indexed by *slot*:
     access (a forwarded copy, a new version) installs a fresh list.
 
 Slots are recycled through a free list, so a slot index is stable for the
-lifetime of the version living in it: the per-set lists, the per-base
-version buckets and the presence map all store plain slot integers.
+lifetime of the version living in it: the per-set lists and the per-base
+version buckets store plain slot integers.
 Freed slots are stamped ``FREE_CODE`` so a stale slot reference fails
 loudly instead of silently reading a recycled line.
 """

@@ -51,12 +51,6 @@ class PipelinePlan:
     scc_count: int
 
     @property
-    def parallel_fraction(self) -> float:
-        """Fraction of statements in the replicable stage."""
-        total = len(self.stage1) + len(self.stage2) + len(self.stage3)
-        return len(self.stage2) / total if total else 0.0
-
-    @property
     def profitable(self) -> bool:
         """A pipeline with an empty parallel stage gains nothing."""
         return bool(self.stage2)

@@ -66,12 +66,6 @@ class SystemStats:
     # Recording
     # ------------------------------------------------------------------
 
-    def open_transaction(self, vid: int) -> OpenTransaction:
-        tx = self._open.get(vid)
-        if tx is None:
-            tx = self._open[vid] = OpenTransaction(vid)
-        return tx
-
     def record_load(self, vid: int, addr: int, sla_sent: bool) -> None:  # hot-path
         tx = self._open.get(vid)
         if tx is None:

@@ -59,7 +59,7 @@ class PhaseProfiler:
         timing = getattr(system, "timing", None)
         hierarchy = system.hierarchy if timing is None else timing
         tap.subscribe(hierarchy, self._hierarchy)
-        for cache in hierarchy._all_caches():
+        for cache in hierarchy._caches:
             tap.subscribe(cache, self._cache)
 
     def attach_scheduler(self, scheduler) -> None:

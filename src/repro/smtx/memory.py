@@ -85,9 +85,6 @@ class SmtxMemory:
         self._vids.clear()
         return count
 
-    def buffered_words(self, vid: int) -> int:
-        return len(self._buffers.get(vid, {}))
-
 
 @dataclass
 class ReadLogEntry:

@@ -95,7 +95,7 @@ def run_ops(hierarchy, ops: List[Op], eager: bool = False) -> List[Optional[int]
                 hierarchy.abort()
                 observed.append(-2)     # conflict marker
         if eager:
-            for cache in hierarchy._all_caches():
+            for cache in hierarchy._caches:
                 for slot in list(cache.resident_slots()):
                     cache._process_lazy_slot(slot)
     return observed
@@ -148,7 +148,7 @@ def test_version_count_is_a_pure_versions_length(ops):
     processing keeps, and ``resolved`` the tags it leaves."""
     hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=3, **SMALL))
     run_ops(hierarchy, ops)
-    caches = hierarchy._all_caches()
+    caches = hierarchy._caches
 
     def untouched():
         return [(cache.stats.lazy_commits_processed,

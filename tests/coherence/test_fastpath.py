@@ -3,16 +3,19 @@
 The golden equivalence suite (tests/integration/test_fastpath_golden.py)
 proves end-to-end bit-identity with the seed simulator; these tests pin the
 individual mechanisms — epoch gating, the per-base version index, the
-maintained filter counters, the presence map — and the two statistics bug
-fixes that rode along (INVALID eviction victims, wrong-path mark pruning).
+maintained filter counters, the snoop filter over each cache's line index —
+and the two statistics bug fixes that rode along (INVALID eviction victims,
+wrong-path mark pruning).
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coherence.cache import VersionedCache
 from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.coherence.states import CODE_INVALID, CODE_MODIFIED, State
 from repro.core import HMTXSystem, MachineConfig
+from repro.errors import MisspeculationError
 
 from .legacy_line import CacheLine
 from .state_rules import inject, install
@@ -156,22 +159,98 @@ class TestVictimPath:
         h.check_invariants()
 
 
-class TestPresenceMap:
-    def test_holders_mirror_cache_contents(self):
-        h = MemoryHierarchy(HierarchyConfig(**TINY))
-        h.store(0, 0x100, 0, 7)
-        h.load(1, 0x100, 0)
-        h.load(1, 0x200, 0)
-        h.check_invariants()              # includes the holders cross-check
-        holders = h._holders[0x100]
-        assert h.l1s[0] in holders and h.l1s[1] in holders
+class _ClaimsEveryLine(dict):
+    """A line index whose membership test says yes for every line, so the
+    hierarchy's snoop filters let every cache through (lookups still read
+    the real buckets)."""
+
+    def __contains__(self, base):
+        return True
+
+
+#: Four lines in the one set of each tiny cache below, so installs evict.
+FILTER_LINES = [0x1000 + i * 64 for i in range(4)]
+
+
+@st.composite
+def _filter_ops(draw):
+    """Random loads/stores (unaligned too) with in-order commits and
+    aborts woven in, over a few lines and VIDs."""
+    ops = []
+    committed = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        kind = draw(st.sampled_from(
+            ("load", "load", "store", "store", "commit", "abort")))
+        if kind == "commit":
+            committed += 1
+            ops.append(("commit", committed))
+        elif kind == "abort":
+            ops.append(("abort",))
+        else:
+            addr = draw(st.sampled_from(FILTER_LINES)) \
+                + 8 * draw(st.integers(min_value=0, max_value=7))
+            vid = draw(st.sampled_from((0, committed + 1, committed + 2,
+                                        committed + 3)))
+            ops.append((kind, draw(st.integers(min_value=0, max_value=2)),
+                        addr, vid, draw(st.integers(1, 99))))
+    return ops
+
+
+def _run_filter_ops(hierarchy, ops):
+    """Execute ``ops``; returns each access's (value, latency) or the
+    abort it raised."""
+    observed = []
+    for now, op in enumerate(ops):
+        if op[0] == "commit":
+            observed.append(hierarchy.commit(op[1]))
+        elif op[0] == "abort":
+            observed.append(hierarchy.abort())
+        else:
+            kind, core, addr, vid, value = op
+            try:
+                if kind == "load":
+                    observed.append(hierarchy.load(core, addr, vid, 5 * now))
+                else:
+                    observed.append(
+                        hierarchy.store(core, addr, vid, value, 5 * now))
+            except MisspeculationError as error:
+                observed.append((type(error).__name__, str(error)))
+                hierarchy.abort()
+    return observed
+
+
+class TestSnoopFilter:
+    @pytest.mark.parametrize("unbounded", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_filter_ops())
+    def test_filter_matches_unfiltered_snoops(self, unbounded, ops):
+        # Skipping a cache whose line index lacks the line is exact: the
+        # filtered machine equals one whose snoops, invalidations and
+        # scrubs visit every cache.
+        config = HierarchyConfig(num_cores=3, l1_size=2 * 64, l1_assoc=2,
+                                 l2_size=4 * 64, l2_assoc=4,
+                                 unbounded_sets=unbounded)
+        real = MemoryHierarchy(config)
+        reference = MemoryHierarchy(config)
+        for cache in reference._caches:
+            cache._by_base = _ClaimsEveryLine()
+        assert _run_filter_ops(real, ops) == _run_filter_ops(reference, ops)
+        assert real.stats == reference.stats
+        assert [cache.stats for cache in real._caches] \
+            == [cache.stats for cache in reference._caches]
+        assert real.memory == reference.memory
+        if unbounded:
+            assert (real.overflow_table.spills, real.overflow_table.refills) \
+                == (reference.overflow_table.spills,
+                    reference.overflow_table.refills)
+        real.check_invariants()
 
     def test_footprint_counter_matches_walk(self):
         h = MemoryHierarchy(HierarchyConfig(**TINY))
         h.load(0, 0x100, 1)
         h.store(0, 0x140, 2, 9)
         walked = sum(
-            64 for cache in h._all_caches()
+            64 for cache in h._caches
             for resident in cache.all_lines() if resident.is_speculative())
         assert h.speculative_footprint_bytes() == walked > 0
         h.check_invariants()

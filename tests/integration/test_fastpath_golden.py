@@ -92,7 +92,7 @@ def snapshot(result, workload) -> dict:
         "speculative_footprint_bytes":
             hierarchy.speculative_footprint_bytes(),
         "caches": {cache.name: _cache_snapshot(cache)
-                   for cache in hierarchy._all_caches()},
+                   for cache in hierarchy._caches},
     }
 
 
