@@ -85,6 +85,10 @@ Rule catalog (details in DESIGN.md section 10):
     bumping a counter, is a spin-wait the scheduler cannot see.  Spins
     yield ``SpinUntil`` (through ``runtime.paradigms.base.spin_until``) so
     the scheduler can park the thread and fast-forward its polls.
+``RL012`` no unused module-level imports
+    A name a top-level ``import`` binds must be read somewhere in the
+    module (a string annotation or ``__all__`` counts): a dead import
+    keeps a dependency, and often an import-time cost, that nothing needs.
 """
 
 from __future__ import annotations
@@ -113,6 +117,7 @@ LINT_RULES: Dict[str, str] = {
              "functools.wraps or function-valued setattr elsewhere",
     "RL011": "runtime/svc spin-waits yield SpinUntil, not a while loop "
              "of Work yields",
+    "RL012": "module-level imports must be used",
 }
 
 #: Exception classes whose raise sites must stamp ``cause=`` (RL001).
@@ -675,6 +680,62 @@ def _rl011_spin_loops(tree: ast.AST, rel: str,
                 "scheduler can park the thread")
 
 
+def _read_names(tree: ast.AST) -> Set[str]:
+    """Every name the module reads: ``Name`` nodes, the names inside
+    string annotations, and the entries of ``__all__``."""
+    names: Set[str] = set()
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+                _name_of(target) == "__all__" for target in node.targets):
+            names.update(sub.value for sub in ast.walk(node.value)
+                         if isinstance(sub, ast.Constant)
+                         and isinstance(sub.value, str))
+    for annotation in annotations:
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    parsed = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(name.id for name in ast.walk(parsed)
+                             if isinstance(name, ast.Name))
+    return names
+
+
+def _rl012_unused_imports(tree: ast.AST, rel: str,
+                          lines: Sequence[str]) -> Iterable[Finding]:
+    bound: Dict[str, int] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = stmt.lineno
+        elif isinstance(stmt, ast.ImportFrom) \
+                and stmt.module != "__future__":
+            for alias in stmt.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = stmt.lineno
+    if not bound:
+        return
+    read = _read_names(tree)
+    for name, lineno in bound.items():
+        if name not in read:
+            yield Finding(
+                "RL012", SEVERITY_ERROR, f"{rel}:{lineno}",
+                f"module-level import of {name!r} is never used",
+                "delete the import (re-exports belong in __all__)")
+
+
 _RULE_CHECKS = (
     _rl001_cause_stamping,
     _rl002_protocol_purity,
@@ -687,6 +748,7 @@ _RULE_CHECKS = (
     _rl009_one_representation,
     _rl010_one_tap,
     _rl011_spin_loops,
+    _rl012_unused_imports,
 )
 
 

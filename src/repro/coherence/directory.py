@@ -28,7 +28,7 @@ latency that grows logarithmically with core count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cache import VersionedCache

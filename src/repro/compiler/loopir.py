@@ -32,7 +32,7 @@ legal without software checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 #: A statement's compute function: (iteration, read values) -> writes.
 ComputeFn = Callable[[int, Mapping[str, int]], Mapping[str, int]]

@@ -19,8 +19,8 @@ are rejected with a diagnostic rather than silently mis-compiled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Set
 
 import networkx as nx
 

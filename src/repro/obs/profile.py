@@ -36,8 +36,9 @@ asserted by the tests — nothing is silently dropped.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Categories a *sample* can carry (``idle``/``queue_wait`` are derived).
 _FLUSH_SURVIVING_TAGS = ("commit_stall", "vid_reset", "overflow")
@@ -69,44 +70,30 @@ class Attribution:
 def attribute(session) -> Attribution:
     """Run the retrospective attribution over a finalized session."""
     samples = session.samples
-    events = session.events
-    final: List[Optional[str]] = [None] * len(samples)
-    open_by_vid: Dict[int, List[int]] = {}
-
-    def finish(index: int, default: str) -> None:
-        pretag = samples[index][5]
-        final[index] = pretag if pretag is not None else default
-
-    def finish_flushed(index: int) -> None:
-        pretag = samples[index][5]
-        final[index] = pretag if pretag in _FLUSH_SURVIVING_TAGS \
-            else "abort_replay"
-
-    # Merge the two seq-ordered streams (shared monotone counter).
-    si = ei = 0
-    while si < len(samples) or ei < len(events):
-        if ei >= len(events) or (si < len(samples)
-                                 and samples[si][0] < events[ei]["seq"]):
-            vid = samples[si][4]
-            if vid > 0:
-                open_by_vid.setdefault(vid, []).append(si)
-            else:
-                finish(si, "useful")
-            si += 1
-            continue
-        event = events[ei]
-        ei += 1
-        if event["kind"] == "commit":
-            for index in open_by_vid.pop(event["vid"], []):
-                finish(index, "useful")
-        elif event["kind"] == "abort":
-            for indices in open_by_vid.values():
-                for index in indices:
-                    finish_flushed(index)
-            open_by_vid.clear()
-    for indices in open_by_vid.values():
-        for index in indices:
-            finish(index, "useful")
+    # A sample keeps its pretag, else counts as useful, unless an abort
+    # flushes it: a speculative sample whose VID does not commit between
+    # the sample and the next abort.  One pass over the events, scanning
+    # the samples recorded before each abort (one shared monotone seq
+    # counter orders both streams).
+    final = [row[5] or "useful" for row in samples]
+    seqs = [row[0] for row in samples]
+    window = 0
+    committed: Dict[int, int] = {}
+    for event in session.events:
+        kind = event["kind"]
+        if kind == "commit":
+            committed[event["vid"]] = event["seq"]
+        elif kind == "abort":
+            end = bisect_left(seqs, event["seq"], window)
+            for index in range(window, end):
+                row = samples[index]
+                vid = row[4]
+                if vid > 0 and committed.get(vid, 0) < row[0]:
+                    pretag = row[5]
+                    if pretag not in _FLUSH_SURVIVING_TAGS:
+                        final[index] = "abort_replay"
+            committed.clear()
+            window = end
 
     makespan = session.makespan
     per_thread: Dict[int, Dict[str, int]] = {}
@@ -118,11 +105,15 @@ def attribute(session) -> Attribution:
         cursor = 0
         gap_total = 0
         for index in indices:
-            _, _, start, latency, _, _ = samples[index]
+            row = samples[index]
+            start = row[2]
+            latency = row[3]
             if start > cursor:
                 gap_total += start - cursor
-            cursor = max(cursor, start + latency)
-            category = final[index] or "useful"
+            end = start + latency
+            if end > cursor:
+                cursor = end
+            category = final[index]
             cats[category] = cats.get(category, 0) + latency
         # Machine-wide stalls show up as gaps in every thread's op stream.
         # Reattribute them in causal order: reset-scrub quiesce barriers
@@ -158,7 +149,7 @@ def attribute(session) -> Attribution:
         for category, cycles in cats.items():
             bucket[category] = bucket.get(category, 0) + cycles
     return Attribution(makespan=makespan,
-                       categories=[c or "useful" for c in final],
+                       categories=final,
                        per_thread=per_thread,
                        totals=dict(sorted(totals.items())),
                        per_socket={s: dict(sorted(cats.items()))

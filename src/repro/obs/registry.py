@@ -16,6 +16,7 @@ ContentionStats) are snapshotted in at finalize time.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -73,7 +74,8 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket cumulative histogram (``le`` semantics + sum/count)."""
+    """Fixed-bucket cumulative histogram (``le`` semantics + sum/count)
+    over ascending bucket bounds."""
 
     __slots__ = ("buckets", "counts", "overflow", "total", "count",
                  "max_value")
@@ -91,11 +93,11 @@ class Histogram:
         self.count += 1
         if value > self.max_value:
             self.max_value = value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.overflow += 1
+        i = bisect_left(self.buckets, value)
+        if i < len(self.counts):
+            self.counts[i] += 1
+        else:
+            self.overflow += 1
 
     def cumulative(self) -> List[Tuple[str, int]]:
         """``(le, count)`` pairs with counts accumulated, +Inf last."""

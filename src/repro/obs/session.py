@@ -51,33 +51,50 @@ CATEGORIES = ("useful", "commit_stall", "vid_reset", "abort_replay",
               "queue_wait", "overflow", "idle")
 
 
-def _nth_poll_clock(polls, n: int, floor: int) -> int:
-    """Clock of the ``n``-th poll (1-based) of a poll phase, in step order.
+def _nth_poll_clocks(polls, ns) -> List[int]:
+    """Clock of each ``n``-th poll (1-based; ``ns`` ascending) of a poll
+    phase, in step order.
 
     A thread's polls are taken at ``first_clock`` and then at ``start +
-    k * latency`` for ``k`` in ``1..count-1``; step order sorts them by
-    clock.  Binary search for the smallest clock with at least ``n``
-    polls at or before it; ``floor`` is a known lower bound.
+    k * latency`` for ``k`` in ``1..count-1`` (``start >= first_clock``);
+    step order sorts them by clock.  For each ``n``, search the clocks
+    from the previous answer to the phase's last poll for the smallest
+    with at least ``n`` polls at or before it.  Polls accrue at a nearly
+    steady rate, so a probe interpolates between the poll counts at the
+    two ends; a probe that fails to halve the range is followed by a
+    bisection, so the search takes at most twice a binary search's
+    probes.
     """
-    def taken_by(clock: int) -> int:
-        taken = 0
-        for _, first_clock, start, count, latency in polls:
-            if first_clock <= clock:
-                taken += 1
-                if count > 1 and clock >= start + latency:
-                    taken += min(count - 1, (clock - start) // latency)
-        return taken
-
-    low = floor
-    high = max(start + (count - 1) * latency
-               for _, _, start, count, latency in polls)
-    while low < high:
-        mid = (low + high) // 2
-        if taken_by(mid) >= n:
-            high = mid
-        else:
-            low = mid + 1
-    return low
+    rows = [(first_clock, start, count - 1, latency)
+            for _, first_clock, start, count, latency in polls]
+    low = min([row[0] for row in rows])
+    last = max([start + extra * latency for _, start, extra, latency in rows])
+    total = sum([entry[3] for entry in polls])
+    below = 0  # polls before ``low``
+    clocks = []
+    for n in ns:
+        high, upto = last, total  # polls at or before ``high``
+        bisect = False
+        while low < high:
+            width = high - low
+            if bisect:
+                mid = (low + high) // 2
+            else:
+                mid = low + (n - below) * width // (upto - below + 1)
+            taken = 0
+            for first_clock, start, extra, latency in rows:
+                if first_clock <= mid:
+                    taken += 1
+                    if mid >= start + latency:
+                        k = (mid - start) // latency
+                        taken += k if k < extra else extra
+            if taken >= n:
+                high, upto = mid, taken
+            else:
+                low, below = mid + 1, taken
+            bisect = 2 * (high - low) > width
+        clocks.append(low)
+    return clocks
 
 
 class ObsSession:
@@ -474,23 +491,25 @@ class ObsSession:
         contexts = self._system.contexts
         samples = self.samples
         index = self._tid_sample_idx
-        before = self._steps
+        seq = self._seq
+        before = steps = self._steps
         for thread, _, start, count, latency in polls:
             tid = thread.tid
             ctx = contexts.get(tid)
-            self._seq += 1
+            seq += 1
             index.setdefault(tid, []).append(len(samples))
-            samples.append([self._seq, tid, start, count * latency,
+            samples.append([seq, tid, start, count * latency,
                             ctx.vid if ctx is not None else 0, None])
-            self._steps += count
+            steps += count
+        self._seq = seq
+        self._steps = steps
         every = RUNNABLE_SAMPLE_EVERY
         due = before - before % every + every
-        if due <= self._steps:
+        if due <= steps:
             runnable = self._runnable()
-            floor = min(entry[1] for entry in polls)
-            for step in range(due, self._steps + 1, every):
-                floor = _nth_poll_clock(polls, step - before, floor)
-                self.runnable_track.append((floor, runnable))
+            self.runnable_track.extend(
+                (clock, runnable) for clock in _nth_poll_clocks(
+                    polls, range(due - before, steps - before + 1, every)))
 
     def _runnable(self) -> int:
         return sum(1 for t in self._scheduler.threads

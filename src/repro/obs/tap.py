@@ -127,16 +127,9 @@ def _wrapper(original: Callable, callbacks: List[list],
             if callback is not None:
                 namespace[f"_{phase}{index}"] = callback
                 calls[phase].append(f"_{phase}{index}")
-    params, args = [], []
-    bound = original if receiver is None else original.__get__(receiver())
-    signature = inspect.signature(bound, follow_wrapped=False)
-    for param in signature.parameters.values():
-        arg = {param.VAR_POSITIONAL: "*",
-               param.VAR_KEYWORD: "**"}.get(param.kind, "") + param.name
-        namespace["_default_" + param.name] = param.default
-        params.append(arg if param.default is param.empty
-                      else f"{arg}=_default_{param.name}")
-        args.append(arg)
+    params, args, defaults = _parameters(
+        original if receiver is None else original.__get__(receiver()))
+    namespace.update(defaults)
     call = ", ".join(args)
     target = ", ".join(args if receiver is None else ["_receiver()", *args])
     failed = [f"    {name}(err, cause, {call})" for name in calls["failed"]]
@@ -153,6 +146,35 @@ def _wrapper(original: Callable, callbacks: List[list],
     # Popped, not read: a wrapper left in its own globals would be a
     # reference cycle keeping the observed run alive until a full GC.
     return functools.wraps(original)(namespace.pop("tapped"))
+
+
+#: function -> {bound: (parameters, arguments, defaults)}; weak, so a
+#: wrapped closure (another layer's patch) dies with its run.
+_signatures: "weakref.WeakKeyDictionary[Callable, Dict[bool, tuple]]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _parameters(original: Callable) -> Tuple[List[str], List[str], dict]:
+    """The generated wrapper's parameters, call arguments and
+    ``_default_*`` globals for ``original``.  Derived once per underlying
+    function and binding: ``inspect.signature`` costs tens of
+    microseconds, and every observed run wraps the same methods."""
+    function = getattr(original, "__func__", original)
+    entries = _signatures.setdefault(function, {})
+    bound = function is not original
+    entry = entries.get(bound)
+    if entry is None:
+        params, args, defaults = [], [], {}
+        for param in inspect.signature(
+                original, follow_wrapped=False).parameters.values():
+            arg = {param.VAR_POSITIONAL: "*",
+                   param.VAR_KEYWORD: "**"}.get(param.kind, "") + param.name
+            defaults["_default_" + param.name] = param.default
+            params.append(arg if param.default is param.empty
+                          else f"{arg}=_default_{param.name}")
+            args.append(arg)
+        entry = entries[bound] = (params, args, defaults)
+    return entry
 
 
 @functools.lru_cache(maxsize=None)

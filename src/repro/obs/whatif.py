@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.config import MachineConfig
 from .profile import load_digest

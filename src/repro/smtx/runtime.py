@@ -14,7 +14,7 @@ comparison of Figures 2 and 8:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.config import MachineConfig
 from ..runtime.paradigms import ParadigmResult, run_workload

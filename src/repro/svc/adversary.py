@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import MachineConfig
 from ..cpu.isa import Load, Store, Work

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 
 class EscalationLevel(enum.IntEnum):

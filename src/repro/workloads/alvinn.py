@@ -13,7 +13,8 @@ transaction (TLS); the same body also runs sequentially.
 
 from __future__ import annotations
 
-from typing import Any
+from functools import cached_property
+from typing import Any, List
 
 from ..cpu.isa import Branch, Load, Store, Work
 from .base import Fragment, Workload
@@ -47,11 +48,16 @@ class AlvinnWorkload(Workload):
 
     def setup(self, system) -> None:
         memory = system.hierarchy.memory
-        rng = Lcg(0xA1B1)
-        for i in range(self.patterns.size // 8):
-            memory.write_word(self.patterns.base + 8 * i, rng.next(128))
+        for i, word in enumerate(self._pattern_words):
+            memory.write_word(self.patterns.base + 8 * i, word)
         for i in range(self.weights.size // 8):
             memory.write_word(self.weights.base + 8 * i, (i * 13 + 3) & 0x7F)
+
+    @cached_property
+    def _pattern_words(self) -> List[int]:
+        """The input patterns' words, as set-up writes them."""
+        rng = Lcg(0xA1B1)
+        return [rng.next(128) for _ in range(self.patterns.size // 8)]
 
     def _pattern(self, i: int) -> int:
         stride = ((self.input_words * 8 + LINE - 1) // LINE + 1) * LINE
@@ -112,9 +118,7 @@ class AlvinnWorkload(Workload):
     # ------------------------------------------------------------------
 
     def golden(self, i: int) -> int:
-        rng_data = Lcg(0xA1B1)
-        total_words = self.patterns.size // 8
-        data = [rng_data.next(128) for _ in range(total_words)]
+        data = self._pattern_words
         stride_words = (((self.input_words * 8 + LINE - 1) // LINE + 1) * LINE) // 8
         base = i * stride_words
         weight_words = self.weights.size // 8

@@ -12,6 +12,9 @@ Pipeline split: stage 1 produces block descriptors; stage 2 transforms.
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import List
+
 from ..cpu.isa import Load, Store, Work
 from .base import Fragment
 from .common import LINE, Lcg, Region, branch_op
@@ -38,10 +41,15 @@ class Bzip2Workload(PipelinedBenchmark):
         self.output_blocks = Region(0x3C0_0000, iterations * stride)
         self.rank_arrays = Region(0x3E0_0000, iterations * (block_lines // 4) * LINE)
 
-    def setup_domain(self, memory) -> None:
+    @cached_property
+    def _input_words(self) -> List[int]:
+        """The input blocks' words, as set-up writes them."""
         rng = Lcg(0xB21B2)
-        for i in range(self.input_blocks.size // 8):
-            memory.write_word(self.input_blocks.base + 8 * i, rng.next(255))
+        return [rng.next(255) for _ in range(self.input_blocks.size // 8)]
+
+    def setup_domain(self, memory) -> None:
+        for i, word in enumerate(self._input_words):
+            memory.write_word(self.input_blocks.base + 8 * i, word)
 
     def _in(self, i: int) -> int:
         return self.input_blocks.base + i * self.block_lines * LINE
@@ -79,9 +87,7 @@ class Bzip2Workload(PipelinedBenchmark):
 
     def golden(self, i: int) -> int:
         element = self.element_payload(i)
-        rng = Lcg(0xB21B2)
-        total_words = self.input_blocks.size // 8
-        data = [rng.next(255) for _ in range(total_words)]
+        data = self._input_words
         words = self.block_lines * (LINE // 8)
         base = i * words
         checksum = element

@@ -10,6 +10,9 @@ Pipeline split: stage 1 produces the next block; stage 2 deflates it.
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import List
+
 from ..cpu.isa import Load, Store, Work
 from .base import Fragment
 from .common import LINE, Lcg, Region, branch_op
@@ -43,10 +46,15 @@ class GzipWorkload(PipelinedBenchmark):
         self.output = Region(0x370_0000, iterations * 8 * LINE)
         self.hash_lines = hash_lines // 8
 
-    def setup_domain(self, memory) -> None:
+    @cached_property
+    def _block_words(self) -> List[int]:
+        """The input blocks' words, as set-up writes them."""
         rng = Lcg(0x621F)
-        for i in range(self.blocks.size // 8):
-            memory.write_word(self.blocks.base + 8 * i, rng.next(251))
+        return [rng.next(251) for _ in range(self.blocks.size // 8)]
+
+    def setup_domain(self, memory) -> None:
+        for i, word in enumerate(self._block_words):
+            memory.write_word(self.blocks.base + 8 * i, word)
 
     def _block(self, i: int) -> int:
         stride = ((self.block_words * 8 + LINE - 1) // LINE + 1) * LINE
@@ -82,10 +90,7 @@ class GzipWorkload(PipelinedBenchmark):
 
     def golden(self, i: int) -> int:
         element = self.element_payload(i)
-        # Recreate the block contents exactly as setup wrote them.
-        rng_data = Lcg(0x621F)
-        words = self.blocks.size // 8
-        data = [rng_data.next(251) for _ in range(words)]
+        data = self._block_words
         stride_words = (((self.block_words * 8 + LINE - 1) // LINE + 1) * LINE) // 8
         base_index = i * stride_words
         table = {}

@@ -13,6 +13,9 @@ Pipeline split: stage 1 walks the expression list; stage 2 evaluates.
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import List
+
 from ..cpu.isa import Load, Store, Work
 from .base import Fragment
 from .common import LINE, Lcg, Region, branch_op
@@ -43,14 +46,19 @@ class LiWorkload(PipelinedBenchmark):
         # Per-iteration allocation frontier (fresh cells -> big write set).
         self.frontiers = Region(0x500_0000, iterations * 64 * LINE)
 
-    def setup_domain(self, memory) -> None:
+    @cached_property
+    def _cdrs(self) -> List[int]:
+        """Index of the cell each heap cell's cdr points to."""
         rng = Lcg(0x11E4)
         cells = self.heap.size // LINE
-        for c in range(cells):
+        return [rng.next(cells) for _ in range(cells)]
+
+    def setup_domain(self, memory) -> None:
+        for c, cdr in enumerate(self._cdrs):
             # car = value, cdr = pointer to another cell.
             cell = self.heap.line(c)
             memory.write_word(cell, (c * 17 + 5) & 0xFFFF)
-            memory.write_word(cell + 8, self.heap.line(rng.next(cells)))
+            memory.write_word(cell + 8, self.heap.line(cdr))
 
     def _frontier(self, i: int) -> int:
         return self.frontiers.base + i * 64 * LINE
@@ -84,19 +92,14 @@ class LiWorkload(PipelinedBenchmark):
 
     def golden(self, i: int) -> int:
         element = self.element_payload(i)
-        rng_setup = Lcg(0x11E4)
         cells = self.heap.size // LINE
-        cars = [(c * 17 + 5) & 0xFFFF for c in range(cells)]
-        cdrs = [rng_setup.next(cells) for _ in range(cells)]
-        rng = Lcg(0x11E400 + i)
+        cdrs = self._cdrs
         idx = (element * 313) % cells
         allocated = 0
         checksum = element
         for step in range(self.eval_steps):
-            car = cars[idx]
+            car = (idx * 17 + 5) & 0xFFFF
             checksum = (checksum * 33 + car) & 0xFFFFFFFF
-            for _ in range(2):
-                rng.next(4)
             if (car + step) % 5 == 0:
                 allocated += 1
             idx = cdrs[idx]

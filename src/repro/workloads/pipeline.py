@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..cpu.isa import Branch, Load, Store, Work
+from ..cpu.isa import Branch, Load, Store
 from .base import Fragment, Workload
 from .common import LINE, Region
 

@@ -47,17 +47,18 @@ class TestCauseStamping:
 
 class TestProtocolPurity:
     def test_container_import_in_protocol_is_rl002(self):
-        findings = lint("from ..coherence.cache import VersionedCache\n",
+        findings = lint("from ..coherence.cache import VersionedCache\n"
+                        "VersionedCache\n",
                         rel="repro/coherence/protocol.py")
         assert rules_of(findings) == ["RL002"]
 
     def test_pure_imports_are_fine(self):
-        assert lint("from .states import State\nimport enum\n",
-                    rel="repro/coherence/vid.py") == []
+        assert lint("from .states import State\nimport enum\n"
+                    "State, enum\n", rel="repro/coherence/vid.py") == []
 
     def test_rule_only_applies_to_pure_modules(self):
-        assert lint("from ..coherence.hierarchy import MemoryHierarchy\n",
-                    rel="repro/txctl/manager.py") == []
+        assert lint("from ..coherence.hierarchy import MemoryHierarchy\n"
+                    "MemoryHierarchy\n", rel="repro/txctl/manager.py") == []
 
 
 class TestSlotsDiscipline:
@@ -130,7 +131,7 @@ class TestLocalImports:
         assert rules_of(findings) == ["RL005"]
 
     def test_module_level_import_is_fine(self):
-        assert lint("import os\n") == []
+        assert lint("import os\nos.sep\n") == []
 
     def test_inline_marker_with_reason_suppresses(self):
         assert lint("""
@@ -342,6 +343,7 @@ class TestOneRepresentation:
         source = """
             from .line import CacheLine, LineView
             from .states import CODE_SM, STATE_FROM_CODE, State
+            CacheLine, LineView, CODE_SM, STATE_FROM_CODE, State
             """
         for rel in ("repro/coherence/cache.py",
                     "repro/coherence/hierarchy.py",
@@ -386,8 +388,8 @@ class TestOneTap:
         assert "functools.wraps" in findings[0].message
 
     def test_wraps_import_is_rl010(self):
-        assert rules_of(lint("from functools import partial, wraps\n")) \
-            == ["RL010"]
+        assert rules_of(lint("from functools import partial, wraps\n"
+                             "partial, wraps\n")) == ["RL010"]
 
     def test_patching_and_restoring_setattr_is_rl010(self):
         findings = lint("""
@@ -475,6 +477,54 @@ class TestSpinLoops:
             """, rel="repro/txctl/fallback.py") == []
 
 
+class TestUnusedImports:
+    def test_unused_import_is_rl012(self):
+        findings = lint("""
+            from typing import Dict, List
+            import os
+
+            def f() -> List[int]:
+                return []
+            """)
+        assert rules_of(findings) == ["RL012", "RL012"]
+        assert "'Dict'" in findings[0].message
+        assert findings[1].where.endswith(":3")
+
+    def test_used_imports_are_clean(self):
+        assert lint("""
+            from __future__ import annotations
+
+            import os.path
+            import weakref as wr
+            from typing import Callable, Dict
+
+            def f(cb: "Callable[[], None]") -> Dict[str, int]:
+                cb()
+                return {os.path.sep: len(wr.WeakSet())}
+            """) == []
+
+    def test_dunder_all_counts_as_a_read(self):
+        assert lint("""
+            from .session import ObsSession
+            from .tap import Tap
+
+            __all__ = ["ObsSession"] + ["Tap"]
+            """) == []
+
+    def test_function_local_imports_are_not_rl012(self):
+        # Left to RL005: the marker's reason documents a local import.
+        findings = lint("""
+            def f():
+                import json  # lint-ok: RL005 (planted)
+            """)
+        assert findings == []
+
+    def test_lint_ok_with_reason_suppresses(self):
+        assert lint("""
+            import json  # lint-ok: RL012 (planted: import for its side effect)
+            """) == []
+
+
 class TestWholeTree:
     def test_src_is_lint_clean(self):
         report = lint_paths()
@@ -488,7 +538,7 @@ class TestWholeTree:
     def test_rule_catalog_is_documented(self):
         assert set(LINT_RULES) == {"RL001", "RL002", "RL003", "RL004",
                                    "RL005", "RL006", "RL007", "RL008",
-                                   "RL009", "RL010", "RL011"}
+                                   "RL009", "RL010", "RL011", "RL012"}
         assert default_lint_root().name == "repro"
 
 class TestDeterminism:

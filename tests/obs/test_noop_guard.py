@@ -31,13 +31,17 @@ from repro.experiments.phase_profile import PhaseProfiler
 from repro.obs import hooks, tap
 from repro.obs.session import ObsSession
 from repro.obs.tap import Tap
+from repro.runtime.paradigms import run_ps_dswp
 from repro.runtime.scheduler import Scheduler
 from repro.trace import BackendTracer, ProtocolTracer
+from repro.txctl import ContentionManager, make_policy
+from repro.workloads.contended import HighContentionListWorkload
 
 from tests.integration.test_fastpath_golden import (
     _run_capacity_hog,
     _run_contended_list,
     _run_fig8_slice,
+    snapshot,
 )
 
 
@@ -97,6 +101,93 @@ class TestNoResidue:
             assert [ref() for ref in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+def closure_patch(obj, name, calls):
+    """Replace ``obj.<name>`` with a plain ``traced(*args, **kwargs)``
+    closure that logs each call, the way an outside-in span tracer
+    patches instance methods."""
+    original = getattr(obj, name)
+
+    def traced(*args, **kwargs):
+        calls.append((name, args, kwargs))
+        return original(*args, **kwargs)
+
+    setattr(obj, name, traced)
+    return traced
+
+
+class TestTapStacking:
+    """The tap derives a wrapper's parameter list once per underlying
+    function; a method another layer already replaced with a
+    ``(*args, **kwargs)`` closure must still get every argument, run
+    after run."""
+
+    def test_closure_patched_methods_get_every_argument(self):
+        for _ in range(2):
+            # The class's own load and store are wrapped first.
+            ObsSession().attach_system(HMTXSystem(MachineConfig()))
+            system = HMTXSystem(MachineConfig(num_cores=2))
+            system.thread(0, core=0)
+            calls = []
+            traced = {name: closure_patch(system, name, calls)
+                      for name in ("load", "store")}
+            session = ObsSession()
+            session.attach_system(system)
+            assert system.load is not traced["load"]
+            system.store(0, 0x40, 7)
+            assert system.load(0, 0x40, now=5)[0] == 7
+            assert system.load(0, 0x80)[0] == 0
+            assert calls == [("store", (0, 0x40, 7), {}),
+                             ("load", (0, 0x40), {"now": 5}),
+                             ("load", (0, 0x80), {})]
+            assert session.line_access_counts == {0x40: 2, 0x80: 1}
+            session.detach()
+            assert vars(system)["load"] is traced["load"]
+            assert vars(system)["store"] is traced["store"]
+
+    def test_observed_runs_of_closure_patched_systems(self):
+        def run(observer=None, calls=None):
+            def factory():
+                system = HMTXSystem(MachineConfig())
+                if calls is not None:
+                    for name in ("load", "store", "commit_mtx"):
+                        closure_patch(system, name, calls)
+                return system
+
+            workload = HighContentionListWorkload(nodes=24,
+                                                  rmw_per_iteration=2)
+            manager = ContentionManager(policy=make_policy("backoff"))
+            if observer is None:
+                return snapshot(run_ps_dswp(workload, manager=manager,
+                                            system_factory=factory),
+                                workload)
+            with observer.activate():
+                result = run_ps_dswp(workload, manager=manager,
+                                     system_factory=factory)
+            observer.detach()
+            return snapshot(result, workload)
+
+        plain = run()
+        for _ in range(2):
+            calls = []
+            session = ObsSession()
+            assert run(session, calls) == plain
+            counted = sum(
+                value for name, value in session.registry.collect()
+                ["counters"].items()
+                if name.startswith("mem_accesses_total"))
+            # An access that misspeculates reaches failed_<method>, not
+            # the access counters.
+            failed = sum(1 for event in session.events
+                         if event["kind"] == "conflict"
+                         and event["op"] in ("load", "store"))
+            accesses = sum(1 for name, _, _ in calls
+                           if name in ("load", "store"))
+            assert accesses == counted + failed and counted > 0
+            assert sum(1 for name, _, _ in calls if name == "commit_mtx") \
+                == sum(1 for event in session.events
+                       if event["kind"] == "commit") > 0
 
 
 def observed_scheduler(num_cores):
