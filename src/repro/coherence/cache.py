@@ -21,7 +21,10 @@ buckets hold plain slot integers; lookups, installs, lazy folds, VID-reset
 scrubs and victim selection all run on slot ints and the integer-code
 rules of :mod:`repro.coherence.protocol`.  Installs take column values and
 eviction victims come back as column values, so a victim's data list
-moves down the miss path by reference.  One object
+moves down the miss path by reference.  An install is one pass over its
+set (:meth:`VersionedCache.install_slot`): the victim is the slot with
+the smallest ``class << 62 | lru_tick`` key, and the new version takes
+its slot in place.  One object
 shape remains, at the edge: the introspection helpers
 (:meth:`VersionedCache.lookup`, :meth:`~VersionedCache.versions`,
 :meth:`~VersionedCache.all_lines`) hand tests and tools read-only
@@ -103,6 +106,15 @@ _VICTIM_CLASS_BY_CODE = bytes((
     _PRIORITY_SPEC_SHARED,
 ))
 
+#: Victim keys: ``class << 62``, so a slot's key ``class << 62 | lru_tick``
+#: orders by class, then by LRU tick, in one integer compare.  Ticks are
+#: unique per cache and stay below ``1 << 62``, so the order is exactly
+#: the ``(class, tick)`` order.
+_VICTIM_KEY_BY_CODE = tuple(cls << 62 for cls in _VICTIM_CLASS_BY_CODE)
+_OVERFLOWABLE_KEY = _PRIORITY_SPEC_OVERFLOWABLE << 62
+#: Above every real key: the sweep's start value.
+_NO_VICTIM_KEY = (_PRIORITY_SPEC_PINNED + 1) << 62
+
 
 #: An evicted version as it travels down the miss path: ``(code, addr,
 #: data, modVID, highVID)``.  Its lazy stamps and LRU tick stay behind:
@@ -183,10 +195,14 @@ class VersionedCache:
             return (addr >> self._line_shift) & self._index_mask
         return (addr >> self._line_shift) % self.num_sets
 
-    def _set_list(self, index: int) -> List[int]:
-        slots = self._sets.get(index)
-        if slots is None:
-            slots = self._sets[index] = []
+    @staticmethod
+    def _first_list(table: Dict[int, List[int]], key: int) -> List[int]:
+        """A set's first slot list or a line's first bucket.
+
+        Cold: runs once per set or line the cache first touches, which
+        keeps the list allocation out of the install path.
+        """
+        slots = table[key] = []
         return slots
 
     # ------------------------------------------------------------------
@@ -203,34 +219,6 @@ class VersionedCache:
     # ------------------------------------------------------------------
     # Index / filter maintenance
     # ------------------------------------------------------------------
-
-    def _index_add_slot(self, slot: int) -> None:
-        """Enter a slot into the per-base index and filter counters."""
-        store = self._store
-        base = store.addr[slot]
-        bucket = self._by_base.get(base)
-        if bucket is None:
-            bucket = self._by_base[base] = []
-        bucket.append(slot)
-        code = store.state[slot]
-        if code >= CODE_SM:
-            self._spec_lines += 1
-            if code == CODE_SM and store.mod_vid[slot] > 0:
-                self._sm_live += 1
-
-    def _index_remove_slot(self, slot: int) -> None:
-        """Drop a slot from the per-base index and filter counters."""
-        store = self._store
-        base = store.addr[slot]
-        bucket = self._by_base[base]
-        bucket.remove(slot)
-        if not bucket:
-            del self._by_base[base]
-        code = store.state[slot]
-        if code >= CODE_SM:
-            self._spec_lines -= 1
-            if code == CODE_SM and store.mod_vid[slot] > 0:
-                self._sm_live -= 1
 
     def _retag_slot(self, slot: int, code: int, mod_vid: int,
                     high_vid: int) -> None:  # hot-path
@@ -334,10 +322,20 @@ class VersionedCache:
         return None if tags[0] == CODE_INVALID else tags
 
     def _remove_slot(self, slot: int) -> None:
-        """Unlink a resident slot from its set and index, and free it."""
+        """Unlink a resident slot from its set, its bucket and the filter
+        counters, and free it."""
         store = self._store
-        self._set_list(self.set_index(store.addr[slot])).remove(slot)
-        self._index_remove_slot(slot)
+        base = store.addr[slot]
+        self._sets[self.set_index(base)].remove(slot)
+        bucket = self._by_base[base]
+        bucket.remove(slot)
+        if not bucket:
+            del self._by_base[base]
+        code = store.state[slot]
+        if code >= CODE_SM:
+            self._spec_lines -= 1
+            if code == CODE_SM and store.mod_vid[slot] > 0:
+                self._sm_live -= 1
         store.release(slot)
 
     # ------------------------------------------------------------------
@@ -517,13 +515,21 @@ class VersionedCache:
         reference.  The hierarchy decides whether they are written back,
         passed down a level, overflowed to memory, or force an abort
         (section 5.4).
+
+        One pass over the set: the victim is chosen, unlinked and counted
+        out of the filter counters here, and the new version takes the
+        last victim's slot in place — the slot a release followed by an
+        allocation would hand back from the LIFO free list.  The set list
+        and the buckets still drop the victim and append the new slot, so
+        their order is that of a separate release and allocation.
         """
         store = self._store
-        spec = code >= CODE_SM
-        bucket = self._by_base.get(base)
+        state_col = store.state
+        mod_col = store.mod_vid
+        by_base = self._by_base
+        bucket = by_base.get(base)
         if bucket:
-            state_col = store.state
-            mod_col = store.mod_vid
+            spec = code >= CODE_SM
             i = 0
             while i < len(bucket):
                 slot = bucket[i]
@@ -532,75 +538,99 @@ class VersionedCache:
                     self._remove_slot(slot)  # shrinks bucket at i
                 else:
                     i += 1
-        index = self.set_index(base)
-        slots = self._set_list(index)
-        evicted: Tuple[Victim, ...] = ()
+        mask = self._index_mask
+        index = ((base >> self._line_shift) & mask if mask is not None
+                 else self.set_index(base))
+        slots = self._sets.get(index)
+        if slots is None:
+            slots = self._first_list(self._sets, index)
         epoch = self._epoch
-        while True:
+        if self._set_epochs.get(index) != epoch:
             # Resolve pending lazy transitions first: committed/aborted
             # versions may free slots without any real eviction.  Skipped
             # when the whole set is epoch-current — the replay would be a
             # no-op for every line.
-            if self._set_epochs.get(index) != epoch:
-                process = self._process_lazy_slot
-                i = 0
-                while i < len(slots):
-                    if process(slots[i]) is not None:
-                        i += 1      # else it left slots at i
-                self._set_epochs[index] = epoch
-            if len(slots) < self.assoc:
-                break
-            victim = self._choose_victim_slot(slots)
+            process = self._process_lazy_slot
+            i = 0
+            while i < len(slots):
+                if process(slots[i]) is not None:
+                    i += 1      # else it left slots at i
+            self._set_epochs[index] = epoch
+        evicted: Tuple[Victim, ...] = ()
+        slot = -1
+        spare = None
+        assoc = self.assoc
+        while len(slots) >= assoc:
+            if slot >= 0:
+                # Only a set filled past its ways (``_inject_line``) gives
+                # up more than one victim; all but the last are freed.
+                store.release(slot)
+            # LRU within the lowest occupied priority class (section 5.4),
+            # as one integer key per slot.  INVALID slots are skipped;
+            # a set of nothing else gives up its first slot.
+            lru_col = store.lru_tick
+            keys = _VICTIM_KEY_BY_CODE
+            victim = slots[0]
+            best = _NO_VICTIM_KEY
+            for candidate in slots:
+                cand_code = state_col[candidate]
+                if cand_code == CODE_INVALID:
+                    continue
+                if cand_code == CODE_SO and mod_col[candidate] == 0:
+                    key = _OVERFLOWABLE_KEY | lru_col[candidate]
+                else:
+                    key = keys[cand_code] | lru_col[candidate]
+                if key < best:
+                    best = key
+                    victim = candidate
             slots.remove(victim)
-            self._index_remove_slot(victim)
+            victim_addr = store.addr[victim]
+            victim_bucket = by_base[victim_addr]
+            victim_bucket.remove(victim)
+            if not victim_bucket:
+                del by_base[victim_addr]
+                spare = victim_bucket
             victim_code = store.state[victim]
+            victim_mod = mod_col[victim]
             if victim_code != CODE_INVALID:
                 # An INVALID fallback victim never really left the
                 # hierarchy; counting it would pollute the Table 1 /
                 # ablation eviction numbers.
                 self.stats.evictions += 1
-            evicted += ((victim_code, store.addr[victim], store.data[victim],
-                         store.mod_vid[victim], store.high_vid[victim]),)
-            store.release(victim)
-        slot = store.alloc(base, code, data, mod_vid, high_vid)
+                if victim_code >= CODE_SM:
+                    self._spec_lines -= 1
+                    if victim_code == CODE_SM and victim_mod > 0:
+                        self._sm_live -= 1
+            evicted += ((victim_code, victim_addr, store.data[victim],
+                         victim_mod, store.high_vid[victim]),)
+            slot = victim
+        if slot < 0:
+            slot = store.alloc(base, code, data, mod_vid, high_vid)
+        else:
+            state_col[slot] = code
+            mod_col[slot] = mod_vid
+            store.high_vid[slot] = high_vid
+            store.addr[slot] = base
+            store.data[slot] = data
         # A freshly installed line has no pending events in *this* cache.
         store.seen_aborts[slot] = len(self._abort_history)
         store.epoch[slot] = epoch
         slots.append(slot)
-        self._index_add_slot(slot)
+        bucket = by_base.get(base)
+        if bucket is None:
+            if spare is None:
+                bucket = self._first_list(by_base, base)
+            else:
+                # The last victim's emptied bucket serves the new line.
+                bucket = by_base[base] = spare
+        bucket.append(slot)
+        if code >= CODE_SM:
+            self._spec_lines += 1
+            if code == CODE_SM and mod_vid > 0:
+                self._sm_live += 1
         self._tick += 1
         store.lru_tick[slot] = self._tick
         return slot, evicted
-
-    def _choose_victim_slot(self, slots: List[int]) -> int:  # hot-path
-        """LRU within the lowest occupied priority class (section 5.4).
-
-        Callers have already lazily processed every slot in the set.
-        """
-        store = self._store
-        state_col = store.state
-        mod_col = store.mod_vid
-        lru_col = store.lru_tick
-        classes = _VICTIM_CLASS_BY_CODE
-        best = -1
-        best_pr = 6
-        best_tick = 0
-        for slot in slots:
-            code = state_col[slot]
-            if code == CODE_INVALID:
-                continue
-            if code == CODE_SO and mod_col[slot] == 0:
-                pr = _PRIORITY_SPEC_OVERFLOWABLE
-            else:
-                pr = classes[code]
-            tick = lru_col[slot]
-            if best < 0 or pr < best_pr or (pr == best_pr and tick < best_tick):
-                best = slot
-                best_pr = pr
-                best_tick = tick
-        if best < 0:
-            return slots[0]
-        return best
 
     def drop(self, line: LineView) -> None:
         """Remove a viewed version without writeback (silent invalidation)."""
@@ -726,12 +756,14 @@ class VersionedCache:
         default) leaves it stale, so its first touch folds every event.
         """
         store = self._store
-        slot = store.alloc(base, code, data, mod_vid, high_vid)
+        slot = store.alloc(base, CODE_INVALID, data, 0, 0)
+        # Retagging from INVALID counts the version into the filters.
+        self._retag_slot(slot, code, mod_vid, high_vid)
         store.seen_aborts[slot] = 0
         store.epoch[slot] = epoch
         store.lru_tick[slot] = 0
-        self._set_list(self.set_index(base)).append(slot)
-        self._index_add_slot(slot)
+        self._sets.setdefault(self.set_index(base), []).append(slot)
+        self._by_base.setdefault(base, []).append(slot)
         return LineView(self, slot)
 
     def check_index_integrity(self) -> None:

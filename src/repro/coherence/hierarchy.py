@@ -17,7 +17,8 @@ of :mod:`repro.coherence.protocol`.  Installs pass column values straight
 to :meth:`VersionedCache.install_slot`, and its victims come back as
 column values too, so an evicted version travels down the miss path (L1
 to LLC, LLC to memory or the overflow table) with no line object at any
-step (lint rule RL009 keeps it that way).
+step (lint rule RL009 keeps it that way).  :meth:`MemoryHierarchy._install`
+applies the section 5.4 eviction rules to those values in its own loop.
 
 System-wide invariants maintained here (and checked by the test suite):
 
@@ -55,7 +56,6 @@ from .protocol import (
 )
 from .states import (
     CODE_EXCLUSIVE,
-    CODE_INVALID,
     CODE_MODIFIED,
     CODE_NAMES,
     CODE_OWNED,
@@ -767,52 +767,42 @@ class MemoryHierarchy:
 
     def _install(self, cache: VersionedCache, base: int, code: int,
                  data: List[int], mod_vid: int, high_vid: int) -> int:
-        """Install a version from column values and handle its victims.
+        """Install a version from column values, then apply the eviction
+        rules to its victims' column values, in eviction order.
 
-        Returns the cache slot now holding the version.
+        Returns the cache slot now holding the version.  Every install,
+        including an L1 victim's move into its home LLC slice, goes
+        through here, so subclasses see each one.
         """
         slot, evicted = cache.install_slot(base, code, data, mod_vid,
                                            high_vid)
-        for victim in evicted:
-            self._handle_victim(cache, *victim)
+        for vcode, addr, vdata, vmod, vhigh in evicted:
+            if vcode <= CODE_EXCLUSIVE or vcode == CODE_SS:
+                # INVALID fallbacks, clean non-speculative lines and S-S
+                # peer copies leave silently at every level.
+                continue
+            if cache not in self._llc_group:
+                # L1 victim: moves down to the line's home LLC slice "as
+                # normal" (section 4.1) — the single shared L2 on a flat
+                # machine.  Its data list moves with it.
+                self._install(self._home_llc(addr), addr, vcode, vdata,
+                              vmod, vhigh)
+            elif vcode == CODE_MODIFIED or vcode == CODE_OWNED:
+                # Last-level cache victim: section 5.4 rules.
+                self.memory.write_line(addr, vdata)
+            elif vcode == CODE_SO and vmod == 0:
+                # The non-speculative backup may overflow to memory; the
+                # S-M assertion path of _fetch retrieves it if needed again.
+                self.stats.nonspec_overflows += 1
+                self.memory.write_line(addr, vdata)
+            elif self.overflow_table is not None:
+                # Section 8 extension: spill the speculative version into
+                # the memory-side table instead of aborting.
+                self.stats.spec_overflow_spills += 1
+                self.overflow_table.spill(vcode, addr, vdata, vmod, vhigh)
+            else:
+                raise SpeculativeOverflowError(
+                    f"speculative version {CODE_NAMES[vcode]}({vmod},"
+                    f"{vhigh}) of 0x{addr:x} evicted past the LLC",
+                    vid=vmod, addr=addr, cause=AbortCause.CAPACITY_OVERFLOW)
         return slot
-
-    def _handle_victim(self, cache: VersionedCache, code: int, addr: int,
-                       data: List[int], mod_vid: int, high_vid: int) -> None:
-        """Apply the eviction rules to one victim's column values."""
-        if code == CODE_INVALID:
-            return
-        if cache not in self._llc_group:
-            # L1 victim: S-S peer copies are silently droppable; clean
-            # non-speculative lines need no writeback; everything else moves
-            # down to the line's home LLC slice "as normal" (section 4.1) —
-            # the single shared L2 on a flat machine.  Its data list moves
-            # with it.
-            if code == CODE_SS or code == CODE_SHARED \
-                    or code == CODE_EXCLUSIVE:
-                return
-            self._install(self._home_llc(addr), addr, code, data, mod_vid,
-                          high_vid)
-            return
-        # Last-level cache victim: section 5.4 rules.
-        if code == CODE_MODIFIED or code == CODE_OWNED:
-            self.memory.write_line(addr, data)
-            return
-        if code == CODE_SHARED or code == CODE_EXCLUSIVE or code == CODE_SS:
-            return
-        if code == CODE_SO and mod_vid == 0:
-            # The non-speculative backup may overflow to memory; the S-M
-            # assertion path of _fetch retrieves it if needed again.
-            self.stats.nonspec_overflows += 1
-            self.memory.write_line(addr, data)
-            return
-        if self.overflow_table is not None:
-            # Section 8 extension: spill the speculative version into the
-            # memory-side table instead of aborting.
-            self.stats.spec_overflow_spills += 1
-            self.overflow_table.spill(code, addr, data, mod_vid, high_vid)
-            return
-        raise SpeculativeOverflowError(
-            f"speculative version {CODE_NAMES[code]}({mod_vid},"
-            f"{high_vid}) of 0x{addr:x} evicted past the LLC",
-            vid=mod_vid, addr=addr, cause=AbortCause.CAPACITY_OVERFLOW)

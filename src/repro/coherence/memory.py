@@ -35,14 +35,14 @@ class MainMemory:
     _lines: Dict[int, List[int]] = field(default_factory=dict, init=False)
     reads: int = field(default=0, init=False)
     writebacks: int = field(default=0, init=False)
+    #: Words in one line, fixed by the geometry (read on every fill and
+    #: writeback, so computed once).
+    words_per_line: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.line_size % self.word_size:
             raise ValueError("line size must be a multiple of word size")
-
-    @property
-    def words_per_line(self) -> int:
-        return self.line_size // self.word_size
+        self.words_per_line = self.line_size // self.word_size
 
     def line_addr(self, addr: int) -> int:
         """Base address of the line containing byte address ``addr``."""

@@ -46,17 +46,13 @@ class OverflowVersionTable(VersionedCache):
         super().__init__(
             name="OverflowTable",
             size=capacity * line_size,
-            assoc=capacity,               # one set: fully associative
+            assoc=capacity,     # one set, index 0 for every line
             line_size=line_size,
             hit_latency=memory_latency + TABLE_MANAGEMENT_CYCLES,
             vid_bits=vid_bits,
         )
         self.spills = 0
         self.refills = 0
-
-    def set_index(self, addr: int) -> int:
-        """Single-set (software hash) organisation."""
-        return 0
 
     def spill(self, code: int, addr: int, data: List[int], mod_vid: int,
               high_vid: int) -> None:

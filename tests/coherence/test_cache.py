@@ -172,6 +172,68 @@ class TestVictimSelection:
         assert evict(cache, line(0xC0, State.EXCLUSIVE)) == \
             ((CODE_EXCLUSIVE, 0x80, [0] * 8, 0, 0),)
 
+    def test_full_set_install_takes_the_victims_slot(self):
+        """The new version moves into the victim's slot in place; the
+        free list (here holding a slot freed in another set) is untouched."""
+        cache = make_cache(assoc=2, sets=2)
+        victim, _ = cache.install_slot(0x00, CODE_EXCLUSIVE, [0] * 8, 0, 0)
+        install(cache, line(0x80, State.EXCLUSIVE))     # same set as 0x00
+        install(cache, line(0x40, State.EXCLUSIVE))     # the other set
+        cache.drop(cache.lookup(0x40, 0))
+        free = list(cache._store.free_slots)
+        assert free
+        slot, evicted = cache.install_slot(0x100, CODE_EXCLUSIVE, [1] * 8,
+                                           0, 0)
+        assert [v[:2] for v in evicted] == [(CODE_EXCLUSIVE, 0x00)]
+        assert slot == victim
+        assert cache._store.free_slots == free
+        assert cache.lookup(0x100, 0).data == [1] * 8
+        cache.check_index_integrity()
+
+    def test_class_order_then_lru(self):
+        """E, M, S-S, S-O(0,h) and S-M leave in class order, each class
+        by LRU tick, however the ticks run against the classes."""
+        resident = [  # (addr, state, mod, high, lru tick)
+            (0x000, State.EXCLUSIVE, 0, 0, 7),
+            (0x040, State.EXCLUSIVE, 0, 0, 6),
+            (0x080, State.MODIFIED, 0, 0, 5),
+            (0x0C0, State.SS, 1, 2, 4),
+            (0x100, State.SO, 0, 2, 3),
+            (0x140, State.SM, 2, 2, 2),
+            (0x180, State.SM, 1, 1, 1),
+        ]
+        cache = make_cache(assoc=len(resident), sets=1)
+        for addr, state, mod, high, tick in resident:
+            view = cache._inject_line(addr, state.code, [0] * 8, mod, high,
+                                      epoch=cache._epoch)
+            cache._store.lru_tick[view.slot] = tick
+        cache._tick = len(resident)     # newcomers tick later than all
+        order = []
+        for i in range(len(resident)):
+            # Pinned newcomers (S-M, later ticks) never outrank a resident.
+            evicted = evict(cache, line(0x1000 + i * 64, State.SM, 8 + i,
+                                        8 + i))
+            order.extend(addr for _, addr, *_ in evicted)
+        assert order == [0x040, 0x000, 0x080, 0x0C0, 0x100, 0x180, 0x140]
+
+    def test_invalid_chosen_only_when_the_whole_set_is_invalid(self):
+        cache = make_cache(assoc=2, sets=1)
+        cache._inject_line(0x00, CODE_INVALID, [0] * 8, epoch=cache._epoch)
+        install(cache, line(0x40, State.EXCLUSIVE))
+        # The INVALID slot is older and in the lowest class, yet skipped.
+        evicted = evict(cache, line(0x80, State.EXCLUSIVE))
+        assert [v[:2] for v in evicted] == [(CODE_EXCLUSIVE, 0x40)]
+        assert cache.stats.evictions == 1
+
+        cache = make_cache(assoc=2, sets=1)
+        for addr in (0x00, 0x40):
+            cache._inject_line(addr, CODE_INVALID, [0] * 8,
+                               epoch=cache._epoch)
+        evicted = evict(cache, line(0x80, State.EXCLUSIVE))
+        # The set's first slot goes, and is not counted as an eviction.
+        assert [v[:2] for v in evicted] == [(CODE_INVALID, 0x00)]
+        assert cache.stats.evictions == 0
+
 
 class TestLazyCommitAbort:
     def test_commit_broadcast_is_o1(self):

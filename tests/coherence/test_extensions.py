@@ -96,6 +96,27 @@ class TestUnboundedSets:
         assert table.spills == 3
         assert table.resident_versions() == 2
 
+    def test_table_is_one_set_for_lines_of_every_llc_set(self):
+        """Spilled versions of lines from every LLC set share the table's
+        single set, and each refills with its own data."""
+        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        lines = [0x10000 + i * 64 for i in range(40)]
+        for i, addr in enumerate(lines):
+            h.store(0, addr, 2, 500 + i)
+        table = h.overflow_table
+        llc = h.llc_slices[0]
+        spilled = sorted(table._by_base)
+        assert len(spilled) > 20
+        assert {llc.set_index(addr) for addr in spilled} == \
+            set(range(llc.num_sets))
+        assert list(table._sets) == [0]
+        assert sorted(table._store.addr[slot]
+                      for slot in table._sets[0]) == spilled
+        for i, addr in enumerate(lines):
+            assert h.load(1, addr, 3)[0] == 500 + i
+        assert table.refills >= len(spilled)
+        h.check_invariants()
+
     def test_workload_runs_on_tiny_caches_with_unbounded_sets(self):
         config = MachineConfig(num_cores=4, l1_size=4 * 1024, l1_assoc=4,
                                l2_size=32 * 1024, l2_assoc=8,

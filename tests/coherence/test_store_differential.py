@@ -35,13 +35,17 @@ POOL = [0x4000 + i * 64 for i in range(10)]
 #: 4 sets x 2 ways keeps both caches under perpetual replacement pressure.
 GEOMETRY = dict(size=4 * 2 * 64, assoc=2, line_size=64)
 
+#: One-set geometries: every way competes for every line, at the
+#: capacity-hog LLC's 4 ways and on either side of it.
+ONE_SET_WAYS = (2, 4, 8)
+
 #: Everything installable; INVALID lines never arrive via install().
 INSTALLABLE = [s for s in State if s is not State.INVALID]
 
 
-def make_pair():
-    legacy = LegacyVersionedCache("legacy", **GEOMETRY)
-    soa = VersionedCache("soa", **GEOMETRY)
+def make_pair(geometry=GEOMETRY):
+    legacy = LegacyVersionedCache("legacy", **geometry)
+    soa = VersionedCache("soa", **geometry)
     return legacy, soa
 
 
@@ -51,10 +55,21 @@ def canon(line):
             tuple(line.data), line.seen_aborts, line.lru_tick, line.epoch)
 
 
+def set_orders(cache):
+    """Each set's versions as ``(addr, state, modVID, highVID)`` in
+    set-list order, the order victim selection breaks ties in."""
+    orders = {}
+    for line in cache.all_lines():
+        orders.setdefault(cache.set_index(line.addr), []).append(
+            (line.addr, line.state.name, line.mod_vid, line.high_vid))
+    return orders
+
+
 def snapshot(cache):
     """Full observable state, comparable across the two implementations."""
     return {
         "lines": sorted(canon(line) for line in cache.all_lines()),
+        "set_orders": set_orders(cache),
         "stats": cache.stats,
         "lc_vid": cache.lc_vid,
         "abort_history": list(cache._abort_history),
@@ -147,15 +162,27 @@ def run_op(cache, op):
         return ("two-version-hit", None)
 
 
+def lockstep(seed, geometry=GEOMETRY):
+    """Drive both caches through one op stream, comparing every step."""
+    legacy, soa = make_pair(geometry)
+    for step, op in enumerate(op_stream(seed)):
+        assert run_op(legacy, op) == run_op(soa, op), (seed, step, op)
+        assert snapshot(legacy) == snapshot(soa), (seed, step, op)
+        legacy.check_index_integrity()
+        soa.check_index_integrity()
+    return soa
+
+
 class TestRandomizedDifferential:
     @pytest.mark.parametrize("seed", range(8))
     def test_lockstep_sequences(self, seed):
-        legacy, soa = make_pair()
-        for step, op in enumerate(op_stream(seed)):
-            assert run_op(legacy, op) == run_op(soa, op), (seed, step, op)
-            assert snapshot(legacy) == snapshot(soa), (seed, step, op)
-            legacy.check_index_integrity()
-            soa.check_index_integrity()
+        lockstep(seed)
+
+    @pytest.mark.parametrize("ways", ONE_SET_WAYS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lockstep_sequences_one_set(self, seed, ways):
+        soa = lockstep(seed, dict(size=ways * 64, assoc=ways, line_size=64))
+        assert soa.stats.evictions > 0
 
     def test_sequences_exercise_every_operation(self):
         kinds = {op[0] for seed in range(8) for op in op_stream(seed)}
