@@ -16,7 +16,7 @@ Run:  python examples/protocol_tour.py
 
 from repro.coherence import HierarchyConfig, MemoryHierarchy
 from repro.errors import MisspeculationError
-from repro.trace import ProtocolTracer, format_address_history
+from repro.obs.trace import ProtocolTracer, format_address_history
 
 ADDR = 0xA000
 

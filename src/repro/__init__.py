@@ -33,7 +33,6 @@ __version__ = "1.0.0"
 
 from .errors import (
     MisspeculationError,
-    ProtocolError,
     ReproError,
     SpeculativeOverflowError,
     TransactionUsageError,
@@ -41,7 +40,6 @@ from .errors import (
 
 __all__ = [
     "MisspeculationError",
-    "ProtocolError",
     "ReproError",
     "SpeculativeOverflowError",
     "TransactionUsageError",

@@ -174,7 +174,7 @@ def _record_sweep_timing(path: pathlib.Path, args, scale: float,
 def _cmd_run(args) -> int:
     from .experiments.engine import RunRequest, run_request
     from .obs.tap import Tap
-    from .trace import ProtocolTracer, format_summary
+    from .obs.trace import ProtocolTracer, format_summary
 
     request = RunRequest(workload=args.benchmark, system=args.system,
                          scale=args.scale)

@@ -1,7 +1,7 @@
 """Offline race/ordering detector over recorded MTX trace event streams.
 
-Input is a :class:`~repro.trace.events.TraceEvent` sequence as recorded by
-:class:`~repro.trace.capture.BackendTracer` (any registered backend) —
+Input is a :class:`~repro.obs.trace.TraceEvent` sequence as recorded by
+:class:`~repro.obs.trace.BackendTracer` (any registered backend) —
 architectural loads/stores with values, commits, aborts, VID resets.  The
 detector rebuilds the VID happens-before order and *replays* the paper's
 MTX memory semantics over it:
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from ..trace.events import TraceEvent
+from ..obs.trace import TraceEvent
 from .findings import SEVERITY_ERROR, Finding, PassReport
 
 #: Word granularity of value replay; matches

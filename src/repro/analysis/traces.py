@@ -2,7 +2,7 @@
 
 This is the dynamic half of ``python -m repro analyze``: for each
 ``(backend, workload)`` pair a fresh system is built, a
-:class:`~repro.trace.capture.BackendTracer` attached, the workload run
+:class:`~repro.obs.trace.BackendTracer` attached, the workload run
 under its Table 1 paradigm, and the recorded event stream handed to
 :func:`~repro.analysis.racecheck.check_trace`.  Every registered backend
 (hmtx / smtx / oracle / any future plugin) must produce a clean trace —
@@ -18,7 +18,7 @@ from ..backends import backend_names
 from ..coherence.memory import DEFAULT_WORD_SIZE
 from ..obs.tap import Tap
 from ..runtime.paradigms import run_workload
-from ..trace.capture import BackendTracer
+from ..obs.trace import BackendTracer
 from ..workloads import executor_factory_for, make_benchmark
 from ..workloads.suite import BENCHMARK_NAMES
 from .findings import SEVERITY_ERROR, Finding, PassReport
@@ -85,10 +85,10 @@ def racecheck_backends(backends: Optional[Sequence[str]] = None,
             for key in ("events", "loads_checked", "stores", "commits",
                         "aborts", "violations"):
                 totals[key] += sub.coverage[key]
-            if tracer.dropped_events:
+            if tracer.dropped:
                 merged.findings.append(Finding(
                     "RC000", SEVERITY_ERROR, label,
-                    f"trace ring overflowed: {tracer.dropped_events} oldest "
+                    f"trace ring overflowed: {tracer.dropped} oldest "
                     "events evicted — the replay window is partial",
                     "raise BackendTracer capacity or lower the scale"))
             observed = workload.observed_result(result.system)

@@ -53,14 +53,6 @@ class SpeculativeOverflowError(MisspeculationError):
     """
 
 
-class ProtocolError(ReproError):
-    """An internal invariant of the coherence protocol was violated.
-
-    These indicate simulator bugs (e.g. two versions hitting one VID), not
-    program misspeculation, and are never caught by recovery code.
-    """
-
-
 class TransactionUsageError(ReproError):
     """The HMTX ISA was used incorrectly (e.g. out-of-order commit)."""
 

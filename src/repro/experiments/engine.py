@@ -160,7 +160,11 @@ class RunRecord:
 
     def power_profile(self, commit_process: bool = False,
                       hmtx_active: bool = False) -> RunProfile:
-        """Activity profile for the McPAT model (was profile_from_result)."""
+        """Activity profile for the McPAT model.
+
+        ``commit_process``: add the SMTX commit process as one more core,
+        busy for its recorded cycles (the whole run when none are recorded).
+        """
         cycles = max(1, self.cycles)
         busy = {tid: min(1.0, clock / cycles)
                 for tid, clock in self.thread_clocks.items()}
@@ -451,9 +455,6 @@ class SweepEngine:
 
     def run_spec(self, spec: SweepSpec) -> List[RunRecord]:
         return self.run(spec.requests)
-
-    def cached(self, request: RunRequest) -> Optional[RunRecord]:
-        return self._cache.get(request.key())
 
 
 def scaled(spec: SweepSpec, scale: float) -> SweepSpec:

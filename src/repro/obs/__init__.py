@@ -11,6 +11,8 @@ Three coordinated layers over one recorded run:
 
 exported via :mod:`repro.obs.export` as Chrome trace-event JSON or a
 terminal Gantt, and surfaced as ``python -m repro obs``.
+:mod:`repro.obs.trace` records a run's MTX events one by one, at the
+backend surface (for the race checker) or in the coherence protocol.
 
 On top of the per-run digest sits the **regression observatory**:
 :mod:`repro.obs.history` (cross-run content-addressed digest store),
@@ -46,6 +48,12 @@ _LAZY = {
     "write_chrome_trace": ("export", "write_chrome_trace"),
     "validate_trace": ("export", "validate_trace"),
     "render_gantt": ("export", "render_gantt"),
+    "TraceEvent": ("trace", "TraceEvent"),
+    "BackendTracer": ("trace", "BackendTracer"),
+    "ProtocolTracer": ("trace", "ProtocolTracer"),
+    "format_trace": ("trace", "format_trace"),
+    "format_address_history": ("trace", "format_address_history"),
+    "format_summary": ("trace", "format_summary"),
 }
 
 __all__ = ["hooks"] + sorted(_LAZY)

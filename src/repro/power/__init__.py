@@ -1,13 +1,7 @@
 """McPAT/CACTI-style area, power, and energy model (Table 3)."""
 
 from .cacti import MBIT, SramEstimate, TechnologyNode, cache_arrays, sram_array
-from .mcpat import (
-    AreaBreakdown,
-    McPatModel,
-    PowerReport,
-    RunProfile,
-    profile_from_result,
-)
+from .mcpat import AreaBreakdown, McPatModel, PowerReport, RunProfile
 
 __all__ = [
     "AreaBreakdown",
@@ -18,6 +12,5 @@ __all__ = [
     "SramEstimate",
     "TechnologyNode",
     "cache_arrays",
-    "profile_from_result",
     "sram_array",
 ]

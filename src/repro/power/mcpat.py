@@ -199,28 +199,3 @@ class McPatModel:
             seconds=self.machine.cycles_to_seconds(profile.cycles),
         )
 
-
-def profile_from_result(result, commit_process: bool = False,
-                        hmtx_active: bool = False) -> RunProfile:
-    """Build a :class:`RunProfile` from a ParadigmResult.
-
-    ``commit_process``: add one fully-busy core (the SMTX commit process).
-    """
-    cycles = max(1, result.cycles)
-    busy = {}
-    for tid, clock in result.run.thread_clocks.items():
-        busy[tid] = min(1.0, clock / cycles)
-    if commit_process:
-        commit_cycles = result.extra.get("commit_process_cycles", cycles)
-        busy["commit"] = min(1.0, commit_cycles / cycles)
-    hier_stats = getattr(result.system.hierarchy, "stats", None)
-    if hier_stats is not None and hasattr(hier_stats, "loads"):
-        l1 = hier_stats.loads + hier_stats.stores
-        l2 = hier_stats.bus_snoops + hier_stats.memory_fetches
-    else:
-        timing = getattr(result.system, "timing", None)
-        l1 = timing.stats.loads + timing.stats.stores if timing else 0
-        l2 = timing.stats.bus_snoops if timing else 0
-    return RunProfile(cycles=cycles, busy_fractions=busy,
-                      l1_accesses=l1, l2_accesses=l2,
-                      hmtx_active=hmtx_active)

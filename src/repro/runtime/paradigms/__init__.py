@@ -44,7 +44,6 @@ from .registry import (  # noqa: F401
     PARADIGMS,
     ParadigmRunner,
     get_paradigm,
-    paradigm_names,
     register_paradigm,
     run_workload,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "fresh_system",
     "get_paradigm",
     "make_scheduler",
-    "paradigm_names",
     "register_paradigm",
     "run_doacross",
     "run_doall",

@@ -9,7 +9,7 @@ name picks it up.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from ...core.config import MachineConfig
 from ...workloads.base import Workload
@@ -43,10 +43,6 @@ def get_paradigm(name: str) -> ParadigmRunner:
         raise ValueError(f"unknown paradigm {name!r}; "
                          f"choose from {sorted(PARADIGMS)}")
     return PARADIGMS[name]
-
-
-def paradigm_names() -> Tuple[str, ...]:
-    return tuple(sorted(PARADIGMS))
 
 
 def run_workload(workload: Workload, config: Optional[MachineConfig] = None,

@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 from ..cpu.branch import CalibratedPredictor
 from ..cpu.core_model import CoreExecutor
 from ..cpu.isa import Branch
-from .base import Fragment
 
 LINE = 64
 WORD = 8
@@ -73,7 +72,7 @@ _BRANCH_NOT_TAKEN = Branch(taken=False)
 
 
 def branch_op(rng: Lcg, wrong_path: Tuple[int, ...] = ()) -> Branch:
-    """One data-dependent branch op (the single-branch ``branch_burst``).
+    """One data-dependent branch op.
 
     Returning the op instead of yielding it lets hot workload bodies do
     ``yield branch_op(rng)`` without spinning up a subgenerator per burst.
@@ -82,19 +81,6 @@ def branch_op(rng: Lcg, wrong_path: Tuple[int, ...] = ()) -> Branch:
     if wrong_path:
         return Branch(taken=taken, wrong_path_loads=wrong_path)
     return _BRANCH_TAKEN if taken else _BRANCH_NOT_TAKEN
-
-
-def branch_burst(count: int, rng: Lcg,
-                 wrong_path: Tuple[int, ...] = ()) -> Fragment:
-    """Emit ``count`` data-dependent branches.
-
-    Outcomes follow a pseudo-random pattern so the calibrated predictor's
-    misprediction stream is exercised; each branch carries the same
-    wrong-path load set (typically a line a logically-earlier transaction
-    still has to write — the section 5.1 hazard).
-    """
-    for _ in range(count):
-        yield branch_op(rng, wrong_path)
 
 
 def calibrated_executor_factory(mispredict_rate: float, seed: int = 0xFACE):

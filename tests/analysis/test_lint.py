@@ -426,7 +426,7 @@ class TestOneTap:
             """
         assert lint(source, rel="repro/obs/tap.py") == []
         for rel in ("repro/experiments/phase_profile.py",
-                    "repro/trace/capture.py"):
+                    "repro/obs/trace.py"):
             assert rules_of(lint(source, rel=rel)) == ["RL010", "RL010"]
 
     def test_lint_ok_with_reason_suppresses(self):

@@ -10,7 +10,7 @@ import pytest
 from repro.analysis.racecheck import check_trace
 from repro.analysis.traces import capture_trace, racecheck_backends
 from repro.backends import backend_names
-from repro.trace.events import TraceEvent
+from repro.obs.trace import TraceEvent
 
 WORD = 0x1000
 

@@ -3,9 +3,12 @@
 This is the seed's ``repro.coherence.cache.VersionedCache`` (commit
 53c92f4, before the struct-of-arrays line store of DESIGN.md section 13)
 with only mechanical changes: absolute imports, the class renamed to
-:class:`LegacyVersionedCache`, and ``CacheStats`` / ``victim_priority``
-imported from the live module instead of duplicated (they are unchanged,
-and sharing the dataclass makes ``stats`` directly comparable).
+:class:`LegacyVersionedCache`, ``CacheStats`` imported from the live
+module instead of duplicated (sharing the dataclass makes ``stats``
+directly comparable), and the ``State``-typed rules and ``CacheLine``
+record taken from the test-side :mod:`.state_rules` adapters and
+:mod:`.legacy_line`, since the simulator works on state codes and slot
+columns.
 
 It exists so ``test_store_differential.py`` can drive the old object model
 and the new slot arena through identical operation sequences and assert
@@ -17,16 +20,18 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.coherence.cache import CacheStats, victim_priority
-from repro.coherence.line import CacheLine
-from repro.coherence.protocol import (
+from repro.coherence.cache import CacheStats
+from repro.coherence.states import State
+from repro.coherence.vid import CascadedComparator
+
+from .legacy_line import CacheLine
+from .state_rules import (
     abort_transition,
     commit_transition,
     reset_transition,
     version_hits,
+    victim_priority,
 )
-from repro.coherence.states import State
-from repro.coherence.vid import CascadedComparator
 
 
 class LegacyVersionedCache:

@@ -4,9 +4,9 @@ The simulator keeps one rule set, on integer state codes
 (:mod:`repro.coherence.protocol`).  Tests written against the paper's
 ``State`` vocabulary — ``read_transition(State.SM, ...) == (State.SM,
 (m, h))`` — go through these thin adapters, so every assertion exercises
-the code-level rules the simulator runs.  They also supply the names the
-frozen object-model oracle (``legacy_store.py``) imports; see
-``conftest.py``.  :func:`install` and :func:`inject` turn the oracle's
+the code-level rules the simulator runs.  They also supply the rules
+the frozen object-model oracle (``legacy_store.py``) imports.
+:func:`install` and :func:`inject` turn the oracle's
 ``CacheLine`` records into the column values the slot-arena cache takes
 and hands back.
 """

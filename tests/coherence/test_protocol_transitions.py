@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.trace.events import ProtocolTracer
+from repro.obs.trace import ProtocolTracer
 from repro.coherence.protocol import (
     WRITE_ABORT,
     WRITE_IN_PLACE,

@@ -173,6 +173,18 @@ def lockstep(seed, geometry=GEOMETRY):
     return soa
 
 
+def test_oracle_leaves_the_simulator_modules_alone():
+    """The oracle takes its ``State``-typed rules and ``CacheLine`` from
+    the test side; no simulator module carries those names."""
+    from repro.coherence import cache, line, protocol
+
+    for name in ("version_hits", "commit_transition", "abort_transition",
+                 "reset_transition"):
+        assert not hasattr(protocol, name), name
+    assert not hasattr(cache, "victim_priority")
+    assert not hasattr(line, "CacheLine")
+
+
 class TestRandomizedDifferential:
     @pytest.mark.parametrize("seed", range(8))
     def test_lockstep_sequences(self, seed):

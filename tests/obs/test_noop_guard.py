@@ -33,7 +33,7 @@ from repro.obs.session import ObsSession
 from repro.obs.tap import Tap
 from repro.runtime.paradigms import run_ps_dswp
 from repro.runtime.scheduler import Scheduler
-from repro.trace import BackendTracer, ProtocolTracer
+from repro.obs.trace import BackendTracer, ProtocolTracer
 from repro.txctl import ContentionManager, make_policy
 from repro.workloads.contended import HighContentionListWorkload
 

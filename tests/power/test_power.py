@@ -3,16 +3,14 @@
 import pytest
 
 from repro.core import MachineConfig
+from repro.experiments.engine import RunRequest, run_request, snapshot
 from repro.power import (
     McPatModel,
     RunProfile,
     TechnologyNode,
     cache_arrays,
-    profile_from_result,
     sram_array,
 )
-from repro.runtime.paradigms import run_ps_dswp, run_sequential
-from repro.workloads.linkedlist import LinkedListWorkload
 
 
 class TestSramModel:
@@ -126,24 +124,33 @@ class TestDynamicPower:
             (report.leakage_w + report.dynamic_w) * report.seconds)
 
 
+def run_record(system):
+    """The plain-data record of one small contended-list run."""
+    request = RunRequest(workload="contended-list", system=system,
+                         scale=0.25)
+    workload, result = run_request(request)
+    return snapshot(request, workload, result, wall_seconds=0.0)
+
+
 class TestProfileExtraction:
     def test_sequential_profile_one_core(self):
-        result = run_sequential(LinkedListWorkload(nodes=12))
-        profile = profile_from_result(result)
+        profile = run_record("sequential").power_profile()
         assert sum(profile.busy_fractions.values()) == pytest.approx(1.0)
-        assert profile.l1_accesses > 0
+        assert profile.l1_accesses > 0 and profile.l2_accesses > 0
 
     def test_parallel_profile_many_cores(self):
-        result = run_ps_dswp(LinkedListWorkload(nodes=12))
-        profile = profile_from_result(result, hmtx_active=True)
+        profile = run_record("hmtx").power_profile(hmtx_active=True)
         assert len(profile.busy_fractions) == 4
+        assert all(0 < busy <= 1 for busy in profile.busy_fractions.values())
         assert profile.hmtx_active
 
     def test_commit_process_adds_busy_core(self):
-        result = run_sequential(LinkedListWorkload(nodes=12))
-        with_commit = profile_from_result(result, commit_process=True)
-        plain = profile_from_result(result)
+        record = run_record("smtx-minimal")
+        with_commit = record.power_profile(commit_process=True)
+        plain = record.power_profile()
         assert len(with_commit.busy_fractions) == len(plain.busy_fractions) + 1
+        assert with_commit.busy_fractions["commit"] == pytest.approx(
+            record.commit_process_cycles / record.cycles)
 
 
 class TestEnergyStory:

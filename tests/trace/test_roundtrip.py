@@ -12,7 +12,7 @@ from repro.coherence.hierarchy import MemoryHierarchy
 from repro.core import HMTXSystem, MachineConfig
 from repro.obs.session import ObsSession
 from repro.runtime.paradigms import run_workload
-from repro.trace import BackendTracer, ProtocolTracer
+from repro.obs.trace import BackendTracer, ProtocolTracer
 from repro.workloads import make_benchmark
 
 #: The hierarchy methods a protocol tracer observes.

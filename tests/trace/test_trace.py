@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import HMTXSystem, MachineConfig
 from repro.errors import MisspeculationError
-from repro.trace import (
+from repro.obs.trace import (
     ProtocolTracer,
     format_address_history,
     format_summary,
@@ -91,7 +91,9 @@ class TestTracer:
         for i in range(20):
             system.store(0, ADDR + i * 64, 0, i)
         assert len(tracer.events) == 5
-        assert tracer.dropped > 0
+        # The ring keeps the most recent events: the last store's.
+        assert tracer.dropped == tracer.events[-1].seq - 5
+        assert tracer.events[-1].addr == ADDR + 19 * 64
         tracer.detach()
 
     def test_sla_flag_traced(self, traced_system):
