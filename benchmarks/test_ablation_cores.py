@@ -10,14 +10,15 @@ section 8 path instead: a 2-socket directory machine with sliced LLCs
 from conftest import run_once
 
 from repro.core import MachineConfig
-from repro.runtime import run_ps_dswp, run_sequential
+from repro.runtime import run_workload
 from repro.workloads import LinkedListWorkload
 
 
 def _run_pair(config: MachineConfig) -> float:
-    seq = run_sequential(LinkedListWorkload(nodes=48, work_cycles=600))
+    seq = run_workload(LinkedListWorkload(nodes=48, work_cycles=600),
+                       paradigm="Sequential")
     workload = LinkedListWorkload(nodes=48, work_cycles=600)
-    par = run_ps_dswp(workload, config)
+    par = run_workload(workload, config, paradigm="PS-DSWP")
     assert workload.observed_result(par.system) == \
         workload.expected_result(par.system)
     return seq.cycles / par.cycles

@@ -11,7 +11,7 @@ from conftest import run_once
 
 from repro.core import MachineConfig
 from repro.errors import ReproError
-from repro.runtime import run_ps_dswp, run_sequential
+from repro.runtime import run_workload
 from repro.workloads import Bzip2Workload
 
 TINY_CACHES = dict(l1_size=2 * 1024, l1_assoc=4, l2_size=8 * 1024, l2_assoc=8)
@@ -22,7 +22,7 @@ def _run(unbounded: bool):
                            **TINY_CACHES)
     workload = Bzip2Workload(iterations=4, block_lines=32)
     try:
-        result = run_ps_dswp(workload, config)
+        result = run_workload(workload, config, paradigm="PS-DSWP")
     except ReproError:
         return workload, None
     return workload, result

@@ -7,7 +7,7 @@ Measures throughput across queue depths.
 
 from conftest import run_once
 
-from repro.runtime import paradigms, run_ps_dswp
+from repro.runtime import paradigms, run_workload
 from repro.workloads import LinkedListWorkload
 
 
@@ -16,7 +16,7 @@ def _cycles_with_throttle(max_live: int) -> int:
     paradigms.base._MAX_LIVE_TRANSACTIONS = max_live
     try:
         workload = LinkedListWorkload(nodes=48, work_cycles=300)
-        result = run_ps_dswp(workload)
+        result = run_workload(workload, paradigm="PS-DSWP")
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
         return result.cycles, result.system.stats.aborted

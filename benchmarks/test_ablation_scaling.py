@@ -8,16 +8,17 @@ cores."  Measures PS-DSWP speedup at 4/8/16 cores under both organisations.
 from conftest import run_once
 
 from repro.core import MachineConfig
-from repro.runtime import run_ps_dswp, run_sequential
+from repro.runtime import run_workload
 from repro.workloads import LinkedListWorkload
 
 
 def _speedup(coherence: str, num_cores: int) -> float:
-    seq = run_sequential(LinkedListWorkload(nodes=64, work_cycles=900))
+    seq = run_workload(LinkedListWorkload(nodes=64, work_cycles=900),
+                       paradigm="Sequential")
     workload = LinkedListWorkload(nodes=64, work_cycles=900)
-    result = run_ps_dswp(workload,
-                         MachineConfig(num_cores=num_cores, coherence=coherence),
-                         stage2_workers=num_cores - 2)
+    result = run_workload(
+        workload, MachineConfig(num_cores=num_cores, coherence=coherence),
+        paradigm="PS-DSWP", stage2_workers=num_cores - 2)
     assert workload.observed_result(result.system) == \
         workload.expected_result(result.system)
     return seq.cycles / result.cycles

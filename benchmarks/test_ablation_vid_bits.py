@@ -8,13 +8,14 @@ from conftest import run_once
 
 from repro.core import MachineConfig
 from repro.power import McPatModel
-from repro.runtime import run_ps_dswp
+from repro.runtime import run_workload
 from repro.workloads import LinkedListWorkload
 
 
 def _cycles_for_bits(bits: int) -> tuple:
     workload = LinkedListWorkload(nodes=60, work_cycles=200)
-    result = run_ps_dswp(workload, MachineConfig(vid_bits=bits))
+    result = run_workload(workload, MachineConfig(vid_bits=bits),
+                          paradigm="PS-DSWP")
     assert workload.observed_result(result.system) == \
         workload.expected_result(result.system)
     return result.cycles, result.system.vid_space.resets

@@ -23,7 +23,7 @@ Run:  python examples/auto_parallelize.py
 """
 
 from repro.compiler import Loop, compile_loop, plan_pipeline
-from repro.runtime import run_ps_dswp, run_sequential
+from repro.runtime import run_workload
 from repro.smtx import ValidationMode, run_smtx
 
 
@@ -75,10 +75,11 @@ def main() -> None:
     print(plan.describe())
 
     print("\n=== Running the generated pipeline ===\n")
-    seq = run_sequential(compile_loop(build_loop()))
+    seq = run_workload(compile_loop(build_loop()), paradigm="Sequential")
     rows = [("Sequential", seq, compile_loop(build_loop()))]
     hmtx_workload = compile_loop(build_loop())
-    rows.append(("Auto-parallel on HMTX", run_ps_dswp(hmtx_workload),
+    rows.append(("Auto-parallel on HMTX",
+                 run_workload(hmtx_workload, paradigm="PS-DSWP"),
                  hmtx_workload))
     smtx_workload = compile_loop(build_loop())
     rows.append(("Auto-parallel on SMTX (max val.)",
@@ -93,7 +94,7 @@ def main() -> None:
 
     print("\n=== The speculated dependence manifests ===\n")
     workload = compile_loop(build_loop(manifest=True))
-    result = run_ps_dswp(workload)
+    result = run_workload(workload, paradigm="PS-DSWP")
     ok = workload.observed_result(result.system) == \
         workload.expected_result(result.system)
     print(f"aborts: {result.system.stats.aborted}, "

@@ -15,7 +15,7 @@ Run:  python examples/log_pipeline.py
 """
 
 from repro.cpu.isa import Branch, Load, Store, Work
-from repro.runtime import run_doacross, run_ps_dswp, run_sequential
+from repro.runtime import run_workload
 from repro.smtx import ValidationMode, run_smtx
 from repro.workloads import Lcg, Region
 from repro.workloads.pipeline import PipelinedBenchmark
@@ -90,9 +90,12 @@ def main():
     runs = {}
     baseline = None
     for label, runner in [
-        ("Sequential", lambda w: run_sequential(w)),
-        ("DOACROSS (4 threads)", lambda w: run_doacross(w)),
-        ("PS-DSWP on HMTX (max validation)", lambda w: run_ps_dswp(w)),
+        ("Sequential",
+         lambda w: run_workload(w, paradigm="Sequential")),
+        ("DOACROSS (4 threads)",
+         lambda w: run_workload(w, paradigm="DOACROSS")),
+        ("PS-DSWP on HMTX (max validation)",
+         lambda w: run_workload(w, paradigm="PS-DSWP")),
         ("PS-DSWP on SMTX (minimal sets)",
          lambda w: run_smtx(w, mode=ValidationMode.MINIMAL)),
         ("PS-DSWP on SMTX (maximal sets)",

@@ -19,7 +19,7 @@ from repro.cpu import InterruptInjector
 from repro.errors import MisspeculationError
 from repro.experiments import format_fig1, run_fig1
 from repro.core import HMTXSystem, MachineConfig
-from repro.runtime import run_ps_dswp
+from repro.runtime import run_workload
 from repro.workloads import LinkedListWorkload
 
 
@@ -32,11 +32,11 @@ def part1_paradigms():
 def part2_interrupts():
     print("=== Part 2: transactions survive interrupts (section 5.2) ===\n")
     workload = LinkedListWorkload(nodes=32)
-    quiet = run_ps_dswp(workload)
+    quiet = run_workload(workload, paradigm="PS-DSWP")
     workload2 = LinkedListWorkload(nodes=32)
-    noisy = run_ps_dswp(workload2,
-                        interrupts=InterruptInjector(period=2000,
-                                                     handler_accesses=8))
+    noisy = run_workload(
+        workload2, paradigm="PS-DSWP",
+        interrupts=InterruptInjector(period=2000, handler_accesses=8))
     ok = workload2.observed_result(noisy.system) == \
         workload2.expected_result(noisy.system)
     injector_fired = noisy.cycles > quiet.cycles

@@ -27,7 +27,9 @@ Three coordinated static/dynamic analysis passes, all reachable through
     2-socket mirror symmetry, and checks the global rules EX001
     (serializability), EX002 (no lost updates), EX003 (directory-cache
     agreement on every reachable state), EX004 (liveness).  Violations
-    are delta-debugged into replayable counterexample artifacts.
+    are delta-debugged into replayable counterexample artifacts.  It
+    pulls in the full coherence stack, so this package does not import
+    it: use :mod:`repro.analysis.explore` directly.
 
 See DESIGN.md sections 10 and 15 for the rule catalogs and
 counterexample formats.
@@ -45,17 +47,7 @@ __all__ = [
     "PassReport",
     "check_protocol",
     "check_trace",
-    "explore_pass",
     "lint_paths",
     "lint_source",
-    "replay_counterexample",
 ]
 
-
-def __getattr__(name):
-    # PEP 562 lazy exports: the explorer pulls in the full coherence
-    # stack, which `import repro.analysis` alone should not pay for.
-    if name in ("explore_pass", "replay_counterexample"):
-        from . import explore  # lint-ok: RL005 (lazy PEP 562 export; keeps `import repro.analysis` import-light)
-        return getattr(explore, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

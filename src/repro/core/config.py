@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..coherence.hierarchy import HierarchyConfig
+from ..coherence.directory import DirectoryConfig, DirectoryHierarchy
+from ..coherence.hierarchy import HierarchyConfig, MemoryHierarchy
 from ..cpu.isa import OpCosts
 from ..topology import PLACEMENT_POLICIES, TopologySpec, topology_preset
 
@@ -98,7 +99,6 @@ class MachineConfig:
             topology=self.topology,
         )
         if self.coherence == "directory":
-            from ..coherence.directory import DirectoryConfig  # lint-ok: RL005 (coherence.directory imports this module's configs; a top-level import would cycle)
             return DirectoryConfig(
                 directory_banks=self.directory_banks,
                 directory_latency=self.directory_latency,
@@ -112,9 +112,7 @@ class MachineConfig:
 
     def build_hierarchy(self):
         """Construct the configured memory system."""
-        from ..coherence.hierarchy import MemoryHierarchy  # lint-ok: RL005 (coherence layers import this module's configs; a top-level import would cycle)
         if self.coherence == "directory":
-            from ..coherence.directory import DirectoryHierarchy  # lint-ok: RL005 (same cycle as above)
             return DirectoryHierarchy(self.hierarchy_config())
         return MemoryHierarchy(self.hierarchy_config())
 

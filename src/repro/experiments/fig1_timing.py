@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.config import MachineConfig
-from ..runtime.paradigms import run_doacross, run_dswp, run_ps_dswp, run_sequential
+from ..runtime.paradigms import run_workload
 from ..workloads.linkedlist import LinkedListWorkload
 from .reporting import format_table
 
@@ -37,10 +37,11 @@ def run_fig1(nodes: int = 48, work_cycles: int = 400,
         return LinkedListWorkload(nodes=nodes, work_cycles=work_cycles)
 
     runs = {
-        "Sequential": run_sequential(fresh(), config),
-        "DOACROSS": run_doacross(fresh(), config, workers=2),
-        "DSWP": run_dswp(fresh(), config),
-        "PS-DSWP": run_ps_dswp(fresh(), config),
+        "Sequential": run_workload(fresh(), config, paradigm="Sequential"),
+        "DOACROSS": run_workload(fresh(), config, paradigm="DOACROSS",
+                                 workers=2),
+        "DSWP": run_workload(fresh(), config, paradigm="DSWP"),
+        "PS-DSWP": run_workload(fresh(), config, paradigm="PS-DSWP"),
     }
     sequential = runs["Sequential"].cycles
     return Fig1Result(

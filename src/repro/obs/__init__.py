@@ -19,54 +19,14 @@ On top of the per-run digest sits the **regression observatory**:
 :mod:`repro.obs.diff` (differential attribution — ``obs diff A B``),
 and :mod:`repro.obs.whatif` (causal knob-sensitivity profiling).
 
-This ``__init__`` stays import-light (PEP 562 lazy attributes): the hot
-path (``runtime.paradigms.base``) imports ``repro.obs.hooks`` at module
-load, and pulling the whole stack in with it would tax every
-uninstrumented run's startup for nothing.
+This ``__init__`` imports only :mod:`repro.obs.hooks`, which the hot
+path (``runtime.paradigms``) reads at module load; import every other
+layer from its own module, so an uninstrumented run never pays for the
+stack.
 """
 
 from __future__ import annotations
 
 from . import hooks  # noqa: F401  (the one eagerly-needed submodule)
 
-_LAZY = {
-    "ObsSession": ("session", "ObsSession"),
-    "MetricsRegistry": ("registry", "MetricsRegistry"),
-    "attribute": ("profile", "attribute"),
-    "digest": ("profile", "digest"),
-    "load_digest": ("profile", "load_digest"),
-    "HistoryStore": ("history", "HistoryStore"),
-    "git_describe": ("history", "git_describe"),
-    "diff_digest": ("diff", "diff_digest"),
-    "diff_bundles": ("diff", "diff_bundles"),
-    "format_diff": ("diff", "format_diff"),
-    "run_whatif": ("whatif", "run_whatif"),
-    "build_timeline": ("timeline", "build_timeline"),
-    "TxSpan": ("timeline", "TxSpan"),
-    "Timeline": ("timeline", "Timeline"),
-    "to_chrome_trace": ("export", "to_chrome_trace"),
-    "write_chrome_trace": ("export", "write_chrome_trace"),
-    "validate_trace": ("export", "validate_trace"),
-    "render_gantt": ("export", "render_gantt"),
-    "TraceEvent": ("trace", "TraceEvent"),
-    "BackendTracer": ("trace", "BackendTracer"),
-    "ProtocolTracer": ("trace", "ProtocolTracer"),
-    "format_trace": ("trace", "format_trace"),
-    "format_address_history": ("trace", "format_address_history"),
-    "format_summary": ("trace", "format_summary"),
-}
-
-__all__ = ["hooks"] + sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}") from None
-    import importlib  # lint-ok: RL005 (PEP 562 lazy loader — the whole point is not importing the stack at package-import time)
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
+__all__ = ["hooks"]

@@ -1,14 +1,11 @@
-"""Parallel runtime: discrete-event scheduler, queues, execution paradigms."""
+"""Parallel runtime: discrete-event scheduler, queues, execution paradigms.
 
-from .paradigms import (
-    ParadigmResult,
-    run_doacross,
-    run_doall,
-    run_dswp,
-    run_ps_dswp,
-    run_sequential,
-    run_workload,
-)
+Every paradigm runs through one driver, :func:`run_workload`, which
+builds the machine, places the paradigm's threads, drives abort recovery
+and returns a :class:`ParadigmResult`.
+"""
+
+from .paradigms import ParadigmResult, run_workload
 from .queues import QueueSet, TimedQueue
 from .scheduler import DeadlockError, RunResult, Scheduler, ThreadHandle
 
@@ -20,10 +17,5 @@ __all__ = [
     "Scheduler",
     "ThreadHandle",
     "TimedQueue",
-    "run_doacross",
-    "run_doall",
-    "run_dswp",
-    "run_ps_dswp",
-    "run_sequential",
     "run_workload",
 ]

@@ -1,6 +1,6 @@
 """Parallel execution paradigms: Sequential, DOALL, DOACROSS, DSWP, PS-DSWP.
 
-These executors compose a workload's loop-body fragments with MTX
+These paradigms compose a workload's loop-body fragments with MTX
 transaction management, reproducing the execution models of Figure 1:
 
 * **Sequential** — one thread, no speculation (the baseline).
@@ -16,14 +16,18 @@ transaction management, reproducing the execution models of Figure 1:
 * **PS-DSWP** — DSWP whose second (iteration-independent) stage is
   replicated across k-1 worker threads (Figure 1d).
 
-The package splits along the natural seams: :mod:`.base` holds the shared
-executor plumbing (backend construction, the section 4.6 VID-overflow
-protocol, abort recovery, result assembly), :mod:`.registry` the paradigm
-name → runner dispatch, and one module per paradigm holds that paradigm's
-loop structure.  Executors are written against the
-:class:`~repro.backends.TMBackend` protocol, so any registered backend
-(``hmtx``, ``smtx``, ``oracle``, …) runs under every paradigm via the
-``backend=`` / ``system_factory=`` keywords.
+Each paradigm module holds only a *builder*: given the workload and the
+system, it returns the run's label and a ``build(start, serial)`` that
+makes fresh per-thread programs — Figure 3's stage split, the VID each
+iteration gets, and when it waits for its commit turn.  :mod:`.driver`
+names every builder in one table and holds :func:`run_workload`, the one
+code path that builds the backend, places the threads, drives abort
+recovery and assembles the :class:`ParadigmResult`; :mod:`.base` holds
+what the programs share (the section 4.6 VID-overflow protocol,
+in-order commit spinning, the recovery loop).  Programs are written
+against the :class:`~repro.backends.TMBackend` protocol, so any
+registered backend (``hmtx``, ``smtx``, ``oracle``, …) runs under every
+paradigm via the ``backend=`` / ``system_factory=`` keywords.
 """
 
 from .base import (  # noqa: F401
@@ -31,45 +35,20 @@ from .base import (  # noqa: F401
     Program,
     RecoveryOutcome,
     allocate_vid_with_stall,
-    build_result,
-    fresh_system,
-    make_scheduler,
     run_serial_fallback,
     run_with_recovery,
     spin_until,
     wait_commit_turn,
     wait_for_epoch,
 )
-from .registry import (  # noqa: F401
-    PARADIGMS,
-    ParadigmRunner,
-    get_paradigm,
-    register_paradigm,
-    run_workload,
-)
-from .sequential import run_sequential  # noqa: F401
-from .doall import run_doall  # noqa: F401
-from .doacross import run_doacross  # noqa: F401
-from .ps_dswp import run_ps_dswp  # noqa: F401
-from .dswp import run_dswp  # noqa: F401
+from .driver import PARADIGMS, run_workload  # noqa: F401
 
 __all__ = [
     "PARADIGMS",
     "ParadigmResult",
-    "ParadigmRunner",
     "Program",
     "RecoveryOutcome",
     "allocate_vid_with_stall",
-    "build_result",
-    "fresh_system",
-    "get_paradigm",
-    "make_scheduler",
-    "register_paradigm",
-    "run_doacross",
-    "run_doall",
-    "run_dswp",
-    "run_ps_dswp",
-    "run_sequential",
     "run_serial_fallback",
     "run_with_recovery",
     "run_workload",

@@ -1,11 +1,10 @@
-"""Shared executor plumbing: backends, VID overflow, recovery, results.
+"""What every paradigm's programs share: VID overflow, commit order, recovery.
 
-Everything a paradigm executor needs beyond its own loop structure lives
-here, written against the :class:`~repro.backends.TMBackend` protocol —
-no executor names a concrete system class:
+A paradigm only turns a loop into per-thread programs; everything those
+programs and the driver need beyond that lives here, written against the
+:class:`~repro.backends.TMBackend` protocol — no paradigm names a
+concrete system class:
 
-* backend construction (:func:`fresh_system` resolves a registry name or
-  an explicit factory),
 * the section 4.6 VID-overflow protocol (:func:`allocate_vid_with_stall`,
   :func:`wait_for_epoch`) and in-order commit spinning
   (:func:`wait_commit_turn`),
@@ -13,20 +12,16 @@ no executor names a concrete system class:
   and handed to a :class:`~repro.txctl.manager.ContentionManager`, which
   chooses speculative retry, machine-wide backoff, serialised retry, or
   the non-speculative serial fallback,
-* result assembly (:class:`ParadigmResult`, :func:`build_result`).
+* the run's outcome (:class:`ParadigmResult`).
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Optional
 
-from ...backends import TMBackend, get_backend
+from ...backends import TMBackend
 from ...coherence.vid import VidExhaustedError
-from ...core.config import MachineConfig
-from ...cpu.core_model import CoreExecutor
-from ...cpu.interrupts import InterruptInjector
 from ...cpu.isa import Op, SpinUntil, Work
 from ...errors import MisspeculationError
 from ...obs import hooks as _obs
@@ -35,6 +30,9 @@ from ...workloads.base import Workload
 from ..scheduler import RunResult, Scheduler
 
 Program = Generator[Op, Any, None]
+#: ``build(start, serial)``: fresh per-thread programs that run
+#: iterations ``start..`` (one transaction in flight when ``serial``).
+Build = Callable[[int, bool], Dict[int, Program]]
 
 #: Cycles burnt per poll while stalled (VID exhaustion, commit ordering).
 _SPIN_COST = 4
@@ -66,45 +64,6 @@ class ParadigmResult:
     @property
     def committed(self) -> int:
         return self.system.stats.committed
-
-
-def fresh_system(config: Optional[MachineConfig], sla_enabled: bool,
-                 system_factory: Optional[Callable[[], TMBackend]] = None,
-                 backend: Optional[str] = None) -> TMBackend:
-    """Build the backend a run executes on.
-
-    ``system_factory`` wins when given; otherwise ``backend`` names a
-    registry entry (default ``"hmtx"``).  ``sla_enabled`` is forwarded
-    only to factories that take it (SLAs are an HMTX-hardware concern).
-
-    This is the universal construction choke point — every paradigm and
-    every backend funnels through it — so it doubles as the observability
-    attach site: when an instrumentation tap (:mod:`repro.obs.tap`) is
-    active, the freshly built system is handed to it before any
-    instruction executes.
-    """
-    if system_factory is not None:
-        system = system_factory()
-    else:
-        factory = get_backend(backend or "hmtx")
-        kwargs: Dict[str, Any] = {"config": config}
-        if "sla_enabled" in inspect.signature(factory).parameters:
-            kwargs["sla_enabled"] = sla_enabled
-        system = factory(**kwargs)
-    if _obs.active is not None:
-        _obs.active.attach_system(system)
-    return system
-
-
-def make_scheduler(system: TMBackend,
-                   interrupts: Optional[InterruptInjector],
-                   executor_factory: Optional[Callable[[TMBackend], CoreExecutor]],
-                   ) -> Scheduler:
-    executor = executor_factory(system) if executor_factory else None
-    scheduler = Scheduler(system, executor=executor, interrupts=interrupts)
-    if _obs.active is not None:
-        _obs.active.attach_scheduler(scheduler)
-    return scheduler
 
 
 # ----------------------------------------------------------------------
@@ -229,15 +188,15 @@ def run_serial_fallback(scheduler: Scheduler, system: TMBackend,
 
 
 def run_with_recovery(scheduler: Scheduler, system: TMBackend,
-                      workload: Workload,
-                      rebuild: Callable[..., Dict[int, Program]],
+                      workload: Workload, build: Build,
                       manager: Optional[ContentionManager] = None,
                       ) -> RecoveryOutcome:
     """Drive the scheduler, restarting from committed state on aborts.
 
-    ``rebuild(serial=...)`` must produce fresh per-thread programs resuming
-    at iteration ``system.stats.committed`` (the abort already rolled all
-    speculative memory back to the last committed state).
+    After an abort, ``build(system.stats.committed, serial)`` supplies
+    fresh per-thread programs resuming at the first uncommitted iteration
+    (the abort already rolled all speculative memory back to the last
+    committed state).
 
     Every abort is classified and handed to the
     :class:`~repro.txctl.manager.ContentionManager`, which decides the
@@ -266,18 +225,4 @@ def run_with_recovery(scheduler: Scheduler, system: TMBackend,
                 scheduler.stall_all(decision.delay)
             scheduler.queues.clear_all()
             serial = decision.action is Action.SERIALIZE
-            scheduler.replace_programs(rebuild(serial=serial))
-
-
-def build_result(workload: Workload, paradigm: str, system: TMBackend,
-                 scheduler: Scheduler,
-                 outcome: Optional[RecoveryOutcome] = None) -> ParadigmResult:
-    outcome = outcome or RecoveryOutcome()
-    run = scheduler.result()
-    result = ParadigmResult(workload.name, paradigm, run.makespan, system,
-                            run, outcome.recoveries)
-    result.extra["exec_stats"] = scheduler.executor.stats
-    result.extra["degraded_serial"] = outcome.serialized
-    result.extra["serial_fallback"] = outcome.fallback
-    result.extra["contention"] = system.stats.contention
-    return result
+            scheduler.replace_programs(build(system.stats.committed, serial))

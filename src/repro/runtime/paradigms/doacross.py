@@ -2,38 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ...backends import TMBackend
-from ...core.config import MachineConfig
-from ...cpu.core_model import CoreExecutor
-from ...cpu.interrupts import InterruptInjector
 from ...cpu.isa import BeginMTX, CommitMTX, Consume, Produce
-from ...txctl import ContentionManager
 from ...workloads.base import Workload
-from .base import (
-    ParadigmResult,
-    Program,
-    build_result,
-    fresh_system,
-    make_scheduler,
-    run_with_recovery,
-    wait_commit_turn,
-    wait_for_epoch,
-)
-from .registry import register_paradigm
+from .base import Build, Program, wait_commit_turn, wait_for_epoch
 
 
-@register_paradigm("DOACROSS")
-def run_doacross(workload: Workload, config: Optional[MachineConfig] = None,
-                 workers: Optional[int] = None,
-                 interrupts: Optional[InterruptInjector] = None,
-                 sla_enabled: bool = True,
-                 executor_factory: Optional[Callable[[TMBackend], CoreExecutor]] = None,
-                 system_factory: Optional[Callable[[], TMBackend]] = None,
-                 manager: Optional[ContentionManager] = None,
-                 backend: Optional[str] = None,
-                 ) -> ParadigmResult:
+def doacross(workload: Workload, system: TMBackend,
+             workers: Optional[int] = None) -> Tuple[str, Build]:
     """Speculative DOACROSS: the carry crosses cores every iteration.
 
     Thread ``i % workers`` runs the *whole* body of iteration ``i``,
@@ -41,9 +19,6 @@ def run_doacross(workload: Workload, config: Optional[MachineConfig] = None,
     thread through a timed queue — inter-core latency lands on every
     iteration's critical path (Figure 1b, section 2.1).
     """
-    system = fresh_system(config, sla_enabled,
-                          system_factory=system_factory, backend=backend)
-    workload.setup(system)
     workers = workers or system.config.num_cores
     max_vid = system.vid_space.max_vid
 
@@ -71,14 +46,7 @@ def run_doacross(workload: Workload, config: Optional[MachineConfig] = None,
             yield from wait_commit_turn(system, vid)
             yield CommitMTX(vid)
 
-    def build(start: int = 0, serial: bool = False) -> Dict[int, Program]:
+    def build(start: int, serial: bool) -> Dict[int, Program]:
         return {w: worker(w, start, serial) for w in range(workers)}
 
-    scheduler = make_scheduler(system, interrupts, executor_factory)
-    for w, program in build().items():
-        scheduler.add_thread(w, core=scheduler.place_core(w), program=program)
-    outcome = run_with_recovery(
-        scheduler, system, workload,
-        lambda serial=False: build(system.stats.committed, serial),
-        manager=manager)
-    return build_result(workload, "DOACROSS", system, scheduler, outcome)
+    return "DOACROSS", build

@@ -3,49 +3,23 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ...backends import TMBackend
-from ...core.config import MachineConfig
-from ...cpu.core_model import CoreExecutor
-from ...cpu.interrupts import InterruptInjector
 from ...cpu.isa import BeginMTX, CommitMTX
-from ...txctl import ContentionManager
 from ...workloads.base import Workload
 from . import base
-from .base import (
-    ParadigmResult,
-    Program,
-    build_result,
-    fresh_system,
-    make_scheduler,
-    run_with_recovery,
-    spin_until,
-    wait_commit_turn,
-    wait_for_epoch,
-)
-from .registry import register_paradigm
+from .base import Build, Program, spin_until, wait_commit_turn, wait_for_epoch
 
 
-@register_paradigm("DOALL")
-def run_doall(workload: Workload, config: Optional[MachineConfig] = None,
-              workers: Optional[int] = None,
-              interrupts: Optional[InterruptInjector] = None,
-              sla_enabled: bool = True,
-              executor_factory: Optional[Callable[[TMBackend], CoreExecutor]] = None,
-              system_factory: Optional[Callable[[], TMBackend]] = None,
-              manager: Optional[ContentionManager] = None,
-              backend: Optional[str] = None,
-              ) -> ParadigmResult:
+def doall(workload: Workload, system: TMBackend,
+          workers: Optional[int] = None) -> Tuple[str, Build]:
     """Speculative DOALL: iteration ``i`` runs on thread ``i % workers``.
 
     VIDs are assigned statically in iteration order
     (``vid = i % max_vid + 1``); commits are made in order by spinning on
     the commit turn, and epochs recycle the VID space.
     """
-    system = fresh_system(config, sla_enabled,
-                          system_factory=system_factory, backend=backend)
-    workload.setup(system)
     workers = workers or system.config.num_cores
     max_vid = system.vid_space.max_vid
 
@@ -92,14 +66,7 @@ def run_doall(workload: Workload, config: Optional[MachineConfig] = None,
             head = pending[0][1]
             yield from spin_until(lambda: system.last_committed == head - 1)
 
-    def build(start: int = 0, serial: bool = False) -> Dict[int, Program]:
+    def build(start: int, serial: bool) -> Dict[int, Program]:
         return {w: worker(w, start, serial) for w in range(workers)}
 
-    scheduler = make_scheduler(system, interrupts, executor_factory)
-    for w, program in build().items():
-        scheduler.add_thread(w, core=scheduler.place_core(w), program=program)
-    outcome = run_with_recovery(
-        scheduler, system, workload,
-        lambda serial=False: build(system.stats.committed, serial),
-        manager=manager)
-    return build_result(workload, "DOALL", system, scheduler, outcome)
+    return "DOALL", build

@@ -2,41 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ...backends import TMBackend
-from ...core.config import MachineConfig
-from ...cpu.core_model import CoreExecutor
-from ...cpu.interrupts import InterruptInjector
 from ...cpu.isa import BeginMTX, CommitMTX, Consume, Produce
-from ...txctl import ContentionManager
 from ...workloads.base import Workload
 from . import base
 from .base import (
-    ParadigmResult,
+    Build,
     Program,
     allocate_vid_with_stall,
-    build_result,
-    fresh_system,
-    make_scheduler,
-    run_with_recovery,
     spin_until,
     wait_commit_turn,
 )
-from .registry import register_paradigm
 
 
-@register_paradigm("PS-DSWP")
-def run_ps_dswp(workload: Workload, config: Optional[MachineConfig] = None,
-                stage2_workers: Optional[int] = None,
-                interrupts: Optional[InterruptInjector] = None,
-                sla_enabled: bool = True,
-                executor_factory: Optional[Callable[[TMBackend], CoreExecutor]] = None,
-                system_factory: Optional[Callable[[], TMBackend]] = None,
-                inline_commit: Optional[bool] = None,
-                manager: Optional[ContentionManager] = None,
-                backend: Optional[str] = None,
-                ) -> ParadigmResult:
+def ps_dswp(workload: Workload, system: TMBackend,
+            stage2_workers: Optional[int] = None,
+            inline_commit: Optional[bool] = None) -> Tuple[str, Build]:
     """Speculative (PS-)DSWP over multithreaded transactions (Figure 3).
 
     Pipeline structure on N cores:
@@ -60,14 +43,10 @@ def run_ps_dswp(workload: Workload, config: Optional[MachineConfig] = None,
     ``inline_commit`` is ignored, and stays in the signature only because
     ``perfbench/tracer.py`` passes it.
     """
-    system = fresh_system(config, sla_enabled,
-                          system_factory=system_factory, backend=backend)
-    workload.setup(system)
     num_cores = system.config.num_cores
     if stage2_workers is None:
         stage2_workers = max(1, num_cores - 2)
     inline_commit = stage2_workers == 1
-    paradigm = "DSWP" if inline_commit else "PS-DSWP"
 
     VID_QUEUE = "vids"
     DONE_QUEUE = "done"
@@ -126,7 +105,7 @@ def run_ps_dswp(workload: Workload, config: Optional[MachineConfig] = None,
             if token is None:
                 sentinels += 1
 
-    def build(start_iter: int = 0, serial: bool = False) -> Dict[int, Program]:
+    def build(start_iter: int, serial: bool) -> Dict[int, Program]:
         programs: Dict[int, Program] = {0: stage1(start_iter, serial)}
         for w in range(stage2_workers):
             programs[w + 1] = stage2(w)
@@ -134,11 +113,4 @@ def run_ps_dswp(workload: Workload, config: Optional[MachineConfig] = None,
             programs[stage2_workers + 1] = stage3(start_iter)
         return programs
 
-    scheduler = make_scheduler(system, interrupts, executor_factory)
-    for tid, program in build().items():
-        scheduler.add_thread(tid, core=scheduler.place_core(tid), program=program)
-    outcome = run_with_recovery(
-        scheduler, system, workload,
-        lambda serial=False: build(system.stats.committed, serial),
-        manager=manager)
-    return build_result(workload, paradigm, system, scheduler, outcome)
+    return ("DSWP" if inline_commit else "PS-DSWP"), build

@@ -2,37 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Tuple
 
 from ...backends import TMBackend
-from ...core.config import MachineConfig
-from ...cpu.core_model import CoreExecutor
-from ...cpu.interrupts import InterruptInjector
 from ...workloads.base import Workload
-from .base import ParadigmResult, Program, fresh_system, make_scheduler
-from .registry import register_paradigm
+from .base import Build, Program
 
 
-@register_paradigm("Sequential", speculative=False)
-def run_sequential(workload: Workload, config: Optional[MachineConfig] = None,
-                   interrupts: Optional[InterruptInjector] = None,
-                   executor_factory: Optional[Callable[[TMBackend], CoreExecutor]] = None,
-                   system_factory: Optional[Callable[[], TMBackend]] = None,
-                   backend: Optional[str] = None,
-                   ) -> ParadigmResult:
-    """Run the hot loop on one core without speculation (the baseline)."""
-    system = fresh_system(config, sla_enabled=True,
-                          system_factory=system_factory, backend=backend)
-    workload.setup(system)
+def sequential(workload: Workload, system: TMBackend) -> Tuple[str, Build]:
+    """Run the hot loop on one core without speculation (the baseline).
+
+    No transaction ever opens, so no abort ever asks for a rebuild.
+    """
 
     def program() -> Program:
         carry = workload.initial_carry(system)
         for i in range(workload.iterations):
             carry = yield from workload.sequential_iteration(i, carry)
 
-    scheduler = make_scheduler(system, interrupts, executor_factory)
-    scheduler.add_thread(0, core=0, program=program())
-    run = scheduler.run()
-    result = ParadigmResult(workload.name, "Sequential", run.makespan, system, run)
-    result.extra["exec_stats"] = scheduler.executor.stats
-    return result
+    return "Sequential", lambda start, serial: {0: program()}

@@ -75,11 +75,12 @@ def run_smtx(workload: Workload, config: Optional[MachineConfig] = None,
                           validation_predicate=predicate, costs=costs)
 
     name = paradigm or workload.paradigm
-    if name in ("DSWP", "PS-DSWP"):
+    if name == "PS-DSWP":
         # Every worker core after stage 1's runs the parallel stage.  With
         # two or more workers a stage-3 thread still re-sequences and
         # commits, sharing a core with another stage; the commit
-        # process's own cost is charged below.
+        # process's own cost is charged below.  DSWP is by definition
+        # the pipeline with one stage-2 worker.
         kwargs.setdefault("stage2_workers", max(1, worker_config.num_cores - 1))
     result = run_workload(workload, worker_config, paradigm=name,
                           system_factory=factory, **kwargs)

@@ -24,7 +24,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "matches sequential semantics" in out
 
-    def test_run_sequential(self, capsys):
+    def test_run_sequential_system(self, capsys):
         assert main(["run", "ispell", "--system", "sequential",
                      "--scale", "0.3"]) == 0
         assert "Sequential" in capsys.readouterr().out

@@ -12,7 +12,7 @@ from repro.coherence import (
 )
 from repro.core import HMTXSystem, MachineConfig
 from repro.errors import MisspeculationError, SpeculativeOverflowError
-from repro.runtime.paradigms import run_ps_dswp, run_sequential
+from repro.runtime.paradigms import run_workload
 from repro.txctl.causes import AbortCause
 from repro.workloads import LinkedListWorkload
 
@@ -122,7 +122,7 @@ class TestUnboundedSets:
                                l2_size=32 * 1024, l2_assoc=8,
                                unbounded_sets=True)
         workload = LinkedListWorkload(nodes=24)
-        result = run_ps_dswp(workload, config)
+        result = run_workload(workload, config, paradigm="PS-DSWP")
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
         assert result.system.stats.aborted == 0
@@ -205,7 +205,7 @@ class TestDirectory:
     def test_workload_correct_on_directory(self):
         config = MachineConfig(num_cores=4, coherence="directory")
         workload = LinkedListWorkload(nodes=32)
-        result = run_ps_dswp(workload, config)
+        result = run_workload(workload, config, paradigm="PS-DSWP")
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
         assert result.system.stats.aborted == 0
@@ -215,10 +215,11 @@ class TestDirectory:
         """The section 8 motivation, measured at 16 cores."""
         speedups = {}
         for coherence in ("snoopy", "directory"):
-            seq = run_sequential(LinkedListWorkload(nodes=48, work_cycles=700))
+            seq = run_workload(LinkedListWorkload(nodes=48, work_cycles=700),
+                               paradigm="Sequential")
             workload = LinkedListWorkload(nodes=48, work_cycles=700)
-            par = run_ps_dswp(workload,
-                              MachineConfig(num_cores=16, coherence=coherence),
-                              stage2_workers=14)
+            par = run_workload(
+                workload, MachineConfig(num_cores=16, coherence=coherence),
+                paradigm="PS-DSWP", stage2_workers=14)
             speedups[coherence] = seq.cycles / par.cycles
         assert speedups["directory"] > speedups["snoopy"]

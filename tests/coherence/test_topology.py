@@ -256,12 +256,12 @@ class TestSlicedHierarchy:
             hier.check_directory_invariant()
 
     def test_multi_socket_run_passes_invariants(self):
-        from repro.runtime.paradigms import run_ps_dswp
+        from repro.runtime.paradigms import run_workload
         from repro.workloads.linkedlist import LinkedListWorkload
 
         machine = MachineConfig.for_topology(TWO_SOCKET)
-        result = run_ps_dswp(LinkedListWorkload(nodes=16, work_cycles=50),
-                             config=machine)
+        result = run_workload(LinkedListWorkload(nodes=16, work_cycles=50),
+                              paradigm="PS-DSWP", config=machine)
         hier = result.system.hierarchy
         hier.check_invariants()
         hier.check_directory_invariant()

@@ -13,7 +13,7 @@ from repro.compiler import (
     plan_pipeline,
     remove_speculated,
 )
-from repro.runtime.paradigms import run_ps_dswp, run_sequential
+from repro.runtime.paradigms import run_workload
 from repro.smtx import ValidationMode, run_smtx
 
 
@@ -181,20 +181,22 @@ class TestPartition:
 class TestCompiledExecution:
     def test_sequential_matches_interpreter(self):
         workload = compile_loop(chase_loop())
-        result = run_sequential(workload)
+        result = run_workload(workload, paradigm="Sequential")
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
 
     def test_parallel_matches_interpreter(self):
         workload = compile_loop(chase_loop(iterations=32))
-        result = run_ps_dswp(workload)
+        result = run_workload(workload, paradigm="PS-DSWP")
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
         assert result.system.stats.aborted == 0
 
     def test_parallel_is_profitable(self):
-        seq = run_sequential(compile_loop(chase_loop(iterations=32)))
-        par = run_ps_dswp(compile_loop(chase_loop(iterations=32)))
+        seq = run_workload(compile_loop(chase_loop(iterations=32)),
+                           paradigm="Sequential")
+        par = run_workload(compile_loop(chase_loop(iterations=32)),
+                           paradigm="PS-DSWP")
         assert seq.cycles / par.cycles > 1.4
 
     def test_manifesting_speculation_aborts_and_recovers(self):
@@ -203,7 +205,7 @@ class TestCompiledExecution:
         interpreter's exact result."""
         loop = chase_loop(iterations=24, manifest_every=8)
         workload = compile_loop(loop)
-        result = run_ps_dswp(workload)
+        result = run_workload(workload, paradigm="PS-DSWP")
         assert result.system.stats.aborted > 0
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
@@ -217,8 +219,10 @@ class TestCompiledExecution:
     def test_hmtx_beats_smtx_max_on_compiled_code(self):
         """The paper's bottom line: compiler-grade (maximal) validation is
         affordable on HMTX, ruinous on the software baseline."""
-        seq = run_sequential(compile_loop(chase_loop(iterations=32)))
-        hmtx = run_ps_dswp(compile_loop(chase_loop(iterations=32)))
+        seq = run_workload(compile_loop(chase_loop(iterations=32)),
+                           paradigm="Sequential")
+        hmtx = run_workload(compile_loop(chase_loop(iterations=32)),
+                            paradigm="PS-DSWP")
         smtx = run_smtx(compile_loop(chase_loop(iterations=32)),
                         mode=ValidationMode.MAXIMAL)
         assert seq.cycles / hmtx.cycles > seq.cycles / smtx.cycles
@@ -226,8 +230,9 @@ class TestCompiledExecution:
     def test_compiled_workload_on_directory_machine(self):
         from repro.core import MachineConfig
         workload = compile_loop(chase_loop(iterations=24))
-        result = run_ps_dswp(workload,
-                             MachineConfig(num_cores=4, coherence="directory"))
+        result = run_workload(
+            workload, MachineConfig(num_cores=4, coherence="directory"),
+            paradigm="PS-DSWP")
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
 
@@ -279,7 +284,6 @@ class TestParadigmSelection:
         assert plan_pipeline(loop).recommended_paradigm == "Sequential"
 
     def test_doall_compiled_loop_runs_correctly(self):
-        from repro.runtime import run_workload
         workload = compile_loop(self.doall_loop())
         assert workload.paradigm == "DOALL"
         result = run_workload(workload)
@@ -288,10 +292,11 @@ class TestParadigmSelection:
             workload.expected_result(result.system)
 
     def test_doall_beats_pipeline_when_iterations_independent(self):
-        from repro.runtime import run_ps_dswp, run_workload
-        seq = run_sequential(compile_loop(self.doall_loop(32)))
+        seq = run_workload(compile_loop(self.doall_loop(32)),
+                           paradigm="Sequential")
         doall = run_workload(compile_loop(self.doall_loop(32)))
-        pipeline = run_ps_dswp(compile_loop(self.doall_loop(32)))
+        pipeline = run_workload(compile_loop(self.doall_loop(32)),
+                                paradigm="PS-DSWP")
         assert seq.cycles / doall.cycles > seq.cycles / pipeline.cycles
 
     def test_doall_body_refuses_sequential_stage(self):

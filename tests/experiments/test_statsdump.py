@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import MachineConfig
 from repro.experiments import collect_stats, format_stats, stats_report
-from repro.runtime.paradigms import run_ps_dswp, run_sequential
+from repro.runtime.paradigms import run_workload
 from repro.smtx import run_smtx
 from repro.topology import TopologySpec
 from repro.workloads import LinkedListWorkload
@@ -12,7 +12,7 @@ from repro.workloads import LinkedListWorkload
 
 @pytest.fixture(scope="module")
 def hmtx_result():
-    return run_ps_dswp(LinkedListWorkload(nodes=16))
+    return run_workload(LinkedListWorkload(nodes=16), paradigm="PS-DSWP")
 
 
 class TestCollect:
@@ -36,19 +36,22 @@ class TestCollect:
 
     def test_directory_section_only_on_directory_machines(self, hmtx_result):
         assert "directory" not in dict(collect_stats(hmtx_result))
-        result = run_ps_dswp(LinkedListWorkload(nodes=8),
-                             MachineConfig(coherence="directory"))
+        result = run_workload(LinkedListWorkload(nodes=8),
+                              MachineConfig(coherence="directory"),
+                              paradigm="PS-DSWP")
         assert "directory" in dict(collect_stats(result))
 
     def test_overflow_section_only_when_enabled(self):
-        result = run_ps_dswp(LinkedListWorkload(nodes=8),
-                             MachineConfig(unbounded_sets=True))
+        result = run_workload(LinkedListWorkload(nodes=8),
+                              MachineConfig(unbounded_sets=True),
+                              paradigm="PS-DSWP")
         assert "overflow table" in dict(collect_stats(result))
 
     def test_caches_section_names_every_llc_slice(self):
         machine = MachineConfig.for_topology(
             TopologySpec(sockets=2, cores_per_socket=4))
-        result = run_ps_dswp(LinkedListWorkload(nodes=8), machine)
+        result = run_workload(LinkedListWorkload(nodes=8), machine,
+                              paradigm="PS-DSWP")
         names = [name for name, _ in dict(collect_stats(result))["caches"]]
         assert names == [f"L1[{i}]" for i in range(8)] + ["LLC[0]", "LLC[1]"]
 

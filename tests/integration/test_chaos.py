@@ -12,7 +12,7 @@ import pytest
 from repro.core import HMTXSystem
 from repro.errors import MisspeculationError
 from repro.txctl import AbortCause
-from repro.runtime.paradigms import run_doall, run_ps_dswp
+from repro.runtime.paradigms import run_workload
 from repro.workloads import LinkedListWorkload, Lcg
 from repro.workloads.alvinn import AlvinnWorkload
 
@@ -53,7 +53,8 @@ class TestChaos:
     def test_ps_dswp_survives_random_aborts(self, seed):
         factory = chaos_factory(rate_denominator=150, seed=seed)
         workload = LinkedListWorkload(nodes=24)
-        result = run_ps_dswp(workload, system_factory=factory)
+        result = run_workload(workload, paradigm="PS-DSWP",
+                              system_factory=factory)
         system = result.system
         assert system.injected > 0, "chaos never fired; lower the rate"
         assert workload.observed_result(result.system) == \
@@ -64,7 +65,8 @@ class TestChaos:
     def test_doall_survives_random_aborts(self, seed):
         factory = chaos_factory(rate_denominator=500, seed=seed)
         workload = AlvinnWorkload(iterations=10)
-        result = run_doall(workload, system_factory=factory)
+        result = run_workload(workload, paradigm="DOALL",
+                              system_factory=factory)
         assert result.system.injected > 0
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
@@ -74,12 +76,14 @@ class TestChaos:
         must still be exact."""
         factory = chaos_factory(rate_denominator=60, seed=5)
         workload = LinkedListWorkload(nodes=16)
-        result = run_ps_dswp(workload, system_factory=factory)
+        result = run_workload(workload, paradigm="PS-DSWP",
+                              system_factory=factory)
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
 
     def test_every_iteration_commits_exactly_once(self):
         factory = chaos_factory(rate_denominator=300, seed=9)
         workload = LinkedListWorkload(nodes=20)
-        result = run_ps_dswp(workload, system_factory=factory)
+        result = run_workload(workload, paradigm="PS-DSWP",
+                              system_factory=factory)
         assert result.system.stats.committed == workload.iterations

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import HMTXSystem, MachineConfig
 from repro.cpu import InterruptInjector
-from repro.runtime.paradigms import run_ps_dswp, run_sequential, run_workload
+from repro.runtime.paradigms import run_workload
 from repro.workloads import (
     LinkedListWorkload,
     executor_factory_for,
@@ -39,11 +39,11 @@ class TestInterruptsAcrossSuite:
         assert _verify(workload, result)
 
     def test_interrupt_frequency_costs_time_not_correctness(self):
-        quiet = run_ps_dswp(LinkedListWorkload(nodes=24))
+        quiet = run_workload(LinkedListWorkload(nodes=24), paradigm="PS-DSWP")
         workload = LinkedListWorkload(nodes=24)
-        stormy = run_ps_dswp(
-            workload, interrupts=InterruptInjector(period=500,
-                                                   handler_accesses=12))
+        stormy = run_workload(
+            workload, paradigm="PS-DSWP",
+            interrupts=InterruptInjector(period=500, handler_accesses=12))
         assert stormy.cycles > quiet.cycles
         assert _verify(workload, stormy)
 
@@ -61,9 +61,9 @@ class TestDirectoryAcrossSuite:
 
     def test_directory_with_interrupts(self):
         workload = LinkedListWorkload(nodes=24)
-        result = run_ps_dswp(
+        result = run_workload(
             workload, MachineConfig(num_cores=4, coherence="directory"),
-            interrupts=InterruptInjector(period=2000))
+            paradigm="PS-DSWP", interrupts=InterruptInjector(period=2000))
         assert _verify(workload, result)
 
 
@@ -87,7 +87,7 @@ class TestUnboundedSetsAcrossSuite:
                                l2_size=16 * 1024, l2_assoc=8,
                                unbounded_sets=True)
         workload = LinkedListWorkload(nodes=24)
-        result = run_ps_dswp(workload, config)
+        result = run_workload(workload, config, paradigm="PS-DSWP")
         assert _verify(workload, result)
 
 
@@ -96,7 +96,7 @@ class TestVidResetsUnderLongRuns:
         """More iterations than 3 full VID epochs, tiny VID space."""
         config = MachineConfig(num_cores=4, vid_bits=3)   # 7 VIDs/epoch
         workload = LinkedListWorkload(nodes=50)
-        result = run_ps_dswp(workload, config)
+        result = run_workload(workload, config, paradigm="PS-DSWP")
         assert result.system.vid_space.resets >= 6
         assert result.system.stats.aborted == 0
         assert _verify(workload, result)
@@ -104,8 +104,8 @@ class TestVidResetsUnderLongRuns:
     def test_resets_with_interrupts_and_directory(self):
         config = MachineConfig(num_cores=4, vid_bits=3, coherence="directory")
         workload = LinkedListWorkload(nodes=30)
-        result = run_ps_dswp(workload, config,
-                             interrupts=InterruptInjector(period=4000))
+        result = run_workload(workload, config, paradigm="PS-DSWP",
+                              interrupts=InterruptInjector(period=4000))
         assert result.system.vid_space.resets >= 3
         assert _verify(workload, result)
 
@@ -146,7 +146,7 @@ class TestCompiledLoopsComposed:
                        work=120, branches=3)
         workload = compile_loop(loop)
         config = MachineConfig(num_cores=4, vid_bits=3)
-        result = run_ps_dswp(workload, config,
-                             interrupts=InterruptInjector(period=2500))
+        result = run_workload(workload, config, paradigm="PS-DSWP",
+                              interrupts=InterruptInjector(period=2500))
         assert _verify(workload, result)
         assert result.system.vid_space.resets >= 1

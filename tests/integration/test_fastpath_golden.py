@@ -25,7 +25,7 @@ import pathlib
 
 import pytest
 
-from repro.runtime.paradigms import run_ps_dswp, run_workload
+from repro.runtime.paradigms import run_workload
 from repro.txctl import ContentionManager, make_policy
 from repro.workloads import make_benchmark
 from repro.workloads.contended import (
@@ -105,15 +105,16 @@ def _run_fig8_slice(name: str) -> dict:
 def _run_contended_list() -> dict:
     workload = HighContentionListWorkload(nodes=24, rmw_per_iteration=2)
     manager = ContentionManager(policy=make_policy("backoff"))
-    result = run_ps_dswp(workload, manager=manager)
+    result = run_workload(workload, paradigm="PS-DSWP", manager=manager)
     return snapshot(result, workload)
 
 
 def _run_capacity_hog() -> dict:
     workload = CapacityHogWorkload(iterations=4)
     manager = ContentionManager(policy=make_policy("capacity-aware"))
-    result = run_ps_dswp(workload, config=CapacityHogWorkload.tiny_config(),
-                         manager=manager)
+    result = run_workload(workload, paradigm="PS-DSWP",
+                          config=CapacityHogWorkload.tiny_config(),
+                          manager=manager)
     return snapshot(result, workload)
 
 

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MachineConfig
-from repro.runtime.paradigms import run_ps_dswp
+from repro.runtime.paradigms import run_workload
 from repro.topology import TopologySpec
 from repro.workloads.linkedlist import LinkedListWorkload
 
@@ -38,7 +38,7 @@ GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "goldens" \
 
 def _run(machine: MachineConfig, nodes: int) -> dict:
     workload = LinkedListWorkload(nodes=nodes, work_cycles=60)
-    result = run_ps_dswp(workload, config=machine)
+    result = run_workload(workload, paradigm="PS-DSWP", config=machine)
     return snapshot(result, workload)
 
 

@@ -28,7 +28,7 @@ from repro.obs.export import (
 from repro.obs.profile import attribute
 from repro.obs.session import ObsSession
 from repro.obs.timeline import build_timeline
-from repro.runtime.paradigms import run_ps_dswp
+from repro.runtime.paradigms import run_workload
 from repro.txctl import ContentionManager, make_policy
 from repro.workloads.contended import HighContentionListWorkload
 
@@ -43,7 +43,7 @@ def observed():
     manager = ContentionManager(policy=make_policy("backoff"))
     session = ObsSession()
     with session.activate():
-        result = run_ps_dswp(workload, manager=manager)
+        result = run_workload(workload, paradigm="PS-DSWP", manager=manager)
     session.detach()
     session.finalize(result)
     timeline = build_timeline(session, attribute(session))

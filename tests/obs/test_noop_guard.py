@@ -31,7 +31,7 @@ from repro.experiments.phase_profile import PhaseProfiler
 from repro.obs import hooks, tap
 from repro.obs.session import ObsSession
 from repro.obs.tap import Tap
-from repro.runtime.paradigms import run_ps_dswp
+from repro.runtime.paradigms import run_workload
 from repro.runtime.scheduler import Scheduler
 from repro.obs.trace import BackendTracer, ProtocolTracer
 from repro.txctl import ContentionManager, make_policy
@@ -159,12 +159,13 @@ class TestTapStacking:
                                                   rmw_per_iteration=2)
             manager = ContentionManager(policy=make_policy("backoff"))
             if observer is None:
-                return snapshot(run_ps_dswp(workload, manager=manager,
-                                            system_factory=factory),
+                return snapshot(run_workload(workload, paradigm="PS-DSWP",
+                                             manager=manager,
+                                             system_factory=factory),
                                 workload)
             with observer.activate():
-                result = run_ps_dswp(workload, manager=manager,
-                                     system_factory=factory)
+                result = run_workload(workload, paradigm="PS-DSWP",
+                                      manager=manager, system_factory=factory)
             observer.detach()
             return snapshot(result, workload)
 

@@ -10,11 +10,7 @@ from repro.obs import hooks
 from repro.obs.profile import Attribution, attribute, digest, hot_lines
 from repro.obs.session import CATEGORIES, ObsSession
 from repro.cpu.isa import SpinUntil, Work
-from repro.runtime.paradigms import (
-    run_ps_dswp,
-    run_workload,
-    wait_commit_turn,
-)
+from repro.runtime.paradigms import run_workload, wait_commit_turn
 from repro.txctl import ContentionManager, make_policy
 from repro.workloads import make_benchmark
 from repro.workloads.contended import HighContentionListWorkload
@@ -27,7 +23,7 @@ def _observed_contended(scale_nodes: int = 24):
     manager = ContentionManager(policy=make_policy("backoff"))
     session = ObsSession()
     with session.activate():
-        result = run_ps_dswp(workload, manager=manager)
+        result = run_workload(workload, paradigm="PS-DSWP", manager=manager)
     session.detach()
     session.finalize(result)
     return session, result
@@ -274,7 +270,7 @@ class TestHookPoint:
                                               rmw_per_iteration=1)
         session = ObsSession()
         with session.activate():
-            result = run_ps_dswp(workload)
+            result = run_workload(workload, paradigm="PS-DSWP")
         session.detach()
         system = result.system
         # The wrappers carry ``__wrapped__`` (functools.wraps); after

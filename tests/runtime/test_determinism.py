@@ -8,20 +8,20 @@ statistics and the regression benchmarks meaningful.
 import pytest
 
 from repro.core import MachineConfig
-from repro.runtime.paradigms import run_ps_dswp, run_sequential, run_workload
+from repro.runtime.paradigms import run_workload
 from repro.workloads import LinkedListWorkload, executor_factory_for, make_benchmark
 
 
 class TestDeterminism:
     def test_sequential_runs_identical(self):
-        a = run_sequential(LinkedListWorkload(nodes=20))
-        b = run_sequential(LinkedListWorkload(nodes=20))
+        a = run_workload(LinkedListWorkload(nodes=20), paradigm="Sequential")
+        b = run_workload(LinkedListWorkload(nodes=20), paradigm="Sequential")
         assert a.cycles == b.cycles
         assert a.run.ops_executed == b.run.ops_executed
 
     def test_parallel_runs_identical(self):
-        a = run_ps_dswp(LinkedListWorkload(nodes=20))
-        b = run_ps_dswp(LinkedListWorkload(nodes=20))
+        a = run_workload(LinkedListWorkload(nodes=20), paradigm="PS-DSWP")
+        b = run_workload(LinkedListWorkload(nodes=20), paradigm="PS-DSWP")
         assert a.cycles == b.cycles
         assert a.run.thread_clocks == b.run.thread_clocks
 
@@ -40,15 +40,19 @@ class TestDeterminism:
 
     def test_directory_runs_identical(self):
         config = MachineConfig(coherence="directory")
-        a = run_ps_dswp(LinkedListWorkload(nodes=16), config)
-        b = run_ps_dswp(LinkedListWorkload(nodes=16), config)
+        a = run_workload(LinkedListWorkload(nodes=16), config,
+                         paradigm="PS-DSWP")
+        b = run_workload(LinkedListWorkload(nodes=16), config,
+                         paradigm="PS-DSWP")
         assert a.cycles == b.cycles
 
     def test_distinct_configs_distinct_timings(self):
         """Sanity: the determinism is not 'everything collapses to the
         same number' — changing the machine changes the timing."""
-        fast = run_ps_dswp(LinkedListWorkload(nodes=20),
-                           MachineConfig(memory_latency=100))
-        slow = run_ps_dswp(LinkedListWorkload(nodes=20),
-                           MachineConfig(memory_latency=400))
+        fast = run_workload(LinkedListWorkload(nodes=20),
+                            MachineConfig(memory_latency=100),
+                            paradigm="PS-DSWP")
+        slow = run_workload(LinkedListWorkload(nodes=20),
+                            MachineConfig(memory_latency=400),
+                            paradigm="PS-DSWP")
         assert fast.cycles != slow.cycles

@@ -1,16 +1,11 @@
 """Tests for the parallel execution paradigms on the linked-list workload."""
 
+import inspect
+
 import pytest
 
 from repro.core import MachineConfig
-from repro.runtime.paradigms import (
-    run_doacross,
-    run_doall,
-    run_dswp,
-    run_ps_dswp,
-    run_sequential,
-    run_workload,
-)
+from repro.runtime.paradigms import PARADIGMS, run_workload
 from repro.workloads.linkedlist import LinkedListWorkload
 
 
@@ -21,7 +16,7 @@ def fresh(nodes=24, **kw):
 @pytest.fixture(scope="module")
 def sequential_baseline():
     workload = fresh()
-    result = run_sequential(workload)
+    result = run_workload(workload, paradigm="Sequential")
     return workload.expected_result(result.system), result.cycles
 
 
@@ -29,39 +24,34 @@ class TestSequential:
     def test_produces_golden_result(self, sequential_baseline):
         expected, _ = sequential_baseline
         workload = fresh()
-        result = run_sequential(workload)
+        result = run_workload(workload, paradigm="Sequential")
         assert workload.observed_result(result.system) == expected
 
     def test_no_transactions(self):
-        result = run_sequential(fresh())
+        result = run_workload(fresh(), paradigm="Sequential")
         assert result.system.stats.committed == 0
         assert result.paradigm == "Sequential"
 
 
-@pytest.mark.parametrize("runner,paradigm", [
-    (run_dswp, "DSWP"),
-    (run_ps_dswp, "PS-DSWP"),
-    (run_doacross, "DOACROSS"),
-    (run_doall, "DOALL"),
-])
+@pytest.mark.parametrize("paradigm", ["DSWP", "PS-DSWP", "DOACROSS", "DOALL"])
 class TestSpeculativeParadigms:
-    def test_correct_result(self, runner, paradigm, sequential_baseline):
+    def test_correct_result(self, paradigm, sequential_baseline):
         expected, _ = sequential_baseline
         workload = fresh()
-        result = runner(workload)
+        result = run_workload(workload, paradigm=paradigm)
         assert workload.observed_result(result.system) == expected
         assert result.paradigm == paradigm
 
-    def test_one_transaction_per_iteration(self, runner, paradigm,
+    def test_one_transaction_per_iteration(self, paradigm,
                                             sequential_baseline):
         workload = fresh()
-        result = runner(workload)
+        result = run_workload(workload, paradigm=paradigm)
         assert result.system.stats.committed == workload.iterations
 
-    def test_no_misspeculation(self, runner, paradigm, sequential_baseline):
+    def test_no_misspeculation(self, paradigm, sequential_baseline):
         """High-confidence speculation: zero aborts, as in section 6.3."""
         workload = fresh()
-        result = runner(workload)
+        result = run_workload(workload, paradigm=paradigm)
         assert result.system.stats.aborted == 0
         assert result.recoveries == 0
 
@@ -72,9 +62,10 @@ class TestParadigmRelativePerformance:
     @pytest.fixture(scope="class")
     def cycles(self):
         out = {}
-        for name, runner in [("seq", run_sequential), ("doacross", run_doacross),
-                             ("dswp", run_dswp), ("ps", run_ps_dswp)]:
-            out[name] = runner(fresh(nodes=40, work_cycles=300)).cycles
+        for name, paradigm in [("seq", "Sequential"), ("doacross", "DOACROSS"),
+                               ("dswp", "DSWP"), ("ps", "PS-DSWP")]:
+            out[name] = run_workload(fresh(nodes=40, work_cycles=300),
+                                     paradigm=paradigm).cycles
         return out
 
     def test_ps_dswp_is_fastest(self, cycles):
@@ -93,7 +84,7 @@ class TestVidOverflow:
         """More iterations than VIDs forces the 4.6 reset protocol."""
         config = MachineConfig(num_cores=4, vid_bits=3)  # only 7 VIDs
         workload = fresh(nodes=30)
-        result = run_ps_dswp(workload, config)
+        result = run_workload(workload, config, paradigm="PS-DSWP")
         assert result.system.vid_space.resets >= 3
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
@@ -101,7 +92,7 @@ class TestVidOverflow:
     def test_doall_epoch_barrier(self):
         config = MachineConfig(num_cores=4, vid_bits=3)
         workload = fresh(nodes=30)
-        result = run_doall(workload, config)
+        result = run_workload(workload, config, paradigm="DOALL")
         assert result.system.vid_space.resets >= 3
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
@@ -117,14 +108,34 @@ class TestDispatch:
         assert result.paradigm == "DOACROSS"
 
     def test_unknown_paradigm(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="DOACROSS.*PS-DSWP"):
             run_workload(fresh(), paradigm="MAGIC")
+
+    @pytest.mark.parametrize("paradigm,option", [
+        ("Sequential", {"workers": 2}),
+        ("DOALL", {"stage2_workers": 2}),
+        ("DSWP", {"stage2_workers": 2}),
+        ("PS-DSWP", {"workers": 2}),
+    ])
+    def test_option_the_paradigm_does_not_take(self, paradigm, option):
+        with pytest.raises(TypeError):
+            run_workload(fresh(), paradigm=paradigm, **option)
+
+    def test_builders_take_only_their_own_options(self):
+        """Machine, scheduler and recovery knobs belong to the driver."""
+        driver_only = {"interrupts", "executor_factory", "system_factory",
+                       "manager", "backend", "sla_enabled"}
+        for name, builder in PARADIGMS.items():
+            params = inspect.signature(builder).parameters
+            assert list(params)[:2] == ["workload", "system"], name
+            assert not driver_only & set(params), name
 
 
 class TestWorkerScaling:
     def test_more_stage2_workers_helps(self):
-        slow = run_ps_dswp(fresh(nodes=40, work_cycles=600), stage2_workers=1)
+        slow = run_workload(fresh(nodes=40, work_cycles=600),
+                            paradigm="PS-DSWP", stage2_workers=1)
         config8 = MachineConfig(num_cores=8)
-        fast = run_ps_dswp(fresh(nodes=40, work_cycles=600),
-                           config8, stage2_workers=6)
+        fast = run_workload(fresh(nodes=40, work_cycles=600), config8,
+                            paradigm="PS-DSWP", stage2_workers=6)
         assert fast.cycles < slow.cycles

@@ -4,7 +4,7 @@ sequential result after rollback and re-execution."""
 import pytest
 
 from repro.cpu.isa import AbortMTX, Load, Store, Work
-from repro.runtime.paradigms import run_ps_dswp, run_sequential
+from repro.runtime.paradigms import run_workload
 from repro.workloads.base import Workload
 from repro.workloads.linkedlist import LinkedListWorkload
 
@@ -50,19 +50,19 @@ class TestConflictRecovery:
     def test_result_correct_despite_aborts(self):
         workload = ConflictingWorkload()
         expected_workload = ConflictingWorkload()
-        seq = run_sequential(expected_workload)
+        seq = run_workload(expected_workload, paradigm="Sequential")
         expected = expected_workload.expected_result(seq.system)
-        result = run_ps_dswp(workload)
+        result = run_workload(workload, paradigm="PS-DSWP")
         assert workload.observed_result(result.system) == expected
 
     def test_all_iterations_eventually_commit(self):
         workload = ConflictingWorkload()
-        result = run_ps_dswp(workload)
+        result = run_workload(workload, paradigm="PS-DSWP")
         assert result.system.stats.committed >= workload.iterations
 
     def test_shared_counter_is_sequentially_consistent(self):
         workload = ConflictingWorkload(nodes=18, conflict_every=3)
-        result = run_ps_dswp(workload)
+        result = run_workload(workload, paradigm="PS-DSWP")
         final = result.system.hierarchy.load(0, workload.shared_addr, 0)[0]
         assert final == 18 // 3
 
@@ -70,7 +70,7 @@ class TestConflictRecovery:
 class TestExplicitAbortRecovery:
     def test_recovers_and_completes(self):
         workload = ExplicitAbortWorkload()
-        result = run_ps_dswp(workload)
+        result = run_workload(workload, paradigm="PS-DSWP")
         assert result.recoveries >= 1
         assert result.system.stats.explicit_aborts == 1
         assert workload.observed_result(result.system) == \
@@ -78,7 +78,7 @@ class TestExplicitAbortRecovery:
 
     def test_committed_iterations_not_redone_from_scratch(self):
         workload = ExplicitAbortWorkload()
-        result = run_ps_dswp(workload)
+        result = run_workload(workload, paradigm="PS-DSWP")
         # Exactly the aborted tail is re-executed: committed count equals
         # the iteration count (each iteration commits exactly once).
         assert result.system.stats.committed == workload.iterations

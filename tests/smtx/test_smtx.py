@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import MachineConfig
 from repro.errors import MisspeculationError, TransactionUsageError
-from repro.runtime.paradigms import run_sequential
+from repro.experiments.engine import RunRequest, execute_request
+from repro.runtime.paradigms import run_workload
 from repro.smtx import (
     SMTXSystem,
     SmtxCosts,
@@ -184,7 +185,7 @@ class TestRunSmtx:
     @pytest.fixture(scope="class")
     def baseline(self):
         workload = LinkedListWorkload(nodes=24)
-        seq = run_sequential(workload)
+        seq = run_workload(workload, paradigm="Sequential")
         return workload.expected_result(seq.system), seq.cycles
 
     def test_correct_result_all_modes(self, baseline):
@@ -218,6 +219,15 @@ class TestRunSmtx:
     def test_paradigm_label(self):
         result = run_smtx(LinkedListWorkload(nodes=12))
         assert result.paradigm.startswith("SMTX-")
+
+    def test_dswp_keeps_one_stage2_worker(self):
+        """DSWP is the one-worker pipeline on SMTX too: the PS-DSWP
+        worker-count default must not reach it."""
+        record = execute_request(RunRequest(
+            workload="130.li", system="smtx-minimal", scale=0.25,
+            paradigm="DSWP"))
+        assert record.correct
+        assert record.paradigm == "SMTX-DSWP"
 
 
 class TestWholeProgramProjection:

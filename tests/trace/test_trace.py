@@ -135,7 +135,7 @@ class TestFormatting:
 
 class TestTracedWorkload:
     def test_full_run_traces_cleanly(self):
-        from repro.runtime.paradigms import run_ps_dswp
+        from repro.runtime.paradigms import run_workload
         workload = LinkedListWorkload(nodes=12)
         tracers = []
 
@@ -144,7 +144,8 @@ class TestTracedWorkload:
             tracers.append(ProtocolTracer.attach(system.hierarchy))
             return system
 
-        result = run_ps_dswp(workload, system_factory=factory)
+        result = run_workload(workload, paradigm="PS-DSWP",
+                              system_factory=factory)
         tracer = tracers[0]
         summary = tracer.summary()
         assert summary["commit"] == workload.iterations

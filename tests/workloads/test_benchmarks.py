@@ -3,7 +3,7 @@ golden-mirror fidelity, and Table 1 characteristics."""
 
 import pytest
 
-from repro.runtime.paradigms import run_sequential, run_workload
+from repro.runtime.paradigms import run_workload
 from repro.smtx import ValidationMode, run_smtx
 from repro.workloads import (
     BENCHMARK_NAMES,
@@ -67,8 +67,8 @@ class TestGoldenMirrors:
 
     def test_sequential_matches_golden(self, name):
         workload = make_benchmark(name, SMALL)
-        result = run_sequential(
-            workload, executor_factory=executor_factory_for(workload))
+        result = run_workload(workload, paradigm="Sequential",
+                              executor_factory=executor_factory_for(workload))
         assert workload.observed_result(result.system) == \
             workload.expected_result(result.system)
 
