@@ -41,6 +41,7 @@ from .experiments import (
     run_table1,
     run_table3,
 )
+from .experiments.engine import SYSTEMS
 from .experiments.fig2_smtx_rwset import fig2_spec
 from .experiments.fig8_speedup import fig8_spec
 from .experiments.fig9_setsizes import fig9_spec
@@ -91,8 +92,7 @@ def _cmd_list(_args) -> int:
     print("artifacts :", ", ".join(sorted(_ARTIFACTS)),
           "+ evaluate / all (everything)")
     print("benchmarks:", ", ".join(BENCHMARK_NAMES))
-    print("systems   : sequential, hmtx, smtx-minimal, smtx-substantial,"
-          " smtx-maximal, oracle")
+    print("systems   :", ", ".join(SYSTEMS))
     return 0
 
 
@@ -259,9 +259,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="run one benchmark under one system")
     p.add_argument("benchmark", choices=BENCHMARK_NAMES)
-    p.add_argument("--system", default="hmtx",
-                   choices=["sequential", "hmtx", "smtx-minimal",
-                            "smtx-substantial", "smtx-maximal"])
+    p.add_argument("--system", default="hmtx", choices=tuple(SYSTEMS))
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--trace", action="store_true",
                    help="attach a protocol tracer and print its summary")

@@ -893,17 +893,11 @@ def _broken_sharers_install(self, cache, base, code, data, mod_vid, high_vid):
                                     high_vid)
 
 
-def _broken_sharers_record(self, cache, addr):
-    pass
-
-
 def _inject_broken_sharers(run: _Run) -> None:
     hierarchy = run.hierarchy
     if not isinstance(hierarchy, DirectoryHierarchy):
         return  # no directory to break on the flat machine
     hierarchy._install = types.MethodType(_broken_sharers_install, hierarchy)
-    hierarchy._record_presence = types.MethodType(
-        _broken_sharers_record, hierarchy)
 
 
 def _skewed_read_load(self, core, addr, vid, now=0):

@@ -10,9 +10,9 @@ names every method and attribute an executor may touch, and
 it (same signatures, same :class:`~repro.core.stats.SystemStats` shape,
 same abort-cause taxonomy from :mod:`repro.txctl`, same MTX contract).
 
-The protocol is structural, so a plugin registered with
-:func:`~repro.backends.registry.register_backend` need not subclass
-anything.  The three in-tree backends —
+The protocol is structural, so a backend in
+:data:`~repro.backends.registry.BACKENDS` need not subclass anything.
+The three in-tree backends —
 :class:`~repro.core.system.HMTXSystem` (the paper's hardware),
 :class:`~repro.smtx.system.SMTXSystem` (the software baseline) and
 :class:`~repro.backends.oracle.OracleTMSystem` (the ideal TM) — share one

@@ -1,15 +1,14 @@
-"""Backend registry: named constructors for every TM implementation.
+"""Backend table: the named constructor of every TM implementation.
 
-``get_backend("hmtx")`` returns a factory building a fresh
-:class:`~repro.backends.protocol.TMBackend`; new backends plug in with
-:func:`register_backend` and immediately work everywhere a backend name
-is accepted — the paradigm executors, the sweep engine, and the CLI —
-without touching any executor code.
+``get_backend("hmtx")`` returns the class that builds a fresh
+:class:`~repro.backends.protocol.TMBackend`.  :data:`BACKENDS` is the
+one literal table; a new backend is one more entry, and then works
+everywhere a backend name is accepted.
 
-Factories are registered lazily (import path + attribute) so importing
+Entries are ``(module, attr)`` pairs imported on first use, so importing
 this module pulls in no system implementation: ``repro.smtx`` imports
-the runtime package, which imports this registry, and eager imports
-would cycle.
+the runtime package, which imports this table, and eager imports would
+cycle.
 """
 
 from __future__ import annotations
@@ -19,40 +18,27 @@ from typing import Callable, Dict, Tuple
 
 from .protocol import TMBackend
 
-#: A backend factory: ``factory(config=None, **kwargs) -> TMBackend``.
-BackendFactory = Callable[..., TMBackend]
-
-_FACTORIES: Dict[str, BackendFactory] = {}
-_LAZY: Dict[str, Tuple[str, str]] = {
+#: Backend name → ``(module, attr)`` of its ``factory(config=None,
+#: **kwargs) -> TMBackend``.
+BACKENDS: Dict[str, Tuple[str, str]] = {
     "hmtx": ("repro.core.system", "HMTXSystem"),
     "smtx": ("repro.smtx.system", "SMTXSystem"),
     "oracle": ("repro.backends.oracle", "OracleTMSystem"),
 }
 
 
-def register_backend(name: str, factory: BackendFactory) -> BackendFactory:
-    """Register ``factory`` under ``name`` (replacing any lazy entry)."""
-    _FACTORIES[name] = factory
-    _LAZY.pop(name, None)
-    return factory
-
-
-def get_backend(name: str) -> BackendFactory:
-    """The factory registered under ``name``.
+def get_backend(name: str) -> Callable[..., TMBackend]:
+    """The factory named ``name``.
 
     Raises ``KeyError`` with the available names for a typo'd backend.
     """
-    if name in _FACTORIES:
-        return _FACTORIES[name]
-    if name in _LAZY:
-        module_name, attr = _LAZY[name]
-        factory = getattr(importlib.import_module(module_name), attr)
-        _FACTORIES[name] = factory
-        return factory
-    raise KeyError(f"unknown backend {name!r}; "
-                   f"choose from {sorted(backend_names())}")
+    if name not in BACKENDS:
+        raise KeyError(f"unknown backend {name!r}; "
+                       f"choose from {backend_names()}")
+    module_name, attr = BACKENDS[name]
+    return getattr(importlib.import_module(module_name), attr)
 
 
 def backend_names() -> Tuple[str, ...]:
-    """Every registered backend name."""
-    return tuple(sorted(set(_FACTORIES) | set(_LAZY)))
+    """Every backend name, sorted."""
+    return tuple(sorted(BACKENDS))

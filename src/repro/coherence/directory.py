@@ -95,9 +95,6 @@ class DirectoryHierarchy(MemoryHierarchy):
         self._sharers.setdefault(base, set()).add(cache.name)
         return super()._install(cache, base, code, data, mod_vid, high_vid)
 
-    def _record_presence(self, cache: VersionedCache, addr: int) -> None:
-        self._sharers.setdefault(addr, set()).add(cache.name)
-
     def sharers_of(self, addr: int) -> Set[str]:
         """The (conservative) recorded sharer set of a line."""
         base = addr - (addr % self.config.line_size)

@@ -33,9 +33,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..backends import backend_names
 from ..core.config import MachineConfig
 from ..power.mcpat import RunProfile
 from ..runtime.paradigms import ParadigmResult, run_workload
@@ -44,13 +44,28 @@ from ..txctl import ContentionManager, make_policy
 from ..workloads import executor_factory_for, make_workload
 from ..workloads.base import Workload
 
-#: Adversarial workloads runnable by name alongside the Table 1 suite.
-CONTENDED_WORKLOADS = ("contended-list", "capacity-hog")
+def _sequential(workload: Workload, machine: Optional[MachineConfig], *,
+                paradigm: Optional[str], manager: Optional[ContentionManager],
+                **kwargs: Any) -> ParadigmResult:
+    """The baseline: one thread, no transactions, so no contention policy."""
+    return run_workload(workload, machine, paradigm=paradigm or "Sequential",
+                        **kwargs)
 
-#: System labels with dedicated handling; any registered backend name
-#: (e.g. ``"oracle"``) is also accepted verbatim.
-SYSTEM_LABELS = ("sequential", "hmtx", "hmtx-nosla",
-                 "smtx-minimal", "smtx-substantial", "smtx-maximal")
+
+#: System label → what a request on it runs:
+#: ``run(workload, machine, *, paradigm, manager, executor_factory)``.
+#: ``smtx-*`` labels go through :func:`~repro.smtx.run_smtx` (the commit
+#: process and its core); ``smtx`` and ``oracle`` are the raw backends.
+SYSTEMS: Dict[str, Callable[..., ParadigmResult]] = {
+    "sequential": _sequential,
+    "hmtx": partial(run_workload, sla_enabled=True),
+    "hmtx-nosla": partial(run_workload, sla_enabled=False),
+    "smtx-minimal": partial(run_smtx, mode=ValidationMode.MINIMAL),
+    "smtx-substantial": partial(run_smtx, mode=ValidationMode.SUBSTANTIAL),
+    "smtx-maximal": partial(run_smtx, mode=ValidationMode.MAXIMAL),
+    "smtx": partial(run_workload, backend="smtx"),
+    "oracle": partial(run_workload, backend="oracle"),
+}
 
 
 def config_digest(config: Optional[MachineConfig]) -> str:
@@ -85,7 +100,7 @@ class RunRequest:
     observe: bool = False
     #: Workload-factory keyword arguments as a sorted, hashable tuple of
     #: ``(name, value)`` pairs (build with :func:`request_options`) —
-    #: how e.g. an svc seed reaches the factory through the registry.
+    #: how e.g. an svc seed reaches the factory through the workload table.
     options: Tuple[Tuple[str, Any], ...] = ()
 
     def key(self) -> Tuple:
@@ -205,35 +220,17 @@ def build_workload(request: RunRequest) -> Workload:
 
 def run_request(request: RunRequest) -> Tuple[Workload, ParadigmResult]:
     """Build ``request``'s workload and run it on the labelled system."""
+    run = SYSTEMS.get(request.system)
+    if run is None:
+        raise ValueError(f"unknown system {request.system!r}; "
+                         f"choose from {tuple(SYSTEMS)}")
     workload = build_workload(request)
     executor_factory = executor_factory_for(workload) \
         if request.calibrated else None
     manager = ContentionManager(policy=make_policy(request.policy)) \
         if request.policy else None
-    kwargs: Dict[str, Any] = {}
-    if request.paradigm:
-        kwargs["paradigm"] = request.paradigm
-    if manager is not None:
-        kwargs["manager"] = manager
-    system = request.system
-    if system == "sequential":
-        result = run_workload(workload, request.machine,
-                              paradigm=request.paradigm or "Sequential",
-                              executor_factory=executor_factory)
-    elif system in ("hmtx", "hmtx-nosla"):
-        result = run_workload(workload, request.machine,
-                              sla_enabled=(system == "hmtx"),
-                              executor_factory=executor_factory, **kwargs)
-    elif system.startswith("smtx-"):
-        mode = ValidationMode(system.split("-", 1)[1])
-        result = run_smtx(workload, request.machine, mode=mode,
-                          executor_factory=executor_factory, **kwargs)
-    elif system in backend_names():
-        result = run_workload(workload, request.machine, backend=system,
-                              executor_factory=executor_factory, **kwargs)
-    else:
-        raise ValueError(f"unknown system {system!r}; expected one of "
-                         f"{SYSTEM_LABELS} or a backend in {backend_names()}")
+    result = run(workload, request.machine, paradigm=request.paradigm,
+                 manager=manager, executor_factory=executor_factory)
     return workload, result
 
 
@@ -369,12 +366,8 @@ class SweepEngine:
     once and every caller gets the *same object* back.
     """
 
-    def __init__(self, jobs: int = 1, observe: bool = False) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         self.jobs = max(1, int(jobs))
-        #: When set, every request runs with an obs session attached and
-        #: its record carries the cycle-attribution digest — sweeps gain
-        #: attribution without any driver changes (or reruns, via cache).
-        self.observe = observe
         self._cache: Dict[Tuple, RunRecord] = {}
         #: Freshly *executed* observed runs, in execution order — the
         #: hand-off :class:`repro.obs.history.HistoryStore.append_runs`
@@ -398,9 +391,6 @@ class SweepEngine:
 
     def run(self, requests: Sequence[RunRequest]) -> List[RunRecord]:
         """Execute ``requests``; returns records in request order."""
-        if self.observe:
-            requests = [r if r.observe else replace(r, observe=True)
-                        for r in requests]
         todo: List[RunRequest] = []
         seen = set()
         for request in requests:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..smtx import ValidationMode, smtx_whole_program_speedup
+from ..smtx import smtx_whole_program_speedup
 from ..workloads.suite import SMTX_COMPARABLE
 from .engine import SweepSpec
 from .reporting import BenchmarkRunner, format_table, geomean
@@ -51,9 +51,9 @@ def run_fig2(scale: float = 1.0,
     runner.engine.run_spec(fig2_spec(runner))
     rows: Dict[str, Fig2Row] = {}
     for name in SMTX_COMPARABLE:
-        seq = runner.sequential(name)
-        minimal = runner.smtx(name, ValidationMode.MINIMAL)
-        substantial = runner.smtx(name, ValidationMode.SUBSTANTIAL)
+        seq = runner.run(name, "sequential")
+        minimal = runner.run(name, "smtx-minimal")
+        substantial = runner.run(name, "smtx-substantial")
         hot_min = seq.cycles / minimal.cycles
         hot_sub = seq.cycles / substantial.cycles
         # RunRecord carries the workload's hot-loop fraction, which is all

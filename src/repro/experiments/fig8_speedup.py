@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..smtx import ValidationMode
 from ..workloads.suite import BENCHMARK_NAMES, SMTX_COMPARABLE
 from .engine import SweepSpec
 from .reporting import BenchmarkRunner, format_table, geomean
@@ -61,10 +60,10 @@ def run_fig8(scale: float = 1.0,
         hmtx = runner.speedup(name, "hmtx")
         smtx = None
         if name in SMTX_COMPARABLE:
-            smtx = runner.speedup(name, "smtx", ValidationMode.MINIMAL)
+            smtx = runner.speedup(name, "smtx-minimal")
         rows[name] = Fig8Row(
             benchmark=name,
-            paradigm=runner.hmtx(name).paradigm,
+            paradigm=runner.run(name, "hmtx").paradigm,
             hmtx_speedup=hmtx,
             smtx_speedup=smtx,
             correct=runner.verify(name, "hmtx"),

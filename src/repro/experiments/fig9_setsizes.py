@@ -50,7 +50,7 @@ def run_fig9(scale: float = 1.0,
     runner.engine.run_spec(fig9_spec(runner))
     rows: Dict[str, Fig9Row] = {}
     for name in BENCHMARK_NAMES:
-        record = runner.hmtx(name)
+        record = runner.run(name, "hmtx")
         rows[name] = Fig9Row(
             benchmark=name,
             read_set_kb=record.avg_read_set_kb,

@@ -1,8 +1,9 @@
 """Shared helpers for the experiment drivers: runs, tables, geomeans.
 
 :class:`BenchmarkRunner` is the drivers' facade over the sweep engine
-(:mod:`repro.experiments.engine`): it names runs the way the figures do
-("the HMTX run of 130.li", "SMTX with minimal validation") and returns
+(:mod:`repro.experiments.engine`): it names runs by benchmark and system
+label (``run("130.li", "smtx-minimal")``, labels from
+:data:`~repro.experiments.engine.SYSTEMS`) and returns
 plain :class:`~repro.experiments.engine.RunRecord` snapshots, cached so
 the figures share baselines.  Parallelism is the engine's business —
 construct the runner with ``jobs=N`` and batch work via
@@ -15,7 +16,6 @@ import math
 from typing import Iterable, List, Optional, Sequence
 
 from ..core.config import MachineConfig
-from ..smtx import ValidationMode
 from .engine import RunRecord, RunRequest, SweepEngine
 
 
@@ -65,11 +65,10 @@ class BenchmarkRunner:
     def __init__(self, scale: float = 1.0,
                  config: Optional[MachineConfig] = None,
                  jobs: int = 1,
-                 engine: Optional[SweepEngine] = None,
-                 observe: bool = False) -> None:
+                 engine: Optional[SweepEngine] = None) -> None:
         self.scale = scale
         self.config = config
-        self.engine = engine or SweepEngine(jobs=jobs, observe=observe)
+        self.engine = engine or SweepEngine(jobs=jobs)
 
     def request(self, name: str, system: str) -> RunRequest:
         """The engine request for the (benchmark, system-label) pair."""
@@ -84,28 +83,10 @@ class BenchmarkRunner:
     def run(self, name: str, system: str) -> RunRecord:
         return self.engine.run_one(self.request(name, system))
 
-    def sequential(self, name: str) -> RunRecord:
-        return self.run(name, "sequential")
-
-    def hmtx(self, name: str, sla_enabled: bool = True) -> RunRecord:
-        return self.run(name, "hmtx" if sla_enabled else "hmtx-nosla")
-
-    def smtx(self, name: str, mode: ValidationMode) -> RunRecord:
-        return self.run(name, f"smtx-{mode.value}")
-
-    def speedup(self, name: str, system: str,
-                smtx_mode: Optional[ValidationMode] = None) -> float:
+    def speedup(self, name: str, system: str) -> float:
         """Hot-loop speedup of ``system`` over sequential for ``name``."""
-        seq = self.sequential(name)
-        if system == "hmtx":
-            other = self.hmtx(name)
-        elif system == "hmtx-nosla":
-            other = self.hmtx(name, sla_enabled=False)
-        elif system == "smtx":
-            other = self.smtx(name, smtx_mode or ValidationMode.MINIMAL)
-        else:
-            other = self.run(name, system)
-        return seq.cycles / other.cycles
+        seq = self.run(name, "sequential")
+        return seq.cycles / self.run(name, system).cycles
 
     def verify(self, name: str, system: str) -> bool:
         """Did the (name, system) run preserve sequential semantics?"""

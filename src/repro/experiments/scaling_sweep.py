@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import MachineConfig
 from ..obs.profile import load_digest
-from ..topology import TOPOLOGY_PRESETS, TopologySpec
+from ..topology import topology_preset
 from .engine import RunRecord, RunRequest, SweepEngine, SweepSpec
 from .reporting import format_table
 
@@ -43,38 +43,14 @@ SCALING_PRESETS = ("table2", "2s64c", "4s128c", "4s256c")
 SCALING_SYSTEMS = ("hmtx", "smtx-minimal", "oracle")
 SCALING_WORKLOADS = ("130.li", "164.gzip", "svc-kv")
 
-#: The CI smoke machine: 2 sockets × 4 cores, small enough for a
-#: per-push job but multi-socket enough to exercise slices, NUMA links,
-#: per-socket banks, and the placement policies.
-QUICK_PRESETS: Dict[str, TopologySpec] = {
-    "2s8c": TopologySpec(sockets=2, cores_per_socket=4),
-    # A 4-socket sibling at the same per-job cost class, so the what-if
-    # profiler can contrast knob sensitivities across socket counts
-    # without paying for the 128-core presets.
-    "4s16c": TopologySpec(sockets=4, cores_per_socket=4),
-}
-
 QUICK_WORKLOADS = ("130.li", "svc-kv")
 
 _DEFAULT_OUTPUT = "REPORT_scaling.json"
 
 
-def resolve_preset(name: str) -> TopologySpec:
-    """A preset by name, including the quick CI-only shapes."""
-    if name in QUICK_PRESETS:
-        return QUICK_PRESETS[name]
-    try:
-        return TOPOLOGY_PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown topology preset {name!r}; choose from "
-            f"{sorted(TOPOLOGY_PRESETS) + sorted(QUICK_PRESETS)}") from None
-
-
 def scaling_machine(preset: str, placement: str = "pack") -> MachineConfig:
     """The machine a preset sweeps on (directory coherence when sliced)."""
-    return MachineConfig.for_topology(resolve_preset(preset),
-                                      placement=placement)
+    return MachineConfig.for_topology(preset, placement=placement)
 
 
 def scaling_spec(scale: float = 1.0,
@@ -150,7 +126,7 @@ def run_scaling(scale: float = 1.0,
     per_preset = len(workloads) * len(systems)
     for index, (request, record) in enumerate(zip(spec.requests, records)):
         preset = presets[index // per_preset]
-        shape = request.machine.topology or resolve_preset(preset)
+        shape = request.machine.topology or topology_preset(preset)
         digest = record.obs_digest or {}
         rows.append(ScalingRow(
             preset=preset,
@@ -198,7 +174,7 @@ def scaling_report(result: ScalingResult) -> Dict[str, Any]:
         "schema": "hmtx-scaling-report/1",
         "scale": result.scale,
         "placement": result.placement,
-        "presets": {name: resolve_preset(name).describe()
+        "presets": {name: topology_preset(name).describe()
                     for name in result.presets},
         "rows": [{
             "preset": row.preset,
@@ -315,7 +291,7 @@ def main(argv=None) -> int:
     report = scaling_report(result)
 
     if args.survivor:
-        multi = next((p for p in presets if not resolve_preset(p).flat),
+        multi = next((p for p in presets if not topology_preset(p).flat),
                      presets[-1])
         machine = scaling_machine(multi, args.placement)
         record = engine.run_one(RunRequest(

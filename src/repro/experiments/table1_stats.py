@@ -58,11 +58,11 @@ def run_table1(scale: float = 1.0,
     runner.engine.run_spec(table1_spec(runner))
     measured: Dict[str, MeasuredRow] = {}
     for name in BENCHMARK_NAMES:
-        record = runner.hmtx(name)
+        record = runner.run(name, "hmtx")
         # Branch mix comes from the dedicated parallel run's executor; the
         # runner builds one CoreExecutor per run, but stats are per-system:
         # re-derive from the sequential run for an apples-to-apples mix.
-        seq = runner.sequential(name)
+        seq = runner.run(name, "sequential")
         measured[name] = MeasuredRow(
             benchmark=name,
             paradigm=record.paradigm,

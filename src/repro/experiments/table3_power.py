@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..power import McPatModel, PowerReport
-from ..smtx import ValidationMode
 from ..workloads.suite import BENCHMARK_NAMES, SMTX_COMPARABLE
 from .engine import SweepSpec
 from .reporting import BenchmarkRunner, format_table, geomean
@@ -70,12 +69,13 @@ def run_table3(scale: float = 1.0,
         out = []
         for name in names:
             if kind == "sequential":
-                profile = runner.sequential(name).power_profile()
+                profile = runner.run(name, "sequential").power_profile()
             elif kind == "smtx":
-                profile = runner.smtx(name, ValidationMode.MINIMAL) \
+                profile = runner.run(name, "smtx-minimal") \
                     .power_profile(commit_process=True)
             else:
-                profile = runner.hmtx(name).power_profile(hmtx_active=True)
+                profile = runner.run(name, "hmtx") \
+                    .power_profile(hmtx_active=True)
             out.append(model.report(name, profile))
         return out
 

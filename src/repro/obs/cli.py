@@ -33,7 +33,7 @@ from .profile import attribute, digest, format_breakdown, format_hot_lines
 from .timeline import build_timeline
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(systems) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro obs",
         description="run one workload fully instrumented: metrics, "
@@ -43,8 +43,8 @@ def _parser() -> argparse.ArgumentParser:
                              "(e.g. contended-list)")
     parser.add_argument("--backend", "--system", dest="system",
                         default="hmtx",
-                        help="system label or registered backend "
-                             "(default hmtx)")
+                        help="system label: " + ", ".join(systems)
+                             + " (default hmtx)")
     parser.add_argument("--paradigm", default=None,
                         help="force a parallelisation paradigm")
     parser.add_argument("--policy", default=None,
@@ -211,8 +211,8 @@ def main(argv=None) -> int:
         return whatif_main(argv[1:])
     if argv[:1] == ["history"]:
         return history_main(argv[1:])
-    args = _parser().parse_args(argv)
-    from ..experiments.engine import RunRequest, observed_run
+    from ..experiments.engine import SYSTEMS, RunRequest, observed_run
+    args = _parser(SYSTEMS).parse_args(argv)
     request = RunRequest(workload=args.workload, system=args.system,
                          scale=args.scale, paradigm=args.paradigm,
                          policy=args.policy)

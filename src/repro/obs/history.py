@@ -28,9 +28,10 @@ recorded under that git-describe label.
 
 Writers: ``python -m repro bench --history``, ``python -m repro
 scaling --history``, ``python -m repro obs <workload> --history`` and
-anything driving :class:`~repro.experiments.engine.SweepEngine` with
-``observe=True`` (the engine collects executed ``(request, record)``
-pairs in ``observed_pairs`` for exactly this hand-off).
+anything that runs requests with ``observe=True`` through a
+:class:`~repro.experiments.engine.SweepEngine` (the engine collects
+executed observed ``(request, record)`` pairs in ``observed_pairs`` for
+exactly this hand-off).
 """
 
 from __future__ import annotations

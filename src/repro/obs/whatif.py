@@ -41,6 +41,7 @@ import pathlib
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..core.config import MachineConfig
+from ..topology import topology_preset
 from .profile import load_digest
 
 WHATIF_SCHEMA = "hmtx-obs-whatif/1"
@@ -174,7 +175,7 @@ def run_whatif(presets: Sequence[str] = DEFAULT_PRESETS,
     matrix.
     """
     from ..experiments.engine import RunRequest, SweepEngine  # lint-ok: RL005 (keeps repro.obs import-light; the sweep stack loads only when a what-if actually runs)
-    from ..experiments.scaling_sweep import resolve_preset, scaling_machine  # lint-ok: RL005 (same lazy sweep-stack boundary as the engine import above)
+    from ..experiments.scaling_sweep import scaling_machine  # lint-ok: RL005 (same lazy sweep-stack boundary as the engine import above)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     engine = engine or SweepEngine(jobs=jobs)
@@ -258,7 +259,7 @@ def run_whatif(presets: Sequence[str] = DEFAULT_PRESETS,
         "schema": WHATIF_SCHEMA,
         "scale": scale,
         "delta": delta,
-        "presets": {name: resolve_preset(name).describe()
+        "presets": {name: topology_preset(name).describe()
                     for name in presets},
         "knobs": {knob.name: {"param": knob.param,
                               "description": knob.description}

@@ -26,7 +26,7 @@ recovery and assembles the :class:`ParadigmResult`; :mod:`.base` holds
 what the programs share (the section 4.6 VID-overflow protocol,
 in-order commit spinning, the recovery loop).  Programs are written
 against the :class:`~repro.backends.TMBackend` protocol, so any
-registered backend (``hmtx``, ``smtx``, ``oracle``, …) runs under every
+backend in the table (``hmtx``, ``smtx``, ``oracle``) runs under every
 paradigm via the ``backend=`` / ``system_factory=`` keywords.
 """
 

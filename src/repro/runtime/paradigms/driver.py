@@ -49,7 +49,7 @@ def run_workload(workload: Workload, config: Optional[MachineConfig] = None,
     """Run ``workload`` under ``paradigm`` (default: its Table 1 paradigm).
 
     ``system_factory`` builds the backend when given; otherwise
-    ``backend`` names a registry entry (default ``"hmtx"``) built on
+    ``backend`` names a backend-table entry (default ``"hmtx"``) built on
     ``config``, and ``sla_enabled`` reaches only factories that take it
     (SLAs are an HMTX-hardware concern).  ``options`` go to the
     paradigm's builder (``workers``, ``stage2_workers``); one it does not
@@ -63,6 +63,9 @@ def run_workload(workload: Workload, config: Optional[MachineConfig] = None,
     if name not in PARADIGMS:
         raise ValueError(f"unknown paradigm {name!r}; "
                          f"choose from {sorted(PARADIGMS)}")
+    builder = PARADIGMS[name]
+    # A bad option fails here, before any backend or tap sees the run.
+    inspect.signature(builder).bind(workload, None, **options)
     if system_factory is not None:
         system = system_factory()
     else:
@@ -74,7 +77,7 @@ def run_workload(workload: Workload, config: Optional[MachineConfig] = None,
     if _obs.active is not None:
         _obs.active.attach_system(system)
     workload.setup(system)
-    label, build = PARADIGMS[name](workload, system, **options)
+    label, build = builder(workload, system, **options)
 
     executor = executor_factory(system) if executor_factory else None
     scheduler = Scheduler(system, executor=executor, interrupts=interrupts)

@@ -6,16 +6,16 @@ Three pieces, layered on the existing runtime/obs/experiments stack:
   open-loop arrival schedules (the statistics of service traffic).
 * :mod:`repro.svc.kvstore` — the transactional KV/OLTP workload family
   (``svc-kv`` / ``svc-kv-read`` / ``svc-oltp`` in the workload
-  registry), whose requests queue behind the scheduler via the
+  table), whose requests queue behind the scheduler via the
   :class:`~repro.cpu.isa.Arrive` op.
 * :mod:`repro.svc.adversary` — seeded mutate-and-score search over
   access-pattern genomes; survivors serialize as regression workloads
-  (``svc-survivor:<path>`` registry names).
+  (``svc-survivor:<path>`` workload names).
 * :mod:`repro.svc.latency` — the tail-latency artifact
   (``python -m repro svc``): per-backend commit-latency and queue-wait
   quantiles from the obs histograms, run through the sweep engine.
 
-Import is lazy everywhere it matters: the registry maps svc names to
+Import is lazy everywhere it matters: the workload table maps svc names to
 modules, so nothing here loads unless an svc workload is actually used.
 """
 

@@ -21,7 +21,7 @@ keeps the highest-scoring genome; every draw comes from one
 :class:`~repro.workloads.common.Lcg`, so equal seeds reproduce the
 entire search byte-for-byte.  High scorers are serialized as *survivor*
 JSON files (``hmtx-svc-survivor/1``) that replay as regression
-workloads: the workload registry resolves ``svc-survivor:<path>``, so
+workloads: the workload table resolves ``svc-survivor:<path>``, so
 survivors run through the sweep engine and ``python -m repro analyze
 --racecheck`` by name, and CI re-scores them against the recorded
 metrics (:func:`replay_survivor`).
@@ -415,7 +415,7 @@ def load_survivor(path) -> Dict[str, Any]:
 def survivor_workload(path, **options) -> AdversarialWorkload:
     """Build the regression workload a survivor file describes.
 
-    This is the resolver behind the registry's ``svc-survivor:<path>``
+    This is the resolver behind the workload table's ``svc-survivor:<path>``
     names, so survivors replay through everything that accepts a
     workload name (sweep engine, racecheck, CLI).
     """

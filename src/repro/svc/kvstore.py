@@ -16,7 +16,7 @@ iteration order against a plain dict, which is exactly the sequential
 semantics the in-order DOALL commit protocol must preserve — the sweep
 engine's correctness check compares it against committed memory.
 
-Registered factories (``repro.workloads`` registry):
+Factories in the ``repro.workloads`` table:
 
 * ``svc-kv``       — 60/25/15 read/write/RMW point operations
 * ``svc-kv-read``  — 90/5/5 read-heavy cache-style traffic

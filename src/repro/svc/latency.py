@@ -42,7 +42,7 @@ from ..obs.registry import Histogram
 LATENCY_SCHEMA = "hmtx-svc-latency/1"
 
 #: Default backend lineup: the hardware design, the software baseline,
-#: and the perfect-knowledge oracle (same trio as the backend registry).
+#: and the perfect-knowledge oracle (same trio as the backend table).
 DEFAULT_SYSTEMS: Tuple[str, ...] = ("hmtx", "smtx", "oracle")
 
 #: Reported quantiles (fraction, column label).

@@ -205,12 +205,19 @@ class TopologySpec:
 
 #: Named machine shapes.  ``table2`` is the paper's flat 4-core machine;
 #: the big-iron presets follow ROADMAP item 1 (64–256 cores, per-socket
-#: LLC slices, directory-style cross-socket coherence).
+#: LLC slices, directory-style cross-socket coherence).  ``2s8c`` is the
+#: CI smoke machine: small enough for a per-push job but multi-socket
+#: enough to exercise slices, NUMA links, per-socket banks and the
+#: placement policies; ``4s16c`` is its 4-socket sibling at the same cost
+#: class, so the what-if profiler can contrast knob sensitivities across
+#: socket counts without paying for the 128-core presets.
 TOPOLOGY_PRESETS: Dict[str, TopologySpec] = {
     "table2": TopologySpec(sockets=1, cores_per_socket=4),
     "2s64c": TopologySpec(sockets=2, cores_per_socket=32),
     "4s128c": TopologySpec(sockets=4, cores_per_socket=32),
     "4s256c": TopologySpec(sockets=4, cores_per_socket=64),
+    "2s8c": TopologySpec(sockets=2, cores_per_socket=4),
+    "4s16c": TopologySpec(sockets=4, cores_per_socket=4),
 }
 
 

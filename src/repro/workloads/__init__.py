@@ -21,7 +21,6 @@ from .suite import (
     all_benchmarks,
     make_benchmark,
     make_workload,
-    register_workload,
     workload_names,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "executor_factory_for",
     "make_benchmark",
     "make_workload",
-    "register_workload",
     "workload_names",
 ]

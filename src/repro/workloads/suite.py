@@ -1,19 +1,18 @@
-"""The workload registry and the evaluated benchmark suite.
+"""The workload table and the evaluated benchmark suite.
 
-``make_workload(name, scale, **options)`` builds any registered workload
-by name — the 8 Table 1 benchmark models, the adversarial contention
+``make_workload(name, scale, **options)`` builds any workload by name —
+the 8 Table 1 benchmark models, the adversarial contention
 microbenchmarks, and the :mod:`repro.svc` service workloads all share
-this one lookup (mirroring the :mod:`repro.backends` registry: eager
-factories plus lazy ``(module, attr)`` entries, so importing the suite
-pulls in no optional subsystem).  New workloads plug in with
-:func:`register_workload` and immediately work everywhere a workload
-name is accepted: the sweep engine, ``python -m repro analyze``, and the
-svc CLI.
+this one lookup.  :data:`BENCHMARKS` and :data:`EXTRA_WORKLOADS` are the
+literal name tables; the extras are lazy ``(module, attr)`` entries, so
+importing the suite pulls in no optional subsystem.  A new workload is
+one more entry, and then works everywhere a workload name is accepted:
+the sweep engine, ``python -m repro analyze``, and the svc CLI.
 
-``make_benchmark(name, scale)`` is the Table 1 view of the registry —
-it accepts only the 8 evaluated benchmarks (``scale`` grows or shrinks
-iteration counts; 1.0 = the default simulation size; the paper's native
-sizes are ~1000x larger — see EXPERIMENTS.md).
+``make_benchmark(name, scale)`` is the Table 1 view — it accepts only
+the 8 evaluated benchmarks (``scale`` grows or shrinks iteration counts;
+1.0 = the default simulation size; the paper's native sizes are ~1000x
+larger — see EXPERIMENTS.md).
 
 ``PAPER_TABLE1`` records the published per-benchmark statistics so the
 reproduction reports paper-vs-measured side by side.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple, Type
 
 from .alvinn import AlvinnWorkload
 from .base import Workload
@@ -79,16 +78,26 @@ def _scaled(value: int, scale: float, minimum: int = 2) -> int:
 
 
 # ----------------------------------------------------------------------
-# The registry
+# The workload tables
 # ----------------------------------------------------------------------
 
-#: A workload factory: ``factory(scale, **options) -> Workload``.
-WorkloadFactory = Callable[..., Workload]
+#: Table 1 benchmark → ``(model, iterations at scale 1.0)``.
+BENCHMARKS: Dict[str, Tuple[Type[Workload], int]] = {
+    "052.alvinn": (AlvinnWorkload, 32),
+    "130.li": (LiWorkload, 8),
+    "164.gzip": (GzipWorkload, 20),
+    "186.crafty": (CraftyWorkload, 24),
+    "197.parser": (ParserWorkload, 14),
+    "256.bzip2": (Bzip2Workload, 8),
+    "456.hmmer": (HmmerWorkload, 40),
+    "ispell": (IspellWorkload, 64),
+}
 
-_FACTORIES: Dict[str, WorkloadFactory] = {}
-#: Lazy entries (import path + attribute) so the registry can name
-#: workloads from optional subsystems without importing them eagerly.
-_LAZY: Dict[str, Tuple[str, str]] = {
+BENCHMARK_NAMES = tuple(BENCHMARKS)
+
+#: Every other workload → ``(module, attr)`` of its
+#: ``factory(scale, **options) -> Workload``, imported on first use.
+EXTRA_WORKLOADS: Dict[str, Tuple[str, str]] = {
     "contended-list": ("repro.workloads.contended",
                        "contended_list_workload"),
     "capacity-hog": ("repro.workloads.contended", "capacity_hog_workload"),
@@ -103,21 +112,13 @@ _LAZY: Dict[str, Tuple[str, str]] = {
 SURVIVOR_PREFIX = "svc-survivor:"
 
 
-def register_workload(name: str, factory: WorkloadFactory) -> WorkloadFactory:
-    """Register ``factory`` under ``name``; duplicate names are an error."""
-    if name in _FACTORIES or name in _LAZY:
-        raise ValueError(f"workload {name!r} is already registered")
-    _FACTORIES[name] = factory
-    return factory
-
-
 def workload_names() -> Tuple[str, ...]:
-    """Every registered workload name (sorted; survivors excluded)."""
-    return tuple(sorted(set(_FACTORIES) | set(_LAZY)))
+    """Every workload name (sorted; survivors excluded)."""
+    return tuple(sorted(BENCHMARKS.keys() | EXTRA_WORKLOADS.keys()))
 
 
 def make_workload(name: str, scale: float = 1.0, **options) -> Workload:
-    """Instantiate any registered workload at the given size scale.
+    """Instantiate any workload at the given size scale.
 
     ``options`` are factory keyword arguments (e.g. ``seed=`` for the
     svc family); factories that take none reject extras loudly.
@@ -125,48 +126,15 @@ def make_workload(name: str, scale: float = 1.0, **options) -> Workload:
     if name.startswith(SURVIVOR_PREFIX):
         from ..svc.adversary import survivor_workload  # lint-ok: RL005 (survivor replay only; keeps the svc subsystem out of suite imports)
         return survivor_workload(name[len(SURVIVOR_PREFIX):], **options)
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        lazy = _LAZY.get(name)
-        if lazy is None:
-            raise KeyError(f"unknown workload {name!r}; "
-                           f"choose from {workload_names()}")
-        module_name, attr = lazy
-        factory = getattr(importlib.import_module(module_name), attr)
-        _FACTORIES[name] = factory
+    if name in BENCHMARKS:
+        model, iterations = BENCHMARKS[name]
+        return model(iterations=_scaled(iterations, scale), **options)
+    if name not in EXTRA_WORKLOADS:
+        raise KeyError(f"unknown workload {name!r}; "
+                       f"choose from {workload_names()}")
+    module_name, attr = EXTRA_WORKLOADS[name]
+    factory = getattr(importlib.import_module(module_name), attr)
     return factory(scale, **options)
-
-
-# ----------------------------------------------------------------------
-# The Table 1 suite, registered like everything else
-# ----------------------------------------------------------------------
-
-BENCHMARK_NAMES = ("052.alvinn", "130.li", "164.gzip", "186.crafty",
-                   "197.parser", "256.bzip2", "456.hmmer", "ispell")
-
-register_workload("052.alvinn",
-                  lambda s, **kw: AlvinnWorkload(iterations=_scaled(32, s),
-                                                 **kw))
-register_workload("130.li",
-                  lambda s, **kw: LiWorkload(iterations=_scaled(8, s), **kw))
-register_workload("164.gzip",
-                  lambda s, **kw: GzipWorkload(iterations=_scaled(20, s),
-                                               **kw))
-register_workload("186.crafty",
-                  lambda s, **kw: CraftyWorkload(iterations=_scaled(24, s),
-                                                 **kw))
-register_workload("197.parser",
-                  lambda s, **kw: ParserWorkload(iterations=_scaled(14, s),
-                                                 **kw))
-register_workload("256.bzip2",
-                  lambda s, **kw: Bzip2Workload(iterations=_scaled(8, s),
-                                                **kw))
-register_workload("456.hmmer",
-                  lambda s, **kw: HmmerWorkload(iterations=_scaled(40, s),
-                                                **kw))
-register_workload("ispell",
-                  lambda s, **kw: IspellWorkload(iterations=_scaled(64, s),
-                                                 **kw))
 
 
 def make_benchmark(name: str, scale: float = 1.0) -> Workload:

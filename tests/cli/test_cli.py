@@ -1,8 +1,22 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import contextlib
+import io
+
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.engine import SYSTEMS
+
+
+def _listed_systems():
+    """The system labels ``python -m repro list`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["list"])
+    line = next(line for line in out.getvalue().splitlines()
+                if line.startswith("systems"))
+    return line.split(":", 1)[1].strip().split(", ")
 
 
 class TestCli:
@@ -10,6 +24,15 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig8" in out and "130.li" in out
+
+    def test_list_prints_the_system_table(self):
+        assert _listed_systems() == list(SYSTEMS)
+
+    @pytest.mark.parametrize("label", _listed_systems())
+    def test_every_listed_system_runs(self, capsys, label):
+        assert main(["run", "ispell", "--system", label,
+                     "--scale", "0.3"]) == 0
+        assert "matches sequential semantics" in capsys.readouterr().out
 
     def test_fig5_artifact(self, capsys):
         assert main(["fig5"]) == 0

@@ -1,6 +1,6 @@
 """``--jobs`` never changes an artifact: ``--jobs 1`` and ``--jobs 2``
 write byte-identical files for the sweep report, the svc tail-latency
-artifact and the topology scaling report.
+artifact, the topology scaling report and the what-if report.
 
 Each command runs in a fresh interpreter, as a user would run it, so no
 in-process state is shared between the two job counts.
@@ -23,6 +23,7 @@ COMMANDS = {
     "all": ["all", "--quick"],
     "svc": ["svc", "--scale", "0.25", "--seed", "42", "--format", "json"],
     "scaling": ["scaling", "--quick", "--survivor", str(SURVIVOR)],
+    "whatif": ["obs", "whatif", "--quick"],
 }
 
 

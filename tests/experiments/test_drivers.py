@@ -54,8 +54,8 @@ class TestReportingHelpers:
         assert "T" in text and "33" in text
 
     def test_runner_caches(self, runner):
-        first = runner.sequential("ispell")
-        second = runner.sequential("ispell")
+        first = runner.run("ispell", "sequential")
+        second = runner.run("ispell", "sequential")
         assert first is second
 
 

@@ -174,8 +174,8 @@ class TestCacheKeys:
         engine = SweepEngine()
         small = BenchmarkRunner(scale=0.2, engine=engine)
         large = BenchmarkRunner(scale=0.35, engine=engine)
-        a = small.sequential("ispell")
-        b = large.sequential("ispell")
+        a = small.run("ispell", "sequential")
+        b = large.run("ispell", "sequential")
         assert a is not b
         assert a.cycles != b.cycles
 
@@ -184,12 +184,26 @@ class TestCacheKeys:
         stock = BenchmarkRunner(scale=0.2, engine=engine)
         tiny = BenchmarkRunner(scale=0.2, engine=engine,
                                config=MachineConfig(l1_size=4 * 1024))
-        a = stock.hmtx("ispell")
-        b = tiny.hmtx("ispell")
+        a = stock.run("ispell", "hmtx")
+        b = tiny.run("ispell", "hmtx")
         assert a is not b
 
     def test_identical_runners_share_cache(self):
         engine = SweepEngine()
         one = BenchmarkRunner(scale=0.2, engine=engine)
         two = BenchmarkRunner(scale=0.2, engine=engine)
-        assert one.sequential("ispell") is two.sequential("ispell")
+        assert one.run("ispell", "sequential") \
+            is two.run("ispell", "sequential")
+
+
+class TestSystemLabels:
+    def test_unknown_label_lists_the_table(self):
+        with pytest.raises(ValueError, match="smtx-maximal.*oracle"):
+            run_request(RunRequest(workload="ispell", system="tsx"))
+
+    def test_speedup_reads_the_label_it_is_given(self):
+        runner = BenchmarkRunner(scale=0.25)
+        seq = runner.run("ispell", "sequential").cycles
+        for label in ("smtx", "smtx-minimal"):
+            assert runner.speedup("ispell", label) \
+                == seq / runner.run("ispell", label).cycles

@@ -6,19 +6,18 @@ import json
 
 import pytest
 
+from repro.core.config import MachineConfig
 from repro.experiments.engine import SweepEngine
 from repro.experiments.scaling_sweep import (
-    QUICK_PRESETS,
     SCALING_PRESETS,
     format_scaling,
     reset_storm_curve,
-    resolve_preset,
     run_scaling,
     scaling_machine,
     scaling_report,
     scaling_spec,
 )
-from repro.topology import topology_preset
+from repro.topology import TopologySpec, topology_preset
 
 QUICK = ("table2", "2s8c")
 WORKLOADS = ("svc-kv",)
@@ -33,11 +32,17 @@ def result():
 
 class TestSpec:
     def test_presets_resolve(self):
-        for name in SCALING_PRESETS:
-            assert resolve_preset(name) is topology_preset(name)
-        assert resolve_preset("2s8c") is QUICK_PRESETS["2s8c"]
+        for name in SCALING_PRESETS + ("2s8c", "4s16c"):
+            spec = topology_preset(name)
+            assert scaling_machine(name).topology in (None, spec)
+        assert topology_preset("2s8c") \
+            == TopologySpec(sockets=2, cores_per_socket=4)
+        assert topology_preset("4s16c") \
+            == TopologySpec(sockets=4, cores_per_socket=4)
+        assert MachineConfig.for_topology("2s8c").topology \
+            == scaling_machine("2s8c").topology
         with pytest.raises(KeyError):
-            resolve_preset("nope")
+            scaling_machine("nope")
 
     def test_machines_match_their_presets(self):
         flat = scaling_machine("table2")

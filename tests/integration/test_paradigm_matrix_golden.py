@@ -51,6 +51,11 @@ def _matrix():
     requests["smtx-minimal:130.li:Sequential"] = RunRequest(
         workload="130.li", system="smtx-minimal", scale=SCALE,
         paradigm="Sequential")
+    # The remaining system labels, once each on 130.li's own paradigm.
+    for system in ("smtx", "smtx-substantial", "smtx-maximal"):
+        requests[f"{system}:130.li:PS-DSWP"] = RunRequest(
+            workload="130.li", system=system, scale=SCALE,
+            paradigm="PS-DSWP")
     requests["contended-list:backoff"] = RunRequest(
         workload="contended-list", system="hmtx", scale=SCALE,
         paradigm="PS-DSWP", policy="backoff")

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.config import MachineConfig
 from repro.experiments.engine import RunRequest, SweepEngine, request_options
-from repro.experiments.scaling_sweep import QUICK_PRESETS, scaling_machine
+from repro.experiments.scaling_sweep import scaling_machine
 from repro.obs.diff import (
     DIFF_SCHEMA,
     diff_bundles,
@@ -29,6 +29,7 @@ from repro.obs.diff import (
 )
 from repro.obs.history import bundle
 from repro.obs.profile import DIGEST_SCHEMA, load_digest
+from repro.topology import topology_preset
 
 GOLDENS = pathlib.Path(__file__).parent.parent / "goldens"
 GOLDEN_PATH = GOLDENS / "obs_digest_contended_list.json"
@@ -126,7 +127,7 @@ def scrub_pair():
     forces a mid-run reset onto the critical path)."""
     digests = []
     for scrub in (1.0, 2.0):
-        topo = dataclasses.replace(QUICK_PRESETS["2s8c"],
+        topo = dataclasses.replace(topology_preset("2s8c"),
                                    scrub_scale=scrub)
         machine = dataclasses.replace(MachineConfig.for_topology(topo),
                                       vid_bits=4)

@@ -246,11 +246,11 @@ class TestEngineIntegration:
 
     def test_sweep_engine_observe_flag_and_determinism(self):
         requests = [RunRequest(workload="contended-list", scale=0.25,
-                               policy="backoff"),
+                               policy="backoff", observe=True),
                     RunRequest(workload="capacity-hog", scale=0.5,
-                               policy="capacity-aware")]
-        serial = SweepEngine(jobs=1, observe=True).run(requests)
-        pooled = SweepEngine(jobs=2, observe=True).run(requests)
+                               policy="capacity-aware", observe=True)]
+        serial = SweepEngine(jobs=1).run(requests)
+        pooled = SweepEngine(jobs=2).run(requests)
         assert [r.to_report() for r in serial] \
             == [r.to_report() for r in pooled]
         assert all(r.obs_digest is not None for r in serial)

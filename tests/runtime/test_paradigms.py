@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from repro.core import MachineConfig
+from repro.obs.tap import Tap
 from repro.runtime.paradigms import PARADIGMS, run_workload
 from repro.workloads.linkedlist import LinkedListWorkload
 
@@ -120,6 +121,26 @@ class TestDispatch:
     def test_option_the_paradigm_does_not_take(self, paradigm, option):
         with pytest.raises(TypeError):
             run_workload(fresh(), paradigm=paradigm, **option)
+
+    def test_bad_option_fails_before_any_set_up(self):
+        class Spy:
+            def __init__(self):
+                self.systems = []
+
+            def attach_system(self, system):
+                self.systems.append(system)
+
+        class NoSetup(LinkedListWorkload):
+            def setup(self, system):
+                raise AssertionError("setup ran before the options were "
+                                     "checked")
+
+        spy = Spy()
+        with Tap(spy).activate():
+            with pytest.raises(TypeError, match="stage2_workers"):
+                run_workload(NoSetup(nodes=8), paradigm="DOALL",
+                             stage2_workers=2)
+        assert spy.systems == []
 
     def test_builders_take_only_their_own_options(self):
         """Machine, scheduler and recovery knobs belong to the driver."""

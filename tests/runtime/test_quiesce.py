@@ -13,12 +13,12 @@ from repro.core.config import MachineConfig
 from repro.core.system import HMTXSystem
 from repro.cpu.isa import Work
 from repro.experiments.engine import RunRequest, SweepEngine
-from repro.experiments.scaling_sweep import QUICK_PRESETS
 from repro.runtime.scheduler import Scheduler
+from repro.topology import topology_preset
 
 
 def multi_socket_config(**topo_changes):
-    topo = dataclasses.replace(QUICK_PRESETS["2s8c"], **topo_changes)
+    topo = dataclasses.replace(topology_preset("2s8c"), **topo_changes)
     return MachineConfig.for_topology(topo)
 
 

@@ -1,10 +1,10 @@
-"""Name-keyed workload registry: registration, lookup, back-compat."""
+"""Name-keyed workload table: listing, lookup, back-compat."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.workloads import make_workload, register_workload, workload_names
+from repro.workloads import make_workload, workload_names
 from repro.workloads.suite import BENCHMARK_NAMES, make_benchmark
 
 
@@ -20,14 +20,6 @@ class TestRegistration:
     def test_names_sorted_and_stable(self):
         assert list(workload_names()) == sorted(workload_names())
         assert workload_names() == workload_names()
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError):
-            register_workload("130.li", lambda scale: None)
-
-    def test_duplicate_of_lazy_entry_raises(self):
-        with pytest.raises(ValueError):
-            register_workload("svc-kv", lambda scale: None)
 
     def test_unknown_name_raises_keyerror(self):
         with pytest.raises(KeyError):
