@@ -15,9 +15,10 @@ conflict-detection machinery.  (Compare the "HyTM upper bound" harnesses
 of Alistarh et al. and Brown & Ravi.)
 
 The oracle is therefore SMTX's machine with every TM cost at zero and no
-validation: :class:`OracleTMSystem` subclasses
-:class:`~repro.smtx.system.SMTXSystem` and replaces only its memory
-operations, its commit hook and its instruction costs.
+validation: :class:`OracleTMSystem` is a
+:class:`~repro.smtx.system.SMTXSystem` with zero :class:`SmtxCosts` and a
+validation predicate that selects nothing, and replaces only its commit
+hook and its instruction costs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Optional
 from ..coherence.hierarchy import Access
 from ..core.config import MachineConfig
 from ..core.mtx import MTXMachine
+from ..smtx.costs import SmtxCosts
 from ..smtx.system import SMTXSystem
 
 
@@ -40,8 +42,9 @@ class OracleTMSystem(SMTXSystem):
         # SLAs exist to suppress false aborts; an oracle has none either way.
         del sla_enabled
         # Perfect hardware tracks unbounded VIDs; the 4.6 reset protocol
-        # never triggers.
-        super().__init__(config)
+        # never triggers.  Accesses are free and never logged.
+        super().__init__(config, costs=SmtxCosts(0, 0, 0, 0, 0, 0),
+                         validation_predicate=lambda addr, store: False)
 
     # MTX instructions cost what HMTX's do; commits never validate.
     _mtx_latency = MTXMachine._mtx_latency
@@ -49,27 +52,6 @@ class OracleTMSystem(SMTXSystem):
     def _commit_versions(self, vid: int) -> int:
         self.memory.commit(vid)
         return self.config.op_costs.mtx_instruction
-
-    # ------------------------------------------------------------------
-    # Memory operations: no logging, no instrumentation
-    # ------------------------------------------------------------------
-
-    def load(self, tid: int, addr: int, now: int = 0) -> Access:
-        ctx = self.contexts[tid]
-        value = self.memory.read(ctx.vid, addr)
-        _, latency = self.timing.load(ctx.core, addr, 0, now=now)
-        if ctx.vid > 0:
-            self.stats.record_load(ctx.vid, addr, sla_sent=False)
-        return value, latency
-
-    def store(self, tid: int, addr: int, value: int,
-              now: int = 0) -> Access:
-        ctx = self.contexts[tid]
-        _, latency = self.timing.store(ctx.core, addr, 0, 0, now=now)
-        self.memory.write(ctx.vid, addr, value)
-        if ctx.vid > 0:
-            self.stats.record_store(ctx.vid, addr)
-        return value, latency
 
     def wrong_path_load(self, tid: int, addr: int) -> Access:
         """Perfect hardware never lets a squashed load mark anything."""

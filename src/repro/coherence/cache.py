@@ -389,9 +389,10 @@ class VersionedCache:
         ``base`` must already be the line address; ``req_vid`` is the raw
         request VID (the LC_VID substitution for non-speculative requests
         happens here).  The only implementation of the section 4.1 hit
-        window: every access, snoop and directory probe looks up here.
-        Pending lazy events are applied first (only when some version of
-        the line is stale), the VID comparators' engagements are counted
+        window: every access, snoop and directory probe looks up here.  A
+        lone processed non-speculative version returns first; otherwise
+        pending lazy events are applied (only when some version of the
+        line is stale), the VID comparators' engagements are counted
         exactly as :meth:`CascadedComparator.compare` would count them
         (section 4.5), and the hit gets an LRU touch.
         """
@@ -399,8 +400,17 @@ class VersionedCache:
         if not bucket:
             return None
         store = self._store
-        epochs = store.epoch
         epoch = self._epoch
+        if len(bucket) == 1:
+            hit = bucket[0]
+            if store.epoch[hit] == epoch:
+                if CODE_INVALID < store.state[hit] < CODE_SM:
+                    # Dominant case, first: one processed non-speculative
+                    # version hits any VID and engages no comparator.
+                    tick = self._tick = self._tick + 1
+                    store.lru_tick[hit] = tick
+                    return hit
+        epochs = store.epoch
         for slot in bucket:
             if epochs[slot] != epoch:
                 bucket = self._process_bucket(base)
@@ -408,46 +418,40 @@ class VersionedCache:
                     return None
                 break
         state_col = store.state
+        mod_col = store.mod_vid
+        high_col = store.high_vid
+        eff = self.lc_vid if req_vid == 0 else req_vid
+        comparator = self.comparator
+        shift = comparator.low_bits
+        fast = 0
+        cascaded = 0
         hit = -1
-        if len(bucket) == 1 and state_col[bucket[0]] < CODE_SM:
-            # Dominant case: one non-speculative version.  It hits any
-            # VID (unless INVALID) and engages no comparator.
-            if state_col[bucket[0]] != CODE_INVALID:
-                hit = bucket[0]
-        else:
-            mod_col = store.mod_vid
-            high_col = store.high_vid
-            eff = self.lc_vid if req_vid == 0 else req_vid
-            comparator = self.comparator
-            shift = comparator.low_bits
-            fast = 0
-            cascaded = 0
-            for slot in bucket:
-                code = state_col[slot]
-                if code >= CODE_SM:
-                    mod = mod_col[slot]
-                    high = high_col[slot]
-                    if (eff >> shift) == (mod >> shift):
-                        fast += 1
-                    else:
-                        cascaded += 1
-                    if (eff >> shift) == (high >> shift):
-                        fast += 1
-                    else:
-                        cascaded += 1
-                    hits = (eff >= mod if code <= CODE_SE
-                            else mod <= eff < high)
+        for slot in bucket:
+            code = state_col[slot]
+            if code >= CODE_SM:
+                mod = mod_col[slot]
+                high = high_col[slot]
+                if (eff >> shift) == (mod >> shift):
+                    fast += 1
                 else:
-                    hits = code != CODE_INVALID
-                if hits:
-                    if hit >= 0:
-                        raise AssertionError(
-                            f"{self.name}: two versions hit VID {eff} at "
-                            f"0x{base:x}: {self._describe(hit)} and "
-                            f"{self._describe(slot)}")
-                    hit = slot
-            comparator.fast_comparisons += fast
-            comparator.cascaded_comparisons += cascaded
+                    cascaded += 1
+                if (eff >> shift) == (high >> shift):
+                    fast += 1
+                else:
+                    cascaded += 1
+                hits = (eff >= mod if code <= CODE_SE
+                        else mod <= eff < high)
+            else:
+                hits = code != CODE_INVALID
+            if hits:
+                if hit >= 0:
+                    raise AssertionError(
+                        f"{self.name}: two versions hit VID {eff} at "
+                        f"0x{base:x}: {self._describe(hit)} and "
+                        f"{self._describe(slot)}")
+                hit = slot
+        comparator.fast_comparisons += fast
+        comparator.cascaded_comparisons += cascaded
         if hit < 0:
             return None
         self._tick += 1

@@ -440,19 +440,26 @@ class MemoryHierarchy:
         # rules of coherence/protocol.py (pinned by a per-tuple agreement
         # test).  Complex shapes (upgrades, aborts, new versions) hand the
         # found slot to _apply; misses take the fetch path below.
+        l1 = self.l1s[core]
+        mask = l1._offset_mask
+        base = addr & ~mask
+        slot = l1.lookup_slot(base, vid)
         stats = self.stats
         if kind is READ:
             stats.loads += 1
-            if vid > 0:
+            if vid == 0:
+                if slot is not None:
+                    # A VID-0 read hit reads any version's word as is.
+                    l1.stats.hits += 1
+                    return (l1._store.data[slot][(addr & mask)
+                                                 >> self._word_shift],
+                            l1.hit_latency)
+            else:
                 stats.spec_loads += 1
         else:
             stats.stores += 1
             if vid > 0:
                 stats.spec_stores += 1
-        l1 = self.l1s[core]
-        mask = l1._offset_mask
-        base = addr & ~mask
-        slot = l1.lookup_slot(base, vid)
         if slot is not None:
             store = l1._store
             code = store.state[slot]
@@ -467,8 +474,6 @@ class MemoryHierarchy:
             data_col = store.data
             word = (addr & mask) >> self._word_shift
             if kind is READ:
-                if vid == 0:
-                    return data_col[slot][word], hit_latency
                 if code >= CODE_SM:
                     if code <= CODE_SE and high_col[slot] < vid:
                         high_col[slot] = vid

@@ -13,7 +13,7 @@ section 5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 DEFAULT_LINE_SIZE = 64
 DEFAULT_WORD_SIZE = 8
@@ -76,6 +76,17 @@ class MainMemory:
         if line is None:
             return [0] * self.words_per_line
         return line[:]
+
+    def init_lines(self, addr: int, words: Sequence[int]) -> None:
+        """Workload set-up: ``words`` back to back from line address
+        ``addr``, stored a whole line at a time (the last padded with
+        zeros) and, unlike :meth:`write_line`, counted as no writeback."""
+        if addr % self.line_size:
+            raise ValueError(f"0x{addr:x} is not a line address")
+        per_line = self.words_per_line
+        for i in range(0, len(words), per_line):
+            self._lines[addr + i * self.word_size] = \
+                [*words[i:i + per_line], *[0] * per_line][:per_line]
 
     def write_line(self, addr: int, data: List[int]) -> None:
         """Write back a whole line (counts as a writeback).  Memory keeps a

@@ -66,25 +66,6 @@ class SystemStats:
     # Recording
     # ------------------------------------------------------------------
 
-    def record_load(self, vid: int, addr: int, sla_sent: bool) -> None:  # hot-path
-        tx = self._open.get(vid)
-        if tx is None:
-            tx = self._open[vid] = OpenTransaction(vid)  # lint-ok: RL006 (once per transaction open)
-        tx.read_lines.add(addr - (addr % self.line_size))
-        tx.spec_loads += 1
-        self.spec_loads += 1
-        if sla_sent:
-            tx.slas_sent += 1
-            self.slas_sent += 1
-
-    def record_store(self, vid: int, addr: int) -> None:  # hot-path
-        tx = self._open.get(vid)
-        if tx is None:
-            tx = self._open[vid] = OpenTransaction(vid)  # lint-ok: RL006 (once per transaction open)
-        tx.write_lines.add(addr - (addr % self.line_size))
-        tx.spec_stores += 1
-        self.spec_stores += 1
-
     def record_commit(self, vid: int) -> Optional[CommittedTransaction]:
         tx = self._open.pop(vid, None)
         self.committed += 1

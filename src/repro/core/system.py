@@ -120,8 +120,11 @@ class HMTXSystem(MTXMachine):
         ctx = self.contexts[tid]
         vid = ctx.vid
         hierarchy = self.hierarchy
-        sla_loads = hierarchy.sla_loads
         try:
+            if vid == 0:
+                # Non-speculative: nothing to record.
+                return hierarchy._access(ctx.core, addr, 0, READ, None, now)
+            sla_loads = hierarchy.sla_loads
             result = hierarchy._access(ctx.core, addr, vid, READ, None, now)
         except MisspeculationError as exc:
             # A load can misspeculate too: installing the fetched line may
@@ -129,20 +132,19 @@ class HMTXSystem(MTXMachine):
             # abort must flush state here just like the store path.
             self._abort(explicit=False, cause=classify(exc), vid=exc.vid)
             raise
-        if vid > 0:
-            # The SLA (if one is needed) is sent when the load retires; it
-            # is buffered store-queue style, so it adds traffic but no
-            # program-order latency (section 5.1).  Inline record_load.
-            stats = self.stats
-            tx = stats._open.get(vid)
-            if tx is None:
-                tx = stats._open[vid] = OpenTransaction(vid)  # lint-ok: RL006 (once per transaction open)
-            tx.read_lines.add(addr - (addr % stats.line_size))
-            tx.spec_loads += 1
-            stats.spec_loads += 1
-            if hierarchy.sla_loads != sla_loads:
-                tx.slas_sent += 1
-                stats.slas_sent += 1
+        # Read-set accounting.  The SLA (if one is needed) is sent when
+        # the load retires; it is buffered store-queue style, so it adds
+        # traffic but no program-order latency (section 5.1).
+        stats = self.stats
+        tx = stats._open.get(vid)
+        if tx is None:
+            tx = stats._open[vid] = OpenTransaction(vid)  # lint-ok: RL006 (once per transaction open)
+        tx.read_lines.add(addr - (addr % stats.line_size))
+        tx.spec_loads += 1
+        stats.spec_loads += 1
+        if hierarchy.sla_loads != sla_loads:
+            tx.slas_sent += 1
+            stats.slas_sent += 1
         return result
 
     def store(self, tid: int, addr: int, value: int,

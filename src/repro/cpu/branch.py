@@ -18,8 +18,10 @@ Two models are provided:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 
 @dataclass
@@ -108,3 +110,36 @@ class CalibratedPredictor(BranchPredictor):
         if mispredicted:
             stats.mispredictions += 1
         return mispredicted
+
+    def predict_many(self, count: int) -> int:
+        """``count`` predictions at once; returns how many mispredict.
+
+        The same stream as ``count`` calls of :meth:`predict`, computed in
+        big-integer lanes (:func:`_lcg_lanes`): lane ``k`` of one product
+        is state ``k``, and adding ``2**64 - threshold`` sets its bit 64,
+        the only bit of its byte 8, iff that state predicts correctly.
+        """
+        mult, inc, low, add = _lcg_lanes(count, self.threshold)
+        lanes = self._state * mult + inc
+        self._state = (lanes >> (136 * (count - 1))) & self._MASK
+        right = ((lanes & low) + add).to_bytes(17 * count, "little")
+        wrong = count - right[8::17].count(1)
+        self.stats.predictions += count
+        self.stats.mispredictions += wrong
+        return wrong
+
+
+@functools.lru_cache(maxsize=32)
+def _lcg_lanes(size: int, threshold: int) -> Tuple[int, ...]:
+    """For ``size`` LCG steps, 136-bit lanes (room for a 128-bit product
+    plus a 64-bit increment) holding, in lane ``k``: the multiplier and
+    the increment that take a state ``k + 1`` steps ahead, the low-64-bit
+    mask, and ``2**64 - threshold``."""
+    cls = CalibratedPredictor
+    step, mask = cls._LCG_MULT, cls._MASK
+    a, c, lanes = step, cls._LCG_INC, ([], [], [], [])
+    for _ in range(size):
+        for lane, value in zip(lanes, (a, c, mask, mask + 1 - threshold)):
+            lane.append(value.to_bytes(17, "little"))
+        a, c = a * step & mask, (c * step + cls._LCG_INC) & mask
+    return tuple(int.from_bytes(b"".join(lane), "little") for lane in lanes)

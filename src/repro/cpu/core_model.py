@@ -3,8 +3,9 @@
 :meth:`Scheduler.run <repro.runtime.scheduler.Scheduler.run>` gives every
 op of the instruction IR (:mod:`repro.cpu.isa`) its meaning; the
 :class:`CoreExecutor` holds the per-core state that loop charges: the
-branch predictors, each thread's pc, the :class:`ExecStats` instruction
-mix and the op costs.  The timing model is deliberately simple — a fixed
+branch predictors, the thread handles whose op counts each thread's pc
+and the :class:`ExecStats` instruction mix are derived from, and the op
+costs.  The timing model is deliberately simple — a fixed
 cost per non-memory op, hierarchy-provided latency for memory ops, and a
 mispredict penalty with wrong-path load side effects — because the
 paper's phenomena live in the memory system, not in out-of-order
@@ -19,9 +20,8 @@ out-of-order core.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from .branch import BranchPredictor, CalibratedPredictor, GsharePredictor
 from .isa import Branch, OpCosts
@@ -51,8 +51,8 @@ class ExecStats:
 
 
 class CoreExecutor:
-    """Branch predictors, pcs and instruction counters of one simulated
-    machine; :meth:`Scheduler.run
+    """Branch predictors and threads of one simulated machine;
+    :meth:`Scheduler.run
     <repro.runtime.scheduler.Scheduler.run>` executes the ops."""
 
     def __init__(self, system, costs: Optional[OpCosts] = None,
@@ -62,18 +62,32 @@ class CoreExecutor:
         self.costs = costs or system.config.op_costs
         self._predictor_factory = predictor_factory or GsharePredictor
         self._predictors: Dict[int, BranchPredictor] = {}
-        self._pc: Dict[int, int] = defaultdict(int)
-        self.stats = ExecStats()
+        #: The threads it runs by tid (``Scheduler.add_thread`` registers
+        #: each handle), whose op counts the pc and the mix derive from.
+        self.threads: Dict[int, Any] = {}
+        #: What :meth:`_execute_branch` counts itself: branches,
+        #: mispredicts and a ``Branch`` op's instructions past its first.
+        self._branch_mix = ExecStats()
 
-    def predictor(self, tid: int) -> BranchPredictor:
-        if tid not in self._predictors:
-            self._predictors[tid] = self._predictor_factory()
-        return self._predictors[tid]
+    def pc(self, tid: int) -> int:
+        """Thread ``tid``'s pc: one 4-byte slot per core op it executed."""
+        return 4 * self.threads[tid].core_ops
+
+    @property
+    def stats(self) -> ExecStats:
+        """The instruction mix so far, derived from the op counts."""
+        mix, threads = self._branch_mix, self.threads.values()
+        return ExecStats(
+            sum(t.core_ops + t.work_extra for t in threads) + mix.instructions,
+            sum(t.loads for t in threads), sum(t.stores for t in threads),
+            mix.branches, mix.mispredicts)
 
     def _execute_branch(self, tid: int, op: Branch) -> int:  # hot-path
-        predictor = self.predictor(tid)
+        predictor = self._predictors.get(tid)
+        if predictor is None:
+            predictor = self._predictors[tid] = self._predictor_factory()
         count = op.count
-        stats = self.stats
+        stats = self._branch_mix
         stats.branches += count
         stats.instructions += (count - 1) + op.work_cycles
         costs = self.costs
@@ -93,7 +107,7 @@ class CoreExecutor:
                 tmask = (1 << predictor.table_bits) - 1
                 taken = op.taken
                 tbit = 1 if taken else 0
-                base_pc = self._pc[tid]
+                base_pc = self.pc(tid)
                 mispredicts = 0
                 penalty = costs.branch_mispredict_penalty
                 for n in range(count):
@@ -114,23 +128,12 @@ class CoreExecutor:
                 stats.mispredicts += mispredicts
                 return latency + mispredicts * penalty
             if pcls is CalibratedPredictor:
-                state = predictor._state
-                threshold = predictor.threshold
-                mispredicts = 0
-                for _ in range(count):
-                    state = (state * 6364136223846793005
-                             + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
-                    if state < threshold:
-                        mispredicts += 1
-                predictor._state = state
-                pstats = predictor.stats
-                pstats.predictions += count
-                pstats.mispredictions += mispredicts
+                mispredicts = predictor.predict_many(count)
                 stats.mispredicts += mispredicts
                 return latency + mispredicts * costs.branch_mispredict_penalty
+        base_pc = self.pc(tid)
         for n in range(count):
-            pc = self._pc[tid] + 4 * n
-            if not predictor.predict(pc, op.taken):
+            if not predictor.predict(base_pc + 4 * n, op.taken):
                 continue
             stats.mispredicts += 1
             latency += costs.branch_mispredict_penalty

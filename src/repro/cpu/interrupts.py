@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..errors import MisspeculationError
-
 KERNEL_REGION_BASE = 0x7F00_0000
 """Kernel data region; disjoint from every workload's address space."""
 
@@ -43,12 +41,6 @@ class InterruptInjector:
     handler_accesses: int = 8
     handler_compute: int = 200
     fired: int = field(default=0, init=False)
-    #: Aborts this injector's handler accesses triggered (cause
-    #: ``INTERRUPT`` in the txctl taxonomy): a handler store landed on
-    #: live speculative state.  Zero in the default configuration, whose
-    #: kernel region is disjoint from every workload — the section 5.2
-    #: guarantee the test suite checks.
-    aborts_caused: int = field(default=0, init=False)
     _next_fire: Dict[int, int] = field(default_factory=dict, init=False)
 
     def maybe_interrupt(self, system, tid: int, core: int, clock: int) -> int:
@@ -66,14 +58,10 @@ class InterruptInjector:
         self.fired += 1
         latency = self.handler_compute
         base = KERNEL_REGION_BASE + core * 4096
-        try:
-            for i in range(self.handler_accesses):
-                addr = base + 8 * i
-                latency += system.kernel_load(tid, addr)[1]
-                latency += system.kernel_store(tid, addr, self.fired)[1]
-        except MisspeculationError:
-            # The system already classified this as an INTERRUPT abort
-            # and flushed speculative state; count it at the source too.
-            self.aborts_caused += 1
-            raise
+        # A handler access landing on live speculative state raises an
+        # INTERRUPT abort (the system classifies and flushes it).
+        for i in range(self.handler_accesses):
+            addr = base + 8 * i
+            latency += system.kernel_load(tid, addr)[1]
+            latency += system.kernel_store(tid, addr, self.fired)[1]
         return latency

@@ -39,8 +39,6 @@ class TimedQueue:
     latency: int = 40
     capacity: Optional[int] = DEFAULT_QUEUE_CAPACITY
     _entries: Deque[QueueEntry] = field(default_factory=deque, init=False)
-    produced: int = field(default=0, init=False)
-    consumed: int = field(default=0, init=False)
     #: Consumer clock at the most recent pop (used to time unblocked
     #: producers that were waiting for space).
     last_pop_time: int = field(default=0, init=False)
@@ -50,7 +48,6 @@ class TimedQueue:
 
     def produce(self, value: Any, now: int) -> None:
         """Append an entry (caller must have checked :meth:`full`)."""
-        self.produced += 1
         self._entries.append(QueueEntry(value, now + self.latency))
 
     def try_consume(self, now: int) -> Optional[Tuple[Any, int]]:
@@ -63,7 +60,6 @@ class TimedQueue:
         if not self._entries:
             return None
         entry = self._entries.popleft()
-        self.consumed += 1
         self.last_pop_time = max(self.last_pop_time, now, entry.ready_time)
         return entry.value, entry.ready_time
 

@@ -21,11 +21,13 @@ queue op to :meth:`Scheduler._queue_step` or runs a core op between one
 shared prologue (the start cycle) and one shared epilogue (interrupt
 check, clock writes).  The core ops are dispatched on their concrete
 class, most frequent first (``Work``, ``Load``, ``Store``, ``Branch``,
-then the MTX instructions, ``Arrive`` and ``Output``); the
-:class:`~repro.cpu.core_model.CoreExecutor` only holds the branch
-predictors and instruction counters the loop charges.  Observation hooks
-in through :attr:`Scheduler.observer`, which costs an unobserved run two
-``is None`` tests per step.
+then the MTX instructions, ``Arrive`` and ``Output``), and each op bumps
+only one count of its class on its :class:`ThreadHandle`: the pc (which
+the gshare predictors index by), ``ops_executed`` and the
+:class:`~repro.cpu.core_model.ExecStats` of the
+:class:`~repro.cpu.core_model.CoreExecutor` are derived from those counts
+where read.  Observation hooks in through :attr:`Scheduler.observer`,
+which costs an unobserved run two ``is None`` tests per step.
 
 Conservative lookahead covers parked threads.  A thread that yields
 :class:`~repro.cpu.isa.SpinUntil` is parked: it polls (one ``Work`` of
@@ -34,8 +36,8 @@ the first turn where it holds.  Nothing another thread can observe
 changes until some generator resumes, so before each step every parked
 thread due ahead of the first thread that can act is charged all its
 polls up to that thread's turn in one poll phase (see
-:meth:`Scheduler._charge_polls`).  The result is exact: clocks, executor
-stats, ``ops_executed`` and the ``max_steps`` budget count every poll.
+:meth:`Scheduler._charge_polls`).  The result is exact: clocks, op
+counts and the ``max_steps`` budget count every poll.
 
 That rests on the predicate-purity contract ``SpinUntil`` callers must
 keep: ``until`` only reads simulated state, and what it reads changes
@@ -43,20 +45,20 @@ only inside a generator (the op it yields included) or an interrupt
 handler.  The scheduler re-checks a parked predicate only after one of
 those ran.
 
-Step reuse.  The sweep also records the runner-up's ``(clock, tid)``,
-and the poll phase lowers that bound to the earliest parked thread's.
-After a core op the scheduler steps the same thread again, with no
-sweep and no poll phase, while its new ``(clock, tid)`` is still below
-the bound, the op was not a queue op, the thread neither parked,
-unparked nor finished, and no interrupt fired.  The next sweep would
-have picked it again, for two reasons.  A blocked thread becomes ready
-only through a queue op, and no other thread's clock moves while one
-thread runs (a machine-wide quiesce moves them all, the stepping thread
-included, which only makes the bound conservative).  A parked thread
-matters only once it is due, and the bound already covers the earliest
-one; its predicate is re-checked at the next poll phase, since every
-resume moves the epoch.  Reused steps count in ``steps``, ``max_steps``,
-``ops_executed`` and ``on_step`` like any other.
+The inner step loop.  The sweep also records the runner-up's ``(clock,
+tid)``, and the poll phase lowers that bound to the earliest parked
+thread's.  The thread the sweep picked is stepped again, with no sweep
+and no poll phase, while its new ``(clock, tid)`` is still below the
+bound, the op was not a queue op, the thread neither parked, unparked
+nor finished, and no interrupt fired.  The next sweep would have picked
+it again, for two reasons.  A blocked thread becomes
+ready only through a queue op, and no other thread's clock moves while
+one thread runs (a machine-wide quiesce moves them all, the stepping
+thread included, which only makes the bound conservative).  A parked
+thread matters only once it is due, and the bound already covers the
+earliest one; its predicate is re-checked at the next poll phase, since
+every resume moves the epoch.  Each step counts in ``steps``,
+``max_steps``, ``ops_executed`` and ``on_step`` alike.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ class ThreadHandle:
     """
 
     __slots__ = ("tid", "core", "program", "clock", "done", "blocked_on",
-                 "blocked_produce", "pending_value", "ops_executed", "spin",
-                 "spin_rows", "spin_epoch")
+                 "blocked_produce", "pending_value", "spin", "spin_rows",
+                 "spin_epoch", "work", "work_extra", "loads", "stores",
+                 "other", "queue")
 
     def __init__(self, tid: int, core: int, program: Program,
                  clock: int = 0) -> None:
@@ -110,13 +113,25 @@ class ThreadHandle:
         self.blocked_produce: Optional[tuple] = None
         #: Value to send into the generator at the next step.
         self.pending_value: Any = None
-        self.ops_executed = 0
         #: The :class:`~repro.cpu.isa.SpinUntil` this thread is parked on.
         self.spin: Optional[SpinUntil] = None
         #: Op samples charged to the current spin (sent back on resume).
         self.spin_rows = 0
         #: Scheduler epoch at which ``spin.until()`` last returned False.
         self.spin_epoch = -1
+        #: Executed ops by class (``other``: ``Branch`` and the rarer core
+        #: ops), and the cycles past the first of its ``Work`` ops.
+        self.work = self.work_extra = self.loads = self.stores = 0
+        self.other = self.queue = 0
+
+    @property
+    def core_ops(self) -> int:
+        """Ops that moved the pc: all but the queue ops."""
+        return self.work + self.loads + self.stores + self.other
+
+    @property
+    def ops_executed(self) -> int:
+        return self.core_ops + self.queue
 
     def __repr__(self) -> str:
         return (f"ThreadHandle(tid={self.tid}, core={self.core}, "
@@ -176,8 +191,8 @@ class Scheduler:
                    start_clock: int = 0) -> ThreadHandle:
         """Register a thread; also registers its HMTX context."""
         self.system.thread(tid, core)
-        handle = ThreadHandle(tid=tid, core=core, program=program,
-                              clock=start_clock)
+        handle = self.executor.threads[tid] = ThreadHandle(
+            tid=tid, core=core, program=program, clock=start_clock)
         self.threads.append(handle)
         self._core_clock.setdefault(core, 0)
         return handle
@@ -267,8 +282,6 @@ class Scheduler:
         # Polls are charged in bulk only where no interrupt check can
         # interleave with them.
         bulk_polls = interrupts is None
-        estats = executor.stats
-        epc = executor._pc
         work_unit = executor.costs.work_unit
         # Hoisted through the instance, so a tap wrapper installed before
         # the run is still honoured.
@@ -289,237 +302,230 @@ class Scheduler:
         parked = [t for t in self.threads if not t.done and t.spin is not None]
         for thread in parked:
             thread.spin_epoch = -1
-        #: The thread to step again without a sweep (see the module
-        #: docstring), or None.
-        reuse = None
         while True:
-            if reuse is None:
-                # Fused sweep: unblock every thread whose queue became
-                # ready, while tracking the runnable thread with the
-                # smallest (clock, tid) and the runner-up — one pass, no
-                # intermediate lists.  This loop dominates simulator wall
-                # time, hence the hand-tuning.
-                best = None
-                # Sentinel larger than any reachable clock, so the
-                # selection compare needs no ``best is None`` test.
-                best_clock = next_clock = 0x7FFFFFFFFFFFFFFF
-                best_tid = next_tid = 0
-                for thread in live_threads:
-                    if thread.blocked_on is not None:
-                        entry = queues.get(thread.blocked_on).try_consume(
-                            thread.clock)
-                        if entry is None:
-                            continue
-                        value, ready_time = entry
-                        if ready_time > thread.clock:
-                            thread.clock = ready_time
-                        thread.clock += queue_op
-                        thread.pending_value = value
-                        thread.blocked_on = None
-                    elif thread.blocked_produce is not None:
-                        queue_name, value = thread.blocked_produce
-                        queue = queues.get(queue_name)
-                        if queue.full():
-                            continue
-                        # Space appeared when a consumer popped; the
-                        # producer's clock advances to that moment
-                        # (back-pressure stall).
-                        if queue.last_pop_time > thread.clock:
-                            thread.clock = queue.last_pop_time
-                        thread.clock += queue_op
-                        queue.produce(value, thread.clock)
-                        thread.blocked_produce = None
+            # Fused sweep: unblock every thread whose queue became ready,
+            # while tracking the runnable thread with the smallest (clock,
+            # tid) and the runner-up — one pass, no intermediate lists.
+            # This loop dominates simulator wall time, hence the
+            # hand-tuning.
+            best = None
+            # Sentinel larger than any reachable clock, so the selection
+            # compare needs no ``best is None`` test.
+            best_clock = next_clock = 0x7FFFFFFFFFFFFFFF
+            best_tid = next_tid = 0
+            for thread in live_threads:
+                if thread.blocked_on is not None:
+                    entry = queues.get(thread.blocked_on).try_consume(
+                        thread.clock)
+                    if entry is None:
+                        continue
+                    value, ready_time = entry
+                    if ready_time > thread.clock:
+                        thread.clock = ready_time
+                    thread.clock += queue_op
+                    thread.pending_value = value
+                    thread.blocked_on = None
+                elif thread.blocked_produce is not None:
+                    queue_name, value = thread.blocked_produce
+                    queue = queues.get(queue_name)
+                    if queue.full():
+                        continue
+                    # Space appeared when a consumer popped; the producer's
+                    # clock advances to that moment (back-pressure stall).
+                    if queue.last_pop_time > thread.clock:
+                        thread.clock = queue.last_pop_time
+                    thread.clock += queue_op
+                    queue.produce(value, thread.clock)
+                    thread.blocked_produce = None
+                clock = thread.clock
+                if clock < best_clock or (
+                        clock == best_clock and thread.tid < best_tid):
+                    next_clock = best_clock
+                    next_tid = best_tid
+                    best = thread
+                    best_clock = clock
+                    best_tid = thread.tid
+                elif clock < next_clock or (
+                        clock == next_clock and thread.tid < next_tid):
+                    next_clock = clock
+                    next_tid = thread.tid
+            if parked:
+                # Poll phase.  The parked threads due before ``best`` poll
+                # while their predicates stay false; the first dirty one
+                # whose predicate now holds is itself due to resume, so it
+                # bounds the phase instead.
+                if len(parked) > 1:
+                    parked.sort(key=_clock_tid)
+                due = []
+                for thread in parked:
                     clock = thread.clock
-                    if clock < best_clock or (
-                            clock == best_clock and thread.tid < best_tid):
-                        next_clock = best_clock
-                        next_tid = best_tid
-                        best = thread
-                        best_clock = clock
-                        best_tid = thread.tid
-                    elif clock < next_clock or (
+                    if clock > best_clock or (
+                            clock == best_clock and thread.tid > best_tid):
+                        break
+                    if thread.spin_epoch != epoch:
+                        if thread.spin.until():
+                            best = thread
+                            best_clock = clock
+                            best_tid = thread.tid
+                            break
+                        thread.spin_epoch = epoch
+                    due.append(thread)
+                if due:
+                    charged = 0
+                    if bulk_polls and best is not None:
+                        charged = self._charge_polls(
+                            due, best_clock, best_tid, max_steps - steps)
+                    if charged:
+                        steps += charged
+                    else:
+                        best = due[0]
+                # The earliest parked thread also bounds the inner loop.
+                for thread in parked:
+                    clock = thread.clock
+                    if clock < next_clock or (
                             clock == next_clock and thread.tid < next_tid):
                         next_clock = clock
                         next_tid = thread.tid
-                if parked:
-                    # Poll phase.  The parked threads due before ``best``
-                    # poll while their predicates stay false; the first
-                    # dirty one whose predicate now holds is itself due to
-                    # resume, so it bounds the phase instead.
-                    if len(parked) > 1:
-                        parked.sort(key=_clock_tid)
-                    due = []
-                    for thread in parked:
-                        clock = thread.clock
-                        if clock > best_clock or (
-                                clock == best_clock and thread.tid > best_tid):
-                            break
-                        if thread.spin_epoch != epoch:
-                            if thread.spin.until():
-                                best = thread
-                                best_clock = clock
-                                best_tid = thread.tid
-                                break
-                            thread.spin_epoch = epoch
-                        due.append(thread)
-                    if due:
-                        charged = 0
-                        if bulk_polls and best is not None:
-                            charged = self._charge_polls(
-                                due, best_clock, best_tid, max_steps - steps)
-                        if charged:
-                            steps += charged
-                        else:
-                            best = due[0]
-                    # The earliest parked thread also bounds step reuse.
-                    for thread in parked:
-                        clock = thread.clock
-                        if clock < next_clock or (
-                                clock == next_clock and thread.tid < next_tid):
-                            next_clock = clock
-                            next_tid = thread.tid
-                if best is None:
-                    if not live_threads:
-                        break
-                    live = [t.tid for t in self.threads if not t.done]
-                    raise DeadlockError(
-                        f"threads {live} all blocked on queues")
-                thread = best
-            else:
-                thread = reuse
-            steps += 1
-            if steps > max_steps:
-                raise ReproError(f"exceeded {max_steps} scheduler steps")
-            if observer is not None:
-                observer.on_step(thread)
-            spin = thread.spin
-            if spin is not None and thread.spin_epoch == epoch:
-                # Its predicate is still false: one more poll.
-                thread.spin_rows += 1
-                thread.ops_executed += 1
-                op = Work(spin.cycles)
-                cls = Work
-            else:
-                if spin is not None:
-                    thread.spin = None
-                    thread.pending_value = thread.spin_rows
-                    parked.remove(thread)
-                    live_threads = [t for t in self.threads
-                                    if not t.done and t.spin is None]
-                epoch += 1
-                try:
-                    op = thread.program.send(thread.pending_value)
-                    cls = op.__class__
-                    while cls is SpinUntil:
-                        if not op.until():
-                            # Park; this step is the spin's first poll.
-                            thread.spin = op
-                            thread.spin_rows = 1
-                            thread.spin_epoch = epoch
-                            live_threads.remove(thread)
-                            parked.append(thread)
-                            op = Work(op.cycles)
-                            cls = Work
-                            break
-                        op = thread.program.send(0)
-                        cls = op.__class__
-                except StopIteration:
-                    thread.done = True
-                    live_threads = [t for t in self.threads
-                                    if not t.done and t.spin is None]
-                    reuse = None
-                    continue
-                thread.pending_value = None
-                thread.ops_executed += 1
-            # Prologue: the op starts once both its thread and its core are
-            # free.  The thread's clock is re-read, not taken from the
-            # sweep: the generator may have run a machine-wide quiesce.
+            if best is None:
+                if not live_threads:
+                    break
+                live = [t.tid for t in self.threads if not t.done]
+                raise DeadlockError(f"threads {live} all blocked on queues")
+            # Inner loop: step ``best``, and again while it stays first
+            # (see the module docstring).  The value its generator is sent
+            # next lives in ``value`` meanwhile.
+            thread = best
             tid = thread.tid
             core = thread.core
-            start = core_clock[core]
-            if thread.clock > start:
-                start = thread.clock
-            # Identity dispatch on the concrete op class (the ISA is a
-            # closed set of final classes), ordered by dynamic frequency.
-            # Every core op moves the thread's pc one slot and counts one
-            # instruction (a Work op one per cycle).
-            if cls is Work:
-                cycles = op.cycles
-                estats.instructions += cycles if cycles > 1 else 1
-                epc[tid] += 4
-                value = None
-                latency = cycles * work_unit
-            elif cls is Load:
-                estats.instructions += 1
-                estats.loads += 1
-                epc[tid] += 4
-                value, latency = system_load(tid, op.addr, start)
-            elif cls is Store:
-                estats.instructions += 1
-                estats.stores += 1
-                epc[tid] += 4
-                value = None
-                latency = system_store(tid, op.addr, op.value, start)[1]
-            elif cls is Branch:
-                estats.instructions += 1
-                epc[tid] += 4
-                value = None
-                latency = execute_branch(tid, op)
-            elif cls is Produce or cls is Consume:
-                self._queue_step(thread, op, cls)
-                reuse = None
-                continue
-            else:
-                estats.instructions += 1
-                epc[tid] += 4
-                value = None
-                if cls is Arrive:
-                    # Open-loop arrival: idle until the request's
-                    # timestamp, or — when the core is already past it —
-                    # charge nothing and hand the accumulated queue wait
-                    # back to the generator.
-                    if op.ts > start:
-                        value = 0
-                        latency = op.ts - start
-                    else:
-                        value = start - op.ts
-                        latency = 0
-                elif cls is BeginMTX:
-                    latency = system.begin_mtx(tid, op.vid)
-                elif cls is CommitMTX:
-                    latency = system.commit_mtx(tid, op.vid)
-                elif cls is AbortMTX:
-                    latency = system.abort_mtx(tid, op.vid)
-                elif cls is InitMTX:
-                    latency = system.init_mtx(tid, op.handler)
-                elif cls is Output:
-                    system.output(tid, op.value)
-                    latency = 1
+            send = thread.program.send
+            spin = thread.spin
+            if spin is not None:
+                # A parked thread's poll (or resume) is a step of its own.
+                next_clock = -1
+            value = thread.pending_value
+            thread.pending_value = None
+            while True:
+                steps += 1
+                if steps > max_steps:
+                    raise ReproError(f"exceeded {max_steps} scheduler steps")
+                if observer is not None:
+                    observer.on_step(thread)
+                if spin is not None and thread.spin_epoch == epoch:
+                    # Its predicate is still false: one more poll.
+                    thread.spin_rows += 1
+                    op = Work(spin.cycles)
+                    cls = Work
                 else:
-                    raise TypeError(f"the scheduler cannot execute {op!r}")
-            # Epilogue, shared by every core op.
-            if observer is not None:
-                observer.on_op(tid, op, start, value, latency)
-            clock = start + latency
-            if interrupts is not None:
-                handler = interrupts.maybe_interrupt(system, tid, core, clock)
-                if handler:
-                    clock += handler
+                    if spin is not None:
+                        thread.spin = None
+                        value = thread.spin_rows
+                        parked.remove(thread)
+                        live_threads = [t for t in self.threads
+                                        if not t.done and t.spin is None]
                     epoch += 1
-                    # Handler code ran: sweep before the next step.
-                    next_clock = -1
-            thread.clock = clock
-            core_clock[core] = clock
-            thread.pending_value = value
-            # Step reuse: the thread stays first while it is still ahead
-            # of the runner-up and the earliest parked thread, and it
-            # neither parked nor unparked in this step.
-            if spin is None and thread.spin is None and (
-                    clock < next_clock or (
+                    try:
+                        op = send(value)
+                        cls = op.__class__
+                        while cls is SpinUntil:
+                            if not op.until():
+                                # Park; this step is the spin's first poll,
+                                # and the last of the inner loop.
+                                thread.spin = op
+                                thread.spin_rows = 1
+                                thread.spin_epoch = epoch
+                                live_threads.remove(thread)
+                                parked.append(thread)
+                                next_clock = -1
+                                op = Work(op.cycles)
+                                cls = Work
+                                break
+                            op = send(0)
+                            cls = op.__class__
+                    except StopIteration:
+                        thread.done = True
+                        live_threads = [t for t in self.threads
+                                        if not t.done and t.spin is None]
+                        break
+                # Prologue: the op starts once both its thread and its core
+                # are free.  The thread's clock is re-read, not carried
+                # over: the generator may have run a machine-wide quiesce.
+                start = core_clock[core]
+                if thread.clock > start:
+                    start = thread.clock
+                # Identity dispatch on the concrete op class (the ISA is a
+                # closed set of final classes), ordered by dynamic
+                # frequency.  Each op bumps one count of its class.
+                if cls is Work:
+                    thread.work += 1
+                    cycles = op.cycles
+                    if cycles > 1:
+                        thread.work_extra += cycles - 1
+                    value = None
+                    latency = cycles * work_unit
+                elif cls is Load:
+                    thread.loads += 1
+                    value, latency = system_load(tid, op.addr, start)
+                elif cls is Store:
+                    thread.stores += 1
+                    value = None
+                    latency = system_store(tid, op.addr, op.value, start)[1]
+                elif cls is Branch:
+                    thread.other += 1
+                    value = None
+                    latency = execute_branch(tid, op)
+                elif cls is Produce or cls is Consume:
+                    thread.queue += 1
+                    self._queue_step(thread, op, cls)
+                    break
+                else:
+                    thread.other += 1
+                    value = None
+                    if cls is Arrive:
+                        # Open-loop arrival: idle until the request's
+                        # timestamp, or — when the core is already past
+                        # it — charge nothing and hand the accumulated
+                        # queue wait back to the generator.
+                        if op.ts > start:
+                            value = 0
+                            latency = op.ts - start
+                        else:
+                            value = start - op.ts
+                            latency = 0
+                    elif cls is BeginMTX:
+                        latency = system.begin_mtx(tid, op.vid)
+                    elif cls is CommitMTX:
+                        latency = system.commit_mtx(tid, op.vid)
+                    elif cls is AbortMTX:
+                        latency = system.abort_mtx(tid, op.vid)
+                    elif cls is InitMTX:
+                        latency = system.init_mtx(tid, op.handler)
+                    elif cls is Output:
+                        system.output(tid, op.value)
+                        latency = 1
+                    else:
+                        raise TypeError(
+                            f"the scheduler cannot execute {op!r}")
+                # Epilogue, shared by every core op.
+                if observer is not None:
+                    observer.on_op(tid, op, start, value, latency)
+                clock = start + latency
+                if interrupts is not None:
+                    handler = interrupts.maybe_interrupt(
+                        system, tid, core, clock)
+                    if handler:
+                        clock += handler
+                        epoch += 1
+                        # Handler code ran: sweep before the next step.
+                        next_clock = -1
+                thread.clock = clock
+                core_clock[core] = clock
+                # The thread stays first while it is still ahead of the
+                # runner-up and the earliest parked thread (a bound of -1
+                # ends the inner loop).
+                if not (clock < next_clock or (
                         clock == next_clock and tid < next_tid)):
-                reuse = thread
-            else:
-                reuse = None
+                    thread.pending_value = value
+                    break
         return self.result()
 
     def result(self) -> RunResult:
@@ -569,13 +575,11 @@ class Scheduler:
             polls.append((thread, first, start, count, latency))
         if total > budget:
             return 0
-        estats = self.executor.stats
-        epc = self.executor._pc
         for thread, _, start, count, latency in polls:
             cycles = thread.spin.cycles
-            estats.instructions += count * (cycles if cycles > 1 else 1)
-            epc[thread.tid] += 4 * count
-            thread.ops_executed += count
+            thread.work += count
+            if cycles > 1:
+                thread.work_extra += count * (cycles - 1)
             thread.spin_rows += 1
             thread.clock = core_clock[thread.core] = start + count * latency
         if self.observer is not None:

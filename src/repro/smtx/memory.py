@@ -28,9 +28,6 @@ class SmtxMemory:
     #: buffers are created, committed and aborted, so reads never sort.
     _vids: List[int] = field(default_factory=list)
 
-    def _word_addr(self, addr: int) -> int:
-        return addr - (addr % self.backing.word_size)
-
     # ------------------------------------------------------------------
 
     def read(self, vid: int, addr: int) -> int:
@@ -44,7 +41,7 @@ class SmtxMemory:
         Searches the write buffers of VIDs ``<= vid`` from newest to oldest
         — exactly the version a correctly-ordered MTX must observe.
         """
-        word = self._word_addr(addr)
+        word = addr - (addr % self.backing.word_size)
         if vid > 0:
             buffers = self._buffers
             for buffer_vid in reversed(self._vids):
@@ -56,7 +53,7 @@ class SmtxMemory:
 
     def write(self, vid: int, addr: int, value: int) -> None:
         """Write as transaction ``vid`` (0 writes committed state)."""
-        word = self._word_addr(addr)
+        word = addr - (addr % self.backing.word_size)
         if vid == 0:
             self.backing.write_word(word, value)
             return

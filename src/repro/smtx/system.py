@@ -26,6 +26,7 @@ from typing import Callable, Optional
 from ..coherence.hierarchy import Access, MemoryHierarchy
 from ..core.config import MachineConfig
 from ..core.mtx import MTXMachine
+from ..core.stats import OpenTransaction
 from ..errors import MisspeculationError, TransactionUsageError
 from ..txctl.causes import AbortCause
 from .costs import SmtxCosts, ValidationMode
@@ -38,17 +39,14 @@ ValidationPredicate = Callable[[int, bool], bool]
 class _MemoryFacade:
     """Duck-types ``system.hierarchy`` for workload setup/result readers.
 
-    Values come from the software TM; latency comes from a real (purely
-    non-speculative) cache hierarchy that SMTX accesses are mirrored into —
-    SMTX runs on commodity caches and must pay the same miss costs as HMTX.
-    The timing hierarchy's *data* is never read (its backing store is
-    separate), so speculative values cannot leak into committed state
-    through writebacks.
+    Values come from the software TM.  SMTX's timing hierarchy (see
+    :class:`SMTXSystem`) has its own backing store whose *data* is never
+    read, so speculative values cannot leak into committed state through
+    writebacks.
     """
 
-    def __init__(self, smtx_memory: SmtxMemory, timing) -> None:
+    def __init__(self, smtx_memory: SmtxMemory) -> None:
         self._memory = smtx_memory
-        self._timing = timing
 
     @property
     def memory(self):
@@ -57,16 +55,6 @@ class _MemoryFacade:
     def read_committed(self, addr: int) -> int:
         """Verification read of committed state (no timing, no stats)."""
         return self._memory.read(0, addr)
-
-    def load(self, core: int, addr: int, vid: int) -> Access:
-        value = self._memory.read(vid, addr)
-        _, latency = self._timing.load(core, addr, 0)
-        return value, latency
-
-    def store(self, core: int, addr: int, vid: int, value: int) -> Access:
-        self._memory.write(vid, addr, value)
-        _, latency = self._timing.store(core, addr, 0, 0)
-        return value, latency
 
 
 class SMTXSystem(MTXMachine):
@@ -100,12 +88,12 @@ class SMTXSystem(MTXMachine):
         self._validated = validation_predicate or (lambda addr, is_store: True)
         self.memory = SmtxMemory()
         self.log = ValidationLog()
-        # Timing-only commodity hierarchy (all accesses non-speculative).
+        # Timing-only commodity hierarchy (all accesses non-speculative):
+        # SMTX pays the same miss costs as HMTX.
         self.timing = MemoryHierarchy(self.config.hierarchy_config())
-        self.hierarchy = _MemoryFacade(self.memory, self.timing)
+        self.hierarchy = _MemoryFacade(self.memory)
         #: Sequential work accumulated on the commit process's core.
         self.commit_process_cycles = 0
-        self.forwarded_words = 0
 
     def vid_reset(self) -> int:
         raise TransactionUsageError(
@@ -151,31 +139,44 @@ class SMTXSystem(MTXMachine):
         ctx = self.contexts[tid]
         vid = ctx.vid
         value, source_vid = self.memory.read_with_source(vid, addr)
-        _, latency = self.timing.load(ctx.core, addr, 0, now=now)
+        _, latency = self.timing.load(ctx.core, addr, 0, now)
         if vid > 0:
             latency += self.costs.instrument_read
-            if source_vid not in (0, vid):
+            if source_vid != 0 and source_vid != vid:
                 # Uncommitted value forwarding through software queues.
                 latency += self.costs.forward_entry
-                self.forwarded_words += 1
             if self._validated(addr, False) and source_vid != vid:
                 self.log.log_read(vid, addr, value)
                 latency += self.costs.log_entry
-            self.stats.record_load(vid, addr, sla_sent=False)
+            # Read-set accounting (software sends no SLAs).
+            stats = self.stats
+            tx = stats._open.get(vid)
+            if tx is None:
+                tx = stats._open[vid] = OpenTransaction(vid)
+            tx.read_lines.add(addr - (addr % stats.line_size))
+            tx.spec_loads += 1
+            stats.spec_loads += 1
         return value, latency
 
     def store(self, tid: int, addr: int, value: int,
               now: int = 0) -> Access:
         ctx = self.contexts[tid]
         vid = ctx.vid
-        _, latency = self.timing.store(ctx.core, addr, 0, 0, now=now)
+        _, latency = self.timing.store(ctx.core, addr, 0, 0, now)
         self.memory.write(vid, addr, value)
         if vid > 0:
             latency += self.costs.instrument_write
             if self._validated(addr, True):
                 self.log.log_write(vid, addr, value)
                 latency += self.costs.log_entry
-            self.stats.record_store(vid, addr)
+            # Write-set accounting.
+            stats = self.stats
+            tx = stats._open.get(vid)
+            if tx is None:
+                tx = stats._open[vid] = OpenTransaction(vid)
+            tx.write_lines.add(addr - (addr % stats.line_size))
+            tx.spec_stores += 1
+            stats.spec_stores += 1
         return value, latency
 
     def wrong_path_load(self, tid: int, addr: int) -> Access:

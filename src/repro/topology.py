@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 #: Thread-placement policies understood by :func:`place_core`.
 PLACEMENT_POLICIES = ("pack", "spread")
@@ -228,10 +228,6 @@ def topology_preset(name: str) -> TopologySpec:
     except KeyError:
         raise KeyError(f"unknown topology preset {name!r}; choose from "
                        f"{sorted(TOPOLOGY_PRESETS)}") from None
-
-
-def preset_names() -> Tuple[str, ...]:
-    return tuple(sorted(TOPOLOGY_PRESETS))
 
 
 # ----------------------------------------------------------------------

@@ -48,10 +48,9 @@ class AlvinnWorkload(Workload):
 
     def setup(self, system) -> None:
         memory = system.hierarchy.memory
-        for i, word in enumerate(self._pattern_words):
-            memory.write_word(self.patterns.base + 8 * i, word)
-        for i in range(self.weights.size // 8):
-            memory.write_word(self.weights.base + 8 * i, (i * 13 + 3) & 0x7F)
+        memory.init_lines(self.patterns.base, self._pattern_words)
+        memory.init_lines(self.weights.base, [
+            (i * 13 + 3) & 0x7F for i in range(self.weights.size // 8)])
 
     @cached_property
     def _pattern_words(self) -> List[int]:

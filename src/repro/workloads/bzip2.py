@@ -48,8 +48,7 @@ class Bzip2Workload(PipelinedBenchmark):
         return [rng.next(255) for _ in range(self.input_blocks.size // 8)]
 
     def setup_domain(self, memory) -> None:
-        for i, word in enumerate(self._input_words):
-            memory.write_word(self.input_blocks.base + 8 * i, word)
+        memory.init_lines(self.input_blocks.base, self._input_words)
 
     def _in(self, i: int) -> int:
         return self.input_blocks.base + i * self.block_lines * LINE

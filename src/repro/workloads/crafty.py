@@ -40,9 +40,8 @@ class CraftyWorkload(PipelinedBenchmark):
 
     def setup_domain(self, memory) -> None:
         for i in range(self.attack_tables.size // LINE):
-            value = (i * 193 + 7) & 0x3FF
-            for word in range(3):
-                memory.write_word(self.attack_tables.line(i) + 8 * word, value)
+            memory.init_lines(self.attack_tables.line(i),
+                              ((i * 193 + 7) & 0x3FF,) * 3)
 
     def _scratch(self, i: int) -> int:
         return self.scratch.base + i * 4 * LINE

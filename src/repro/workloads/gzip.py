@@ -53,8 +53,7 @@ class GzipWorkload(PipelinedBenchmark):
         return [rng.next(251) for _ in range(self.blocks.size // 8)]
 
     def setup_domain(self, memory) -> None:
-        for i, word in enumerate(self._block_words):
-            memory.write_word(self.blocks.base + 8 * i, word)
+        memory.init_lines(self.blocks.base, self._block_words)
 
     def _block(self, i: int) -> int:
         stride = ((self.block_words * 8 + LINE - 1) // LINE + 1) * LINE

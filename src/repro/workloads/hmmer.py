@@ -40,8 +40,8 @@ class HmmerWorkload(PipelinedBenchmark):
         self.dp_rows = Region(0x320_0000, iterations * 2 * LINE)
 
     def setup_domain(self, memory) -> None:
-        for i in range(self.model.size // 8):
-            memory.write_word(self.model.base + 8 * i, (i * 37 + 11) & 0xFF)
+        memory.init_lines(self.model.base, [
+            (i * 37 + 11) & 0xFF for i in range(self.model.size // 8)])
 
     def _dp_row(self, i: int) -> int:
         return self.dp_rows.base + i * 2 * LINE

@@ -37,9 +37,8 @@ class IspellWorkload(PipelinedBenchmark):
 
     def setup_domain(self, memory) -> None:
         for i in range(self.dictionary.size // LINE):
-            value = (i * 2654435761) & 0xFFFF
-            for word in range(8):
-                memory.write_word(self.dictionary.line(i) + 8 * word, value)
+            memory.init_lines(self.dictionary.line(i),
+                              ((i * 2654435761) & 0xFFFF,) * 8)
 
     def _probe_sequence(self, i: int):
         rng = Lcg(0x15BE11 + i)

@@ -56,9 +56,8 @@ class LiWorkload(PipelinedBenchmark):
     def setup_domain(self, memory) -> None:
         for c, cdr in enumerate(self._cdrs):
             # car = value, cdr = pointer to another cell.
-            cell = self.heap.line(c)
-            memory.write_word(cell, (c * 17 + 5) & 0xFFFF)
-            memory.write_word(cell + 8, self.heap.line(cdr))
+            memory.init_lines(self.heap.line(c),
+                              ((c * 17 + 5) & 0xFFFF, self.heap.line(cdr)))
 
     def _frontier(self, i: int) -> int:
         return self.frontiers.base + i * 64 * LINE

@@ -42,7 +42,8 @@ class ParserWorkload(PipelinedBenchmark):
 
     def setup_domain(self, memory) -> None:
         for i in range(self.dictionary.size // LINE):
-            memory.write_word(self.dictionary.line(i), (i * 769 + 31) & 0xFFFF)
+            memory.init_lines(self.dictionary.line(i),
+                              ((i * 769 + 31) & 0xFFFF,))
 
     def _arena(self, i: int) -> int:
         return self.arenas.base + i * 16 * LINE

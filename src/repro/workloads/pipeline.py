@@ -70,7 +70,8 @@ class PipelinedBenchmark(Workload):
     # ------------------------------------------------------------------
 
     def setup_domain(self, memory) -> None:
-        """Initialise domain data structures in backing memory."""
+        """Initialise domain data structures in backing memory (a line at
+        a time, with ``memory.init_lines``)."""
         raise NotImplementedError
 
     def work_body(self, i: int, element: int) -> Fragment:
@@ -102,10 +103,9 @@ class PipelinedBenchmark(Workload):
     def setup(self, system) -> None:
         memory = system.hierarchy.memory
         for i in range(self.iterations):
-            node = self.chain_node(i)
             nxt = self.chain_node(i + 1) if i + 1 < self.iterations else 0
-            memory.write_word(node, nxt)
-            memory.write_word(node + 8, self.element_payload(i))
+            memory.init_lines(self.chain_node(i),
+                              (nxt, self.element_payload(i)))
         self.setup_domain(memory)
 
     def initial_carry(self, system) -> int:

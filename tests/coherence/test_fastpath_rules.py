@@ -16,7 +16,13 @@ set:
 * at the 3-bit width and at the paper's full 6-bit width, ``lookup_slot``
   finds the version exactly when the window rule says it hits, and
   counts the comparator engagements that
-  :meth:`~repro.coherence.vid.CascadedComparator.compare` would.
+  :meth:`~repro.coherence.vid.CascadedComparator.compare` would;
+* at both widths, with a commit or an abort broadcast still pending on
+  the version (so ``lookup_slot``'s first exit, for one epoch-current
+  non-speculative version, must not take it stale), the lookup finds the
+  version the lazy rules fold it to, and a VID-0 load, which
+  ``_access`` returns at once on a hit, reads that version's word and
+  changes nothing else.
 """
 
 import pytest
@@ -26,6 +32,8 @@ from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.coherence.protocol import (
     WRITE_ABORT,
     WRITE_IN_PLACE,
+    abort_transition_code,
+    commit_transition_code,
     new_version_code,
     read_transition_code,
     version_hits_code,
@@ -33,6 +41,7 @@ from repro.coherence.protocol import (
 )
 from repro.coherence.states import (
     CODE_EXCLUSIVE,
+    CODE_INVALID,
     CODE_MODIFIED,
     CODE_OWNED,
     CODE_SHARED,
@@ -188,3 +197,109 @@ def test_every_state_class_is_exercised():
     assert {code for code, _, _ in CASES} == set(range(len(STATE_FROM_CODE)))
     assert CODE_SS in {code for code, _, _ in CASES}
     assert CODE_EXCLUSIVE in {code for code, _, _ in CASES}
+
+
+# ----------------------------------------------------------------------
+# Lookups and VID-0 loads behind pending lazy events
+# ----------------------------------------------------------------------
+
+#: VIDs around the 6-bit comparator's low-half boundaries (low_bits 3)
+#: and the ends of the space: the 6-bit cases draw ``modVID``/``highVID``
+#: and request VIDs from these.
+_EDGES_6 = (0, 1, 2, 7, 8, 9, 31, 32, 33, 55, 56, 62, 63)
+
+
+def _pending_cases(bits):
+    if bits == VID_BITS:
+        return CASES
+    return [(c, m, h) for c, m, h in _cases(bits)
+            if m in _EDGES_6 and h in _EDGES_6]
+
+
+def _events(bits, m, h):
+    """Pending broadcasts: ``(commit VID or None, abort after it)``."""
+    top = (1 << bits) - 1
+    commits = (range(1, top + 1) if bits == VID_BITS else
+               sorted({v for v in (1, m - 1, m, m + 1, h - 1, h, h + 1, top)
+                       if 1 <= v <= top}))
+    return ([(None, True)] + [(c, False) for c in commits]
+            + [(c, True) for c in commits])
+
+
+def _requests(bits, m, h, commit):
+    if bits == VID_BITS:
+        return range(1 << bits)
+    top = (1 << bits) - 1
+    near = (m - 1, m, m + 1, h - 1, h, h + 1, commit or 0, (commit or 0) + 1)
+    return sorted({v for v in _EDGES_6 + near if 0 <= v <= top})
+
+
+def _folded(code, m, h, commit, abort):
+    """What the lazy rules leave of ``(code, m, h)`` after a commit of
+    ``commit`` (if any) and then an abort (if any); a speculative version
+    folded to INVALID leaves the cache."""
+    tags = (code, m, h)
+    if code >= CODE_SM:
+        lc = commit or 0
+        tags = commit_transition_code(*tags, lc)
+        if abort and tags[0] >= CODE_SM:
+            tags = abort_transition_code(*tags)
+            if tags[0] >= CODE_SM:
+                tags = commit_transition_code(*tags, lc)
+    return tags
+
+
+def _behind_events(bits, code, m, h, commit, abort):
+    """A machine whose core-0 L1 holds ``(code, m, h)`` with the commit
+    and abort broadcasts still pending on it."""
+    hierarchy = _hierarchy(bits)
+    l1 = hierarchy.l1s[0]
+    _inject(l1, code, m, h)
+    if commit is not None:
+        hierarchy.commit(commit)
+    if abort:
+        hierarchy.abort()
+    return hierarchy, l1
+
+
+@pytest.mark.parametrize("bits", [VID_BITS, DEFAULT_VID_BITS])
+def test_lookup_folds_pending_events_first(bits):
+    for code, m, h in _pending_cases(bits):
+        for commit, abort in _events(bits, m, h):
+            folded = _folded(code, m, h, commit, abort)
+            for a in _requests(bits, m, h, commit):
+                _, l1 = _behind_events(bits, code, m, h, commit, abort)
+                where = (STATE_FROM_CODE[code].value, m, h, commit, abort, a)
+                slot = l1.lookup_slot(BASE, a)
+                eff = a if a else l1.lc_vid
+                assert (slot is not None) == \
+                    version_hits_code(*folded, eff), where
+                if code >= CODE_SM and folded[0] == CODE_INVALID:
+                    assert BASE not in l1._by_base, where
+                    continue
+                (only,) = l1._by_base[BASE]
+                store = l1._store
+                assert (store.state[only], store.mod_vid[only],
+                        store.high_vid[only]) == folded, where
+                assert store.epoch[only] == l1._epoch, where
+
+
+@pytest.mark.parametrize("bits", [VID_BITS, DEFAULT_VID_BITS])
+def test_vid0_read_hit_returns_the_folded_word(bits):
+    for code, m, h in _pending_cases(bits):
+        for commit, abort in [(None, False)] + _events(bits, m, h):
+            hierarchy, l1 = _behind_events(bits, code, m, h, commit, abort)
+            folded = _folded(code, m, h, commit, abort)
+            where = (STATE_FROM_CODE[code].value, m, h, commit, abort)
+            hits = version_hits_code(*folded, l1.lc_vid)
+            value, latency = hierarchy.load(0, ADDR, 0)
+            assert (l1.stats.hits, l1.stats.misses) == \
+                ((1, 0) if hits else (0, 1)), where
+            assert (hierarchy.stats.loads, hierarchy.stats.spec_loads) \
+                == (1, 0), where
+            if not hits:
+                continue
+            assert (value, latency) == (1, l1.hit_latency), where
+            assert hierarchy.sla_loads == hierarchy.versions_created == 0
+            assert _resident(l1) == [folded + (1,)], where
+            assert hierarchy.stats.bus_snoops == 0, where

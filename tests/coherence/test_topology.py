@@ -22,7 +22,6 @@ from repro.topology import (
     TopologySpec,
     place_core,
     placement_map,
-    preset_names,
     topology_preset,
 )
 
@@ -103,7 +102,8 @@ class TestTopologySpec:
             .reset_scrub_latency(25, 40) == 25
 
     def test_presets(self):
-        assert set(preset_names()) == set(TOPOLOGY_PRESETS)
+        for name, spec in TOPOLOGY_PRESETS.items():
+            assert topology_preset(name) == spec
         assert topology_preset("table2").num_cores == 4
         assert topology_preset("table2").flat
         assert topology_preset("2s64c").num_cores == 64

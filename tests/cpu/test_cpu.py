@@ -83,13 +83,13 @@ class TestCalibratedBulkPath:
     @pytest.mark.parametrize("rate", BULK_RATES)
     def test_bulk_stream_equals_per_branch_predict(self, system, rate):
         count, ops = 0, []
-        for size in (1, 7, 64, 500, 3000):
+        for size in (1, 7, 64, 500, 512, 1024, 3000):
             ops.append(Branch(taken=True, count=size))
             count += size
         executor, results = run_ops(
             system, *ops,
             predictor_factory=lambda: CalibratedPredictor(rate, seed=77))
-        bulk = executor.predictor(0)
+        bulk = executor._predictors[0]
         reference = CalibratedPredictor(rate, seed=77)
         streams = []
         for op in ops:

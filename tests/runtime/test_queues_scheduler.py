@@ -224,7 +224,7 @@ class TestOpDispatch:
         # Every core op but the spin and the queue ops counts one
         # instruction (Work(2) counts two) and one pc slot.
         assert sched.executor.stats.instructions == 12
-        assert sched.executor._pc[0] == 4 * 11
+        assert sched.executor.pc(0) == 4 * 11
 
     @pytest.mark.parametrize("op", [object(), None, "Work", Work, Op()],
                              ids=["object", "None", "str", "class", "Op"])

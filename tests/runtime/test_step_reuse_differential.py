@@ -1,13 +1,17 @@
-"""Differential test of the scheduler's step reuse.
+"""Differential test of the scheduler's inner step loop and op counts.
 
 :meth:`Scheduler.run` steps the thread it just ran again, without a
 sweep, while that thread stays ahead of the runner-up and of every
-parked thread.  The reference here is :func:`reference_run`, the same
-loop without reuse: it sweeps every live thread and runs the poll phase
-before every step.  Both must agree on everything the simulation
-produces: clocks, executed ops, the step count (the ``max_steps`` cut
-included), the observer's ``on_step``/``on_op``/``on_polls`` sequence,
-executor and system statistics, memory and the workload's result.
+parked thread, and it bumps one count per op class, from which the pc,
+``ops_executed`` and :class:`~repro.cpu.core_model.ExecStats` are derived.
+The reference here is :func:`reference_run`, the same loop without the
+inner loop: it sweeps every live thread and runs the poll phase before
+every step, and it keeps an explicit :class:`Ledger` of every counter,
+bumped per op.  Both must agree on everything the simulation produces:
+clocks, executed ops, the step count (the ``max_steps`` cut included),
+the observer's ``on_step``/``on_op``/``on_polls`` sequence, the pc at
+every branch-predictor read, executor and system statistics, memory and
+the workload's result.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from hypothesis import strategies as st
 
 from repro.core import HMTXSystem
 from repro.core.config import MachineConfig
+from repro.cpu.branch import GsharePredictor
+from repro.cpu.core_model import CoreExecutor, ExecStats
 from repro.cpu.interrupts import InterruptInjector
 from repro.cpu.isa import (AbortMTX, Arrive, BeginMTX, Branch, CommitMTX,
                            Consume, InitMTX, Load, Output, Produce,
@@ -28,29 +34,51 @@ from repro.cpu.isa import (AbortMTX, Arrive, BeginMTX, Branch, CommitMTX,
 from repro.errors import ReproError
 from repro.runtime import scheduler as scheduler_module
 from repro.runtime.paradigms import run_workload
-from repro.runtime.scheduler import DeadlockError, Scheduler, ThreadHandle
-from repro.workloads import make_benchmark
+from repro.runtime.scheduler import (DeadlockError, RunResult, Scheduler,
+                                     ThreadHandle)
+from repro.workloads import calibrated_executor_factory, make_benchmark
 
 from tests.runtime.test_spin_differential import FAMILIES as SPIN_FAMILIES
 from tests.runtime.test_spin_differential import _snapshot
 
 
+class Ledger:
+    """The counters as the scheduler bumped them before they were
+    derived: a pc per thread, moved one slot per core op, the executor's
+    instruction, load and store counts, and ``ops_executed`` per thread."""
+
+    def __init__(self) -> None:
+        self.pc: Dict[int, int] = {}
+        self.ops: Dict[int, int] = {}
+        self.instructions = 0
+        self.loads = 0
+        self.stores = 0
+
+    def exec_stats(self, executor: CoreExecutor) -> ExecStats:
+        """The mix, with what the branch path adds itself."""
+        branch = executor._branch_mix
+        return ExecStats(
+            instructions=self.instructions + branch.instructions,
+            loads=self.loads, stores=self.stores,
+            branches=branch.branches, mispredicts=branch.mispredicts)
+
+
 def _execute(scheduler: Scheduler, tid: int, op, start: int):
     """``(value, latency)`` of one core op, with :meth:`Scheduler.run`'s
-    accounting."""
+    accounting kept in the scheduler's :class:`Ledger`."""
     executor = scheduler.executor
-    estats = executor.stats
+    ledger = scheduler.ledger
     system = scheduler.system
     cls = op.__class__
-    estats.instructions += max(op.cycles, 1) if cls is Work else 1
-    executor._pc[tid] += 4
+    ledger.instructions += max(op.cycles, 1) if cls is Work else 1
+    ledger.pc[tid] = ledger.pc.get(tid, 0) + 4
     if cls is Work:
         return None, op.cycles * executor.costs.work_unit
     if cls is Load:
-        estats.loads += 1
+        ledger.loads += 1
         return system.load(tid, op.addr, start)
     if cls is Store:
-        estats.stores += 1
+        ledger.stores += 1
         return None, system.store(tid, op.addr, op.value, start)[1]
     if cls is Branch:
         return None, executor._execute_branch(tid, op)
@@ -68,6 +96,28 @@ def _execute(scheduler: Scheduler, tid: int, op, start: int):
         system.output(tid, op.value)
         return None, 1
     raise TypeError(f"the scheduler cannot execute {op!r}")
+
+
+def _count_op(scheduler: Scheduler, thread) -> None:
+    ops = scheduler.ledger.ops
+    ops[thread.tid] = ops.get(thread.tid, 0) + 1
+
+
+def _charge_polls(self: Scheduler, due, bound_clock, bound_tid, budget):
+    """:meth:`Scheduler._charge_polls`, with the polls it charged (as the
+    observer was told them) counted in the ledger."""
+    charged = Scheduler._charge_polls(self, due, bound_clock, bound_tid,
+                                      budget)
+    if charged:
+        kind, polls = self.observer.log[-1]
+        assert kind == "polls"
+        ledger = self.ledger
+        cycles = {thread.tid: thread.spin.cycles for thread in due}
+        for tid, _, _, count, _ in polls:
+            ledger.instructions += count * max(cycles[tid], 1)
+            ledger.pc[tid] = ledger.pc.get(tid, 0) + 4 * count
+            ledger.ops[tid] = ledger.ops.get(tid, 0) + count
+    return charged
 
 
 def _unblock(scheduler: Scheduler, thread) -> bool:
@@ -97,6 +147,7 @@ def reference_run(self: Scheduler):
     """:meth:`Scheduler.run` without step reuse: every step sweeps the
     live threads and runs the poll phase."""
     key = attrgetter("clock", "tid")
+    charge_polls = _charge_polls.__get__(self)
     steps = 0
     epoch = 0
     observer = self.observer
@@ -123,8 +174,8 @@ def reference_run(self: Scheduler):
         if due:
             charged = 0
             if interrupts is None and best is not None:
-                charged = self._charge_polls(due, best.clock, best.tid,
-                                             self.max_steps - steps)
+                charged = charge_polls(due, best.clock, best.tid,
+                                       self.max_steps - steps)
             if charged:
                 steps += charged
             else:
@@ -142,7 +193,7 @@ def reference_run(self: Scheduler):
         spin = thread.spin
         if spin is not None and thread.spin_epoch == epoch:
             thread.spin_rows += 1
-            thread.ops_executed += 1
+            _count_op(self, thread)
             op = Work(spin.cycles)
         else:
             if spin is not None:
@@ -163,7 +214,7 @@ def reference_run(self: Scheduler):
                 thread.done = True
                 continue
             thread.pending_value = None
-            thread.ops_executed += 1
+            _count_op(self, thread)
         if op.__class__ is Produce or op.__class__ is Consume:
             self._queue_step(thread, op, op.__class__)
             continue
@@ -180,6 +231,40 @@ def reference_run(self: Scheduler):
                 epoch += 1
         thread.clock = self._core_clock[thread.core] = clock
         thread.pending_value = value
+
+
+_result = Scheduler.result
+
+
+def reference_result(self: Scheduler) -> RunResult:
+    """:meth:`Scheduler.result` with ``ops_executed`` from the ledger."""
+    result = _result(self)
+    result.ops_executed = sum(self.ledger.ops.values())
+    return result
+
+
+def instrument(scheduler: Scheduler, reference: bool) -> "Recorder":
+    """Install a :class:`Recorder` and log every pc read; the reference
+    reads the pc from its ledger."""
+    recorder = Recorder()
+    scheduler.observer = recorder
+    executor = scheduler.executor
+    if reference:
+        scheduler.ledger = Ledger()
+        pcs = scheduler.ledger.pc
+
+        def source(tid):
+            return pcs.get(tid, 0)
+    else:
+        source = executor.pc
+
+    def pc(tid):
+        value = source(tid)
+        recorder.log.append(("pc", tid, value))
+        return value
+
+    executor.pc = pc
+    return recorder
 
 
 class Recorder:
@@ -205,7 +290,11 @@ class Recorder:
         """Steps taken: stepped ones plus polls charged in bulk."""
         return sum(1 if entry[0] == "step" else
                    sum(poll[3] for poll in entry[1])
-                   for entry in self.log if entry[0] != "op")
+                   for entry in self.log if entry[0] in ("step", "polls"))
+
+    @property
+    def pc_reads(self) -> int:
+        return sum(entry[0] == "pc" for entry in self.log)
 
 
 def _memory(system) -> Dict[str, Any]:
@@ -218,14 +307,29 @@ def _memory(system) -> Dict[str, Any]:
                        for cache in hierarchy._caches}}
 
 
-def _outcome(scheduler, recorder, system) -> Dict[str, Any]:
+def _outcome(scheduler, recorder, system,
+             reference: bool) -> Dict[str, Any]:
+    """What a run produced; the reference's counters come from its
+    ledger, the scheduler's are derived from the op counts."""
+    executor = scheduler.executor
+    if reference:
+        ledger = scheduler.ledger
+        ops = [ledger.ops.get(t.tid, 0) for t in scheduler.threads]
+        pcs = {t.tid: ledger.pc.get(t.tid, 0) for t in scheduler.threads}
+        exec_stats = ledger.exec_stats(executor)
+    else:
+        ops = [t.ops_executed for t in scheduler.threads]
+        pcs = {t.tid: CoreExecutor.pc(executor, t.tid)
+               for t in scheduler.threads}
+        exec_stats = executor.stats
     return {
-        "threads": [(t.tid, t.core, t.clock, t.ops_executed, t.done)
-                    for t in scheduler.threads],
+        "threads": [(t.tid, t.core, t.clock, n, t.done)
+                    for t, n in zip(scheduler.threads, ops)],
+        "pcs": pcs,
         "core_clocks": dict(scheduler._core_clock),
         "steps": recorder.steps,
         "observer": recorder.log,
-        "exec_stats": _snapshot(scheduler.executor.stats),
+        "exec_stats": _snapshot(exec_stats),
         "system_stats": _snapshot(system.stats),
         "memory": _memory(system),
     }
@@ -241,8 +345,7 @@ def run_case(case: Dict[str, Any], reference: bool,
     def tracked_add_thread(self, tid, core, program, start_clock=0):
         if self not in schedulers:
             schedulers.append(self)
-            recorders.append(Recorder())
-            self.observer = recorders[-1]
+            recorders.append(instrument(self, reference))
             if max_steps is not None:
                 self.max_steps = max_steps
         return add_thread(self, tid, core, program, start_clock)
@@ -258,6 +361,7 @@ def run_case(case: Dict[str, Any], reference: bool,
         patch.setattr(Scheduler, "add_thread", tracked_add_thread)
         if reference:
             patch.setattr(Scheduler, "run", reference_run)
+            patch.setattr(Scheduler, "result", reference_result)
         try:
             result = run_workload(workload, case["config"],
                                   paradigm=case["paradigm"], **kwargs)
@@ -267,7 +371,8 @@ def run_case(case: Dict[str, Any], reference: bool,
             out["error"] = str(err)
             result = None
     (scheduler,) = schedulers
-    out.update(_outcome(scheduler, recorders[0], scheduler.system))
+    out.update(_outcome(scheduler, recorders[0], scheduler.system,
+                        reference))
     if kwargs.get("interrupts") is not None:
         out["interrupts"] = (kwargs["interrupts"].fired,
                              dict(kwargs["interrupts"]._next_fire))
@@ -278,11 +383,22 @@ def run_case(case: Dict[str, Any], reference: bool,
     return out
 
 
-#: The spin differential test's families, plus SMTX under PS-DSWP.
+#: The spin differential test's families (run_workload's default
+#: executor: organic gshare predictors), plus SMTX under PS-DSWP, the
+#: calibrated predictors the experiment drivers use (they never read the
+#: pc) and gshare chosen explicitly on a workload with wrong-path loads.
 FAMILIES = SPIN_FAMILIES + [
     ("ps-dswp-smtx", "PS-DSWP",
      lambda seed: (lambda: make_benchmark("ispell", 0.3)),
      {"backend": "smtx"}),
+    ("ps-dswp-calibrated", "PS-DSWP",
+     lambda seed: (lambda: make_benchmark("197.parser", 0.3)),
+     {"executor_factory": calibrated_executor_factory(
+         make_benchmark("197.parser", 0.3).mispredict_rate)}),
+    ("ps-dswp-gshare", "PS-DSWP",
+     lambda seed: (lambda: make_benchmark("197.parser", 0.3)),
+     {"executor_factory": lambda system: CoreExecutor(
+         system, predictor_factory=GsharePredictor)}),
 ]
 
 
@@ -325,6 +441,22 @@ class TestStepReuse:
         # the budget in every attempt; one that never aborted cannot.
         if not full["system_stats"]["aborted"]:
             assert expected["error"] == f"exceeded {limit} scheduler steps"
+
+    def test_gshare_pc_reads_agree(self):
+        # The pc feeds only gshare's index; this family reads it on both
+        # of the executor's branch paths (with and without wrong-path
+        # loads), so every read is compared.
+        label, paradigm, make, kwargs = FAMILIES[-1]
+        assert label == "ps-dswp-gshare"
+        case = {"label": label, "paradigm": paradigm, "make": make(1),
+                "kwargs": kwargs, "config": MachineConfig(num_cores=4),
+                "period": 0}
+        expected = run_case(case, reference=True)
+        actual = run_case(case, reference=False)
+        assert actual == expected
+        reads = [entry for entry in actual["observer"] if entry[0] == "pc"]
+        assert len(reads) > 100
+        assert len({pc for _, _, pc in reads}) > 100
 
     def test_runs_skip_most_sweeps(self):
         # The families must exercise reuse: count the sweep's reads of
@@ -417,8 +549,7 @@ def run_synthetic(chain, reference: bool, max_steps: int = 3_000):
                   if chain["period"] else None)
     scheduler = Scheduler(system, interrupts=interrupts,
                           max_steps=max_steps)
-    recorder = Recorder()
-    scheduler.observer = recorder
+    recorder = instrument(scheduler, reference)
     counter = [0]
     for tid, plan in sorted(chain["plans"].items()):
         scheduler.add_thread(tid, chain["placement"][tid],
@@ -429,7 +560,7 @@ def run_synthetic(chain, reference: bool, max_steps: int = 3_000):
         (reference_run if reference else Scheduler.run)(scheduler)
     except ReproError as err:
         out["error"] = str(err)
-    out.update(_outcome(scheduler, recorder, system))
+    out.update(_outcome(scheduler, recorder, system, reference))
     return out
 
 
