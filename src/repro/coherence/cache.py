@@ -390,11 +390,13 @@ class VersionedCache:
         request VID (the LC_VID substitution for non-speculative requests
         happens here).  The only implementation of the section 4.1 hit
         window: every access, snoop and directory probe looks up here.  A
-        lone processed non-speculative version returns first; otherwise
-        pending lazy events are applied (only when some version of the
-        line is stale), the VID comparators' engagements are counted
-        exactly as :meth:`CascadedComparator.compare` would count them
-        (section 4.5), and the hit gets an LRU touch.
+        lone processed version exits first: a non-speculative one hits any
+        VID, an ``INVALID`` one none, and a speculative one tests its
+        window directly.  Otherwise pending lazy events are applied (only
+        when some version of the line is stale).  Either way the VID
+        comparators' engagements are counted exactly as
+        :meth:`CascadedComparator.compare` would count them (section
+        4.5), and the hit gets an LRU touch.
         """
         bucket = self._by_base.get(base)
         if not bucket:
@@ -404,12 +406,32 @@ class VersionedCache:
         if len(bucket) == 1:
             hit = bucket[0]
             if store.epoch[hit] == epoch:
-                if CODE_INVALID < store.state[hit] < CODE_SM:
+                code = store.state[hit]
+                if code < CODE_SM:
+                    if code == CODE_INVALID:
+                        return None
                     # Dominant case, first: one processed non-speculative
                     # version hits any VID and engages no comparator.
                     tick = self._tick = self._tick + 1
                     store.lru_tick[hit] = tick
                     return hit
+                # One processed speculative version: the loop below for a
+                # bucket of one, its two engagements counted at once.
+                eff = self.lc_vid if req_vid == 0 else req_vid
+                mod = store.mod_vid[hit]
+                high = store.high_vid[hit]
+                comparator = self.comparator
+                shift = comparator.low_bits
+                key = eff >> shift
+                fast = (key == mod >> shift) + (key == high >> shift)
+                comparator.fast_comparisons += fast
+                comparator.cascaded_comparisons += 2 - fast
+                if (eff >= mod if code <= CODE_SE
+                        else mod <= eff < high):
+                    tick = self._tick = self._tick + 1
+                    store.lru_tick[hit] = tick
+                    return hit
+                return None
         epochs = store.epoch
         for slot in bucket:
             if epochs[slot] != epoch:

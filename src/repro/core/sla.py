@@ -42,7 +42,6 @@ class SlaTracker:
     #: line address -> highest VID a wrong-path load *would have* marked.
     _ghosts: Dict[int, int] = field(default_factory=dict)
     wrong_path_loads: int = 0
-    ghost_marks: int = 0
     avoided_aborts: int = 0
 
     def _line(self, addr: int) -> int:
@@ -54,7 +53,6 @@ class SlaTracker:
         if not would_mark or vid <= 0:
             return
         line = self._line(addr)
-        self.ghost_marks += 1
         if self._ghosts.get(line, 0) < vid:
             self._ghosts[line] = vid
 

@@ -513,8 +513,7 @@ class ObsSession:
 
     def _runnable(self) -> int:
         return sum(1 for t in self._scheduler.threads
-                   if not t.done and t.blocked_on is None
-                   and t.blocked_produce is None)
+                   if not t.done and t.blocked is None)
 
     def before_stall_all(self, cycles) -> None:
         if cycles > 0:

@@ -12,6 +12,9 @@ Timing model:
   with a one-way inter-core latency;
 * a consumer blocking on an empty queue releases its core and resumes at
   ``max(own clock, producer clock + queue latency)``;
+* a thread blocked on a queue keeps the ``Consume`` or ``Produce`` it
+  waits on in :attr:`ThreadHandle.blocked`, which the selection sweep
+  retries (one ``is not None`` test per live thread);
 * an optional :class:`~repro.cpu.interrupts.InterruptInjector` charges
   handler time to whichever thread crossed the interrupt period.
 
@@ -95,10 +98,9 @@ class ThreadHandle:
     attribute access cost is on the simulator's critical path.
     """
 
-    __slots__ = ("tid", "core", "program", "clock", "done", "blocked_on",
-                 "blocked_produce", "pending_value", "spin", "spin_rows",
-                 "spin_epoch", "work", "work_extra", "loads", "stores",
-                 "other", "queue")
+    __slots__ = ("tid", "core", "program", "clock", "done", "blocked",
+                 "pending_value", "spin", "spin_rows", "spin_epoch", "work",
+                 "work_extra", "loads", "stores", "other", "queue")
 
     def __init__(self, tid: int, core: int, program: Program,
                  clock: int = 0) -> None:
@@ -107,10 +109,9 @@ class ThreadHandle:
         self.program = program
         self.clock = clock
         self.done = False
-        #: Queue this thread is blocked consuming from (empty queue).
-        self.blocked_on: Optional[str] = None
-        #: (queue, value) this thread is blocked producing into (full queue).
-        self.blocked_produce: Optional[tuple] = None
+        #: The queue op this thread is blocked on: a ``Consume`` of an
+        #: empty queue or a ``Produce`` into a full one.
+        self.blocked: Optional[Op] = None
         #: Value to send into the generator at the next step.
         self.pending_value: Any = None
         #: The :class:`~repro.cpu.isa.SpinUntil` this thread is parked on.
@@ -136,8 +137,7 @@ class ThreadHandle:
     def __repr__(self) -> str:
         return (f"ThreadHandle(tid={self.tid}, core={self.core}, "
                 f"clock={self.clock}, done={self.done}, "
-                f"blocked_on={self.blocked_on!r}, "
-                f"blocked_produce={self.blocked_produce!r})")
+                f"blocked={self.blocked!r})")
 
 
 @dataclass
@@ -216,8 +216,7 @@ class Scheduler:
             if thread.tid in programs:
                 thread.program = programs[thread.tid]
                 thread.done = False
-                thread.blocked_on = None
-                thread.blocked_produce = None
+                thread.blocked = None
                 thread.pending_value = None
                 thread.spin = None
 
@@ -314,29 +313,30 @@ class Scheduler:
             best_clock = next_clock = 0x7FFFFFFFFFFFFFFF
             best_tid = next_tid = 0
             for thread in live_threads:
-                if thread.blocked_on is not None:
-                    entry = queues.get(thread.blocked_on).try_consume(
-                        thread.clock)
-                    if entry is None:
-                        continue
-                    value, ready_time = entry
-                    if ready_time > thread.clock:
-                        thread.clock = ready_time
-                    thread.clock += queue_op
-                    thread.pending_value = value
-                    thread.blocked_on = None
-                elif thread.blocked_produce is not None:
-                    queue_name, value = thread.blocked_produce
-                    queue = queues.get(queue_name)
-                    if queue.full():
-                        continue
-                    # Space appeared when a consumer popped; the producer's
-                    # clock advances to that moment (back-pressure stall).
-                    if queue.last_pop_time > thread.clock:
-                        thread.clock = queue.last_pop_time
-                    thread.clock += queue_op
-                    queue.produce(value, thread.clock)
-                    thread.blocked_produce = None
+                blocked = thread.blocked
+                if blocked is not None:
+                    if blocked.__class__ is Consume:
+                        entry = queues.get(blocked.queue).try_consume(
+                            thread.clock)
+                        if entry is None:
+                            continue
+                        value, ready_time = entry
+                        if ready_time > thread.clock:
+                            thread.clock = ready_time
+                        thread.clock += queue_op
+                        thread.pending_value = value
+                    else:
+                        queue = queues.get(blocked.queue)
+                        if queue.full():
+                            continue
+                        # Space appeared when a consumer popped; the
+                        # producer's clock advances to that moment
+                        # (back-pressure stall).
+                        if queue.last_pop_time > thread.clock:
+                            thread.clock = queue.last_pop_time
+                        thread.clock += queue_op
+                        queue.produce(blocked.value, thread.clock)
+                    thread.blocked = None
                 clock = thread.clock
                 if clock < best_clock or (
                         clock == best_clock and thread.tid < best_tid):
@@ -603,7 +603,7 @@ class Scheduler:
         if cls is Produce:
             queue = self.queues.get(op.queue)
             if queue.full():
-                thread.blocked_produce = (op.queue, op.value)
+                thread.blocked = op
                 return
             start = self.op_start(thread)
             thread.clock = start + self.system.config.op_costs.queue_op
@@ -613,7 +613,7 @@ class Scheduler:
         # Consume (cls is Consume by elimination).
         entry = self.queues.get(op.queue).try_consume(thread.clock)
         if entry is None:
-            thread.blocked_on = op.queue
+            thread.blocked = op
             return
         value, ready_time = entry
         start = max(self.op_start(thread), ready_time)

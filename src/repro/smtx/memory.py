@@ -11,7 +11,7 @@ mirroring the sequential commit process.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -24,9 +24,9 @@ class SmtxMemory:
 
     backing: MainMemory = field(default_factory=MainMemory)
     _buffers: Dict[int, Dict[int, int]] = field(default_factory=dict)
-    #: The VIDs of ``_buffers`` in ascending order, kept in order as
-    #: buffers are created, committed and aborted, so reads never sort.
-    _vids: List[int] = field(default_factory=list)
+    #: The writer index: word -> the VIDs whose buffer holds it, in
+    #: ascending order, so a read looks only at its own word's writers.
+    _writers: Dict[int, List[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
 
@@ -34,21 +34,23 @@ class SmtxMemory:
         """Read as transaction ``vid`` (0 = committed state only)."""
         return self.read_with_source(vid, addr)[0]
 
-    def read_with_source(self, vid: int, addr: int) -> Tuple[int, int]:
+    def read_with_source(self, vid: int, addr: int
+                         ) -> Tuple[int, int]:  # hot-path
         """Read as ``vid``; returns ``(value, the VID whose buffer supplied
         it)``, 0 for committed state.
 
-        Searches the write buffers of VIDs ``<= vid`` from newest to oldest
-        — exactly the version a correctly-ordered MTX must observe.
+        The newest write buffer of a VID ``<= vid`` that holds the word
+        supplies it — exactly the version a correctly-ordered MTX must
+        observe.
         """
         word = addr - (addr % self.backing.word_size)
         if vid > 0:
-            buffers = self._buffers
-            for buffer_vid in reversed(self._vids):
-                if buffer_vid <= vid:
-                    buffer = buffers[buffer_vid]
-                    if word in buffer:
-                        return buffer[word], buffer_vid
+            writers = self._writers.get(word)
+            if writers:
+                index = bisect_right(writers, vid)
+                if index:
+                    writer = writers[index - 1]
+                    return self._buffers[writer][word], writer
         return self.backing.read_word(word), 0
 
     def write(self, vid: int, addr: int, value: int) -> None:
@@ -60,7 +62,8 @@ class SmtxMemory:
         buffer = self._buffers.get(vid)
         if buffer is None:
             buffer = self._buffers[vid] = {}
-            insort(self._vids, vid)
+        if word not in buffer:
+            insort(self._writers.setdefault(word, []), vid)
         buffer[word] = value
 
     # ------------------------------------------------------------------
@@ -70,8 +73,12 @@ class SmtxMemory:
         buffer = self._buffers.pop(vid, None)
         if buffer is None:
             return 0
-        self._vids.remove(vid)
+        index = self._writers
         for word, value in buffer.items():
+            writers = index[word]
+            writers.remove(vid)
+            if not writers:
+                del index[word]
             self.backing.write_word(word, value)
         return len(buffer)
 
@@ -79,7 +86,7 @@ class SmtxMemory:
         """Drop every uncommitted buffer; returns buffers discarded."""
         count = len(self._buffers)
         self._buffers.clear()
-        self._vids.clear()
+        self._writers.clear()
         return count
 
 

@@ -43,7 +43,13 @@ def validation_predicate_for(workload: Workload,
     if regions is None:
         return lambda addr, is_store: True
     spans = tuple(regions)
-    return lambda addr, is_store: any(lo <= addr < hi for lo, hi in spans)
+
+    def substantial(addr: int, is_store: bool) -> bool:
+        for lo, hi in spans:
+            if lo <= addr < hi:
+                return True
+        return False
+    return substantial
 
 
 def run_smtx(workload: Workload, config: Optional[MachineConfig] = None,

@@ -74,8 +74,6 @@ class SerialFallback:
         self.lock_acquire_cycles = lock_acquire_cycles
         self.lock_release_cycles = lock_release_cycles
         self.lock = lock or FallbackLock()
-        #: Completed fallback executions (lock acquire..release spans).
-        self.executions = 0
 
     # ------------------------------------------------------------------
 
@@ -102,7 +100,6 @@ class SerialFallback:
                 yield Work(self.lock_release_cycles)
             finally:
                 self.lock.release(tid)
-                self.executions += 1
         return body()
 
     @staticmethod

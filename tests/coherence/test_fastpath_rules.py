@@ -22,7 +22,11 @@ set:
   non-speculative version, must not take it stale), the lookup finds the
   version the lazy rules fold it to, and a VID-0 load, which
   ``_access`` returns at once on a hit, reads that version's word and
-  changes nothing else.
+  changes nothing else;
+* at both widths, ``lookup_slot``'s exit for one epoch-current
+  speculative (or ``INVALID``) version returns the slot, LRU tick and
+  comparator counts of the general loop, before and after pending
+  broadcasts fold the version.
 """
 
 import pytest
@@ -45,7 +49,9 @@ from repro.coherence.states import (
     CODE_MODIFIED,
     CODE_OWNED,
     CODE_SHARED,
+    CODE_SE,
     CODE_SM,
+    CODE_SO,
     CODE_SS,
     STATE_FROM_CODE,
 )
@@ -303,3 +309,89 @@ def test_vid0_read_hit_returns_the_folded_word(bits):
             assert hierarchy.sla_loads == hierarchy.versions_created == 0
             assert _resident(l1) == [folded + (1,)], where
             assert hierarchy.stats.bus_snoops == 0, where
+
+
+# ----------------------------------------------------------------------
+# The lone-version exits against the general loop
+# ----------------------------------------------------------------------
+
+def _general_lookup(cache, base, req_vid):
+    """``lookup_slot`` without its lone-version exits: fold a stale
+    bucket, then test every version against the window rule, counting
+    two comparator engagements per speculative one as
+    ``CascadedComparator.compare`` does."""
+    bucket = cache._by_base.get(base)
+    if not bucket:
+        return None
+    store = cache._store
+    if any(store.epoch[slot] != cache._epoch for slot in bucket):
+        bucket = cache._process_bucket(base)
+        if bucket is None:
+            return None
+    eff = req_vid if req_vid else cache.lc_vid
+    hits = []
+    for slot in bucket:
+        code, mod, high = (store.state[slot], store.mod_vid[slot],
+                           store.high_vid[slot])
+        if code >= CODE_SM:
+            cache.comparator.compare(eff, mod)
+            cache.comparator.compare(eff, high)
+        if version_hits_code(code, mod, high, eff):
+            hits.append(slot)
+    assert len(hits) <= 1
+    if not hits:
+        return None
+    cache._tick += 1
+    store.lru_tick[hits[0]] = cache._tick
+    return hits[0]
+
+
+def _observe(l1, slot):
+    store = l1._store
+    return (slot, l1._tick,
+            None if slot is None else store.lru_tick[slot],
+            l1.comparator.fast_comparisons,
+            l1.comparator.cascaded_comparisons, _resident(l1))
+
+
+def _lone_exit_code(l1):
+    """The code of the version ``lookup_slot``'s speculative-or-INVALID
+    lone-version exit would take now, or None."""
+    bucket = l1._by_base.get(BASE)
+    if not bucket or len(bucket) != 1:
+        return None
+    (slot,) = bucket
+    code = l1._store.state[slot]
+    if l1._store.epoch[slot] != l1._epoch or CODE_INVALID < code < CODE_SM:
+        return None
+    return code
+
+
+@pytest.mark.parametrize("bits", [VID_BITS, DEFAULT_VID_BITS])
+def test_lone_version_exit_matches_the_general_loop(bits):
+    taken = {}
+    for code, m, h in _pending_cases(bits):
+        if CODE_INVALID < code < CODE_SM:
+            continue
+        for commit, abort in [(None, False)] + _events(bits, m, h):
+            _, fast = _behind_events(bits, code, m, h, commit, abort)
+            _, reference = _behind_events(bits, code, m, h, commit, abort)
+            # The first lookup folds what is pending; the rest find the
+            # version epoch-current.
+            for a in _requests(bits, m, h, commit):
+                where = (STATE_FROM_CODE[code].value, m, h, commit, abort, a)
+                lone = _lone_exit_code(fast)
+                slot = fast.lookup_slot(BASE, a)
+                expected = _general_lookup(reference, BASE, a)
+                assert _observe(fast, slot) == \
+                    _observe(reference, expected), where
+                if lone is not None:
+                    key = (lone, slot is not None)
+                    taken[key] = taken.get(key, 0) + 1
+    # Every speculative code hits through the exit, every one but S-E
+    # (reachable only as ``S-E(0, h)``, which every VID hits) misses
+    # through it too, and a lone INVALID version misses through it.
+    for spec in (CODE_SM, CODE_SE, CODE_SO, CODE_SS):
+        assert taken.get((spec, True)), spec
+        assert taken.get((spec, False)) or spec == CODE_SE, spec
+    assert taken.get((CODE_INVALID, False))

@@ -1,7 +1,7 @@
 """Tests for the CPU substrate: predictors, executor, interrupts."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import HMTXSystem, MachineConfig
 from repro.cpu import (
@@ -15,7 +15,9 @@ from repro.cpu import (
     Work,
 )
 from repro.cpu.isa import BeginMTX, CommitMTX, Output, format_trace
+from repro.errors import MisspeculationError
 from repro.runtime.scheduler import Scheduler
+from repro.txctl.causes import AbortCause
 from repro.workloads import make_benchmark
 from repro.workloads.suite import BENCHMARK_NAMES
 
@@ -124,6 +126,94 @@ class TestCalibratedBulkPath:
                       threshold + 2047, threshold + 2048}:
             if 0 <= state < 2**64:
                 assert (state < threshold) == ((state >> 11) / 2**53 < rate)
+
+
+class _WrongPathLog:
+    """What ``_execute_branch`` uses of a system: the op costs, and a
+    ``wrong_path_load`` that logs each load and raises at the
+    ``fail_at``-th."""
+
+    def __init__(self, log, fail_at):
+        self.config = MachineConfig()
+        self.log = log
+        self.fail_at = fail_at
+        self.loads = 0
+
+    def wrong_path_load(self, tid, addr):
+        self.loads += 1
+        self.log.append(("load", addr))
+        if self.loads == self.fail_at:
+            raise MisspeculationError("planted", cause=AbortCause.CONFLICT)
+        return 0, 1
+
+
+def _no_pc(tid):
+    raise AssertionError("a calibrated Branch op computed a pc")
+
+
+#: Lone branches with and without wrong-path loads, and bursts with them
+#: (a burst without them is the bulk path, tested above).
+_LONE_BRANCHES = st.lists(
+    st.tuples(st.sampled_from((1, 1, 1, 3)), st.booleans(),
+              st.lists(st.sampled_from((0x40, 0x80, 0xC0)), max_size=3)),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LONE_BRANCHES, st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+       st.one_of(st.none(), st.integers(1, 12)))
+def test_calibrated_branches_match_per_branch_predict(specs, rate, fail_at):
+    ops = [Branch(taken=taken, count=count, wrong_path_loads=tuple(loads),
+                  work_cycles=2)
+           for count, taken, loads in specs if count == 1 or loads]
+    log = []
+    system = _WrongPathLog(log, fail_at)
+    executor = CoreExecutor(system)
+    executor.pc = _no_pc
+    predictor = executor._predictors[0] = CalibratedPredictor(rate, seed=11)
+    predict = predictor.predict
+
+    def logged(pc, taken):
+        mispredicted = predict(pc, taken)
+        log.append(("predict", mispredicted))
+        return mispredicted
+    predictor.predict = logged
+    results = []
+    for op in ops:
+        try:
+            results.append(executor._execute_branch(0, op))
+        except MisspeculationError:
+            results.append("raised")
+    # The reference: one predict() per branch, each mispredict followed
+    # by its op's wrong-path loads.
+    costs = system.config.op_costs
+    reference = CalibratedPredictor(rate, seed=11)
+    expected_log, expected, mispredicts, loads = [], [], 0, 0
+    for op in ops:
+        latency = op.work_cycles + op.count * costs.branch
+        try:
+            for _ in range(op.count):
+                mispredicted = reference.predict(0, op.taken)
+                expected_log.append(("predict", mispredicted))
+                if not mispredicted:
+                    continue
+                mispredicts += 1
+                latency += costs.branch_mispredict_penalty
+                for addr in op.wrong_path_loads:
+                    loads += 1
+                    expected_log.append(("load", addr))
+                    if loads == fail_at:
+                        raise MisspeculationError(
+                            "planted", cause=AbortCause.CONFLICT)
+            expected.append(latency)
+        except MisspeculationError:
+            expected.append("raised")
+    assert log == expected_log
+    assert results == expected
+    assert predictor._state == reference._state
+    assert predictor.stats == reference.stats
+    assert (executor.stats.branches, executor.stats.mispredicts) == \
+        (sum(op.count for op in ops), mispredicts)
 
 
 def run_ops(system, *ops, predictor_factory=None):

@@ -123,23 +123,23 @@ def _charge_polls(self: Scheduler, due, bound_clock, bound_tid, budget):
 def _unblock(scheduler: Scheduler, thread) -> bool:
     """The sweep's queue check for one live thread; True if runnable."""
     queue_op = scheduler.system.config.op_costs.queue_op
-    if thread.blocked_on is not None:
-        entry = scheduler.queues.get(thread.blocked_on).try_consume(
-            thread.clock)
+    blocked = thread.blocked
+    if blocked is None:
+        return True
+    if isinstance(blocked, Consume):
+        entry = scheduler.queues.get(blocked.queue).try_consume(thread.clock)
         if entry is None:
             return False
         value, ready_time = entry
         thread.clock = max(thread.clock, ready_time) + queue_op
         thread.pending_value = value
-        thread.blocked_on = None
-    elif thread.blocked_produce is not None:
-        name, value = thread.blocked_produce
-        queue = scheduler.queues.get(name)
+    else:
+        queue = scheduler.queues.get(blocked.queue)
         if queue.full():
             return False
         thread.clock = max(thread.clock, queue.last_pop_time) + queue_op
-        queue.produce(value, thread.clock)
-        thread.blocked_produce = None
+        queue.produce(blocked.value, thread.clock)
+    thread.blocked = None
     return True
 
 
@@ -460,7 +460,7 @@ class TestStepReuse:
 
     def test_runs_skip_most_sweeps(self):
         # The families must exercise reuse: count the sweep's reads of
-        # ``blocked_on`` (one per live thread per sweep) on a DOACROSS
+        # ``blocked`` (one per live thread per sweep) on a DOACROSS
         # run, where each thread runs its iteration's ops back to back.
         case = {"label": "doacross-li", "paradigm": "DOACROSS",
                 "make": FAMILIES[2][2](1), "kwargs": {},
@@ -478,19 +478,19 @@ class TestStepReuse:
 
 
 class CountingHandle(ThreadHandle):
-    """A thread handle counting reads of ``blocked_on``."""
+    """A thread handle counting reads of ``blocked``."""
 
     __slots__ = ()
     reads = 0
 
     @property
-    def blocked_on(self):
+    def blocked(self):
         CountingHandle.reads += 1
-        return ThreadHandle.blocked_on.__get__(self)
+        return ThreadHandle.blocked.__get__(self)
 
-    @blocked_on.setter
-    def blocked_on(self, queue):
-        ThreadHandle.blocked_on.__set__(self, queue)
+    @blocked.setter
+    def blocked(self, op):
+        ThreadHandle.blocked.__set__(self, op)
 
 
 # ----------------------------------------------------------------------

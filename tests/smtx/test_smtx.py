@@ -1,6 +1,8 @@
 """Tests for the SMTX software-TM baseline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MachineConfig
 from repro.errors import MisspeculationError, TransactionUsageError
@@ -17,6 +19,7 @@ from repro.smtx import (
 )
 from repro.smtx.memory import ValidationLog
 from repro.workloads.linkedlist import LinkedListWorkload
+from repro.workloads.suite import make_workload, workload_names
 
 ADDR = 0x4000
 
@@ -58,6 +61,80 @@ class TestSmtxMemory:
         mem.write(1, ADDR, 11)
         mem.abort_all()
         assert mem.read(5, ADDR) == 0
+
+
+class _ScanMemory:
+    """The reference: committed words plus every open buffer, read by a
+    newest-first scan over all of them."""
+
+    def __init__(self, word_size):
+        self.word_size = word_size
+        self.committed = {}
+        self.buffers = {}
+
+    def read_with_source(self, vid, addr):
+        word = addr - addr % self.word_size
+        if vid > 0:
+            for writer in sorted(self.buffers, reverse=True):
+                if writer <= vid and word in self.buffers[writer]:
+                    return self.buffers[writer][word], writer
+        return self.committed.get(word, 0), 0
+
+    def write(self, vid, addr, value):
+        word = addr - addr % self.word_size
+        if vid == 0:
+            self.committed[word] = value
+        else:
+            self.buffers.setdefault(vid, {})[word] = value
+
+    def commit(self, vid):
+        buffer = self.buffers.pop(vid, {})
+        self.committed.update(buffer)
+        return len(buffer)
+
+    def abort_all(self):
+        count = len(self.buffers)
+        self.buffers.clear()
+        return count
+
+
+_VIDS = st.integers(0, 6)
+#: Two addresses share each of the first two words.
+_ADDRS = (0x100, 0x104, 0x108, 0x10C, 0x140, 0x2000)
+_SMTX_OPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), _VIDS, st.sampled_from(_ADDRS),
+              st.integers(1, 99)),
+    st.tuples(st.just("read"), _VIDS, st.sampled_from(_ADDRS)),
+    st.tuples(st.just("commit"), _VIDS),
+    st.tuples(st.just("abort"))), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMTX_OPS)
+def test_writer_index_matches_a_scan_of_every_buffer(ops):
+    memory = SmtxMemory()
+    reference = _ScanMemory(memory.backing.word_size)
+    for op in ops:
+        kind, args = op[0], op[1:]
+        if kind == "write":
+            assert memory.write(*args) == reference.write(*args)
+        elif kind == "read":
+            assert memory.read_with_source(*args) == \
+                reference.read_with_source(*args), op
+        elif kind == "commit":
+            assert memory.commit(*args) == reference.commit(*args), op
+        else:
+            assert memory.abort_all() == reference.abort_all()
+    for vid in range(7):
+        for addr in _ADDRS:
+            assert memory.read_with_source(vid, addr) == \
+                reference.read_with_source(vid, addr), (vid, addr)
+    # The index holds exactly the open buffers' words, each with its
+    # writers in ascending order.
+    buffers = memory._buffers
+    assert memory._writers == {
+        word: sorted(vid for vid in buffers if word in buffers[vid])
+        for buffer in buffers.values() for word in buffer}
 
 
 class TestValidationLog:
@@ -179,6 +256,24 @@ class TestValidationPredicates:
         pred = validation_predicate_for(workload, ValidationMode.SUBSTANTIAL)
         assert pred(workload.node_region + 64, False)
         assert not pred(workload.table_region, False)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_substantial_span_boundaries(self, name):
+        # Each span boundary, and one address on either side of it, is
+        # classified as ``any(lo <= addr < hi for lo, hi in spans)`` does.
+        workload = make_workload(name, 0.25)
+        pred = validation_predicate_for(workload, ValidationMode.SUBSTANTIAL)
+        regions = getattr(workload, "smtx_shared_regions", lambda: None)()
+        if regions is None:
+            assert pred(0, False) and pred(0x1000, True)
+            return
+        spans = tuple(regions)
+        assert spans
+        for lo, hi in spans:
+            for addr in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
+                for is_store in (False, True):
+                    assert pred(addr, is_store) == \
+                        any(lo <= addr < hi for lo, hi in spans), addr
 
 
 class TestRunSmtx:
