@@ -387,7 +387,7 @@ def _check_committed_view(run: _Run) -> List[Dict[str, Any]]:
     hierarchy = run.hierarchy
     for addr in run.scenario.addrs:
         want = expected[addr]
-        word = hierarchy._word(addr)
+        word = hierarchy.memory.word_index(addr)
         hit_anywhere = False
         for cache in hierarchy._caches:
             hits = []

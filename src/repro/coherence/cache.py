@@ -19,12 +19,11 @@ slots in a per-cache :class:`~repro.coherence.store.LineStore` — parallel
 lazy-processing stamps.  The per-set lists and the per-base version
 buckets hold plain slot integers; lookups, installs, lazy folds, VID-reset
 scrubs and victim selection all run on slot ints and the integer-code
-rules of :mod:`repro.coherence.protocol`.  Installs take column values and
-eviction victims come back as column values, so a victim's data list
-moves down the miss path by reference.  An install is one pass over its
-set (:meth:`VersionedCache.install_slot`): the victim is the slot with
-the smallest ``class << 62 | lru_tick`` key, and the new version takes
-its slot in place.  One object
+rules of :mod:`repro.coherence.protocol`.  An install is one pass over
+its set (:meth:`VersionedCache.install_slot`): the victim is the slot with
+the smallest ``class << 62 | lru_tick`` key, the new version takes its
+slot in place, and the one victim that needs action comes back as column
+values (its data list by reference).  One object
 shape remains, at the edge: the introspection helpers
 (:meth:`VersionedCache.lookup`, :meth:`~VersionedCache.versions`,
 :meth:`~VersionedCache.all_lines`) hand tests and tools read-only
@@ -58,6 +57,7 @@ from .protocol import (
     reset_transition_code,
 )
 from .states import (
+    CODE_EXCLUSIVE,
     CODE_INVALID,
     CODE_NAMES,
     CODE_SE,
@@ -109,17 +109,16 @@ _VICTIM_CLASS_BY_CODE = bytes((
 #: Victim keys: ``class << 62``, so a slot's key ``class << 62 | lru_tick``
 #: orders by class, then by LRU tick, in one integer compare.  Ticks are
 #: unique per cache and stay below ``1 << 62``, so the order is exactly
-#: the ``(class, tick)`` order.
-_VICTIM_KEY_BY_CODE = tuple(cls << 62 for cls in _VICTIM_CLASS_BY_CODE)
-_OVERFLOWABLE_KEY = _PRIORITY_SPEC_OVERFLOWABLE << 62
-#: Above every real key: the sweep's start value.
+#: the ``(class, tick)`` order.  INVALID keys at the scan's start value.
 _NO_VICTIM_KEY = (_PRIORITY_SPEC_PINNED + 1) << 62
+_VICTIM_KEY_BY_CODE = (_NO_VICTIM_KEY,) + tuple(
+    cls << 62 for cls in _VICTIM_CLASS_BY_CODE[1:])
+_OVERFLOWABLE_KEY = _PRIORITY_SPEC_OVERFLOWABLE << 62
 
 
-#: An evicted version as it travels down the miss path: ``(code, addr,
-#: data, modVID, highVID)``.  Its lazy stamps and LRU tick stay behind:
-#: the receiving level stamps its own.
-Victim = Tuple[int, int, List[int], int, int]
+#: ``(slot, vcode, vaddr, vdata, vmodVID, vhighVID)``: an installed slot
+#: and the victim that needs action (:meth:`VersionedCache.install_slot`).
+Install = Tuple[int, int, int, Optional[List[int]], int, int]
 
 
 class VersionedCache:
@@ -153,6 +152,8 @@ class VersionedCache:
         self.line_size = line_size
         self.hit_latency = hit_latency
         self.num_sets = size // (assoc * line_size)
+        #: Set by the hierarchy on its LLCs (section 5.4 victim rules).
+        self.last_level = False
         self.lc_vid = 0
         self.stats = CacheStats()
         self.comparator = CascadedComparator(bits=vid_bits)
@@ -174,13 +175,11 @@ class VersionedCache:
         #: Maintained counters backing the snoop filters.
         self._spec_lines = 0
         self._sm_live = 0
-        # Precomputed address masks (a set count that is not a power of two
-        # falls back to a modulo).
+        #: The rest of an overfilled set's victims (:meth:`next_victim`).
+        self._queued_victims: List[Tuple[int, int, List[int], int, int]] = []
+        # Precomputed line offset mask and shift.
         self._offset_mask = line_size - 1
         self._line_shift = line_size.bit_length() - 1
-        self._index_mask = (self.num_sets - 1
-                            if self.num_sets & (self.num_sets - 1) == 0
-                            else None)
 
     # ------------------------------------------------------------------
     # Addressing helpers
@@ -191,8 +190,6 @@ class VersionedCache:
 
     def set_index(self, addr: int) -> int:
         """Set index depends only on the address, never on VIDs (4.1)."""
-        if self._index_mask is not None:
-            return (addr >> self._line_shift) & self._index_mask
         return (addr >> self._line_shift) % self.num_sets
 
     @staticmethod
@@ -379,10 +376,6 @@ class VersionedCache:
         return sum(resolved(slot) is not None
                    for slot in self._by_base.get(self.line_addr(addr), ()))
 
-    def effective_vid(self, req_vid: int) -> int:
-        """Non-speculative requests use ``LC_VID`` for hit logic (5.3)."""
-        return self.lc_vid if req_vid == 0 else req_vid
-
     def lookup_slot(self, base: int, req_vid: int) -> Optional[int]:  # hot-path
         """Slot of the unique version a request with ``req_vid`` hits, if any.
 
@@ -529,32 +522,31 @@ class VersionedCache:
     # ------------------------------------------------------------------
 
     def install_slot(self, base: int, code: int, data: List[int],
-                     mod_vid: int, high_vid: int
-                     ) -> Tuple[int, Tuple[Victim, ...]]:  # hot-path
-        """Insert a version from its column values, evicting as needed.
+                     mod_vid: int, high_vid: int) -> Install:  # hot-path
+        """Insert a version from its column values (``data`` by
+        reference), evicting as needed.
 
-        An existing version with the same ``(addr, modVID)`` is replaced
-        (it is the same conceptual version, e.g. a stale shared copy).
-        ``data`` is taken by reference.  Returns the new slot and the
-        evicted versions as ``(code, addr, data, modVID, highVID)`` column
-        tuples (usually none or one); each victim's data list moves out by
-        reference.  The hierarchy decides whether they are written back,
-        passed down a level, overflowed to memory, or force an abort
-        (section 5.4).
-
-        One pass over the set: the victim is chosen, unlinked and counted
-        out of the filter counters here, and the new version takes the
-        last victim's slot in place — the slot a release followed by an
-        allocation would hand back from the LIFO free list.  The set list
-        and the buckets still drop the victim and append the new slot, so
-        their order is that of a separate release and allocation.
+        Returns the new slot and the one victim that needs action below
+        this level, its data list by reference (``vcode`` is
+        ``CODE_INVALID`` when there is none).  INVALID, clean and ``S-S``
+        victims leave silently here, counted in ``stats.evictions``
+        (INVALID excepted); what happens to the rest is the hierarchy's
+        part of section 5.4.  Rare preconditions are guarded prefixes
+        before the one victim scan: a same-``(addr, modVID)`` version is
+        replaced, a stale set replayed, a set with a free way given a
+        fresh slot.  The new version takes the victim's slot in place
+        (the slot a LIFO release and allocation would give), and the set
+        list and the bucket drop it and append, in that order.  A set
+        ``_inject_line`` filled past its ways gives up its extra victims
+        first; if more than one needs action the slot comes back as
+        ``~slot`` and :meth:`next_victim` hands out the rest, in order.
         """
         store = self._store
         state_col = store.state
         mod_col = store.mod_vid
         by_base = self._by_base
         bucket = by_base.get(base)
-        if bucket:
+        if bucket is not None:
             spec = code >= CODE_SM
             i = 0
             while i < len(bucket):
@@ -564,9 +556,7 @@ class VersionedCache:
                     self._remove_slot(slot)  # shrinks bucket at i
                 else:
                     i += 1
-        mask = self._index_mask
-        index = ((base >> self._line_shift) & mask if mask is not None
-                 else self.set_index(base))
+        index = (base >> self._line_shift) % self.num_sets
         slots = self._sets.get(index)
         if slots is None:
             slots = self._first_list(self._sets, index)
@@ -582,57 +572,68 @@ class VersionedCache:
                 if process(slots[i]) is not None:
                     i += 1      # else it left slots at i
             self._set_epochs[index] = epoch
-        evicted: Tuple[Victim, ...] = ()
-        slot = -1
         spare = None
-        assoc = self.assoc
-        while len(slots) >= assoc:
-            if slot >= 0:
-                # Only a set filled past its ways (``_inject_line``) gives
-                # up more than one victim; all but the last are freed.
-                store.release(slot)
-            # LRU within the lowest occupied priority class (section 5.4),
-            # as one integer key per slot.  INVALID slots are skipped;
-            # a set of nothing else gives up its first slot.
-            lru_col = store.lru_tick
-            keys = _VICTIM_KEY_BY_CODE
-            victim = slots[0]
-            best = _NO_VICTIM_KEY
-            for candidate in slots:
-                cand_code = state_col[candidate]
-                if cand_code == CODE_INVALID:
-                    continue
-                if cand_code == CODE_SO and mod_col[candidate] == 0:
-                    key = _OVERFLOWABLE_KEY | lru_col[candidate]
-                else:
-                    key = keys[cand_code] | lru_col[candidate]
-                if key < best:
-                    best = key
-                    victim = candidate
-            slots.remove(victim)
-            victim_addr = store.addr[victim]
-            victim_bucket = by_base[victim_addr]
-            victim_bucket.remove(victim)
-            if not victim_bucket:
-                del by_base[victim_addr]
-                spare = victim_bucket
-            victim_code = store.state[victim]
-            victim_mod = mod_col[victim]
-            if victim_code != CODE_INVALID:
-                # An INVALID fallback victim never really left the
-                # hierarchy; counting it would pollute the Table 1 /
-                # ablation eviction numbers.
-                self.stats.evictions += 1
-                if victim_code >= CODE_SM:
-                    self._spec_lines -= 1
-                    if victim_code == CODE_SM and victim_mod > 0:
-                        self._sm_live -= 1
-            evicted += ((victim_code, victim_addr, store.data[victim],
-                         victim_mod, store.high_vid[victim]),)
-            slot = victim
-        if slot < 0:
+        queued = None
+        free_ways = self.assoc - len(slots)
+        if free_ways > 0:
             slot = store.alloc(base, code, data, mod_vid, high_vid)
+            vcode = vaddr = vmod = vhigh = 0
+            vdata = None
         else:
+            lru_col = store.lru_tick
+            while True:
+                # LRU within the lowest occupied priority class (section
+                # 5.4), one integer key per slot; INVALID keys above every
+                # valid slot, so a set of nothing else gives up its first.
+                slot = slots[0]
+                best = _NO_VICTIM_KEY
+                for candidate in slots:
+                    cand_code = state_col[candidate]
+                    if cand_code == CODE_SO and mod_col[candidate] == 0:
+                        key = _OVERFLOWABLE_KEY | lru_col[candidate]
+                    else:
+                        key = _VICTIM_KEY_BY_CODE[cand_code] \
+                            | lru_col[candidate]
+                    if key < best:
+                        best = key
+                        slot = candidate
+                slots.remove(slot)
+                vaddr = store.addr[slot]
+                victim_bucket = by_base[vaddr]
+                if len(victim_bucket) == 1:
+                    # Spare for the new line: it holds just this slot.
+                    del by_base[vaddr]
+                    spare = victim_bucket
+                else:
+                    victim_bucket.remove(slot)
+                vcode = state_col[slot]
+                vmod = mod_col[slot]
+                if vcode != CODE_INVALID:
+                    # (An INVALID victim never really left the hierarchy.)
+                    self.stats.evictions += 1
+                    if vcode >= CODE_SM:
+                        self._spec_lines -= 1
+                        if vcode == CODE_SS:
+                            vcode = CODE_INVALID        # silent
+                        elif vcode == CODE_SM and vmod > 0:
+                            self._sm_live -= 1
+                    elif vcode <= CODE_EXCLUSIVE:
+                        vcode = CODE_INVALID            # silent
+                vdata = store.data[slot]
+                vhigh = store.high_vid[slot]
+                if not free_ways:
+                    break
+                # An extra victim of a set filled past its ways.
+                free_ways += 1
+                store.release(slot)
+                if spare is not None:
+                    spare.clear()   # it held the freed slot
+                    spare = None
+                if queued is None:
+                    queued = self._queued_victims
+                    queued.clear()
+                if vcode != CODE_INVALID:
+                    queued.append((vcode, vaddr, vdata, vmod, vhigh))
             state_col[slot] = code
             mod_col[slot] = mod_vid
             store.high_vid[slot] = high_vid
@@ -642,21 +643,34 @@ class VersionedCache:
         store.seen_aborts[slot] = len(self._abort_history)
         store.epoch[slot] = epoch
         slots.append(slot)
-        bucket = by_base.get(base)
-        if bucket is None:
-            if spare is None:
-                bucket = self._first_list(by_base, base)
+        if spare is None:
+            if bucket:
+                bucket.append(slot)
             else:
-                # The last victim's emptied bucket serves the new line.
-                bucket = by_base[base] = spare
-        bucket.append(slot)
+                self._first_list(by_base, base).append(slot)
+        elif bucket and bucket is not spare:
+            bucket.append(slot)     # the line has versions: spare unused
+        else:
+            by_base[base] = spare
         if code >= CODE_SM:
             self._spec_lines += 1
             if code == CODE_SM and mod_vid > 0:
                 self._sm_live += 1
-        self._tick += 1
-        store.lru_tick[slot] = self._tick
-        return slot, evicted
+        tick = self._tick + 1
+        self._tick = tick
+        store.lru_tick[slot] = tick
+        if queued:
+            if vcode != CODE_INVALID:
+                queued.append((vcode, vaddr, vdata, vmod, vhigh))
+            return self.next_victim(slot)
+        return slot, vcode, vaddr, vdata, vmod, vhigh
+
+    def next_victim(self, slot: int) -> Install:
+        """An overfilled set's next victim, as :meth:`install_slot` hands
+        it back for the installed ``slot`` (``~slot`` while more follow)."""
+        queued = self._queued_victims
+        vcode, vaddr, vdata, vmod, vhigh = queued.pop(0)
+        return (~slot if queued else slot), vcode, vaddr, vdata, vmod, vhigh
 
     def drop(self, line: LineView) -> None:
         """Remove a viewed version without writeback (silent invalidation)."""

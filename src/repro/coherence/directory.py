@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .cache import VersionedCache
 from .hierarchy import AccessKind, HierarchyConfig, MemoryHierarchy
-from .states import CODE_INVALID, CODE_SS
+from .states import CODE_EXCLUSIVE, CODE_INVALID, CODE_SS
 
 
 @dataclass
@@ -111,7 +111,7 @@ class DirectoryHierarchy(MemoryHierarchy):
         in a non-home slice at all.
         """
         for cache in self._caches:
-            in_llc = cache in self._llc_group
+            in_llc = cache.last_level
             store = cache._store
             for slot in cache.resident_slots():
                 if store.state[slot] == CODE_INVALID:
@@ -181,7 +181,8 @@ class DirectoryHierarchy(MemoryHierarchy):
         # the flat machine, a cross-socket hop when the home is remote.
         latency = self._bank_transaction(base, now) \
             + self._link(req_socket, home_socket)
-        spec_modified_asserted = l1.has_latest_spec_version(addr)
+        spec_modified_asserted = (base in l1._by_base
+                                  and l1.has_latest_spec_version(base))
         recorded = [name for name in sorted(self.sharers_of(base))
                     if name != l1.name]
         for name in recorded:
@@ -202,14 +203,18 @@ class DirectoryHierarchy(MemoryHierarchy):
             # (three-hop protocol); charge the requester<->owner leg.
             owner_socket = self._cache_socket.get(name, home_socket)
             latency += self._link(req_socket, owner_socket)
-            if self.overflow_table is not None and cache is self.overflow_table:
+            if cache is self.overflow_table:
                 latency += cache.hit_latency
                 self.overflow_table.refills += 1
             slot = self._receive_from_owner(core, cache, owner, vid, kind)
             return slot, latency, cache.name
         # Memory responds through the home bank.
         latency += self.config.memory_latency
-        return (self._fill_from_memory(l1, base, vid, spec_modified_asserted),
+        if spec_modified_asserted:
+            return self._fill_from_memory(l1, base, vid), latency, "memory"
+        self.stats.memory_fetches += 1
+        return (self._install(l1, base, CODE_EXCLUSIVE,
+                              self.memory.read_line(base), 0, 0),
                 latency, "memory")
 
     # ------------------------------------------------------------------

@@ -14,11 +14,11 @@ the fused L1 hit, the bus fetch, forwarding from a peer owner, upgrades,
 version creation, installs and victim handling — works on cache slot ints
 and integer state codes, and takes its decisions from the code-level rules
 of :mod:`repro.coherence.protocol`.  Installs pass column values straight
-to :meth:`VersionedCache.install_slot`, and its victims come back as
-column values too, so an evicted version travels down the miss path (L1
-to LLC, LLC to memory or the overflow table) with no line object at any
-step (lint rule RL009 keeps it that way).  :meth:`MemoryHierarchy._install`
-applies the section 5.4 eviction rules to those values in its own loop.
+to :meth:`VersionedCache.install_slot`, and the one victim that needs
+action comes back as column values too, so an evicted version travels
+down the miss path (L1 to LLC, LLC to memory or the overflow table) with
+no line object at any step (lint rule RL009 keeps it that way).
+:meth:`MemoryHierarchy._install` applies the section 5.4 rules to it.
 
 System-wide invariants maintained here (and checked by the test suite):
 
@@ -56,6 +56,7 @@ from .protocol import (
 )
 from .states import (
     CODE_EXCLUSIVE,
+    CODE_INVALID,
     CODE_MODIFIED,
     CODE_NAMES,
     CODE_OWNED,
@@ -201,7 +202,11 @@ class MemoryHierarchy:
             self._commit_cost = cfg.broadcast_latency
             self._reset_cost = cfg.broadcast_latency
         self._sockets = len(self.llc_slices)
-        self._llc_group = frozenset(self.llc_slices)
+        for llc in self.llc_slices:
+            llc.last_level = True
+        #: Where L1 victims go on a flat machine (else :meth:`_home_llc`).
+        self._flat_llc: Optional[VersionedCache] = (
+            self.llc_slices[0] if self._sockets == 1 else None)
         #: Socket owning each cache, by name (L1s follow their core;
         #: slices their socket).
         self._cache_socket: Dict[str, int] = {
@@ -305,7 +310,7 @@ class MemoryHierarchy:
                 tags = cache.resolved(slot)
                 if tags is not None \
                         and version_hits_code(*tags, cache.lc_vid):
-                    return cache._store.data[slot][self._word(addr)]
+                    return cache._store.data[slot][self.memory.word_index(addr)]
         return self.memory.read_word(addr)
 
     def peek(self, core: int, addr: int, vid: int) -> Tuple[int, int]:
@@ -317,7 +322,7 @@ class MemoryHierarchy:
         """
         l1 = self.l1s[core]
         base = l1.line_addr(addr)
-        word = self._word(addr)
+        word = self.memory.word_index(addr)
         slot = l1.lookup_slot(base, vid)
         if slot is not None:
             return l1._store.data[slot][word], l1.hit_latency
@@ -399,7 +404,7 @@ class MemoryHierarchy:
         latest_owners = {}
         for cache in self._caches:
             cache.check_index_integrity()
-            in_llc = cache in self._llc_group
+            in_llc = cache.last_level
             store = cache._store
             for slot in cache.resident_slots():
                 addr = store.addr[slot]
@@ -425,9 +430,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Core access machinery
     # ------------------------------------------------------------------
-
-    def _word(self, addr: int) -> int:
-        return (addr % self.config.line_size) // self.memory.word_size
 
     def _access(self, core: int, addr: int, vid: int, kind: AccessKind,
                 value: Optional[int], now: int = 0) -> Access:  # hot-path
@@ -520,8 +522,8 @@ class MemoryHierarchy:
         latency += transfer_latency
         return self._apply(core, slot, addr, vid, kind, value, latency)
 
-    def _fetch(self, core: int, addr: int, vid: int,
-               kind: AccessKind, now: int = 0) -> Tuple[int, int, str]:
+    def _fetch(self, core: int, addr: int, vid: int, kind: AccessKind,
+               now: int = 0) -> Tuple[int, int, str]:  # hot-path
         """Bring a copy that ``vid`` hits into ``core``'s L1.
 
         Implements the bus snoop: exactly one cache responds with the
@@ -536,12 +538,13 @@ class MemoryHierarchy:
         """
         self.stats.bus_snoops += 1
         l1 = self.l1s[core]
-        base = l1.line_addr(addr)
+        base = addr & ~l1._offset_mask
         latency = self._llc_latency  # bus + LLC lookup window
         # One-way hops from the requester's socket (all 0 when flat).
         hops = self._hops[self._cache_socket[l1.name]]
         home = (base // self.config.line_size) % self._sockets
-        spec_modified_asserted = l1.has_latest_spec_version(addr)
+        spec_modified_asserted = (base in l1._by_base
+                                  and l1.has_latest_spec_version(base))
         for cache in self._peer_lists[core]:
             if base not in cache._by_base:
                 continue
@@ -551,8 +554,7 @@ class MemoryHierarchy:
             if owner is None or cache._store.state[owner] == CODE_SS:
                 continue
             self.stats.peer_transfers += 1
-            if self.overflow_table is not None \
-                    and cache is self.overflow_table:
+            if cache is self.overflow_table:
                 latency += cache.hit_latency
                 self.overflow_table.refills += 1
             # The line transfer crosses the socket interconnect when the
@@ -564,39 +566,41 @@ class MemoryHierarchy:
         # No cache can serve the request: memory responds, reached through
         # the line's home socket's controller.
         latency += self.config.memory_latency + hops[home]
-        return (self._fill_from_memory(l1, base, vid, spec_modified_asserted),
+        if spec_modified_asserted:
+            return self._fill_from_memory(l1, base, vid), latency, "memory"
+        self.stats.memory_fetches += 1
+        return (self._install(l1, base, CODE_EXCLUSIVE,
+                              self.memory.read_line(base), 0, 0),
                 latency, "memory")
 
-    def _fill_from_memory(self, l1: VersionedCache, base: int, vid: int,
-                          spec_modified_asserted: bool) -> int:
-        """Memory responds to a miss: install the line in ``l1``."""
+    def _fill_from_memory(self, l1: VersionedCache, base: int,
+                          vid: int) -> int:
+        """Section 5.4 retrieval: an S-M copy asserted "speculatively
+        modified" but could not serve this VID, so the non-speculative
+        backup must have overflowed to memory.  It returns as S-O(0,
+        reqVID + 1).  (Also for non-speculative requests: a plain E copy
+        beside a live S-M would shadow it for later VIDs.)"""
         self.stats.memory_fetches += 1
-        data = self.memory.read_line(base)
-        if spec_modified_asserted:
-            # Section 5.4: an S-M copy asserted "speculatively modified" but
-            # could not serve this VID, so the non-speculative backup must
-            # have overflowed to memory.  It returns as S-O(0, reqVID + 1).
-            # (Also taken for non-speculative requests: installing a plain
-            # E copy while a live S-M exists would shadow the speculative
-            # version for later VIDs.)
-            self.stats.overflow_retrievals += 1
-            eff = l1.effective_vid(vid)
-            return self._install(l1, base, CODE_SO, data, 0, eff + 1)
-        return self._install(l1, base, CODE_EXCLUSIVE, data, 0, 0)
+        self.stats.overflow_retrievals += 1
+        return self._install(l1, base, CODE_SO, self.memory.read_line(base),
+                             0, (l1.lc_vid if vid == 0 else vid) + 1)
 
     def _receive_from_owner(self, core: int, owner_cache: VersionedCache,
-                            owner: int, vid: int, kind: AccessKind) -> int:
+                            owner: int, vid: int,
+                            kind: AccessKind) -> int:  # hot-path
         """Install a usable copy of slot ``owner``'s version in ``core``'s L1.
 
         Returns the L1 slot of the installed copy.
         """
         l1 = self.l1s[core]
-        eff = l1.effective_vid(vid)
+        # Non-speculative requests use LC_VID for hit logic (5.3).
+        eff = l1.lc_vid if vid == 0 else vid
         store = owner_cache._store
         base = store.addr[owner]
         code = store.state[owner]
         mod = store.mod_vid[owner]
         high = store.high_vid[owner]
+        # lint-ok: RL006 (the requester's own copy of the owner's line: one per bus transfer)
         data = list(store.data[owner])
         if code < CODE_SM:
             if vid > 0 or kind is WRITE:
@@ -649,25 +653,22 @@ class MemoryHierarchy:
 
     def _apply(self, core: int, slot: int, addr: int, vid: int,
                kind: AccessKind, value: Optional[int],
-               latency: int) -> Access:
+               latency: int) -> Access:  # hot-path
         """Apply the access to the version resident in ``core``'s L1 slot."""
         l1 = self.l1s[core]
         store = l1._store
-        eff = l1.effective_vid(vid)
-        word = self._word(addr)
-        base = store.addr[slot]
+        word = (addr & l1._offset_mask) >> self._word_shift
         code = store.state[slot]
-        mod = store.mod_vid[slot]
-        high = store.high_vid[slot]
         if kind is READ:
             if vid > 0:
-                if code < CODE_SM or high < eff:
+                high = store.high_vid[slot]
+                if code < CODE_SM or high < vid:
                     self.sla_loads += 1
                 if code == CODE_OWNED or code == CODE_SHARED:
                     # Entering the speculative world needs exclusive access.
                     code = self._upgrade(l1, slot)
-                l1._retag_slot(slot, *read_transition_code(code, mod, high,
-                                                           eff))
+                l1._retag_slot(slot, *read_transition_code(
+                    code, store.mod_vid[slot], high, vid))
             return store.data[slot][word], latency
         # Store path.
         assert value is not None
@@ -675,29 +676,34 @@ class MemoryHierarchy:
             if code >= CODE_SM:
                 # A non-speculative store landing on live speculative state
                 # is a conservative conflict.
-                self._raise_misspeculation(l1, slot, eff)
+                self._raise_misspeculation(l1, slot, l1.lc_vid)
             if code == CODE_OWNED or code == CODE_SHARED:
                 self._upgrade(l1, slot)
-            l1._retag_slot(slot, CODE_MODIFIED, mod, high)
+            # E/M/O/S to M moves no filter counter (as on _access's hits).
+            store.state[slot] = CODE_MODIFIED
             store.data[slot][word] = value
             return value, latency
         if code == CODE_OWNED or code == CODE_SHARED:
             code = self._upgrade(l1, slot)
-        outcome = write_outcome_code(code, mod, high, eff)
+        base = store.addr[slot]
+        mod = store.mod_vid[slot]
+        high = store.high_vid[slot]
+        outcome = write_outcome_code(code, mod, high, vid)
         if outcome == WRITE_ABORT:
-            self._raise_misspeculation(l1, slot, eff)
+            self._raise_misspeculation(l1, slot, vid)
         if outcome == WRITE_IN_PLACE:
             self._scrub_ss_copies(base, mod)
             store.data[slot][word] = value
-            if eff > high:
-                store.high_vid[slot] = eff
+            if vid > high:
+                store.high_vid[slot] = vid
             return value, latency
         if code >= CODE_SM:
             self._scrub_ss_copies(base, mod)
+        # lint-ok: RL006 (the new version's own line: one per version created)
         data = list(store.data[slot])
         data[word] = value
         backup_code, backup_mod, backup_high, new_code, new_mod, new_high = \
-            new_version_code(code, mod, high, eff)
+            new_version_code(code, mod, high, vid)
         l1._retag_slot(slot, backup_code, backup_mod, backup_high)
         l1.stats.version_copies += 1
         self._install(l1, base, new_code, data, new_mod, new_high)
@@ -771,27 +777,26 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
 
     def _install(self, cache: VersionedCache, base: int, code: int,
-                 data: List[int], mod_vid: int, high_vid: int) -> int:
-        """Install a version from column values, then apply the eviction
-        rules to its victims' column values, in eviction order.
+                 data: List[int], mod_vid: int,
+                 high_vid: int) -> int:  # hot-path
+        """Install a version from column values, then apply the section
+        5.4 rules to the victim that needs action, if any.
 
         Returns the cache slot now holding the version.  Every install,
         including an L1 victim's move into its home LLC slice, goes
         through here, so subclasses see each one.
         """
-        slot, evicted = cache.install_slot(base, code, data, mod_vid,
-                                           high_vid)
-        for vcode, addr, vdata, vmod, vhigh in evicted:
-            if vcode <= CODE_EXCLUSIVE or vcode == CODE_SS:
-                # INVALID fallbacks, clean non-speculative lines and S-S
-                # peer copies leave silently at every level.
-                continue
-            if cache not in self._llc_group:
+        slot, vcode, addr, vdata, vmod, vhigh = cache.install_slot(
+            base, code, data, mod_vid, high_vid)
+        while vcode != CODE_INVALID:
+            if not cache.last_level:
                 # L1 victim: moves down to the line's home LLC slice "as
                 # normal" (section 4.1) — the single shared L2 on a flat
                 # machine.  Its data list moves with it.
-                self._install(self._home_llc(addr), addr, vcode, vdata,
-                              vmod, vhigh)
+                home = self._flat_llc
+                if home is None:
+                    home = self._home_llc(addr)
+                self._install(home, addr, vcode, vdata, vmod, vhigh)
             elif vcode == CODE_MODIFIED or vcode == CODE_OWNED:
                 # Last-level cache victim: section 5.4 rules.
                 self.memory.write_line(addr, vdata)
@@ -810,4 +815,7 @@ class MemoryHierarchy:
                     f"speculative version {CODE_NAMES[vcode]}({vmod},"
                     f"{vhigh}) of 0x{addr:x} evicted past the LLC",
                     vid=vmod, addr=addr, cause=AbortCause.CAPACITY_OVERFLOW)
+            if slot >= 0:
+                break
+            slot, vcode, addr, vdata, vmod, vhigh = cache.next_victim(~slot)
         return slot

@@ -26,7 +26,8 @@ class MainMemory:
 
     Unwritten words read as zero, which matches a zero-initialised address
     space and keeps workload setup cheap.  Every stored list is owned by
-    memory: ``read_line`` hands out copies and ``write_line`` keeps one.
+    memory: ``read_line`` hands out copies and ``write_line`` keeps the list
+    it is handed.
     """
 
     line_size: int = DEFAULT_LINE_SIZE
@@ -89,14 +90,14 @@ class MainMemory:
                 [*words[i:i + per_line], *[0] * per_line][:per_line]
 
     def write_line(self, addr: int, data: List[int]) -> None:
-        """Write back a whole line (counts as a writeback).  Memory keeps a
-        copy, so the caller may go on using ``data``."""
+        """Write back a whole line (counts as a writeback).  Memory keeps
+        ``data`` by reference: the caller hands the list over."""
         if len(data) != self.words_per_line:
             raise ValueError(
                 f"line data must have {self.words_per_line} words, got {len(data)}"
             )
         self.writebacks += 1
-        self._lines[addr - (addr % self.line_size)] = list(data)
+        self._lines[addr - (addr % self.line_size)] = data
 
     def footprint_lines(self) -> int:
         """Number of distinct lines ever written (for reporting)."""

@@ -58,14 +58,16 @@ class OverflowVersionTable(VersionedCache):
               high_vid: int) -> None:
         """Accept a speculative version (an LLC victim's column values)."""
         self.spills += 1
-        _, evicted = self.install_slot(addr, code, data, mod_vid, high_vid)
-        if evicted:
+        evictions = self.stats.evictions
+        _, code, addr, _, mod_vid, high_vid = self.install_slot(
+            addr, code, data, mod_vid, high_vid)
+        if self.stats.evictions != evictions:
             # Installing only evicts when the capacity safety valve blows;
             # the caller treats that as the base protocol's overflow abort.
-            code, addr, _, mod_vid, high_vid = evicted[0]
+            victim = (f"{CODE_NAMES[code]}({mod_vid},{high_vid})" if code
+                      else "a clean version")
             raise SpeculativeOverflowError(
-                f"overflow table capacity exceeded evicting "
-                f"{CODE_NAMES[code]}({mod_vid},{high_vid})",
+                f"overflow table capacity exceeded evicting {victim}",
                 vid=mod_vid, addr=addr,
                 cause=AbortCause.CAPACITY_OVERFLOW)
 

@@ -24,7 +24,7 @@ modes it must survive:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from ..core.config import MachineConfig
 from ..cpu.isa import Load, Store, Work
@@ -107,23 +107,22 @@ class CapacityHogWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def _iteration_lines(self, i: int) -> List[int]:
-        base = self.region + i * self.lines_per_iteration * 64
-        return [base + j * 64 for j in range(self.lines_per_iteration)]
-
     def setup(self, system) -> None:
         memory = system.hierarchy.memory
         for i in range(self.iterations):
             memory.write_word(self.out_region + i * 64, 0)
 
     def _body(self, i: int) -> Fragment:
+        # Line j of iteration i gets (i * 131 + j * 17 + 1) mod 2**32.
+        first = self.region + i * self.lines_per_iteration * 64
+        value = i * 131 + 1
         checksum = 0
-        for j, line in enumerate(self._iteration_lines(i)):
-            value = (i * 131 + j * 17 + 1) & 0xFFFFFFFF
-            yield Store(line, value)
-            checksum = (checksum + value) & 0xFFFFFFFF
+        for line in range(first, first + self.lines_per_iteration * 64, 64):
+            yield Store(line, value & 0xFFFFFFFF)
+            checksum += value
+            value += 17
         yield Work(self.work_cycles)
-        yield Store(self.out_region + i * 64, checksum)
+        yield Store(self.out_region + i * 64, checksum & 0xFFFFFFFF)
 
     def sequential_iteration(self, i: int, carry: Any) -> Fragment:
         yield from self._body(i)
@@ -143,12 +142,13 @@ class CapacityHogWorkload(Workload):
     # ------------------------------------------------------------------
 
     def expected_result(self, system) -> Optional[int]:
+        # Every sum is taken mod 2**32, so the per-line masks can wait.
         total = 0
         for i in range(self.iterations):
-            checksum = sum((i * 131 + j * 17 + 1) & 0xFFFFFFFF
-                           for j in range(len(self._iteration_lines(i))))
-            total = (total + checksum) & 0xFFFFFFFF
-        return total
+            first = i * 131 + 1
+            total += sum(range(first, first + 17 * self.lines_per_iteration,
+                               17))
+        return total & 0xFFFFFFFF
 
     def observed_result(self, system) -> int:
         total = 0

@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.analysis.lint import (LINT_RULES, default_lint_root, lint_paths,
                                  lint_source)
 
@@ -361,14 +363,32 @@ class TestOneRepresentation:
         source = path.read_text()
         clean, _ = lint_source(source, "repro/coherence/cache.py")
         assert clean == []
-        planted = "STATE_FROM_CODE[store.state[victim]].code"
+        planted = "STATE_FROM_CODE[state_col[slot]].code"
         mutated = source.replace(
-            "victim_code = store.state[victim]",
-            f"victim_code = {planted}", 1)
+            "vcode = state_col[slot]",
+            f"vcode = {planted}", 1)
         assert planted in mutated
         findings, _ = lint_source(mutated, "repro/coherence/cache.py")
         assert rules_of(findings) == ["RL009"]
         assert "(in install_slot)" in findings[0].message
+
+    @pytest.mark.parametrize("func, anchor", [
+        ("_fetch", "        base = addr & ~l1._offset_mask\n"),
+        ("_install", "            base, code, data, mod_vid, high_vid)\n"),
+        ("_apply", "        word = (addr & l1._offset_mask) >> self._word_shift\n"),
+    ])
+    def test_miss_path_is_policed(self, func, anchor):
+        """An allocation planted on a cache miss's path through the
+        hierarchy is caught: each function carries the hot-path marker."""
+        path = default_lint_root() / "coherence" / "hierarchy.py"
+        source = path.read_text()
+        clean, _ = lint_source(source, "repro/coherence/hierarchy.py")
+        assert clean == []
+        assert source.count(anchor) == 1
+        mutated = source.replace(anchor, anchor + "        seen = [0]\n")
+        findings, _ = lint_source(mutated, "repro/coherence/hierarchy.py")
+        assert rules_of(findings) == ["RL006"]
+        assert f"inside # hot-path function {func}" in findings[0].message
 
 
 class TestOneTap:

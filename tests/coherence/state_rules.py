@@ -74,22 +74,36 @@ def record(victim):
     return CacheLine(addr, STATE_FROM_CODE[code], data, mod_vid, high_vid)
 
 
-def install(cache, line):
-    """Install a :class:`CacheLine` record; returns the evicted records.
+#: Victims that leave silently at every level: INVALID, clean
+#: non-speculative and ``S-S`` versions.
+SILENT_CODES = frozenset(
+    s.code for s in (State.INVALID, State.SHARED, State.EXCLUSIVE, State.SS))
 
-    Works on both the slot-arena cache (column-value ``install_slot``) and
-    the object-model oracle (``install``).  Either way the records carry
-    exactly the column values a victim takes down the miss path; its lazy
-    stamps and LRU tick are local to the cache it left, so they come back
-    at their defaults.
+
+def install(cache, line):
+    """Install a :class:`CacheLine` record; returns the records of the
+    victims that need action below the cache, in eviction order.
+
+    Works on both the slot-arena cache (column-value ``install_slot``,
+    which hands back at most one such victim, and ``next_victim`` for the
+    rest of a set filled past its ways) and the object-model oracle
+    (``install``, whose silent victims are dropped here).  Either way the
+    records carry exactly the column values a victim takes down the miss
+    path; its lazy stamps and LRU tick are local to the cache it left, so
+    they come back at their defaults.
     """
     if hasattr(cache, "install_slot"):
-        _, evicted = cache.install_slot(line.addr, line.state.code,
-                                        line.data, line.mod_vid,
-                                        line.high_vid)
+        slot, *victim = cache.install_slot(line.addr, line.state.code,
+                                           line.data, line.mod_vid,
+                                           line.high_vid)
+        evicted = [victim] if victim[0] != State.INVALID.code else []
+        while slot < 0:
+            slot, *victim = cache.next_victim(~slot)
+            evicted.append(victim)
     else:
         evicted = [(v.state.code, v.addr, v.data, v.mod_vid, v.high_vid)
-                   for v in cache.install(line)]
+                   for v in cache.install(line)
+                   if v.state.code not in SILENT_CODES]
     return [record(victim) for victim in evicted]
 
 

@@ -21,11 +21,27 @@ def line(addr, state, mod=0, high=0, data=None):
 
 
 def evict(cache, line):
-    """Install ``line``; return the victims' ``(code, addr, data, modVID,
-    highVID)`` column tuples exactly as ``install_slot`` hands them back."""
-    _, evicted = cache.install_slot(line.addr, line.state.code, line.data,
-                                    line.mod_vid, line.high_vid)
-    return evicted
+    """Install ``line``; return the victim that needs action as the
+    ``(code, addr, data, modVID, highVID)`` columns ``install_slot`` hands
+    back, or None when no victim or only a silent one left."""
+    _, code, addr, data, mod_vid, high_vid = cache.install_slot(
+        line.addr, line.state.code, line.data, line.mod_vid, line.high_vid)
+    return None if code == CODE_INVALID else (code, addr, data, mod_vid,
+                                              high_vid)
+
+
+def gone(cache, line):
+    """Install ``line``; return ``(addr, code)`` of every version that left
+    the cache, silent victims included."""
+    store = cache._store
+
+    def resident():
+        return {(store.addr[slot], store.state[slot], store.mod_vid[slot],
+                 store.high_vid[slot]) for slot in cache.resident_slots()}
+
+    before = resident()
+    install(cache, line)
+    return sorted((addr, code) for addr, code, *_ in before - resident())
 
 
 class TestGeometry:
@@ -128,8 +144,7 @@ class TestVictimSelection:
             # The lower class is the most recently used: only its class
             # can make it the victim.
             install(cache, line(0x40, *lower))
-            evicted = evict(cache, line(0x80, State.EXCLUSIVE))
-            assert [(addr, code) for code, addr, *_ in evicted] == \
+            assert gone(cache, line(0x80, State.EXCLUSIVE)) == \
                 [(0x40, lower[0].code)], (lower, higher)
 
     def test_pinned_speculative_evicted_last(self):
@@ -138,9 +153,9 @@ class TestVictimSelection:
         cache = make_cache(assoc=2, sets=1)
         install(cache, line(0x00, State.SM, 1, 1))
         install(cache, line(0x40, State.SO, 0, 1))
-        evicted = evict(cache, line(0x80, State.SE, 0, 2))
-        assert len(evicted) == 1
-        assert evicted[0][0] == CODE_SO           # not the S-M
+        victim = evict(cache, line(0x80, State.SE, 0, 2))
+        assert victim[0] == CODE_SO               # not the S-M
+        assert cache.stats.evictions == 1
 
     def test_committed_version_processed_before_choosing(self):
         """A stale, fully-committed superseded version must die during
@@ -149,9 +164,9 @@ class TestVictimSelection:
         install(cache, line(0x00, State.SO, 1, 2))
         install(cache, line(0x40, State.SM, 2, 2))
         cache.broadcast_commit(2)
-        evicted = evict(cache, line(0x80, State.EXCLUSIVE))
         # S-O(1,2) died at processing; nothing live needed eviction.
-        assert evicted == ()
+        assert evict(cache, line(0x80, State.EXCLUSIVE)) is None
+        assert cache.stats.evictions == 0
         assert cache.occupancy() == 2
 
     def test_lru_within_class(self):
@@ -159,32 +174,35 @@ class TestVictimSelection:
         install(cache, line(0x00, State.EXCLUSIVE))
         install(cache, line(0x40, State.EXCLUSIVE))
         cache.lookup(0x00, 0)  # touch -> 0x40 becomes LRU
-        evicted = evict(cache, line(0x80, State.EXCLUSIVE))
-        assert evicted[0][1] == 0x40
+        assert gone(cache, line(0x80, State.EXCLUSIVE)) == \
+            [(0x40, CODE_EXCLUSIVE)]
 
     def test_victim_columns_carry_its_data_by_reference(self):
         cache = make_cache(assoc=1, sets=1)
         words = [5] * 8
         install(cache, line(0x40, State.SO, 1, 3, data=words))
-        (victim,) = evict(cache, line(0x80, State.EXCLUSIVE))
+        victim = evict(cache, line(0x80, State.EXCLUSIVE))
         assert victim == (CODE_SO, 0x40, words, 1, 3)
         assert victim[2] is words
-        assert evict(cache, line(0xC0, State.EXCLUSIVE)) == \
-            ((CODE_EXCLUSIVE, 0x80, [0] * 8, 0, 0),)
+        # A clean victim leaves silently: counted, but not handed back.
+        assert evict(cache, line(0xC0, State.EXCLUSIVE)) is None
+        assert cache.stats.evictions == 2
+        assert cache.lookup(0x80, 0) is None
 
     def test_full_set_install_takes_the_victims_slot(self):
         """The new version moves into the victim's slot in place; the
         free list (here holding a slot freed in another set) is untouched."""
         cache = make_cache(assoc=2, sets=2)
-        victim, _ = cache.install_slot(0x00, CODE_EXCLUSIVE, [0] * 8, 0, 0)
+        victim = cache.install_slot(0x00, CODE_EXCLUSIVE, [0] * 8, 0, 0)[0]
         install(cache, line(0x80, State.EXCLUSIVE))     # same set as 0x00
         install(cache, line(0x40, State.EXCLUSIVE))     # the other set
         cache.drop(cache.lookup(0x40, 0))
         free = list(cache._store.free_slots)
         assert free
-        slot, evicted = cache.install_slot(0x100, CODE_EXCLUSIVE, [1] * 8,
-                                           0, 0)
-        assert [v[:2] for v in evicted] == [(CODE_EXCLUSIVE, 0x00)]
+        slot, vcode, *_ = cache.install_slot(0x100, CODE_EXCLUSIVE, [1] * 8,
+                                             0, 0)
+        assert vcode == CODE_INVALID            # the clean 0x00 left silently
+        assert cache.lookup(0x00, 0) is None
         assert slot == victim
         assert cache._store.free_slots == free
         assert cache.lookup(0x100, 0).data == [1] * 8
@@ -211,9 +229,8 @@ class TestVictimSelection:
         order = []
         for i in range(len(resident)):
             # Pinned newcomers (S-M, later ticks) never outrank a resident.
-            evicted = evict(cache, line(0x1000 + i * 64, State.SM, 8 + i,
-                                        8 + i))
-            order.extend(addr for _, addr, *_ in evicted)
+            left = gone(cache, line(0x1000 + i * 64, State.SM, 8 + i, 8 + i))
+            order.extend(addr for addr, _ in left)
         assert order == [0x040, 0x000, 0x080, 0x0C0, 0x100, 0x180, 0x140]
 
     def test_invalid_chosen_only_when_the_whole_set_is_invalid(self):
@@ -221,17 +238,17 @@ class TestVictimSelection:
         cache._inject_line(0x00, CODE_INVALID, [0] * 8, epoch=cache._epoch)
         install(cache, line(0x40, State.EXCLUSIVE))
         # The INVALID slot is older and in the lowest class, yet skipped.
-        evicted = evict(cache, line(0x80, State.EXCLUSIVE))
-        assert [v[:2] for v in evicted] == [(CODE_EXCLUSIVE, 0x40)]
+        assert gone(cache, line(0x80, State.EXCLUSIVE)) == \
+            [(0x40, CODE_EXCLUSIVE)]
         assert cache.stats.evictions == 1
 
         cache = make_cache(assoc=2, sets=1)
         for addr in (0x00, 0x40):
             cache._inject_line(addr, CODE_INVALID, [0] * 8,
                                epoch=cache._epoch)
-        evicted = evict(cache, line(0x80, State.EXCLUSIVE))
         # The set's first slot goes, and is not counted as an eviction.
-        assert [v[:2] for v in evicted] == [(CODE_INVALID, 0x00)]
+        assert gone(cache, line(0x80, State.EXCLUSIVE)) == \
+            [(0x00, CODE_INVALID)]
         assert cache.stats.evictions == 0
 
 

@@ -120,9 +120,10 @@ class TestEvictionStats:
     def test_invalid_fallback_victim_not_counted(self):
         cache = make_cache(assoc=1, sets=1)
         inject(cache, line(0x40, State.INVALID))
-        _, evicted = cache.install_slot(0x80, State.EXCLUSIVE.code, [0] * 8,
-                                        0, 0)
-        assert [code for code, *_ in evicted] == [CODE_INVALID]
+        _, vcode, *_ = cache.install_slot(0x80, State.EXCLUSIVE.code,
+                                          [0] * 8, 0, 0)
+        assert vcode == CODE_INVALID
+        assert cache.version_count(0x40) == 0
         assert cache.stats.evictions == 0
 
     def test_real_victims_still_counted(self):

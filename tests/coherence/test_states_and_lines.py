@@ -103,15 +103,17 @@ class TestMainMemory:
 
     def test_line_lists_are_never_shared(self):
         """Caches mutate a fetched line in place, so no two reads may
-        share a list, with memory's words or with each other; nor may a
-        written-back list stay shared with its writer."""
+        share a list, with memory's words or with each other.  A
+        written-back list is handed over: memory keeps it by reference
+        (an evicted version's list, which its cache no longer holds)."""
         mem = MainMemory()
         data = list(range(8))
         mem.write_line(0x40, data)
-        data[0] = 42
+        assert mem._lines[0x40] is data
         first = mem.read_line(0x40)
         second = mem.read_line(0x40)
         assert first == second == list(range(8))
+        assert first is not data
         assert first is not second
         first[0] = 99
         assert mem.read_line(0x40)[0] == 0

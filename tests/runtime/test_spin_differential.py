@@ -59,9 +59,28 @@ def _snapshot(value: Any) -> Any:
     return value
 
 
+#: Step budgets, so that a scheduler bug which keeps a thread runnable
+#: fails in seconds instead of running to the scheduler's default of
+#: 50,000,000 steps.  A case's first run gets a fixed cap, about ten
+#: times the largest case (some 37k ops); the run compared with it gets
+#: BUDGET_FACTOR times the first run's op count.
+FIRST_RUN_STEPS = 400_000
+BUDGET_FACTOR = 4
+
+
+def ops_run(out: Dict[str, Any]) -> int:
+    """Ops the threads of a run executed, polls included."""
+    return sum(thread[3] for thread in out["threads"])
+
+
 def run_case(case: Dict[str, Any], expand: bool, observe: bool,
-             max_steps: Optional[int] = None) -> Dict[str, Any]:
-    """Run one drawn case; returns everything the comparison checks."""
+             max_steps: Optional[int] = None,
+             budget: int = FIRST_RUN_STEPS) -> Dict[str, Any]:
+    """Run one drawn case; returns everything the comparison checks.
+
+    ``max_steps`` cuts the run and records the error it raises;
+    ``budget`` only caps it: running past it raises.
+    """
     schedulers = []
     add_thread = Scheduler.add_thread
     replace_programs = Scheduler.replace_programs
@@ -72,8 +91,7 @@ def run_case(case: Dict[str, Any], expand: bool, observe: bool,
     def tracked_add_thread(self, tid, core, program, start_clock=0):
         if self not in schedulers:
             schedulers.append(self)
-            if max_steps is not None:
-                self.max_steps = max_steps
+            self.max_steps = budget if max_steps is None else max_steps
         return add_thread(self, tid, core, wrap(program), start_clock)
 
     def tracked_replace_programs(self, programs):
@@ -177,7 +195,8 @@ class TestSpinFastForward:
     @given(case=cases(), observe=st.booleans())
     def test_parked_run_matches_expanded_polls(self, case, observe):
         expected = run_case(case, expand=True, observe=observe)
-        actual = run_case(case, expand=False, observe=observe)
+        actual = run_case(case, expand=False, observe=observe,
+                          budget=BUDGET_FACTOR * ops_run(expected))
         assert actual == expected
         assert actual["correct"]
 
@@ -185,8 +204,7 @@ class TestSpinFastForward:
     @given(case=cases(), cut=st.floats(0.05, 0.95))
     def test_max_steps_raises_at_the_same_step(self, case, cut):
         full = run_case(case, expand=True, observe=False)
-        steps = sum(thread[3] for thread in full["threads"])
-        limit = max(1, int(steps * cut))
+        limit = max(1, int(ops_run(full) * cut))
         expected = run_case(case, expand=True, observe=False,
                             max_steps=limit)
         actual = run_case(case, expand=False, observe=False, max_steps=limit)

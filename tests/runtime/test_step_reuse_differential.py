@@ -335,9 +335,23 @@ def _outcome(scheduler, recorder, system,
     }
 
 
+#: Step budgets, so that a scheduler bug which keeps a thread runnable
+#: fails in seconds instead of running to the scheduler's default of
+#: 50,000,000 steps.  A case's first run gets a fixed cap, about ten
+#: times the largest case (some 37k steps); the run compared with it
+#: gets BUDGET_FACTOR times the first run's count.
+FIRST_RUN_STEPS = 400_000
+BUDGET_FACTOR = 4
+
+
 def run_case(case: Dict[str, Any], reference: bool,
-             max_steps: Optional[int] = None) -> Dict[str, Any]:
-    """Run one drawn workload case; returns everything compared."""
+             max_steps: Optional[int] = None,
+             budget: int = FIRST_RUN_STEPS) -> Dict[str, Any]:
+    """Run one drawn workload case; returns everything compared.
+
+    ``max_steps`` cuts the run and records the error it raises;
+    ``budget`` only caps it: running past it raises.
+    """
     schedulers = []
     recorders = []
     add_thread = Scheduler.add_thread
@@ -346,8 +360,7 @@ def run_case(case: Dict[str, Any], reference: bool,
         if self not in schedulers:
             schedulers.append(self)
             recorders.append(instrument(self, reference))
-            if max_steps is not None:
-                self.max_steps = max_steps
+            self.max_steps = budget if max_steps is None else max_steps
         return add_thread(self, tid, core, program, start_clock)
 
     workload = case["make"]()
@@ -425,7 +438,8 @@ class TestStepReuse:
     @given(case=cases())
     def test_run_matches_a_sweep_every_step(self, case):
         expected = run_case(case, reference=True)
-        actual = run_case(case, reference=False)
+        actual = run_case(case, reference=False,
+                          budget=BUDGET_FACTOR * expected["steps"])
         assert actual == expected
         assert actual["correct"]
 
@@ -452,7 +466,8 @@ class TestStepReuse:
                 "kwargs": kwargs, "config": MachineConfig(num_cores=4),
                 "period": 0}
         expected = run_case(case, reference=True)
-        actual = run_case(case, reference=False)
+        actual = run_case(case, reference=False,
+                          budget=BUDGET_FACTOR * expected["steps"])
         assert actual == expected
         reads = [entry for entry in actual["observer"] if entry[0] == "pc"]
         assert len(reads) > 100

@@ -180,9 +180,20 @@ class TestRuntimeRecovery:
         set forces the fallback, which resumes at ``stats.committed``."""
 
         class MixedHog(CapacityHogWorkload):
-            def _iteration_lines(self, i):
-                lines = super()._iteration_lines(i)
-                return lines if i >= 2 else lines[:2]  # first 2 iters tiny
+            """The first two iterations write two lines each."""
+
+            tiny = CapacityHogWorkload(lines_per_iteration=2)
+
+            def _body(self, i):
+                return (self.tiny if i < 2 else super())._body(i)
+
+            def expected_result(self, system):
+                total = 0
+                for i in range(self.iterations):
+                    lines = 2 if i < 2 else self.lines_per_iteration
+                    total += sum((i * 131 + j * 17 + 1) & 0xFFFFFFFF
+                                 for j in range(lines))
+                return total & 0xFFFFFFFF
 
         workload = MixedHog(iterations=4)
         result = run_workload(workload,
