@@ -9,6 +9,7 @@ import time
 
 from conftest import run_once
 
+from repro.coherence.hierarchy import BROADCAST_LATENCY
 from repro.core import HMTXSystem, MachineConfig
 
 LINES = 400
@@ -44,7 +45,7 @@ def test_lazy_commit_is_constant_cost(benchmark):
     vid = _populate(system)
     latency = run_once(benchmark, _commit_lazy, system, vid)
     print(f"\nlazy commit: {latency} cycles for a {LINES}-line write set")
-    assert latency == system.config.hierarchy_config().broadcast_latency
+    assert latency == BROADCAST_LATENCY
 
 
 def test_eager_commit_scales_with_write_set():

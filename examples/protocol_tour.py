@@ -14,7 +14,7 @@ mechanisms and shows the cache states and protocol events involved:
 Run:  python examples/protocol_tour.py
 """
 
-from repro.coherence import HierarchyConfig, MemoryHierarchy
+from repro.core.config import MachineConfig
 from repro.errors import MisspeculationError
 from repro.obs.trace import ProtocolTracer, format_address_history
 
@@ -30,7 +30,7 @@ def show(hierarchy, label):
 
 def stop1_versioned_memory():
     print("\n[1] Versioned memory: three versions of one address\n")
-    h = MemoryHierarchy(HierarchyConfig(num_cores=2))
+    h = MachineConfig(num_cores=2).build_hierarchy()
     h.memory.write_word(ADDR, 100)
     show(h, "initially")
     h.load(0, ADDR, 1)
@@ -46,17 +46,17 @@ def stop1_versioned_memory():
 
 def stop2_dependences():
     print("\n[2] Dependence enforcement (section 4.3)\n")
-    h = MemoryHierarchy(HierarchyConfig(num_cores=2))
+    h = MachineConfig(num_cores=2).build_hierarchy()
     h.store(0, ADDR, 2, 42)
     print(f"  flow:   store@2 then load@5 forwards -> "
           f"{h.load(1, ADDR, 5)[0]}")
-    h2 = MemoryHierarchy(HierarchyConfig(num_cores=2))
+    h2 = MachineConfig(num_cores=2).build_hierarchy()
     h2.memory.write_word(ADDR, 7)
     h2.load(0, ADDR, 2)
     h2.store(1, ADDR, 5, 99)
     print(f"  anti:   load@2 then store@5 is safe; VID 2 still sees "
           f"{h2.load(0, ADDR, 2)[0]}")
-    h3 = MemoryHierarchy(HierarchyConfig(num_cores=2))
+    h3 = MachineConfig(num_cores=2).build_hierarchy()
     h3.load(0, ADDR, 5)
     try:
         h3.store(1, ADDR, 2, 1)
@@ -67,7 +67,7 @@ def stop2_dependences():
 
 def stop3_lazy_commit():
     print("\n[3] Lazy commit: O(1) broadcast, per-line processing at touch\n")
-    h = MemoryHierarchy(HierarchyConfig(num_cores=2))
+    h = MachineConfig(num_cores=2).build_hierarchy()
     for i in range(4):
         h.store(0, ADDR + 64 * i, 1, i)
     latency = h.commit(1)
@@ -80,7 +80,7 @@ def stop3_lazy_commit():
 
 def stop4_abort():
     print("\n[4] Abort: doomed versions die, real data survives\n")
-    h = MemoryHierarchy(HierarchyConfig(num_cores=2))
+    h = MachineConfig(num_cores=2).build_hierarchy()
     h.memory.write_word(ADDR, 100)
     h.load(0, ADDR, 1)
     h.store(0, ADDR, 1, 111)
@@ -93,9 +93,8 @@ def stop4_abort():
 
 def stop5_overflow():
     print("\n[5] Section 5.4: the non-speculative backup may overflow\n")
-    h = MemoryHierarchy(HierarchyConfig(num_cores=2, l1_size=2 * 64,
-                                        l1_assoc=2, l2_size=8 * 64,
-                                        l2_assoc=4))
+    h = MachineConfig(num_cores=2, l1_size=2 * 64, l1_assoc=2,
+                      l2_size=8 * 64, l2_assoc=4).build_hierarchy()
     h.memory.write_word(ADDR, 100)
     h.load(0, ADDR, 1)
     h.store(0, ADDR, 2, 222)          # S-O(0,2) backup + S-M(2,2)
@@ -111,7 +110,7 @@ def stop5_overflow():
 
 def stop6_vid_reset():
     print("\n[6] VID exhaustion and reset (m = 2 bits -> 3 usable VIDs)\n")
-    h = MemoryHierarchy(HierarchyConfig(num_cores=1, vid_bits=2))
+    h = MachineConfig(num_cores=1, vid_bits=2).build_hierarchy()
     for vid in (1, 2, 3):
         h.store(0, ADDR + 64 * vid, vid, vid * 10)
         h.commit(vid)
@@ -125,7 +124,7 @@ def stop6_vid_reset():
 
 def stop7_trace():
     print("\n[7] The same story, as a protocol trace\n")
-    h = MemoryHierarchy(HierarchyConfig(num_cores=2))
+    h = MachineConfig(num_cores=2).build_hierarchy()
     tracer = ProtocolTracer.attach(h, addresses={ADDR})
     h.load(0, ADDR, 1)
     h.store(0, ADDR, 1, 1)

@@ -70,10 +70,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..coherence.cache import VersionedCache
-from ..coherence.directory import DirectoryConfig, DirectoryHierarchy
-from ..coherence.hierarchy import HierarchyConfig, MemoryHierarchy
+from ..coherence.directory import DirectoryHierarchy
+from ..coherence.hierarchy import MemoryHierarchy
 from ..coherence.protocol import version_hits_code
 from ..coherence.states import CODE_SM, CODE_SO, CODE_SS
+from ..core.config import MachineConfig
 from ..errors import MisspeculationError
 from ..topology import TopologySpec, place_core
 from ..txctl.causes import AbortCause
@@ -161,16 +162,16 @@ def build_hierarchy(scenario: Scenario, shape: str):
 
     Tiny geometry (4-line L1s, 16-line flat LLC / 8-line slices) so
     eviction and overflow paths are reachable within the bounded state
-    space; all latencies 1 — exploration is untimed, only the protocol
-    decisions matter.
+    space; the latencies the machine description sets are 1 (the bus
+    and broadcast costs are the hierarchy's fixed ones) — exploration is
+    untimed, only the protocol decisions matter.
     """
     n = len(scenario.threads)
     if shape == "flat":
-        config = HierarchyConfig(
+        config = MachineConfig(
             num_cores=n, l1_size=256, l1_assoc=2, l1_latency=1,
             l2_size=1024, l2_assoc=4, l2_latency=1, line_size=_LINE,
-            memory_latency=1, vid_bits=scenario.vid_bits,
-            broadcast_latency=1, bus_occupancy=1)
+            memory_latency=1, vid_bits=scenario.vid_bits)
         return MemoryHierarchy(config), tuple(range(n))
     if shape == "2socket":
         cps = (n + 1) // 2
@@ -178,12 +179,12 @@ def build_hierarchy(scenario: Scenario, shape: str):
             sockets=2, cores_per_socket=cps, llc_slice_size=512,
             llc_slice_assoc=4, llc_slice_latency=1, intra_hop_latency=1,
             cross_hop_latency=1)
-        config = DirectoryConfig(
+        config = MachineConfig(
             num_cores=topo.num_cores, l1_size=256, l1_assoc=2,
             l1_latency=1, line_size=_LINE, memory_latency=1,
-            vid_bits=scenario.vid_bits, broadcast_latency=1,
-            bus_occupancy=1, topology=topo, directory_banks=2,
-            directory_latency=1, bank_occupancy=1, link_latency=1)
+            vid_bits=scenario.vid_bits, coherence="directory",
+            topology=topo, directory_banks=2, directory_latency=1,
+            bank_occupancy=1, link_latency=1)
         cores = tuple(place_core(i, topo.num_cores, topo, "spread")
                       for i in range(n))
         return DirectoryHierarchy(config), cores
@@ -836,13 +837,19 @@ def _inject_broken_fold(run: _Run) -> None:
 
 def _broken_scrub_reset(self) -> None:
     # The real scrub, then one stale speculative residue left behind — a
-    # line the section 4.6 sweep "missed".
+    # line the section 4.6 sweep "missed".  In a full set the residue
+    # takes the way of the set's first version, so no set ever holds
+    # more versions than it has ways.
     VersionedCache.vid_reset(self)
     if self._scrub_bug_done:
         return
     self._scrub_bug_done = True
-    self._inject_line(self._scrub_bug_addr, CODE_SO,
-                      [0] * self._scrub_bug_words, 0, 1, epoch=self._epoch)
+    addr = self._scrub_bug_addr
+    slots = self._sets.get(self.set_index(addr), ())
+    if len(slots) >= self.assoc:
+        self._remove_slot(slots[0])
+    self._inject_line(addr, CODE_SO, [0] * self._scrub_bug_words, 0, 1,
+                      epoch=self._epoch)
 
 
 def _inject_broken_scrub(run: _Run) -> None:

@@ -496,7 +496,7 @@ def check_topology_structure(hierarchy_factory=None,
     a ``_home_llc`` that picks the wrong slice) to prove a placement bug
     yields a counterexample instead of silently passing.
     """
-    from ..coherence.directory import DirectoryConfig, DirectoryHierarchy  # lint-ok: RL005 (pulls in the full coherence stack; loaded only when the pass runs)
+    from ..core.config import MachineConfig  # lint-ok: RL005 (pulls in the full coherence stack; loaded only when the pass runs)
     from ..topology import TopologySpec  # lint-ok: RL005 (same)
 
     if hierarchy_factory is None:
@@ -504,9 +504,11 @@ def check_topology_structure(hierarchy_factory=None,
             # Tiny L1s (16 lines, 2-way) so the script's working set
             # overflows them and victims actually flow into the LLC
             # slices — otherwise the home-slice invariant is vacuous.
-            return DirectoryHierarchy(DirectoryConfig(
+            return MachineConfig(
                 num_cores=8, l1_size=16 * 64, l1_assoc=2,
-                topology=TopologySpec(sockets=2, cores_per_socket=4)))
+                coherence="directory",
+                topology=TopologySpec(sockets=2, cores_per_socket=4)
+            ).build_hierarchy()
 
     out = _Collector()
     hierarchy = hierarchy_factory()

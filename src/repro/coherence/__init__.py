@@ -3,9 +3,11 @@
 The public surface of this subpackage:
 
 * :class:`~repro.coherence.hierarchy.MemoryHierarchy` — the full memory
-  system (per-core L1s, shared L2, snoopy bus, main memory).
-* :class:`~repro.coherence.hierarchy.HierarchyConfig` — geometry/latency
-  configuration (defaults follow the paper's Table 2).
+  system (per-core L1s, shared L2, snoopy bus, main memory), and
+  :class:`~repro.coherence.directory.DirectoryHierarchy`, its section 8
+  directory organisation.  Both are built from the one machine
+  description, :class:`repro.core.config.MachineConfig` (Table 2
+  defaults), which this package reads but never imports.
 * :mod:`~repro.coherence.protocol` — the pure Figure 4/6/7 transition
   rules on integer state codes, shared by the access paths, the lazy
   folds and the model checkers.
@@ -13,9 +15,9 @@ The public surface of this subpackage:
 """
 
 from .cache import CacheStats, VersionedCache
-from .directory import DirectoryConfig, DirectoryHierarchy, DirectoryStats
+from .directory import DirectoryHierarchy, DirectoryStats
 from .overflow import OverflowVersionTable
-from .hierarchy import Access, HierarchyConfig, HierarchyStats, MemoryHierarchy
+from .hierarchy import Access, HierarchyStats, MemoryHierarchy
 from .memory import MainMemory
 from .states import State
 from .vid import (
@@ -30,12 +32,10 @@ __all__ = [
     "Access",
     "CacheStats",
     "CascadedComparator",
-    "DirectoryConfig",
     "DirectoryHierarchy",
     "DirectoryStats",
     "OverflowVersionTable",
     "DEFAULT_VID_BITS",
-    "HierarchyConfig",
     "HierarchyStats",
     "MainMemory",
     "MemoryHierarchy",

@@ -175,8 +175,6 @@ class VersionedCache:
         #: Maintained counters backing the snoop filters.
         self._spec_lines = 0
         self._sm_live = 0
-        #: The rest of an overfilled set's victims (:meth:`next_victim`).
-        self._queued_victims: List[Tuple[int, int, List[int], int, int]] = []
         # Precomputed line offset mask and shift.
         self._offset_mask = line_size - 1
         self._line_shift = line_size.bit_length() - 1
@@ -536,10 +534,7 @@ class VersionedCache:
         replaced, a stale set replayed, a set with a free way given a
         fresh slot.  The new version takes the victim's slot in place
         (the slot a LIFO release and allocation would give), and the set
-        list and the bucket drop it and append, in that order.  A set
-        ``_inject_line`` filled past its ways gives up its extra victims
-        first; if more than one needs action the slot comes back as
-        ``~slot`` and :meth:`next_victim` hands out the rest, in order.
+        list and the bucket drop it and append, in that order.
         """
         store = self._store
         state_col = store.state
@@ -573,67 +568,50 @@ class VersionedCache:
                     i += 1      # else it left slots at i
             self._set_epochs[index] = epoch
         spare = None
-        queued = None
-        free_ways = self.assoc - len(slots)
-        if free_ways > 0:
+        if len(slots) < self.assoc:
             slot = store.alloc(base, code, data, mod_vid, high_vid)
             vcode = vaddr = vmod = vhigh = 0
             vdata = None
         else:
+            # LRU within the lowest occupied priority class (section 5.4),
+            # one integer key per slot; INVALID keys above every valid
+            # slot, so a set of nothing else gives up its first.
             lru_col = store.lru_tick
-            while True:
-                # LRU within the lowest occupied priority class (section
-                # 5.4), one integer key per slot; INVALID keys above every
-                # valid slot, so a set of nothing else gives up its first.
-                slot = slots[0]
-                best = _NO_VICTIM_KEY
-                for candidate in slots:
-                    cand_code = state_col[candidate]
-                    if cand_code == CODE_SO and mod_col[candidate] == 0:
-                        key = _OVERFLOWABLE_KEY | lru_col[candidate]
-                    else:
-                        key = _VICTIM_KEY_BY_CODE[cand_code] \
-                            | lru_col[candidate]
-                    if key < best:
-                        best = key
-                        slot = candidate
-                slots.remove(slot)
-                vaddr = store.addr[slot]
-                victim_bucket = by_base[vaddr]
-                if len(victim_bucket) == 1:
-                    # Spare for the new line: it holds just this slot.
-                    del by_base[vaddr]
-                    spare = victim_bucket
+            slot = slots[0]
+            best = _NO_VICTIM_KEY
+            for candidate in slots:
+                cand_code = state_col[candidate]
+                if cand_code == CODE_SO and mod_col[candidate] == 0:
+                    key = _OVERFLOWABLE_KEY | lru_col[candidate]
                 else:
-                    victim_bucket.remove(slot)
-                vcode = state_col[slot]
-                vmod = mod_col[slot]
-                if vcode != CODE_INVALID:
-                    # (An INVALID victim never really left the hierarchy.)
-                    self.stats.evictions += 1
-                    if vcode >= CODE_SM:
-                        self._spec_lines -= 1
-                        if vcode == CODE_SS:
-                            vcode = CODE_INVALID        # silent
-                        elif vcode == CODE_SM and vmod > 0:
-                            self._sm_live -= 1
-                    elif vcode <= CODE_EXCLUSIVE:
-                        vcode = CODE_INVALID            # silent
-                vdata = store.data[slot]
-                vhigh = store.high_vid[slot]
-                if not free_ways:
-                    break
-                # An extra victim of a set filled past its ways.
-                free_ways += 1
-                store.release(slot)
-                if spare is not None:
-                    spare.clear()   # it held the freed slot
-                    spare = None
-                if queued is None:
-                    queued = self._queued_victims
-                    queued.clear()
-                if vcode != CODE_INVALID:
-                    queued.append((vcode, vaddr, vdata, vmod, vhigh))
+                    key = _VICTIM_KEY_BY_CODE[cand_code] | lru_col[candidate]
+                if key < best:
+                    best = key
+                    slot = candidate
+            slots.remove(slot)
+            vaddr = store.addr[slot]
+            victim_bucket = by_base[vaddr]
+            if len(victim_bucket) == 1:
+                # Spare for the new line: it holds just this slot.
+                del by_base[vaddr]
+                spare = victim_bucket
+            else:
+                victim_bucket.remove(slot)
+            vcode = state_col[slot]
+            vmod = mod_col[slot]
+            if vcode != CODE_INVALID:
+                # (An INVALID victim never really left the hierarchy.)
+                self.stats.evictions += 1
+                if vcode >= CODE_SM:
+                    self._spec_lines -= 1
+                    if vcode == CODE_SS:
+                        vcode = CODE_INVALID        # silent
+                    elif vcode == CODE_SM and vmod > 0:
+                        self._sm_live -= 1
+                elif vcode <= CODE_EXCLUSIVE:
+                    vcode = CODE_INVALID            # silent
+            vdata = store.data[slot]
+            vhigh = store.high_vid[slot]
             state_col[slot] = code
             mod_col[slot] = mod_vid
             store.high_vid[slot] = high_vid
@@ -659,18 +637,7 @@ class VersionedCache:
         tick = self._tick + 1
         self._tick = tick
         store.lru_tick[slot] = tick
-        if queued:
-            if vcode != CODE_INVALID:
-                queued.append((vcode, vaddr, vdata, vmod, vhigh))
-            return self.next_victim(slot)
         return slot, vcode, vaddr, vdata, vmod, vhigh
-
-    def next_victim(self, slot: int) -> Install:
-        """An overfilled set's next victim, as :meth:`install_slot` hands
-        it back for the installed ``slot`` (``~slot`` while more follow)."""
-        queued = self._queued_victims
-        vcode, vaddr, vdata, vmod, vhigh = queued.pop(0)
-        return (~slot if queued else slot), vcode, vaddr, vdata, vmod, vhigh
 
     def drop(self, line: LineView) -> None:
         """Remove a viewed version without writeback (silent invalidation)."""
@@ -791,10 +758,17 @@ class VersionedCache:
         """Test hook: force a raw resident version in from column values.
 
         Bypasses replacement, eviction and lazy processing — used to
-        fabricate states the protocol itself would never produce.  The
-        slot has seen no aborts and LRU tick 0; ``epoch`` -1 (the
-        default) leaves it stale, so its first touch folds every event.
+        fabricate states the protocol itself would never produce — but
+        never fills a set past its ways: a full set raises ``ValueError``
+        and is left as it was.  The slot has seen no aborts and LRU tick
+        0; ``epoch`` -1 (the default) leaves it stale, so its first touch
+        folds every event.
         """
+        index = self.set_index(base)
+        slots = self._sets.setdefault(index, [])
+        if len(slots) >= self.assoc:
+            raise ValueError(f"{self.name}: set {index} already holds its "
+                             f"{self.assoc} ways")
         store = self._store
         slot = store.alloc(base, CODE_INVALID, data, 0, 0)
         # Retagging from INVALID counts the version into the filters.
@@ -802,7 +776,7 @@ class VersionedCache:
         store.seen_aborts[slot] = 0
         store.epoch[slot] = epoch
         store.lru_tick[slot] = 0
-        self._sets.setdefault(self.set_index(base), []).append(slot)
+        slots.append(slot)
         self._by_base.setdefault(base, []).append(slot)
         return LineView(self, slot)
 

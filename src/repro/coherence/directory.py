@@ -4,9 +4,11 @@
 protocol to allow for efficient scaling to many more cores."
 
 The snoopy design broadcasts every miss on a shared bus, so concurrent
-misses serialise (``HierarchyConfig.bus_occupancy``) — fine at 4 cores,
-ruinous at 16.  :class:`DirectoryHierarchy` replaces the bus with a banked
-directory co-located with the L2:
+misses serialise (``hierarchy.BUS_OCCUPANCY`` cycles each) — fine at 4
+cores, ruinous at 16.  :class:`DirectoryHierarchy` replaces the bus with a
+banked directory co-located with the L2, sized and timed by the
+``directory_*``, ``bank_occupancy`` and ``link_latency`` fields of the same
+:class:`~repro.core.config.MachineConfig` the rest of the hierarchy reads:
 
 * a **sharer map** tracks, per line address, which caches may hold
   versions.  Installs update it eagerly; removals are lazy, so the map is a
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cache import VersionedCache
-from .hierarchy import AccessKind, HierarchyConfig, MemoryHierarchy
+from .hierarchy import BROADCAST_LATENCY, AccessKind, MemoryHierarchy
 from .states import CODE_EXCLUSIVE, CODE_INVALID, CODE_SS
 
 
@@ -47,27 +49,11 @@ class DirectoryStats:
     bank_wait_cycles: int = 0
 
 
-@dataclass
-class DirectoryConfig(HierarchyConfig):
-    """Directory knobs on top of the base machine configuration."""
-
-    #: Address-interleaved directory banks (each an independent pipeline).
-    directory_banks: int = 8
-    #: Cycles to look up a directory bank entry.
-    directory_latency: int = 12
-    #: Cycles each lookup occupies its bank.
-    bank_occupancy: int = 4
-    #: One-way point-to-point link latency between tiles.
-    link_latency: int = 10
-
-
 class DirectoryHierarchy(MemoryHierarchy):
     """The HMTX memory system with a banked directory instead of a bus."""
 
-    def __init__(self, config: Optional[DirectoryConfig] = None) -> None:
-        config = config or DirectoryConfig()
+    def __init__(self, config) -> None:
         super().__init__(config)
-        self.dconfig = config
         self.dir_stats = DirectoryStats()
         #: line address -> names of caches that may hold a version.
         self._sharers: Dict[int, Set[str]] = {}
@@ -82,8 +68,9 @@ class DirectoryHierarchy(MemoryHierarchy):
             # tree over the cores (multi-socket machines keep the
             # topology's hops and tree cost, shared with the bus machine).
             self._hops = ((config.link_latency,),)
+            self._core_hops = self._hops * config.num_cores
             fanout_depth = max(1, math.ceil(math.log2(config.num_cores + 1)))
-            self._commit_cost = config.broadcast_latency \
+            self._commit_cost = BROADCAST_LATENCY \
                 + fanout_depth * config.link_latency
 
     # ------------------------------------------------------------------
@@ -92,13 +79,17 @@ class DirectoryHierarchy(MemoryHierarchy):
 
     def _install(self, cache: VersionedCache, base: int, code: int,
                  data: List[int], mod_vid: int, high_vid: int) -> int:
-        self._sharers.setdefault(base, set()).add(cache.name)
+        sharers = self._sharers.get(base)
+        if sharers is None:
+            self._sharers[base] = {cache.name}
+        else:
+            sharers.add(cache.name)
         return super()._install(cache, base, code, data, mod_vid, high_vid)
 
     def sharers_of(self, addr: int) -> Set[str]:
-        """The (conservative) recorded sharer set of a line."""
+        """A copy of the (conservative) recorded sharer set of a line."""
         base = addr - (addr % self.config.line_size)
-        return set(self._sharers.get(base, set()))
+        return set(self._sharers.get(base, ()))
 
     def check_directory_invariant(self) -> None:
         """Every cached version's holder appears in the sharer map.
@@ -117,7 +108,7 @@ class DirectoryHierarchy(MemoryHierarchy):
                 if store.state[slot] == CODE_INVALID:
                     continue
                 addr = store.addr[slot]
-                recorded = self._sharers.get(addr, set())
+                recorded = self._sharers.get(addr, ())
                 assert cache.name in recorded, \
                     f"{cache.name} holds 0x{addr:x} unrecorded"
                 if in_llc:
@@ -137,33 +128,16 @@ class DirectoryHierarchy(MemoryHierarchy):
         # The entry lives in the home socket's bank array, co-located with
         # the home LLC slice.
         line = addr // self.config.line_size
-        banks = self.dconfig.directory_banks
+        banks = self.config.directory_banks
         return (line % self._sockets) * banks + line % banks
 
-    def _link(self, socket_a: int, socket_b: int) -> int:
-        """One-way tile-to-tile message latency.
-
-        The flat machine keeps the historical uniform ``link_latency``;
-        multi-socket machines charge the topology's intra/cross-socket
-        hops.
-        """
-        return self._hops[socket_a][socket_b]
-
     def _bank_transaction(self, addr: int, now: int) -> int:
+        # Misses are arbitrated per bank, not on one global bus.
         bank = self._bank_of(addr)
         wait = max(0, self._bank_free[bank] - now)
-        self._bank_free[bank] = now + wait + self.dconfig.bank_occupancy
+        self._bank_free[bank] = now + wait + self.config.bank_occupancy
         self.dir_stats.bank_wait_cycles += wait
-        return wait + self.dconfig.directory_latency
-
-    def _bus_transaction(self, now: int) -> int:
-        """Misses are arbitrated per bank, not on one global bus.
-
-        The base class calls this with only the current time; the actual
-        per-bank accounting happens in :meth:`_fetch`, so this contributes
-        nothing extra.
-        """
-        return 0
+        return wait + self.config.directory_latency
 
     # ------------------------------------------------------------------
     # Miss handling: directory lookup + targeted probes
@@ -175,17 +149,22 @@ class DirectoryHierarchy(MemoryHierarchy):
         self.dir_stats.lookups += 1
         l1 = self.l1s[core]
         base = l1.line_addr(addr)
-        req_socket = self._cache_socket[l1.name]
-        home_socket = (base // self.config.line_size) % self._sockets
+        # One-way tile-to-tile hops from the requester's socket: the flat
+        # machine's uniform ``link_latency``, or the topology's
+        # intra/cross-socket hops.
+        hops = self._core_hops[core]
+        home_socket = (base >> l1._line_shift) % self._sockets
         # Request travels to the line's home bank: one intra-socket hop on
         # the flat machine, a cross-socket hop when the home is remote.
-        latency = self._bank_transaction(base, now) \
-            + self._link(req_socket, home_socket)
+        latency = self._bank_transaction(base, now) + hops[home_socket]
         spec_modified_asserted = (base in l1._by_base
                                   and l1.has_latest_spec_version(base))
-        recorded = [name for name in sorted(self.sharers_of(base))
-                    if name != l1.name]
-        for name in recorded:
+        # Probes go out in name order; the sorted list is a snapshot, so a
+        # stale entry can leave the stored set mid-loop.
+        sharers = self._sharers.get(base, ())
+        for name in sorted(sharers):
+            if name == l1.name:
+                continue
             cache = self._caches_by_name[name]
             self.dir_stats.probes_sent += 1
             if cache.has_latest_spec_version(addr):
@@ -196,13 +175,12 @@ class DirectoryHierarchy(MemoryHierarchy):
                     # Stale directory entry: the holder silently dropped
                     # its copy; clean the map.
                     self.dir_stats.stale_probes += 1
-                    self._sharers.get(base, set()).discard(name)
+                    sharers.discard(name)
                 continue
             self.stats.peer_transfers += 1
             # The owner forwards the line directly to the requester
             # (three-hop protocol); charge the requester<->owner leg.
-            owner_socket = self._cache_socket.get(name, home_socket)
-            latency += self._link(req_socket, owner_socket)
+            latency += hops[self._cache_socket.get(name, home_socket)]
             if cache is self.overflow_table:
                 latency += cache.hit_latency
                 self.overflow_table.refills += 1
@@ -228,7 +206,7 @@ class DirectoryHierarchy(MemoryHierarchy):
     def _invalidate_nonspec_everywhere(
             self, base: int, keep_cache: Optional[VersionedCache] = None,
             keep_slot: int = -1) -> None:
-        for name in sorted(self.sharers_of(base)):
+        for name in sorted(self._sharers.get(base, ())):
             cache = self._caches_by_name[name]
             self.dir_stats.invalidations_sent += 1
             cache.drop_nonspec_copies(
@@ -236,7 +214,7 @@ class DirectoryHierarchy(MemoryHierarchy):
 
     def _scrub_ss_copies(self, base: int, mod_vid: int) -> None:
         dropped = False
-        for name in sorted(self.sharers_of(base)):
+        for name in sorted(self._sharers.get(base, ())):
             if self._caches_by_name[name].drop_ss_copies(base, mod_vid):
                 dropped = True
         if dropped:

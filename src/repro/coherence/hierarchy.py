@@ -37,11 +37,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import MisspeculationError, SpeculativeOverflowError
-from ..topology import TopologySpec
 from ..txctl.causes import AbortCause
 from .cache import VersionedCache
 from .line import LineView
-from .memory import DEFAULT_WORD_SIZE, MainMemory
+from .memory import MainMemory
 from .overflow import OverflowVersionTable
 from .protocol import (
     READ,
@@ -69,57 +68,14 @@ from .states import (
 )
 
 
-@dataclass
-class HierarchyConfig:
-    """Geometry and latency knobs (defaults follow Table 2)."""
-
-    num_cores: int = 4
-    l1_size: int = 64 * 1024
-    l1_assoc: int = 8
-    l1_latency: int = 2
-    l2_size: int = 32 * 1024 * 1024
-    l2_assoc: int = 32
-    l2_latency: int = 40
-    line_size: int = 64
-    memory_latency: int = 200
-    vid_bits: int = 6
-    #: Cycles for a commit/abort broadcast on the L1-L2 bus (lazy scheme:
-    #: just bus arbitration plus the flash-set, no per-line processing).
-    broadcast_latency: int = 10
-    #: Cycles one bus transaction (snoop + line transfer) occupies the
-    #: shared L1-L2 bus.  Concurrent requesters serialise on it, which is
-    #: the first-order reason the snoopy design stops scaling past a few
-    #: cores (the paper's future work proposes a directory protocol).
-    bus_occupancy: int = 8
-    #: Section 8 extension: when True, speculative versions evicted past
-    #: the LLC spill into a memory-side version table instead of aborting
-    #: ("unlimited read and write sets").
-    unbounded_sets: bool = False
-    #: Machine shape (sockets, LLC slices, NUMA hops).  ``None`` or any
-    #: 1-socket spec is the flat Table 2 machine: one shared LLC with the
-    #: ``l2_*`` geometry, no NUMA charges — bit-identical to the
-    #: pre-topology hierarchy.  A multi-socket spec slices the LLC per
-    #: socket and charges intra/cross-socket hop latencies.
-    topology: Optional[TopologySpec] = None
-
-    def __post_init__(self) -> None:
-        # The access paths index words and lines with shifts and masks, so
-        # the geometry must be power-of-two throughout.
-        words = self.line_size // DEFAULT_WORD_SIZE
-        if self.line_size & (self.line_size - 1) \
-                or self.line_size % DEFAULT_WORD_SIZE \
-                or words & (words - 1):
-            raise ValueError(
-                f"line_size must be a power of two holding a power-of-two "
-                f"number of {DEFAULT_WORD_SIZE}-byte words, got "
-                f"{self.line_size}")
-        if self.topology is not None \
-                and self.topology.num_cores != self.num_cores:
-            raise ValueError(
-                f"topology describes {self.topology.num_cores} cores "
-                f"({self.topology.sockets}x"
-                f"{self.topology.cores_per_socket}) but num_cores is "
-                f"{self.num_cores}")
+#: Cycles for a commit/abort broadcast on the L1-L2 bus (lazy scheme: just
+#: bus arbitration plus the flash-set, no per-line processing).
+BROADCAST_LATENCY = 10
+#: Cycles one bus transaction (snoop + line transfer) occupies the shared
+#: L1-L2 bus.  Concurrent requesters serialise on it, which is the
+#: first-order reason the snoopy design stops scaling past a few cores
+#: (the paper's future work proposes a directory protocol).
+BUS_OCCUPANCY = 8
 
 
 #: What a load or store returns: ``(value, latency)``, the word loaded or
@@ -153,11 +109,15 @@ class HierarchyStats:
 
 
 class MemoryHierarchy:
-    """Per-core L1 caches over a shared L2 over main memory."""
+    """Per-core L1 caches over a shared L2 over main memory.
 
-    def __init__(self, config: Optional[HierarchyConfig] = None) -> None:
-        self.config = config or HierarchyConfig()
-        cfg = self.config
+    ``config`` is the machine's :class:`~repro.core.config.MachineConfig`
+    (geometry, latencies, ``vid_bits``, ``unbounded_sets``, ``topology``),
+    read here and never copied.
+    """
+
+    def __init__(self, config) -> None:
+        self.config = cfg = config
         self.memory = MainMemory(line_size=cfg.line_size, latency=cfg.memory_latency)
         self.l1s = [
             VersionedCache(
@@ -188,9 +148,9 @@ class MemoryHierarchy:
                 for a in range(topo.sockets))
             # Broadcasts travel the multicast tree; resets add the scrub
             # barrier.
-            self._commit_cost = topo.multicast_latency(cfg.broadcast_latency)
+            self._commit_cost = topo.multicast_latency(BROADCAST_LATENCY)
             self._reset_cost = topo.reset_scrub_latency(
-                cfg.broadcast_latency, topo.llc_slice_latency)
+                BROADCAST_LATENCY, topo.llc_slice_latency)
         else:
             self.llc_slices = (VersionedCache(
                 "L2", cfg.l2_size, cfg.l2_assoc, cfg.line_size,
@@ -199,8 +159,8 @@ class MemoryHierarchy:
             core_sockets = [0] * cfg.num_cores
             # The shared bus: no NUMA hop, one bus broadcast.
             self._hops = ((0,),)
-            self._commit_cost = cfg.broadcast_latency
-            self._reset_cost = cfg.broadcast_latency
+            self._commit_cost = BROADCAST_LATENCY
+            self._reset_cost = BROADCAST_LATENCY
         self._sockets = len(self.llc_slices)
         for llc in self.llc_slices:
             llc.last_level = True
@@ -213,6 +173,8 @@ class MemoryHierarchy:
             l1.name: socket for l1, socket in zip(self.l1s, core_sockets)}
         for s, llc in enumerate(self.llc_slices):
             self._cache_socket[llc.name] = s
+        #: Each core's row of ``_hops``: one-way hops from its socket.
+        self._core_hops = tuple(self._hops[s] for s in core_sockets)
         self.stats = HierarchyStats()
         #: Speculative loads that touched a version not yet marked with
         #: their VID — exactly the loads that send an SLA message when they
@@ -236,7 +198,7 @@ class MemoryHierarchy:
         self._caches: Tuple[VersionedCache, ...] = ()
         self._peer_lists: List[Tuple[VersionedCache, ...]] = []
         self._rebuild_cache_lists()
-        #: Word-index shift of the access paths (HierarchyConfig enforces
+        #: Word-index shift of the access paths (MachineConfig enforces
         #: power-of-two geometry).
         self._word_shift = self.memory.word_size.bit_length() - 1
 
@@ -263,19 +225,6 @@ class MemoryHierarchy:
         """The LLC slice owning ``addr``'s line (the shared L2 when flat)."""
         return self.llc_slices[
             (addr // self.config.line_size) % self._sockets]
-
-    def _bus_transaction(self, now: int) -> int:
-        """Acquire the shared bus at time ``now``; returns wait + occupancy.
-
-        With a single active core the bus is always free by the time the
-        next miss issues; under parallel execution concurrent misses queue
-        up behind each other, throttling speedup exactly as shared-bus
-        bandwidth does on real snoopy multicores.
-        """
-        wait = max(0, self._bus_free - now)
-        self._bus_free = now + wait + self.config.bus_occupancy
-        self.stats.bus_wait_cycles += wait
-        return wait + self.config.bus_occupancy
 
     # ------------------------------------------------------------------
     # Public access interface
@@ -514,35 +463,44 @@ class MemoryHierarchy:
             return self._apply(core, slot, addr, vid, kind, value,
                                hit_latency)
         # Miss (or silent S-S copy on a write): fetch over the bus.
-        latency = hit_latency
         l1.stats.misses += 1
-        latency += self._bus_transaction(now + latency)
         slot, transfer_latency, _ = self._fetch(
-            core, addr, vid, kind, now=now + latency)
-        latency += transfer_latency
-        return self._apply(core, slot, addr, vid, kind, value, latency)
+            core, addr, vid, kind, now + hit_latency)
+        return self._apply(core, slot, addr, vid, kind, value,
+                           hit_latency + transfer_latency)
 
     def _fetch(self, core: int, addr: int, vid: int, kind: AccessKind,
                now: int = 0) -> Tuple[int, int, str]:  # hot-path
         """Bring a copy that ``vid`` hits into ``core``'s L1.
 
-        Implements the bus snoop: exactly one cache responds with the
-        version that would have hit (S-S copies stay silent); otherwise
-        memory responds, possibly via the section 5.4 overflow-retrieval
-        path.  Returns ``(l1 slot, latency, responder name)``.
+        Implements the bus snoop: the miss first acquires the shared bus
+        at ``now`` (concurrent misses queue behind each other, throttling
+        speedup exactly as shared-bus bandwidth does on real snoopy
+        multicores); then exactly one cache responds with the version that
+        would have hit (S-S copies stay silent); otherwise memory
+        responds, possibly via the section 5.4 overflow-retrieval path.
+        Returns ``(l1 slot, latency, responder name)``, the latency from
+        ``now`` on.
 
         Snoop filter: only caches whose own line index (``_by_base``) holds
         a version of the line are consulted.  A cache with no version of
         the address answers no snoop and undergoes no lazy processing, so
         skipping it is exact.
         """
-        self.stats.bus_snoops += 1
+        stats = self.stats
+        stats.bus_snoops += 1
+        wait = self._bus_free - now
+        if wait < 0:
+            wait = 0
+        self._bus_free = now + wait + BUS_OCCUPANCY
+        stats.bus_wait_cycles += wait
+        # Bus wait and occupancy, then the LLC lookup window.
+        latency = wait + BUS_OCCUPANCY + self._llc_latency
         l1 = self.l1s[core]
         base = addr & ~l1._offset_mask
-        latency = self._llc_latency  # bus + LLC lookup window
         # One-way hops from the requester's socket (all 0 when flat).
-        hops = self._hops[self._cache_socket[l1.name]]
-        home = (base // self.config.line_size) % self._sockets
+        hops = self._core_hops[core]
+        home = (base >> l1._line_shift) % self._sockets
         spec_modified_asserted = (base in l1._by_base
                                   and l1.has_latest_spec_version(base))
         for cache in self._peer_lists[core]:
@@ -553,7 +511,7 @@ class MemoryHierarchy:
             owner = cache.lookup_slot(base, vid)
             if owner is None or cache._store.state[owner] == CODE_SS:
                 continue
-            self.stats.peer_transfers += 1
+            stats.peer_transfers += 1
             if cache is self.overflow_table:
                 latency += cache.hit_latency
                 self.overflow_table.refills += 1
@@ -568,7 +526,7 @@ class MemoryHierarchy:
         latency += self.config.memory_latency + hops[home]
         if spec_modified_asserted:
             return self._fill_from_memory(l1, base, vid), latency, "memory"
-        self.stats.memory_fetches += 1
+        stats.memory_fetches += 1
         return (self._install(l1, base, CODE_EXCLUSIVE,
                               self.memory.read_line(base), 0, 0),
                 latency, "memory")
@@ -788,34 +746,32 @@ class MemoryHierarchy:
         """
         slot, vcode, addr, vdata, vmod, vhigh = cache.install_slot(
             base, code, data, mod_vid, high_vid)
-        while vcode != CODE_INVALID:
-            if not cache.last_level:
-                # L1 victim: moves down to the line's home LLC slice "as
-                # normal" (section 4.1) — the single shared L2 on a flat
-                # machine.  Its data list moves with it.
-                home = self._flat_llc
-                if home is None:
-                    home = self._home_llc(addr)
-                self._install(home, addr, vcode, vdata, vmod, vhigh)
-            elif vcode == CODE_MODIFIED or vcode == CODE_OWNED:
-                # Last-level cache victim: section 5.4 rules.
-                self.memory.write_line(addr, vdata)
-            elif vcode == CODE_SO and vmod == 0:
-                # The non-speculative backup may overflow to memory; the
-                # S-M assertion path of _fetch retrieves it if needed again.
-                self.stats.nonspec_overflows += 1
-                self.memory.write_line(addr, vdata)
-            elif self.overflow_table is not None:
-                # Section 8 extension: spill the speculative version into
-                # the memory-side table instead of aborting.
-                self.stats.spec_overflow_spills += 1
-                self.overflow_table.spill(vcode, addr, vdata, vmod, vhigh)
-            else:
-                raise SpeculativeOverflowError(
-                    f"speculative version {CODE_NAMES[vcode]}({vmod},"
-                    f"{vhigh}) of 0x{addr:x} evicted past the LLC",
-                    vid=vmod, addr=addr, cause=AbortCause.CAPACITY_OVERFLOW)
-            if slot >= 0:
-                break
-            slot, vcode, addr, vdata, vmod, vhigh = cache.next_victim(~slot)
+        if vcode == CODE_INVALID:
+            return slot
+        if not cache.last_level:
+            # L1 victim: moves down to the line's home LLC slice "as
+            # normal" (section 4.1) — the single shared L2 on a flat
+            # machine.  Its data list moves with it.
+            home = self._flat_llc
+            if home is None:
+                home = self._home_llc(addr)
+            self._install(home, addr, vcode, vdata, vmod, vhigh)
+        elif vcode == CODE_MODIFIED or vcode == CODE_OWNED:
+            # Last-level cache victim: section 5.4 rules.
+            self.memory.write_line(addr, vdata)
+        elif vcode == CODE_SO and vmod == 0:
+            # The non-speculative backup may overflow to memory; the
+            # S-M assertion path of _fetch retrieves it if needed again.
+            self.stats.nonspec_overflows += 1
+            self.memory.write_line(addr, vdata)
+        elif self.overflow_table is not None:
+            # Section 8 extension: spill the speculative version into
+            # the memory-side table instead of aborting.
+            self.stats.spec_overflow_spills += 1
+            self.overflow_table.spill(vcode, addr, vdata, vmod, vhigh)
+        else:
+            raise SpeculativeOverflowError(
+                f"speculative version {CODE_NAMES[vcode]}({vmod},"
+                f"{vhigh}) of 0x{addr:x} evicted past the LLC",
+                vid=vmod, addr=addr, cause=AbortCause.CAPACITY_OVERFLOW)
         return slot

@@ -56,15 +56,6 @@ class LineStore:
         self.data: List[Optional[List[int]]] = []
         self.free_slots: List[int] = []
 
-    def __len__(self) -> int:
-        """Number of *live* slots."""
-        return len(self.state) - len(self.free_slots)
-
-    @property
-    def capacity(self) -> int:
-        """Total slots ever allocated (live + free-listed)."""
-        return len(self.state)
-
     def alloc(self, addr: int, code: int, data: List[int],
               mod_vid: int, high_vid: int) -> int:
         """Claim a slot for a new version; returns its index.

@@ -13,7 +13,10 @@ Memory                 1 GB, 200-cycle latency
 =====================  ==============================================
 
 The default :class:`MachineConfig` reproduces this table; experiments vary
-``num_cores`` and ``vid_bits`` for the ablation studies.
+``num_cores`` and ``vid_bits`` for the ablation studies.  It is the one
+description of the machine: :class:`~repro.coherence.hierarchy.
+MemoryHierarchy` and :class:`~repro.coherence.directory.DirectoryHierarchy`
+take it as is and read the fields they need.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..coherence.directory import DirectoryConfig, DirectoryHierarchy
-from ..coherence.hierarchy import HierarchyConfig, MemoryHierarchy
+from ..coherence.directory import DirectoryHierarchy
+from ..coherence.hierarchy import MemoryHierarchy
+from ..coherence.memory import DEFAULT_WORD_SIZE
 from ..cpu.isa import OpCosts
 from ..topology import PLACEMENT_POLICIES, TopologySpec, topology_preset
 
@@ -70,6 +74,16 @@ class MachineConfig:
     op_costs: OpCosts = field(default_factory=OpCosts)
 
     def __post_init__(self) -> None:
+        # The access paths index words and lines with shifts and masks, so
+        # the geometry must be power-of-two throughout.
+        words = self.line_size // DEFAULT_WORD_SIZE
+        if self.line_size & (self.line_size - 1) \
+                or self.line_size % DEFAULT_WORD_SIZE \
+                or words & (words - 1):
+            raise ValueError(
+                f"line_size must be a power of two holding a power-of-two "
+                f"number of {DEFAULT_WORD_SIZE}-byte words, got "
+                f"{self.line_size}")
         if self.topology is not None \
                 and self.topology.num_cores != self.num_cores:
             raise ValueError(
@@ -77,44 +91,19 @@ class MachineConfig:
                 f"({self.topology.sockets}x"
                 f"{self.topology.cores_per_socket}) but num_cores is "
                 f"{self.num_cores}")
+        if self.coherence not in ("snoopy", "directory"):
+            raise ValueError(f"unknown coherence organisation "
+                             f"{self.coherence!r}")
         if self.placement not in PLACEMENT_POLICIES:
             raise ValueError(f"unknown placement policy "
                              f"{self.placement!r}; choose from "
                              f"{PLACEMENT_POLICIES}")
 
-    def hierarchy_config(self) -> HierarchyConfig:
-        """Project the machine configuration onto the cache hierarchy."""
-        kwargs = dict(
-            num_cores=self.num_cores,
-            l1_size=self.l1_size,
-            l1_assoc=self.l1_assoc,
-            l1_latency=self.l1_latency,
-            l2_size=self.l2_size,
-            l2_assoc=self.l2_assoc,
-            l2_latency=self.l2_latency,
-            line_size=self.line_size,
-            memory_latency=self.memory_latency,
-            vid_bits=self.vid_bits,
-            unbounded_sets=self.unbounded_sets,
-            topology=self.topology,
-        )
-        if self.coherence == "directory":
-            return DirectoryConfig(
-                directory_banks=self.directory_banks,
-                directory_latency=self.directory_latency,
-                bank_occupancy=self.bank_occupancy,
-                link_latency=self.link_latency,
-                **kwargs)
-        if self.coherence != "snoopy":
-            raise ValueError(f"unknown coherence organisation "
-                             f"{self.coherence!r}")
-        return HierarchyConfig(**kwargs)
-
-    def build_hierarchy(self):
+    def build_hierarchy(self) -> MemoryHierarchy:
         """Construct the configured memory system."""
         if self.coherence == "directory":
-            return DirectoryHierarchy(self.hierarchy_config())
-        return MemoryHierarchy(self.hierarchy_config())
+            return DirectoryHierarchy(self)
+        return MemoryHierarchy(self)
 
     def cycles_to_seconds(self, cycles: int) -> float:
         """Convert a cycle count to wall-clock seconds at ``clock_ghz``."""

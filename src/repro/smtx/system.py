@@ -90,7 +90,7 @@ class SMTXSystem(MTXMachine):
         self.log = ValidationLog()
         # Timing-only commodity hierarchy (all accesses non-speculative):
         # SMTX pays the same miss costs as HMTX.
-        self.timing = MemoryHierarchy(self.config.hierarchy_config())
+        self.timing = MemoryHierarchy(self.config)
         self.hierarchy = _MemoryFacade(self.memory)
         #: Sequential work accumulated on the commit process's core.
         self.commit_process_cycles = 0

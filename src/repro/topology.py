@@ -54,7 +54,7 @@ class TopologySpec:
     #: Cores per socket; total cores = ``sockets * cores_per_socket``.
     cores_per_socket: int = 4
     #: Per-socket LLC slice capacity in bytes (applies when ``sockets > 1``;
-    #: a 1-socket machine keeps the ``HierarchyConfig`` L2 geometry).
+    #: a 1-socket machine keeps the ``MachineConfig`` L2 geometry).
     llc_slice_size: int = 8 * 1024 * 1024
     #: Ways per set in each LLC slice.
     llc_slice_assoc: int = 16

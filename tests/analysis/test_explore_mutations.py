@@ -64,3 +64,15 @@ def test_every_rule_is_killed_by_some_mutation():
     for inject in INJECTIONS:
         covered |= EXPECTED_INJECTION_RULES[inject]
     assert covered == {"EX001", "EX002", "EX003", "EX004"}
+
+
+@pytest.mark.parametrize("shape", INJECTION_SHAPES["broken-scrub"])
+def test_broken_scrub_is_caught_on_the_scrub_preset(shape):
+    """On ``scrub`` the residue lands in a full L1 set; it takes a way
+    there instead of over-filling the set, and is still caught."""
+    report = explore_pass(preset="scrub", shapes=(shape,),
+                          inject="broken-scrub")
+    rules = {f.rule for f in report.findings}
+    assert rules and rules <= EXPECTED_INJECTION_RULES["broken-scrub"]
+    doc = report.findings[0].counterexample
+    assert doc["rule"] in replay_counterexample(doc)

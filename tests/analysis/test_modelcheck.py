@@ -209,7 +209,8 @@ class TestStructuredCounterexamples:
         assert any("counterexample" in j for j in jsons)
 
     def test_structure_pass_findings_carry_counterexamples(self):
-        from repro.coherence.directory import DirectoryConfig, DirectoryHierarchy
+        from repro.coherence.directory import DirectoryHierarchy
+        from repro.core.config import MachineConfig
         from repro.topology import TopologySpec
         from repro.analysis.modelcheck import check_topology_structure
 
@@ -220,9 +221,9 @@ class TestStructuredCounterexamples:
                 return self.llc_slices[(index + 1) % len(self.llc_slices)]
 
         def factory():
-            return BrokenHome(DirectoryConfig(
+            return BrokenHome(MachineConfig(
                 num_cores=8, l1_size=16 * 64, l1_assoc=2,
-                topology=TopologySpec(sockets=2, cores_per_socket=4)))
+                coherence="directory", topology=TopologySpec(sockets=2, cores_per_socket=4)))
 
         report = check_topology_structure(hierarchy_factory=factory)
         assert not report.ok

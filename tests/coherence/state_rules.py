@@ -85,8 +85,7 @@ def install(cache, line):
     victims that need action below the cache, in eviction order.
 
     Works on both the slot-arena cache (column-value ``install_slot``,
-    which hands back at most one such victim, and ``next_victim`` for the
-    rest of a set filled past its ways) and the object-model oracle
+    which hands back at most one such victim) and the object-model oracle
     (``install``, whose silent victims are dropped here).  Either way the
     records carry exactly the column values a victim takes down the miss
     path; its lazy stamps and LRU tick are local to the cache it left, so
@@ -97,9 +96,6 @@ def install(cache, line):
                                            line.data, line.mod_vid,
                                            line.high_vid)
         evicted = [victim] if victim[0] != State.INVALID.code else []
-        while slot < 0:
-            slot, *victim = cache.next_victim(~slot)
-            evicted.append(victim)
     else:
         evicted = [(v.state.code, v.addr, v.data, v.mod_vid, v.high_vid)
                    for v in cache.install(line)

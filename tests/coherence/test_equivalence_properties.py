@@ -16,8 +16,9 @@ from typing import List, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coherence import HierarchyConfig, MemoryHierarchy
-from repro.coherence.directory import DirectoryConfig, DirectoryHierarchy
+from repro.coherence import MemoryHierarchy
+from repro.coherence.directory import DirectoryHierarchy
+from repro.core.config import MachineConfig
 from repro.errors import MisspeculationError
 
 POOL = [0x2000 + i * 64 for i in range(4)]
@@ -108,8 +109,8 @@ def final_state(hierarchy):
 @settings(max_examples=120, deadline=None)
 @given(ops=op_sequence())
 def test_lazy_equals_eager(ops):
-    lazy = MemoryHierarchy(HierarchyConfig(num_cores=3, **SMALL))
-    eager = MemoryHierarchy(HierarchyConfig(num_cores=3, **SMALL))
+    lazy = MemoryHierarchy(MachineConfig(num_cores=3, **SMALL))
+    eager = MemoryHierarchy(MachineConfig(num_cores=3, **SMALL))
     lazy_observed = run_ops(lazy, ops, eager=False)
     eager_observed = run_ops(eager, ops, eager=True)
     assert lazy_observed == eager_observed
@@ -119,8 +120,8 @@ def test_lazy_equals_eager(ops):
 @settings(max_examples=120, deadline=None)
 @given(ops=op_sequence())
 def test_snoopy_equals_directory(ops):
-    snoopy = MemoryHierarchy(HierarchyConfig(num_cores=3, **SMALL))
-    directory = DirectoryHierarchy(DirectoryConfig(num_cores=3, **SMALL))
+    snoopy = MemoryHierarchy(MachineConfig(num_cores=3, **SMALL))
+    directory = DirectoryHierarchy(MachineConfig(num_cores=3, **SMALL))
     assert run_ops(snoopy, ops) == run_ops(directory, ops)
     assert final_state(snoopy) == final_state(directory)
     directory.check_directory_invariant()
@@ -132,9 +133,9 @@ def test_unbounded_sets_preserve_values(ops):
     """The overflow table changes *where* versions live, never what a VID
     observes (on caches so tiny that spills are routine)."""
     tiny = dict(l1_size=2 * 64, l1_assoc=2, l2_size=4 * 64, l2_assoc=4)
-    reference = MemoryHierarchy(HierarchyConfig(num_cores=3, **SMALL))
-    spilling = MemoryHierarchy(HierarchyConfig(num_cores=3,
-                                               unbounded_sets=True, **tiny))
+    reference = MemoryHierarchy(MachineConfig(num_cores=3, **SMALL))
+    spilling = MemoryHierarchy(MachineConfig(num_cores=3,
+                                             unbounded_sets=True, **tiny))
     assert run_ops(reference, ops) == run_ops(spilling, ops)
     assert final_state(reference) == final_state(spilling)
 
@@ -146,7 +147,7 @@ def test_version_count_is_a_pure_versions_length(ops):
     ``read_committed`` (what result checks read) must not process
     anything themselves; ``version_count`` must predict what lazy
     processing keeps, and ``resolved`` the tags it leaves."""
-    hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=3, **SMALL))
+    hierarchy = MemoryHierarchy(MachineConfig(num_cores=3, **SMALL))
     run_ops(hierarchy, ops)
     caches = hierarchy._caches
 

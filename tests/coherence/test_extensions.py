@@ -3,9 +3,7 @@
 import pytest
 
 from repro.coherence import (
-    DirectoryConfig,
     DirectoryHierarchy,
-    HierarchyConfig,
     MemoryHierarchy,
     OverflowVersionTable,
     State,
@@ -22,13 +20,13 @@ TINY = dict(num_cores=2, l1_size=2 * 64, l1_assoc=2,
 
 class TestUnboundedSets:
     def test_bounded_system_aborts_on_overflow(self):
-        h = MemoryHierarchy(HierarchyConfig(**TINY))
+        h = MemoryHierarchy(MachineConfig(**TINY))
         with pytest.raises(SpeculativeOverflowError):
             for i in range(200):
                 h.store(0, 0x10000 + i * 64, 2, i)
 
     def test_unbounded_system_spills_instead(self):
-        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        h = MemoryHierarchy(MachineConfig(unbounded_sets=True, **TINY))
         for i in range(200):
             h.store(0, 0x10000 + i * 64, 2, i)
         assert h.stats.spec_overflow_spills > 100
@@ -36,14 +34,14 @@ class TestUnboundedSets:
 
     def test_spilled_versions_still_forward(self):
         """Uncommitted value forwarding must work through the table."""
-        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        h = MemoryHierarchy(MachineConfig(unbounded_sets=True, **TINY))
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 2, 1000 + i)
         for i in (0, 50, 119):
             assert h.load(1, 0x10000 + i * 64, 7)[0] == 1000 + i
 
     def test_spilled_versions_respect_windows(self):
-        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        h = MemoryHierarchy(MachineConfig(unbounded_sets=True, **TINY))
         h.memory.write_word(0x10000, 5)
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 3, 9)
@@ -51,7 +49,7 @@ class TestUnboundedSets:
         assert h.load(1, 0x10000, 2)[0] == 5
 
     def test_spilled_versions_commit(self):
-        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        h = MemoryHierarchy(MachineConfig(unbounded_sets=True, **TINY))
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 1, i)
         h.commit(1)
@@ -59,7 +57,7 @@ class TestUnboundedSets:
             assert h.load(1, 0x10000 + i * 64, 0)[0] == i
 
     def test_spilled_versions_abort(self):
-        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        h = MemoryHierarchy(MachineConfig(unbounded_sets=True, **TINY))
         h.memory.write_word(0x10000, 5)
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 1, 99)
@@ -67,14 +65,14 @@ class TestUnboundedSets:
         assert h.load(1, 0x10000, 0)[0] == 5
 
     def test_conflicts_still_detected_through_table(self):
-        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        h = MemoryHierarchy(MachineConfig(unbounded_sets=True, **TINY))
         for i in range(120):
             h.load(0, 0x10000 + i * 64, 5)
         with pytest.raises(MisspeculationError):
             h.store(1, 0x10000, 2, 1)   # older store to a spilled read
 
     def test_table_retrieval_charges_memory_latency(self):
-        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        h = MemoryHierarchy(MachineConfig(unbounded_sets=True, **TINY))
         for i in range(120):
             h.store(0, 0x10000 + i * 64, 1, i)
         _, latency = h.load(1, 0x10000, 1)
@@ -99,7 +97,7 @@ class TestUnboundedSets:
     def test_table_is_one_set_for_lines_of_every_llc_set(self):
         """Spilled versions of lines from every LLC set share the table's
         single set, and each refills with its own data."""
-        h = MemoryHierarchy(HierarchyConfig(unbounded_sets=True, **TINY))
+        h = MemoryHierarchy(MachineConfig(unbounded_sets=True, **TINY))
         lines = [0x10000 + i * 64 for i in range(40)]
         for i, addr in enumerate(lines):
             h.store(0, addr, 2, 500 + i)
@@ -130,11 +128,11 @@ class TestUnboundedSets:
 
 class TestDirectory:
     def fresh(self, **kw):
-        return DirectoryHierarchy(DirectoryConfig(num_cores=4, **kw))
+        return DirectoryHierarchy(MachineConfig(num_cores=4, **kw))
 
     def test_functionally_equivalent_to_snoopy(self):
         """Same protocol, different interconnect: identical outcomes."""
-        snoopy = MemoryHierarchy(HierarchyConfig(num_cores=4))
+        snoopy = MemoryHierarchy(MachineConfig(num_cores=4))
         direct = self.fresh()
         ops = [("s", 0, 0x1000, 1, 11), ("s", 1, 0x1040, 2, 22),
                ("l", 2, 0x1000, 3, None), ("s", 2, 0x1000, 3, 33),
@@ -171,17 +169,17 @@ class TestDirectory:
         h = self.fresh()
         lat0 = h.load(0, 0x8000, 0, now=0)[1]
         lat1 = h.load(1, 0x8040, 0, now=0)[1]   # different bank
-        assert abs(lat0 - lat1) <= h.dconfig.bank_occupancy
+        assert abs(lat0 - lat1) <= h.config.bank_occupancy
 
     def test_same_bank_misses_serialise(self):
         h = self.fresh(directory_banks=1)
         h.load(0, 0x8000, 0, now=0)
         lat1 = h.load(1, 0x9000, 0, now=0)[1]
         assert h.dir_stats.bank_wait_cycles > 0
-        assert lat1 > h.dconfig.directory_latency + h.config.memory_latency
+        assert lat1 > h.config.directory_latency + h.config.memory_latency
 
     def test_probe_count_tracks_sharers_not_cores(self):
-        h = DirectoryHierarchy(DirectoryConfig(num_cores=16))
+        h = DirectoryHierarchy(MachineConfig(num_cores=16))
         h.store(0, 0x2000, 1, 1)
         before = h.dir_stats.probes_sent
         h.load(1, 0x2000, 1)
@@ -200,7 +198,7 @@ class TestDirectory:
 
     def test_unknown_coherence_rejected(self):
         with pytest.raises(ValueError):
-            MachineConfig(coherence="telepathy").hierarchy_config()
+            MachineConfig(coherence="telepathy")
 
     def test_workload_correct_on_directory(self):
         config = MachineConfig(num_cores=4, coherence="directory")

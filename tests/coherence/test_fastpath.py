@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coherence.cache import VersionedCache
-from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.coherence.hierarchy import MemoryHierarchy
 from repro.coherence.states import CODE_INVALID, CODE_MODIFIED, State
 from repro.core import HMTXSystem, MachineConfig
 from repro.errors import MisspeculationError
@@ -137,7 +137,7 @@ class TestVictimPath:
     """Victims travel down the miss path as column values."""
 
     def test_l1_victim_data_moves_to_the_llc_by_reference(self):
-        h = MemoryHierarchy(HierarchyConfig(**TINY))
+        h = MemoryHierarchy(MachineConfig(**TINY))
         h.store(0, 0x100, 0, 7)
         l1 = h.l1s[0]
         words = l1.lookup(0x100, 0).data
@@ -150,7 +150,7 @@ class TestVictimPath:
         h.check_invariants()
 
     def test_dirty_llc_victims_are_written_back(self):
-        h = MemoryHierarchy(HierarchyConfig(**TINY))
+        h = MemoryHierarchy(MachineConfig(**TINY))
         addrs = range(0x100, 0x100 + 8 * 0x200, 0x200)  # one L1 and L2 set
         for i, addr in enumerate(addrs):
             h.store(0, addr, 0, i + 1)
@@ -228,9 +228,9 @@ class TestSnoopFilter:
         # Skipping a cache whose line index lacks the line is exact: the
         # filtered machine equals one whose snoops, invalidations and
         # scrubs visit every cache.
-        config = HierarchyConfig(num_cores=3, l1_size=2 * 64, l1_assoc=2,
-                                 l2_size=4 * 64, l2_assoc=4,
-                                 unbounded_sets=unbounded)
+        config = MachineConfig(num_cores=3, l1_size=2 * 64, l1_assoc=2,
+                               l2_size=4 * 64, l2_assoc=4,
+                               unbounded_sets=unbounded)
         real = MemoryHierarchy(config)
         reference = MemoryHierarchy(config)
         for cache in reference._caches:
@@ -247,7 +247,7 @@ class TestSnoopFilter:
         real.check_invariants()
 
     def test_footprint_counter_matches_walk(self):
-        h = MemoryHierarchy(HierarchyConfig(**TINY))
+        h = MemoryHierarchy(MachineConfig(**TINY))
         h.load(0, 0x100, 1)
         h.store(0, 0x140, 2, 9)
         walked = sum(

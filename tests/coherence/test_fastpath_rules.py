@@ -32,7 +32,7 @@ set:
 import pytest
 
 from repro.analysis.modelcheck import reachable
-from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.coherence.hierarchy import MemoryHierarchy
 from repro.coherence.protocol import (
     WRITE_ABORT,
     WRITE_IN_PLACE,
@@ -56,6 +56,7 @@ from repro.coherence.states import (
     STATE_FROM_CODE,
 )
 from repro.coherence.vid import DEFAULT_VID_BITS, CascadedComparator
+from repro.core.config import MachineConfig
 from repro.errors import MisspeculationError
 
 VID_BITS = 3
@@ -78,7 +79,7 @@ CASES = _cases(VID_BITS)
 
 
 def _hierarchy(bits=VID_BITS):
-    return MemoryHierarchy(HierarchyConfig(
+    return MemoryHierarchy(MachineConfig(
         num_cores=2, l1_size=512, l1_assoc=2, l2_size=2048, l2_assoc=4,
         vid_bits=bits))
 

@@ -7,7 +7,9 @@ commit, uncommitted value forwarding), cross-cache behaviour, the section
 
 import pytest
 
-from repro.coherence import HierarchyConfig, MemoryHierarchy, State
+from repro.coherence import MemoryHierarchy, State
+from repro.coherence.hierarchy import BROADCAST_LATENCY, BUS_OCCUPANCY
+from repro.core.config import MachineConfig
 from repro.errors import MisspeculationError, SpeculativeOverflowError
 
 ADDR = 0x4000
@@ -15,13 +17,13 @@ ADDR = 0x4000
 
 @pytest.fixture
 def hierarchy():
-    return MemoryHierarchy(HierarchyConfig(num_cores=4))
+    return MemoryHierarchy(MachineConfig(num_cores=4))
 
 
 @pytest.fixture
 def tiny():
     """Tiny caches so eviction paths trigger quickly."""
-    return MemoryHierarchy(HierarchyConfig(
+    return MemoryHierarchy(MachineConfig(
         num_cores=2, l1_size=2 * 64, l1_assoc=2,
         l2_size=8 * 64, l2_assoc=4))
 
@@ -297,7 +299,7 @@ class TestBusContention:
     def test_simultaneous_misses_serialise(self, hierarchy):
         lat0 = hierarchy.load(0, 0x8000, 0, now=0)[1]
         lat1 = hierarchy.load(1, 0x9000, 0, now=0)[1]
-        assert lat1 > lat0 - hierarchy.config.bus_occupancy
+        assert lat1 > lat0 - BUS_OCCUPANCY
         assert hierarchy.stats.bus_wait_cycles > 0
 
 
@@ -313,4 +315,4 @@ class TestInvariants:
         """Lazy scheme: commit cost must not scale with lines touched."""
         for i in range(50):
             hierarchy.store(0, 0x8000 + i * 64, 1, i)
-        assert hierarchy.commit(1) == hierarchy.config.broadcast_latency
+        assert hierarchy.commit(1) == BROADCAST_LATENCY

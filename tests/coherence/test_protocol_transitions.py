@@ -11,7 +11,8 @@ read them through the ``State``-typed adapters of :mod:`.state_rules`.
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.coherence.hierarchy import MemoryHierarchy
+from repro.core.config import MachineConfig
 from repro.obs.trace import ProtocolTracer
 from repro.coherence.protocol import (
     WRITE_ABORT,
@@ -301,7 +302,7 @@ class TestSnoopResponse:
     """
 
     def _serve(self, state, mod=0, high=0, vid=0):
-        hierarchy = MemoryHierarchy(HierarchyConfig(num_cores=2))
+        hierarchy = MemoryHierarchy(MachineConfig(num_cores=2))
         hierarchy.l1s[1]._inject_line(0x40, state.code, [7] * 8, mod, high)
         tracer = ProtocolTracer.attach(hierarchy)
         hierarchy.load(0, 0x40, vid)

@@ -21,7 +21,8 @@ from typing import Dict, List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.coherence import HierarchyConfig, MemoryHierarchy
+from repro.coherence import MemoryHierarchy
+from repro.core.config import MachineConfig
 from repro.errors import MisspeculationError
 
 POOL = [0x1000 + i * 64 for i in range(4)]
@@ -75,7 +76,7 @@ def committed_state(hierarchy: MemoryHierarchy) -> Dict[int, int]:
 @settings(max_examples=120, deadline=None)
 @given(txs=transactions, rng=interleave_seed)
 def test_any_interleaving_preserves_sequential_semantics(txs, rng):
-    hierarchy = MemoryHierarchy(HierarchyConfig(**CONFIG))
+    hierarchy = MemoryHierarchy(MachineConfig(**CONFIG))
     expected_memory, expected_loads = sequential_reference(txs)
 
     cursors = [0] * len(txs)        # next op index per transaction
@@ -139,7 +140,7 @@ def test_any_interleaving_preserves_sequential_semantics(txs, rng):
 def test_interleaving_with_interludes_of_commits(txs, rng):
     """Like the above, but commits happen as soon as a transaction finishes
     and every predecessor committed — the pipelined-commit pattern."""
-    hierarchy = MemoryHierarchy(HierarchyConfig(**CONFIG))
+    hierarchy = MemoryHierarchy(MachineConfig(**CONFIG))
     expected_memory, _ = sequential_reference(txs)
 
     cursors = [0] * len(txs)

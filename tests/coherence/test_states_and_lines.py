@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.coherence.directory import DirectoryConfig
-from repro.coherence.hierarchy import HierarchyConfig
+from repro.core.config import MachineConfig
 from repro.coherence.memory import MainMemory
 from repro.coherence.states import (
     CLEAN_STATES,
@@ -152,13 +151,11 @@ class TestMainMemory:
         a power of two (or holds a non-power-of-two word count) is refused
         up front instead of silently taking a slower path."""
         with pytest.raises(ValueError, match="power of two"):
-            HierarchyConfig(line_size=line_size)
-        with pytest.raises(ValueError, match="power of two"):
-            DirectoryConfig(line_size=line_size)
+            MachineConfig(line_size=line_size)
 
     def test_hierarchy_accepts_power_of_two_geometry(self):
         for line_size in (8, 32, 64, 128):
-            assert HierarchyConfig(line_size=line_size).line_size == line_size
+            assert MachineConfig(line_size=line_size).line_size == line_size
 
     def test_traffic_counters(self):
         mem = MainMemory()

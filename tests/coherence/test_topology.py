@@ -14,8 +14,8 @@ import math
 import pytest
 
 from repro.analysis.modelcheck import check_topology_structure
-from repro.coherence.directory import DirectoryConfig, DirectoryHierarchy
-from repro.coherence.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.coherence.directory import DirectoryHierarchy
+from repro.coherence.hierarchy import BROADCAST_LATENCY, MemoryHierarchy
 from repro.core.config import MachineConfig
 from repro.topology import (
     TOPOLOGY_PRESETS,
@@ -28,10 +28,10 @@ from repro.topology import (
 TWO_SOCKET = TopologySpec(sockets=2, cores_per_socket=4)
 
 
-def two_socket_config(**overrides) -> DirectoryConfig:
-    kwargs = dict(num_cores=8, topology=TWO_SOCKET)
+def two_socket_config(**overrides) -> MachineConfig:
+    kwargs = dict(num_cores=8, coherence="directory", topology=TWO_SOCKET)
     kwargs.update(overrides)
-    return DirectoryConfig(**kwargs)
+    return MachineConfig(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -150,17 +150,19 @@ class TestMachineConfig:
             MachineConfig(placement="random")
 
     def test_directory_knobs_round_trip(self):
-        # Regression (S1): hierarchy_config() used to silently drop the
-        # directory knobs and hand DirectoryConfig its defaults.
+        # The directory runs on the machine's own knobs, not defaults.
         machine = MachineConfig(coherence="directory", directory_banks=16,
                                 directory_latency=21, bank_occupancy=7,
                                 link_latency=13)
-        hier = machine.hierarchy_config()
-        assert isinstance(hier, DirectoryConfig)
-        assert hier.directory_banks == 16
-        assert hier.directory_latency == 21
-        assert hier.bank_occupancy == 7
-        assert hier.link_latency == 13
+        hier = machine.build_hierarchy()
+        assert isinstance(hier, DirectoryHierarchy)
+        assert hier.config is machine
+        assert len(hier._bank_free) == 16
+        assert hier._bank_transaction(0, 0) == 21
+        # A second lookup at the same time waits out the bank occupancy.
+        assert hier._bank_transaction(0, 0) == 7 + 21
+        assert hier._bank_free[0] == 14
+        assert hier._core_hops[0][0] == 13
 
     def test_for_topology_flat_preset_is_the_default_machine(self):
         machine = MachineConfig.for_topology("table2")
@@ -187,7 +189,7 @@ class TestMachineConfig:
 
 class TestSlicedHierarchy:
     def test_flat_machine_single_slice_named_l2(self):
-        hier = MemoryHierarchy(HierarchyConfig())
+        hier = MemoryHierarchy(MachineConfig())
         assert [c.name for c in hier.llc_slices] == ["L2"]
         assert not hasattr(hier, "l2")
 
@@ -199,7 +201,7 @@ class TestSlicedHierarchy:
     def test_slice_geometry_comes_from_the_spec(self):
         spec = TopologySpec(sockets=2, cores_per_socket=4,
                             llc_slice_size=1 << 20, llc_slice_assoc=8)
-        hier = DirectoryHierarchy(DirectoryConfig(num_cores=8, topology=spec))
+        hier = DirectoryHierarchy(MachineConfig(num_cores=8, topology=spec))
         for llc in hier.llc_slices:
             assert llc.size == 1 << 20
             assert llc.assoc == 8
@@ -208,10 +210,9 @@ class TestSlicedHierarchy:
         config = two_socket_config()
         hier = DirectoryHierarchy(config)
         topo = config.topology
-        assert hier.commit(1) == topo.multicast_latency(
-            config.broadcast_latency)
+        assert hier.commit(1) == topo.multicast_latency(BROADCAST_LATENCY)
         assert hier.vid_reset() == topo.reset_scrub_latency(
-            config.broadcast_latency, topo.llc_slice_latency)
+            BROADCAST_LATENCY, topo.llc_slice_latency)
 
     def test_per_socket_bank_arrays(self):
         hier = DirectoryHierarchy(two_socket_config(directory_banks=4))
@@ -224,10 +225,13 @@ class TestSlicedHierarchy:
     def test_links_charge_numa_hops(self):
         hier = DirectoryHierarchy(two_socket_config())
         topo = hier.config.topology
-        assert hier._link(0, 0) == topo.intra_hop_latency
-        assert hier._link(0, 1) == topo.cross_hop_latency
-        flat = DirectoryHierarchy(DirectoryConfig(num_cores=4))
-        assert flat._link(0, 0) == flat.dconfig.link_latency
+        assert hier._hops[0][0] == topo.intra_hop_latency
+        assert hier._hops[0][1] == topo.cross_hop_latency
+        # Each core's row is its socket's: cores 4-7 sit on socket 1.
+        assert hier._core_hops[5] == hier._hops[1]
+        flat = DirectoryHierarchy(MachineConfig(num_cores=4))
+        assert flat._hops[0][0] == flat.config.link_latency
+        assert flat._core_hops == (flat._hops[0],) * 4
 
     def test_victims_route_to_the_home_slice(self):
         # Tiny L1s: the second distinct line mapping to the same set
@@ -272,7 +276,7 @@ class TestSlicedHierarchy:
 # modelcheck-structure: the injectable harness and its mutants (S2)
 # ----------------------------------------------------------------------
 
-def _small_two_socket() -> DirectoryConfig:
+def _small_two_socket() -> MachineConfig:
     return two_socket_config(l1_size=16 * 64, l1_assoc=2)
 
 

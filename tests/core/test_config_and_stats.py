@@ -39,10 +39,12 @@ class TestTable2Config:
         assert table2_config().vid_bits == 6
 
     def test_hierarchy_projection(self):
-        h = table2_config().hierarchy_config()
-        assert h.num_cores == 4
-        assert h.l2_size == 32 * 1024 * 1024
-        assert h.vid_bits == 6
+        config = table2_config()
+        h = config.build_hierarchy()
+        assert h.config is config
+        assert len(h.l1s) == 4
+        assert h.llc_slices[0].size == 32 * 1024 * 1024
+        assert h.l1s[0].comparator.bits == 6
 
     def test_cycles_to_seconds(self):
         cfg = table2_config()

@@ -21,7 +21,8 @@ import weakref
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.experiments.engine import run_request
+from repro.experiments.engine import config_digest, run_request
+from repro.experiments.scaling_sweep import scaling_machine
 from repro.workloads.contended import CapacityHogWorkload
 from repro.experiments import (
     BenchmarkRunner,
@@ -194,6 +195,18 @@ class TestCacheKeys:
         two = BenchmarkRunner(scale=0.2, engine=engine)
         assert one.run("ispell", "sequential") \
             is two.run("ispell", "sequential")
+
+    @pytest.mark.parametrize("machine, digest", [
+        (lambda: None, "default"),
+        (MachineConfig, "3cbe259c0c8e"),
+        # The "machine" key of examples/digests/bench-quick-baseline.json.
+        (CapacityHogWorkload.tiny_config, "1692c4367300"),
+        (lambda: scaling_machine("2s8c"), "0ece05c72de0"),
+    ], ids=["none", "table2", "tiny", "2s8c"])
+    def test_config_digest_is_pinned(self, machine, digest):
+        """Cache keys and history refs hash every MachineConfig field: a
+        field added, renamed or re-defaulted moves them all."""
+        assert config_digest(machine()) == digest
 
 
 class TestSystemLabels:
