@@ -141,13 +141,24 @@ def _cmd_all(args) -> int:
           f"jobs {args.jobs}, {os.cpu_count()} cpus)")
     if args.bench_output:
         _record_sweep_timing(pathlib.Path(args.bench_output), args, scale,
-                             wall, runner.engine.spawn_overhead_seconds)
+                             wall, runner)
     return 0
 
 
 def _record_sweep_timing(path: pathlib.Path, args, scale: float,
-                         wall: float, spawn_overhead: float = 0.0) -> None:
-    """Merge this invocation's wall time into the sweep bench file."""
+                         wall: float, runner: BenchmarkRunner) -> None:
+    """Merge this invocation's wall time into the sweep bench file.
+
+    Next to the wall go the executed records' summed wall (``busy``),
+    the longest one, and the makespan bound ``max(busy / workers,
+    longest)``: no schedule of those requests on the effective worker
+    count finishes sooner, so the gap to the wall is start-up, dispatch
+    and idle tails.  Every time is rounded the same way, so the bound
+    never reads above the wall.
+    """
+    walls = [record.wall_seconds for record in runner.records()]
+    busy, longest = sum(walls), max(walls, default=0.0)
+    bound = max(busy / runner.engine.pool_workers(len(walls)), longest)
     data = {}
     if path.exists():
         try:
@@ -159,9 +170,13 @@ def _record_sweep_timing(path: pathlib.Path, args, scale: float,
     mode = "quick" if args.quick else "full"
     section = data.setdefault("runs", {}).setdefault(mode, {})
     section[f"jobs-{args.jobs}"] = {
-        "wall_seconds": round(wall, 2),
+        "wall_seconds": round(wall, 3),
         "scale": scale,
-        "spawn_overhead_seconds": round(spawn_overhead, 3),
+        "spawn_overhead_seconds": round(
+            runner.engine.spawn_overhead_seconds, 3),
+        "busy_seconds": round(busy, 3),
+        "longest_request_seconds": round(longest, 3),
+        "makespan_bound_seconds": round(bound, 3),
     }
     serial = section.get("jobs-1", {}).get("wall_seconds")
     if serial:

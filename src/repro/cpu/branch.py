@@ -134,12 +134,27 @@ def _lcg_lanes(size: int, threshold: int) -> Tuple[int, ...]:
     """For ``size`` LCG steps, 136-bit lanes (room for a 128-bit product
     plus a 64-bit increment) holding, in lane ``k``: the multiplier and
     the increment that take a state ``k + 1`` steps ahead, the low-64-bit
-    mask, and ``2**64 - threshold``."""
+    mask, and ``2**64 - threshold``.
+
+    Built by doubling, in O(log size) big-integer operations.  Lane ``k``
+    holds the map ``s -> A*s + C`` of ``k + 1`` steps, and maps compose
+    as ``A[j+m] = A[m]*A[j]``, ``C[j+m] = A[m]*C[j] + C[m]`` (mod
+    ``2**64``); so a table of ``m`` lanes times ``A[m]``, plus ``C[m]``
+    in every lane, is the next ``m`` lanes.  Each product stays below
+    ``2**129`` and never carries into the next lane.
+    """
     cls = CalibratedPredictor
-    step, mask = cls._LCG_MULT, cls._MASK
-    a, c, lanes = step, cls._LCG_INC, ([], [], [], [])
-    for _ in range(size):
-        for lane, value in zip(lanes, (a, c, mask, mask + 1 - threshold)):
-            lane.append(value.to_bytes(17, "little"))
-        a, c = a * step & mask, (c * step + cls._LCG_INC) & mask
-    return tuple(int.from_bytes(b"".join(lane), "little") for lane in lanes)
+    mask = cls._MASK
+    mult, inc, ones, width = cls._LCG_MULT, cls._LCG_INC, 1, 1
+    step_mult, step_inc = mult, inc  # the map of ``width`` steps
+    while width < size:
+        shift, low = 136 * width, mask * ones
+        mult |= (mult * step_mult & low) << shift
+        inc |= ((inc * step_mult + step_inc * ones) & low) << shift
+        ones |= ones << shift
+        step_mult, step_inc = (step_mult * step_mult & mask,
+                               (step_mult * step_inc + step_inc) & mask)
+        width *= 2
+    keep = (1 << 136 * size) - 1
+    ones &= keep
+    return mult & keep, inc & keep, mask * ones, (mask + 1 - threshold) * ones

@@ -399,9 +399,12 @@ class SweepEngine:
                 seen.add(key)
                 todo.append(request)
         if todo:
-            if self.jobs > 1 and len(todo) > 1:
-                records = self._run_pool(todo)
+            workers = self.pool_workers(len(todo))
+            if workers > 1:
+                records = self._run_pool(todo, workers)
             else:
+                # A one-worker pool is pure overhead; the in-process loop
+                # is the same work in the same order.
                 records = [execute_request(r) for r in todo]
             for request, record in zip(todo, records):
                 self._cache[request.key()] = record
@@ -409,18 +412,24 @@ class SweepEngine:
                     self.observed_pairs.append((request, record))
         return [self._cache[r.key()] for r in requests]
 
-    def _run_pool(self, todo: List[RunRequest]) -> List[RunRecord]:
-        """Fan ``todo`` out to a process pool (order-preserving)."""
-        workers = max(1, min(self.jobs, self.worker_cap))
-        if workers == 1:
-            # A one-worker pool is pure overhead; the in-process loop is
-            # the same work in the same order.
-            return [execute_request(r) for r in todo]
+    def pool_workers(self, count: int) -> int:
+        """Worker processes a batch of ``count`` unique requests runs on:
+        ``jobs``, capped at the CPUs and at one worker per request (1
+        means in-process)."""
+        return max(1, min(self.jobs, self.worker_cap, count))
+
+    def _run_pool(self, todo: List[RunRequest],
+                  workers: int) -> List[RunRecord]:
+        """Fan ``todo`` out to ``workers`` processes (order-preserving)."""
         start = time.perf_counter()
         ctx = _pool_context()
-        # Batched dispatch: each worker pulls a contiguous slice of the
-        # batch instead of one request per IPC round trip.
-        chunksize = max(1, len(todo) // (workers * 2))
+        # One request per task, in request order: a free worker takes the
+        # next request, so the pool runs close to its makespan bound,
+        # max(busy / workers, longest request).  Requests differ up to
+        # 10x in cost, so handing out several at once can leave one
+        # worker with a long tail; a round trip per request costs far
+        # less.  Request order is within 2.5% of the bound on the
+        # ``all`` batches, so there is no cost key (DESIGN.md section 9).
         if ctx.get_start_method() == "fork":
             # Forked workers see the request list through copy-on-write
             # memory; only indices and records cross the pipe.
@@ -430,14 +439,14 @@ class SweepEngine:
                                          mp_context=ctx) as pool:
                     records = list(pool.map(_execute_shared,
                                             range(len(todo)),
-                                            chunksize=chunksize))
+                                            chunksize=1))
             finally:
                 del _SHARED_REQUESTS[:]
         else:
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=ctx) as pool:
                 records = list(pool.map(execute_request, todo,
-                                        chunksize=chunksize))
+                                        chunksize=1))
         wall = time.perf_counter() - start
         self.spawn_overhead_seconds += \
             wall - sum(r.wall_seconds for r in records) / workers

@@ -297,8 +297,12 @@ def main(argv=None) -> int:
         record = engine.run_one(RunRequest(
             workload=f"svc-survivor:{args.survivor}", system="hmtx",
             scale=1.0, machine=machine, observe=True))
+        # Labelled by the survivor's own name, not the path as typed, so
+        # the same survivor gives the same report from every directory
+        # (the run above has already checked the file's schema).
+        name = json.loads(pathlib.Path(args.survivor).read_text())["name"]
         report["survivor_replay"] = {
-            "workload": record.workload,
+            "workload": f"svc-survivor:{name}",
             "preset": multi,
             "cycles": record.cycles,
             "committed": record.committed,

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -70,6 +71,24 @@ class TestCli:
         assert "event counts" in out
         summary = out.split("event counts:", 1)[1]
         assert "load" in summary and "store" in summary
+
+    def test_bench_output_reports_the_makespan_bound(self, tmp_path):
+        """Every ``--bench-output`` entry carries the executed records'
+        busy time, the longest request and the makespan bound, and no
+        run beats its bound."""
+        bench = tmp_path / "bench.json"
+        for jobs in ("1", "2"):
+            assert main(["all", "--quick", "--jobs", jobs,
+                         "--output", str(tmp_path / "report.json"),
+                         "--bench-output", str(bench)]) == 0
+        runs = json.loads(bench.read_text())["runs"]["quick"]
+        assert sorted(runs) == ["jobs-1", "jobs-2"]
+        for run in runs.values():
+            assert 0 < run["longest_request_seconds"] \
+                <= run["makespan_bound_seconds"] <= run["wall_seconds"]
+            assert run["makespan_bound_seconds"] <= run["busy_seconds"]
+        assert runs["jobs-1"]["makespan_bound_seconds"] == \
+            runs["jobs-1"]["busy_seconds"]
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,7 @@
 """Tests for the CPU substrate: predictors, executor, interrupts."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.cpu import (
     Store,
     Work,
 )
+from repro.cpu.branch import _lcg_lanes
 from repro.cpu.isa import BeginMTX, CommitMTX, Output, format_trace
 from repro.errors import MisspeculationError
 from repro.runtime.scheduler import Scheduler
@@ -126,6 +129,44 @@ class TestCalibratedBulkPath:
                       threshold + 2047, threshold + 2048}:
             if 0 <= state < 2**64:
                 assert (state < threshold) == ((state >> 11) / 2**53 < rate)
+
+
+def _stepwise_lanes(size, threshold):
+    """The lane tables built one LCG step at a time: lane ``k`` holds the
+    multiplier and increment of ``k + 1`` steps, the low-64-bit mask and
+    ``2**64 - threshold``, each in 17 bytes."""
+    step, inc, mask = (CalibratedPredictor._LCG_MULT,
+                       CalibratedPredictor._LCG_INC, CalibratedPredictor._MASK)
+    a, c, lanes = step, inc, ([], [], [], [])
+    for _ in range(size):
+        for lane, value in zip(lanes, (a, c, mask, mask + 1 - threshold)):
+            lane.append(value.to_bytes(17, "little"))
+        a, c = a * step & mask, (c * step + inc) & mask
+    return tuple(int.from_bytes(b"".join(lane), "little") for lane in lanes)
+
+
+#: Every table size a fig8 or ``all --quick`` batch builds.
+BATCH_LANE_SIZES = (12, 38, 76, 110, 119, 124, 138, 428, 453, 563, 773, 787,
+                    1066, 3054, 3818)
+LANE_SIZES = sorted(set(range(1, 301)) | set(BATCH_LANE_SIZES)
+                    | {4095, 4096, 4097})
+_RNG = random.Random(1)
+#: 2**64 is rate 1.0's threshold; then every Table 1 rate's and random ones.
+LANE_THRESHOLDS = sorted(
+    {0, 1, 2**63, 2**64}
+    | {CalibratedPredictor(make_benchmark(name, 0.1).mispredict_rate).threshold
+       for name in BENCHMARK_NAMES}
+    | {_RNG.randrange(2**64) for _ in range(4)})
+
+
+@pytest.mark.parametrize("threshold", LANE_THRESHOLDS)
+def test_lane_tables_match_the_stepwise_builder(threshold):
+    """The doubling builder gives the same four lane integers as stepping
+    the LCG once per lane, at every size the batches use, every small
+    size and around powers of two."""
+    for size in LANE_SIZES:
+        assert _lcg_lanes.__wrapped__(size, threshold) == \
+            _stepwise_lanes(size, threshold), size
 
 
 class _WrongPathLog:

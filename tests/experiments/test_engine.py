@@ -76,6 +76,42 @@ class TestDeterminism:
             [r.workload for r in REQUESTS]
         assert engine.spawn_overhead_seconds == 0.0
 
+    def test_pool_starts_no_more_workers_than_requests(self, monkeypatch):
+        """A 4-job engine on two unique requests starts two workers, and
+        on one request (even asked for twice) it starts no pool at all."""
+        import repro.experiments.engine as engine_mod
+        started = []
+
+        class Recording(engine_mod.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", Recording)
+        engine = SweepEngine(jobs=4)
+        engine.worker_cap = 4
+        one = engine.run([REQUESTS[0], REQUESTS[0]])
+        assert started == [] and one[0] is one[1]
+        assert engine.run(REQUESTS[1:3]) == SweepEngine().run(REQUESTS[1:3])
+        assert started == [2]
+
+    def test_skewed_cost_order_merges_in_request_order(self):
+        """One request per dispatch: the cheap requests behind an
+        expensive first one finish first, yet the records come back in
+        request order and equal serial execution."""
+        requests = [RunRequest(workload="130.li", system="hmtx", scale=1.0)]
+        requests += [RunRequest(workload=name, system="sequential",
+                                scale=0.1)
+                     for name in ("ispell", "052.alvinn", "130.li")]
+        serial = SweepEngine(jobs=1).run(requests)
+        engine = SweepEngine(jobs=2)
+        engine.worker_cap = 2
+        fanned = engine.run(requests)
+        assert [(r.workload, r.system, r.scale) for r in fanned] == \
+            [(q.workload, q.system, q.scale) for q in requests]
+        assert [r.to_report() for r in fanned] == \
+            [r.to_report() for r in serial]
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="needs two CPUs for overlapping workers")
     def test_pool_overhead_counts_overlapping_workers(self):
