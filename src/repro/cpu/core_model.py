@@ -92,17 +92,11 @@ class CoreExecutor:
         stats.instructions += (count - 1) + op.work_cycles
         costs = self.costs
         latency = op.work_cycles + count * costs.branch
-        # Fused predictor paths.  The calibrated predictor ignores the pc,
-        # so no calibrated op computes one: a lone branch is one predict()
-        # call, and a burst without wrong-path loads predicts in bulk.
-        # When a gshare op carries no wrong-path loads a mispredict has no
-        # side effects, so predict() is unrolled inline with the table,
-        # history and stat updates batched.  The per-branch state
-        # evolution (and therefore the mispredict stream) is bit-identical
-        # to calling predict() per branch, and wrong-path loads keep their
-        # place right after their branch's mispredict.
-        pcls = predictor.__class__
-        if pcls is CalibratedPredictor:
+        # Fused calibrated paths.  The calibrated predictor ignores the
+        # pc, so no calibrated op computes one: a lone branch is one
+        # predict() call, and a burst without wrong-path loads predicts in
+        # bulk.  Every other op predicts branch by branch below.
+        if predictor.__class__ is CalibratedPredictor:
             if count == 1:
                 if predictor.predict(0, op.taken):
                     stats.mispredicts += 1
@@ -115,33 +109,6 @@ class CoreExecutor:
                 stats.mispredicts += mispredicts
                 return latency + mispredicts * costs.branch_mispredict_penalty
             base_pc = 0
-        elif pcls is GsharePredictor and not op.wrong_path_loads:
-            table = predictor._table
-            history = predictor._history
-            hmask = predictor._history_mask
-            tmask = (1 << predictor.table_bits) - 1
-            taken = op.taken
-            tbit = 1 if taken else 0
-            base_pc = self.pc(tid)
-            mispredicts = 0
-            penalty = costs.branch_mispredict_penalty
-            for n in range(count):
-                index = (((base_pc + 4 * n) >> 2) ^ history) & tmask
-                counter = table[index]
-                if (counter >= 2) != taken:
-                    mispredicts += 1
-                if taken:
-                    if counter < 3:
-                        table[index] = counter + 1
-                elif counter > 0:
-                    table[index] = counter - 1
-                history = ((history << 1) | tbit) & hmask
-            predictor._history = history
-            pstats = predictor.stats
-            pstats.predictions += count
-            pstats.mispredictions += mispredicts
-            stats.mispredicts += mispredicts
-            return latency + mispredicts * penalty
         else:
             base_pc = self.pc(tid)
         for n in range(count):

@@ -4,11 +4,11 @@ Unlike every other driver in this package — which reports *simulated*
 metrics (cycles, speedups, set sizes) — this one measures the simulator
 itself: how many wall-clock seconds the Figure 8 suite and the contended
 workloads take to run, and the resulting simulated-ops-per-second and
-memory-accesses-per-second throughput.  It exists to keep the fast-path
-layer (DESIGN.md, "Fast-path indexing") honest: the layer is worthless if
-it stops being fast, and dangerous if anyone "optimises" it into changed
-behaviour — the golden equivalence suite guards the latter, this harness
-the former.
+memory-accesses-per-second throughput.  It times exactly the requests the
+figure drivers run (each benchmark on its calibrated branch-mix executor)
+and feeds two things perfbench does not: CI's ops/sec floor against the
+committed ``BENCH_hotpath.json``, and, with ``--history``, the obs digest
+store that ``obs diff`` compares.
 
 Usage::
 
@@ -33,13 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..workloads.contended import CapacityHogWorkload
 from ..workloads.suite import BENCHMARK_NAMES
-from .engine import RunRecord, RunRequest, SweepEngine, SweepSpec
-
-#: Pre-PR baseline: wall-clock seconds for the full-scale Figure 8 suite
-#: under the seed (pre-fast-path) simulator, measured on the machine that
-#: produced the committed ``BENCH_hotpath.json`` (best of 3).  The fast-path
-#: acceptance bar is >= 3x against this number.
-PRE_FASTPATH_FIG8_WALL_SECONDS = 3.65
+from .engine import RunRequest, SweepEngine, SweepSpec
 
 #: Default output/baseline file, at the repository root when run from there.
 DEFAULT_OUTPUT = "BENCH_hotpath.json"
@@ -52,25 +46,22 @@ _QUICK_SCALE = 0.25
 
 
 def bench_spec(quick: bool) -> SweepSpec:
-    """(group-tagged) requests; group 'fig8' feeds the speedup gate.
+    """The Figure 8 suite on HMTX plus the two contended workloads.
 
-    ``calibrated=False`` preserves the harness's historical timing basis
-    (no calibrated branch-mix executor); the contended workloads always
-    run at full size so their numbers stay mode-comparable.
+    The contended workloads always run at full size so their numbers
+    stay mode-comparable.
     """
     scale = _QUICK_SCALE if quick else 1.0
     requests: List[RunRequest] = [
-        RunRequest(workload=name, system="hmtx", scale=scale,
-                   calibrated=False)
+        RunRequest(workload=name, system="hmtx", scale=scale)
         for name in BENCHMARK_NAMES
     ]
     requests.append(RunRequest(
         workload="contended-list", system="hmtx", paradigm="PS-DSWP",
-        policy="backoff", calibrated=False))
+        policy="backoff"))
     requests.append(RunRequest(
         workload="capacity-hog", system="hmtx", paradigm="PS-DSWP",
-        policy="capacity-aware", machine=CapacityHogWorkload.tiny_config(),
-        calibrated=False))
+        policy="capacity-aware", machine=CapacityHogWorkload.tiny_config()))
     return SweepSpec("bench", tuple(requests))
 
 
@@ -79,25 +70,19 @@ def _group_of(request: RunRequest) -> str:
                                                "capacity-hog") else "fig8"
 
 
-def _best_of(engine: SweepEngine, request: RunRequest,
-             repeat: int) -> Tuple[float, RunRecord]:
-    """Best-of-``repeat`` wall time; the record of the first run.
+def run_bench(quick: bool = False, repeat: int = 1) -> Dict:
+    """Run the suite and return one mode section of the report.
 
-    Repeats are distinct requests (the ``repeat`` tag busts the engine
-    cache) so each one is a fresh simulation with its own wall clock.
+    The batch runs once in each of ``repeat`` fresh in-process engines
+    (an engine caches by request, so a second pass in the same one would
+    time nothing); each request keeps its least wall time.
     """
-    tagged = [replace(request, repeat=k) for k in range(max(1, repeat))]
-    records = engine.run(tagged)
-    return min(r.wall_seconds for r in records), records[0]
-
-
-def run_bench(quick: bool = False, repeat: int = 1,
-              jobs: int = 1, engine: Optional[SweepEngine] = None) -> Dict:
-    """Run the suite and return one mode section of the report."""
-    engine = engine or SweepEngine(jobs=jobs)
+    requests = bench_spec(quick).requests
+    passes = [SweepEngine().run(requests) for _ in range(max(1, repeat))]
     workloads: Dict[str, Dict] = {}
-    for request in bench_spec(quick).requests:
-        wall, record = _best_of(engine, request, repeat)
+    for request, records in zip(requests, zip(*passes)):
+        wall = min(r.wall_seconds for r in records)
+        record = records[0]
         ops = record.ops_executed
         accesses = record.l1_accesses
         workloads[request.workload] = {
@@ -116,7 +101,7 @@ def run_bench(quick: bool = False, repeat: int = 1,
     ops = _total("ops_executed")
     accesses = _total("accesses")
     fig8_wall = _total("wall_seconds", "fig8")
-    section = {
+    return {
         "mode": "quick" if quick else "full",
         "scale": _QUICK_SCALE if quick else 1.0,
         "repeat": repeat,
@@ -132,11 +117,6 @@ def run_bench(quick: bool = False, repeat: int = 1,
                                       / fig8_wall) if fig8_wall > 0 else None,
         },
     }
-    if not quick:
-        section["fig8_speedup_vs_baseline"] = round(
-            PRE_FASTPATH_FIG8_WALL_SECONDS / fig8_wall, 2) \
-            if fig8_wall > 0 else None
-    return section
 
 
 def check_regression(section: Dict, baseline_path: pathlib.Path,
@@ -175,12 +155,6 @@ def write_report(section: Dict, output: pathlib.Path) -> Dict:
             data = {}
     data.setdefault("schema", "hmtx-hotpath-bench/1")
     data["python"] = platform.python_version()
-    data["baseline"] = {
-        "fig8_wall_seconds": PRE_FASTPATH_FIG8_WALL_SECONDS,
-        "description": "full-scale Figure 8 suite under the pre-fast-path "
-                       "seed simulator, same machine as the committed "
-                       "full-mode numbers (best of 3)",
-    }
     data.setdefault("runs", {})[section["mode"]] = section
     output.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
@@ -200,13 +174,7 @@ def format_bench(section: Dict) -> str:
     lines.append(
         f"{'TOTAL':<16} {totals['wall_seconds']:>8.3f} {'':>13} "
         f"{totals['ops_per_sec']:>12,} {totals['accesses_per_sec']:>12,}")
-    lines.append(
-        f"fig8 suite wall: {totals['fig8_wall_seconds']:.3f}s "
-        f"(pre-fast-path baseline "
-        f"{PRE_FASTPATH_FIG8_WALL_SECONDS:.2f}s)")
-    speedup = section.get("fig8_speedup_vs_baseline")
-    if speedup is not None:
-        lines.append(f"fig8 speedup vs baseline: {speedup:.2f}x")
+    lines.append(f"fig8 suite wall: {totals['fig8_wall_seconds']:.3f}s")
     return "\n".join(lines)
 
 
@@ -218,11 +186,8 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help=f"reduced scale ({_QUICK_SCALE}) for CI smoke")
     parser.add_argument("--repeat", type=int, default=1,
-                        help="best-of-N wall-clock per workload (default 1)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="sweep-engine worker processes (default 1; "
-                             "parallel workers contend for CPU, so keep 1 "
-                             "when the wall numbers matter)")
+                        help="best-of-N wall-clock per workload, one fresh "
+                             "engine per pass (default 1)")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help=f"report file (default {DEFAULT_OUTPUT})")
     parser.add_argument("--baseline", default=None,
@@ -240,41 +205,17 @@ def main(argv=None) -> int:
                              "append the obs digests to the cross-run "
                              "history store (default dir .obs-history "
                              "when no DIR given)")
-    parser.add_argument("--profile", action="store_true",
-                        help="print a snoop/scrub/lazy-fold/scheduler phase "
-                             "breakdown of wall time; the (wrapper-inflated) "
-                             "measurements are NOT written to the report")
     args = parser.parse_args(argv)
 
-    if args.profile:
-        from .phase_profile import PhaseProfiler, format_profile  # lint-ok: RL005 (profiling-only stack, loaded on --profile alone)
-        from ..obs.tap import Tap  # lint-ok: RL005 (profiling-only stack, loaded on --profile alone)
-        # The tap lives in this process only, so the run must be serial;
-        # a single pass keeps the phase totals and the wall denominator
-        # describing the same runs (best-of-N would not).
-        profiler = PhaseProfiler()
-        try:
-            with Tap(profiler).activate():
-                section = run_bench(quick=args.quick, repeat=1, jobs=1)
-        finally:
-            profiler.detach()
-        print(format_bench(section))
-        print()
-        print(format_profile(
-            profiler.report(section["totals"]["wall_seconds"])))
-        print("(profiled walls are wrapper-inflated; report not written)")
-        return 0
-
-    engine = SweepEngine(jobs=args.jobs)
-    section = run_bench(quick=args.quick, repeat=args.repeat,
-                        jobs=args.jobs, engine=engine)
+    section = run_bench(quick=args.quick, repeat=args.repeat)
     history_note = None
     if args.history is not None:
-        # Observed runs happen *after* every timed one, so attaching the
-        # profiler cannot perturb the wall numbers above.
+        # Observed runs happen *after* every timed one, so attaching an
+        # obs session cannot perturb the wall numbers above.
         from ..obs.history import DEFAULT_ROOT, HistoryStore  # lint-ok: RL005 (history is opt-in; keeps the obs store off the timing path)
         observed = [replace(r, observe=True)
                     for r in bench_spec(args.quick).requests]
+        engine = SweepEngine()
         engine.run(observed)
         store = HistoryStore(args.history or DEFAULT_ROOT)
         appended = store.append_runs(engine.observed_pairs, source="bench")

@@ -87,13 +87,6 @@ class RunRequest:
     #: txctl retry-policy name (``repro.txctl.POLICIES``); None = default.
     policy: Optional[str] = None
     machine: Optional[MachineConfig] = None
-    #: Use the benchmark's calibrated branch-mix executor (drivers do;
-    #: the wall-clock bench harness historically does not).
-    calibrated: bool = True
-    #: Identity tag: requests differing only in ``repeat`` are distinct
-    #: cache entries.  The bench harness uses this for best-of-N timing
-    #: (a cached record would report the first run's wall time forever).
-    repeat: int = 0
     #: Run with an :mod:`repro.obs` session attached; the record then
     #: carries the cycle-attribution digest.  Distinct cache entry from
     #: the unobserved run even though the simulation is identical.
@@ -103,11 +96,16 @@ class RunRequest:
     #: how e.g. an svc seed reaches the factory through the workload table.
     options: Tuple[Tuple[str, Any], ...] = ()
 
+    # Not a field: every request runs the workload's calibrated executor.
+    # Its one reader is perfbench's traced pass (``perfbench/tracer.py:179``);
+    # it goes when that tracer is rebuilt (ROADMAP item 2).
+    calibrated = True
+
     def key(self) -> Tuple:
         """Cache/dedupe key; hashes the (mutable) machine config."""
         return (self.workload, self.system, self.scale, self.paradigm,
-                self.policy, self.calibrated, self.repeat, self.observe,
-                self.options, config_digest(self.machine))
+                self.policy, self.observe, self.options,
+                config_digest(self.machine))
 
 
 @dataclass(frozen=True)
@@ -225,12 +223,11 @@ def run_request(request: RunRequest) -> Tuple[Workload, ParadigmResult]:
         raise ValueError(f"unknown system {request.system!r}; "
                          f"choose from {tuple(SYSTEMS)}")
     workload = build_workload(request)
-    executor_factory = executor_factory_for(workload) \
-        if request.calibrated else None
     manager = ContentionManager(policy=make_policy(request.policy)) \
         if request.policy else None
     result = run(workload, request.machine, paradigm=request.paradigm,
-                 manager=manager, executor_factory=executor_factory)
+                 manager=manager,
+                 executor_factory=executor_factory_for(workload))
     return workload, result
 
 

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.config import MachineConfig
 from ..obs.profile import load_digest
 from ..topology import topology_preset
+from ..workloads.suite import SURVIVOR_PREFIX, workload_label
 from .engine import RunRecord, RunRequest, SweepEngine, SweepSpec
 from .reporting import format_table
 
@@ -283,6 +284,12 @@ def main(argv=None) -> int:
     systems = tuple(args.systems.split(",")) if args.systems \
         else SCALING_SYSTEMS
 
+    # A survivor replay is labelled by the survivor's own name, not the
+    # path as typed, so the same survivor gives the same report from
+    # every directory; reading the label validates the file up front.
+    survivor = SURVIVOR_PREFIX + args.survivor if args.survivor else None
+    label = workload_label(survivor) if survivor else None
+
     engine = SweepEngine(jobs=args.jobs)
     start = time.perf_counter()  # lint-ok: RL008 (terminal progress line only; never enters the report)
     result = run_scaling(scale=scale, presets=presets, systems=systems,
@@ -290,19 +297,15 @@ def main(argv=None) -> int:
                          jobs=args.jobs, engine=engine)
     report = scaling_report(result)
 
-    if args.survivor:
+    if survivor:
         multi = next((p for p in presets if not topology_preset(p).flat),
                      presets[-1])
         machine = scaling_machine(multi, args.placement)
         record = engine.run_one(RunRequest(
-            workload=f"svc-survivor:{args.survivor}", system="hmtx",
-            scale=1.0, machine=machine, observe=True))
-        # Labelled by the survivor's own name, not the path as typed, so
-        # the same survivor gives the same report from every directory
-        # (the run above has already checked the file's schema).
-        name = json.loads(pathlib.Path(args.survivor).read_text())["name"]
+            workload=survivor, system="hmtx", scale=1.0, machine=machine,
+            observe=True))
         report["survivor_replay"] = {
-            "workload": f"svc-survivor:{name}",
+            "workload": label,
             "preset": multi,
             "cycles": record.cycles,
             "committed": record.committed,

@@ -43,6 +43,8 @@ import re
 import subprocess
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..workloads.suite import workload_label
+
 HISTORY_SCHEMA = "hmtx-obs-history/1"
 BUNDLE_SCHEMA = "hmtx-obs-digests/1"
 DEFAULT_ROOT = ".obs-history"
@@ -89,7 +91,7 @@ def run_entry(request, record, generation: int, seq: int,
         "seq": seq,
         "source": source,
         "git": git,
-        "workload": request.workload,
+        "workload": workload_label(request.workload),
         "system": request.system,
         "scale": request.scale,
         "paradigm": request.paradigm,

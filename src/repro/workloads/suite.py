@@ -112,6 +112,26 @@ EXTRA_WORKLOADS: Dict[str, Tuple[str, str]] = {
 SURVIVOR_PREFIX = "svc-survivor:"
 
 
+def _adversary():
+    from ..svc import adversary  # lint-ok: RL005 (survivor replay only; keeps the svc subsystem out of suite imports)
+    return adversary
+
+
+def workload_label(name: str) -> str:
+    """``name`` as reports and the history store key it.
+
+    A survivor replay is labelled by the name recorded in its file
+    (``svc-survivor:<name>``, read through the validated
+    :func:`~repro.svc.adversary.load_survivor`), so one survivor keys
+    alike whatever path spelling reached it; other names are returned as
+    given.
+    """
+    if not name.startswith(SURVIVOR_PREFIX):
+        return name
+    path = name[len(SURVIVOR_PREFIX):]
+    return SURVIVOR_PREFIX + _adversary().load_survivor(path)["name"]
+
+
 def workload_names() -> Tuple[str, ...]:
     """Every workload name (sorted; survivors excluded)."""
     return tuple(sorted(BENCHMARKS.keys() | EXTRA_WORKLOADS.keys()))
@@ -124,8 +144,8 @@ def make_workload(name: str, scale: float = 1.0, **options) -> Workload:
     svc family); factories that take none reject extras loudly.
     """
     if name.startswith(SURVIVOR_PREFIX):
-        from ..svc.adversary import survivor_workload  # lint-ok: RL005 (survivor replay only; keeps the svc subsystem out of suite imports)
-        return survivor_workload(name[len(SURVIVOR_PREFIX):], **options)
+        return _adversary().survivor_workload(name[len(SURVIVOR_PREFIX):],
+                                              **options)
     if name in BENCHMARKS:
         model, iterations = BENCHMARKS[name]
         return model(iterations=_scaled(iterations, scale), **options)

@@ -445,8 +445,7 @@ class TestOneTap:
                 setattr(obj, name, functools.wraps(wrapper)(wrapper))
             """
         assert lint(source, rel="repro/obs/tap.py") == []
-        for rel in ("repro/experiments/phase_profile.py",
-                    "repro/obs/trace.py"):
+        for rel in ("repro/obs/session.py", "repro/obs/trace.py"):
             assert rules_of(lint(source, rel=rel)) == ["RL010", "RL010"]
 
     def test_lint_ok_with_reason_suppresses(self):

@@ -6,13 +6,17 @@ suite once to pin the section schema the CI job depends on.
 """
 
 import json
+from dataclasses import replace
 
+from repro.experiments import bench, engine
 from repro.experiments.bench import (
     check_regression,
     format_bench,
     run_bench,
     write_report,
 )
+from repro.experiments.engine import RunRequest, SweepSpec
+from repro.workloads.suite import BENCHMARK_NAMES
 
 
 def section(mode="quick", rate=1000):
@@ -84,46 +88,27 @@ class TestQuickModeEndToEnd:
         assert "hot-path bench" in format_bench(run)
 
 
-class TestPhaseProfiler:
-    def test_breakdown_covers_one_real_run(self):
-        from repro.experiments.engine import RunRequest, execute_request
-        from repro.experiments.phase_profile import (
-            PHASES,
-            PhaseProfiler,
-            format_profile,
-        )
-        from repro.coherence.hierarchy import MemoryHierarchy
-        from repro.obs.tap import Tap
-        from repro.runtime.scheduler import Scheduler
-        originals = (Scheduler.run, MemoryHierarchy._access)
-        profiler = PhaseProfiler()
-        with Tap(profiler).activate():
-            record = execute_request(
-                RunRequest(workload="ispell", system="hmtx", scale=0.2,
-                           calibrated=False))
-        profiler.detach()
-        # The profiler wraps instances through the tap, never classes.
-        assert (Scheduler.run, MemoryHierarchy._access) == originals
-        report = profiler.report(record.wall_seconds)
-        assert set(report["phases"]) == set(PHASES) | {"other"}
-        # Every run spends time in the scheduler and the protocol hit
-        # path; exclusive shares must sum to ~1 with "other" absorbing
-        # the remainder.
-        assert report["phases"]["scheduler"]["seconds"] > 0
-        assert report["phases"]["access"]["calls"] > 0
-        assert abs(sum(row["share"]
-                       for row in report["phases"].values()) - 1.0) < 0.01
-        assert "phase breakdown" in format_profile(report)
+class TestBestOf:
+    def test_repeat_runs_every_request_in_each_pass(self, monkeypatch):
+        """``repeat=2`` executes every request twice, once per fresh
+        engine, and reports each request's least wall time."""
+        calls = []
+        walls = iter([5.0, 3.0, 4.0, 1.0, 2.0, 6.0])
+        real = engine.execute_request
 
-    def test_profiled_run_is_behavior_identical(self):
-        from repro.experiments.engine import RunRequest, execute_request
-        from repro.experiments.phase_profile import PhaseProfiler
-        from repro.obs.tap import Tap
-        request = RunRequest(workload="ispell", system="hmtx", scale=0.2,
-                             calibrated=False)
-        plain = execute_request(request)
-        profiler = PhaseProfiler()
-        with Tap(profiler).activate():
-            profiled = execute_request(request)
-        profiler.detach()
-        assert plain == profiled  # wall time excluded from equality
+        def timed(request):
+            calls.append(request)
+            return replace(real(request), wall_seconds=next(walls))
+
+        spec = SweepSpec("bench", tuple(
+            RunRequest(workload=name, system="hmtx", scale=0.1)
+            for name in BENCHMARK_NAMES[:3]))
+        monkeypatch.setattr(engine, "execute_request", timed)
+        monkeypatch.setattr(bench, "bench_spec", lambda quick: spec)
+        run = run_bench(quick=True, repeat=2)
+        assert calls == list(spec.requests) * 2
+        assert run["repeat"] == 2
+        # Passes time (5, 3, 4) then (1, 2, 6).
+        assert [w["wall_seconds"] for w in run["workloads"].values()] \
+            == [1.0, 2.0, 4.0]
+        assert run["totals"]["wall_seconds"] == 7.0

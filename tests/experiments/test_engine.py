@@ -21,8 +21,14 @@ import weakref
 import pytest
 
 from repro.core.config import MachineConfig
-from repro.experiments.engine import config_digest, run_request
+from repro.experiments.engine import (
+    SYSTEMS,
+    config_digest,
+    run_request,
+    snapshot,
+)
 from repro.experiments.scaling_sweep import scaling_machine
+from repro.workloads import executor_factory_for, make_workload
 from repro.workloads.contended import CapacityHogWorkload
 from repro.experiments import (
     BenchmarkRunner,
@@ -182,12 +188,11 @@ class TestCaching:
         records = engine.run_spec(spec)
         assert engine.run_one(REQUESTS[0]) is records[0]
 
-    def test_repeat_tag_is_a_distinct_key(self):
-        """bench's best-of-N timing needs re-execution, not a cache hit."""
-        from dataclasses import replace
-        engine = SweepEngine()
-        base = engine.run_one(REQUESTS[0])
-        again = engine.run_one(replace(REQUESTS[0], repeat=1))
+    def test_fresh_engine_re_executes(self):
+        """bench's best-of-N timing re-runs each request in a fresh
+        engine: the cache is per engine, so the run is not a hit."""
+        base = SweepEngine().run_one(REQUESTS[0])
+        again = SweepEngine().run_one(REQUESTS[0])
         assert base is not again
         assert base == again  # same simulation either way
 
@@ -243,6 +248,32 @@ class TestCacheKeys:
         """Cache keys and history refs hash every MachineConfig field: a
         field added, renamed or re-defaulted moves them all."""
         assert config_digest(machine()) == digest
+
+
+class TestExecutor:
+    def test_suite_benchmark_runs_its_calibrated_executor(self):
+        """Every request runs the workload's calibrated executor, the
+        one the figure drivers use."""
+        request = RunRequest(workload="ispell", system="hmtx", scale=0.2)
+        workload, result = run_request(request)
+        explicit = make_workload("ispell", 0.2)
+        assert executor_factory_for(explicit) is not None
+        direct = SYSTEMS["hmtx"](
+            explicit, None, paradigm=None, manager=None,
+            executor_factory=executor_factory_for(explicit))
+        assert snapshot(request, workload, result, 0.0) \
+            == snapshot(request, explicit, direct, 0.0)
+        gshare = SYSTEMS["hmtx"](make_workload("ispell", 0.2), None,
+                                 paradigm=None, manager=None,
+                                 executor_factory=None)
+        assert gshare.extra["exec_stats"].mispredict_rate \
+            != result.extra["exec_stats"].mispredict_rate
+
+    def test_calibrated_is_not_a_request_field(self):
+        with pytest.raises(TypeError):
+            RunRequest(workload="ispell", calibrated=False)
+        with pytest.raises(TypeError):
+            RunRequest(workload="ispell", repeat=1)
 
 
 class TestSystemLabels:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.experiments import scaling_sweep
 from repro.experiments.engine import SweepEngine
 from repro.experiments.scaling_sweep import (
     SCALING_PRESETS,
@@ -16,8 +18,13 @@ from repro.experiments.scaling_sweep import (
     scaling_machine,
     scaling_report,
     scaling_spec,
+    main,
 )
 from repro.topology import TopologySpec, topology_preset
+from repro.workloads.suite import SURVIVOR_PREFIX, workload_label
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+SURVIVOR = "tests/svc/survivors/svc-adv-s42-01.json"
 
 QUICK = ("table2", "2s8c")
 WORKLOADS = ("svc-kv",)
@@ -99,3 +106,41 @@ class TestDeterminism:
         a = json.dumps(scaling_report(result), sort_keys=True)
         b = json.dumps(scaling_report(again), sort_keys=True)
         assert a == b
+
+
+class TestSurvivorReplay:
+    """``--survivor`` keys its replay by the survivor's own name."""
+
+    def _main(self, tmp_path, survivor, history):
+        return main(["--presets", "2s8c", "--workloads", "svc-kv",
+                     "--systems", "hmtx", "--scale", "0.1",
+                     "--survivor", str(survivor), "--history",
+                     str(history), "--output",
+                     str(tmp_path / "scaling.json")])
+
+    def test_history_key_ignores_the_path_spelling(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(ROOT)
+        for survivor in (ROOT / SURVIVOR, SURVIVOR):
+            assert self._main(tmp_path, survivor, tmp_path / "hist") == 0
+        runs = [json.loads(line) for line in
+                (tmp_path / "hist" / "runs.jsonl").read_text().splitlines()]
+        name = json.loads((ROOT / SURVIVOR).read_text())["name"]
+        survivors = [run["workload"] for run in runs
+                     if run["workload"].startswith(SURVIVOR_PREFIX)]
+        assert survivors == [SURVIVOR_PREFIX + name] * 2
+        report = json.loads((tmp_path / "scaling.json").read_text())
+        assert report["survivor_replay"]["workload"] == survivors[0]
+
+    def test_wrong_schema_fails_with_the_schema_error(self, tmp_path,
+                                                       monkeypatch):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps({"schema": "not-a-survivor/1"}))
+        assert workload_label("svc-kv") == "svc-kv"
+        with pytest.raises(ValueError, match="not a .* document"):
+            workload_label(SURVIVOR_PREFIX + str(bogus))
+        # The file is read before the sweep, not after it.
+        monkeypatch.setattr(scaling_sweep, "run_scaling",
+                            lambda **kwargs: pytest.fail("swept first"))
+        with pytest.raises(ValueError, match="not a .* document"):
+            self._main(tmp_path, bogus, tmp_path / "hist")

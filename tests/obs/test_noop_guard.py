@@ -10,8 +10,8 @@ Three guarantees, in increasing strength:
    an observed run is bit-identical to a run that never saw one.
 3. Observation itself is behaviour-free: the snapshot of an *observed*
    run equals the snapshot of an unobserved run, counter for counter —
-   for every tap subscriber (the obs session, the race-check ring, the
-   protocol tracer and the wall-time phase profiler).
+   for every tap subscriber (the obs session, the race-check ring and
+   the protocol tracer).
 
 Observed runs also take the scheduler's one step path: the session is
 the scheduler's per-step observer, and nothing wraps the executor.
@@ -27,7 +27,6 @@ import pytest
 from repro.core import HMTXSystem, MachineConfig
 from repro.cpu.isa import AbortMTX, BeginMTX, Load, Work
 from repro.errors import MisspeculationError
-from repro.experiments.phase_profile import PhaseProfiler
 from repro.obs import hooks, tap
 from repro.obs.session import ObsSession
 from repro.obs.tap import Tap
@@ -87,12 +86,15 @@ class TestNoResidue:
 
         system = HMTXSystem(MachineConfig(num_cores=2))
         system.thread(0, core=0)
-        subscribers = [Loads(), PhaseProfiler()]
-        tap.subscribe(system, subscribers[0])
-        subscribers[1].attach_system(system)
+        # The tracer reads thread contexts through a proxy, so only the
+        # tap's own references could keep the system alive.
+        subscribers = [Loads(), BackendTracer(weakref.proxy(system))]
+        for subscriber in subscribers:
+            tap.subscribe(system, subscriber)
         system.store(0, 0x40, 1)
         assert system.load(0, 0x40)[0] == 1
         assert Loads.count == 1
+        assert [e.kind for e in subscribers[1].events] == ["store", "load"]
         gc.disable()
         try:
             refs = [weakref.ref(system), weakref.ref(system.hierarchy),
@@ -255,9 +257,6 @@ SUBSCRIBERS = {
     "obs-session": (ObsSession, lambda session: session.samples),
     "trace-ring": (BackendTracer, lambda ring: ring.events),
     "protocol-tracer": (ProtocolTracer, lambda tracer: tracer.events),
-    # Every timed call, aborted ones included, has left the phase stack.
-    "phase-profiler": (PhaseProfiler, lambda profiler:
-                       profiler.calls["access"] and not profiler._stack),
 }
 
 
