@@ -84,7 +84,7 @@ COUNTEREXAMPLE_SCHEMA = "hmtx-modelcheck-counterex/1"
 #: built from strictly increasing write VIDs, so length 3 plus the
 #: non-speculative backup already exercises every structural case
 #: (below-all, between-any-two, above-all request VIDs).
-DEFAULT_MAX_CHAIN = 3
+MAX_CHAIN = 3
 
 #: The rule functions of :mod:`repro.coherence.protocol` the checker
 #: binds; a ``protocol=`` namespace must provide all of them.
@@ -220,7 +220,6 @@ def _speculative(code: int) -> bool:
 
 
 def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
-                   max_chain: int = DEFAULT_MAX_CHAIN,
                    protocol=None) -> PassReport:
     """Run every invariant over the full ``vid_bits`` decision space.
 
@@ -416,7 +415,7 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
     chains = 0
     chain_points = 0
     so, sm = State.SO.code, State.SM.code
-    for k in range(1, max_chain + 1):
+    for k in range(1, MAX_CHAIN + 1):
         for bases in combinations(range(1, max_vid + 1), k):
             chains += 1
             versions: List[Tuple[int, int, int]] = [(so, 0, bases[0])]
@@ -467,12 +466,13 @@ def check_protocol(vid_bits: int = DEFAULT_VID_BITS,
 
 #: Deterministic op script for :func:`check_topology_structure` — enough
 #: load/store/commit/abort/reset churn to populate every slice, force L1
-#: victims into home slices, and exercise the lazy sharer map.
+#: victims into home slices, and exercise the lazy sharer map: each VID
+#: round drives ``_STRUCTURE_LINES`` consecutive lines.
 _STRUCTURE_VIDS = (1, 2, 3)
+_STRUCTURE_LINES = 48
 
 
-def check_topology_structure(hierarchy_factory=None,
-                             lines: int = 48) -> PassReport:
+def check_topology_structure(hierarchy_factory=None) -> PassReport:
     """Hold the sliced-LLC structural invariants on a 2-socket machine.
 
     The pure-function checker above cannot see *placement* bugs — a
@@ -555,7 +555,7 @@ def check_topology_structure(hierarchy_factory=None,
                       "assertion": message, "step": steps})
             return False
 
-    addrs = [i * line_size for i in range(lines)]
+    addrs = [i * line_size for i in range(_STRUCTURE_LINES)]
     now = 0
     aborted_run = False
     for round_index, vid in enumerate(_STRUCTURE_VIDS):
@@ -591,7 +591,7 @@ def check_topology_structure(hierarchy_factory=None,
     report.coverage = {
         "sockets": getattr(hierarchy.config.topology, "sockets", 1),
         "cores": num_cores,
-        "lines_driven": lines,
+        "lines_driven": _STRUCTURE_LINES,
         "ops_executed": steps,
         "invariant_checks": checks,
         "violations": out.violations,

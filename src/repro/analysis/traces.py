@@ -19,7 +19,7 @@ from ..coherence.memory import DEFAULT_WORD_SIZE
 from ..obs.tap import Tap
 from ..runtime.paradigms import run_workload
 from ..obs.trace import BackendTracer
-from ..workloads import executor_factory_for, make_benchmark
+from ..workloads import executor_factory_for, make_workload
 from ..workloads.suite import BENCHMARK_NAMES
 from .findings import SEVERITY_ERROR, Finding, PassReport
 from .racecheck import check_trace
@@ -36,13 +36,6 @@ def default_workloads() -> Tuple[str, ...]:
     return tuple(BENCHMARK_NAMES) + EXTRA_WORKLOADS
 
 
-def _build_workload(name: str, scale: float):
-    if name in BENCHMARK_NAMES:
-        return make_benchmark(name, scale)
-    from ..workloads import make_workload  # lint-ok: RL005 (only needed for non-suite workload names, e.g. svc survivors; keeps optional subsystems out of the analyze fast path)
-    return make_workload(name, scale)
-
-
 def capture_trace(backend: str, workload_name: str,
                   scale: float = QUICK_SCALE):
     """Run one workload on one backend with a tracer attached.
@@ -50,7 +43,7 @@ def capture_trace(backend: str, workload_name: str,
     Returns ``(tracer, result, workload)``; the tracer is already
     detached.
     """
-    workload = _build_workload(workload_name, scale)
+    workload = make_workload(workload_name, scale)
     tracer = BackendTracer()
     with Tap(tracer).activate():
         result = run_workload(workload, backend=backend,

@@ -17,7 +17,7 @@ is that **all cross-statement dataflow goes through simulated memory**:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..cpu.isa import Branch, Load, Store, Work
 from ..workloads.base import Fragment, Workload
@@ -161,8 +161,6 @@ class CompiledWorkload(Workload):
         return digest
 
 
-def compile_loop(loop: Loop, speculation_threshold: float = 0.1,
-                 plan: Optional[PipelinePlan] = None) -> CompiledWorkload:
+def compile_loop(loop: Loop) -> CompiledWorkload:
     """The compiler's front door: loop IR in, runnable pipeline out."""
-    plan = plan or plan_pipeline(loop, speculation_threshold)
-    return CompiledWorkload(loop, plan)
+    return CompiledWorkload(loop, plan_pipeline(loop))

@@ -116,8 +116,7 @@ class MachineConfig:
         return self.topology.socket_of_core(core)
 
     @classmethod
-    def for_topology(cls, preset_or_spec, coherence: str = "directory",
-                     **overrides) -> "MachineConfig":
+    def for_topology(cls, preset_or_spec, **overrides) -> "MachineConfig":
         """Machine for a topology preset name (or spec).
 
         Multi-socket machines default to directory coherence — the
@@ -128,7 +127,7 @@ class MachineConfig:
                 if isinstance(preset_or_spec, str) else preset_or_spec)
         overrides.setdefault("num_cores", spec.num_cores)
         overrides.setdefault("coherence",
-                             "snoopy" if spec.flat else coherence)
+                             "snoopy" if spec.flat else "directory")
         return cls(topology=None if spec.flat else spec, **overrides)
 
 
@@ -137,13 +136,12 @@ def table2_config() -> MachineConfig:
     return MachineConfig()
 
 
-def small_test_config(num_cores: int = 2, l1_size: int = 4 * 1024,
-                      l2_size: int = 64 * 1024) -> MachineConfig:
+def small_test_config() -> MachineConfig:
     """A deliberately tiny machine for overflow/eviction unit tests."""
     return MachineConfig(
-        num_cores=num_cores,
-        l1_size=l1_size,
+        num_cores=2,
+        l1_size=4 * 1024,
         l1_assoc=2,
-        l2_size=l2_size,
+        l2_size=64 * 1024,
         l2_assoc=4,
     )

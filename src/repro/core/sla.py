@@ -41,15 +41,12 @@ class SlaTracker:
     line_size: int = 64
     #: line address -> highest VID a wrong-path load *would have* marked.
     _ghosts: Dict[int, int] = field(default_factory=dict)
-    wrong_path_loads: int = 0
-    avoided_aborts: int = 0
 
     def _line(self, addr: int) -> int:
         return addr - (addr % self.line_size)
 
     def record_wrong_path(self, addr: int, vid: int, would_mark: bool) -> None:
         """Log a squashed speculative load that SLAs kept from marking."""
-        self.wrong_path_loads += 1
         if not would_mark or vid <= 0:
             return
         line = self._line(addr)
@@ -67,7 +64,6 @@ class SlaTracker:
         line = self._line(addr)
         ghost_vid = self._ghosts.get(line)
         if ghost_vid is not None and vid < ghost_vid:
-            self.avoided_aborts += 1
             del self._ghosts[line]
             return True
         return False

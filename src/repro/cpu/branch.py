@@ -49,16 +49,17 @@ class BranchPredictor:
 class GsharePredictor(BranchPredictor):
     """Classic gshare: global-history XOR PC indexes 2-bit counters."""
 
-    def __init__(self, table_bits: int = 12, history_bits: int = 12) -> None:
+    TABLE_BITS = 12
+    HISTORY_BITS = 12
+
+    def __init__(self) -> None:
         super().__init__()
-        self.table_bits = table_bits
-        self.history_bits = history_bits
-        self._table = [2] * (1 << table_bits)  # weakly taken
+        self._table = [2] * (1 << self.TABLE_BITS)  # weakly taken
         self._history = 0
-        self._history_mask = (1 << history_bits) - 1
+        self._history_mask = (1 << self.HISTORY_BITS) - 1
 
     def predict(self, pc: int, taken: bool) -> bool:
-        index = ((pc >> 2) ^ self._history) & ((1 << self.table_bits) - 1)
+        index = ((pc >> 2) ^ self._history) & ((1 << self.TABLE_BITS) - 1)
         counter = self._table[index]
         predicted_taken = counter >= 2
         mispredicted = predicted_taken != taken
@@ -96,7 +97,6 @@ class CalibratedPredictor(BranchPredictor):
         super().__init__()
         if not 0.0 <= rate <= 1.0:
             raise ValueError("mispredict rate must be in [0, 1]")
-        self.rate = rate
         self._state = seed & self._MASK
         #: A state below this mispredicts (see the class docstring).
         self.threshold = math.ceil(rate * (1 << 53)) << 11

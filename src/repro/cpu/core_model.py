@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from .branch import BranchPredictor, CalibratedPredictor, GsharePredictor
-from .isa import Branch, OpCosts
+from .isa import Branch
 
 
 @dataclass
@@ -55,11 +55,11 @@ class CoreExecutor:
     :meth:`Scheduler.run
     <repro.runtime.scheduler.Scheduler.run>` executes the ops."""
 
-    def __init__(self, system, costs: Optional[OpCosts] = None,
+    def __init__(self, system,
                  predictor_factory: Optional[Callable[[], BranchPredictor]] = None
                  ) -> None:
         self.system = system
-        self.costs = costs or system.config.op_costs
+        self.costs = system.config.op_costs
         self._predictor_factory = predictor_factory or GsharePredictor
         self._predictors: Dict[int, BranchPredictor] = {}
         #: The threads it runs by tid (``Scheduler.add_thread`` registers

@@ -75,20 +75,18 @@ class ContentionSweepResult:
         raise KeyError((workload, policy))
 
 
-def contention_spec(scale: float = 1.0,
-                    policies: Optional[List[str]] = None) -> SweepSpec:
+def contention_spec(scale: float = 1.0) -> SweepSpec:
     """Every (workload, policy) cell of the sweep, in report order.
 
     The adversarial workloads are engine-native (``build_workload`` sizes
     them by ``scale``); the capacity hog pins the deliberately tiny
     machine config through the request.
     """
-    policies = policies or sorted(POLICIES)
     requests: List[RunRequest] = []
     for workload_name, machine in (("contended-list", None),
                                    ("capacity-hog",
                                     CapacityHogWorkload.tiny_config())):
-        for policy_name in policies:
+        for policy_name in sorted(POLICIES):
             requests.append(RunRequest(
                 workload=workload_name, system="hmtx", scale=scale,
                 paradigm="PS-DSWP", policy=policy_name, machine=machine))
@@ -96,12 +94,11 @@ def contention_spec(scale: float = 1.0,
 
 
 def run_contention_sweep(scale: float = 1.0,
-                         policies: Optional[List[str]] = None,
                          engine: Optional[SweepEngine] = None,
                          ) -> ContentionSweepResult:
     """Run every scenario under every retry policy."""
     engine = engine or SweepEngine()
-    spec = contention_spec(scale, policies)
+    spec = contention_spec(scale)
     cells: List[SweepCell] = []
     for request, record in zip(spec.requests, engine.run_spec(spec)):
         cells.append(SweepCell(

@@ -13,7 +13,7 @@ form of Figure 1's timing diagrams.  The expected shape (section 2.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.config import MachineConfig
 from ..runtime.paradigms import run_workload
@@ -28,10 +28,9 @@ class Fig1Result:
     queue_latency: int
 
 
-def run_fig1(nodes: int = 48, work_cycles: int = 400,
-             config: Optional[MachineConfig] = None) -> Fig1Result:
+def run_fig1(nodes: int = 48, work_cycles: int = 400) -> Fig1Result:
     """Regenerate Figure 1's paradigm comparison."""
-    config = config or MachineConfig()
+    config = MachineConfig()
 
     def fresh() -> LinkedListWorkload:
         return LinkedListWorkload(nodes=nodes, work_cycles=work_cycles)

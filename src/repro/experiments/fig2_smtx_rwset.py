@@ -10,7 +10,7 @@ Amdahl-projected through Table 1's hot-loop fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..smtx import smtx_whole_program_speedup
 from ..workloads.suite import SMTX_COMPARABLE
@@ -44,10 +44,8 @@ def fig2_spec(runner: BenchmarkRunner) -> SweepSpec:
     return SweepSpec("fig2", tuple(requests))
 
 
-def run_fig2(scale: float = 1.0,
-             runner: Optional[BenchmarkRunner] = None) -> Fig2Result:
+def run_fig2(runner: BenchmarkRunner) -> Fig2Result:
     """Regenerate Figure 2 (the 6 SMTX-evaluated benchmarks)."""
-    runner = runner or BenchmarkRunner(scale=scale)
     runner.engine.run_spec(fig2_spec(runner))
     rows: Dict[str, Fig2Row] = {}
     for name in SMTX_COMPARABLE:

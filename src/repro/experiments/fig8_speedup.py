@@ -50,10 +50,8 @@ def fig8_spec(runner: BenchmarkRunner) -> SweepSpec:
     return SweepSpec("fig8", tuple(requests))
 
 
-def run_fig8(scale: float = 1.0,
-             runner: Optional[BenchmarkRunner] = None) -> Fig8Result:
+def run_fig8(runner: BenchmarkRunner) -> Fig8Result:
     """Regenerate Figure 8's bars."""
-    runner = runner or BenchmarkRunner(scale=scale)
     runner.engine.run_spec(fig8_spec(runner))
     rows: Dict[str, Fig8Row] = {}
     for name in BENCHMARK_NAMES:

@@ -9,7 +9,7 @@ compares *relative* sizes (who is largest, spread between benchmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..workloads.suite import BENCHMARK_NAMES
 from .engine import SweepSpec
@@ -43,10 +43,8 @@ def fig9_spec(runner: BenchmarkRunner) -> SweepSpec:
                                    for name in BENCHMARK_NAMES))
 
 
-def run_fig9(scale: float = 1.0,
-             runner: Optional[BenchmarkRunner] = None) -> Fig9Result:
+def run_fig9(runner: BenchmarkRunner) -> Fig9Result:
     """Regenerate Figure 9 from HMTX (max-validation) runs."""
-    runner = runner or BenchmarkRunner(scale=scale)
     runner.engine.run_spec(fig9_spec(runner))
     rows: Dict[str, Fig9Row] = {}
     for name in BENCHMARK_NAMES:

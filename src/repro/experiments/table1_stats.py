@@ -14,7 +14,7 @@ column's paper-vs-measured agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..workloads.suite import BENCHMARK_NAMES, PAPER_TABLE1, Table1Row
 from .engine import SweepSpec
@@ -51,10 +51,8 @@ def table1_spec(runner: BenchmarkRunner) -> SweepSpec:
     return SweepSpec("table1", tuple(requests))
 
 
-def run_table1(scale: float = 1.0,
-               runner: Optional[BenchmarkRunner] = None) -> Table1Result:
+def run_table1(runner: BenchmarkRunner) -> Table1Result:
     """Regenerate Table 1 from HMTX (max-validation) runs."""
-    runner = runner or BenchmarkRunner(scale=scale)
     runner.engine.run_spec(table1_spec(runner))
     measured: Dict[str, MeasuredRow] = {}
     for name in BENCHMARK_NAMES:

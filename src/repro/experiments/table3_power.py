@@ -12,7 +12,7 @@ uses it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..power import McPatModel, PowerReport
 from ..workloads.suite import BENCHMARK_NAMES, SMTX_COMPARABLE
@@ -57,10 +57,8 @@ def table3_spec(runner: BenchmarkRunner) -> SweepSpec:
     return SweepSpec("table3", tuple(requests))
 
 
-def run_table3(scale: float = 1.0,
-               runner: Optional[BenchmarkRunner] = None) -> Table3Result:
+def run_table3(runner: BenchmarkRunner) -> Table3Result:
     """Regenerate Table 3 from the Figure 8 runs plus the power model."""
-    runner = runner or BenchmarkRunner(scale=scale)
     runner.engine.run_spec(table3_spec(runner))
     commodity = McPatModel(hmtx_extensions=False)
     extended = McPatModel(hmtx_extensions=True)

@@ -283,12 +283,11 @@ def format_trace(events: Iterable[TraceEvent],
     return "\n".join(lines)
 
 
-def format_address_history(events: Iterable[TraceEvent], addr: int,
-                           line_size: int = 64) -> str:
-    """The Figure 5 view: everything that happened to one line."""
-    base = addr - (addr % line_size)
+def format_address_history(events: Iterable[TraceEvent], addr: int) -> str:
+    """The Figure 5 view: everything that happened to one 64-byte line."""
+    base = addr - (addr % 64)
     relevant = [e for e in events
-                if e.addr is not None and e.addr - (e.addr % line_size) == base]
+                if e.addr is not None and e.addr - (e.addr % 64) == base]
     header = f"history of line 0x{base:x} ({len(relevant)} events)"
     return "\n".join([header] + ["  " + e.render() for e in relevant])
 

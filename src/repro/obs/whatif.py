@@ -165,8 +165,7 @@ def run_whatif(presets: Sequence[str] = DEFAULT_PRESETS,
                knobs: Sequence[str] = KNOB_NAMES,
                delta: float = DEFAULT_DELTA,
                scale: float = 1.0,
-               jobs: int = 1,
-               engine=None) -> Dict[str, Any]:
+               jobs: int = 1) -> Dict[str, Any]:
     """Run the full perturbation matrix; returns the report dict.
 
     One observed baseline per (preset × workload × system), plus an
@@ -178,7 +177,7 @@ def run_whatif(presets: Sequence[str] = DEFAULT_PRESETS,
     from ..experiments.scaling_sweep import scaling_machine  # lint-ok: RL005 (same lazy sweep-stack boundary as the engine import above)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    engine = engine or SweepEngine(jobs=jobs)
+    engine = SweepEngine(jobs=jobs)
     selected = knobs_by_name(knobs)
 
     # Build the whole request matrix first (one batch = full parallelism),

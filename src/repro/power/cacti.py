@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 MBIT = 1024 * 1024
+#: Physical address width the cache tags cover.
+ADDRESS_BITS = 48
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def sram_array(bits: int, fast: bool,
 
 
 def cache_arrays(size_bytes: int, assoc: int, line_size: int,
-                 address_bits: int = 48, fast: bool = False,
+                 fast: bool = False,
                  extra_state_bits: int = 0,
                  tech: TechnologyNode = TechnologyNode()) -> SramEstimate:
     """Data + tag (+ optional extension-state) arrays of one cache.
@@ -83,7 +85,7 @@ def cache_arrays(size_bytes: int, assoc: int, line_size: int,
     sets = lines // assoc
     index_bits = max(1, int(math.log2(max(sets, 1))))
     offset_bits = int(math.log2(line_size))
-    tag_bits_per_line = address_bits - index_bits - offset_bits
+    tag_bits_per_line = ADDRESS_BITS - index_bits - offset_bits
     # MOESI state + LRU bookkeeping alongside the tag.
     state_bits_per_line = 4
     data = sram_array(lines * line_size * 8, fast=fast, tech=tech)

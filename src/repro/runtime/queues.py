@@ -74,7 +74,7 @@ class TimedQueue:
 class QueueSet:
     """Named queues shared by the threads of one parallel run."""
 
-    def __init__(self, latency: int = 40,
+    def __init__(self, latency: int,
                  capacity: Optional[int] = DEFAULT_QUEUE_CAPACITY) -> None:
         self.latency = latency
         self.capacity = capacity

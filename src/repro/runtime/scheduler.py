@@ -157,12 +157,11 @@ class Scheduler:
     """Runs a set of thread programs to completion on the simulated machine."""
 
     def __init__(self, system, executor: Optional[CoreExecutor] = None,
-                 queues: Optional[QueueSet] = None,
                  interrupts: Optional[InterruptInjector] = None,
                  max_steps: int = 50_000_000) -> None:
         self.system = system
         self.executor = executor or CoreExecutor(system)
-        self.queues = queues or QueueSet(latency=system.config.queue_latency)
+        self.queues = QueueSet(latency=system.config.queue_latency)
         self.interrupts = interrupts
         self.max_steps = max_steps
         self.threads: List[ThreadHandle] = []

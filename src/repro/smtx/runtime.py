@@ -19,7 +19,7 @@ from typing import Optional
 from ..core.config import MachineConfig
 from ..runtime.paradigms import ParadigmResult, run_workload
 from ..workloads.base import Workload
-from .costs import SmtxCosts, ValidationMode
+from .costs import ValidationMode
 from .system import SMTXSystem, ValidationPredicate
 
 
@@ -55,7 +55,6 @@ def validation_predicate_for(workload: Workload,
 def run_smtx(workload: Workload, config: Optional[MachineConfig] = None,
              paradigm: Optional[str] = None,
              mode: ValidationMode = ValidationMode.MINIMAL,
-             costs: Optional[SmtxCosts] = None,
              **kwargs) -> ParadigmResult:
     """Run ``workload`` under SMTX; returns a ParadigmResult whose
     ``cycles`` include the commit-process bottleneck.
@@ -78,7 +77,7 @@ def run_smtx(workload: Workload, config: Optional[MachineConfig] = None,
 
     def factory() -> SMTXSystem:
         return SMTXSystem(config=worker_config, mode=mode,
-                          validation_predicate=predicate, costs=costs)
+                          validation_predicate=predicate)
 
     name = paradigm or workload.paradigm
     if name == "PS-DSWP":

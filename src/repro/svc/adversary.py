@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..core.config import MachineConfig
 from ..cpu.isa import Load, Store, Work
@@ -309,9 +309,8 @@ def evaluate_genome(genome: Genome, seed: int = 42,
 # The search
 # ----------------------------------------------------------------------
 
-def search(seed: int = 42, rounds: int = 4, population: int = 4,
-           base: Optional[Genome] = None,
-           policy: str = ADVERSARY_POLICY) -> Dict[str, Any]:
+def search(seed: int = 42, rounds: int = 4,
+           population: int = 4) -> Dict[str, Any]:
     """Seeded hill-climb over genomes; returns a plain-data report.
 
     Each round mutates the incumbent ``population`` times, evaluates
@@ -321,15 +320,14 @@ def search(seed: int = 42, rounds: int = 4, population: int = 4,
     ``(score, earlier-first)``.
     """
     rng = Lcg((seed * 1_000_003) ^ 0x5EA2C4)
-    incumbent = (base or Genome()).clamped()
+    incumbent = Genome().clamped()
     seen: Dict[Tuple[int, ...], Dict[str, Any]] = {}
 
     def evaluate(genome: Genome) -> Dict[str, Any]:
         key = tuple(genome.to_dict()[g] for g in sorted(_GENE_BOUNDS))
         if key not in seen:
             entry = {"genome": genome.to_dict(),
-                     "metrics": evaluate_genome(genome, seed=seed,
-                                                policy=policy)}
+                     "metrics": evaluate_genome(genome, seed=seed)}
             entry["score"] = entry["metrics"]["score"]
             entry["order"] = len(seen)
             seen[key] = entry
@@ -353,7 +351,7 @@ def search(seed: int = 42, rounds: int = 4, population: int = 4,
     return {
         "schema": SEARCH_SCHEMA,
         "seed": seed,
-        "policy": policy,
+        "policy": ADVERSARY_POLICY,
         "rounds": rounds,
         "population": population,
         "evaluated": len(seen),
@@ -455,7 +453,7 @@ def replay_survivor(path, tolerance: float = 0.25) -> Dict[str, Any]:
     }
 
 
-def adversary_workload(scale: float = 1.0, seed: int = 42,
+def adversary_workload(scale: float, seed: int = 42,
                        **genes) -> AdversarialWorkload:
     """Registry factory: the default genome with per-gene overrides.
 

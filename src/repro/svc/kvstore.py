@@ -79,7 +79,6 @@ class KVStoreWorkload(Workload):
         self.name = name
         self.iterations = requests
         self.keys = keys
-        self.theta = theta
         self.seed = seed
         self.mix = tuple(mix)
         self.ops_per_tx = ops_per_tx
@@ -241,7 +240,7 @@ def _sized(scale: float) -> Tuple[int, int]:
     return max(8, round(96 * scale)), max(256, round(100_000 * scale))
 
 
-def kv_workload(scale: float = 1.0, seed: int = 42,
+def kv_workload(scale: float, seed: int = 42,
                 **kwargs) -> KVStoreWorkload:
     requests, keys = _sized(scale)
     params: dict = dict(name="svc-kv", requests=requests, keys=keys,
@@ -250,7 +249,7 @@ def kv_workload(scale: float = 1.0, seed: int = 42,
     return KVStoreWorkload(**params)
 
 
-def kv_read_workload(scale: float = 1.0, seed: int = 42,
+def kv_read_workload(scale: float, seed: int = 42,
                      **kwargs) -> KVStoreWorkload:
     requests, keys = _sized(scale)
     params: dict = dict(name="svc-kv-read", requests=requests, keys=keys,
@@ -259,7 +258,7 @@ def kv_read_workload(scale: float = 1.0, seed: int = 42,
     return KVStoreWorkload(**params)
 
 
-def oltp_workload(scale: float = 1.0, seed: int = 42,
+def oltp_workload(scale: float, seed: int = 42,
                   **kwargs) -> KVStoreWorkload:
     requests, keys = _sized(scale)
     params: dict = dict(name="svc-oltp", requests=requests, keys=keys,

@@ -83,13 +83,11 @@ def _series_quantiles(digest: Optional[Dict[str, Any]],
 
 def latency_report(workload: str = "svc-kv", scale: float = 1.0,
                    systems: Sequence[str] = DEFAULT_SYSTEMS,
-                   seed: int = 42, jobs: int = 1,
-                   engine: Optional[SweepEngine] = None) -> Dict[str, Any]:
+                   seed: int = 42, jobs: int = 1) -> Dict[str, Any]:
     """Run the sweep and distill the tail-latency artifact (plain data)."""
     spec = latency_spec(workload=workload, scale=scale, systems=systems,
                         seed=seed)
-    engine = engine or SweepEngine(jobs=jobs)
-    records = engine.run_spec(spec)
+    records = SweepEngine(jobs=jobs).run_spec(spec)
     rows: List[Dict[str, Any]] = []
     for record in records:
         row: Dict[str, Any] = {

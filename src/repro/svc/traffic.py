@@ -66,8 +66,6 @@ class ZipfianSampler:
     def __init__(self, n: int, theta: float = 0.99, seed: int = 1) -> None:
         if n <= 0:
             raise ValueError(f"keyspace must be positive: {n!r}")
-        self.n = n
-        self.theta = theta
         self._rng = Lcg(seed)
         self._cdf = _zipf_cdf(n, theta)
 
@@ -88,18 +86,18 @@ class BurstyArrivals:
     an ``idle_gap`` lull (the inter-burst silence that lets queues
     drain and makes the next burst hurt).  All phase lengths and gaps
     are LCG-drawn integers, so the schedule is a pure function of the
-    seed.
+    seed.  A phase lasts about ``burst_len`` or ``steady_len`` requests.
     """
 
+    burst_len = 10
+    steady_len = 12
+
     def __init__(self, seed: int = 1, base_gap: int = 64, burst_gap: int = 8,
-                 idle_gap: int = 600, burst_len: int = 10,
-                 steady_len: int = 12) -> None:
+                 idle_gap: int = 600) -> None:
         self.seed = seed
         self.base_gap = max(1, base_gap)
         self.burst_gap = max(1, burst_gap)
         self.idle_gap = max(0, idle_gap)
-        self.burst_len = max(1, burst_len)
-        self.steady_len = max(1, steady_len)
 
     def gaps(self, count: int) -> List[int]:
         """``count`` inter-arrival gaps (the schedule's first differences)."""

@@ -59,21 +59,15 @@ class FallbackLock:
 
 
 class SerialFallback:
-    """Builds and accounts for non-speculative serial re-execution.
+    """Builds and accounts for non-speculative serial re-execution."""
 
-    Parameters
-    ----------
-    lock_acquire_cycles / lock_release_cycles:
-        Cost of the global lock handshake (an uncontended atomic RMW plus
-        fence on acquire; a store-release on release).
-    """
+    #: Cost of the global lock handshake (an uncontended atomic RMW plus
+    #: fence on acquire; a store-release on release).
+    lock_acquire_cycles = 40
+    lock_release_cycles = 10
 
-    def __init__(self, lock_acquire_cycles: int = 40,
-                 lock_release_cycles: int = 10,
-                 lock: Optional[FallbackLock] = None) -> None:
-        self.lock_acquire_cycles = lock_acquire_cycles
-        self.lock_release_cycles = lock_release_cycles
-        self.lock = lock or FallbackLock()
+    def __init__(self) -> None:
+        self.lock = FallbackLock()
 
     # ------------------------------------------------------------------
 

@@ -67,7 +67,6 @@ class LivelockDetector:
                  fallback_ratio: float = 0.9) -> None:
         if not 0 < backoff_ratio <= serialize_ratio <= fallback_ratio:
             raise ValueError("escalation ratios must be ordered and positive")
-        self.window = window
         self.min_events = min_events
         self.backoff_ratio = backoff_ratio
         self.serialize_ratio = serialize_ratio

@@ -60,8 +60,6 @@ class ContentionManager:
     policy:
         The pluggable retry policy (default
         :class:`~repro.txctl.policies.ExponentialBackoff`).
-    detector:
-        Livelock detector; pass ``None`` for the default window.
     fallback:
         The serial fallback.  ``None`` **disables** the fallback; the
         hard recovery bound then raises
@@ -69,27 +67,26 @@ class ContentionManager:
     max_recoveries / serialize_after_no_progress /
     fallback_after_no_progress:
         The escalation ladder's rungs (see module docstring).
-    stats:
-        Destination for counters; when the manager is bound to a system
-        (:meth:`bind`) the system's ``stats.contention`` is used so the
-        numbers surface in Table 1 and the stats dump.
+
+    Counters go to a fresh :class:`~repro.txctl.stats.ContentionStats`
+    until :meth:`bind` swaps in the system's ``stats.contention``, so the
+    numbers surface in Table 1 and the stats dump.
     """
 
     def __init__(self, policy: Optional[RetryPolicy] = None,
-                 detector: Optional[LivelockDetector] = None,
                  fallback=_DEFAULT_FALLBACK,
                  max_recoveries: int = DEFAULT_MAX_RECOVERIES,
                  serialize_after_no_progress: int = DEFAULT_SERIALIZE_AFTER,
-                 fallback_after_no_progress: int = DEFAULT_FALLBACK_AFTER,
-                 stats: Optional[ContentionStats] = None) -> None:
+                 fallback_after_no_progress: int = DEFAULT_FALLBACK_AFTER
+                 ) -> None:
         self.policy = policy or ExponentialBackoff()
-        self.detector = detector or LivelockDetector()
+        self.detector = LivelockDetector()
         self.fallback: Optional[SerialFallback] = (
             SerialFallback() if fallback is _DEFAULT_FALLBACK else fallback)
         self.max_recoveries = max_recoveries
         self.serialize_after_no_progress = serialize_after_no_progress
         self.fallback_after_no_progress = fallback_after_no_progress
-        self.stats = stats or ContentionStats()
+        self.stats = ContentionStats()
         #: Whether on_abort records events itself.  A manager bound to a
         #: system must not: the system already recorded every abort (with
         #: its cause) at the source, in the same shared ContentionStats.
@@ -99,7 +96,6 @@ class ContentionManager:
         self.no_progress = 0
         self.serialized = False
         self.fallback_taken = False
-        self.last_event: Optional[AbortEvent] = None
         self._last_committed: Optional[int] = None
         self._vid_attempts: dict = {}
 
@@ -120,7 +116,6 @@ class ContentionManager:
         self.no_progress = 0
         self.serialized = False
         self.fallback_taken = False
-        self.last_event = None
         self._vid_attempts = {}
         self.policy.reset()
         self.detector.reset()
@@ -144,7 +139,6 @@ class ContentionManager:
         hit with the fallback disabled.
         """
         event = event_from_exception(exc, committed=committed)
-        self.last_event = event
         self.recoveries += 1
         if self._records_aborts:
             self.stats.record_event(event)

@@ -157,11 +157,10 @@ class CapacityAware(RetryPolicy):
     """
 
     name = "capacity-aware"
+    max_capacity_attempts = 1
 
-    def __init__(self, inner: Optional[RetryPolicy] = None,
-                 max_capacity_attempts: int = 1) -> None:
+    def __init__(self, inner: Optional[RetryPolicy] = None) -> None:
         self.inner = inner or ExponentialBackoff()
-        self.max_capacity_attempts = max_capacity_attempts
 
     def decide(self, event: AbortEvent, ctx: PolicyContext) -> RetryDecision:
         if event.cause is AbortCause.CAPACITY_OVERFLOW \

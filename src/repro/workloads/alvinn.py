@@ -29,14 +29,15 @@ class AlvinnWorkload(Workload):
     hot_loop_fraction = 0.855
     mispredict_rate = 0.00245
 
-    def __init__(self, iterations: int = 32, hidden_units: int = 12,
-                 input_words: int = 24) -> None:
+    # Model geometry: hidden units, words per input pattern.
+    hidden_units = 12
+    input_words = 24
+
+    def __init__(self, iterations: int) -> None:
         self.iterations = iterations
-        self.hidden_units = hidden_units
-        self.input_words = input_words
         # Shared, read-only during the loop: inputs and current weights.
         self.patterns = Region(0x600_0000,
-                               iterations * ((input_words * 8 + LINE - 1)
+                               iterations * ((self.input_words * 8 + LINE - 1)
                                              // LINE + 1) * LINE)
         self.weights = Region(0x610_0000, 8 * LINE)
         # Private per-iteration gradient slice (the DOALL writes).

@@ -33,7 +33,7 @@ class Bzip2Workload(PipelinedBenchmark):
     stage1_work = 4465
     epilogue_work = 30300
 
-    def __init__(self, iterations: int = 8, block_lines: int = 44) -> None:
+    def __init__(self, iterations: int, block_lines: int = 44) -> None:
         super().__init__(iterations)
         self.block_lines = block_lines
         stride = block_lines * LINE

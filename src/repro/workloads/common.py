@@ -83,7 +83,7 @@ def branch_op(rng: Lcg, wrong_path: Tuple[int, ...] = ()) -> Branch:
     return _BRANCH_TAKEN if taken else _BRANCH_NOT_TAKEN
 
 
-def calibrated_executor_factory(mispredict_rate: float, seed: int = 0xFACE):
+def calibrated_executor_factory(mispredict_rate: float):
     """Executor factory whose predictors mispredict at the Table 1 rate."""
 
     def factory(system) -> CoreExecutor:
@@ -92,7 +92,7 @@ def calibrated_executor_factory(mispredict_rate: float, seed: int = 0xFACE):
         def predictor():
             counter["n"] += 1
             return CalibratedPredictor(mispredict_rate,
-                                       seed=seed + 7919 * counter["n"])
+                                       seed=0xFACE + 7919 * counter["n"])
 
         return CoreExecutor(system, predictor_factory=predictor)
 

@@ -45,12 +45,11 @@ class HighContentionListWorkload(LinkedListWorkload):
 
     name = "contended-list"
 
-    def __init__(self, nodes: int = 24, work_cycles: int = 60,
-                 rmw_per_iteration: int = 1,
-                 counter_addr: int = 0x2000, **kwargs) -> None:
-        super().__init__(nodes=nodes, work_cycles=work_cycles, **kwargs)
+    counter_addr = 0x2000
+
+    def __init__(self, nodes: int = 24, rmw_per_iteration: int = 1) -> None:
+        super().__init__(nodes=nodes, work_cycles=60)
         self.rmw_per_iteration = rmw_per_iteration
-        self.counter_addr = counter_addr
 
     def setup(self, system) -> None:
         super().setup(system)
@@ -85,17 +84,15 @@ class CapacityHogWorkload(Workload):
 
     name = "capacity-hog"
     paradigm = "PS-DSWP"
+    work_cycles = 20
+    region = 0x40_0000
+    out_region = 0x20_0000
+    produced_slot = 0x3000
 
-    def __init__(self, iterations: int = 4, lines_per_iteration: int = 400,
-                 work_cycles: int = 20, region: int = 0x40_0000,
-                 out_region: int = 0x20_0000,
-                 produced_slot: int = 0x3000) -> None:
+    def __init__(self, iterations: int = 4,
+                 lines_per_iteration: int = 400) -> None:
         self.iterations = iterations
         self.lines_per_iteration = lines_per_iteration
-        self.work_cycles = work_cycles
-        self.region = region
-        self.out_region = out_region
-        self.produced_slot = produced_slot
 
     @staticmethod
     def tiny_config(**overrides) -> MachineConfig:
@@ -165,14 +162,14 @@ class CapacityHogWorkload(Workload):
 # construction parameters)
 # ----------------------------------------------------------------------
 
-def contended_list_workload(scale: float = 1.0,
+def contended_list_workload(scale: float,
                             **kwargs) -> HighContentionListWorkload:
     params: dict = dict(nodes=max(8, int(24 * scale)), rmw_per_iteration=2)
     params.update(kwargs)
     return HighContentionListWorkload(**params)
 
 
-def capacity_hog_workload(scale: float = 1.0,
+def capacity_hog_workload(scale: float,
                           **kwargs) -> CapacityHogWorkload:
     params: dict = dict(iterations=max(2, int(4 * scale)))
     params.update(kwargs)

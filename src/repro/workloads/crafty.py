@@ -28,13 +28,14 @@ class CraftyWorkload(PipelinedBenchmark):
     # Calibrated DSWP stage split (see EXPERIMENTS.md):
     stage1_work = 843
     epilogue_work = 5900
+    # Model geometry: moves per position, attack-table lines.
+    moves = 24
+    attack_lines = 512
 
-    def __init__(self, iterations: int = 24, moves: int = 24,
-                 attack_lines: int = 512) -> None:
+    def __init__(self, iterations: int) -> None:
         super().__init__(iterations)
-        self.moves = moves
         # Precomputed attack/eval tables, probed data-dependently.
-        self.attack_tables = Region(0x330_0000, attack_lines * LINE)
+        self.attack_tables = Region(0x330_0000, self.attack_lines * LINE)
         # Per-iteration scratch: move list + board copy (small write set).
         self.scratch = Region(0x340_0000, iterations * 4 * LINE)
 

@@ -30,21 +30,21 @@ class GzipWorkload(PipelinedBenchmark):
     # Calibrated DSWP stage split (see EXPERIMENTS.md):
     stage1_work = 818
     epilogue_work = 7300
+    # Model geometry: words per input block, hash-table lines per block.
+    block_words = 40
+    hash_lines = 8
 
-    def __init__(self, iterations: int = 20, block_words: int = 40,
-                 hash_lines: int = 64) -> None:
+    def __init__(self, iterations: int) -> None:
         super().__init__(iterations)
-        self.block_words = block_words
         # Input blocks: one private region per iteration (streamed reads).
-        self.blocks = Region(0x350_0000, iterations * ((block_words * 8 + LINE - 1)
+        self.blocks = Region(0x350_0000, iterations * ((self.block_words * 8 + LINE - 1)
                                                        // LINE + 1) * LINE)
         # Per-iteration private hash table slice and output buffer.  (The
         # real deflate hash table is shared; the manual parallelisation
         # privatises it per block, as the paper's transformations must to
         # keep the parallel stage independent.)
-        self.hash_tables = Region(0x360_0000, iterations * hash_lines // 8 * LINE)
+        self.hash_tables = Region(0x360_0000, iterations * self.hash_lines * LINE)
         self.output = Region(0x370_0000, iterations * 8 * LINE)
-        self.hash_lines = hash_lines // 8
 
     @cached_property
     def _block_words(self) -> List[int]:

@@ -28,12 +28,12 @@ class HmmerWorkload(PipelinedBenchmark):
     # Calibrated DSWP stage split (see EXPERIMENTS.md):
     stage1_work = 247
     epilogue_work = 1576
+    # Model geometry: profile states swept per residue, residues per sequence.
+    model_states = 24
+    sequence_len = 4
 
-    def __init__(self, iterations: int = 40, model_states: int = 24,
-                 sequence_len: int = 4) -> None:
+    def __init__(self, iterations: int) -> None:
         super().__init__(iterations)
-        self.model_states = model_states
-        self.sequence_len = sequence_len
         # Profile coefficients: a few hot lines, re-read constantly.
         self.model = Region(0x310_0000, 4 * LINE)
         # One DP row per iteration (private), updated in place many times.

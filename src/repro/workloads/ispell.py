@@ -28,12 +28,13 @@ class IspellWorkload(PipelinedBenchmark):
     # Calibrated DSWP stage split (see EXPERIMENTS.md):
     stage1_work = 226
     epilogue_work = 2580
+    # Model geometry: dictionary probes per word, dictionary lines.
+    probes = 4
+    dict_lines = 2048
 
-    def __init__(self, iterations: int = 64, probes: int = 4,
-                 dict_lines: int = 2048) -> None:
+    def __init__(self, iterations: int) -> None:
         super().__init__(iterations)
-        self.probes = probes
-        self.dictionary = Region(0x300_0000, dict_lines * LINE)
+        self.dictionary = Region(0x300_0000, self.dict_lines * LINE)
 
     def setup_domain(self, memory) -> None:
         for i in range(self.dictionary.size // LINE):

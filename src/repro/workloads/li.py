@@ -35,14 +35,14 @@ class LiWorkload(PipelinedBenchmark):
     # Calibrated DSWP stage split (see EXPERIMENTS.md):
     stage1_work = 2208
     epilogue_work = 14900
+    # Model geometry: cons cells walked per expression, heap size in lines.
+    eval_steps = 850
+    heap_lines = 224
 
-    def __init__(self, iterations: int = 8, eval_steps: int = 850,
-                 heap_lines: int = 224, alloc_per_step: int = 1) -> None:
+    def __init__(self, iterations: int) -> None:
         super().__init__(iterations)
-        self.eval_steps = eval_steps
-        self.alloc_per_step = alloc_per_step
         # Shared cons heap: read-mostly graph built at setup.
-        self.heap = Region(0x400_0000, heap_lines * LINE)
+        self.heap = Region(0x400_0000, self.heap_lines * LINE)
         # Per-iteration allocation frontier (fresh cells -> big write set).
         self.frontiers = Region(0x500_0000, iterations * 64 * LINE)
 

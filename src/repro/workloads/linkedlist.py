@@ -45,42 +45,36 @@ class LinkedListWorkload(Workload):
         List length; also the iteration count of the hot loop.
     work_cycles:
         Pure compute per ``work()`` call.
-    work_reads:
-        Extra reads ``work()`` performs against a shared read-mostly table
-        (grows the read set).
-    shuffle:
-        Lay nodes out in a pseudo-random order so the pointer chase has no
-        spatial locality (the "irregular pointer-chasing" case).
+
+    Nodes are laid out in a pseudo-random order so the pointer chase has
+    no spatial locality (the "irregular pointer-chasing" case), and
+    ``work()`` makes ``work_reads`` extra reads of a shared read-mostly
+    table (grows the read set).
     """
 
     name = "linkedlist"
     paradigm = "PS-DSWP"
+    work_reads = 8
+    node_region = 0x10_0000
+    table_region = 0x80_0000
+    produced_node = 0x1000
 
-    def __init__(self, nodes: int = 32, work_cycles: int = 120,
-                 work_reads: int = 8, shuffle: bool = True,
-                 node_region: int = 0x10_0000, table_region: int = 0x80_0000,
-                 produced_node: int = 0x1000) -> None:
+    def __init__(self, nodes: int = 32, work_cycles: int = 120) -> None:
         self.iterations = nodes
         self.nodes = nodes
         self.work_cycles = work_cycles
-        self.work_reads = work_reads
-        self.shuffle = shuffle
-        self.node_region = node_region
-        self.table_region = table_region
-        self.produced_node = produced_node
         self._node_addrs: List[int] = []
 
     # ------------------------------------------------------------------
 
     def _layout(self) -> List[int]:
         order = list(range(self.nodes))
-        if self.shuffle:
-            # Deterministic shuffle (LCG) so runs are reproducible.
-            state = 0x5EED
-            for i in range(self.nodes - 1, 0, -1):
-                state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-                j = state % (i + 1)
-                order[i], order[j] = order[j], order[i]
+        # Deterministic shuffle (LCG) so runs are reproducible.
+        state = 0x5EED
+        for i in range(self.nodes - 1, 0, -1):
+            state = (state * 1103515245 + 12345) & 0x7FFFFFFF
+            j = state % (i + 1)
+            order[i], order[j] = order[j], order[i]
         return [self.node_region + slot * 64 for slot in order]
 
     def setup(self, system) -> None:

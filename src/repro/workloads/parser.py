@@ -30,13 +30,14 @@ class ParserWorkload(PipelinedBenchmark):
     # Calibrated DSWP stage split (see EXPERIMENTS.md):
     stage1_work = 644
     epilogue_work = 4100
+    # Model geometry: words per sentence, dictionary lines, linkage passes.
+    words_per_sentence = 36
+    dict_lines = 1024
+    linkage_passes = 3
 
-    def __init__(self, iterations: int = 14, words_per_sentence: int = 36,
-                 dict_lines: int = 1024, linkage_passes: int = 3) -> None:
+    def __init__(self, iterations: int) -> None:
         super().__init__(iterations)
-        self.words_per_sentence = words_per_sentence
-        self.linkage_passes = linkage_passes
-        self.dictionary = Region(0x380_0000, dict_lines * LINE)
+        self.dictionary = Region(0x380_0000, self.dict_lines * LINE)
         # Per-sentence parse-node arena (written while building linkages).
         self.arenas = Region(0x390_0000, iterations * 16 * LINE)
 

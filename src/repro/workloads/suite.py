@@ -73,8 +73,8 @@ SMTX_COMPARABLE = ("052.alvinn", "130.li", "164.gzip", "197.parser",
                    "256.bzip2", "456.hmmer")
 
 
-def _scaled(value: int, scale: float, minimum: int = 2) -> int:
-    return max(minimum, round(value * scale))
+def _scaled(value: int, scale: float) -> int:
+    return max(2, round(value * scale))
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The causal what-if profiler: knob registry, sensitivities, artifact."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -109,11 +110,14 @@ class TestReport:
         assert "cycle shares for contrast" in text
 
 
-def test_committed_artifact_covers_two_presets_and_backends():
-    import pathlib
-    report = json.loads(
+def _committed_report():
+    return json.loads(
         (pathlib.Path(__file__).parents[2] / "REPORT_whatif.json")
         .read_text(encoding="utf-8"))
+
+
+def test_committed_artifact_covers_two_presets_and_backends():
+    report = _committed_report()
     assert report["schema"] == WHATIF_SCHEMA
     presets = {combo["preset"] for combo in report["combos"]}
     systems = {combo["system"] for combo in report["combos"]}
@@ -121,3 +125,24 @@ def test_committed_artifact_covers_two_presets_and_backends():
     assert len(systems) >= 2
     for combo in report["combos"]:
         assert combo["knobs"], combo["preset"]
+
+
+@pytest.mark.parametrize("preset,system", [
+    ("2s8c", "hmtx"), ("2s8c", "smtx-minimal"),
+    ("4s16c", "hmtx"), ("4s16c", "smtx-minimal"),
+])
+def test_committed_svc_kv_combos_regenerate_exactly(preset, system):
+    """Each committed ``svc-kv`` combo is exactly what a one-combo run of
+    the same delta and scale gives today, and so are the report's
+    schema, scale, delta, preset description and knob table."""
+    committed = _committed_report()
+    (combo,) = [c for c in committed["combos"]
+                if (c["preset"], c["system"], c["workload"])
+                == (preset, system, "svc-kv")]
+    fresh = json.loads(json.dumps(run_whatif(
+        presets=(preset,), systems=(system,), workloads=("svc-kv",),
+        delta=committed["delta"], scale=committed["scale"])))
+    assert fresh["combos"] == [combo]
+    for key in ("schema", "scale", "delta", "knobs"):
+        assert fresh[key] == committed[key], key
+    assert fresh["presets"] == {preset: committed["presets"][preset]}
